@@ -76,8 +76,6 @@ func main() {
 			"serve POST /v1/shard/exec: execute shard slices and return serialized partial aggregates")
 		shards = flag.String("shards", "",
 			"coordinator mode: comma-separated worker addresses (host:port) to scatter queries across")
-		shardSlices = flag.Bool("shard-slices", true,
-			"coordinator: workers hold the full dataset and scan canonical slices (false = each worker owns its own partition)")
 		shardTimeout = flag.Duration("shard-timeout", 30*time.Second,
 			"coordinator: per-worker scatter deadline")
 	)
@@ -121,26 +119,17 @@ func main() {
 
 	var coord *shard.Coordinator
 	if *shards != "" {
-		var workerList []shard.Worker
-		addrs := strings.Split(*shards, ",")
-		n := 0
-		for _, a := range addrs {
+		var addrs []string
+		for _, a := range strings.Split(*shards, ",") {
 			if a = strings.TrimSpace(a); a != "" {
-				n++
+				addrs = append(addrs, a)
 			}
 		}
-		i := 0
-		for _, a := range addrs {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				continue
-			}
-			hw := shard.NewHTTPWorker(a, *shardTimeout)
-			if *shardSlices {
-				hw.SetSlice(i, n)
-			}
-			workerList = append(workerList, hw)
-			i++
+		// Every worker holds the full dataset; worker i of n scans the
+		// canonical segment slice (i, n), by position in -shards.
+		var workerList []shard.Worker
+		for i, a := range addrs {
+			workerList = append(workerList, shard.NewHTTPWorker(a, i, len(addrs), *shardTimeout))
 		}
 		coord, err = shard.New(d, workerList, shard.Options{ExecTimeout: *shardTimeout})
 		if err != nil {

@@ -88,9 +88,6 @@ func NewArrayAgg(dims []int, kinds []expr.AggKind) (*ArrayAgg, error) {
 // Cells returns the total number of array cells.
 func (a *ArrayAgg) Cells() int { return len(a.counts) }
 
-// Dims returns the dimension cardinalities.
-func (a *ArrayAgg) Dims() []int { return a.dims }
-
 // Mult returns the per-dimension index multipliers; the flat index of group
 // ids is sum(ids[k] * Mult()[k]).
 func (a *ArrayAgg) Mult() []int32 { return a.mult }
@@ -123,22 +120,29 @@ func (a *ArrayAgg) Counts() []int64 { return a.counts }
 // for Min/Max the running extremum.
 func (a *ArrayAgg) Vals(k int) []float64 { return a.vals[k] }
 
-// Update folds value v of aggregate k into group cell flat.
-func (a *ArrayAgg) Update(flat int32, k int, v float64) {
-	switch a.kinds[k] {
+// fold merges value v into the raw accumulator *acc of an aggregate of the
+// given kind: Sum and Avg accumulators add (Avg is divided by the row count
+// only at extraction), Min and Max keep the extremum, and Count has no
+// accumulator of its own — it rides on the per-cell row counts. Every
+// update and every merge of either backend goes through it.
+func fold(kind expr.AggKind, acc *float64, v float64) {
+	switch kind {
 	case expr.Sum, expr.Avg:
-		a.vals[k][flat] += v
+		*acc += v
 	case expr.Min:
-		if v < a.vals[k][flat] {
-			a.vals[k][flat] = v
+		if v < *acc {
+			*acc = v
 		}
 	case expr.Max:
-		if v > a.vals[k][flat] {
-			a.vals[k][flat] = v
+		if v > *acc {
+			*acc = v
 		}
-	case expr.Count:
-		// Counts are maintained by AddRow.
 	}
+}
+
+// Update folds value v of aggregate k into group cell flat.
+func (a *ArrayAgg) Update(flat int32, k int, v float64) {
+	fold(a.kinds[k], &a.vals[k][flat], v)
 }
 
 // AddRow records one qualifying row in group cell flat.
@@ -162,18 +166,7 @@ func (a *ArrayAgg) Merge(o *ArrayAgg) error {
 		}
 		a.counts[f] += o.counts[f]
 		for k, kind := range a.kinds {
-			switch kind {
-			case expr.Sum, expr.Avg:
-				a.vals[k][f] += o.vals[k][f]
-			case expr.Min:
-				if v := o.vals[k][f]; v < a.vals[k][f] {
-					a.vals[k][f] = v
-				}
-			case expr.Max:
-				if v := o.vals[k][f]; v > a.vals[k][f] {
-					a.vals[k][f] = v
-				}
-			}
+			fold(kind, &a.vals[k][f], o.vals[k][f])
 		}
 	}
 	return nil

@@ -55,22 +55,10 @@ func (h *HashAgg) Upsert(key []byte) *Cell {
 	return c
 }
 
-// Update folds value v of aggregate k into the cell.
+// Update folds value v of aggregate k into the cell. Counts are maintained
+// by the caller bumping Count.
 func (c *Cell) Update(kinds []expr.AggKind, k int, v float64) {
-	switch kinds[k] {
-	case expr.Sum, expr.Avg:
-		c.Vals[k] += v
-	case expr.Min:
-		if v < c.Vals[k] {
-			c.Vals[k] = v
-		}
-	case expr.Max:
-		if v > c.Vals[k] {
-			c.Vals[k] = v
-		}
-	case expr.Count:
-		// Counts are maintained by the caller bumping Count.
-	}
+	fold(kinds[k], &c.Vals[k], v)
 }
 
 // Kinds returns the aggregate kinds of the hash aggregation.
@@ -86,18 +74,7 @@ func (h *HashAgg) Merge(o *HashAgg) {
 		c := h.Upsert([]byte(oc.key))
 		c.Count += oc.Count
 		for k, kind := range h.kinds {
-			switch kind {
-			case expr.Sum, expr.Avg:
-				c.Vals[k] += oc.Vals[k]
-			case expr.Min:
-				if oc.Vals[k] < c.Vals[k] {
-					c.Vals[k] = oc.Vals[k]
-				}
-			case expr.Max:
-				if oc.Vals[k] > c.Vals[k] {
-					c.Vals[k] = oc.Vals[k]
-				}
-			}
+			fold(kind, &c.Vals[k], oc.Vals[k])
 		}
 	}
 }

@@ -126,19 +126,7 @@ func (p *Partial) MergeIntoArray(a *ArrayAgg) error {
 		}
 		a.counts[f] += p.counts[i]
 		for k, kind := range a.kinds {
-			v := p.vals[i*nk+k]
-			switch kind {
-			case expr.Sum, expr.Avg:
-				a.vals[k][f] += v
-			case expr.Min:
-				if v < a.vals[k][f] {
-					a.vals[k][f] = v
-				}
-			case expr.Max:
-				if v > a.vals[k][f] {
-					a.vals[k][f] = v
-				}
-			}
+			fold(kind, &a.vals[k][f], p.vals[i*nk+k])
 		}
 	}
 	return nil
@@ -157,19 +145,7 @@ func (p *Partial) MergeIntoHash(h *HashAgg) error {
 		c := h.Upsert([]byte(key))
 		c.Count += p.counts[i]
 		for k, kind := range h.kinds {
-			v := p.vals[i*nk+k]
-			switch kind {
-			case expr.Sum, expr.Avg:
-				c.Vals[k] += v
-			case expr.Min:
-				if v < c.Vals[k] {
-					c.Vals[k] = v
-				}
-			case expr.Max:
-				if v > c.Vals[k] {
-					c.Vals[k] = v
-				}
-			}
+			fold(kind, &c.Vals[k], p.vals[i*nk+k])
 		}
 	}
 	return nil

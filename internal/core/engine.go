@@ -38,19 +38,14 @@ type Engine struct {
 	bindCache *memCache
 }
 
-// arrSig keys the aggregation-array pool by shape.
-func arrSig(dims []int, kinds []expr.AggKind) string {
-	return fmt.Sprintf("%v|%v", dims, kinds)
-}
-
 // getArray returns a pooled aggregation array of the given shape, or builds
-// a fresh one.
-func (e *Engine) getArray(dims []int, kinds []expr.AggKind) (*agg.ArrayAgg, error) {
-	sig := arrSig(dims, kinds)
+// a fresh one. key is the shape's pool key (plan.arrKey, computed once per
+// plan rather than per worker per execution).
+func (e *Engine) getArray(key string, dims []int, kinds []expr.AggKind) (*agg.ArrayAgg, error) {
 	e.arrMu.Lock()
-	if list := e.arrPool[sig]; len(list) > 0 {
+	if list := e.arrPool[key]; len(list) > 0 {
 		a := list[len(list)-1]
-		e.arrPool[sig] = list[:len(list)-1]
+		e.arrPool[key] = list[:len(list)-1]
 		e.arrMu.Unlock()
 		return a, nil
 	}
@@ -58,16 +53,13 @@ func (e *Engine) getArray(dims []int, kinds []expr.AggKind) (*agg.ArrayAgg, erro
 	return agg.NewArrayAgg(dims, kinds)
 }
 
-// putArray resets and recycles an aggregation array.
-func (e *Engine) putArray(a *agg.ArrayAgg) {
-	if a == nil {
-		return
-	}
+// putArray resets and recycles an aggregation array; it is the release hook
+// of every array-form agg.State the engine hands out.
+func (e *Engine) putArray(key string, a *agg.ArrayAgg) {
 	a.Reset()
-	sig := arrSig(a.Dims(), a.Kinds())
 	e.arrMu.Lock()
-	if len(e.arrPool[sig]) < 16 { // bound pool growth per shape
-		e.arrPool[sig] = append(e.arrPool[sig], a)
+	if len(e.arrPool[key]) < 16 { // bound pool growth per shape
+		e.arrPool[key] = append(e.arrPool[key], a)
 	}
 	e.arrMu.Unlock()
 }
@@ -118,18 +110,18 @@ func (e *Engine) RunContext(ctx context.Context, q *query.Query, stats *Stats) (
 	if err != nil {
 		return nil, err
 	}
-	return e.exec(ctx, pl, nil, stats)
+	return pl.exec(ctx, pl.planSegs, stats)
 }
 
-// exec runs a compiled plan with fresh per-run state over the given root
-// segment views (the views of the execution's snapshot — which may be newer
-// than the state the plan was compiled against, for segmented roots).
-func (e *Engine) exec(ctx context.Context, pl *plan, segs []storage.SegView, stats *Stats) (*query.Result, error) {
+// execute is the path every scanning entry point takes: scan segs into one
+// merged aggregation state, hand it to end (finalize or capture), and give
+// its pooled array back. Per-run state is fresh, so a compiled plan can be
+// executed concurrently. With a trace on ctx the run is recorded as an
+// `execute` span, closed on every return; its stage children are attached
+// only for a run that completed.
+func (pl *plan) execute(ctx context.Context, segs []storage.SegView, stats *Stats, end func(*agg.State, *runState) error) error {
 	rs := &runState{stats: pl.stats}
 	rs.stats.LeafNS = pl.leafNS
-	if segs == nil {
-		segs = pl.planSegs
-	}
 
 	tr := obs.TraceFrom(ctx)
 	var execSpan obs.SpanID
@@ -137,26 +129,36 @@ func (e *Engine) exec(ctx context.Context, pl *plan, segs []storage.SegView, sta
 	if tr != nil {
 		execT0 = time.Now()
 		execSpan = tr.Start(tr.Root(), obs.StageExecute)
+		defer tr.End(execSpan)
 	}
 
-	var res *query.Result
-	var err error
-	if pl.variant.rowWise() {
-		res, err = pl.runRowWise(ctx, segs, rs)
-	} else {
-		res, err = pl.runColumnar(ctx, segs, rs)
-	}
+	total, err := pl.scan(ctx, segs, rs)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	defer total.Release()
+	if err := end(total, rs); err != nil {
+		return err
 	}
 	if tr != nil {
 		recordExecSpans(tr, execSpan, execT0, &rs.stats)
-		tr.End(execSpan)
 	}
 	if stats != nil {
 		*stats = rs.stats
 	}
-	return res, nil
+	return nil
+}
+
+// exec is single-node execution: the scanned state is finalized in place,
+// which makes it the one-shard case of ExecPartial + MergePartials minus
+// the snapshot copy.
+func (pl *plan) exec(ctx context.Context, segs []storage.SegView, stats *Stats) (*query.Result, error) {
+	var res *query.Result
+	err := pl.execute(ctx, segs, stats, func(total *agg.State, rs *runState) (err error) {
+		res, err = pl.finalize(total, rs)
+		return err
+	})
+	return res, err
 }
 
 // recordExecSpans attaches the execution stages to the trace from the
@@ -278,9 +280,6 @@ func (v *View) Compile(q *query.Query) (*Compiled, error) {
 // Versions returns the per-table versions the plan was compiled at.
 func (c *Compiled) Versions() map[string]TableVersions { return c.versions }
 
-// Segmented reports whether the plan was compiled against a segmented root.
-func (c *Compiled) Segmented() bool { return c.pl.segmented }
-
 // FreshIn reports whether the compiled plan is still valid for execution
 // under the given view. Schema changes always invalidate; data changes
 // invalidate dimensions and flat roots (whose arrays the plan captured),
@@ -312,9 +311,9 @@ func (c *Compiled) FreshIn(v *View) bool {
 // scan-batch boundaries. A nil view executes against the state the plan
 // was compiled on.
 func (e *Engine) Exec(ctx context.Context, v *View, c *Compiled, stats *Stats) (*query.Result, error) {
-	var segs []storage.SegView
+	segs := c.pl.planSegs
 	if v != nil {
 		segs = v.rootSegs
 	}
-	return e.exec(ctx, c.pl, segs, stats)
+	return c.pl.exec(ctx, segs, stats)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -70,17 +69,14 @@ func makeSpans(n, count int) []span {
 	return spans
 }
 
-// partial is one worker's private aggregation state: either an aggregation
-// array or a hash table, never both. Workers also accumulate their own
-// timing, merged by the driver (§5: intermediate results are used
-// exclusively by the worker itself).
-type partial struct {
-	arr *agg.ArrayAgg
-	h   *agg.HashAgg
-
-	scanNS, aggNS     int64
-	scanned, selected int64
-	mergeErr          error // first in-worker merge failure (shape mismatch)
+// worker is one scan goroutine's private working set: its aggregation
+// state, its share of the run's timing and row counters, and reused
+// per-morsel buffers (§5: intermediate results are used exclusively by the
+// worker itself; the driver merges them after the scan).
+type worker struct {
+	st    *agg.State
+	stats Stats // ScanNS, AggNS, RowsScanned, RowsSelected
+	err   error // why the worker stopped early: ctx.Err() or a failed merge
 
 	// Reused per-morsel buffers.
 	sel   []int32
@@ -89,39 +85,38 @@ type partial struct {
 	key   []byte
 }
 
-func (pl *plan) newPartial() (*partial, error) {
-	p := &partial{key: make([]byte, 4*len(pl.dims))}
-	if pl.useArray {
-		arr, err := pl.eng.getArray(pl.dimCards, pl.aggKinds)
-		if err != nil {
-			return nil, err
-		}
-		p.arr = arr
-	} else {
-		p.h = agg.NewHashAgg(pl.aggKinds)
+// newState builds an empty aggregation state of the plan's backend: a
+// pooled aggregation array, or a fresh hash table.
+func (pl *plan) newState() (*agg.State, error) {
+	if !pl.useArray {
+		return agg.NewHashAgg(pl.aggKinds).State(), nil
 	}
-	return p, nil
+	arr, err := pl.eng.getArray(pl.arrKey, pl.dimCards, pl.aggKinds)
+	if err != nil {
+		return nil, err
+	}
+	return arr.State(pl.releaseArr), nil
 }
 
 // aggCacheable reports whether this plan's executions go through the
-// per-segment aggregate cache: columnar variants only (the row-wise
+// per-segment aggregate cache: columnar kernels only (the row-wise
 // baselines exist to measure the uncached scan) and only when the engine's
 // cache is enabled.
 func (pl *plan) aggCacheable() bool {
 	return !pl.variant.rowWise() && pl.eng.aggCache.enabled()
 }
 
-// admitSegments applies zone-map pruning over the root's segment views: a
-// segment is skipped when any filter proves, from the segment's min/max
-// zones, that no row can match. Pruning decisions are per segment and per
-// predicate, before any row work (including the row-wise variants).
+// admit applies zone-map pruning over the root's segment views: a segment
+// is skipped when any filter proves, from the segment's min/max zones, that
+// no row can match. Pruning decisions are per segment and per predicate,
+// before any row work, whichever kernel scans the survivors.
 //
 // Surviving sealed segments are then looked up in the engine's aggregate
 // cache: a hit returns the stored partial (second return value) and skips
 // binding and scanning entirely; a miss is bound and marked install so the
 // scan captures its partial. Tail and flat pseudo-segments always bind and
 // scan live.
-func (pl *plan) admitSegments(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.Partial, error) {
+func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.Partial, error) {
 	admitT0 := time.Now()
 	var bindNS, cacheNS int64
 	useCache := pl.aggCacheable()
@@ -185,280 +180,180 @@ func (pl *plan) admitSegments(segs []storage.SegView, rs *runState) ([]execSeg, 
 	return kept, hits, nil
 }
 
-// morselCount returns the number of morsels for the scan: enough for the
-// over-partitioned parallel schedule, and enough that no morsel exceeds the
-// batch-row bound, which is the granularity of cancellation checks.
-func (pl *plan) morselCount(totalRows int) int {
-	count := pl.opt.Workers * pl.opt.PartitionsPerWorker
-	if batches := (totalRows + pl.opt.BatchRows - 1) / pl.opt.BatchRows; batches > count {
-		count = batches
-	}
-	return count
-}
-
-// makeMorsels slices every admitted segment into near-equal local row
-// ranges, bounded by the batch size.
-func (pl *plan) makeMorsels(kept []execSeg) []morsel {
-	total := 0
-	for _, es := range kept {
-		total += es.sv.N
-	}
-	if total == 0 {
-		return nil
-	}
-	count := pl.morselCount(total)
-	chunk := (total + count - 1) / count
-	if chunk > pl.opt.BatchRows {
-		chunk = pl.opt.BatchRows
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	var ms []morsel
-	for si, es := range kept {
-		for lo := 0; lo < es.sv.N; lo += chunk {
-			hi := lo + chunk
-			if hi > es.sv.N {
-				hi = es.sv.N
-			}
-			ms = append(ms, morsel{si: si, lo: lo, hi: hi})
-		}
-	}
-	return ms
-}
-
-// runColumnar executes the plan with the vector-based column-wise scan
-// (§4.1), in parallel when Workers > 1, over the given root segment views.
-//
-// Segment admission splits the view into three classes: aggregate-cache
-// hits contribute their stored partials without any scan; sealed misses
-// are scanned as whole-segment units so their partials can be captured and
-// installed; tail and flat segments go through the regular morsel split.
-// All scan units share one worker pool, and the cached partials merge into
-// the total after the live scan.
-func (pl *plan) runColumnar(ctx context.Context, segs []storage.SegView, rs *runState) (*query.Result, error) {
-	kept, hits, err := pl.admitSegments(segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	morsels := pl.makeUnits(kept)
-	process := func(p *partial, m morsel) {
-		if m.whole {
-			pl.processSegmentCached(ctx, p, kept[m.si])
-			return
-		}
-		pl.processMorselColumnar(p, kept[m.si], m.lo, m.hi)
-	}
-	total, err := pl.runParallel(ctx, morsels, process, rs)
-	if err != nil {
-		return nil, err
-	}
-	if len(hits) > 0 && total != nil {
-		t0 := time.Now()
-		for _, part := range hits {
-			if total.arr != nil {
-				err = part.MergeIntoArray(total.arr)
-			} else {
-				err = part.MergeIntoHash(total.h)
-			}
-			if err != nil {
-				pl.eng.putArray(total.arr)
-				return nil, err
-			}
-		}
-		rs.stats.AggNS += time.Since(t0).Nanoseconds()
-	}
-	return pl.extract(total, rs)
-}
-
 // makeUnits builds the scan work list: one whole-segment unit per
-// cache-install segment (its partial must be captured in isolation), then
-// the regular morsel split over the live (tail) segments.
+// cache-install segment (its partial must be captured in isolation), and
+// the live (tail and flat) segments sliced into near-equal morsels — enough
+// for the over-partitioned parallel schedule, and none larger than the
+// batch-row bound, which is the granularity of cancellation checks.
 func (pl *plan) makeUnits(kept []execSeg) []morsel {
-	var live []execSeg
-	liveIdx := make([]int, 0, len(kept))
 	var units []morsel
+	live := 0
 	for si, es := range kept {
 		if es.install {
 			units = append(units, morsel{si: si, lo: 0, hi: es.sv.N, whole: true})
+		} else {
+			live += es.sv.N
+		}
+	}
+	if live == 0 {
+		return units
+	}
+	count := max(pl.opt.Workers*pl.opt.PartitionsPerWorker, (live+pl.opt.BatchRows-1)/pl.opt.BatchRows)
+	chunk := max(1, min((live+count-1)/count, pl.opt.BatchRows))
+	for si, es := range kept {
+		if es.install {
 			continue
 		}
-		live = append(live, es)
-		liveIdx = append(liveIdx, si)
-	}
-	for _, m := range pl.makeMorsels(live) {
-		m.si = liveIdx[m.si]
-		units = append(units, m)
+		for lo := 0; lo < es.sv.N; lo += chunk {
+			units = append(units, morsel{si: si, lo: lo, hi: min(lo+chunk, es.sv.N)})
+		}
 	}
 	return units
 }
 
-// processSegmentCached scans one sealed cache-miss segment into a private
-// scratch state, captures and installs the immutable partial, and folds
-// the scratch into the worker's partial. Cancellation is honored between
-// batches; a cancelled scan installs nothing (the run is abandoned).
-func (pl *plan) processSegmentCached(ctx context.Context, p *partial, es execSeg) {
-	scratch, err := pl.newPartial()
+// scan is the engine's one execution driver (§3's three phases over §5's
+// partitioned fact table): admit the segments (zone-map prune, aggregate
+// cache lookup, bind), split the survivors into units, let every worker
+// aggregate its units into a private state, merge the worker states, and
+// fold in the cached partials of the segments that needed no scan. The
+// caller finalizes or captures the returned state and releases it.
+//
+// Cancellation is checked at every unit and scan-batch boundary. A unit
+// that is skipped or abandoned half-way fails the whole run with ctx.Err()
+// — a state that is missing rows is never returned as a result — and every
+// pooled aggregation array goes back to the engine.
+func (pl *plan) scan(ctx context.Context, segs []storage.SegView, rs *runState) (*agg.State, error) {
+	kept, hits, err := pl.admit(segs, rs)
 	if err != nil {
-		// Array pool exhaustion is impossible mid-run (the shape already
-		// exists); be safe and scan uncached.
-		pl.processMorselColumnar(p, es, 0, es.sv.N)
-		return
+		return nil, err
 	}
-	done := ctx.Done()
-	for lo := 0; lo < es.sv.N; lo += pl.opt.BatchRows {
-		if done != nil && ctx.Err() != nil {
-			p.scanNS += scratch.scanNS
-			p.aggNS += scratch.aggNS
-			p.scanned += scratch.scanned
-			p.selected += scratch.selected
-			pl.eng.putArray(scratch.arr)
-			return
+	units := pl.makeUnits(kept)
+	workers := make([]*worker, max(1, min(pl.opt.Workers, len(units))))
+	merged := false
+	defer func() {
+		// Only the first worker's state, with everything merged into it,
+		// leaves the scan; every other state is done with on every return.
+		for i, w := range workers {
+			if w != nil && !(merged && i == 0) {
+				w.st.Release()
+			}
 		}
-		hi := lo + pl.opt.BatchRows
-		if hi > es.sv.N {
-			hi = es.sv.N
+	}()
+	for i := range workers {
+		st, err := pl.newState()
+		if err != nil {
+			return nil, err
 		}
-		pl.processMorselColumnar(scratch, es, lo, hi)
+		workers[i] = &worker{st: st, key: make([]byte, 4*len(pl.dims))}
 	}
+	if err := pl.runWorkers(ctx, workers, kept, units); err != nil {
+		return nil, err
+	}
+
+	total := workers[0].st
+	var sum Stats
 	t0 := time.Now()
-	var part *agg.Partial
-	if scratch.arr != nil {
-		part = scratch.arr.Capture()
-		if err := p.arr.Merge(scratch.arr); err != nil && p.mergeErr == nil {
-			p.mergeErr = err
-		}
-	} else {
-		part = scratch.h.Capture()
-		p.h.Merge(scratch.h)
-	}
-	pl.eng.aggCache.put(es.key, part, part.Bytes())
-	scratch.aggNS += time.Since(t0).Nanoseconds()
-	p.scanNS += scratch.scanNS
-	p.aggNS += scratch.aggNS
-	p.scanned += scratch.scanned
-	p.selected += scratch.selected
-	pl.eng.putArray(scratch.arr)
-}
-
-// runParallel drives workers over the morsel queue and merges their
-// partials. Cancellation is checked between morsels: a cancelled context
-// makes every worker stop at its next morsel boundary and the run returns
-// ctx.Err() with all pooled aggregation arrays returned.
-func (pl *plan) runParallel(ctx context.Context, morsels []morsel, process func(*partial, morsel), rs *runState) (*partial, error) {
-	workers := pl.opt.Workers
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	done := ctx.Done()
-	if workers <= 1 {
-		p, err := pl.newPartial()
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range morsels {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					pl.eng.putArray(p.arr)
-					return nil, err
-				}
+	for i, w := range workers {
+		sum.Add(&w.stats)
+		if i > 0 {
+			if err := total.Merge(w.st); err != nil {
+				return nil, err
 			}
-			process(p, m)
 		}
-		if p.mergeErr != nil {
-			pl.eng.putArray(p.arr)
-			return nil, p.mergeErr
-		}
-		rs.stats.ScanNS += p.scanNS
-		rs.stats.AggNS += p.aggNS
-		rs.stats.RowsScanned += p.scanned
-		rs.stats.RowsSelected += p.selected
-		return p, nil
 	}
-
-	queue := make(chan morsel, len(morsels))
-	for _, m := range morsels {
-		queue <- m
-	}
-	close(queue)
-
-	partials := make([]*partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		p, err := pl.newPartial()
-		if err != nil {
-			for _, prev := range partials[:w] {
-				pl.eng.putArray(prev.arr)
-			}
-			return nil, err
-		}
-		partials[w] = p
-		wg.Add(1)
-		go func(p *partial) {
-			defer wg.Done()
-			for m := range queue {
-				if done != nil && ctx.Err() != nil {
-					return
-				}
-				process(p, m)
-			}
-		}(p)
-	}
-	wg.Wait()
-
-	if done != nil {
-		if err := ctx.Err(); err != nil {
-			for _, p := range partials {
-				pl.eng.putArray(p.arr)
-			}
+	for _, part := range hits {
+		if err := total.MergePartial(part); err != nil {
 			return nil, err
 		}
 	}
-
-	// Merge worker partials into the first one; merged arrays go back to
-	// the engine's pool.
-	total := partials[0]
-	firstErr := total.mergeErr
-	for _, p := range partials[1:] {
-		if p.mergeErr != nil && firstErr == nil {
-			firstErr = p.mergeErr
-		}
-		if p.arr != nil {
-			if err := total.arr.Merge(p.arr); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			pl.eng.putArray(p.arr)
-		} else {
-			total.h.Merge(p.h)
-		}
-		total.scanNS += p.scanNS
-		total.aggNS += p.aggNS
-		total.scanned += p.scanned
-		total.selected += p.selected
-	}
-	if firstErr != nil {
-		pl.eng.putArray(total.arr)
-		return nil, firstErr
-	}
-	// Attribute per-phase time as wall-clock estimate: sum across workers
-	// divided by the worker count.
-	rs.stats.ScanNS += total.scanNS / int64(workers)
-	rs.stats.AggNS += total.aggNS / int64(workers)
-	rs.stats.RowsScanned += total.scanned
-	rs.stats.RowsSelected += total.selected
+	// Attribute per-phase time as a wall-clock estimate: the sum across
+	// workers divided by the worker count.
+	sum.ScanNS /= int64(len(workers))
+	sum.AggNS /= int64(len(workers))
+	sum.AggNS += time.Since(t0).Nanoseconds()
+	rs.stats.Add(&sum)
+	merged = true
 	return total, nil
 }
 
-// processMorselColumnar runs phases 2 and 3 for one morsel: selection-vector
-// refinement, measure-index generation, and measure aggregation. All row
-// indexes are segment-local; the segment's bound state supplies the arrays.
-func (pl *plan) processMorselColumnar(p *partial, es execSeg, lo, hi int) {
+// runWorkers drains the unit queue with one goroutine per worker (the
+// calling goroutine is the first, so a serial scan spawns none) and returns
+// the first reason a worker stopped early.
+func (pl *plan) runWorkers(ctx context.Context, workers []*worker, kept []execSeg, units []morsel) error {
+	queue := make(chan morsel, len(units))
+	for _, m := range units {
+		queue <- m
+	}
+	close(queue)
+	drain := func(w *worker) {
+		for m := range queue {
+			if w.err = pl.runUnit(ctx, w, kept[m.si], m); w.err != nil {
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range workers[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(w)
+		}()
+	}
+	drain(workers[0])
+	wg.Wait()
+	for _, w := range workers {
+		if w.err != nil {
+			return w.err
+		}
+	}
+	return nil
+}
+
+// runUnit scans one unit into the worker's state. A tail morsel goes
+// straight through the plan's kernel. A whole sealed cache-miss segment is
+// scanned batch by batch into a scratch state first, so that its partial
+// can be captured in isolation and installed in the aggregate cache before
+// the scratch folds into the worker's state; a scan cancelled between
+// batches installs nothing.
+func (pl *plan) runUnit(ctx context.Context, w *worker, es execSeg, m morsel) error {
+	if !m.whole {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		pl.kernel(w, w.st, es, m.lo, m.hi)
+		return nil
+	}
+	scratch, err := pl.newState()
+	if err != nil {
+		return err
+	}
+	defer scratch.Release()
+	for lo := 0; lo < es.sv.N; lo += pl.opt.BatchRows {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		pl.kernel(w, scratch, es, lo, min(lo+pl.opt.BatchRows, es.sv.N))
+	}
 	t0 := time.Now()
-	p.scanned += int64(hi - lo)
-	st := es.st
+	part := scratch.Capture()
+	pl.eng.aggCache.put(es.key, part, part.Bytes())
+	err = w.st.Merge(scratch)
+	w.stats.AggNS += time.Since(t0).Nanoseconds()
+	return err
+}
+
+// processMorselColumnar is the vector-based column-wise kernel (§4.1): it
+// runs phases 2 and 3 for one morsel — selection-vector refinement,
+// measure-index generation, and measure aggregation — into st. All row
+// indexes are segment-local; the segment's bound state supplies the arrays.
+func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, hi int) {
+	t0 := time.Now()
+	w.stats.RowsScanned += int64(hi - lo)
+	bound := es.st
 
 	// Phase 2a: scan-and-filter with a shrinking selection vector.
-	sel := p.sel[:0]
+	sel := w.sel[:0]
 	if del := es.sv.Del; del == nil {
 		for r := lo; r < hi; r++ {
 			sel = append(sel, int32(r))
@@ -470,11 +365,11 @@ func (pl *plan) processMorselColumnar(p *partial, es execSeg, lo, hi int) {
 			}
 		}
 	}
-	for i := range st.filters {
+	for i := range bound.filters {
 		if len(sel) == 0 {
 			break
 		}
-		f := &st.filters[i]
+		f := &bound.filters[i]
 		if f.filt != nil {
 			sel = f.filt(sel)
 		} else {
@@ -486,25 +381,27 @@ func (pl *plan) processMorselColumnar(p *partial, es execSeg, lo, hi int) {
 	// the hash backend, grouping (bucket location) is aggregation work and
 	// is accounted to phase 3, matching the paper's Fig. 10 stage split.
 	if pl.useArray {
-		sel = pl.groupArray(p, st, sel)
-		p.sel = sel
-		p.selected += int64(len(sel))
-		p.scanNS += time.Since(t0).Nanoseconds()
+		arr := st.Array()
+		sel = groupArray(w, arr, bound, sel)
+		w.sel = sel
+		w.stats.RowsSelected += int64(len(sel))
+		w.stats.ScanNS += time.Since(t0).Nanoseconds()
 
 		t1 := time.Now()
-		aggregateArray(p, st, sel)
-		p.aggNS += time.Since(t1).Nanoseconds()
+		aggregateArray(w, arr, bound, sel)
+		w.stats.AggNS += time.Since(t1).Nanoseconds()
 		return
 	}
-	p.scanNS += time.Since(t0).Nanoseconds()
+	w.stats.ScanNS += time.Since(t0).Nanoseconds()
 
 	// Phase 3 (hash backend): grouping and aggregation.
 	t1 := time.Now()
-	sel = pl.groupHash(p, st, sel)
-	p.sel = sel
-	p.selected += int64(len(sel))
-	aggregateHash(p, st, sel)
-	p.aggNS += time.Since(t1).Nanoseconds()
+	h := st.Hash()
+	sel = groupHash(w, h, bound, sel)
+	w.sel = sel
+	w.stats.RowsSelected += int64(len(sel))
+	aggregateHash(w, h, bound, sel)
+	w.stats.AggNS += time.Since(t1).Nanoseconds()
 }
 
 // filterProbe refines the selection vector through one probe filter,
@@ -551,15 +448,15 @@ func filterProbe(f *boundFilter, sel []int32) []int32 {
 // indexes, processing one grouping column at a time (column-wise grouping,
 // Fig. 6). Rows whose group vector entry is null are dropped from the
 // selection vector.
-func (pl *plan) groupArray(p *partial, st *segState, sel []int32) []int32 {
-	if cap(p.mi) < len(sel) {
-		p.mi = make([]int32, len(sel))
+func groupArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) []int32 {
+	if cap(w.mi) < len(sel) {
+		w.mi = make([]int32, len(sel))
 	}
-	mi := p.mi[:len(sel)]
+	mi := w.mi[:len(sel)]
 	for j := range mi {
 		mi[j] = 0
 	}
-	mult := p.arr.Mult()
+	mult := arr.Mult()
 	dead := false
 	for k := range st.dims {
 		dead = accumulateDim(&st.dims[k], sel, mi, mult[k]) || dead
@@ -576,9 +473,9 @@ func (pl *plan) groupArray(p *partial, st *segState, sel []int32) []int32 {
 		sel = keep
 		mi = km
 	}
-	p.mi = mi
+	w.mi = mi
 	for _, f := range mi {
-		p.arr.AddRow(f)
+		arr.AddRow(f)
 	}
 	return sel
 }
@@ -676,12 +573,12 @@ func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
 
 // groupHash assigns each selected row its hash-aggregation cell, keyed by
 // the packed dense group ids (stable across workers, so partials merge).
-func (pl *plan) groupHash(p *partial, st *segState, sel []int32) []int32 {
-	if cap(p.cells) < len(sel) {
-		p.cells = make([]*agg.Cell, len(sel))
+func groupHash(w *worker, h *agg.HashAgg, st *segState, sel []int32) []int32 {
+	if cap(w.cells) < len(sel) {
+		w.cells = make([]*agg.Cell, len(sel))
 	}
-	cells := p.cells[:len(sel)]
-	key := p.key
+	cells := w.cells[:len(sel)]
+	key := w.key
 	out := sel[:0]
 	kept := cells[:0]
 	for _, r := range sel {
@@ -692,31 +589,31 @@ func (pl *plan) groupHash(p *partial, st *segState, sel []int32) []int32 {
 				ok = false
 				break
 			}
-			binary.LittleEndian.PutUint32(key[4*k:], uint32(id))
+			agg.PutGroupID(key, k, id)
 		}
 		if !ok {
 			continue
 		}
-		c := p.h.Upsert(key)
+		c := h.Upsert(key)
 		c.Count++
 		out = append(out, r)
 		kept = append(kept, c)
 	}
-	p.cells = cells[:len(kept)]
-	copy(p.cells, kept)
+	w.cells = cells[:len(kept)]
+	copy(w.cells, kept)
 	return out
 }
 
 // aggregateArray is phase 3 over the aggregation array: each measure column
 // is scanned only at the positions recorded in the measure index.
-func aggregateArray(p *partial, st *segState, sel []int32) {
-	mi := p.mi
+func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
+	mi := w.mi
 	for k := range st.aggs {
 		ba := &st.aggs[k]
 		if ba.ap.agg.Expr == nil {
 			continue // COUNT(*): counts were maintained in groupArray
 		}
-		vals := p.arr.Vals(k)
+		vals := arr.Vals(k)
 		switch ba.ap.kind {
 		case expr.Sum, expr.Avg:
 			if ba.sumLoop(vals, sel, mi) {
@@ -847,15 +744,15 @@ func (ba *boundAgg) sumLoop(vals []float64, sel, mi []int32) bool {
 }
 
 // aggregateHash is phase 3 over the hash backend.
-func aggregateHash(p *partial, st *segState, sel []int32) {
-	kinds := p.h.Kinds()
+func aggregateHash(w *worker, h *agg.HashAgg, st *segState, sel []int32) {
+	kinds := h.Kinds()
 	for k := range st.aggs {
 		ba := &st.aggs[k]
 		if ba.ap.agg.Expr == nil {
 			continue
 		}
 		ev := ba.eval
-		cells := p.cells
+		cells := w.cells
 		switch ba.ap.kind {
 		case expr.Sum, expr.Avg:
 			for j, r := range sel {
@@ -869,8 +766,9 @@ func aggregateHash(p *partial, st *segState, sel []int32) {
 	}
 }
 
-// extract converts the merged aggregation state into an ordered result.
-func (pl *plan) extract(total *partial, rs *runState) (*query.Result, error) {
+// finalize converts the merged aggregation state into an ordered result:
+// decode every group's dense ids back to group-by values, sort, truncate.
+func (pl *plan) finalize(total *agg.State, rs *runState) (*query.Result, error) {
 	t0 := time.Now()
 	res := &query.Result{
 		GroupCols: append([]string(nil), pl.q.GroupBy...),
@@ -879,37 +777,12 @@ func (pl *plan) extract(total *partial, rs *runState) (*query.Result, error) {
 	for k, ap := range pl.aggs {
 		res.AggNames[k] = ap.agg.As
 	}
-
-	if total == nil {
-		// Every segment pruned: an empty, well-formed result.
-		rs.stats.Groups = 0
-		if err := res.Sort(pl.q.OrderBy); err != nil {
-			return nil, err
+	for ids, vals := range total.Groups {
+		keys := make([]query.Value, len(pl.dims))
+		for k, d := range pl.dims {
+			keys[k] = d.decode(ids[k])
 		}
-		res.Truncate(pl.q.Limit)
-		return res, nil
-	}
-
-	if total.arr != nil {
-		for _, g := range total.arr.Extract() {
-			keys := make([]query.Value, len(pl.dims))
-			for k, d := range pl.dims {
-				keys[k] = d.decode(g.Ids[k])
-			}
-			res.Rows = append(res.Rows, query.Row{Keys: keys, Aggs: g.Vals})
-		}
-		pl.eng.putArray(total.arr)
-		total.arr = nil
-	} else {
-		for _, c := range total.h.Extract() {
-			key := c.Key()
-			keys := make([]query.Value, len(pl.dims))
-			for k, d := range pl.dims {
-				id := int32(binary.LittleEndian.Uint32([]byte(key[4*k:])))
-				keys[k] = d.decode(id)
-			}
-			res.Rows = append(res.Rows, query.Row{Keys: keys, Aggs: c.Vals})
-		}
+		res.Rows = append(res.Rows, query.Row{Keys: keys, Aggs: vals})
 	}
 	rs.stats.Groups = len(res.Rows)
 

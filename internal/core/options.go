@@ -4,20 +4,37 @@
 // column-wise scan, predicate filters, array-based column-wise aggregation),
 // and the multicore parallelization of §5.
 //
-// Five scan variants are provided, matching Table 6 of the paper, so the
-// contribution of each optimization can be measured in isolation:
+// There is one execution pipeline, whatever the variant and whoever asks:
 //
-//	AIRScan_R      row-wise scan of the virtual universal table
-//	AIRScan_R_P    row-wise scan + predicate vectors
-//	AIRScan_C      vector-based column-wise scan
-//	AIRScan_C_P    column-wise scan + predicate vectors
-//	AIRScan_C_P_G  column-wise scan + predicate vectors + array aggregation
+//	admit → units → workers → agg.State → finalize | capture
+//
+// admit prunes the fact table's segments by zone map, serves sealed segments
+// from the per-segment aggregate cache and binds the rest; the survivors
+// become units (whole sealed segments whose partial is installed in the
+// cache, and morsels of the mutable tail); a pool of workers aggregates its
+// units into private states, which are merged together with the cached
+// partials into one agg.State. Engine.Exec finalizes that state into
+// ordered rows; Engine.ExecPartial captures it as an agg.Partial for a
+// shard coordinator; Engine.MergePartials finalizes a fresh state that such
+// partials were merged into. Single-node execution is the one-shard case.
+//
+// The five scan variants of Table 6 of the paper are kernels and backends
+// of that one driver, so the contribution of each optimization can be
+// measured in isolation:
+//
+//	AIRScan_R      row-wise kernel, hash state
+//	AIRScan_R_P    row-wise kernel + predicate vectors, hash state
+//	AIRScan_C      vector-based column-wise kernel, hash state
+//	AIRScan_C_P    column-wise kernel + predicate vectors, hash state
+//	AIRScan_C_P_G  column-wise kernel + predicate vectors, array state
 //
 // The Auto variant is AIRScan_C_P_G guarded by the optimizer: predicate
 // vectors are used only for dimension tables small enough to stay cache
 // resident, and the multidimensional aggregation array is used only when its
 // estimated size is dense enough, falling back to hash aggregation
-// otherwise (§4.2–4.3).
+// otherwise (§4.2–4.3). The kernel and the backend are chosen once, when
+// the plan is compiled; the row-wise variants additionally opt out of the
+// aggregate cache, because they exist to measure the uncached scan.
 package core
 
 import "fmt"
@@ -97,9 +114,9 @@ type Options struct {
 	// beyond it, Auto falls back to hash aggregation. Default 1M cells.
 	MaxArrayGroups int
 	// BatchRows caps the number of root rows per scan batch. Context
-	// cancellation is honored between batches in both the columnar and the
-	// row-wise paths, so smaller batches cancel more promptly at a small
-	// scheduling cost. Default 64K rows.
+	// cancellation is honored between batches whichever kernel scans them,
+	// so smaller batches cancel more promptly at a small scheduling cost.
+	// Default 64K rows.
 	BatchRows int
 	// SegmentRows, when positive, makes db.Open segment every fact table
 	// at this sealing threshold (storage.SetSegmentTarget): appends go to
@@ -220,4 +237,33 @@ type Stats struct {
 	// PrefilterTables lists the tables for which predicate vectors were
 	// built, in evaluation order.
 	PrefilterTables []string
+}
+
+// Add accumulates o's time, row, segment and cache counters into s: one
+// worker's share into a run, one shard's run into a distributed query, one
+// query into a database's cumulative totals. Times add as work, not wall
+// time; segment and row counters of disjoint segment subsets add up to
+// exactly the counters of a scan over their union. The per-plan facts
+// (Groups, UsedArrayAgg, PrefilterTables) are not counters and stay s's.
+func (s *Stats) Add(o *Stats) {
+	s.LeafNS += o.LeafNS
+	s.ScanNS += o.ScanNS
+	s.AggNS += o.AggNS
+	s.PruneNS += o.PruneNS
+	s.BindNS += o.BindNS
+	s.CacheNS += o.CacheNS
+	s.RowsScanned += o.RowsScanned
+	s.RowsSelected += o.RowsSelected
+	s.SegmentsTotal += o.SegmentsTotal
+	s.SegmentsPruned += o.SegmentsPruned
+	s.AggCacheHits += o.AggCacheHits
+	s.AggCacheMisses += o.AggCacheMisses
+	s.TailRows += o.TailRows
+	s.EncodedSegments += o.EncodedSegments
+	if len(o.PruneByFilter) > 0 && s.PruneByFilter == nil {
+		s.PruneByFilter = make(map[string]int, len(o.PruneByFilter))
+	}
+	for k, v := range o.PruneByFilter {
+		s.PruneByFilter[k] += v
+	}
 }

@@ -171,6 +171,16 @@ type plan struct {
 	dims     []*groupDim
 	useArray bool
 	dimCards []int
+	// arrKey is the plan's aggregation-array shape as an engine array-pool
+	// key, and releaseArr the hook that returns such an array to the pool;
+	// both are fixed with the backend choice (array backend only).
+	arrKey     string
+	releaseArr func(*agg.ArrayAgg)
+
+	// kernel scans one morsel of a bound segment into an aggregation state.
+	// It is selected once, from the variant: the row-wise kernel for
+	// AIRScan_R/_R_P, the column-wise kernel for everything else.
+	kernel func(w *worker, st *agg.State, es execSeg, lo, hi int)
 
 	aggKinds []expr.AggKind
 	aggs     []*aggPlan
@@ -196,9 +206,6 @@ type plan struct {
 
 // planSeq issues unique plan instance ids.
 var planSeq atomic.Uint64
-
-// resolveVariant maps Auto to its concrete executor.
-func resolveVariant(v Variant) Variant { return v }
 
 // plan compiles q against the engine's live schema. This is the "leaf
 // processing" phase of Fig. 10.
@@ -238,6 +245,11 @@ func (e *Engine) planOn(q *query.Query, root *storage.Table, g *schema.Graph) (*
 		return nil, err
 	}
 	pl.decideAggBackend()
+	if pl.variant.rowWise() {
+		pl.kernel = pl.processMorselRowWise
+	} else {
+		pl.kernel = pl.processMorselColumnar
+	}
 
 	if !pl.segmented {
 		st, err := pl.bind(&pl.planSegs[0])
@@ -798,6 +810,10 @@ func (pl *plan) decideAggBackend() {
 	}
 	pl.useArray = cells <= limit
 	pl.stats.UsedArrayAgg = pl.useArray
+	if pl.useArray {
+		pl.arrKey = fmt.Sprintf("%v|%v", pl.dimCards, pl.aggKinds)
+		pl.releaseArr = func(a *agg.ArrayAgg) { pl.eng.putArray(pl.arrKey, a) }
+	}
 }
 
 // rootCovered reports whether every segment of a root view still satisfies

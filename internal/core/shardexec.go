@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"astore/internal/agg"
-	"astore/internal/obs"
 	"astore/internal/query"
 	"astore/internal/storage"
 )
@@ -24,101 +22,20 @@ import (
 // root segment views and returns the captured aggregation state. The subset
 // must come from the view the plan is fresh in (v.RootSegments(), possibly
 // filtered); admission still applies zone-map pruning and the per-segment
-// aggregate cache to the subset. Only columnar variants can export their
-// state; the row-wise baselines produce finalized rows directly.
+// aggregate cache to the subset. It is the same scan as Exec with a capture
+// in place of the finalize, so every variant can export its state, and an
+// empty (or fully pruned) subset captures an empty snapshot of the plan's
+// aggregation form.
 func (e *Engine) ExecPartial(ctx context.Context, v *View, c *Compiled, segs []storage.SegView, stats *Stats) (*agg.Partial, error) {
-	pl := c.pl
-	if pl.variant.rowWise() {
-		return nil, fmt.Errorf("core: partial execution requires a columnar variant (plan compiled as %s)", pl.variant)
-	}
-	rs := &runState{stats: pl.stats}
-	rs.stats.LeafNS = pl.leafNS
-
-	tr := obs.TraceFrom(ctx)
-	var execSpan obs.SpanID
-	var execT0 time.Time
-	if tr != nil {
-		execT0 = time.Now()
-		execSpan = tr.Start(tr.Root(), obs.StageExecute)
-	}
-	part, err := pl.runPartial(ctx, segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	if tr != nil {
-		recordExecSpans(tr, execSpan, execT0, &rs.stats)
-		tr.End(execSpan)
-	}
-	if stats != nil {
-		*stats = rs.stats
-	}
-	return part, nil
-}
-
-// runPartial is runColumnar up to (but not including) finalization: admit
-// the segment subset, scan it with the regular worker pool, fold in any
-// cached per-segment partials, and capture the merged state as an immutable
-// snapshot. An empty subset (or one fully pruned) captures an empty
-// snapshot of the plan's aggregation form.
-func (pl *plan) runPartial(ctx context.Context, segs []storage.SegView, rs *runState) (*agg.Partial, error) {
-	kept, hits, err := pl.admitSegments(segs, rs)
-	if err != nil {
-		return nil, err
-	}
-	units := pl.makeUnits(kept)
-	process := func(p *partial, m morsel) {
-		if m.whole {
-			pl.processSegmentCached(ctx, p, kept[m.si])
-			return
-		}
-		pl.processMorselColumnar(p, kept[m.si], m.lo, m.hi)
-	}
-	total, err := pl.runParallel(ctx, units, process, rs)
-	if err != nil {
-		return nil, err
-	}
-	if total == nil {
-		// runParallel always builds a state; keep the guard for safety.
-		return pl.emptyPartial()
-	}
-	t0 := time.Now()
-	for _, part := range hits {
-		if total.arr != nil {
-			err = part.MergeIntoArray(total.arr)
-		} else {
-			err = part.MergeIntoHash(total.h)
-		}
-		if err != nil {
-			pl.eng.putArray(total.arr)
-			return nil, err
-		}
-	}
 	var snap *agg.Partial
-	if total.arr != nil {
-		snap = total.arr.Capture()
-	} else {
-		snap = total.h.Capture()
-	}
-	rs.stats.AggNS += time.Since(t0).Nanoseconds()
-	rs.stats.Groups = snap.Cells()
-	pl.eng.putArray(total.arr)
-	return snap, nil
-}
-
-// emptyPartial captures a zero-row snapshot of the plan's aggregation form.
-func (pl *plan) emptyPartial() (*agg.Partial, error) {
-	p, err := pl.newPartial()
-	if err != nil {
-		return nil, err
-	}
-	var snap *agg.Partial
-	if p.arr != nil {
-		snap = p.arr.Capture()
-	} else {
-		snap = p.h.Capture()
-	}
-	pl.eng.putArray(p.arr)
-	return snap, nil
+	err := c.pl.execute(ctx, segs, stats, func(total *agg.State, rs *runState) error {
+		t0 := time.Now()
+		snap = total.Capture()
+		rs.stats.AggNS += time.Since(t0).Nanoseconds()
+		rs.stats.Groups = snap.Cells()
+		return nil
+	})
+	return snap, err
 }
 
 // MergePartials merges per-shard snapshots of one compiled plan and
@@ -127,35 +44,27 @@ func (pl *plan) emptyPartial() (*agg.Partial, error) {
 // validated against the plan's state; a mismatch (a worker compiled a
 // different plan shape, or a corrupted wire decode slipped through) fails
 // the merge rather than producing wrong rows. The caller must hold a view
-// in which c is fresh, so the dimension decode the extraction uses matches
-// the group ids the workers produced.
+// in which c is fresh, so the dimension decode finalize uses matches the
+// group ids the workers produced.
 func (e *Engine) MergePartials(c *Compiled, parts []*agg.Partial, stats *Stats) (*query.Result, error) {
 	pl := c.pl
-	if pl.variant.rowWise() {
-		return nil, fmt.Errorf("core: partial merge requires a columnar variant (plan compiled as %s)", pl.variant)
-	}
 	rs := &runState{stats: pl.stats}
-	total, err := pl.newPartial()
+	total, err := pl.newState()
 	if err != nil {
 		return nil, err
 	}
+	defer total.Release()
 	t0 := time.Now()
 	for _, part := range parts {
 		if part == nil {
 			continue
 		}
-		if total.arr != nil {
-			err = part.MergeIntoArray(total.arr)
-		} else {
-			err = part.MergeIntoHash(total.h)
-		}
-		if err != nil {
-			pl.eng.putArray(total.arr)
+		if err := total.MergePartial(part); err != nil {
 			return nil, err
 		}
 	}
 	rs.stats.AggNS += time.Since(t0).Nanoseconds()
-	res, err := pl.extract(total, rs)
+	res, err := pl.finalize(total, rs)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"astore/internal/agg"
@@ -30,80 +30,157 @@ func execOracle(t *testing.T, eng *Engine, q *query.Query) *query.Result {
 	return res
 }
 
-// TestExecPartialMergeEqualsExec is the partition-invariance property at
-// the engine layer: for every star query, splitting the pinned segment
-// views into arbitrary disjoint subsets, capturing one partial per subset,
-// and merging must reproduce the single-node result exactly — including
-// with deleted rows and an unsealed tail in the mix.
-func TestExecPartialMergeEqualsExec(t *testing.T) {
-	fact := segmentStar(t, 21, 5000, 512)
-	// Deletes punch holes into sealed segments; the trailing inserts leave
-	// an unsealed tail so every segment class is represented.
+// partitionFixture is the segmented star fixture with every segment class
+// present: sealed segments with deleted rows, a run of appended rows whose
+// f_quantity (99) lies outside the generated range so that whole segments
+// are zone-pruned by the f_quantity predicates of starQueries, and an
+// unsealed tail. f_frac is rewritten to multiples of 1/128 so that every
+// measure of starQueries is exact in float64: sums then do not depend on
+// the order partitions are merged in, and results compare at tolerance 0.
+func partitionFixture(t *testing.T, seed int64) *storage.Table {
+	t.Helper()
+	fact := buildStar(t, seed, 5000)
+	frac := fact.Column("f_frac").(*storage.Float64Col).V
+	for i := range frac {
+		frac[i] = float64(i%128) / 128
+	}
+	if err := fact.SetSegmentTarget(512); err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range []int{10, 515, 516, 1030, 4999} {
 		if err := fact.Delete(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 37; i++ {
+	for i := 0; i < 700; i++ {
 		if _, err := fact.Insert(map[string]any{
 			"f_dk": i % 8, "f_ck": i % 50, "f_pk": i % 40,
-			"f_quantity": i%50 + 1, "f_discount": i % 11,
+			"f_quantity": 99, "f_discount": i % 11,
 			"f_extprice": 100 + i, "f_revenue": 90 + i, "f_supplycost": 50 + i,
 			"f_frac": float64(i%4) / 4, "f_tag": []string{"red", "green", "blue"}[i%3],
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(fact, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	return fact
+}
+
+// partitions returns the segment splits the partition law is checked over:
+// the one-subset case, a split with an empty subset, the split that puts
+// exactly the segments plan c zone-prunes into one subset (empty when the
+// query prunes nothing), and seeded random splits.
+func partitions(rng *rand.Rand, c *Compiled, segs []storage.SegView) [][][]storage.SegView {
+	byPrune := make([][]storage.SegView, 2)
+	for i := range segs {
+		side := 0
+		for fi := range c.pl.filters {
+			if segs[i].N == 0 || !c.pl.filters[fi].mayMatchSegment(&segs[i]) {
+				side = 1
+				break
+			}
+		}
+		byPrune[side] = append(byPrune[side], segs[i])
 	}
+	out := [][][]storage.SegView{{segs}, {segs, nil}, byPrune}
+	for trial := 0; trial < 3; trial++ {
+		subsets := make([][]storage.SegView, 2+rng.Intn(3))
+		for i := range segs {
+			s := rng.Intn(len(subsets))
+			subsets[s] = append(subsets[s], segs[i])
+		}
+		out = append(out, subsets)
+	}
+	return out
+}
+
+// TestExecPartialMergeEqualsExec is the partition law at the engine layer,
+// over every kernel and backend: for every Table 6 variant (row-wise
+// included), the array and the forced-hash backend, the aggregate cache on
+// and off, and every split of the pinned segment views into disjoint
+// subsets, capturing one partial per subset and merging them reproduces
+// the single-node result exactly, and the subsets' summed scan counters
+// are the single-node counters.
+func TestExecPartialMergeEqualsExec(t *testing.T) {
+	fact := partitionFixture(t, 21)
 	rng := rand.New(rand.NewSource(99))
-	for _, q := range starQueries() {
-		want := execOracle(t, eng, q)
-		v, err := eng.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := v.Compile(q)
-		if err != nil {
-			v.Release()
-			t.Fatal(err)
-		}
-		segs := v.RootSegments()
-		for trial := 0; trial < 4; trial++ {
-			nShards := 1 + rng.Intn(4)
-			subsets := make([][]storage.SegView, nShards)
-			for i := range segs {
-				s := rng.Intn(nShards)
-				subsets[s] = append(subsets[s], segs[i])
-			}
-			parts := make([]*agg.Partial, nShards)
-			for s, sub := range subsets {
-				part, err := eng.ExecPartial(context.Background(), v, c, sub, nil)
+	prunedSubsets := 0
+	for _, variant := range allVariants() {
+		for _, maxGroups := range []int{0, 1} { // 1 forces Auto onto the hash backend
+			for _, cacheBytes := range []int64{0, -1} {
+				eng, err := New(fact, Options{Variant: variant, Workers: 2, BatchRows: 200,
+					MaxArrayGroups: maxGroups, AggCacheBytes: cacheBytes})
 				if err != nil {
-					v.Release()
-					t.Fatalf("%s shard %d/%d: %v", q.Name, s, nShards, err)
+					t.Fatal(err)
 				}
-				parts[s] = part
-			}
-			got, err := eng.MergePartials(c, parts, nil)
-			if err != nil {
+				label := fmt.Sprintf("%s maxGroups=%d aggCache=%d", variant, maxGroups, cacheBytes)
+				v, err := eng.Acquire()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range starQueries() {
+					prunedSubsets += checkPartitionLaw(t, rng, eng, v, q, label)
+				}
 				v.Release()
-				t.Fatalf("%s merge %d shards: %v", q.Name, nShards, err)
-			}
-			// Integer-valued measures merge exactly; the fixture's float
-			// queries tolerate reassociated addition.
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				v.Release()
-				t.Fatalf("%s over %d shards: %v", q.Name, nShards, err)
 			}
 		}
-		v.Release()
+	}
+	if prunedSubsets == 0 {
+		t.Fatal("no split had a non-empty, fully zone-pruned proper subset; the fixture lost its prunable segments")
 	}
 	if pins := fact.Pins(); pins != 0 {
 		t.Fatalf("leaked %d pins", pins)
 	}
+}
+
+// checkPartitionLaw checks one query over every split and returns how many
+// splits contained a non-empty proper subset that admission pruned whole.
+// Every execution compiles its own plan, so each starts from a cold
+// aggregate cache and the scan counters are comparable.
+func checkPartitionLaw(t *testing.T, rng *rand.Rand, eng *Engine, v *View, q *query.Query, label string) int {
+	t.Helper()
+	compile := func() *Compiled {
+		c, err := v.Compile(q)
+		if err != nil {
+			t.Fatalf("%s [%s]: %v", q.Name, label, err)
+		}
+		return c
+	}
+	var wantStats Stats
+	want, err := eng.Exec(context.Background(), v, compile(), &wantStats)
+	if err != nil {
+		t.Fatalf("%s [%s]: %v", q.Name, label, err)
+	}
+	pruned := 0
+	for pi, subsets := range partitions(rng, compile(), v.RootSegments()) {
+		c := compile()
+		parts := make([]*agg.Partial, len(subsets))
+		var sum Stats
+		for s, sub := range subsets {
+			var st Stats
+			parts[s], err = eng.ExecPartial(context.Background(), v, c, sub, &st)
+			if err != nil {
+				t.Fatalf("%s [%s] split %d subset %d/%d: %v", q.Name, label, pi, s, len(subsets), err)
+			}
+			if len(sub) > 0 && len(sub) < len(v.RootSegments()) && st.SegmentsPruned == len(sub) {
+				pruned++
+			}
+			sum.Add(&st)
+		}
+		got, err := eng.MergePartials(c, parts, nil)
+		if err != nil {
+			t.Fatalf("%s [%s] split %d: merge: %v", q.Name, label, pi, err)
+		}
+		if err := query.Diff(want, got, 0); err != nil {
+			t.Fatalf("%s [%s] split %d over %d subsets: %v", q.Name, label, pi, len(subsets), err)
+		}
+		if sum.RowsScanned != wantStats.RowsScanned || sum.RowsSelected != wantStats.RowsSelected ||
+			sum.SegmentsTotal != wantStats.SegmentsTotal || sum.SegmentsPruned != wantStats.SegmentsPruned {
+			t.Fatalf("%s [%s] split %d: summed counters scanned=%d selected=%d segments=%d pruned=%d, single-node %d/%d/%d/%d",
+				q.Name, label, pi, sum.RowsScanned, sum.RowsSelected, sum.SegmentsTotal, sum.SegmentsPruned,
+				wantStats.RowsScanned, wantStats.RowsSelected, wantStats.SegmentsTotal, wantStats.SegmentsPruned)
+		}
+	}
+	return pruned
 }
 
 // TestExecPartialWireRoundTrip pushes every shard partial through the wire
@@ -188,32 +265,5 @@ func TestExecPartialEmptySubset(t *testing.T) {
 	}
 	if len(res.Rows) != 0 {
 		t.Fatalf("empty merge produced %d rows", len(res.Rows))
-	}
-}
-
-// TestExecPartialRejectsRowWise: the row-wise baselines cannot export raw
-// aggregation state.
-func TestExecPartialRejectsRowWise(t *testing.T) {
-	fact := segmentStar(t, 24, 1000, 512)
-	eng, err := New(fact, Options{Variant: RowWise})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := starQueries()[0]
-	v, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	c, err := v.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.ExecPartial(context.Background(), v, c, v.RootSegments(), nil); err == nil ||
-		!strings.Contains(err.Error(), "columnar") {
-		t.Fatalf("row-wise partial execution allowed: err = %v", err)
-	}
-	if _, err := eng.MergePartials(c, nil, nil); err == nil || !strings.Contains(err.Error(), "columnar") {
-		t.Fatalf("row-wise partial merge allowed: err = %v", err)
 	}
 }

@@ -23,8 +23,7 @@
 //     while every reader observes one consistent database state. Pins are
 //     released on every exit path, including cancellation.
 //
-// Execution honors context cancellation at scan-batch boundaries in both
-// the columnar and the row-wise paths.
+// Execution honors context cancellation at scan-batch boundaries.
 package db
 
 import (
@@ -58,7 +57,8 @@ type DB struct {
 	cache map[cacheKey]*list.Element // guarded by mu
 	lru   *list.List                 // guarded by mu; of *cacheEntry, most recently used first
 	cap   int                        // guarded by mu
-	stats Stats                      // guarded by mu
+	stats Stats                      // guarded by mu; plan-cache and call counters
+	execs core.Stats                 // guarded by mu; scan counters summed over executions
 }
 
 type cacheKey struct{ fact, sig string }
@@ -228,10 +228,16 @@ func (d *DB) SetPlanCacheCap(n int) {
 func (d *DB) Stats() Stats {
 	d.mu.Lock()
 	s := d.stats
-	if d.stats.PruneByFilter != nil {
-		s.PruneByFilter = make(map[string]int64, len(d.stats.PruneByFilter))
-		for k, v := range d.stats.PruneByFilter {
-			s.PruneByFilter[k] = v
+	s.SegmentsTotal = int64(d.execs.SegmentsTotal)
+	s.SegmentsPruned = int64(d.execs.SegmentsPruned)
+	s.RowsScanned = d.execs.RowsScanned
+	s.RowsSelected = d.execs.RowsSelected
+	s.EncodedSegments = int64(d.execs.EncodedSegments)
+	s.TailRows = d.execs.TailRows
+	if len(d.execs.PruneByFilter) > 0 {
+		s.PruneByFilter = make(map[string]int64, len(d.execs.PruneByFilter))
+		for k, v := range d.execs.PruneByFilter {
+			s.PruneByFilter[k] = int64(v)
 		}
 	}
 	d.mu.Unlock()
@@ -441,7 +447,7 @@ func (d *DB) prepareOn(fact string, q *query.Query) (*Prepared, error) {
 		return nil, err
 	}
 	defer view.Release()
-	if _, _, err := d.compiled(p.fact, p.sig, p.q, view); err != nil {
+	if _, _, err := p.plan(view); err != nil {
 		return nil, err
 	}
 	d.mu.Lock()
@@ -470,52 +476,8 @@ func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*
 	if err != nil {
 		return nil, err
 	}
-	eng := d.facts[fact]
-	tr := obs.TraceFrom(ctx)
-	var sp obs.SpanID
-	if tr != nil {
-		sp = tr.Start(tr.Root(), obs.StagePin)
-	}
-	view, err := eng.Acquire()
-	if tr != nil {
-		tr.End(sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	if tr != nil {
-		sp = tr.Start(tr.Root(), obs.StagePlanCache)
-	}
-	c, err := view.Compile(q)
-	if tr != nil {
-		// Run bypasses the plan cache by design; a cold compile is a miss.
-		tr.SetHit(sp, false)
-		tr.End(sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.stats.Execs++
-	d.mu.Unlock()
-	return d.execCounted(ctx, eng, view, c, stats)
-}
-
-// execCounted executes a compiled plan under its view and folds the run's
-// segment-pruning counters into the DB's cumulative stats.
-func (d *DB) execCounted(ctx context.Context, eng *core.Engine, view *core.View, c *core.Compiled, stats *core.Stats) (*query.Result, error) {
-	var local core.Stats
-	if stats == nil {
-		stats = &local
-	}
-	res, err := eng.Exec(ctx, view, c, stats)
-	if err == nil {
-		d.mu.Lock()
-		d.foldStatsLocked(stats)
-		d.mu.Unlock()
-	}
-	return res, err
+	p := &Prepared{db: d, eng: d.facts[fact], fact: fact, q: q, cold: true}
+	return p.ExecStats(ctx, stats)
 }
 
 // RunSQL parses, prepares (hitting the plan cache), and executes one SQL
@@ -536,6 +498,9 @@ type Prepared struct {
 	fact string
 	q    *query.Query
 	sig  string
+	// cold marks the transient statement behind DB.Run: it compiles on
+	// every execution and never touches the plan cache.
+	cold bool
 }
 
 // Fact returns the fact table the statement was routed to.
@@ -559,8 +524,41 @@ func (p *Prepared) Exec(ctx context.Context) (*query.Result, error) {
 
 // ExecStats is Exec filling per-phase engine stats when stats is non-nil.
 func (p *Prepared) ExecStats(ctx context.Context, stats *core.Stats) (*query.Result, error) {
+	var local core.Stats
+	if stats == nil {
+		stats = &local
+	}
+	var res *query.Result
+	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled) (err error) {
+		res, err = p.eng.Exec(ctx, view, c, stats)
+		p.db.mu.Lock()
+		p.db.stats.Execs++ // attempts; only completed scans add their counters
+		if err == nil {
+			p.db.execs.Add(stats)
+		}
+		p.db.mu.Unlock()
+		return err
+	})
+	return res, err
+}
+
+// plan returns the statement's compiled plan for view and whether it came
+// out of the plan cache unchanged.
+func (p *Prepared) plan(view *core.View) (*core.Compiled, bool, error) {
+	if p.cold {
+		c, err := view.Compile(p.q)
+		return c, false, err
+	}
+	return p.db.compiled(p.fact, p.sig, p.q, view)
+}
+
+// withPlan is the scaffolding every execution of a statement shares: check
+// ctx, pin a snapshot view, obtain a plan that is fresh in it, call fn, and
+// release the pin on every path. With a trace on ctx the pin and the plan
+// lookup are recorded as `pin` and `plan_cache` spans.
+func (p *Prepared) withPlan(ctx context.Context, fn func(*core.View, *core.Compiled) error) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	tr := obs.TraceFrom(ctx)
 	var sp obs.SpanID
@@ -572,22 +570,19 @@ func (p *Prepared) ExecStats(ctx context.Context, stats *core.Stats) (*query.Res
 		tr.End(sp)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer view.Release()
 	if tr != nil {
 		sp = tr.Start(tr.Root(), obs.StagePlanCache)
 	}
-	c, hit, err := p.db.compiled(p.fact, p.sig, p.q, view)
+	c, hit, err := p.plan(view)
 	if tr != nil {
 		tr.SetHit(sp, hit)
 		tr.End(sp)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.db.mu.Lock()
-	p.db.stats.Execs++
-	p.db.mu.Unlock()
-	return p.db.execCounted(ctx, p.eng, view, c, stats)
+	return fn(view, c)
 }

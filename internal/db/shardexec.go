@@ -21,8 +21,7 @@ import (
 // one shard-local execution.
 type PartialRequest struct {
 	// Shard/NShards pick the canonical round-robin subset (ShardSegments).
-	// NShards <= 1 executes over every segment — the mode for workers that
-	// own their whole local dataset.
+	// NShards <= 1 executes over every segment: the one-shard case.
 	Shard, NShards int
 
 	// Select, when non-nil, overrides the canonical partition: it is called
@@ -67,38 +66,30 @@ func (e *VersionMismatchError) Error() string {
 // cumulative stats — the coordinator folds the whole distributed execution
 // once via AddExecStats.
 func (p *Prepared) ExecPartial(ctx context.Context, req PartialRequest, stats *core.Stats) (*PartialResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	view, err := p.eng.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	vers := view.Versions()[p.fact]
-	if req.ExpectDataVersion != 0 && vers.Data != req.ExpectDataVersion {
-		return nil, &VersionMismatchError{Fact: p.fact, Want: req.ExpectDataVersion, Got: vers.Data}
-	}
-	c, _, err := p.db.compiled(p.fact, p.sig, p.q, view)
-	if err != nil {
-		return nil, err
-	}
 	var local core.Stats
 	if stats == nil {
 		stats = &local
 	}
-	subset := req.subset(view.RootSegments())
-	part, err := p.eng.ExecPartial(ctx, view, c, subset, stats)
-	if err != nil {
-		return nil, err
-	}
-	return &PartialResult{
-		Fact:          p.fact,
-		SchemaVersion: vers.Schema,
-		DataVersion:   vers.Data,
-		Partial:       part,
-		Stats:         *stats,
-	}, nil
+	var res *PartialResult
+	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled) error {
+		vers := view.Versions()[p.fact]
+		if req.ExpectDataVersion != 0 && vers.Data != req.ExpectDataVersion {
+			return &VersionMismatchError{Fact: p.fact, Want: req.ExpectDataVersion, Got: vers.Data}
+		}
+		part, err := p.eng.ExecPartial(ctx, view, c, req.subset(view.RootSegments()), stats)
+		if err != nil {
+			return err
+		}
+		res = &PartialResult{
+			Fact:          p.fact,
+			SchemaVersion: vers.Schema,
+			DataVersion:   vers.Data,
+			Partial:       part,
+			Stats:         *stats,
+		}
+		return nil
+	})
+	return res, err
 }
 
 // subset applies the request's segment selection to the pinned views.
@@ -157,19 +148,12 @@ func ShardSegments(segs []storage.SegView, shard, n int) []storage.SegView {
 // counters (merge time, group count) land in stats; cumulative DB counters
 // are the coordinator's job (AddExecStats).
 func (p *Prepared) MergePartials(ctx context.Context, parts []*agg.Partial, stats *core.Stats) (*query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	view, err := p.eng.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer view.Release()
-	c, _, err := p.db.compiled(p.fact, p.sig, p.q, view)
-	if err != nil {
-		return nil, err
-	}
-	return p.eng.MergePartials(c, parts, stats)
+	var res *query.Result
+	err := p.withPlan(ctx, func(_ *core.View, c *core.Compiled) (err error) {
+		res, err = p.eng.MergePartials(c, parts, stats)
+		return err
+	})
+	return res, err
 }
 
 // AddExecStats counts one distributed execution in the DB's cumulative
@@ -184,24 +168,5 @@ func (d *DB) AddExecStats(stats *core.Stats) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.Execs++
-	d.foldStatsLocked(stats)
-}
-
-// foldStatsLocked accumulates one execution's segment counters; callers
-// hold d.mu.
-func (d *DB) foldStatsLocked(stats *core.Stats) {
-	d.stats.SegmentsTotal += int64(stats.SegmentsTotal)
-	d.stats.SegmentsPruned += int64(stats.SegmentsPruned)
-	d.stats.RowsScanned += stats.RowsScanned
-	d.stats.RowsSelected += stats.RowsSelected
-	d.stats.EncodedSegments += int64(stats.EncodedSegments)
-	d.stats.TailRows += stats.TailRows
-	if len(stats.PruneByFilter) > 0 {
-		if d.stats.PruneByFilter == nil {
-			d.stats.PruneByFilter = make(map[string]int64)
-		}
-		for k, v := range stats.PruneByFilter {
-			d.stats.PruneByFilter[k] += int64(v)
-		}
-	}
+	d.execs.Add(stats)
 }

@@ -42,9 +42,7 @@ func newShardTopology(t *testing.T, nWorkers int) (coordTS *httptest.Server, wor
 		ts, d := mk(Config{ShardWorker: true})
 		workerTS = append(workerTS, ts)
 		workerDBs = append(workerDBs, d)
-		hw := shard.NewHTTPWorker(ts.URL, 10*time.Second)
-		hw.SetSlice(i, nWorkers)
-		workers = append(workers, hw)
+		workers = append(workers, shard.NewHTTPWorker(ts.URL, i, nWorkers, 10*time.Second))
 	}
 	data := ssb.Generate(ssb.Config{SF: 0.002, Seed: 3})
 	d, err := db.Open(data.DB, opt)

@@ -191,12 +191,16 @@ func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, 
 		if r.Partial != nil {
 			merged++
 		}
-		sumStats(&total, &r.Stats)
+		total.Add(&r.Stats)
 	}
 	p, err := c.d.PrepareSQL(sqlText)
 	if err != nil {
 		return nil, nil, err
 	}
+	// The shards' counters add up to exactly the single-node numbers because
+	// their slices partition the pinned view (time counters add as per-shard
+	// work, not wall time); the merge contributes its time and the per-plan
+	// facts.
 	var mstats core.Stats
 	res, err := p.MergePartials(ctx, parts, &mstats)
 	if err != nil {
@@ -218,35 +222,6 @@ func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, 
 		Versions:       c.versionVector(results),
 		Stats:          total,
 	}, nil
-}
-
-// sumStats accumulates one shard's execution counters into the query
-// total. Time counters add (they are per-shard work, not wall time); the
-// segment and row counters add up to exactly the single-node numbers
-// because the shard slices partition the pinned view.
-func sumStats(dst, s *core.Stats) {
-	dst.LeafNS += s.LeafNS
-	dst.ScanNS += s.ScanNS
-	dst.AggNS += s.AggNS
-	dst.PruneNS += s.PruneNS
-	dst.BindNS += s.BindNS
-	dst.CacheNS += s.CacheNS
-	dst.RowsScanned += s.RowsScanned
-	dst.RowsSelected += s.RowsSelected
-	dst.SegmentsTotal += s.SegmentsTotal
-	dst.SegmentsPruned += s.SegmentsPruned
-	dst.AggCacheHits += s.AggCacheHits
-	dst.AggCacheMisses += s.AggCacheMisses
-	dst.TailRows += s.TailRows
-	dst.EncodedSegments += s.EncodedSegments
-	if len(s.PruneByFilter) > 0 {
-		if dst.PruneByFilter == nil {
-			dst.PruneByFilter = make(map[string]int, len(s.PruneByFilter))
-		}
-		for k, v := range s.PruneByFilter {
-			dst.PruneByFilter[k] += v
-		}
-	}
 }
 
 // scatter fans the statement out to every worker (bounded by MaxFanOut)

@@ -17,9 +17,8 @@ import (
 )
 
 // WireRequest is the POST /v1/shard/exec body. Shard/NShards select the
-// canonical segment slice on the worker; 0/1 means the worker executes
-// over all of its local data (the partitioned topology, where each worker
-// process owns a disjoint dataset). ExpectDataVersion 0 pins optimistically.
+// canonical segment slice on the worker (0/1 is the whole dataset, the
+// one-shard case). ExpectDataVersion 0 pins optimistically.
 type WireRequest struct {
 	SQL               string `json:"sql"`
 	Shard             int    `json:"shard"`
@@ -58,20 +57,19 @@ type HTTPWorker struct {
 	base string
 	hc   *http.Client
 
-	// shard/nshards are sent with every request. The default 0/1 tells the
-	// worker to execute over all of its local segments (each worker process
-	// owns its own partition of the data). SetSlice configures the
-	// replicated topology instead, where every worker holds the full
-	// dataset and scans only its canonical slice.
+	// shard/nshards are sent with every request: every worker holds the
+	// full dataset and scans only its canonical segment slice.
 	shard, nshards int
 
 	// Backoff before the single transient retry.
 	Backoff time.Duration
 }
 
-// NewHTTPWorker builds a worker client for a base URL like
-// "http://host:port" (a bare "host:port" gets the scheme prefixed).
-func NewHTTPWorker(base string, timeout time.Duration) *HTTPWorker {
+// NewHTTPWorker builds a client for the worker at a base URL like
+// "http://host:port" (a bare "host:port" gets the scheme prefixed) that
+// owns the canonical segment slice (shard, nshards) of the dataset every
+// worker holds — its position in the coordinator's worker list.
+func NewHTTPWorker(base string, shard, nshards int, timeout time.Duration) *HTTPWorker {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
@@ -83,16 +81,10 @@ func NewHTTPWorker(base string, timeout time.Duration) *HTTPWorker {
 		name:    strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://"),
 		base:    base,
 		hc:      &http.Client{Timeout: timeout},
-		nshards: 1,
+		shard:   shard,
+		nshards: nshards,
 		Backoff: 50 * time.Millisecond,
 	}
-}
-
-// SetSlice restricts the worker to the canonical segment slice
-// (shard, nshards) of its local data — the replicated topology, where all
-// workers load the same dataset and split it by sealed ordinal.
-func (w *HTTPWorker) SetSlice(shard, nshards int) {
-	w.shard, w.nshards = shard, nshards
 }
 
 // Name implements Worker.
@@ -214,8 +206,8 @@ func (w *HTTPWorker) Ping(ctx context.Context) error {
 	return nil
 }
 
-// Append forwards an append batch to the worker (used by a coordinator in
-// the partitioned topology to route ingest to the tail-owner shard).
+// Append forwards an append batch to the worker (used by a coordinator to
+// route ingest to the tail-owner shard).
 // Returns the number of rows inserted.
 func (w *HTTPWorker) Append(ctx context.Context, table string, rows []map[string]any) (int, error) {
 	body, err := json.Marshal(struct {

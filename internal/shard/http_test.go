@@ -23,7 +23,7 @@ func TestHTTPWorkerRetriesTransient(t *testing.T) {
 		w.Write([]byte(`{"count":2}`))
 	}))
 	defer ts.Close()
-	hw := NewHTTPWorker(ts.URL, time.Second)
+	hw := NewHTTPWorker(ts.URL, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
 	n, err := hw.Append(context.Background(), "supplier", []map[string]any{{"a": 1}, {"a": 2}})
 	if err != nil {
@@ -42,7 +42,7 @@ func TestHTTPWorkerNoRetryOnClientError(t *testing.T) {
 		http.Error(w, "bad row", http.StatusBadRequest)
 	}))
 	defer ts.Close()
-	hw := NewHTTPWorker(ts.URL, time.Second)
+	hw := NewHTTPWorker(ts.URL, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
 	if _, err := hw.Append(context.Background(), "supplier", nil); err == nil {
 		t.Fatal("want error")
@@ -61,7 +61,7 @@ func TestHTTPWorkerRetryExhausted(t *testing.T) {
 		http.Error(w, "still draining", http.StatusServiceUnavailable)
 	}))
 	defer ts.Close()
-	hw := NewHTTPWorker(ts.URL, time.Second)
+	hw := NewHTTPWorker(ts.URL, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
 	_, err := hw.Exec(context.Background(), ExecRequest{SQL: "SELECT 1"})
 	if err == nil || !strings.Contains(err.Error(), "503") {
@@ -82,7 +82,7 @@ func TestHTTPWorkerNoRetryAfterCancel(t *testing.T) {
 	}))
 	defer ts.Close()
 	defer close(release)
-	hw := NewHTTPWorker(ts.URL, 10*time.Second)
+	hw := NewHTTPWorker(ts.URL, 0, 1, 10*time.Second)
 	hw.Backoff = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -110,7 +110,7 @@ func TestCoordinatorTimeoutNamesShard(t *testing.T) {
 	defer ts.Close()
 	defer close(release)
 	d := protoDB(t)
-	hw := NewHTTPWorker(ts.URL, 80*time.Millisecond)
+	hw := NewHTTPWorker(ts.URL, 0, 1, 80*time.Millisecond)
 	c, err := New(d, []Worker{hw}, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestCoordinatorUnreachableNamesShard(t *testing.T) {
 	url := ts.URL
 	ts.Close()
 	d := protoDB(t)
-	hw := NewHTTPWorker(url, time.Second)
+	hw := NewHTTPWorker(url, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
 	c, err := New(d, []Worker{hw}, Options{})
 	if err != nil {

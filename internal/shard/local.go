@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"astore/internal/core"
@@ -27,9 +26,6 @@ type LocalWorker struct {
 
 	// Select, when non-nil, overrides the canonical partition (tests).
 	Select func(i int, sv *storage.SegView) bool
-
-	mu    sync.Mutex
-	preps map[string]*db.Prepared
 }
 
 // NewLocalWorkers builds n in-process workers over one DB, worker i owning
@@ -47,7 +43,6 @@ func NewLocalWorkers(d *db.DB, n int) []Worker {
 			domain:  dom,
 			shard:   i,
 			nshards: n,
-			preps:   make(map[string]*db.Prepared),
 		}
 	}
 	return ws
@@ -56,34 +51,11 @@ func NewLocalWorkers(d *db.DB, n int) []Worker {
 // Name implements Worker.
 func (w *LocalWorker) Name() string { return w.name }
 
-// prepared returns the worker's cached prepared statement for the text,
-// preparing on first use. Preparing is cheap (the compiled plan itself
-// lives in the DB's shared plan cache), so the map only avoids re-parsing;
-// it is reset rather than evicted when it grows past a sane bound.
-func (w *LocalWorker) prepared(text string) (*db.Prepared, error) {
-	w.mu.Lock()
-	if p, ok := w.preps[text]; ok {
-		w.mu.Unlock()
-		return p, nil
-	}
-	w.mu.Unlock()
-	p, err := w.d.PrepareSQL(text)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	if len(w.preps) >= 256 {
-		w.preps = make(map[string]*db.Prepared)
-	}
-	w.preps[text] = p
-	w.mu.Unlock()
-	return p, nil
-}
-
-// Exec implements Worker: pin, verify the expectation, scan the shard's
-// segment slice, capture.
+// Exec implements Worker: prepare (a parse plus a hit in the DB's shared
+// plan cache, like the HTTP worker handler), pin, verify the expectation,
+// scan the shard's segment slice, capture.
 func (w *LocalWorker) Exec(ctx context.Context, req ExecRequest) (*ExecResult, error) {
-	p, err := w.prepared(req.SQL)
+	p, err := w.d.PrepareSQL(req.SQL)
 	if err != nil {
 		return nil, err
 	}

@@ -200,7 +200,7 @@ func (t *Table) consolidateSegmentedLocked() []int32 {
 	}
 	t.nrows = next
 	t.segs = t.segs[:0]
-	t.rebuildSegmentsLocked(flat, nil, nil)
+	t.rebuildSegmentsLocked(flat, nil)
 	return remap
 }
 

@@ -33,18 +33,24 @@ import (
 //
 // Sealed chunks persist in their in-memory encoding, so an image written
 // by a table with sealed-segment encodings restores bit-identical encoded
-// chunks (zone maps are recomputed, not stored). Two older formats are
-// still read: "ASTORDB2" (same manifest, untagged flat column payloads,
-// re-chunked on load) and "ASTORDB1" (no segmentTarget/manifest fields).
+// chunks (zone maps are recomputed, not stored). This is the only format
+// LoadDatabase reads: the retired "ASTORDB1"/"ASTORDB2" images, which no
+// writer produces any more, are refused with *UnsupportedFormatError.
 //
 // Shared dictionaries serialize once and rewire on load, preserving the
 // code stability that lets tables share them. The slot free list is not
 // stored; it is derivable from the deletion vector.
-const (
-	persistMagic   = "ASTORDB3"
-	persistMagicV2 = "ASTORDB2"
-	persistMagicV1 = "ASTORDB1"
-)
+const persistMagic = "ASTORDB3"
+
+// UnsupportedFormatError reports a database image in a retired format.
+type UnsupportedFormatError struct {
+	Magic string
+}
+
+func (e *UnsupportedFormatError) Error() string {
+	return fmt.Sprintf("storage: load: image format %q is no longer supported; this build reads only %q",
+		e.Magic, persistMagic)
+}
 
 // maxLoadCount bounds element counts read from an image, as a defense
 // against corrupt or hostile files.
@@ -192,18 +198,13 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("storage: load: %w", err)
 	}
-	var version int
 	switch string(magic) {
 	case persistMagic:
-		version = 3
-	case persistMagicV2:
-		version = 2
-	case persistMagicV1:
-		version = 1
+	case "ASTORDB1", "ASTORDB2":
+		return nil, &UnsupportedFormatError{Magic: string(magic)}
 	default:
 		return nil, fmt.Errorf("storage: load: bad magic %q", magic)
 	}
-	v1 := version == 1
 
 	nd, err := readU32(br)
 	if err != nil {
@@ -248,34 +249,32 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		var segTarget uint32
+		segTarget, err := readU32(br)
+		if err != nil {
+			return nil, err
+		}
+		nseg, err := readU32(br)
+		if err != nil {
+			return nil, err
+		}
+		if nseg > maxLoadCount {
+			return nil, fmt.Errorf("storage: load: table %s implausible segment count", name)
+		}
 		var sealedRows []int
-		if !v1 {
-			if segTarget, err = readU32(br); err != nil {
-				return nil, err
-			}
-			nseg, err := readU32(br)
+		total := uint64(0)
+		for si := uint32(0); si < nseg; si++ {
+			rows, err := readU32(br)
 			if err != nil {
 				return nil, err
 			}
-			if nseg > maxLoadCount {
-				return nil, fmt.Errorf("storage: load: table %s implausible segment count", name)
-			}
-			total := uint64(0)
-			for si := uint32(0); si < nseg; si++ {
-				rows, err := readU32(br)
-				if err != nil {
-					return nil, err
-				}
-				total += uint64(rows)
-				sealedRows = append(sealedRows, int(rows))
-			}
-			if segTarget == 0 && nseg > 0 {
-				return nil, fmt.Errorf("storage: load: table %s has segments but no segment target", name)
-			}
-			if total > uint64(nrows) {
-				return nil, fmt.Errorf("storage: load: table %s segment manifest exceeds row count", name)
-			}
+			total += uint64(rows)
+			sealedRows = append(sealedRows, int(rows))
+		}
+		if segTarget == 0 && nseg > 0 {
+			return nil, fmt.Errorf("storage: load: table %s has segments but no segment target", name)
+		}
+		if total > uint64(nrows) {
+			return nil, fmt.Errorf("storage: load: table %s segment manifest exceeds row count", name)
 		}
 		ncols, err := readU32(br)
 		if err != nil {
@@ -285,12 +284,12 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			return nil, fmt.Errorf("storage: load: table %s implausible shape", name)
 		}
 		t := NewTable(name)
-		// v3 images of segmented tables store one tagged chunk per segment;
-		// older images (and flat tables) store one flat payload per column.
-		v3seg := version == 3 && segTarget > 0
+		// Segmented tables store one tagged chunk per segment; flat tables
+		// store one tagged chunk per column.
+		segmented := segTarget > 0
 		var chunkCounts []int
 		var chunks map[string][]Column
-		if v3seg {
+		if segmented {
 			tail := int(nrows)
 			for _, rows := range sealedRows {
 				tail -= rows
@@ -303,33 +302,11 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			if err != nil {
 				return nil, err
 			}
-			switch {
-			case v3seg:
-				typ, dict, err := readColumnHeader(br, dicts)
-				if err != nil {
-					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-				}
-				if _, dup := t.colTypes[colName]; dup {
-					return nil, fmt.Errorf("storage: load %s: duplicate column %s", name, colName)
-				}
-				t.names = append(t.names, colName)
-				t.colTypes[colName] = typ
-				if dict != nil {
-					t.colDicts[colName] = dict
-				}
-				t.schemaVersion++
-				for _, cn := range chunkCounts {
-					c, err := readChunk(br, typ, cn, dict)
-					if err != nil {
-						return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-					}
-					chunks[colName] = append(chunks[colName], c)
-				}
-			case version == 3:
-				typ, dict, err := readColumnHeader(br, dicts)
-				if err != nil {
-					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-				}
+			typ, dict, err := readColumnHeader(br, dicts)
+			if err != nil {
+				return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
+			}
+			if !segmented {
 				c, err := readChunk(br, typ, int(nrows), dict)
 				if err != nil {
 					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
@@ -337,14 +314,23 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 				if err := t.AddColumn(colName, DecodeChunk(c)); err != nil {
 					return nil, err
 				}
-			default:
-				c, err := readColumn(br, int(nrows), dicts)
+				continue
+			}
+			if _, dup := t.colTypes[colName]; dup {
+				return nil, fmt.Errorf("storage: load %s: duplicate column %s", name, colName)
+			}
+			t.names = append(t.names, colName)
+			t.colTypes[colName] = typ
+			if dict != nil {
+				t.colDicts[colName] = dict
+			}
+			t.schemaVersion++
+			for _, cn := range chunkCounts {
+				c, err := readChunk(br, typ, cn, dict)
 				if err != nil {
 					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
 				}
-				if err := t.AddColumn(colName, c); err != nil {
-					return nil, err
-				}
+				chunks[colName] = append(chunks[colName], c)
 			}
 		}
 		t.nrows = int(nrows) // tables with zero columns still carry rows
@@ -369,23 +355,12 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 				}
 			}
 		}
-		switch {
-		case v3seg:
+		if segmented {
 			// Install the on-disk segments directly, preserving sealed-chunk
 			// encodings (zone maps are recomputed). Slot free lists do not
 			// apply to segmented tables.
 			t.segTarget = int(segTarget)
 			t.installSegmentsLocked(chunks, chunkCounts, t.del)
-			t.del = nil
-			t.free = t.free[:0]
-		case segTarget > 0:
-			// Restore the exact on-disk segmentation: the flat columns
-			// re-chunk along the manifest boundaries and zone maps are
-			// recomputed. Slot free lists do not apply to segmented tables.
-			flat, del := t.cols, t.del
-			t.segTarget = int(segTarget)
-			t.rebuildSegmentsLocked(flat, del, sealedRows)
-			t.cols = make(map[string]Column)
 			t.del = nil
 			t.free = t.free[:0]
 		}
@@ -710,16 +685,6 @@ func readPlainPayload(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, err
 	default:
 		return nil, fmt.Errorf("storage: unknown column type %s", typ)
 	}
-}
-
-// readColumn reads a v1/v2 column record: type byte, optional dictionary
-// index, then a flat payload of n elements.
-func readColumn(r *bufio.Reader, n int, dicts []*Dict) (Column, error) {
-	typ, dict, err := readColumnHeader(r, dicts)
-	if err != nil {
-		return nil, err
-	}
-	return readPlainPayload(r, typ, n, dict)
 }
 
 func writeU32(w *bufio.Writer, v uint32) {

@@ -3,107 +3,17 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 )
 
 // This file is the persist format-version matrix: images in the two
-// retired formats ("ASTORDB1", "ASTORDB2") must keep loading even though
-// no writer produces them anymore, the current "ASTORDB3" format must
-// round-trip every chunk encoding bit-identically, and a corrupt encoding
-// tag must be rejected with a diagnostic rather than misread.
-
-// legacyManifest describes the v2 segment manifest for one table: the
-// segment target plus sealed-segment row counts (the tail is implied).
-type legacyManifest struct {
-	target int
-	sealed []int
-}
-
-// writeLegacyImage serializes a flat database in the retired v1/v2 image
-// layouts: per column one untagged flat payload, preceded (v2 only) by the
-// segment-target and sealed-manifest fields. Loaders re-chunk v2 tables
-// along the manifest boundaries.
-func writeLegacyImage(t *testing.T, db *Database, magic string, manifests map[string]legacyManifest) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := bufio.NewWriterSize(&buf, 1<<16)
-	bw.WriteString(magic)
-
-	var dicts []*Dict
-	dictID := make(map[*Dict]uint32)
-	for _, tab := range db.Tables() {
-		for _, name := range tab.names {
-			if tab.colTypes[name] == TDict {
-				d := tab.colDicts[name]
-				if _, seen := dictID[d]; !seen {
-					dictID[d] = uint32(len(dicts))
-					dicts = append(dicts, d)
-				}
-			}
-		}
-	}
-	writeU32(bw, uint32(len(dicts)))
-	for _, d := range dicts {
-		writeU32(bw, uint32(d.Len()))
-		for _, s := range d.Values() {
-			writeStr(bw, s)
-		}
-	}
-
-	writeU32(bw, uint32(len(db.Tables())))
-	for _, tab := range db.Tables() {
-		writeStr(bw, tab.Name)
-		writeU32(bw, uint32(tab.nrows))
-		if magic != persistMagicV1 {
-			m := manifests[tab.Name]
-			writeU32(bw, uint32(m.target))
-			writeU32(bw, uint32(len(m.sealed)))
-			for _, rows := range m.sealed {
-				writeU32(bw, uint32(rows))
-			}
-		}
-		writeU32(bw, uint32(len(tab.names)))
-		for _, name := range tab.names {
-			writeStr(bw, name)
-			bw.WriteByte(byte(tab.colTypes[name]))
-			if tab.colTypes[name] == TDict {
-				writeU32(bw, dictID[tab.colDicts[name]])
-			}
-			if err := writeColumnPayload(bw, tab.cols[name], tab.nrows); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if tab.del != nil && tab.del.Count() > 0 {
-			bw.WriteByte(1)
-			words := (tab.nrows + 63) / 64
-			for wi := 0; wi < words; wi++ {
-				var word uint64
-				for b := 0; b < 64; b++ {
-					i := wi*64 + b
-					if i < tab.nrows && tab.del.Get(i) {
-						word |= 1 << uint(b)
-					}
-				}
-				writeU64(bw, word)
-			}
-		} else {
-			bw.WriteByte(0)
-		}
-		writeU32(bw, uint32(len(tab.fks)))
-		for _, col := range tab.names {
-			if ref := tab.fks[col]; ref != nil {
-				writeStr(bw, col)
-				writeStr(bw, ref.Name)
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+// retired formats ("ASTORDB1", "ASTORDB2") must be refused with a typed
+// error, the current "ASTORDB3" format must round-trip every chunk
+// encoding bit-identically, and a corrupt encoding tag must be rejected
+// with a diagnostic rather than misread.
 
 // segValue reads one value from a (possibly segmented) table through the
 // generic accessors, locating the chunk that holds the global row.
@@ -127,122 +37,30 @@ func segValue(t *testing.T, tab *Table, col string, row int) (int64, float64, st
 	return 0, 0, ""
 }
 
-// assertFixtureContents checks the logical content buildPersistFixture
-// creates, independent of physical layout (flat or segmented).
-func assertFixtureContents(t *testing.T, got *Database) {
-	t.Helper()
-	dim, fact := got.Table("dim"), got.Table("fact")
-	if dim == nil || fact == nil {
-		t.Fatal("tables missing after load")
-	}
-	if fact.NumRows() != 4 || dim.NumRows() != 3 {
-		t.Fatalf("rows: fact=%d dim=%d", fact.NumRows(), dim.NumRows())
-	}
-	if fact.FK("fk") != dim {
-		t.Fatal("FK edge lost")
-	}
-	if err := got.ValidateAIR(); err != nil {
+// TestLoadRefusesRetiredFormats: an image carrying a retired magic is
+// answered with *UnsupportedFormatError naming that magic, and no tables —
+// whatever follows the magic is not interpreted.
+func TestLoadRefusesRetiredFormats(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildPersistFixture(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for row, want := range []int64{0, 2, 1, 0} {
-		if v, _, _ := segValue(t, fact, "fk", row); v != want {
-			t.Fatalf("fk[%d] = %d, want %d", row, v, want)
-		}
-	}
-	if v, _, _ := segValue(t, fact, "m64", 2); v != 1<<40 {
-		t.Fatalf("m64[2] = %d", v)
-	}
-	if _, f, _ := segValue(t, fact, "f64", 1); f != -2.25 {
-		t.Fatalf("f64[1] = %v", f)
-	}
-	if _, _, s := segValue(t, fact, "tag", 1); s != "ASIA" {
-		t.Fatalf("tag[1] = %q", s)
-	}
-	if s, _ := StringAt(dim.Column("name"), 2); s != "c" {
-		t.Fatalf("dim name[2] = %q", s)
-	}
-
-	// The shared dictionary is one object again after load.
-	d1 := dim.Column("region").(*DictCol).Dict
-	var d2 *Dict
-	for _, sv := range fact.SegViews() {
-		switch c := sv.Cols["tag"].(type) {
-		case *DictCol:
-			d2 = c.Dict
-		case *RLEDictCol:
-			d2 = c.Dict
-		}
-		break
-	}
-	if d1 != d2 {
-		t.Fatal("shared dictionary duplicated on load")
-	}
-
-	// Row 1 was deleted before the image was written.
-	if !fact.IsDeleted(1) || fact.NumLive() != 3 {
-		t.Fatalf("deletion vector lost: deleted(1)=%v live=%d", fact.IsDeleted(1), fact.NumLive())
-	}
-}
-
-// TestLoadLegacyV1Image exercises the oldest readable format: no segment
-// target, no manifest, untagged flat payloads.
-func TestLoadLegacyV1Image(t *testing.T) {
-	db := buildPersistFixture(t)
-	data := writeLegacyImage(t, db, persistMagicV1, nil)
-	got, err := LoadDatabase(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFixtureContents(t, got)
-	if got.Table("fact").Segmented() {
-		t.Fatal("v1 image produced a segmented table")
-	}
-	// Flat v1 tables rebuild the slot free list from the deletion vector.
-	row, err := got.Table("fact").Insert(map[string]any{
-		"fk": int32(0), "m64": int64(7), "f64": 1.0, "tag": "ASIA",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row != 1 {
-		t.Fatalf("free list not rebuilt from v1 image: insert went to row %d", row)
-	}
-}
-
-// TestLoadLegacyV2Image exercises the v2 format both ways it was written:
-// flat (zero segment target) and segmented (manifest plus flat payloads
-// that the loader re-chunks along the recorded boundaries).
-func TestLoadLegacyV2Image(t *testing.T) {
-	t.Run("flat", func(t *testing.T) {
-		db := buildPersistFixture(t)
-		data := writeLegacyImage(t, db, persistMagicV2, nil)
-		got, err := LoadDatabase(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertFixtureContents(t, got)
-		if got.Table("fact").Segmented() {
-			t.Fatal("flat v2 image produced a segmented table")
-		}
-	})
-	t.Run("segmented", func(t *testing.T) {
-		db := buildPersistFixture(t)
-		data := writeLegacyImage(t, db, persistMagicV2, map[string]legacyManifest{
-			"fact": {target: 2, sealed: []int{2}}, // 4 rows: one sealed pair + 2-row tail
+	for _, magic := range []string{"ASTORDB1", "ASTORDB2"} {
+		t.Run(magic, func(t *testing.T) {
+			data := append([]byte(magic), buf.Bytes()[len(persistMagic):]...)
+			got, err := LoadDatabase(bytes.NewReader(data))
+			var unsupported *UnsupportedFormatError
+			if !errors.As(err, &unsupported) {
+				t.Fatalf("err = %v, want *UnsupportedFormatError", err)
+			}
+			if unsupported.Magic != magic || !strings.Contains(err.Error(), persistMagic) {
+				t.Fatalf("error %q does not name the retired magic %s and the current format", err, magic)
+			}
+			if got != nil {
+				t.Fatalf("retired image loaded %d tables", len(got.Tables()))
+			}
 		})
-		got, err := LoadDatabase(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertFixtureContents(t, got)
-		fact := got.Table("fact")
-		if !fact.Segmented() {
-			t.Fatal("v2 manifest ignored")
-		}
-		if sealed, total := fact.SegmentCounts(); sealed != 1 || total != 2 {
-			t.Fatalf("segments = %d/%d, want 1 sealed of 2", sealed, total)
-		}
-	})
+	}
 }
 
 // buildEncodedFixture makes a segmented fact whose columns land on every

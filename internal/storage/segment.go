@@ -300,7 +300,7 @@ func (t *Table) SetSegmentTarget(target int) error {
 	flat, del := t.flattenLocked()
 	t.segTarget = target
 	t.segs = nil
-	t.rebuildSegmentsLocked(flat, del, nil)
+	t.rebuildSegmentsLocked(flat, del)
 
 	// Flat-mode state is no longer authoritative.
 	t.cols = make(map[string]Column)
@@ -373,20 +373,12 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 }
 
 // rebuildSegmentsLocked re-chunks flat column arrays into sealed segments
-// plus a tail at the current segment target. boundaries, when non-nil,
-// forces explicit segment row counts (used by persistence to restore the
-// exact on-disk segmentation); otherwise every sealed segment holds exactly
-// segTarget rows. Caller holds t.mu; t.segTarget must be set.
+// of exactly segTarget rows plus a tail. Caller holds t.mu; t.segTarget
+// must be set.
 //
 //astore:chunkwrite
-func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap, boundaries []int) {
+func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 	nrows := t.nrows
-	if boundaries == nil {
-		for at := 0; nrows-at > t.segTarget; at += t.segTarget {
-			boundaries = append(boundaries, t.segTarget)
-		}
-	}
-
 	t.segs = t.segs[:0]
 	at := 0
 	appendChunk := func(s *Segment, lo, hi int) {
@@ -421,10 +413,10 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap, bound
 			}
 		}
 	}
-	for _, rows := range boundaries {
-		s := t.newSegment(max(rows, t.segTarget))
+	for ; nrows-at > t.segTarget; at += t.segTarget {
+		s := t.newSegment(t.segTarget)
 		s.base = at
-		appendChunk(s, at, at+rows)
+		appendChunk(s, at, at+t.segTarget)
 		for name, c := range s.cols {
 			if z, ok := zoneOfChunk(c, s.n); ok {
 				s.zones[name] = z
@@ -433,7 +425,6 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap, bound
 		s.sealed = true
 		t.encodeSegmentLocked(s)
 		t.segs = append(t.segs, s)
-		at += rows
 	}
 	tail := t.newSegment(t.segTarget)
 	tail.base = at
