@@ -92,14 +92,14 @@ type (
 	Dict = storage.Dict
 	// Bitmap is a packed bit vector (predicate and deletion vectors).
 	Bitmap = storage.Bitmap
-	// Snapshot is a stable read view of a table (column-granularity
-	// copy-on-write isolation from writers; for segmented tables, a pinned
-	// segment-list copy).
+	// Snapshot is a stable read view of a table: a pinned copy of its
+	// segment list, isolated from writers by chunk-granularity
+	// copy-on-write.
 	Snapshot = storage.Snapshot
 	// Segment is one immutable sealed chunk (or the mutable tail) of a
-	// segmented fact table, carrying per-segment columns, a deletion
-	// bitmap, and zone maps. Convert a table with Table.SetSegmentTarget
-	// or open the DB with Options.SegmentRows.
+	// table, carrying per-segment columns, a deletion bitmap, and zone
+	// maps. A table seals segments once it has a threshold: set one with
+	// Table.SetSegmentTarget or open the DB with Options.SegmentRows.
 	Segment = storage.Segment
 	// SegView is a stable per-segment read view (see Table.SegViews).
 	SegView = storage.SegView

@@ -28,7 +28,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "generation seed")
 		save     = flag.String("save", "", "write the generated database image to this file")
 		load     = flag.String("load", "", "load a database image instead of generating")
-		segRows  = flag.Int("segment-rows", 0, "segment fact tables at this row target before saving (0 = flat)")
+		segRows  = flag.Int("segment-rows", 0, "seal fact-table segments at this many rows before saving (0 = never seal)")
 		sortKeys = flag.String("sort-keys", "", "comma-separated fact columns to cluster by at consolidation (requires -segment-rows)")
 		encode   = flag.Bool("encode-sealed", false, "compress sealed-segment chunks (RLE/FoR) before saving (requires -segment-rows)")
 	)
@@ -75,7 +75,7 @@ func main() {
 			}
 		}
 		for _, t := range catalog.Tables() {
-			if referenced[t] || t.Segmented() {
+			if referenced[t] {
 				continue
 			}
 			if err := t.SetSegmentTarget(*segRows); err != nil {
@@ -89,8 +89,6 @@ func main() {
 					if k == "" {
 						continue
 					}
-					// ColumnType, not Column: the table is already
-					// segmented here, so flat columns report nil.
 					if _, ok := t.ColumnType(k); ok {
 						keys = append(keys, k)
 					}

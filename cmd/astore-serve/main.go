@@ -54,7 +54,7 @@ func main() {
 		batchRows = flag.Int("batch-rows", 0, "rows per scan batch (cancellation granularity; 0 = default 64K)")
 		cacheCap  = flag.Int("cache-cap", db.DefaultPlanCacheCap, "plan cache capacity")
 		segRows   = flag.Int("segment-rows", storage.DefaultSegmentRows,
-			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = flat)")
+			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = never seal)")
 		sortKeys = flag.String("sort-keys", "",
 			"comma-separated fact columns to cluster by at consolidation (keys a table lacks are ignored)")
 		encode = flag.Bool("encode-sealed", false,
@@ -106,12 +106,10 @@ func main() {
 	}
 	d.SetPlanCacheCap(*cacheCap)
 	for _, t := range catalog.Tables() {
-		layout := "flat"
-		if sealed, total := t.SegmentCounts(); t.Segmented() {
-			layout = fmt.Sprintf("%d segments (%d sealed)", total, sealed)
-			if comp := t.Compression(); comp.EncodedChunks > 0 && comp.PhysicalBytes > 0 {
-				layout += fmt.Sprintf(", %.2fx compressed", float64(comp.LogicalBytes)/float64(comp.PhysicalBytes))
-			}
+		sealed, total := t.SegmentCounts()
+		layout := fmt.Sprintf("%d segments (%d sealed)", total, sealed)
+		if comp := t.Compression(); comp.EncodedChunks > 0 && comp.PhysicalBytes > 0 {
+			layout += fmt.Sprintf(", %.2fx compressed", float64(comp.LogicalBytes)/float64(comp.PhysicalBytes))
 		}
 		log.Printf("table %-12s %10d rows  %8.1f MB  %s", t.Name, t.NumRows(), float64(t.MemBytes())/(1<<20), layout)
 	}

@@ -13,15 +13,15 @@ import (
 )
 
 // The "ingest" experiment is not from the paper: it measures the serving
-// properties the segmented fact-table layout buys — append-stable compiled
-// plans and zone-map pruning — by appending rows while repeatedly executing
-// a prepared SSB query, on a flat and on a segmented catalog.
+// properties of the fact-table layout — append-stable compiled plans and
+// zone-map pruning — by appending rows while repeatedly executing a
+// prepared SSB query, on a catalog whose fact table never seals and on one
+// that seals segments.
 //
-//   - Plan stability: on the flat catalog every append advances the fact
-//     table's DataVersion and forces a plan recompile (plan_stale grows
-//     with the number of interleaved batches). On the segmented catalog
-//     appends go to the mutable tail and the cached plan keeps executing
-//     (plan_stale stays flat while data_version advances).
+//   - Plan stability: appends go to the mutable tail and the cached plan
+//     keeps executing on both (plan_stale stays level while data_version
+//     advances). What sealing adds is that only the tail is rescanned:
+//     sealed segments answer from cached partials.
 //   - Pruning: per-query segments_total/segments_pruned over the 13 SSB
 //     queries on the segmented catalog (recorded into BENCH_*.json by
 //     astore-bench -json).
@@ -29,13 +29,14 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "ingest",
-		Title: "Live ingest: plan stability and zone-map pruning (segmented vs flat)",
+		Title: "Live ingest: plan stability and zone-map pruning (sealing vs never-sealing fact table)",
 		Run:   runIngest,
 	})
 }
 
-// protoRow extracts row 0 of a flat table as an Insert value map, used to
-// synthesize append batches. Must be called before the table is segmented.
+// protoRow extracts row 0 of a table as an Insert value map, used to
+// synthesize append batches. Must be called before the table is given a
+// sealing threshold (it reads whole columns).
 func protoRow(t *storage.Table) (map[string]any, error) {
 	if t.NumRows() == 0 {
 		return nil, fmt.Errorf("bench: table %s is empty", t.Name)
@@ -43,7 +44,7 @@ func protoRow(t *storage.Table) (map[string]any, error) {
 	return rowAt(t, 0), nil
 }
 
-// rowAt extracts row i of a flat table as an Insert value map.
+// rowAt extracts row i of a never-sealing table as an Insert value map.
 func rowAt(t *storage.Table, i int) map[string]any {
 	vals := make(map[string]any, len(t.ColumnNames()))
 	for _, name := range t.ColumnNames() {
@@ -137,8 +138,8 @@ func runIngest(cfg Config) ([]*Report, error) {
 		Headers: []string{"layout", "rows appended", "avg exec (ms)",
 			"plan_hits", "plan_stale", "plan_evictions", "data_version"},
 		Notes: []string{
-			"flat: every append invalidates the cached plan (plan_stale ~ rounds)",
-			"segmented: appends go to the tail; the cached plan keeps executing",
+			"flat: the fact table never seals; the cached plan survives appends, every execution rescans every row",
+			"segmented: appends go to the tail; sealed segments answer from cached partials",
 		},
 	}
 	for _, segRows := range []int{0, target} {

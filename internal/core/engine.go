@@ -193,8 +193,8 @@ type TableVersions struct {
 }
 
 // View is a pinned, consistent snapshot of every table reachable from the
-// engine's root: frozen column arrays (per-segment for segmented roots), a
-// join graph over the frozen tables, and the per-table versions at pin
+// engine's root: frozen column arrays (per segment for the root), a join
+// graph over the frozen tables, and the per-table versions at pin
 // time. While a View is held, writers copy-on-write instead of mutating
 // shared arrays, so plans compiled on the View read a stable database
 // state. Release must be called on every exit path so the tables' pin
@@ -249,11 +249,11 @@ func (v *View) RootSegments() []storage.SegView { return v.rootSegs }
 //
 // Plan freshness distinguishes structure from data: any SchemaVersion
 // change invalidates the plan; DataVersion changes invalidate it only for
-// tables whose arrays the plan captured directly — dimensions and flat
-// roots. A segmented root binds its arrays per segment at execution time,
-// so fact appends (and deletes) leave the plan valid as long as the zone
-// maps prove every segment's values still fall inside the compiled ranges
-// (FK bounds and dense group-id ranges).
+// the dimensions, whose arrays the plan captured directly. The root's
+// arrays are bound per segment at execution time, so fact appends (and
+// deletes) leave the plan valid as long as the zone maps prove every
+// segment's values still fall inside the compiled ranges (FK bounds and
+// dense group-id ranges).
 type Compiled struct {
 	pl       *plan
 	versions map[string]TableVersions
@@ -282,10 +282,10 @@ func (c *Compiled) Versions() map[string]TableVersions { return c.versions }
 
 // FreshIn reports whether the compiled plan is still valid for execution
 // under the given view. Schema changes always invalidate; data changes
-// invalidate dimensions and flat roots (whose arrays the plan captured),
-// while a segmented root stays fresh across appends, deletes, and
-// copy-on-write updates as long as zone maps prove every segment's values
-// remain inside the plan's compiled ranges.
+// invalidate dimensions (whose arrays the plan captured), while the root
+// stays fresh across appends, deletes, and copy-on-write updates as long as
+// zone maps prove every segment's values remain inside the plan's compiled
+// ranges.
 func (c *Compiled) FreshIn(v *View) bool {
 	if len(c.versions) != len(v.versions) {
 		return false
@@ -295,10 +295,8 @@ func (c *Compiled) FreshIn(v *View) bool {
 		if !ok || got.Schema != ver.Schema {
 			return false
 		}
-		if name == c.rootName && c.pl.segmented {
-			continue // data freshness established by rootCovered below
-		}
-		if got.Data != ver.Data {
+		// The root's data freshness is established by rootCovered below.
+		if name != c.rootName && got.Data != ver.Data {
 			return false
 		}
 	}

@@ -322,31 +322,6 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-func TestMakeSpans(t *testing.T) {
-	spans := makeSpans(10, 3)
-	if len(spans) == 0 || spans[0].lo != 0 {
-		t.Fatalf("spans = %v", spans)
-	}
-	covered := 0
-	last := 0
-	for _, sp := range spans {
-		if sp.lo != last {
-			t.Fatalf("gap in spans: %v", spans)
-		}
-		covered += sp.hi - sp.lo
-		last = sp.hi
-	}
-	if covered != 10 || last != 10 {
-		t.Fatalf("spans don't cover: %v", spans)
-	}
-	if got := makeSpans(0, 4); got != nil {
-		t.Errorf("spans over empty table = %v", got)
-	}
-	if got := makeSpans(3, 100); len(got) > 3 {
-		t.Errorf("more spans than rows: %v", got)
-	}
-}
-
 // Property: random queries over random star schemas agree across all
 // variants and the oracle.
 func TestRandomQueriesQuick(t *testing.T) {

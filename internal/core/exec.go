@@ -43,32 +43,6 @@ type execSeg struct {
 	key     aggKey
 }
 
-// makeSpans splits [0, n) into at most count near-equal spans; it remains
-// the building block for morsel generation within one segment.
-type span struct{ lo, hi int }
-
-func makeSpans(n, count int) []span {
-	if count < 1 {
-		count = 1
-	}
-	if count > n {
-		count = n
-	}
-	if n == 0 {
-		return nil
-	}
-	spans := make([]span, 0, count)
-	chunk := (n + count - 1) / count
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		spans = append(spans, span{lo, hi})
-	}
-	return spans
-}
-
 // worker is one scan goroutine's private working set: its aggregation
 // state, its share of the run's timing and row counters, and reused
 // per-morsel buffers (§5: intermediate results are used exclusively by the
@@ -114,8 +88,7 @@ func (pl *plan) aggCacheable() bool {
 // Surviving sealed segments are then looked up in the engine's aggregate
 // cache: a hit returns the stored partial (second return value) and skips
 // binding and scanning entirely; a miss is bound and marked install so the
-// scan captures its partial. Tail and flat pseudo-segments always bind and
-// scan live.
+// scan captures its partial. The tail always binds and scans live.
 func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.Partial, error) {
 	admitT0 := time.Now()
 	var bindNS, cacheNS int64
@@ -145,7 +118,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 			continue
 		}
 		es := execSeg{sv: sv}
-		if useCache && sv.Seg != nil && sv.Sealed {
+		if useCache && sv.Sealed {
 			cacheT0 := time.Now()
 			es.key = aggKey{plan: pl.id, seg: sv.Seg, epoch: sv.Epoch, delGen: sv.DelGen}
 			v, ok := pl.eng.aggCache.get(es.key)
@@ -157,7 +130,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 			}
 			rs.stats.AggCacheMisses++
 			es.install = true
-		} else if sv.Seg == nil || !sv.Sealed {
+		} else if !sv.Sealed {
 			rs.stats.TailRows += int64(sv.N)
 		}
 		bindT0 := time.Now()
@@ -182,7 +155,8 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 
 // makeUnits builds the scan work list: one whole-segment unit per
 // cache-install segment (its partial must be captured in isolation), and
-// the live (tail and flat) segments sliced into near-equal morsels — enough
+// the live segments (the tail; every segment when the cache is off) sliced
+// into near-equal morsels — enough
 // for the over-partitioned parallel schedule, and none larger than the
 // batch-row bound, which is the granularity of cancellation checks.
 func (pl *plan) makeUnits(kept []execSeg) []morsel {

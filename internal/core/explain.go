@@ -29,18 +29,8 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 	// plan-only and timed renderings name the same stages.
 	fmt.Fprintf(&sb, "stages: %s (timings via EXPLAIN ANALYZE or \"trace\": true)\n",
 		strings.Join(obs.StageNames(), " -> "))
-	if pl.segmented {
-		sealed := 0
-		for i := range pl.planSegs {
-			if pl.planSegs[i].Sealed {
-				sealed++
-			}
-		}
-		fmt.Fprintf(&sb, "scan %s: %d rows in %d segments (%d sealed + tail)\n",
-			pl.root.Name, pl.rootN, len(pl.planSegs), sealed)
-	} else {
-		fmt.Fprintf(&sb, "scan %s: %d rows\n", pl.root.Name, pl.rootN)
-	}
+	fmt.Fprintf(&sb, "scan %s: %d rows in %d segments (%d sealed + tail)\n",
+		pl.root.Name, pl.rootN, len(pl.planSegs), len(pl.planSegs)-1)
 
 	// Zone-map pruning decisions: per filter, how many segments survive
 	// its zone test alone; then the combined admission decision.
@@ -76,10 +66,7 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 	} else {
 		sb.WriteString("filters (most selective first):\n")
 		for i, f := range pl.filters {
-			prune := ""
-			if pl.segmented {
-				prune = fmt.Sprintf("  segments: %d/%d after prune", perFilterKept[i], total)
-			}
+			prune := fmt.Sprintf("  segments: %d/%d after prune", perFilterKept[i], total)
 			if f.root != nil {
 				fmt.Fprintf(&sb, "  %d. scan  %-40s est sel %.4f%s\n",
 					i+1, f.root.pred.String(), f.root.sel, prune)
@@ -95,28 +82,26 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 				i+1, kind, f.probe.table, f.probe.fk0, 1+len(f.probe.dimFKs), sel, prune)
 		}
 	}
-	if pl.segmented {
-		fmt.Fprintf(&sb, "segment admission: %d/%d segments scanned (%d pruned by zone maps, %d empty)\n",
-			combinedKept, total, nonEmpty-combinedKept, total-nonEmpty)
-		encoded := 0
-		for i := range pl.planSegs {
-			for _, c := range pl.planSegs[i].Cols {
-				if storage.ChunkEncoding(c) != storage.EncPlain {
-					encoded++
-					break
-				}
+	fmt.Fprintf(&sb, "segment admission: %d/%d segments scanned (%d pruned by zone maps, %d empty)\n",
+		combinedKept, total, nonEmpty-combinedKept, total-nonEmpty)
+	encoded := 0
+	for i := range pl.planSegs {
+		for _, c := range pl.planSegs[i].Cols {
+			if storage.ChunkEncoding(c) != storage.EncPlain {
+				encoded++
+				break
 			}
 		}
-		if encoded > 0 {
-			fmt.Fprintf(&sb, "encoded segments: %d/%d (RLE/FoR chunks served by per-encoding decode kernels)\n",
-				encoded, total)
-		}
-		if pl.aggCacheable() {
-			fmt.Fprintf(&sb, "segment agg cache: enabled, budget %d MB — sealed segments merge cached partials, tail computed live (hits k / misses m / tail rows r via EXPLAIN ANALYZE)\n",
-				pl.opt.AggCacheBytes>>20)
-		} else {
-			sb.WriteString("segment agg cache: disabled\n")
-		}
+	}
+	if encoded > 0 {
+		fmt.Fprintf(&sb, "encoded segments: %d/%d (RLE/FoR chunks served by per-encoding decode kernels)\n",
+			encoded, total)
+	}
+	if pl.aggCacheable() {
+		fmt.Fprintf(&sb, "segment agg cache: enabled, budget %d MB — sealed segments merge cached partials, tail computed live (hits k / misses m / tail rows r via EXPLAIN ANALYZE)\n",
+			pl.opt.AggCacheBytes>>20)
+	} else {
+		sb.WriteString("segment agg cache: disabled\n")
 	}
 	if len(pl.stats.PrefilterTables) > 0 {
 		fmt.Fprintf(&sb, "predicate vectors on: %s (deeper filters folded in)\n",

@@ -118,14 +118,15 @@ type Options struct {
 	// so smaller batches cancel more promptly at a small scheduling cost.
 	// Default 64K rows.
 	BatchRows int
-	// SegmentRows, when positive, makes db.Open segment every fact table
-	// at this sealing threshold (storage.SetSegmentTarget): appends go to
-	// a mutable tail, snapshots become segment-list copies, per-segment
-	// zone maps prune scans, and live appends stop evicting cached plans.
-	// Zero leaves tables flat. The engine itself executes either layout.
+	// SegmentRows, when positive, makes db.Open give every fact table this
+	// sealing threshold (storage.SetSegmentTarget): the tail seals when it
+	// reaches it, per-segment zone maps prune scans, and sealed segments'
+	// partial aggregates are cacheable. Zero leaves each table as it is —
+	// all tail, unless a loaded image says otherwise. The engine itself
+	// does not consult this field.
 	SegmentRows int
-	// SortKeys, when non-empty, makes db.Open configure every segmented
-	// fact table to re-sort surviving rows by these columns (integer or
+	// SortKeys, when non-empty, makes db.Open configure every fact table
+	// to re-sort surviving rows by these columns (integer or
 	// dict-coded) during Consolidate, before sealing. Clustering by the
 	// sort key tightens zone maps and lengthens runs, which is what makes
 	// the sealed-segment encodings below pay off. Keys missing from a
@@ -205,7 +206,7 @@ type Stats struct {
 	Groups int
 
 	// SegmentsTotal is the number of root segments considered by the scan
-	// (1 for flat roots).
+	// (sealed ones plus the tail).
 	SegmentsTotal int
 	// SegmentsPruned is the number of segments skipped entirely because a
 	// zone map proved no row could match (empty segments count as pruned).
@@ -223,7 +224,7 @@ type Stats struct {
 	// installed into the segment aggregate cache.
 	AggCacheMisses int
 	// TailRows is the number of rows that can never be served from the
-	// aggregate cache: rows of unsealed (tail) segments and flat roots.
+	// aggregate cache: rows of the unsealed tail segment.
 	// In a warm steady state, scanned rows == tail rows.
 	TailRows int64
 	// EncodedSegments is the number of admitted segments containing at

@@ -17,21 +17,20 @@ import (
 // The plan layer separates what is append-stable from what is not:
 //
 //   - Dimension-side state (predicate vectors, group vectors, dictionaries,
-//     AIR hops beyond the first) is captured at plan time. Dimensions are
-//     flat, and any dimension mutation advances its DataVersion, which
-//     evicts the plan.
+//     AIR hops beyond the first) is captured at plan time from the
+//     dimensions' contiguous column arrays, and any dimension mutation
+//     advances its DataVersion, which evicts the plan.
 //   - Root(fact)-side state — the arrays the scan actually reads — is a
 //     *recipe* bound per segment at execution time (segState). Sealed
 //     segments are immutable, so their bindings are cached keyed by
-//     (segment, epoch); the mutable tail is rebound per execution. Flat
-//     roots bind once at plan time into a single pseudo-segment state and
-//     keep the old eviction rule.
+//     (segment, epoch); the mutable tail is rebound per execution. A root
+//     that never seals is all tail.
 //
-// This is what lets live appends to a segmented fact table advance its
-// DataVersion without invalidating cached plans: new rows only ever land in
-// the tail (or freshly sealed segments), and the zone-map requirements
-// recorded in the plan (rootReqs) prove at execution time that every
-// segment's values still fall inside the ranges the plan was compiled for.
+// This is what lets live appends to a fact table advance its DataVersion
+// without invalidating cached plans: new rows only ever land in the tail
+// (or freshly sealed segments), and the zone-map requirements recorded in
+// the plan (fkMax, dimReqs) prove at execution time that every segment's
+// values still fall inside the ranges the plan was compiled for.
 
 // rootFilter is a predicate on a root-table column, evaluated by direct
 // selection-vector refinement through a filterer bound per segment.
@@ -140,8 +139,8 @@ type aggPlan struct {
 	binds map[string]*evalBind // generic evaluator column bindings
 }
 
-// rootDimReq is a value-range requirement a segmented root must satisfy for
-// the plan to stay executable: every segment's zone for col must stay
+// rootDimReq is a value-range requirement the root must satisfy for the
+// plan to stay executable: every segment's zone for col must stay
 // within [lo, hi] (group ids index a fixed-shape aggregation array).
 type rootDimReq struct {
 	col    string
@@ -156,9 +155,8 @@ type plan struct {
 	eng     *Engine
 	graph   *schema.Graph // join graph the plan was resolved against
 
-	root      *storage.Table
-	rootN     int
-	segmented bool
+	root  *storage.Table
+	rootN int
 
 	// planSegs are the root segment views the plan was compiled against;
 	// executions under a newer view pass their own.
@@ -185,11 +183,7 @@ type plan struct {
 	aggKinds []expr.AggKind
 	aggs     []*aggPlan
 
-	// flatState is the single pre-bound pseudo-segment state of a flat
-	// root (bound at plan time, exactly the pre-segmentation behaviour).
-	flatState *segState
-
-	// Freshness requirements for segmented roots (see rootCovered).
+	// Freshness requirements on the root's zone maps (see rootCovered).
 	fkMax   map[string]int64
 	dimReqs []rootDimReq
 
@@ -222,17 +216,16 @@ func (e *Engine) planOn(q *query.Query, root *storage.Table, g *schema.Graph) (*
 		return nil, err
 	}
 	pl := &plan{
-		q:         q,
-		variant:   e.opt.Variant,
-		opt:       e.opt,
-		eng:       e,
-		graph:     g,
-		root:      root,
-		rootN:     root.NumRows(),
-		segmented: root.Segmented(),
-		planSegs:  root.SegViews(),
-		fkMax:     make(map[string]int64),
-		id:        planSeq.Add(1),
+		q:        q,
+		variant:  e.opt.Variant,
+		opt:      e.opt,
+		eng:      e,
+		graph:    g,
+		root:     root,
+		rootN:    root.NumRows(),
+		planSegs: root.SegViews(),
+		fkMax:    make(map[string]int64),
+		id:       planSeq.Add(1),
 	}
 
 	if err := pl.planFilters(); err != nil {
@@ -251,25 +244,8 @@ func (e *Engine) planOn(q *query.Query, root *storage.Table, g *schema.Graph) (*
 		pl.kernel = pl.processMorselColumnar
 	}
 
-	if !pl.segmented {
-		st, err := pl.bind(&pl.planSegs[0])
-		if err != nil {
-			return nil, err
-		}
-		pl.flatState = st
-	}
-
 	pl.leafNS = time.Since(start).Nanoseconds()
 	return pl, nil
-}
-
-// rootCol resolves a root binding's column: the real flat column, or the
-// typed prototype of a segmented root (per-segment chunks bind later).
-func rootBindingCol(b *schema.Binding) storage.Column {
-	if b.Col != nil {
-		return b.Col
-	}
-	return b.Table.ColumnProto(b.Name)
 }
 
 // needFK records that the plan indexes a captured dimension-side array of
@@ -307,7 +283,7 @@ func (pl *plan) planFilters() error {
 			return err
 		}
 		if b.OnRoot() {
-			col := rootBindingCol(b)
+			col := b.Col
 			// Compile once against the column type to surface type errors
 			// at plan time (the per-segment binding recompiles cheaply).
 			if _, err := p.Filterer(col); err != nil {
@@ -535,13 +511,12 @@ func (pl *plan) planGroupDims() error {
 }
 
 // rootGroupDim builds the group dimension for a root-table column. The
-// dense-id range comes from a column scan on flat roots and from zone maps
-// on segmented roots (conservatively covering deleted rows); segmented
-// plans also record the range as a freshness requirement, so appends that
+// dense-id range comes from the root's zone maps (conservatively covering
+// deleted rows) and is recorded as a freshness requirement, so appends that
 // widen the column's value range evict the plan instead of overflowing the
 // aggregation array.
 func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) {
-	switch c := rootBindingCol(b).(type) {
+	switch c := b.Col.(type) {
 	case *storage.DictCol:
 		card := c.Dict.Len()
 		if card == 0 {
@@ -575,73 +550,22 @@ func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) 
 }
 
 // rootNumRange returns the integer value range of a numeric root column:
-// zone-map union for segmented roots, column scan for flat ones.
+// the union of its zones over the segments the plan was compiled against.
 func (pl *plan) rootNumRange(name string, b *schema.Binding) (lo, hi int64, err error) {
-	if pl.segmented {
-		any := false
-		for _, sv := range pl.planSegs {
-			if sv.N == 0 {
-				continue
-			}
-			z, ok := sv.Zones[b.Name]
-			if !ok || !z.OK {
-				return 0, 0, fmt.Errorf("core: group column %s has no zone map", name)
-			}
-			if !any {
-				lo, hi, any = z.MinI, z.MaxI, true
-			} else {
-				if z.MinI < lo {
-					lo = z.MinI
-				}
-				if z.MaxI > hi {
-					hi = z.MaxI
-				}
-			}
+	any := false
+	for _, sv := range pl.planSegs {
+		if sv.N == 0 {
+			continue
+		}
+		z, ok := sv.Zones[b.Name]
+		if !ok || !z.OK {
+			return 0, 0, fmt.Errorf("core: group column %s has no zone map", name)
 		}
 		if !any {
-			return 0, 0, nil
+			lo, hi, any = z.MinI, z.MaxI, true
+			continue
 		}
-		return lo, hi, nil
-	}
-	switch c := b.Col.(type) {
-	case *storage.Int32Col:
-		l, h := int32Range(c.V)
-		return int64(l), int64(h), nil
-	case *storage.Int64Col:
-		return int64Range(c.V)
-	default:
-		return 0, 0, fmt.Errorf("core: column %s is not integer", name)
-	}
-}
-
-func int32Range(v []int32) (lo, hi int32) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
-func int64Range(v []int64) (lo, hi int64, err error) {
-	if len(v) == 0 {
-		return 0, 0, nil
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
+		lo, hi = min(lo, z.MinI), max(hi, z.MaxI)
 	}
 	return lo, hi, nil
 }
@@ -653,6 +577,8 @@ func leafGroupDim(name string, b *schema.Binding) (*groupDim, error) {
 	t := b.Table
 	n := t.NumRows()
 	d := &groupDim{name: name, kind: gdLeafVec, vec: make([]int32, n)}
+	del := t.Deleted()
+	deleted := func(i int) bool { return del != nil && del.Get(i) }
 
 	switch c := b.Col.(type) {
 	case *storage.DictCol:
@@ -662,7 +588,7 @@ func leafGroupDim(name string, b *schema.Binding) (*groupDim, error) {
 			codeID[i] = -1
 		}
 		for i := 0; i < n; i++ {
-			if t.IsDeleted(i) {
+			if deleted(i) {
 				d.vec[i] = -1
 				continue
 			}
@@ -678,7 +604,7 @@ func leafGroupDim(name string, b *schema.Binding) (*groupDim, error) {
 	case *storage.StrCol:
 		byStr := make(map[string]int32)
 		for i := 0; i < n; i++ {
-			if t.IsDeleted(i) {
+			if deleted(i) {
 				d.vec[i] = -1
 				continue
 			}
@@ -694,7 +620,7 @@ func leafGroupDim(name string, b *schema.Binding) (*groupDim, error) {
 	case *storage.Int32Col, *storage.Int64Col:
 		byNum := make(map[int64]int32)
 		for i := 0; i < n; i++ {
-			if t.IsDeleted(i) {
+			if deleted(i) {
 				d.vec[i] = -1
 				continue
 			}
@@ -738,7 +664,7 @@ func (pl *plan) planAggs() error {
 				return err
 			}
 			if b.OnRoot() {
-				if _, err := expr.ColAccessor(rootBindingCol(b)); err != nil {
+				if _, err := expr.ColAccessor(b.Col); err != nil {
 					return err
 				}
 				ap.binds[name] = &evalBind{onRoot: true, rootCol: b.Name}
@@ -823,16 +749,10 @@ func (pl *plan) decideAggBackend() {
 // freshness test that lets cached plans survive appends: zone maps prove
 // the new rows cannot escape the compiled ranges.
 func (pl *plan) rootCovered(segs []storage.SegView) bool {
-	if !pl.segmented {
-		return true // flat roots compare DataVersion instead
-	}
 	for i := range segs {
 		sv := &segs[i]
 		if sv.N == 0 {
 			continue
-		}
-		if sv.Zones == nil {
-			return false
 		}
 		for col, hi := range pl.fkMax {
 			z, ok := sv.Zones[col]
@@ -975,15 +895,9 @@ type boundAgg struct {
 // segStateFor returns the binding for one segment view, serving sealed
 // segments from the engine's byte-accounted binding cache (sealed chunks
 // are immutable; the epoch key catches copy-on-write replacements, and
-// LRU eviction bounds the decode buffers the bindings pin). Tail and flat
-// pseudo-segments bind fresh.
+// LRU eviction bounds the decode buffers the bindings pin). The tail binds
+// fresh.
 func (pl *plan) segStateFor(sv *storage.SegView) (*segState, error) {
-	if sv.Seg == nil {
-		if pl.flatState != nil {
-			return pl.flatState, nil
-		}
-		return pl.bind(sv)
-	}
 	if !sv.Sealed {
 		return pl.bind(sv)
 	}
@@ -1249,9 +1163,6 @@ func widenRuns64(v []int64) []float64 {
 // mayMatchSegment reports whether a filter could select any row of the
 // segment, consulting zone maps. Conservative: unknown shapes return true.
 func (f *scanFilter) mayMatchSegment(sv *storage.SegView) bool {
-	if sv.Zones == nil {
-		return true
-	}
 	if f.root != nil {
 		z, ok := sv.Zones[f.root.col]
 		if !ok {

@@ -101,9 +101,8 @@ type Stats struct {
 	// proved them, keyed by the filter's display label, cumulative across
 	// executions.
 	PruneByFilter map[string]int64
-	// TailRows counts rows scanned live from mutable tails and flat roots
-	// across executions — the work the segment aggregate cache can never
-	// absorb.
+	// TailRows counts rows scanned live from mutable tails across
+	// executions — the work the segment aggregate cache can never absorb.
 	TailRows int64
 
 	// Segment aggregate cache counters, summed over the DB's engines
@@ -151,36 +150,30 @@ func Open(catalog *storage.Database, opt core.Options) (*DB, error) {
 		if referenced[t] {
 			continue
 		}
-		// Segment fact tables when asked: sealed segments + mutable tail
-		// give cheap snapshots, zone-map pruning, and append-stable plans.
-		// Dimensions stay flat (AIR chain lookups need flat arrays).
-		if opt.SegmentRows > 0 && !t.Segmented() {
+		// Give fact tables a sealing threshold when asked (a loaded image
+		// keeps the one it carries): sealed segments + mutable tail give
+		// zone-map pruning and cacheable per-segment partials.
+		if opt.SegmentRows > 0 && t.SegmentTarget() == 0 {
 			if err := t.SetSegmentTarget(opt.SegmentRows); err != nil {
 				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
 			}
 		}
-		if t.Segmented() {
-			// Sort keys apply per table: keys a fact table does not have
-			// are dropped (a shared key list may span heterogeneous facts).
-			if len(opt.SortKeys) > 0 {
-				var keys []string
-				for _, k := range opt.SortKeys {
-					// ColumnType, not Column: segmented tables keep their
-					// schema in colTypes and report nil flat columns.
-					if _, ok := t.ColumnType(k); ok {
-						keys = append(keys, k)
-					}
-				}
-				if len(keys) > 0 {
-					if err := t.SetSortKeys(keys...); err != nil {
-						return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-					}
-				}
+		// Sort keys apply per table: keys a fact table does not have are
+		// dropped (a shared key list may span heterogeneous facts).
+		var keys []string
+		for _, k := range opt.SortKeys {
+			if _, ok := t.ColumnType(k); ok {
+				keys = append(keys, k)
 			}
-			if opt.SealedEncodings {
-				if err := t.SetSealedEncodings(true); err != nil {
-					return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-				}
+		}
+		if len(keys) > 0 {
+			if err := t.SetSortKeys(keys...); err != nil {
+				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
+			}
+		}
+		if opt.SealedEncodings {
+			if err := t.SetSealedEncodings(true); err != nil {
+				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
 			}
 		}
 		eng, err := core.New(t, opt)

@@ -184,8 +184,8 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("after two execs: %+v", st)
 	}
 
-	// A write moves the fact table's version: the cached plan is stale and
-	// the next exec recompiles against the new snapshot.
+	// A write to the fact table is visible to the next exec and the cached
+	// plan survives it: root arrays are bound per segment at execution time.
 	row := 0
 	if err := fact.Update(row, "f_revenue", int64(0)); err != nil {
 		t.Fatal(err)
@@ -194,9 +194,8 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = d.Stats()
-	if st.PlanStale != 1 {
-		t.Fatalf("after write: %+v", st)
+	if st = d.Stats(); st.PlanStale != 0 || st.PlanHits != 3 {
+		t.Fatalf("after fact write: %+v", st)
 	}
 	var wantSum, gotSum float64
 	for _, r := range want.Rows {
@@ -209,11 +208,24 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 		t.Fatalf("update invisible: sum %v -> %v", wantSum, gotSum)
 	}
 
+	// A write to a dimension moves the version of arrays the plan captured:
+	// the cached plan is stale and the next exec recompiles against the new
+	// snapshot.
+	if err := fact.FK("f_ck").Update(0, "c_balance", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Exec(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st = d.Stats(); st.PlanStale != 1 {
+		t.Fatalf("after dimension write: %+v", st)
+	}
+
 	// And the recompiled plan is cached again.
 	if _, err := p.Exec(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st = d.Stats(); st.PlanHits != 3 {
+	if st = d.Stats(); st.PlanHits != 4 {
 		t.Fatalf("after re-exec: %+v", st)
 	}
 	if pins := fact.Pins(); pins != 0 {

@@ -29,11 +29,11 @@ func TestOpenSegmentsFactTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fact.Segmented() {
+	if fact.SegmentTarget() == 0 {
 		t.Fatal("fact table not segmented by Open")
 	}
 	for _, ref := range fact.FKs() {
-		if ref.Segmented() {
+		if ref.SegmentTarget() > 0 {
 			t.Fatalf("dimension %s segmented; dimensions must stay flat", ref.Name)
 		}
 	}
@@ -82,64 +82,63 @@ func TestSegmentedMatchesFlatThroughDB(t *testing.T) {
 }
 
 // TestAppendsDoNotEvictPlans is the acceptance criterion for plan
-// stability: on a segmented fact table, live appends advance DataVersion
-// while the cached plan keeps hitting (PlanStale and PlanEvictions stay
-// flat). A flat control shows the old behaviour (every append recompiles).
+// stability: live appends to a fact table advance DataVersion while the
+// cached plan keeps hitting (PlanStale and PlanEvictions stay flat),
+// whether or not the table seals segments.
 func TestAppendsDoNotEvictPlans(t *testing.T) {
 	ctx := context.Background()
-	run := func(segRows int) (Stats, uint64, *storage.Table, error) {
+	for _, segRows := range []int{200, 0} {
 		cat, fact := starCatalog(5, 3000)
 		d, err := Open(cat, core.Options{SegmentRows: segRows})
 		if err != nil {
-			return Stats{}, 0, nil, err
+			t.Fatal(err)
 		}
 		p, err := d.Prepare(sumRevenueByRegion())
 		if err != nil {
-			return Stats{}, 0, nil, err
+			t.Fatal(err)
 		}
 		if _, err := p.Exec(ctx); err != nil {
-			return Stats{}, 0, nil, err
+			t.Fatal(err)
 		}
 		base := fact.DataVersion()
 		for round := 0; round < 20; round++ {
 			for i := 0; i < 10; i++ {
 				if _, err := fact.Insert(factRow(0, 1, 2, 100)); err != nil {
-					return Stats{}, 0, nil, err
+					t.Fatal(err)
 				}
 			}
-			if _, err := p.Exec(ctx); err != nil {
-				return Stats{}, 0, nil, err
+			res, err := p.Exec(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0.0
+			for _, r := range res.Rows {
+				n += r.Aggs[1]
+			}
+			if want := float64(3000 + 10*(round+1)); n != want {
+				t.Fatalf("segment rows %d, round %d: count(*) = %v, want %v", segRows, round, n, want)
 			}
 		}
-		return d.Stats(), fact.DataVersion() - base, fact, nil
-	}
-
-	segStats, segAdvance, fact, err := run(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segAdvance != 200 {
-		t.Fatalf("segmented DataVersion advanced by %d, want 200", segAdvance)
-	}
-	if segStats.PlanStale != 0 {
-		t.Errorf("segmented PlanStale = %d, want 0 (appends must not invalidate plans)", segStats.PlanStale)
-	}
-	if segStats.PlanEvictions != 0 {
-		t.Errorf("segmented PlanEvictions = %d, want 0", segStats.PlanEvictions)
-	}
-	if segStats.PlanHits < 20 {
-		t.Errorf("segmented PlanHits = %d, want >= 20", segStats.PlanHits)
-	}
-	if sealed, total := fact.SegmentCounts(); sealed < 15 || total < 16 {
-		t.Errorf("segments = %d sealed / %d total, want growth from appends", sealed, total)
-	}
-
-	flatStats, _, _, err := run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flatStats.PlanStale == 0 {
-		t.Error("flat control: PlanStale = 0, expected recompiles on append")
+		st := d.Stats()
+		if adv := fact.DataVersion() - base; adv != 200 {
+			t.Fatalf("segment rows %d: DataVersion advanced by %d, want 200", segRows, adv)
+		}
+		if st.PlanStale != 0 {
+			t.Errorf("segment rows %d: PlanStale = %d, want 0 (appends must not invalidate plans)", segRows, st.PlanStale)
+		}
+		if st.PlanEvictions != 0 {
+			t.Errorf("segment rows %d: PlanEvictions = %d, want 0", segRows, st.PlanEvictions)
+		}
+		if st.PlanHits < 20 {
+			t.Errorf("segment rows %d: PlanHits = %d, want >= 20", segRows, st.PlanHits)
+		}
+		wantSealed := 0
+		if segRows > 0 {
+			wantSealed = 3200 / segRows
+		}
+		if sealed, total := fact.SegmentCounts(); sealed != wantSealed || total != sealed+1 {
+			t.Errorf("segment rows %d: %d sealed / %d total segments, want %d sealed", segRows, sealed, total, wantSealed)
+		}
 	}
 }
 

@@ -106,9 +106,9 @@ func (req PartialRequest) subset(segs []storage.SegView) []storage.SegView {
 	return ShardSegments(segs, req.Shard, req.NShards)
 }
 
-// TailOwnerShard is the shard that owns every unsealed segment view — the
-// mutable tail of a segmented table, or the single pseudo-view of a flat
-// root. Appends route to this shard so exactly one worker scans live rows.
+// TailOwnerShard is the shard that owns the unsealed segment view, the
+// table's mutable tail. Appends route to this shard so exactly one worker
+// scans live rows.
 const TailOwnerShard = 0
 
 // ShardSegments returns the canonical segment subset shard (0-based) owns
@@ -131,7 +131,7 @@ func ShardSegments(segs []storage.SegView, shard, n int) []storage.SegView {
 	sealed := 0
 	for i := range segs {
 		owner := TailOwnerShard
-		if segs[i].Seg != nil && segs[i].Sealed {
+		if segs[i].Sealed {
 			owner = sealed % n
 			sealed++
 		}

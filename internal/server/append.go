@@ -184,16 +184,20 @@ type fkBound struct {
 
 // fkBounds captures, per FK column, a consistent view of the referenced
 // table via a transient snapshot (reading a live table's row count and
-// deletion vector unlocked would race concurrent writers). The snapshot is
-// released immediately: the cloned deletion vector stays readable, and rows
-// appended to the referenced table after this point are simply not yet
-// referenceable by this batch.
+// deletion vector unlocked would race concurrent writers). The deletion
+// vector is copied while the snapshot pins it and the snapshot released
+// immediately; rows appended to the referenced table after this point are
+// simply not yet referenceable by this batch.
 func fkBounds(t *storage.Table) map[string]fkBound {
 	bounds := make(map[string]fkBound)
 	for col, ref := range t.FKs() {
 		snap := ref.Snapshot()
-		bounds[col] = fkBound{refName: ref.Name, n: snap.NumRows(), del: snap.Deleted()}
+		b := fkBound{refName: ref.Name, n: snap.NumRows()}
+		if del := snap.Deleted(); del != nil {
+			b.del = del.Clone()
+		}
 		snap.Release()
+		bounds[col] = b
 	}
 	return bounds
 }

@@ -129,12 +129,16 @@ func TestQueueWaitExpiryReturns503(t *testing.T) {
 func TestClientDisconnectReleasesPins(t *testing.T) {
 	// Small batches: many cancellation checkpoints per query.
 	srv, ts, data, _ := newSSBServer(t, 0.02, Config{}, core.Options{BatchRows: 128})
+	// The admitted query is held until the client has gone away, so it can
+	// never finish (and answer 200) before the disconnect.
+	gate := make(chan struct{})
 	admitted := make(chan struct{}, 1)
 	srv.testHookAdmitted = func() {
 		select {
 		case admitted <- struct{}{}:
 		default:
 		}
+		<-gate
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -154,10 +158,11 @@ func TestClientDisconnectReleasesPins(t *testing.T) {
 		errc <- err
 	}()
 
-	<-admitted // the query is executing
+	<-admitted // the query holds its slot
 	cancel()   // client disconnects
-
-	if err := <-errc; err == nil || !strings.Contains(err.Error(), "context canceled") {
+	err = <-errc
+	close(gate) // the query runs on, into the disconnect
+	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("client error = %v, want context canceled", err)
 	}
 	// The handler observes the disconnect at a batch boundary and unwinds,

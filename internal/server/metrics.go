@@ -1,12 +1,22 @@
 package server
 
 import (
+	"bytes"
+	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"astore/internal/obs"
 	"astore/internal/shard"
 )
+
+// This file is the server's whole metrics surface: the counters the server
+// keeps itself (per-endpoint, admission), the JSON shapes of /v1/stats, and
+// the /metrics registry. Counters another layer maintains — the DB's plan
+// cache and scan counters, the engines' caches, per-table versions and
+// sizes — are read in exactly one place, StatsSnapshot, which /v1/stats
+// serves as is and a /metrics scrape takes once before rendering.
 
 // endpointMetrics are cumulative per-endpoint serving counters, updated
 // lock-free on every request by the instrumentation wrapper. lat is the
@@ -84,7 +94,8 @@ type AdmissionStats struct {
 	Rejected    int64 `json:"rejected"`
 }
 
-// DBStats is the JSON rendering of the DB's plan-cache and serving counters.
+// DBStats is the JSON rendering of the DB's plan-cache and serving
+// counters: db.Stats field for field, with JSON names.
 type DBStats struct {
 	Prepares      int64 `json:"prepares"`
 	Execs         int64 `json:"execs"`
@@ -109,8 +120,8 @@ type DBStats struct {
 	// filters, "probe <table> via <fk>" for dimension probes). Omitted
 	// until the first attributed prune.
 	PruneByFilter map[string]int64 `json:"prune_by_filter,omitempty"`
-	// TailRows counts rows scanned live from mutable tails and flat roots
-	// — the work the segment aggregate cache can never absorb.
+	// TailRows counts rows scanned live from mutable tails — the work the
+	// segment aggregate cache can never absorb.
 	TailRows int64 `json:"tail_rows"`
 	// Segment aggregate cache counters (per-plan partial aggregates over
 	// sealed segments): cumulative hits/misses/evictions, point-in-time
@@ -129,8 +140,9 @@ type DBStats struct {
 	BindCacheEntries   int64 `json:"bind_cache_entries"`
 }
 
-// TableStats is the per-table block of /v1/stats: the row count and
-// version counters of one table as observed by a transient snapshot.
+// TableStats is the per-table block of /v1/stats: one consistent sample of
+// the table's row count, versions and layout, read under the table's mutex
+// without pinning it.
 type TableStats struct {
 	Rows int64 `json:"rows"`
 	// DataVersion counts row mutations (appends, updates, deletes); plan
@@ -139,8 +151,8 @@ type TableStats struct {
 	// SchemaVersion counts structural mutations (columns, FKs,
 	// re-segmentation).
 	SchemaVersion uint64 `json:"schema_version"`
-	// Segments is the total segment count (sealed + tail) for segmented
-	// tables, 1 for flat tables.
+	// Segments is the total segment count (sealed + tail); a table that
+	// never seals has 1.
 	Segments int `json:"segments"`
 	Sealed   int `json:"sealed"`
 	// LogicalBytes and PhysicalBytes report the decoded vs. stored size of
@@ -164,4 +176,163 @@ type Stats struct {
 	Tables        map[string]TableStats    `json:"tables"`
 	// Shard is present on coordinators: cumulative scatter-gather counters.
 	Shard *shard.Stats `json:"shard,omitempty"`
+}
+
+// serverMetrics are the push-side instruments of the server's registry.
+// Counters another layer already maintains (plan cache, admission,
+// per-table versions) are registered as collect-time funcs instead, which
+// read them from the scrape's one StatsSnapshot.
+type serverMetrics struct {
+	reqDur    *obs.HistogramVec // astore_http_request_duration_seconds{endpoint}
+	reqErrors *obs.CounterVec   // astore_http_request_errors_total{endpoint}
+	queueWait *obs.Histogram    // astore_query_queue_wait_seconds
+
+	slowQueries   *obs.Counter // astore_slow_queries_total
+	rowsAppended  *obs.Counter // astore_rows_appended_total
+	appendBatches *obs.Counter // astore_append_batches_total
+
+	// scrape is the sample the collect-time funcs read. handleMetrics
+	// refreshes it and renders the registry under scrapeMu; the funcs run
+	// nowhere else.
+	scrapeMu sync.Mutex
+	scrape   Stats
+}
+
+// initMetrics builds the server's metric registry. Called once from New,
+// before any handler is mounted.
+func (s *Server) initMetrics() {
+	r := obs.NewRegistry()
+	s.reg = r
+
+	r.GaugeFunc("astore_uptime_seconds", "Seconds since the server started.",
+		func() float64 { return time.Since(s.start).Seconds() })
+
+	buckets := obs.DefaultLatencyBuckets()
+	s.met.reqDur = r.HistogramVec("astore_http_request_duration_seconds",
+		"Wall time of HTTP requests by endpoint.", "endpoint", buckets)
+	s.met.reqErrors = r.CounterVec("astore_http_request_errors_total",
+		"HTTP responses with status >= 400 by endpoint.", "endpoint")
+	s.met.queueWait = r.Histogram("astore_query_queue_wait_seconds",
+		"Time queries spent waiting for an admission slot.", buckets)
+	s.met.slowQueries = r.Counter("astore_slow_queries_total",
+		"Queries at or above the slow-query threshold.")
+	s.met.rowsAppended = r.Counter("astore_rows_appended_total",
+		"Rows appended through POST /v1/tables/{table}/append.")
+	s.met.appendBatches = r.Counter("astore_append_batches_total",
+		"Append request bodies fully applied.")
+
+	// Plan-cache and execution counters, as sampled from the DB at the
+	// start of the scrape.
+	dbCounter := func(name, help string, get func() int64) {
+		r.CounterFunc(name, help, func() float64 { return float64(get()) })
+	}
+	dbCounter("astore_plan_cache_hits_total", "Executions that reused a cached plan unchanged.",
+		func() int64 { return s.met.scrape.DB.PlanHits })
+	dbCounter("astore_plan_cache_misses_total", "Compilations because no cached plan existed.",
+		func() int64 { return s.met.scrape.DB.PlanMisses })
+	dbCounter("astore_plan_cache_stale_total", "Recompilations because table versions moved under a cached plan.",
+		func() int64 { return s.met.scrape.DB.PlanStale })
+	dbCounter("astore_plan_cache_evictions_total", "Cached plans dropped by the LRU capacity bound.",
+		func() int64 { return s.met.scrape.DB.PlanEvictions })
+	dbCounter("astore_segments_considered_total", "Root segments considered by segment admission.",
+		func() int64 { return s.met.scrape.DB.SegmentsTotal })
+	dbCounter("astore_segments_pruned_total", "Root segments skipped by zone-map pruning.",
+		func() int64 { return s.met.scrape.DB.SegmentsPruned })
+	dbCounter("astore_rows_scanned_total", "Root rows considered across executions.",
+		func() int64 { return s.met.scrape.DB.RowsScanned })
+	dbCounter("astore_rows_selected_total", "Root rows surviving all predicates across executions.",
+		func() int64 { return s.met.scrape.DB.RowsSelected })
+	dbCounter("astore_encoded_segments_total", "Admitted segments containing compressed (RLE/FoR) chunks.",
+		func() int64 { return s.met.scrape.DB.EncodedSegments })
+	dbCounter("astore_tail_rows_total", "Rows scanned live from mutable tails (work the aggregate cache cannot absorb).",
+		func() int64 { return s.met.scrape.DB.TailRows })
+
+	// Segment aggregate cache (per-plan partial aggregates over sealed
+	// segments) and sealed-segment binding cache.
+	dbCounter("astore_aggcache_hits_total", "Sealed-segment scans skipped by serving a cached partial aggregate.",
+		func() int64 { return s.met.scrape.DB.AggCacheHits })
+	dbCounter("astore_aggcache_misses_total", "Sealed segments scanned live and installed into the aggregate cache.",
+		func() int64 { return s.met.scrape.DB.AggCacheMisses })
+	dbCounter("astore_aggcache_evictions_total", "Aggregate cache entries dropped by the byte-accounted LRU bound.",
+		func() int64 { return s.met.scrape.DB.AggCacheEvictions })
+	r.GaugeFunc("astore_aggcache_bytes", "Current size of the segment aggregate cache.",
+		func() float64 { return float64(s.met.scrape.DB.AggCacheBytes) })
+	r.GaugeFunc("astore_aggcache_entries", "Current entry count of the segment aggregate cache.",
+		func() float64 { return float64(s.met.scrape.DB.AggCacheEntries) })
+	dbCounter("astore_bindcache_evictions_total", "Binding cache entries dropped by the byte-accounted LRU bound.",
+		func() int64 { return s.met.scrape.DB.BindCacheEvictions })
+	r.GaugeFunc("astore_bindcache_bytes", "Current size of the sealed-segment binding cache.",
+		func() float64 { return float64(s.met.scrape.DB.BindCacheBytes) })
+	r.GaugeFunc("astore_bindcache_entries", "Current entry count of the sealed-segment binding cache.",
+		func() float64 { return float64(s.met.scrape.DB.BindCacheEntries) })
+
+	// Admission controller state and totals.
+	r.GaugeFunc("astore_admission_in_flight", "Queries currently executing.",
+		func() float64 { return float64(s.adm.inFlight()) })
+	r.GaugeFunc("astore_admission_waiting", "Queries currently queued for a slot.",
+		func() float64 { return float64(s.adm.waiting()) })
+	dbCounter("astore_admission_admitted_total", "Queries admitted to execute.",
+		func() int64 { return s.adm.admitted.Load() })
+	dbCounter("astore_admission_queued_total", "Queries admitted after waiting in the queue.",
+		func() int64 { return s.adm.queued.Load() })
+	dbCounter("astore_admission_rejected_total", "Queries rejected by admission control.",
+		func() int64 { return s.adm.rejected.Load() })
+	dbCounter("astore_panics_total", "Handler panics recovered to 500s.",
+		func() int64 { return s.panics.Load() })
+
+	// Per-table gauges, from the scrape's per-table samples.
+	tableGauge := func(name, help string, get func(TableStats) float64) {
+		r.GaugeFuncVec(name, help, "table", func() []obs.LabeledSample {
+			out := make([]obs.LabeledSample, 0, len(s.met.scrape.Tables))
+			for table, ts := range s.met.scrape.Tables {
+				out = append(out, obs.LabeledSample{Label: table, Value: get(ts)})
+			}
+			return out
+		})
+	}
+	tableGauge("astore_table_rows", "Rows per table (including deleted).",
+		func(ts TableStats) float64 { return float64(ts.Rows) })
+	tableGauge("astore_table_data_version", "Data mutation counter per table.",
+		func(ts TableStats) float64 { return float64(ts.DataVersion) })
+	tableGauge("astore_table_physical_bytes", "Stored size of live chunks per table (after encodings).",
+		func(ts TableStats) float64 { return float64(ts.PhysicalBytes) })
+	tableGauge("astore_table_logical_bytes", "Decoded size of live chunks per table.",
+		func(ts TableStats) float64 { return float64(ts.LogicalBytes) })
+}
+
+// handleMetrics serves GET /metrics in Prometheus text exposition format.
+// It samples the other layers' counters once, renders every family from
+// that sample, and only then writes to the client, so a slow reader holds
+// nothing.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var buf bytes.Buffer
+	s.met.scrapeMu.Lock()
+	s.met.scrape = s.StatsSnapshot()
+	_ = s.reg.WriteText(&buf) // writes to a bytes.Buffer do not fail
+	s.met.scrapeMu.Unlock()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(buf.Bytes()) // the client went away; nothing to do about it
+}
+
+// tableStats samples every table's row count, versions and layout for
+// StatsSnapshot. Table.Layout reads them under the table's mutex in one
+// acquisition and pins nothing, so sampling neither races writers nor makes
+// them copy-on-write.
+func (s *Server) tableStats() map[string]TableStats {
+	out := make(map[string]TableStats)
+	for _, t := range s.db.Catalog().Tables() {
+		l := t.Layout()
+		out[t.Name] = TableStats{
+			Rows:          int64(l.Rows),
+			DataVersion:   l.DataVersion,
+			SchemaVersion: l.SchemaVersion,
+			Segments:      l.Sealed + 1,
+			Sealed:        l.Sealed,
+			LogicalBytes:  l.LogicalBytes,
+			PhysicalBytes: l.PhysicalBytes,
+			EncodedChunks: l.EncodedChunks,
+			Chunks:        l.TotalChunks,
+		}
+	}
+	return out
 }

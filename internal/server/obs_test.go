@@ -5,14 +5,17 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"astore/internal/core"
 	"astore/internal/obs"
+	"astore/internal/storage"
 )
 
 // tracedResp is the /v1/query response body of a traced request.
@@ -325,6 +328,85 @@ func TestStatsUptimeAndTables(t *testing.T) {
 	}
 	if after := srv.StatsSnapshot().Tables["lineorder"].DataVersion; after <= before {
 		t.Errorf("data_version did not advance: %d -> %d", before, after)
+	}
+}
+
+// TestScrapesPinNothing: /metrics and /v1/stats read row counts and layout
+// through a locked accessor, never through a snapshot — a scrape that pins
+// a table marks every chunk shared, and a writer that happens to run beside
+// it then pays a copy-on-write for nothing. A watcher polls every table's
+// pin count while the scrapes run; afterwards an update must still land in
+// the arrays that were there before.
+func TestScrapesPinNothing(t *testing.T) {
+	srv, _, data, _ := newSSBServer(t, 0.005, Config{}, core.Options{SegmentRows: 2048})
+	tables := data.DB.Tables()
+
+	// tailArray names one non-FK column of the table, a value to store in
+	// it, and the address of that column's array in the tail.
+	tailArray := func(tab *storage.Table) (col string, val any, array any) {
+		views := tab.SegViews()
+		tail := views[len(views)-1]
+		for _, col := range tab.ColumnNames() {
+			if tab.FK(col) != nil || tail.N == 0 {
+				continue
+			}
+			switch c := tail.Cols[col].(type) {
+			case *storage.Int32Col:
+				return col, 1, &c.V[0]
+			case *storage.Int64Col:
+				return col, 1, &c.V[0]
+			case *storage.DictCol:
+				return col, "x", &c.Codes[0]
+			}
+		}
+		t.Fatalf("table %s: no column to probe in its tail", tab.Name)
+		return "", nil, nil
+	}
+	before := make(map[string]any)
+	for _, tab := range tables {
+		_, _, before[tab.Name] = tailArray(tab)
+	}
+
+	var sawPin atomic.Bool
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, tab := range tables {
+				if tab.Pins() != 0 {
+					sawPin.Store(true)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		for _, path := range []string{"/metrics", "/v1/stats"} {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: %d", path, rec.Code)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	if sawPin.Load() {
+		t.Error("a scrape pinned a table")
+	}
+
+	for _, tab := range tables {
+		col, val, _ := tailArray(tab)
+		if err := tab.Update(tab.NumRows()-1, col, val); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, after := tailArray(tab); after != before[tab.Name] {
+			t.Errorf("table %s: an update after the scrapes copied its chunk", tab.Name)
+		}
 	}
 }
 

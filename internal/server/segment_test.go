@@ -16,7 +16,7 @@ import (
 // counters without plan-cache churn from the appends.
 func TestSegmentedServing(t *testing.T) {
 	_, ts, data, d := newSSBServer(t, 0.01, Config{MaxInFlight: 2}, core.Options{SegmentRows: 4096})
-	if !data.Lineorder.Segmented() {
+	if data.Lineorder.SegmentTarget() == 0 {
 		t.Fatal("lineorder not segmented")
 	}
 
@@ -111,7 +111,7 @@ func TestSegmentedServing(t *testing.T) {
 // counters moving.
 func TestAggCacheStatsServing(t *testing.T) {
 	_, ts, data, _ := newSSBServer(t, 0.01, Config{}, core.Options{SegmentRows: 4096})
-	if !data.Lineorder.Segmented() {
+	if data.Lineorder.SegmentTarget() == 0 {
 		t.Fatal("lineorder not segmented")
 	}
 

@@ -435,40 +435,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // StatsSnapshot gathers the stats the /v1/stats endpoint serves.
 func (s *Server) StatsSnapshot() Stats {
-	dbStats := s.db.Stats()
 	uptime := time.Since(s.start)
 	st := Stats{
 		UptimeMS:      uptime.Milliseconds(),
 		UptimeSeconds: uptime.Seconds(),
 		Panics:        s.panics.Load(),
 		SlowQueries:   s.slow.Logged(),
-		DB: DBStats{
-			Prepares:        dbStats.Prepares,
-			Execs:           dbStats.Execs,
-			PlanHits:        dbStats.PlanHits,
-			PlanMisses:      dbStats.PlanMisses,
-			PlanStale:       dbStats.PlanStale,
-			PlanEvictions:   dbStats.PlanEvictions,
-			SegmentsTotal:   dbStats.SegmentsTotal,
-			SegmentsPruned:  dbStats.SegmentsPruned,
-			RowsScanned:     dbStats.RowsScanned,
-			RowsSelected:    dbStats.RowsSelected,
-			EncodedSegments: dbStats.EncodedSegments,
-			PruneByFilter:   dbStats.PruneByFilter,
-			TailRows:        dbStats.TailRows,
-
-			AggCacheHits:      dbStats.AggCacheHits,
-			AggCacheMisses:    dbStats.AggCacheMisses,
-			AggCacheEvictions: dbStats.AggCacheEvictions,
-			AggCacheBytes:     dbStats.AggCacheBytes,
-			AggCacheEntries:   dbStats.AggCacheEntries,
-
-			BindCacheHits:      dbStats.BindCacheHits,
-			BindCacheMisses:    dbStats.BindCacheMisses,
-			BindCacheEvictions: dbStats.BindCacheEvictions,
-			BindCacheBytes:     dbStats.BindCacheBytes,
-			BindCacheEntries:   dbStats.BindCacheEntries,
-		},
+		DB:            DBStats(s.db.Stats()),
 		Admission: AdmissionStats{
 			MaxInFlight: s.cfg.MaxInFlight,
 			MaxQueue:    s.cfg.MaxQueue,

@@ -255,8 +255,8 @@ func TestAppendEndpoint(t *testing.T) {
 	if ar.Table != "sales" || ar.Count != 2 || !reflect.DeepEqual(ar.Rows, []int{3, 4}) {
 		t.Fatalf("append response = %+v", ar)
 	}
-	if ar.Version != fact.Version() {
-		t.Errorf("append version = %d, live version = %d", ar.Version, fact.Version())
+	if ar.Version != fact.DataVersion() {
+		t.Errorf("append version = %d, live version = %d", ar.Version, fact.DataVersion())
 	}
 
 	// The appended rows are visible to new queries.

@@ -15,10 +15,10 @@ import (
 // primary key is the array index, compaction renumbers keys and therefore
 // must update all references. The paper recommends running it only when the
 // system is idle; here it additionally refuses to run while snapshots pin
-// the table or its referrers. For segmented tables consolidation rebuilds
-// the segment list — surviving rows re-chunk into freshly sealed segments
-// plus a tail — which is also how deleted slots are reclaimed there (the
-// segmented insert path never reuses slots in place).
+// the table or its referrers. Consolidation rebuilds the segment list —
+// surviving rows re-chunk into freshly sealed segments plus a tail — which
+// is the only way deleted slots are reclaimed on a table that seals
+// segments (its inserts never reuse slots in place).
 func Consolidate(db *Database, t *Table) ([]int32, error) {
 	refs := db.Referrers(t)
 
@@ -43,8 +43,7 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 			return nil, fmt.Errorf("storage: consolidate %s: referrer %s pinned by snapshot", t.Name, r.From.Name)
 		}
 	}
-	reorder := t.Segmented() && len(t.sortKeys) > 0
-	if t.deletedCountLocked() == 0 && !reorder {
+	if t.NumLive() == t.nrows && len(t.sortKeys) == 0 {
 		// Nothing to compact; identity map.
 		remap := make([]int32, t.nrows)
 		for i := range remap {
@@ -62,12 +61,12 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 		if from != t {
 			from.mu.Lock()
 		}
-		err := from.forEachInt32(r.Col, func(chunk []int32, base int) error {
+		err := from.forEachInt32(r.Col, func(chunk []int32, base int, del *Bitmap) error {
 			for i, v := range chunk {
-				if from.IsDeleted(base + i) {
+				if del != nil && del.Get(i) {
 					continue
 				}
-				if t.isDeletedLocked(int(v)) {
+				if t.IsDeleted(int(v)) {
 					return fmt.Errorf("storage: consolidate %s: live row %s[%d] references deleted row %d",
 						t.Name, from.Name, base+i, v)
 				}
@@ -82,12 +81,7 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 		}
 	}
 
-	var remap []int32
-	if t.Segmented() {
-		remap = t.consolidateSegmentedLocked()
-	} else {
-		remap = t.consolidateFlatLocked()
-	}
+	remap := t.compactLocked()
 	t.version++
 
 	// Rewrite all references (the extra cost of consolidation under AIR).
@@ -108,74 +102,18 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 	return remap, nil
 }
 
-// deletedCountLocked returns the number of rows marked deleted.
-func (t *Table) deletedCountLocked() int {
-	if t.Segmented() {
-		n := 0
-		for _, s := range t.allSegsLocked() {
-			if s.del != nil {
-				n += s.del.Count()
-			}
-		}
-		return n
-	}
-	if t.del == nil {
-		return 0
-	}
-	return t.del.Count()
-}
-
-// isDeletedLocked is IsDeleted for callers already holding t.mu.
-func (t *Table) isDeletedLocked(i int) bool {
-	if i < 0 || i >= t.nrows {
-		return false
-	}
-	if t.Segmented() {
-		s, local, err := t.locateLocked(i)
-		if err != nil {
-			return false
-		}
-		return s.del != nil && s.del.Get(local)
-	}
-	return t.del != nil && t.del.Get(i)
-}
-
-// consolidateFlatLocked compacts the flat representation in place.
-func (t *Table) consolidateFlatLocked() []int32 {
-	remap := make([]int32, t.nrows)
-	next := 0
-	for i := 0; i < t.nrows; i++ {
-		if t.del.Get(i) {
-			remap[i] = -1
-			continue
-		}
-		if next != i {
-			for _, name := range t.names {
-				t.cols[name].Move(next, i)
-			}
-		}
-		remap[i] = int32(next)
-		next++
-	}
-	for _, name := range t.names {
-		t.cols[name].Truncate(next)
-	}
-	t.nrows = next
-	t.del = nil
-	t.free = t.free[:0]
-	return remap
-}
-
-// consolidateSegmentedLocked rebuilds the segment list without the deleted
-// rows: surviving rows are copied into fresh arrays, re-chunked into sealed
-// segments at the current target plus a tail. Old segments are discarded
-// whole — they are never compacted in place, so any stale reader keeps a
-// coherent (if outdated) view. When sort keys are configured, surviving
-// rows are additionally stable-sorted by the key columns before re-sealing
-// (attribute-value reordering): zone maps tighten and equal key values form
-// the runs RLE encoding exploits. The returned remap composes compaction
-// and reordering, so referrer FKs are rewritten once.
-func (t *Table) consolidateSegmentedLocked() []int32 {
+// compactLocked rebuilds the segment list without the deleted rows:
+// surviving rows move down over the holes of the flattened columns, which
+// are then re-chunked into sealed segments at the current target plus a
+// tail. With sealed segments the flattened columns are fresh copies and the
+// old segments are discarded whole, so any stale reader keeps a coherent
+// (if outdated) view; a table that is all tail is compacted in place.
+// When sort keys are configured, surviving rows are additionally
+// stable-sorted by the key columns before re-sealing (attribute-value
+// reordering): zone maps tighten and equal key values form the runs RLE
+// encoding exploits. The returned remap composes compaction and
+// reordering, so referrer FKs are rewritten once.
+func (t *Table) compactLocked() []int32 {
 	flat, del := t.flattenLocked()
 	remap := make([]int32, t.nrows)
 	next := 0
@@ -199,7 +137,7 @@ func (t *Table) consolidateSegmentedLocked() []int32 {
 		t.reorderFlatLocked(flat, remap, next)
 	}
 	t.nrows = next
-	t.segs = t.segs[:0]
+	t.free = t.free[:0]
 	t.rebuildSegmentsLocked(flat, nil)
 	return remap
 }
@@ -284,49 +222,38 @@ func gatherColumn(c Column, perm []int32) Column {
 
 // remapFKLocked rewrites every value of an int32 FK column through remap.
 // Values mapping to -1 belong to rows that are themselves deleted (checked
-// by Consolidate) and are parked at 0, a safe in-range index. Segmented
-// referrers are rewritten chunk by chunk with their epochs bumped (cached
-// plan bindings must rebind) and the column's zone maps recomputed.
+// by Consolidate) and are parked at 0, a safe in-range index. The column is
+// rewritten chunk by chunk, with each segment's epoch bumped (cached plan
+// bindings must rebind) and the column's zone recomputed.
 //
 //astore:chunkwrite
 func (t *Table) remapFKLocked(col string, remap []int32) {
-	if t.Segmented() {
-		for _, s := range t.allSegsLocked() {
-			c := s.cols[col]
-			encoded := ChunkEncoding(c) != EncPlain
-			if encoded {
-				// Encoded chunks are immutable: rewrite a decoded copy,
-				// then re-encode the result (run/width structure may have
-				// changed with the new indexes).
-				c = cloneChunk(c, s.cap)
-			}
-			fk := c.(*Int32Col)
-			for i := range fk.V[:s.n] {
-				if nv := remap[fk.V[i]]; nv >= 0 {
-					fk.V[i] = nv
-				} else {
-					fk.V[i] = 0
-				}
-			}
-			s.cols[col] = c
-			if encoded && s.sealed {
-				if ec, ok := EncodeChunk(c, s.n); ok {
-					s.cols[col] = ec
-				}
-			}
-			if z, ok := zoneOfChunk(s.cols[col], s.n); ok {
-				s.zones[col] = z
-			}
-			s.epoch++
+	for s := range t.segments() {
+		c := s.cols[col]
+		encoded := ChunkEncoding(c) != EncPlain
+		if encoded {
+			// Encoded chunks are immutable: rewrite a decoded copy, then
+			// re-encode the result (run/width structure may have changed
+			// with the new indexes).
+			c = cloneChunk(c, s.cap)
 		}
-		return
-	}
-	fk := t.cols[col].(*Int32Col)
-	for i := range fk.V {
-		if nv := remap[fk.V[i]]; nv >= 0 {
-			fk.V[i] = nv
-		} else {
-			fk.V[i] = 0
+		fk := c.(*Int32Col)
+		for i := range fk.V[:s.n] {
+			if nv := remap[fk.V[i]]; nv >= 0 {
+				fk.V[i] = nv
+			} else {
+				fk.V[i] = 0
+			}
 		}
+		s.cols[col] = c
+		if encoded && s.sealed {
+			if ec, ok := EncodeChunk(c, s.n); ok {
+				s.cols[col] = ec
+			}
+		}
+		if z, ok := zoneOfChunk(s.cols[col], s.zoned); ok {
+			s.zones[col] = z
+		}
+		s.epoch++
 	}
 }

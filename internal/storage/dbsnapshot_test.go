@@ -2,6 +2,14 @@ package storage
 
 import "testing"
 
+func snapTable(t *testing.T) *Table {
+	t.Helper()
+	tb := NewTable("s")
+	tb.MustAddColumn("v", NewInt64Col([]int64{10, 20, 30}))
+	tb.MustAddColumn("name", NewStrCol([]string{"a", "b", "c"}))
+	return tb
+}
+
 func TestSnapshotAsTable(t *testing.T) {
 	tb := snapTable(t)
 	s := tb.Snapshot()

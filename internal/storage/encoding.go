@@ -604,31 +604,40 @@ type CompressionStats struct {
 }
 
 // Compression reports logical vs physical chunk payload bytes and encoded
-// chunk counts. For flat tables physical equals logical.
+// chunk counts; the two sizes differ only where sealed chunks are encoded.
 func (t *Table) Compression() CompressionStats {
+	return t.Layout().CompressionStats
+}
+
+// Layout is one consistent sample of a table's physical state.
+type Layout struct {
+	// Rows is the physical row count, deleted rows included.
+	Rows int
+	// Sealed is the number of sealed segments; the tail is one more.
+	Sealed int
+	// DataVersion and SchemaVersion are the table's mutation counters.
+	DataVersion, SchemaVersion uint64
+	CompressionStats
+}
+
+// Layout samples the table's size, versions and layout in one acquisition
+// of the table mutex. It pins nothing, so — unlike a Snapshot taken only to
+// read a row count — it never makes a concurrent writer copy-on-write.
+func (t *Table) Layout() Layout {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var cs CompressionStats
-	if !t.Segmented() {
-		for _, c := range t.cols {
-			b := int64(encodedBytes(c, c.Len()))
-			cs.LogicalBytes += b
-			cs.PhysicalBytes += b
-			cs.TotalChunks++
-		}
-		return cs
-	}
-	for _, s := range t.allSegsLocked() {
+	l := Layout{Rows: t.nrows, Sealed: len(t.segs), DataVersion: t.version, SchemaVersion: t.schemaVersion}
+	for s := range t.segments() {
 		for _, c := range s.cols {
-			cs.TotalChunks++
-			cs.PhysicalBytes += int64(encodedBytes(c, s.n))
+			l.TotalChunks++
+			l.PhysicalBytes += int64(encodedBytes(c, s.n))
 			if ChunkEncoding(c) != EncPlain {
-				cs.EncodedChunks++
-				cs.LogicalBytes += int64(encodedBytes(DecodeChunk(c), s.n))
+				l.EncodedChunks++
+				l.LogicalBytes += int64(encodedBytes(DecodeChunk(c), s.n))
 			} else {
-				cs.LogicalBytes += int64(encodedBytes(c, s.n))
+				l.LogicalBytes += int64(encodedBytes(c, s.n))
 			}
 		}
 	}
-	return cs
+	return l
 }

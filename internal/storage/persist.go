@@ -14,12 +14,12 @@ import (
 //	u32 dictCount, then per dictionary: u32 valueCount, values (u32 len + bytes)
 //	u32 tableCount, then per table:
 //	    name, u32 rowCount
-//	    u32 segmentTarget (0 = flat table)
+//	    u32 segmentTarget (0 = the tail never seals)
 //	    u32 sealedSegmentCount, then per sealed segment: u32 rowCount
 //	        (the segment manifest; the tail holds the remaining rows)
 //	    u32 colCount
 //	    per column: name, u8 type [+ u32 dictionary index for dict columns],
-//	    then one tagged chunk per segment (flat tables: one chunk total):
+//	    then one tagged chunk per segment, sealed ones first, the tail last:
 //	        u8 encoding tag (0 = plain, 1 = RLE, 2 = FoR), payload:
 //	        plain int32/int64/float64: fixed-width array
 //	        plain string:              per-row u32 len + bytes
@@ -102,30 +102,16 @@ func (db *Database) Save(w io.Writer) error {
 }
 
 // saveTableLocked writes one table record. Segment chunks stream directly
-// into the flat column payload (chunks concatenate in row order — no
-// flattened copy is materialized); the manifest preserves the boundaries.
-// Caller holds t.mu.
+// into the column payload (chunks concatenate in row order — no flattened
+// copy is materialized); the manifest preserves the boundaries. Caller
+// holds t.mu.
 func saveTableLocked(bw *bufio.Writer, t *Table, dictID map[*Dict]uint32) error {
-	views := t.segViewsLocked()
 	writeStr(bw, t.Name)
 	writeU32(bw, uint32(t.nrows))
 	writeU32(bw, uint32(t.segTarget))
-	segmented := t.segTarget > 0
-	if segmented {
-		sealed := 0
-		for i := range views {
-			if views[i].Sealed {
-				sealed++
-			}
-		}
-		writeU32(bw, uint32(sealed))
-		for i := range views {
-			if views[i].Sealed {
-				writeU32(bw, uint32(views[i].N))
-			}
-		}
-	} else {
-		writeU32(bw, 0)
+	writeU32(bw, uint32(len(t.segs)))
+	for _, s := range t.segs {
+		writeU32(bw, uint32(s.n))
 	}
 	writeU32(bw, uint32(len(t.names)))
 	for _, name := range t.names {
@@ -136,45 +122,26 @@ func saveTableLocked(bw *bufio.Writer, t *Table, dictID map[*Dict]uint32) error 
 		if t.colTypes[name] == TDict {
 			writeU32(bw, dictID[t.colDicts[name]])
 		}
-		for i := range views {
-			sv := &views[i]
-			if err := writeChunkPayload(bw, sv.Cols[name], sv.N); err != nil {
+		for s := range t.segments() {
+			if err := writeChunkPayload(bw, s.cols[name], s.n); err != nil {
 				return fmt.Errorf("storage: save %s.%s: %w", t.Name, name, err)
 			}
 		}
 	}
 
 	// Deletion bits, combined across segments into one global vector.
-	hasDel := false
-	for i := range views {
-		if views[i].Del != nil && views[i].Del.Count() > 0 {
-			hasDel = true
-			break
-		}
-	}
-	if hasDel {
-		del := NewBitmap(t.nrows)
-		for i := range views {
-			sv := &views[i]
-			if sv.Del == nil {
+	if t.NumLive() < t.nrows {
+		bw.WriteByte(1)
+		words := make([]uint64, (t.nrows+63)/64)
+		for s := range t.segments() {
+			if s.del == nil {
 				continue
 			}
-			for j := 0; j < sv.N; j++ {
-				if sv.Del.Get(j) {
-					del.Set(sv.Base + j)
-				}
+			for j := s.del.NextSet(0); j >= 0 && j < s.n; j = s.del.NextSet(j + 1) {
+				words[(s.base+j)>>6] |= 1 << (uint(s.base+j) & 63)
 			}
 		}
-		bw.WriteByte(1)
-		words := (t.nrows + 63) / 64
-		for wi := 0; wi < words; wi++ {
-			var word uint64
-			for b := 0; b < 64; b++ {
-				i := wi*64 + b
-				if i < t.nrows && del.Get(i) {
-					word |= 1 << uint(b)
-				}
-			}
+		for _, word := range words {
 			writeU64(bw, word)
 		}
 	} else {
@@ -284,19 +251,10 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			return nil, fmt.Errorf("storage: load: table %s implausible shape", name)
 		}
 		t := NewTable(name)
-		// Segmented tables store one tagged chunk per segment; flat tables
-		// store one tagged chunk per column.
-		segmented := segTarget > 0
-		var chunkCounts []int
-		var chunks map[string][]Column
-		if segmented {
-			tail := int(nrows)
-			for _, rows := range sealedRows {
-				tail -= rows
-			}
-			chunkCounts = append(append([]int(nil), sealedRows...), tail)
-			chunks = make(map[string][]Column, ncols)
-		}
+		// Every column stores one tagged chunk per segment; the tail holds
+		// the rows the manifest does not account for.
+		chunkCounts := append(sealedRows, int(nrows-uint32(total)))
+		chunks := make(map[string][]Column, ncols)
 		for ci := uint32(0); ci < ncols; ci++ {
 			colName, err := readStr(br)
 			if err != nil {
@@ -305,16 +263,6 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			typ, dict, err := readColumnHeader(br, dicts)
 			if err != nil {
 				return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-			}
-			if !segmented {
-				c, err := readChunk(br, typ, int(nrows), dict)
-				if err != nil {
-					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-				}
-				if err := t.AddColumn(colName, DecodeChunk(c)); err != nil {
-					return nil, err
-				}
-				continue
 			}
 			if _, dup := t.colTypes[colName]; dup {
 				return nil, fmt.Errorf("storage: load %s: duplicate column %s", name, colName)
@@ -338,8 +286,9 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
+		var del *Bitmap
 		if hasDel == 1 {
-			t.del = NewBitmap(int(nrows))
+			del = NewBitmap(int(nrows))
 			words := (int(nrows) + 63) / 64
 			for wi := 0; wi < words; wi++ {
 				word, err := readU64(br)
@@ -349,21 +298,16 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 				for b := 0; b < 64; b++ {
 					i := wi*64 + b
 					if i < int(nrows) && word&(1<<uint(b)) != 0 {
-						t.del.Set(i)
+						del.Set(i)
 						t.free = append(t.free, int32(i))
 					}
 				}
 			}
 		}
-		if segmented {
-			// Install the on-disk segments directly, preserving sealed-chunk
-			// encodings (zone maps are recomputed). Slot free lists do not
-			// apply to segmented tables.
-			t.segTarget = int(segTarget)
-			t.installSegmentsLocked(chunks, chunkCounts, t.del)
-			t.del = nil
-			t.free = t.free[:0]
-		}
+		// Install the on-disk segments directly, preserving sealed-chunk
+		// encodings (zone maps are recomputed).
+		t.segTarget = int(segTarget)
+		t.installSegmentsLocked(chunks, chunkCounts, del)
 		nfk, err := readU32(br)
 		if err != nil {
 			return nil, err

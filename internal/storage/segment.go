@@ -1,32 +1,38 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// This file implements segmented columnar storage for fact tables.
+// This file implements the one physical shape of a table.
 //
-// A segmented table stores its rows as a list of immutable *sealed* segments
-// plus one mutable *tail* segment. Each segment owns a chunk of every column,
-// a local deletion bitmap, and per-column zone maps (min/max summaries) that
-// let scans skip whole segments whose value range cannot match a predicate.
+// A table stores its rows as a list of immutable *sealed* segments plus one
+// mutable *tail* segment. Each segment owns a chunk of every column, a local
+// deletion bitmap, and per-column zone maps (min/max summaries) that let
+// scans skip whole segments whose value range cannot match a predicate.
+// SetSegmentTarget gives a table its sealing threshold: the tail seals when
+// it reaches that many rows and a fresh tail takes over. A table that was
+// never given one — every dimension — is the same thing with no sealed
+// segments and a tail that grows by amortised reallocation; its chunks are
+// whole columns, which is what keeps AIR chain lookups (fk[x] at arbitrary
+// positions) a single array index with no per-hop segment arithmetic.
 //
-// The layout buys three properties the flat representation cannot provide:
+// The layout buys three properties:
 //
 //   - Cheap snapshots: a snapshot is a pinned copy of the segment list
 //     (O(#segments) slice/map headers), never a column copy. Sealed segments
-//     are immutable, and the tail's arrays are preallocated at full target
-//     capacity, so appends fill elements in place and never reallocate out
-//     from under a pinned reader.
-//   - Append-stable plans: compiled plans bind column arrays per segment.
-//     Appends create rows only in the tail (and seal new segments), leaving
-//     every previously bound array untouched, so live ingest no longer
-//     invalidates compiled plans (see SchemaVersion vs DataVersion).
+//     are immutable, and a snapshot's tail headers are capped at its row
+//     count, so appends — in place or into a reallocated array — never
+//     show through a pinned reader.
+//   - Append-stable plans: compiled plans bind root column arrays per
+//     segment. Appends create rows only in the tail (and seal new
+//     segments), leaving every previously bound array untouched, so live
+//     ingest does not invalidate compiled plans (see SchemaVersion vs
+//     DataVersion).
 //   - Data skipping: per-segment zone maps over numeric, dictionary-code,
 //     and AIR foreign-key columns let the engine prune segments per
 //     predicate before any row work.
-//
-// Dimension tables stay flat: AIR chain lookups (fk[x] at arbitrary
-// positions) need flat arrays to remain O(1) without per-hop segment
-// arithmetic. Only root (fact) tables are segmented, via SetSegmentTarget.
 
 // DefaultSegmentRows is the default sealing threshold used by layers that
 // segment fact tables without an explicit target (db.Open, astore-serve).
@@ -79,48 +85,53 @@ func (z *Zone) widenFloat(v float64) {
 	}
 }
 
-// zoneable reports whether columns of type t get zone maps.
-func zoneable(t Type) bool { return t != TString }
+// cover widens z over rows [lo, hi) of a chunk and reports whether chunks of
+// this kind are summarized at all (strings are not). Encoded chunks exist
+// only in sealed segments, which are summarized whole, so for them lo is 0.
+func (z *Zone) cover(c Column, lo, hi int) bool {
+	switch c := c.(type) {
+	case *Int32Col:
+		for _, v := range c.V[lo:hi] {
+			z.widenInt(int64(v))
+		}
+	case *Int64Col:
+		for _, v := range c.V[lo:hi] {
+			z.widenInt(v)
+		}
+	case *Float64Col:
+		for _, v := range c.V[lo:hi] {
+			z.widenFloat(v)
+		}
+	case *DictCol:
+		for _, v := range c.Codes[lo:hi] {
+			z.widenInt(int64(v))
+		}
+	case *RLEInt32Col:
+		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return int64(c.V[ri]) })
+	case *RLEInt64Col:
+		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return c.V[ri] })
+	case *RLEDictCol:
+		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return int64(c.V[ri]) })
+	case *FoRInt32Col:
+		for i := 0; i < hi && i < c.N; i++ {
+			z.widenInt(int64(c.At(i)))
+		}
+	case *FoRInt64Col:
+		for i := 0; i < hi && i < c.N; i++ {
+			z.widenInt(c.At(i))
+		}
+	default:
+		return false
+	}
+	return true
+}
 
 // zoneOfChunk computes an exact zone over the first n elements of a chunk.
 // String columns are not summarized (ok=false return).
 func zoneOfChunk(c Column, n int) (Zone, bool) {
 	z := Zone{Typ: c.Type()}
-	switch c := c.(type) {
-	case *Int32Col:
-		for _, v := range c.V[:n] {
-			z.widenInt(int64(v))
-		}
-	case *Int64Col:
-		for _, v := range c.V[:n] {
-			z.widenInt(v)
-		}
-	case *Float64Col:
-		for _, v := range c.V[:n] {
-			z.widenFloat(v)
-		}
-	case *DictCol:
-		for _, v := range c.Codes[:n] {
-			z.widenInt(int64(v))
-		}
-	case *RLEInt32Col:
-		zoneOfRuns(&z, n, c.End, func(ri int) int64 { return int64(c.V[ri]) })
-	case *RLEInt64Col:
-		zoneOfRuns(&z, n, c.End, func(ri int) int64 { return c.V[ri] })
-	case *RLEDictCol:
-		zoneOfRuns(&z, n, c.End, func(ri int) int64 { return int64(c.V[ri]) })
-	case *FoRInt32Col:
-		for i := 0; i < n && i < c.N; i++ {
-			z.widenInt(int64(c.At(i)))
-		}
-	case *FoRInt64Col:
-		for i := 0; i < n && i < c.N; i++ {
-			z.widenInt(c.At(i))
-		}
-	default:
-		return Zone{}, false
-	}
-	return z, true
+	ok := z.cover(c, 0, n)
+	return z, ok
 }
 
 // zoneOfRuns widens z over the run values of an RLE chunk that cover the
@@ -136,29 +147,35 @@ func zoneOfRuns(z *Zone, n int, end []int32, val func(ri int) int64) {
 	}
 }
 
-// Segment is one horizontal chunk of a segmented table: a per-column array
-// family of at most cap rows, a local deletion bitmap, and per-column zone
-// maps. Sealed segments are immutable: writers that must change a sealed
-// row clone the affected chunk first (copy-on-write) and bump the epoch, so
-// readers and cached per-segment plan bindings never observe in-place
-// mutation. All fields are guarded by the owning table's mutex.
+// Segment is one horizontal chunk of a table: a per-column array family, a
+// local deletion bitmap, and per-column zone maps. Sealed segments are
+// immutable: writers that must change a sealed row clone the affected chunk
+// first (copy-on-write) and bump the epoch, so readers and cached
+// per-segment plan bindings never observe in-place mutation. All fields are
+// guarded by the owning table's mutex.
 type Segment struct {
 	id     uint64
 	base   int // global row index of the segment's first row
 	n      int // rows currently present
-	cap    int // row capacity (the table's segment target)
+	cap    int // row capacity (the table's sealing threshold; 0 = unbounded)
 	sealed bool
 
-	cols  map[string]Column
+	cols map[string]Column
+
+	// zones summarize rows [0, zoned) of every zoneable chunk. Appends and
+	// bulk loads leave zoned behind n; the next reader that needs the zones
+	// catches up over just the new rows (coverZonesLocked), so no writer
+	// ever pays a pass over data nobody has asked about.
 	zones map[string]Zone
+	zoned int
 
 	del       *Bitmap
 	delShared bool // deletion bitmap pinned by a live snapshot
 
-	// delGen counts deletions applied to the segment. Deletes never bump
-	// the epoch (bindings ignore the deletion bitmap, so they survive),
-	// and they may mutate del in place when no snapshot pins it — so any
-	// cache keyed by the segment's visible row set (per-segment aggregate
+	// delGen counts changes to the deletion bitmap. Deletes never bump the
+	// epoch (bindings ignore the deletion bitmap, so they survive), and
+	// they may mutate del in place when no snapshot pins it — so any cache
+	// keyed by the segment's visible row set (per-segment aggregate
 	// partials) must include delGen in its key alongside the epoch.
 	delGen uint64
 
@@ -168,32 +185,18 @@ type Segment struct {
 	// rewrites). Plan layers cache per-segment bindings keyed by (ID,
 	// Epoch): an unchanged epoch guarantees identical arrays.
 	epoch uint64
+
+	// live is set on the pinned copies a frozen table (Snapshot.AsTable) is
+	// made of, and names the segment of the live table the copy was taken
+	// from: that one is the identity views and caches key by.
+	live *Segment
 }
-
-// ID returns the segment's stable identity within its table.
-func (s *Segment) ID() uint64 { return s.id }
-
-// Len returns the number of rows currently in the segment.
-func (s *Segment) Len() int { return s.n }
-
-// Base returns the global row index of the segment's first row.
-func (s *Segment) Base() int { return s.base }
-
-// Sealed reports whether the segment is immutable (no further appends).
-func (s *Segment) Sealed() bool { return s.sealed }
-
-// Epoch returns the segment's chunk-replacement counter.
-func (s *Segment) Epoch() uint64 { return s.epoch }
-
-// DelGen returns the segment's deletion counter.
-func (s *Segment) DelGen() uint64 { return s.delGen }
 
 // SegView is a stable read view of one segment: the visible row count, the
 // deletion bitmap, the chunk headers, and the zone maps, captured under the
-// table mutex. For flat (unsegmented) tables a single pseudo-SegView covers
-// the whole table with Seg == nil and no zones.
+// table mutex.
 type SegView struct {
-	// Seg identifies the underlying segment (nil for the flat pseudo-view).
+	// Seg identifies the live table's segment behind the view.
 	Seg *Segment
 	// Base is the global row index of the view's first row.
 	Base int
@@ -204,8 +207,7 @@ type SegView struct {
 	// Cols maps column names to chunk headers (local indexes [0, N)).
 	Cols map[string]Column
 	// Zones maps column names to min/max summaries covering at least the
-	// visible rows (tail zones may cover more — conservative). Nil for
-	// flat pseudo-views.
+	// visible rows (conservative: in-place updates only ever widen them).
 	Zones map[string]Zone
 	// Epoch is the segment's chunk-replacement counter at capture time.
 	Epoch uint64
@@ -217,8 +219,8 @@ type SegView struct {
 }
 
 // newSegment allocates an empty segment with per-column arrays of the given
-// row capacity, preallocated so appends never reallocate (which is what
-// keeps tail arrays stable under pinned snapshots).
+// row capacity, so a tail with a sealing threshold fills in place without
+// reallocating.
 func (t *Table) newSegment(capacity int) *Segment {
 	s := &Segment{
 		id:    t.nextSegID,
@@ -244,49 +246,63 @@ func (t *Table) newSegment(capacity int) *Segment {
 	return s
 }
 
-// sealTailLocked recomputes exact zones for the tail, marks it sealed, appends it
-// to the sealed list, and installs a fresh tail. Caller holds t.mu.
-func (t *Table) sealTailLocked() {
-	tail := t.tail
-	for name, c := range tail.cols {
-		if z, ok := zoneOfChunk(c, tail.n); ok {
-			tail.zones[name] = z
+// coverZonesLocked extends the zone maps over the rows added since they
+// were last brought up to date.
+func (s *Segment) coverZonesLocked() {
+	if s.zoned >= s.n {
+		return
+	}
+	for name, c := range s.cols {
+		z := s.zones[name]
+		z.Typ = c.Type()
+		if z.cover(c, s.zoned, s.n) {
+			s.zones[name] = z
 		}
 	}
-	tail.sealed = true
-	t.encodeSegmentLocked(tail)
-	t.segs = append(t.segs, tail)
-	nt := t.newSegment(t.segTarget)
-	nt.base = tail.base + tail.n
-	t.tail = nt
+	s.zoned = s.n
 }
 
-// Segmented reports whether the table stores rows as sealed segments plus a
-// mutable tail (true after SetSegmentTarget) instead of flat columns.
-func (t *Table) Segmented() bool { return t.segTarget > 0 }
+// sealLocked makes the segment immutable: exact zones (in-place updates may
+// have left them wider than the data), then the sealed-chunk encodings.
+func (t *Table) sealLocked(s *Segment) {
+	s.zones, s.zoned = make(map[string]Zone, len(s.cols)), 0
+	s.coverZonesLocked()
+	s.sealed = true
+	t.encodeSegmentLocked(s)
+	t.segs = append(t.segs, s)
+}
 
-// SegmentTarget returns the sealing threshold in rows (0 when flat).
+// sealFullTailLocked seals the tail once it holds the table's sealing
+// threshold of rows, and installs a fresh one. A table without a threshold
+// never seals. Caller holds t.mu.
+func (t *Table) sealFullTailLocked() {
+	if t.segTarget == 0 || t.tail.n < t.segTarget {
+		return
+	}
+	full := t.tail
+	t.sealLocked(full)
+	t.tail = t.newSegment(t.segTarget)
+	t.tail.base = full.base + full.n
+}
+
+// SegmentTarget returns the sealing threshold in rows (0: the tail never
+// seals).
 func (t *Table) SegmentTarget() int { return t.segTarget }
 
 // SegmentCounts returns the number of sealed segments and the total number
-// of segments (sealed + tail). A flat table reports (0, 1): the whole table
-// behaves as one mutable pseudo-segment.
+// of segments (sealed + tail).
 func (t *Table) SegmentCounts() (sealed, total int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.Segmented() {
-		return 0, 1
-	}
 	return len(t.segs), len(t.segs) + 1
 }
 
-// SetSegmentTarget converts the table to segmented storage with the given
-// sealing threshold (rows per segment), re-chunking existing rows. Global
-// row indexes — the primary keys — are preserved, so foreign keys pointing
-// at this table stay valid. The conversion is a physical layout change:
-// it bumps SchemaVersion (invalidating compiled plans once) and fails while
-// snapshots pin the table. Re-targeting an already segmented table rebuilds
-// its segments at the new threshold.
+// SetSegmentTarget gives the table a sealing threshold (rows per segment),
+// re-chunking existing rows. Global row indexes — the primary keys — are
+// preserved, so foreign keys pointing at this table stay valid. The
+// conversion is a physical layout change: it bumps SchemaVersion
+// (invalidating compiled plans once) and fails while snapshots pin the
+// table. Re-targeting rebuilds the segments at the new threshold.
 func (t *Table) SetSegmentTarget(target int) error {
 	if target < 1 {
 		return fmt.Errorf("storage: table %s: segment target %d < 1", t.Name, target)
@@ -296,67 +312,59 @@ func (t *Table) SetSegmentTarget(target int) error {
 	if t.pins > 0 {
 		return fmt.Errorf("storage: table %s: cannot re-segment while pinned by %d snapshot(s)", t.Name, t.pins)
 	}
-
 	flat, del := t.flattenLocked()
 	t.segTarget = target
-	t.segs = nil
 	t.rebuildSegmentsLocked(flat, del)
-
-	// Flat-mode state is no longer authoritative.
-	t.cols = make(map[string]Column)
-	t.del = nil
-	t.free = t.free[:0]
-	t.shared = nil
 	t.schemaVersion++
 	t.version++
 	return nil
 }
 
-// flattenLocked returns the table's rows as flat per-column arrays plus a
-// global deletion bitmap (nil if no deletions). For flat tables it returns
-// the live columns without copying; for segmented tables it concatenates
-// chunks. Caller holds t.mu.
+// flattenLocked returns the table's rows as one plain array per column plus
+// a global deletion bitmap (nil if no deletions). A table with no sealed
+// segment already is that — the tail's own chunks are returned, not copies;
+// otherwise the chunks are concatenated. Caller holds t.mu.
 func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
-	if !t.Segmented() {
-		return t.cols, t.del
+	if len(t.segs) == 0 {
+		return t.tail.cols, t.tail.del
 	}
 	out := make(map[string]Column, len(t.names))
 	for _, name := range t.names {
 		switch t.colTypes[name] {
 		case TInt32:
 			v := make([]int32, 0, t.nrows)
-			for _, s := range t.allSegsLocked() {
+			for s := range t.segments() {
 				v = append(v, int32ChunkValues(s.cols[name], s.n)...)
 			}
 			out[name] = &Int32Col{V: v}
 		case TInt64:
 			v := make([]int64, 0, t.nrows)
-			for _, s := range t.allSegsLocked() {
+			for s := range t.segments() {
 				v = append(v, int64ChunkValues(s.cols[name], s.n)...)
 			}
 			out[name] = &Int64Col{V: v}
 		case TFloat64:
 			v := make([]float64, 0, t.nrows)
-			for _, s := range t.allSegsLocked() {
+			for s := range t.segments() {
 				v = append(v, s.cols[name].(*Float64Col).V[:s.n]...)
 			}
 			out[name] = &Float64Col{V: v}
 		case TString:
 			v := make([]string, 0, t.nrows)
-			for _, s := range t.allSegsLocked() {
+			for s := range t.segments() {
 				v = append(v, s.cols[name].(*StrCol).V[:s.n]...)
 			}
 			out[name] = &StrCol{V: v}
 		case TDict:
 			v := make([]int32, 0, t.nrows)
-			for _, s := range t.allSegsLocked() {
+			for s := range t.segments() {
 				v = append(v, dictChunkCodes(s.cols[name], s.n)...)
 			}
 			out[name] = &DictCol{Codes: v, Dict: t.colDicts[name]}
 		}
 	}
 	var del *Bitmap
-	for _, s := range t.allSegsLocked() {
+	for s := range t.segments() {
 		if s.del == nil || s.del.Count() == 0 {
 			continue
 		}
@@ -372,16 +380,17 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 	return out, del
 }
 
-// rebuildSegmentsLocked re-chunks flat column arrays into sealed segments
-// of exactly segTarget rows plus a tail. Caller holds t.mu; t.segTarget
-// must be set.
+// rebuildSegmentsLocked re-chunks flat column arrays (and their global
+// deletion bitmap, nil for none) into sealed segments of exactly segTarget
+// rows plus a tail. Rows that all fit the tail — always, without a sealing
+// threshold — are not copied: the tail adopts the flat arrays. Caller holds
+// t.mu.
 //
 //astore:chunkwrite
 func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 	nrows := t.nrows
-	t.segs = t.segs[:0]
-	at := 0
-	appendChunk := func(s *Segment, lo, hi int) {
+	t.segs = nil
+	fill := func(s *Segment, lo, hi int) {
 		for _, name := range t.names {
 			switch c := flat[name].(type) {
 			case *Int32Col:
@@ -401,87 +410,74 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 				dst.Codes = append(dst.Codes, c.Codes[lo:hi]...)
 			}
 		}
-		s.n = hi - lo
+		s.base, s.n = lo, hi-lo
 		if del != nil {
 			for i := lo; i < hi; i++ {
 				if del.Get(i) {
-					if s.del == nil {
-						s.del = NewBitmap(s.cap)
-					}
-					s.del.Set(i - lo)
+					s.writableDelLocked().Set(i - lo)
 				}
 			}
 		}
 	}
-	for ; nrows-at > t.segTarget; at += t.segTarget {
+	at := 0
+	for ; t.segTarget > 0 && nrows-at > t.segTarget; at += t.segTarget {
 		s := t.newSegment(t.segTarget)
-		s.base = at
-		appendChunk(s, at, at+t.segTarget)
-		for name, c := range s.cols {
-			if z, ok := zoneOfChunk(c, s.n); ok {
-				s.zones[name] = z
-			}
-		}
-		s.sealed = true
-		t.encodeSegmentLocked(s)
-		t.segs = append(t.segs, s)
+		fill(s, at, at+t.segTarget)
+		t.sealLocked(s)
 	}
-	tail := t.newSegment(t.segTarget)
-	tail.base = at
-	appendChunk(tail, at, nrows)
-	for name, c := range tail.cols {
-		if z, ok := zoneOfChunk(c, tail.n); ok {
-			tail.zones[name] = z
-		}
+	t.tail = t.newSegment(t.segTarget)
+	if at > 0 {
+		fill(t.tail, at, nrows)
+		return
 	}
-	t.tail = tail
+	t.tail.n = nrows
+	for _, name := range t.names {
+		t.tail.cols[name] = flat[name]
+	}
+	if del != nil {
+		t.tail.del = del
+		t.tail.writableDelLocked()
+	}
 }
 
 // installSegmentsLocked installs loaded per-column chunks as the table's
-// segment list, preserving on-disk encodings for sealed chunks (the last
-// count is the tail, whose chunks are decoded and re-allocated at full
-// target capacity so appends stay stable under snapshots). del, when
+// segment list, preserving on-disk encodings for sealed chunks; the last
+// count is the tail, whose chunks must be plain to take appends. del, when
 // non-nil, is a global deletion bitmap split per segment. Loading any
 // encoded chunk turns sealed encodings on so later seals stay consistent.
-// Caller holds t.mu; t.segTarget must be set.
+// Zone maps are not stored: each segment's are computed when first read.
+// Caller holds t.mu.
 func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, del *Bitmap) {
-	t.segs = t.segs[:0]
+	t.segs = nil
 	at := 0
 	for si, rows := range counts {
-		sealed := si < len(counts)-1
 		s := &Segment{
 			id:     t.nextSegID,
 			base:   at,
 			n:      rows,
-			cap:    max(rows, t.segTarget),
-			sealed: sealed,
+			cap:    t.segTarget,
+			sealed: si < len(counts)-1,
 			cols:   make(map[string]Column, len(t.names)),
 			zones:  make(map[string]Zone, len(t.names)),
 		}
 		t.nextSegID++
 		for _, name := range t.names {
 			c := chunks[name][si]
-			if !sealed {
-				c = cloneChunk(c, t.segTarget)
+			if !s.sealed {
+				c = DecodeChunk(c)
 			} else if ChunkEncoding(c) != EncPlain {
 				t.encodeSealed = true
 			}
 			s.cols[name] = c
-			if z, ok := zoneOfChunk(c, rows); ok {
-				s.zones[name] = z
-			}
 		}
 		if del != nil {
 			for i := 0; i < rows; i++ {
 				if del.Get(at + i) {
-					if s.del == nil {
-						s.del = NewBitmap(s.cap)
-					}
-					s.del.Set(i)
+					s.writableDelLocked().Set(i)
 				}
 			}
 		}
-		if sealed {
+		if s.sealed {
 			t.segs = append(t.segs, s)
 		} else {
 			t.tail = s
@@ -490,69 +486,94 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// segments iterates the sealed segments in row order, then the tail.
+func (t *Table) segments() iter.Seq[*Segment] {
+	return func(yield func(*Segment) bool) {
+		for _, s := range t.segs {
+			if !yield(s) {
+				return
+			}
+		}
+		yield(t.tail)
 	}
-	return b
 }
 
-// allSegsLocked returns sealed segments followed by the tail.
-func (t *Table) allSegsLocked() []*Segment {
-	if t.tail == nil {
-		return t.segs
-	}
-	return append(append(make([]*Segment, 0, len(t.segs)+1), t.segs...), t.tail)
-}
-
-// locateLocked maps a global row index to its segment and local index.
-// Sealed segments always hold exactly segTarget rows (sealing happens only
-// on overflow, and rebuilds re-chunk uniformly), so this is a div/mod with
-// a defensive fallback for restored non-uniform layouts.
-func (t *Table) locateLocked(i int) (*Segment, int, error) {
-	if i < 0 || i >= t.nrows {
-		return nil, 0, fmt.Errorf("storage: table %s: row %d out of range", t.Name, i)
+// locateLocked maps a global row index in [0, NumRows) to its segment and
+// local index without allocating. Sealed segments hold exactly segTarget
+// rows (sealing happens only on overflow, and rebuilds re-chunk uniformly),
+// so the segment is a division away; a loaded image may carry a non-uniform
+// manifest, for which the bases are binary-searched.
+func (t *Table) locateLocked(i int) (*Segment, int) {
+	if i >= t.tail.base {
+		return t.tail, i - t.tail.base
 	}
 	if si := i / t.segTarget; si < len(t.segs) {
-		s := t.segs[si]
-		if local := i - s.base; local >= 0 && local < s.n {
-			return s, local, nil
+		if s := t.segs[si]; i >= s.base && i < s.base+s.n {
+			return s, i - s.base
 		}
 	}
-	for _, s := range t.allSegsLocked() {
-		if i >= s.base && i < s.base+s.n {
-			return s, i - s.base, nil
+	lo, hi := 0, len(t.segs)-1
+	for lo < hi {
+		if mid := (lo + hi + 1) / 2; t.segs[mid].base <= i {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
 	}
-	return nil, 0, fmt.Errorf("storage: table %s: row %d not covered by any segment", t.Name, i)
+	return t.segs[lo], i - t.segs[lo].base
 }
 
-// segViewLocked captures a stable view of one segment. Caller holds t.mu.
-func segViewLocked(s *Segment) SegView {
-	sv := SegView{
-		Seg:    s,
-		Base:   s.base,
-		N:      s.n,
-		Del:    s.del,
-		Cols:   make(map[string]Column, len(s.cols)),
-		Zones:  make(map[string]Zone, len(s.zones)),
-		Epoch:  s.epoch,
-		DelGen: s.delGen,
-		Sealed: s.sealed,
+// frozenLocked returns an immutable copy of the segment's readable state:
+// chunk headers capped at the current row count (later appends, even
+// reallocating ones, stay invisible), the zone maps brought up to date, and
+// the current deletion bitmap. The copy is isolated from in-place writers
+// only while the original is pinned (pinLocked). A segment of a frozen
+// table is such a copy already.
+func (s *Segment) frozenLocked() *Segment {
+	if s.live != nil {
+		return s
+	}
+	s.coverZonesLocked()
+	f := &Segment{
+		id: s.id, base: s.base, n: s.n, cap: s.n, sealed: s.sealed,
+		cols:  make(map[string]Column, len(s.cols)),
+		zones: make(map[string]Zone, len(s.zones)), zoned: s.n,
+		del: s.del, delGen: s.delGen, epoch: s.epoch,
+		live: s,
 	}
 	for name, c := range s.cols {
-		sv.Cols[name] = shallowHeaderCopy(c)
+		f.cols[name] = shallowHeaderCopy(c)
 	}
 	for name, z := range s.zones {
-		sv.Zones[name] = z
+		f.zones[name] = z
 	}
-	return sv
+	return f
 }
 
-// SegViews returns a stable view of the table's current segments: one
-// SegView per segment for segmented tables, or a single flat pseudo-view
-// covering the whole table. The views are captured under the table mutex
-// but are NOT pinned: use Snapshot for isolation from in-place writers.
+// pinLocked marks every chunk and the deletion bitmap held by a snapshot,
+// so the next in-place write clones first.
+func (s *Segment) pinLocked() {
+	if s.shared == nil {
+		s.shared = make(map[string]bool, len(s.cols))
+	}
+	for name := range s.cols {
+		s.shared[name] = true
+	}
+	s.delShared = s.del != nil
+}
+
+// view is the exported form of a frozen copy.
+func (f *Segment) view() SegView {
+	return SegView{
+		Seg: f.live, Base: f.base, N: f.n, Del: f.del, Cols: f.cols, Zones: f.zones,
+		Epoch: f.epoch, DelGen: f.delGen, Sealed: f.sealed,
+	}
+}
+
+// SegViews returns a stable view of the table's current segments, sealed
+// ones first and the tail last. The views are captured under the table
+// mutex but are NOT pinned: use Snapshot for isolation from in-place
+// writers.
 func (t *Table) SegViews() []SegView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -560,27 +581,15 @@ func (t *Table) SegViews() []SegView {
 }
 
 func (t *Table) segViewsLocked() []SegView {
-	if t.viewSegs != nil {
-		return t.viewSegs // frozen snapshot table: views already captured
-	}
-	if !t.Segmented() {
-		cols := make(map[string]Column, len(t.names))
-		for _, name := range t.names {
-			cols[name] = shallowHeaderCopy(t.cols[name])
-		}
-		return []SegView{{N: t.nrows, Del: t.del, Cols: cols}}
-	}
-	all := t.allSegsLocked()
-	out := make([]SegView, 0, len(all))
-	for _, s := range all {
-		out = append(out, segViewLocked(s))
+	out := make([]SegView, 0, len(t.segs)+1)
+	for s := range t.segments() {
+		out = append(out, s.frozenLocked().view())
 	}
 	return out
 }
 
-// ColumnType returns the declared physical type of a column. It works in
-// both flat and segmented modes (segmented tables have no flat column to
-// inspect). ok is false for unknown columns.
+// ColumnType returns the declared physical type of a column. ok is false
+// for unknown columns.
 func (t *Table) ColumnType(name string) (Type, bool) {
 	typ, ok := t.colTypes[name]
 	return typ, ok
@@ -588,7 +597,7 @@ func (t *Table) ColumnType(name string) (Type, bool) {
 
 // ColumnProto returns a zero-length column of the named column's concrete
 // type (carrying the shared dictionary for TDict). Planners use it to
-// type-check and to evaluate dictionary predicates for segmented tables,
+// type-check and to evaluate dictionary predicates against a root table,
 // whose per-segment chunks are bound later; it holds no data.
 func (t *Table) ColumnProto(name string) Column {
 	typ, ok := t.colTypes[name]
@@ -611,103 +620,13 @@ func (t *Table) ColumnProto(name string) Column {
 	}
 }
 
-// insertSegmentedLocked appends a tuple to the tail segment, sealing it first on
-// overflow. Segmented tables never reuse deleted slots (free-slot reuse
-// would mutate sealed segments); holes are reclaimed by Consolidate.
-// Caller holds t.mu.
-func (t *Table) insertSegmentedLocked(vals map[string]any) (int, error) {
-	for _, name := range t.names {
-		if err := checkAssignable(t.tail.cols[name], vals[name]); err != nil {
-			return -1, fmt.Errorf("storage: table %s: %w", t.Name, err)
-		}
-	}
-	if t.tail.n >= t.segTarget {
-		t.sealTailLocked()
-	}
-	tail := t.tail
-	for _, name := range t.names {
-		c := tail.cols[name]
-		if err := appendValue(c, vals[name]); err != nil {
-			return -1, err
-		}
-		widenZone(tail, name, c, tail.n)
-	}
-	tail.n++
-	row := tail.base + tail.n - 1
-	t.nrows++
-	if tail.n >= t.segTarget {
-		t.sealTailLocked()
-	}
-	t.version++
-	return row, nil
-}
-
-// widenZone extends the segment's zone for column name to cover the value
-// at local row i.
-func widenZone(s *Segment, name string, c Column, i int) {
-	if !zoneable(c.Type()) {
-		return
-	}
-	z := s.zones[name]
-	z.Typ = c.Type()
-	switch c := c.(type) {
-	case *Int32Col:
-		z.widenInt(int64(c.V[i]))
-	case *Int64Col:
-		z.widenInt(c.V[i])
-	case *Float64Col:
-		z.widenFloat(c.V[i])
-	case *DictCol:
-		z.widenInt(int64(c.Codes[i]))
-	}
-	s.zones[name] = z
-}
-
-// deleteSegmentedLocked marks global row i deleted in its segment's local bitmap.
-// Caller holds t.mu.
-func (t *Table) deleteSegmentedLocked(i int) error {
-	s, local, err := t.locateLocked(i)
-	if err != nil {
-		return err
-	}
-	if s.del == nil {
-		s.del = NewBitmap(s.cap)
-	} else if s.del.Get(local) {
-		return fmt.Errorf("storage: table %s: row %d already deleted", t.Name, i)
-	}
-	if s.delShared {
-		s.del = s.del.Clone()
-		s.delShared = false
-	}
-	s.del.Set(local)
-	s.delGen++
-	t.version++
-	return nil
-}
-
-// updateSegmentedLocked overwrites column col of global row i. Sealed chunks are
-// never written in place: the chunk is cloned (copy-on-write), replaced,
-// and the segment's epoch bumped so cached per-segment bindings rebind.
-// Tail chunks are cloned only while pinned by a snapshot. Zone maps widen
-// to cover the new value (conservative: they may overcover after updates,
-// which only costs pruning opportunity, never correctness). Caller holds
-// t.mu.
-func (t *Table) updateSegmentedLocked(i int, col string, v any) error {
-	s, local, err := t.locateLocked(i)
-	if err != nil {
-		return err
-	}
-	if s.del != nil && s.del.Get(local) {
-		return fmt.Errorf("storage: table %s: update of deleted row %d", t.Name, i)
-	}
-	c, ok := s.cols[col]
-	if !ok {
-		return fmt.Errorf("storage: table %s: no column %s", t.Name, col)
-	}
-	if err := checkAssignable(c, v); err != nil {
-		return fmt.Errorf("storage: table %s: %w", t.Name, err)
-	}
-	if s.sealed || (s.shared != nil && s.shared[col]) {
+// writableLocked returns the chunk of column col ready for an in-place
+// write. Sealed chunks are never written in place, and neither are chunks a
+// snapshot pins: those are cloned first (copy-on-write), the clone replaces
+// the chunk, and the epoch is bumped so cached per-segment bindings rebind.
+func (s *Segment) writableLocked(col string) Column {
+	c := s.cols[col]
+	if s.sealed || s.shared[col] {
 		c = cloneChunk(c, s.cap)
 		s.cols[col] = c
 		if s.shared != nil {
@@ -715,12 +634,24 @@ func (t *Table) updateSegmentedLocked(i int, col string, v any) error {
 		}
 		s.epoch++
 	}
-	if err := setValue(c, local, v); err != nil {
-		return err
+	return c
+}
+
+// writableDelLocked returns the deletion bitmap ready for an in-place
+// write: created on first use, cloned first when a snapshot pins it, and
+// sized to the segment's capacity — or, for a tail without one, grown to
+// its current row count.
+func (s *Segment) writableDelLocked() *Bitmap {
+	size := max(s.cap, s.n)
+	switch {
+	case s.del == nil:
+		s.del = NewBitmap(size)
+	case s.delShared:
+		s.del = s.del.Clone()
+		s.delShared = false
 	}
-	widenZone(s, col, c, local)
-	t.version++
-	return nil
+	s.del.Grow(size)
+	return s.del
 }
 
 // cloneChunk deep-copies a chunk preserving row capacity, so the tail keeps

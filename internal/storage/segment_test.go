@@ -27,7 +27,7 @@ func TestSetSegmentTargetRechunks(t *testing.T) {
 	if err := tab.SetSegmentTarget(100); err != nil {
 		t.Fatal(err)
 	}
-	if !tab.Segmented() {
+	if tab.SegmentTarget() == 0 {
 		t.Fatal("table not segmented")
 	}
 	sealed, total := tab.SegmentCounts()
@@ -82,78 +82,6 @@ func TestSealOnAppendOverflowAndZones(t *testing.T) {
 	}
 	if !svs[0].Sealed || svs[2].Sealed {
 		t.Fatalf("sealed flags wrong: %v %v", svs[0].Sealed, svs[2].Sealed)
-	}
-}
-
-// TestSegmentedSnapshotIsolation: appends, updates, and deletes after a
-// snapshot must be invisible to it, and the snapshot must be a segment-list
-// copy (no column copying) whose sealed arrays writers never touch in place.
-func TestSegmentedSnapshotIsolation(t *testing.T) {
-	tab := segTestTable(95)
-	if err := tab.SetSegmentTarget(30); err != nil {
-		t.Fatal(err)
-	}
-	snap := tab.Snapshot()
-	if snap.NumRows() != 95 {
-		t.Fatalf("snapshot rows = %d", snap.NumRows())
-	}
-	sealedChunk := snap.SegViews()[0].Cols["v"].(*Int64Col).V
-	before := append([]int64(nil), sealedChunk...)
-
-	// Mutate everything after the snapshot.
-	if _, err := tab.Insert(map[string]any{"v": int64(1000), "k": int32(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Update(5, "v", int64(-5)); err != nil { // sealed segment row
-		t.Fatal(err)
-	}
-	if err := tab.Update(94, "v", int64(-94)); err != nil { // tail row
-		t.Fatal(err)
-	}
-	if err := tab.Delete(10); err != nil {
-		t.Fatal(err)
-	}
-
-	// The snapshot still sees the original state.
-	if snap.IsDeleted(10) {
-		t.Error("snapshot sees post-snapshot delete")
-	}
-	svs := snap.SegViews()
-	if got := svs[0].Cols["v"].(*Int64Col).V[5]; got != 5 {
-		t.Errorf("snapshot sealed row 5 = %d, want 5", got)
-	}
-	if got := svs[3].Cols["v"].(*Int64Col).V[4]; got != 94 {
-		t.Errorf("snapshot tail row 94 = %d, want 94", got)
-	}
-	total := 0
-	for _, sv := range svs {
-		total += sv.N
-	}
-	if total != 95 {
-		t.Errorf("snapshot visible rows = %d, want 95", total)
-	}
-	// The pinned sealed array itself was never mutated in place.
-	for i, v := range sealedChunk {
-		if v != before[i] {
-			t.Fatalf("sealed array mutated in place at %d: %d -> %d", i, before[i], v)
-		}
-	}
-
-	// The live table sees the new state.
-	live := tab.SegViews()
-	if got := live[0].Cols["v"].(*Int64Col).V[5]; got != -5 {
-		t.Errorf("live sealed row 5 = %d, want -5", got)
-	}
-	if !tab.IsDeleted(10) {
-		t.Error("live table lost the delete")
-	}
-	if tab.NumRows() != 96 {
-		t.Errorf("live rows = %d, want 96", tab.NumRows())
-	}
-
-	snap.Release()
-	if tab.Pins() != 0 {
-		t.Fatalf("pins = %d after release", tab.Pins())
 	}
 }
 
@@ -322,7 +250,7 @@ func TestSegmentedPersistRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := got.Table("seg")
-	if !lt.Segmented() || lt.SegmentTarget() != 30 {
+	if lt.SegmentTarget() != 30 {
 		t.Fatalf("loaded table not segmented at 30 (target %d)", lt.SegmentTarget())
 	}
 	sealed, total := lt.SegmentCounts()

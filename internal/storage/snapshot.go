@@ -1,167 +1,104 @@
 package storage
 
-// Snapshot is a stable read view of a table: the row count, the deletion
-// vector, and the column arrays as of snapshot time. It provides the
-// isolation the paper obtains from Hyper-style OS copy-on-write, simulated
-// here at column granularity:
+// Snapshot is a stable read view of a table: the row count and, per
+// segment, the deletion vector, the column arrays and the zone maps as of
+// snapshot time. It provides the isolation the paper obtains from
+// Hyper-style OS copy-on-write, simulated here at chunk granularity:
 //
-//   - Appends after the snapshot are invisible because the snapshot's row
-//     count caps every scan (appends never move existing elements out from
-//     under a shared backing array without reallocation being safe).
-//   - Deletes after the snapshot are invisible because the snapshot owns a
-//     clone of the deletion vector.
-//   - In-place writes (Update, slot-reusing Insert) to a pinned column make
-//     the writer clone the column first, so the snapshot keeps the old
-//     version (copy-on-write).
+//   - Appends after the snapshot are invisible because the snapshot's chunk
+//     headers are capped at its row counts (an append either fills elements
+//     past the cap or reallocates; neither touches what the cap covers).
+//   - Sealed segments are immutable.
+//   - In-place writes (Update, Delete, slot-reusing Insert) to a pinned
+//     chunk or deletion vector make the writer clone it first, so the
+//     snapshot keeps the old version (copy-on-write).
 //
-// Snapshots are cheap: O(columns) slice headers plus one bitmap clone.
-// Release must be called when the reader is done so writers stop copying.
+// Snapshots are cheap: a pinned copy of the segment list — O(#segments x
+// #columns) slice and map headers, never a column copy. Release must be
+// called when the reader is done so writers stop copying.
 type Snapshot struct {
-	table   *Table
-	n       int
-	del     *Bitmap
-	cols    map[string]Column
-	version uint64
-	schema  uint64
-
-	// segs are the pinned per-segment views of a segmented table: a
-	// metadata copy of the segment list (chunk headers, deletion bitmaps,
-	// zone maps), never a column copy. Nil for flat tables.
-	segs []SegView
+	live   *Table // nil once released
+	frozen *Table
 }
 
-// Snapshot returns a stable view of the table's current contents. For
-// segmented tables the snapshot is a pinned copy of the segment list —
-// O(#segments) headers, no column copying: sealed segments are immutable
-// and tail arrays are preallocated, so appends stay invisible behind the
-// captured row counts, and in-place updates copy-on-write per chunk.
+// Snapshot returns a stable view of the table's current contents and pins
+// it against in-place writers until Release.
 func (t *Table) Snapshot() *Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Snapshot{
-		table:   t,
-		n:       t.nrows,
-		version: t.version,
-		schema:  t.schemaVersion,
+	f := &Table{
+		Name:          t.Name,
+		names:         t.names[:len(t.names):len(t.names)],
+		fks:           make(map[string]*Table, len(t.fks)),
+		colTypes:      make(map[string]Type, len(t.colTypes)),
+		colDicts:      make(map[string]*Dict, len(t.colDicts)),
+		nrows:         t.nrows,
+		segTarget:     t.segTarget,
+		segs:          make([]*Segment, 0, len(t.segs)+1),
+		version:       t.version,
+		schemaVersion: t.schemaVersion,
 	}
-	if t.Segmented() {
-		all := t.allSegsLocked()
-		s.segs = make([]SegView, 0, len(all))
-		for _, seg := range all {
-			sv := segViewLocked(seg)
-			if seg.del != nil {
-				seg.delShared = true
-			}
-			if seg.shared == nil {
-				seg.shared = make(map[string]bool, len(seg.cols))
-			}
-			for name := range seg.cols {
-				seg.shared[name] = true
-			}
-			s.segs = append(s.segs, sv)
-		}
-		t.pins++
-		return s
+	for k, v := range t.colTypes {
+		f.colTypes[k] = v
 	}
-	s.cols = make(map[string]Column, len(t.names))
-	if t.del != nil {
-		s.del = t.del.Clone()
+	for k, v := range t.colDicts {
+		f.colDicts[k] = v
 	}
-	if t.shared == nil {
-		t.shared = make(map[string]bool, len(t.names))
+	for s := range t.segments() {
+		f.segs = append(f.segs, s.frozenLocked())
+		s.pinLocked()
 	}
-	for _, name := range t.names {
-		c := t.cols[name]
-		s.cols[name] = shallowHeaderCopy(c)
-		t.shared[name] = true
-	}
+	last := len(f.segs) - 1
+	f.segs, f.tail = f.segs[:last], f.segs[last]
 	t.pins++
-	return s
+	return &Snapshot{live: t, frozen: f}
 }
 
 // Release unpins the snapshot. Using the snapshot after Release is safe in
 // the sense that its arrays remain readable, but isolation from in-place
 // writes is no longer guaranteed.
 func (s *Snapshot) Release() {
-	if s.table == nil {
+	if s.live == nil {
 		return
 	}
-	t := s.table
+	t := s.live
 	t.mu.Lock()
 	t.pins--
 	if t.pins == 0 {
-		t.shared = nil
-		for _, seg := range t.allSegsLocked() {
+		for seg := range t.segments() {
 			seg.shared = nil
 			seg.delShared = false
 		}
 	}
 	t.mu.Unlock()
-	s.table = nil
+	s.live = nil
 }
 
 // NumRows returns the snapshot's row count.
-func (s *Snapshot) NumRows() int { return s.n }
+func (s *Snapshot) NumRows() int { return s.frozen.nrows }
 
 // Version returns the table's mutation counter as of snapshot time.
-func (s *Snapshot) Version() uint64 { return s.version }
+func (s *Snapshot) Version() uint64 { return s.frozen.version }
 
-// Deleted returns the snapshot's deletion vector (may be nil; segmented
-// snapshots keep per-segment bitmaps in SegViews instead).
-func (s *Snapshot) Deleted() *Bitmap { return s.del }
+// Deleted is Table.Deleted as of the snapshot.
+func (s *Snapshot) Deleted() *Bitmap { return s.frozen.Deleted() }
 
 // IsDeleted reports whether row i was deleted as of the snapshot.
-func (s *Snapshot) IsDeleted(i int) bool {
-	if s.segs != nil {
-		for _, sv := range s.segs {
-			if i >= sv.Base && i < sv.Base+sv.N {
-				return sv.Del != nil && sv.Del.Get(i-sv.Base)
-			}
-		}
-		return false
-	}
-	return s.del != nil && s.del.Get(i)
-}
+func (s *Snapshot) IsDeleted(i int) bool { return s.frozen.IsDeleted(i) }
 
-// Column returns the snapshot's view of the named column, length-capped to
-// the snapshot row count. For segmented snapshots it returns nil — columns
-// live per segment (SegViews).
-func (s *Snapshot) Column(name string) Column { return s.cols[name] }
+// Column is Table.Column as of the snapshot: the named column capped to the
+// snapshot row count, or nil for a table that seals segments.
+func (s *Snapshot) Column(name string) Column { return s.frozen.Column(name) }
 
-// SegViews returns the snapshot's pinned per-segment views (nil for flat
-// tables).
-func (s *Snapshot) SegViews() []SegView { return s.segs }
+// SegViews returns the snapshot's pinned per-segment views.
+func (s *Snapshot) SegViews() []SegView { return s.frozen.SegViews() }
 
-// AsTable materializes the snapshot as a read-only Table carrying the
-// snapshot's frozen columns (or, for segmented tables, the pinned segment
-// views), row count, and deletion vector. Foreign keys are not wired;
-// Database.Snapshot wires them across a consistent set of table snapshots.
-// Mutating the returned table is undefined behaviour — it exists so query
-// engines can scan a frozen version.
-func (s *Snapshot) AsTable() *Table {
-	t := s.table
-	out := NewTable(t.Name)
-	out.names = append([]string(nil), t.names...)
-	for k, v := range t.colTypes {
-		out.colTypes[k] = v
-	}
-	for k, v := range t.colDicts {
-		out.colDicts[k] = v
-	}
-	out.nrows = s.n
-	out.version = s.version
-	out.schemaVersion = s.schema
-	if s.segs != nil {
-		out.segTarget = t.segTarget
-		out.viewSegs = s.segs
-		return out
-	}
-	for _, name := range out.names {
-		out.cols[name] = s.cols[name]
-	}
-	out.del = s.del
-	return out
-}
+// AsTable returns the snapshot as a read-only Table made of the pinned
+// segment copies. Foreign keys are not wired; Database.Snapshot wires them
+// across a consistent set of table snapshots. Mutating the returned table
+// is undefined behaviour — it exists so query engines can scan a frozen
+// version.
+func (s *Snapshot) AsTable() *Table { return s.frozen }
 
 // SnapshotSet pins a snapshot of every table in the set and returns the
 // frozen versions with the foreign-key edges among them re-wired, so a

@@ -5,173 +5,206 @@ import (
 	"testing"
 )
 
-func snapTable(t *testing.T) *Table {
+// isolationTargets are the sealing thresholds the isolation tests run
+// under: one contiguous tail, every row its own sealed segment, a few
+// sealed segments, and a threshold the table never reaches.
+var isolationTargets = []int{0, 1, 30, 1000}
+
+// isolationTable is segTestTable(n) sealing at target.
+func isolationTable(t *testing.T, n, target int) *Table {
 	t.Helper()
-	tb := NewTable("s")
-	tb.MustAddColumn("v", NewInt64Col([]int64{10, 20, 30}))
-	tb.MustAddColumn("name", NewStrCol([]string{"a", "b", "c"}))
-	return tb
+	tab := segTestTable(n)
+	if target > 0 {
+		if err := tab.SetSegmentTarget(target); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tab
 }
 
-func TestSnapshotHidesAppends(t *testing.T) {
-	tb := snapTable(t)
-	s := tb.Snapshot()
-	defer s.Release()
-	if _, err := tb.Insert(map[string]any{"v": 40, "name": "d"}); err != nil {
-		t.Fatal(err)
+// vAt reads column v of a global row through segment views.
+func vAt(t *testing.T, views []SegView, row int) int64 {
+	t.Helper()
+	for _, sv := range views {
+		if row >= sv.Base && row < sv.Base+sv.N {
+			v, _ := Int64At(sv.Cols["v"], row-sv.Base)
+			return v
+		}
 	}
-	if s.NumRows() != 3 {
-		t.Fatalf("snapshot rows = %d, want 3", s.NumRows())
-	}
-	if tb.NumRows() != 4 {
-		t.Fatalf("table rows = %d, want 4", tb.NumRows())
-	}
-	if s.Column("v").Len() != 3 {
-		t.Fatalf("snapshot column len = %d, want 3", s.Column("v").Len())
+	t.Fatalf("row %d not visible in views", row)
+	return 0
+}
+
+// TestSnapshotIsolation: appends, updates, and deletes after a snapshot
+// must be invisible to it, a second snapshot sees its own version, and the
+// arrays a snapshot pins are never written in place — whatever the layout.
+func TestSnapshotIsolation(t *testing.T) {
+	for _, target := range isolationTargets {
+		tab := isolationTable(t, 95, target)
+		s1 := tab.Snapshot()
+		pinned := s1.SegViews()[0].Cols["v"].(*Int64Col).V
+		before := append([]int64(nil), pinned...)
+
+		if _, err := tab.Insert(map[string]any{"v": int64(1000), "k": int32(0)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Update(5, "v", int64(-5)); err != nil { // first segment
+			t.Fatal(err)
+		}
+		if err := tab.Update(94, "v", int64(-94)); err != nil { // last row
+			t.Fatal(err)
+		}
+		if err := tab.Delete(10); err != nil {
+			t.Fatal(err)
+		}
+		s2 := tab.Snapshot()
+		if err := tab.Update(5, "v", int64(-55)); err != nil {
+			t.Fatal(err)
+		}
+
+		if s1.NumRows() != 95 || s2.NumRows() != 96 || tab.NumRows() != 96 {
+			t.Fatalf("target %d: rows s1 %d, s2 %d, live %d; want 95, 96, 96", target, s1.NumRows(), s2.NumRows(), tab.NumRows())
+		}
+		visible := 0
+		for _, sv := range s1.SegViews() {
+			visible += sv.N
+		}
+		if visible != 95 {
+			t.Errorf("target %d: s1 views cover %d rows, want 95", target, visible)
+		}
+		if s1.IsDeleted(10) || !s2.IsDeleted(10) || !tab.IsDeleted(10) {
+			t.Errorf("target %d: row 10 deleted: s1 %v, s2 %v, live %v; want false, true, true",
+				target, s1.IsDeleted(10), s2.IsDeleted(10), tab.IsDeleted(10))
+		}
+		for _, c := range []struct {
+			what  string
+			views []SegView
+			r5    int64
+			r94   int64
+		}{{"s1", s1.SegViews(), 5, 94}, {"s2", s2.SegViews(), -5, -94}, {"live", tab.SegViews(), -55, -94}} {
+			if got := vAt(t, c.views, 5); got != c.r5 {
+				t.Errorf("target %d: %s row 5 = %d, want %d", target, c.what, got, c.r5)
+			}
+			if got := vAt(t, c.views, 94); got != c.r94 {
+				t.Errorf("target %d: %s row 94 = %d, want %d", target, c.what, got, c.r94)
+			}
+		}
+		for i, v := range pinned {
+			if v != before[i] {
+				t.Fatalf("target %d: pinned array written in place at %d: %d -> %d", target, i, before[i], v)
+			}
+		}
+		if target == 0 {
+			// One contiguous array per column, capped at the snapshot.
+			if got := s1.Column("v").Len(); got != 95 {
+				t.Errorf("s1 column length = %d, want 95", got)
+			}
+		} else if s1.Column("v") != nil || tab.Column("v") != nil {
+			t.Errorf("target %d: Column handed out a chunk of a table that seals segments", target)
+		}
+
+		s1.Release()
+		s2.Release()
+		s2.Release() // double release is a no-op
+		if tab.Pins() != 0 {
+			t.Fatalf("target %d: pins = %d after release", target, tab.Pins())
+		}
+		// With nothing pinned, a write to the tail is in place again.
+		last := tab.SegViews()
+		tailChunk := last[len(last)-1].Cols["v"].(*Int64Col).V
+		if len(tailChunk) > 0 {
+			row := tab.NumRows() - 1
+			if err := tab.Update(row, "v", int64(7)); err != nil {
+				t.Fatal(err)
+			}
+			if tailChunk[len(tailChunk)-1] != 7 {
+				t.Errorf("target %d: update cloned the tail chunk after all snapshots were released", target)
+			}
+		}
 	}
 }
 
-func TestSnapshotHidesDeletes(t *testing.T) {
-	tb := snapTable(t)
-	s := tb.Snapshot()
-	defer s.Release()
-	if err := tb.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if s.IsDeleted(1) {
-		t.Fatal("delete leaked into snapshot")
-	}
-	if !tb.IsDeleted(1) {
-		t.Fatal("table missed delete")
-	}
-}
-
-func TestSnapshotCopyOnWriteUpdate(t *testing.T) {
-	tb := snapTable(t)
-	s := tb.Snapshot()
-	defer s.Release()
-	if err := tb.Update(0, "v", int64(999)); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Column("v").(*Int64Col).V[0]; got != 10 {
-		t.Fatalf("in-place update leaked into snapshot: %d", got)
-	}
-	if got := tb.Column("v").(*Int64Col).V[0]; got != 999 {
-		t.Fatalf("table lost update: %d", got)
-	}
-}
-
-func TestSnapshotCopyOnWriteSlotReuse(t *testing.T) {
-	tb := snapTable(t)
-	if err := tb.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	s := tb.Snapshot()
-	defer s.Release()
-	// Reusing the deleted slot writes in place; the snapshot must keep the
-	// row invisible AND keep the old value.
-	row, err := tb.Insert(map[string]any{"v": 77, "name": "z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row != 2 {
-		t.Fatalf("expected slot reuse of row 2, got %d", row)
-	}
-	if !s.IsDeleted(2) {
-		t.Fatal("snapshot sees resurrected row")
-	}
-	if got := s.Column("v").(*Int64Col).V[2]; got != 30 {
-		t.Fatalf("snapshot sees reused slot value %d", got)
-	}
-}
-
-func TestSnapshotReleaseStopsCOW(t *testing.T) {
-	tb := snapTable(t)
-	s := tb.Snapshot()
-	s.Release()
-	s.Release() // double release is a no-op
-	before := tb.Column("v")
-	if err := tb.Update(0, "v", 1); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Column("v") != before {
-		t.Fatal("update cloned column after all snapshots released")
-	}
-}
-
-func TestTwoSnapshotsSeeStableDistinctVersions(t *testing.T) {
-	tb := snapTable(t)
-	s1 := tb.Snapshot()
-	defer s1.Release()
-	if err := tb.Update(1, "v", 21); err != nil {
-		t.Fatal(err)
-	}
-	s2 := tb.Snapshot()
-	defer s2.Release()
-	if err := tb.Update(1, "v", 22); err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Column("v").(*Int64Col).V[1]; got != 20 {
-		t.Fatalf("s1 sees %d, want 20", got)
-	}
-	if got := s2.Column("v").(*Int64Col).V[1]; got != 21 {
-		t.Fatalf("s2 sees %d, want 21", got)
-	}
-	if got := tb.Column("v").(*Int64Col).V[1]; got != 22 {
-		t.Fatalf("live sees %d, want 22", got)
+// TestSnapshotSlotReuse: a table that never seals fills the hole a delete
+// left, in place, and a snapshot taken between the two must keep the row
+// invisible AND keep the old value; a table that seals appends instead.
+func TestSnapshotSlotReuse(t *testing.T) {
+	for _, target := range isolationTargets {
+		tab := isolationTable(t, 3, target)
+		if err := tab.Delete(2); err != nil {
+			t.Fatal(err)
+		}
+		s := tab.Snapshot()
+		row, err := tab.Insert(map[string]any{"v": int64(77), "k": int32(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 2, false: 3}[target == 0]; row != want {
+			t.Fatalf("target %d: insert landed at row %d, want %d", target, row, want)
+		}
+		if !s.IsDeleted(2) {
+			t.Errorf("target %d: snapshot sees resurrected row", target)
+		}
+		if got := vAt(t, s.SegViews(), 2); got != 2 {
+			t.Errorf("target %d: snapshot sees reused slot value %d", target, got)
+		}
+		if tab.IsDeleted(row) || vAt(t, tab.SegViews(), row) != 77 {
+			t.Errorf("target %d: live table lost the insert", target)
+		}
+		s.Release()
 	}
 }
 
 // Concurrent snapshot readers with an active writer: the reader's sums must
 // equal one of the stable versions (run with -race to check synchronization).
 func TestSnapshotConcurrentReaderWriter(t *testing.T) {
-	tb := NewTable("c")
-	n := 1000
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	tb.MustAddColumn("v", NewInt64Col(v))
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i = (i + 1) % n {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := tb.Update(i, "v", int64(2)); err != nil {
-				t.Error(err)
-				return
+	for _, target := range isolationTargets {
+		tab := isolationTable(t, 0, target)
+		n := 1000
+		for i := 0; i < n; i++ {
+			if _, err := tab.Insert(map[string]any{"v": int64(1), "k": int32(0)}); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
 
-	for k := 0; k < 50; k++ {
-		s := tb.Snapshot()
-		col := s.Column("v").(*Int64Col)
-		var sum int64
-		for _, x := range col.V {
-			sum += x
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i = (i + 1) % n {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := tab.Update(i, "v", int64(2)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+
+		for k := 0; k < 50; k++ {
+			s := tab.Snapshot()
+			// Every row is 1 or 2, and the snapshot is stable: re-summing
+			// gives the same result.
+			var sums [2]int64
+			for pass := range sums {
+				for _, sv := range s.SegViews() {
+					for _, x := range sv.Cols["v"].(*Int64Col).V {
+						sums[pass] += x
+					}
+				}
+			}
+			if sums[0] != sums[1] {
+				t.Fatalf("target %d: snapshot unstable: %d vs %d", target, sums[0], sums[1])
+			}
+			if sums[0] < int64(n) || sums[0] > 2*int64(n) {
+				t.Fatalf("target %d: impossible sum %d", target, sums[0])
+			}
+			s.Release()
 		}
-		// Every row is 1 or 2, and the snapshot is stable: re-summing gives
-		// the same result.
-		var sum2 int64
-		for _, x := range col.V {
-			sum2 += x
-		}
-		if sum != sum2 {
-			t.Fatalf("snapshot unstable: %d vs %d", sum, sum2)
-		}
-		if sum < int64(n) || sum > 2*int64(n) {
-			t.Fatalf("impossible sum %d", sum)
-		}
-		s.Release()
+		close(stop)
+		wg.Wait()
 	}
-	close(stop)
-	wg.Wait()
 }

@@ -10,57 +10,53 @@ import (
 // foreign-key column (always Int32) stores array indexes of its referenced
 // table, which is the array index reference (AIR) mechanism that makes the
 // whole schema a virtual universal table.
+//
+// Every table has one physical shape (segment.go): a list of sealed,
+// immutable segments plus one mutable tail, each owning a chunk of every
+// column. A table without a sealing threshold — every dimension, and any
+// fact table nobody segmented — is the case with no sealed segments: its
+// tail never seals, so each column is one contiguous array (Column) that
+// AIR hops can index directly.
 type Table struct {
 	// Name is the table name, unique within a Database.
 	Name string
 
 	names    []string
-	cols     map[string]Column
 	fks      map[string]*Table
 	colTypes map[string]Type
 	colDicts map[string]*Dict
 
 	nrows int
 
-	// Lazy deletion state (§4.4): del marks out-of-date tuples, free lists
-	// reusable slots of deleted tuples. Flat mode only; segmented tables
-	// keep per-segment deletion bitmaps and never reuse slots.
-	del  *Bitmap
-	free []int32
-
-	// shared marks columns pinned by live snapshots; an in-place write to
-	// a shared column clones it first (column-granularity copy-on-write).
-	// Flat mode only; segments carry their own shared marks.
-	shared map[string]bool // guarded by mu
-	pins   int             // guarded by mu
-
-	// Segmented storage (segment.go): sealed immutable segments plus one
-	// mutable tail, active when segTarget > 0.
+	// segTarget is the sealing threshold in rows; 0 means the tail never
+	// seals. segs are the sealed segments in row order and tail the one
+	// segment that takes appends (never nil).
 	segTarget int
 	segs      []*Segment
 	tail      *Segment
 	nextSegID uint64
 
+	// free lists the slots of lazily deleted tuples (§4.4); Insert reuses
+	// them only while the table has no sealing threshold.
+	free []int32
+
+	pins int // guarded by mu; live snapshots of the table
+
 	// Sealed-segment physical tuning (encoding.go, consolidate.go):
-	// sortKeys orders fact rows at consolidation time; encodeSealed
-	// compresses sealed chunks (RLE / frame-of-reference) at seal time.
+	// sortKeys orders rows at consolidation time; encodeSealed compresses
+	// sealed chunks (RLE / frame-of-reference) at seal time.
 	sortKeys     []string
 	encodeSealed bool
 
-	// viewSegs, when non-nil, marks this table as a frozen snapshot view
-	// of a segmented table: reads go through these captured segment views
-	// and the table must not be mutated.
-	viewSegs []SegView
-
 	// version counts data mutations (insert, delete, update,
-	// consolidation). Because pinned columns are copy-on-write, two reads
+	// consolidation). Because pinned chunks are copy-on-write, two reads
 	// of the table at the same version observe identical arrays.
 	// schemaVersion counts structural changes (columns, foreign keys,
-	// physical re-segmentation); plan caches invalidate on schemaVersion
-	// always, and on version only for tables whose arrays the plan
-	// captured directly (flat tables and dimensions) — segmented fact
-	// appends advance version without invalidating plans, because plans
-	// bind fact arrays per segment at execution time.
+	// physical re-segmentation). Plan caches invalidate on the
+	// schemaVersion of every table and on the version of dimensions, whose
+	// arrays a plan captures; a root table's appends advance version
+	// without invalidating plans, because plans bind the root's arrays per
+	// segment at execution time.
 	version       uint64
 	schemaVersion uint64
 
@@ -71,33 +67,37 @@ type Table struct {
 
 // NewTable returns an empty table.
 func NewTable(name string) *Table {
-	return &Table{
+	t := &Table{
 		Name:     name,
-		cols:     make(map[string]Column),
 		fks:      make(map[string]*Table),
 		colTypes: make(map[string]Type),
 		colDicts: make(map[string]*Dict),
 	}
+	t.tail = t.newSegment(0)
+	return t
 }
 
-// AddColumn adds a named column. The first column fixes the row count; every
-// later column must match it. Declare all columns before segmenting the
-// table: adding columns to a segmented table is not supported.
+// AddColumn adds a named column, which becomes the tail's chunk as is (no
+// copy, and no pass over its data: zone maps are computed when the first
+// reader asks for them). The first column fixes the row count; every later
+// column must match it. Declare all columns before giving the table a
+// sealing threshold: adding columns afterwards is not supported.
 func (t *Table) AddColumn(name string, c Column) error {
 	if _, dup := t.colTypes[name]; dup {
 		return fmt.Errorf("storage: table %s: duplicate column %s", t.Name, name)
 	}
-	if t.Segmented() {
+	if t.segTarget > 0 {
 		return fmt.Errorf("storage: table %s: cannot add column %s to a segmented table", t.Name, name)
 	}
 	if len(t.names) == 0 {
-		t.nrows = c.Len()
+		t.nrows, t.tail.n = c.Len(), c.Len()
 	} else if c.Len() != t.nrows {
 		return fmt.Errorf("storage: table %s: column %s has %d rows, want %d",
 			t.Name, name, c.Len(), t.nrows)
 	}
 	t.names = append(t.names, name)
-	t.cols[name] = c
+	t.tail.cols[name] = c
+	t.tail.zoned = 0 // the new chunk has no zone yet
 	t.colTypes[name] = c.Type()
 	if dc, ok := c.(*DictCol); ok {
 		t.colDicts[name] = dc.Dict
@@ -114,8 +114,20 @@ func (t *Table) MustAddColumn(name string, c Column) {
 	}
 }
 
-// Column returns the named column, or nil if absent.
-func (t *Table) Column(name string) Column { return t.cols[name] }
+// Column returns the named column as one contiguous array — what AIR hops,
+// schema bindings and the baseline engines index — or nil if the column is
+// absent or the table seals segments, in which case its chunks are reached
+// through SegViews. The lookup is ordered with writers, which replace a
+// pinned chunk when they copy-on-write; reading the returned column's
+// array beside a writer is, as everywhere on a live table, not.
+func (t *Table) Column(name string) Column {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.segTarget > 0 {
+		return nil
+	}
+	return t.tail.cols[name]
+}
 
 // ColumnNames returns the column names in declaration order.
 func (t *Table) ColumnNames() []string { return t.names }
@@ -125,34 +137,13 @@ func (t *Table) NumRows() int { return t.nrows }
 
 // NumLive returns the number of rows not marked deleted.
 func (t *Table) NumLive() int {
-	if t.viewSegs != nil || t.Segmented() {
-		live := 0
-		for _, sv := range t.segViewsUnsync() {
-			live += sv.N
-			if sv.Del != nil {
-				live -= sv.Del.Count()
-			}
+	live := t.nrows
+	for s := range t.segments() {
+		if s.del != nil {
+			live -= s.del.Count()
 		}
-		return live
 	}
-	if t.del == nil {
-		return t.nrows
-	}
-	return t.nrows - t.del.Count()
-}
-
-// segViewsUnsync returns segment views without taking the mutex; for frozen
-// snapshot tables the views are immutable, and for live tables callers are
-// maintenance paths that already serialize with writers.
-func (t *Table) segViewsUnsync() []SegView {
-	if t.viewSegs != nil {
-		return t.viewSegs
-	}
-	out := make([]SegView, 0, len(t.segs)+1)
-	for _, s := range t.allSegsLocked() {
-		out = append(out, segViewLocked(s))
-	}
-	return out
+	return live
 }
 
 // AddFK declares column col as a foreign key referencing ref. The column
@@ -190,15 +181,11 @@ func (t *Table) FKs() map[string]*Table {
 	return m
 }
 
-// Version returns the table's data mutation counter; it is an alias of
-// DataVersion kept for backward compatibility.
-func (t *Table) Version() uint64 { return t.DataVersion() }
-
 // DataVersion returns the data mutation counter. It increases on every
 // insert, delete, update, and consolidation; snapshots taken at equal
-// versions see identical data. Advancing DataVersion invalidates snapshots
-// (of course) but, for segmented tables, NOT compiled plans: plans bind
-// segmented arrays at execution time.
+// versions see identical data. Advancing a root table's DataVersion does
+// NOT invalidate compiled plans: plans bind root arrays per segment at
+// execution time.
 func (t *Table) DataVersion() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -221,31 +208,32 @@ func (t *Table) Pins() int {
 	return t.pins
 }
 
-// Deleted returns the deletion vector, or nil if no row was ever deleted.
-// Segmented tables keep per-segment deletion bitmaps (see SegViews) and
-// report nil here.
-func (t *Table) Deleted() *Bitmap { return t.del }
+// Deleted returns the deletion vector over the contiguous arrays Column
+// hands out, or nil if no row was ever deleted. Tables that seal segments
+// keep one bitmap per segment (see SegViews) and report nil here.
+func (t *Table) Deleted() *Bitmap {
+	if t.segTarget > 0 {
+		return nil
+	}
+	return t.tail.del
+}
 
 // IsDeleted reports whether row i is marked deleted.
 func (t *Table) IsDeleted(i int) bool {
-	if t.viewSegs != nil || t.Segmented() {
-		for _, sv := range t.segViewsUnsync() {
-			if i >= sv.Base && i < sv.Base+sv.N {
-				return sv.Del != nil && sv.Del.Get(i-sv.Base)
-			}
-		}
+	if i < 0 || i >= t.nrows {
 		return false
 	}
-	return t.del != nil && t.del.Get(i)
+	s, local := t.locateLocked(i)
+	return s.del != nil && s.del.Get(local)
 }
 
 // ValidateAIR checks that every foreign-key value is a valid, live index of
 // the referenced table. This is the core storage invariant of A-Store.
 func (t *Table) ValidateAIR() error {
 	for col, ref := range t.fks {
-		err := t.forEachInt32(col, func(chunk []int32, base int) error {
+		err := t.forEachInt32(col, func(chunk []int32, base int, del *Bitmap) error {
 			for i, v := range chunk {
-				if t.IsDeleted(base + i) {
+				if del != nil && del.Get(i) {
 					continue
 				}
 				if v < 0 || int(v) >= ref.NumRows() {
@@ -266,26 +254,19 @@ func (t *Table) ValidateAIR() error {
 	return nil
 }
 
-// forEachInt32 visits the chunks of an int32 column with their global base
-// offsets: one chunk for flat tables, one per segment otherwise.
-func (t *Table) forEachInt32(col string, fn func(chunk []int32, base int) error) error {
-	if t.viewSegs != nil || t.Segmented() {
-		for _, sv := range t.segViewsUnsync() {
-			c := sv.Cols[col]
-			if c == nil || c.Type() != TInt32 {
-				return fmt.Errorf("storage: table %s: column %s is not int32", t.Name, col)
-			}
-			if err := fn(int32ChunkValues(c, sv.N), sv.Base); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	c, ok := t.cols[col].(*Int32Col)
-	if !ok {
+// forEachInt32 visits the chunks of an int32 column, one per segment, with
+// their global base offsets and deletion bitmaps (nil when nothing in the
+// segment is deleted).
+func (t *Table) forEachInt32(col string, fn func(chunk []int32, base int, del *Bitmap) error) error {
+	if typ, ok := t.colTypes[col]; !ok || typ != TInt32 {
 		return fmt.Errorf("storage: table %s: column %s is not int32", t.Name, col)
 	}
-	return fn(c.V, 0)
+	for s := range t.segments() {
+		if err := fn(int32ChunkValues(s.cols[col], s.n), s.base, s.del); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MemBytes estimates the resident size of the table's arrays in bytes
@@ -293,16 +274,10 @@ func (t *Table) forEachInt32(col string, fn func(chunk []int32, base int) error)
 func (t *Table) MemBytes() int64 {
 	var b int64
 	seen := make(map[*Dict]bool)
-	if t.viewSegs != nil || t.Segmented() {
-		for _, sv := range t.segViewsUnsync() {
-			for _, name := range t.names {
-				b += colMemBytes(sv.Cols[name], seen)
-			}
+	for s := range t.segments() {
+		for _, name := range t.names {
+			b += colMemBytes(s.cols[name], seen)
 		}
-		return b
-	}
-	for _, name := range t.names {
-		b += colMemBytes(t.cols[name], seen)
 	}
 	return b
 }

@@ -7,10 +7,14 @@
 // positional array lookups, and an entire star/snowflake schema forms a
 // virtually denormalized "universal table" without any physical join.
 //
+// Physically every table is a list of sealed segments plus a mutable tail
+// (segment.go); a table that never seals — every dimension — is all tail,
+// so its columns are single contiguous arrays.
+//
 // The package also provides the auxiliary storage objects of A-Store:
 // bitmaps (predicate vectors and deletion vectors), selection vectors,
 // dictionaries (dictionary compression where the code is an AIR into the
-// dictionary array), snapshots (column-granularity copy-on-write, the
+// dictionary array), snapshots (chunk-granularity copy-on-write, the
 // stand-in for the OS page-table tricks sketched in the paper), and table
 // consolidation.
 package storage

@@ -4,21 +4,23 @@ import "fmt"
 
 // This file implements the update mechanisms of §4.4:
 //
-//   - Insertion by appending, with free-slot reuse: deleted tuples leave
-//     holes that later insertions fill. Slot reuse is sound because the
-//     primary key is the array index, a surrogate with no semantic meaning.
+//   - Insertion by appending to the tail, with free-slot reuse on tables
+//     that never seal: deleted tuples leave holes that later insertions
+//     fill. Slot reuse is sound because the primary key is the array index,
+//     a surrogate with no semantic meaning.
 //   - Lazy deletion via a deletion bit vector; no cascade modification.
 //   - In-place updates (variable-length values live out of line, so even
 //     varchar updates are in place).
 //
 // Writers must hold the table's internal mutex, which these methods take.
 // Readers that need isolation take a Snapshot (snapshot.go); in-place writes
-// to snapshot-pinned columns trigger column-granularity copy-on-write.
+// to sealed or snapshot-pinned chunks copy the chunk first.
 
 // Insert adds a tuple with the given column values and returns its row index
-// (its primary key). If a deleted slot is available it is reused; otherwise
-// the tuple is appended at the end of every array. vals must contain a value
-// for every column of the table.
+// (its primary key). vals must contain a value for every column of the
+// table. The tuple is appended to the tail, which seals when it reaches the
+// table's sealing threshold; a table without one first reuses the slot of a
+// deleted tuple if any is free.
 func (t *Table) Insert(vals map[string]any) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -26,135 +28,115 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 		return -1, fmt.Errorf("storage: table %s: insert got %d values, want %d",
 			t.Name, len(vals), len(t.names))
 	}
+	// Validate before mutating so a bad value cannot leave a torn tuple.
 	for _, name := range t.names {
-		if _, ok := vals[name]; !ok {
+		v, ok := vals[name]
+		if !ok {
 			return -1, fmt.Errorf("storage: table %s: insert missing column %s", t.Name, name)
 		}
-	}
-	if t.Segmented() {
-		// Segmented tables only ever append to the mutable tail; deleted
-		// slots are reclaimed by Consolidate, never reused in place (slot
-		// reuse would write into sealed segments).
-		return t.insertSegmentedLocked(vals)
+		if err := checkAssignable(t.tail.cols[name], v); err != nil {
+			return -1, fmt.Errorf("storage: table %s: %w", t.Name, err)
+		}
 	}
 
-	// Reuse a deleted slot if one is free.
-	if n := len(t.free); n > 0 {
+	// A freed slot may lie in a sealed segment, so only a table that never
+	// seals reuses them; elsewhere Consolidate reclaims the holes.
+	if n := len(t.free); n > 0 && t.segTarget == 0 {
 		row := int(t.free[n-1])
-		// Validate before mutating so a bad value cannot corrupt the slot.
-		for _, name := range t.names {
-			if err := checkAssignable(t.cols[name], vals[name]); err != nil {
-				return -1, fmt.Errorf("storage: table %s: %w", t.Name, err)
-			}
-		}
 		t.free = t.free[:n-1]
 		for _, name := range t.names {
-			c := t.cowColumnLocked(name)
-			if err := setValue(c, row, vals[name]); err != nil {
+			if err := t.tail.setLocked(name, row, vals[name]); err != nil {
 				return -1, err
 			}
 		}
-		if t.pins > 0 {
-			// The deletion vector is snapshot state: clone before clearing
-			// the reused slot's bit so pinned readers keep seeing it deleted.
-			t.del = t.del.Clone()
-		}
-		t.del.Clear(row)
+		t.tail.writableDelLocked().Clear(row)
+		t.tail.delGen++
 		t.version++
 		return row, nil
 	}
 
-	// Append at the end. Go slice growth doubles capacity, which plays the
-	// role of the paper's reserved free space at the end of each array: most
-	// appends touch no allocator.
+	t.sealFullTailLocked() // a loaded tail may already be full
+	tail := t.tail
 	for _, name := range t.names {
-		if err := checkAssignable(t.cols[name], vals[name]); err != nil {
-			return -1, fmt.Errorf("storage: table %s: %w", t.Name, err)
-		}
-	}
-	row := t.nrows
-	for _, name := range t.names {
-		if err := appendValue(t.cols[name], vals[name]); err != nil {
+		if err := appendValue(tail.cols[name], vals[name]); err != nil {
 			return -1, err
 		}
 	}
+	row := tail.base + tail.n
+	tail.n++
 	t.nrows++
-	if t.del != nil {
-		t.del.Grow(t.nrows)
+	if tail.del != nil && tail.del.Len() < tail.n {
+		tail.writableDelLocked()
 	}
+	t.sealFullTailLocked()
 	t.version++
 	return row, nil
 }
 
-// Delete marks row i out-of-date in the deletion vector and records its slot
-// for reuse. It does not cascade; callers are responsible for not deleting a
-// tuple that is still referenced (ValidateAIR detects violations).
+// Delete marks row i out-of-date in its segment's deletion vector and
+// records its slot for reuse. It does not cascade; callers are responsible
+// for not deleting a tuple that is still referenced (ValidateAIR detects
+// violations).
 func (t *Table) Delete(i int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i < 0 || i >= t.nrows {
 		return fmt.Errorf("storage: table %s: delete row %d out of range", t.Name, i)
 	}
-	if t.Segmented() {
-		return t.deleteSegmentedLocked(i)
-	}
-	if t.del == nil {
-		t.del = NewBitmap(t.nrows)
-	}
-	if t.del.Get(i) {
+	s, local := t.locateLocked(i)
+	if s.del != nil && s.del.Get(local) {
 		return fmt.Errorf("storage: table %s: row %d already deleted", t.Name, i)
 	}
-	if t.pins > 0 {
-		// The deletion vector is part of snapshot state; snapshots clone it
-		// at creation, so mutating the live one is safe.
-		t.del = t.del.Clone()
-	}
-	t.del.Set(i)
+	s.writableDelLocked().Set(local)
+	s.delGen++
 	t.free = append(t.free, int32(i))
 	t.version++
 	return nil
 }
 
-// Update overwrites column col of row i in place. In-place updating never
-// touches foreign keys of referring tables because the primary key (the
-// array index) does not change.
+// Update overwrites column col of row i. In-place updating never touches
+// foreign keys of referring tables because the primary key (the array
+// index) does not change.
 func (t *Table) Update(i int, col string, v any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i < 0 || i >= t.nrows {
 		return fmt.Errorf("storage: table %s: update row %d out of range", t.Name, i)
 	}
-	if t.Segmented() {
-		return t.updateSegmentedLocked(i, col, v)
-	}
-	if t.IsDeleted(i) {
+	s, local := t.locateLocked(i)
+	if s.del != nil && s.del.Get(local) {
 		return fmt.Errorf("storage: table %s: update of deleted row %d", t.Name, i)
 	}
-	c, ok := t.cols[col]
+	// The tail's chunk stands in for the column's type: it is always plain,
+	// where the row's own chunk may be an encoded one.
+	c, ok := t.tail.cols[col]
 	if !ok {
 		return fmt.Errorf("storage: table %s: no column %s", t.Name, col)
 	}
 	if err := checkAssignable(c, v); err != nil {
 		return fmt.Errorf("storage: table %s: %w", t.Name, err)
 	}
-	if err := setValue(t.cowColumnLocked(col), i, v); err != nil {
+	if err := s.setLocked(col, local, v); err != nil {
 		return err
 	}
 	t.version++
 	return nil
 }
 
-// cowColumnLocked returns the named column, cloning it first if it is pinned by a
-// live snapshot (copy-on-write at column granularity — the simulation of the
-// paper's OS-level copy-on-write isolation between OLTP and OLAP).
-func (t *Table) cowColumnLocked(name string) Column {
-	c := t.cols[name]
-	if t.shared != nil && t.shared[name] {
-		c = c.Clone()
-		t.cols[name] = c
-		t.shared[name] = false
+// setLocked stores v at local row i of column col, copy-on-write where the
+// chunk is sealed or pinned, and widens the column's zone to cover it
+// (conservative: zones may overcover after overwrites, which only costs
+// pruning opportunity, never correctness).
+func (s *Segment) setLocked(col string, i int, v any) error {
+	c := s.writableLocked(col)
+	if err := setValue(c, i, v); err != nil {
+		return err
 	}
-	return c
+	if z := s.zones[col]; i < s.zoned && z.cover(c, i, i+1) {
+		z.Typ = c.Type()
+		s.zones[col] = z
+	}
+	return nil
 }
 
 // checkAssignable verifies v can be stored into column c without mutating it.
