@@ -4,11 +4,10 @@
 //	astore-bench -list
 //	astore-bench -exp table5 -sf 0.1
 //	astore-bench -exp all -sf 0.05 -workers 2 -runs 3
-//	astore-bench -exp table5 -sf 0.1 -json > BENCH_table5.json
+//	astore-bench -exp table5 -sf 0.1 -json > table5.json
 //
 // Absolute times depend on the host and the scale factor; the shapes (who
 // wins, by what factor, where crossovers fall) are the reproduction target.
-// See EXPERIMENTS.md for the recorded paper-versus-measured comparison.
 package main
 
 import (
@@ -23,8 +22,7 @@ import (
 	"astore/internal/bench"
 )
 
-// jsonOutput is the machine-readable form of a bench run, stable enough to
-// record BENCH_*.json trajectories across revisions.
+// jsonOutput is the machine-readable form of a bench run.
 type jsonOutput struct {
 	Config      bench.Config     `json:"config"`
 	Experiments []jsonExperiment `json:"experiments"`
@@ -37,15 +35,19 @@ type jsonExperiment struct {
 }
 
 func main() {
+	var known []string
+	for _, e := range bench.Experiments() {
+		known = append(known, e.ID)
+	}
 	var (
-		exp     = flag.String("exp", "all", "experiment id (fig1, table2, fig8, table3, table4, table5, fig9, fig10) or 'all'")
+		exp     = flag.String("exp", "all", "comma-separated experiment ids ("+strings.Join(known, ", ")+") or 'all'")
 		sf      = flag.Float64("sf", 0.1, "benchmark scale factor (paper: 100)")
 		workers = flag.Int("workers", 1, "engine worker threads (paper: 32)")
 		runs    = flag.Int("runs", 3, "repetitions per measurement; minimum is reported")
 		seed    = flag.Int64("seed", 1, "data generation seed")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		asJSON  = flag.Bool("json", false, "emit one JSON document with every report (for recorded trajectories)")
+		asJSON  = flag.Bool("json", false, "emit one JSON document with every report")
 	)
 	flag.Parse()
 
@@ -57,12 +59,8 @@ func main() {
 	}
 
 	cfg := bench.Config{SF: *sf, Workers: *workers, Runs: *runs, Seed: *seed}
-	var ids []string
-	if *exp == "all" {
-		for _, e := range bench.Experiments() {
-			ids = append(ids, e.ID)
-		}
-	} else {
+	ids := known
+	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 	out := jsonOutput{Config: cfg}

@@ -43,6 +43,13 @@ import (
 	"astore/internal/storage"
 )
 
+const (
+	// shardTimeout is the coordinator's per-worker scatter deadline.
+	shardTimeout = 30 * time.Second
+	// drainWait bounds the drain of in-flight queries on shutdown.
+	drainWait = 30 * time.Second
+)
+
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -50,25 +57,16 @@ func main() {
 		sf       = flag.Float64("sf", 0.05, "SSB scale factor when generating")
 		seed     = flag.Int64("seed", 1, "SSB generation seed")
 
-		workers   = flag.Int("workers", 0, "worker threads per query (0 = serial)")
-		batchRows = flag.Int("batch-rows", 0, "rows per scan batch (cancellation granularity; 0 = default 64K)")
-		cacheCap  = flag.Int("cache-cap", db.DefaultPlanCacheCap, "plan cache capacity")
-		segRows   = flag.Int("segment-rows", storage.DefaultSegmentRows,
+		workers = flag.Int("workers", 0, "worker threads per query (0 = serial)")
+		segRows = flag.Int("segment-rows", storage.DefaultSegmentRows,
 			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = never seal)")
 		sortKeys = flag.String("sort-keys", "",
 			"comma-separated fact columns to cluster by at consolidation (keys a table lacks are ignored)")
 		encode = flag.Bool("encode-sealed", false,
-			"compress sealed-segment chunks (RLE/FoR) and serve them through per-encoding decode kernels")
-		aggCache = flag.Int64("agg-cache", 0,
-			"segment aggregate cache budget in bytes (0 = default 64 MB, negative = disabled)")
+			"compress sealed-segment chunks (RLE/FoR); queries decode them at bind")
 
 		maxInFlight = flag.Int("max-inflight", 4, "max concurrently executing queries")
-		maxQueue    = flag.Int("max-queue", 0, "max queued queries (0 = 2*max-inflight)")
-		queueWait   = flag.Duration("queue-wait", time.Second, "max time a query waits for a slot")
-		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 503 responses")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query deadline")
-		maxTimeout  = flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")
-		drainWait   = flag.Duration("drain-wait", 30*time.Second, "max time to drain in-flight queries on shutdown")
 		slowQuery   = flag.Duration("slow-query", 0,
 			"log queries at or above this latency as JSON lines to stderr (0 = disabled)")
 
@@ -76,8 +74,6 @@ func main() {
 			"serve POST /v1/shard/exec: execute shard slices and return serialized partial aggregates")
 		shards = flag.String("shards", "",
 			"coordinator mode: comma-separated worker addresses (host:port) to scatter queries across")
-		shardTimeout = flag.Duration("shard-timeout", 30*time.Second,
-			"coordinator: per-worker scatter deadline")
 	)
 	flag.Parse()
 
@@ -85,7 +81,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := core.Options{Workers: *workers, BatchRows: *batchRows, SegmentRows: *segRows, SealedEncodings: *encode, AggCacheBytes: *aggCache}
+	opt := core.Options{Workers: *workers, SegmentRows: *segRows, SealedEncodings: *encode}
 	for _, k := range strings.Split(*sortKeys, ",") {
 		if k = strings.TrimSpace(k); k != "" {
 			opt.SortKeys = append(opt.SortKeys, k)
@@ -104,7 +100,6 @@ func main() {
 			}
 		}
 	}
-	d.SetPlanCacheCap(*cacheCap)
 	for _, t := range catalog.Tables() {
 		sealed, total := t.SegmentCounts()
 		layout := fmt.Sprintf("%d segments (%d sealed)", total, sealed)
@@ -127,9 +122,9 @@ func main() {
 		// canonical segment slice (i, n), by position in -shards.
 		var workerList []shard.Worker
 		for i, a := range addrs {
-			workerList = append(workerList, shard.NewHTTPWorker(a, i, len(addrs), *shardTimeout))
+			workerList = append(workerList, shard.NewHTTPWorker(a, i, len(addrs), shardTimeout))
 		}
-		coord, err = shard.New(d, workerList, shard.Options{ExecTimeout: *shardTimeout})
+		coord, err = shard.New(d, workerList, shard.Options{ExecTimeout: shardTimeout})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -138,11 +133,7 @@ func main() {
 
 	srv := server.New(d, server.Config{
 		MaxInFlight:    *maxInFlight,
-		MaxQueue:       *maxQueue,
-		QueueWait:      *queueWait,
-		RetryAfter:     *retryAfter,
 		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
 		SlowQuery:      *slowQuery,
 		Logf:           log.Printf,
 		Coordinator:    coord,
@@ -158,8 +149,8 @@ func main() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
-		log.Printf("shutting down: draining in-flight queries (max %v)", *drainWait)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		log.Printf("shutting down: draining in-flight queries (max %v)", drainWait)
+		ctx, cancel := context.WithTimeout(context.Background(), drainWait)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)

@@ -38,8 +38,6 @@ func main() {
 		sf         = flag.Float64("sf", 0.05, "scale factor")
 		seed       = flag.Int64("seed", 1, "generation seed")
 		workers    = flag.Int("workers", 1, "engine worker threads")
-		aggCache   = flag.Int64("agg-cache", 0,
-			"segment aggregate cache budget in bytes (0 = default 64 MB, negative = disabled)")
 	)
 	flag.Parse()
 
@@ -53,7 +51,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "astore-sql: unknown schema %q\n", *schemaName)
 		os.Exit(2)
 	}
-	db, err := astore.OpenDB(catalog, astore.Options{Workers: *workers, AggCacheBytes: *aggCache})
+	db, err := astore.OpenDB(catalog, astore.Options{Workers: *workers})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "astore-sql:", err)
 		os.Exit(1)

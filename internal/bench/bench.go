@@ -2,12 +2,14 @@
 // figure of the paper's evaluation (§6). Each experiment is registered
 // under the paper's table/figure id (fig1, table2, fig8, table3, table4,
 // table5, fig9, fig10) and produces text reports with the same rows and
-// series the paper prints.
+// series the paper prints; "ablation" and "crossover" isolate the design
+// choices §4–§5 and the Table 2 discussion argue for. How the serving
+// stack around the engine performs is the pinned suite's job (benchmark/),
+// not this package's.
 //
 // Absolute numbers differ from the paper (different hardware, Go instead of
-// C++, scaled-down data); what the harness preserves — and what
-// EXPERIMENTS.md records — is the shape: which system wins, by roughly what
-// factor, and where the crossovers fall.
+// C++, scaled-down data); what the harness preserves is the shape: which
+// system wins, by roughly what factor, and where the crossovers fall.
 //
 // Methodology follows the paper: each measurement runs Config.Runs times
 // and reports the minimum (the paper executes each query 3 times and takes

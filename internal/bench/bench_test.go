@@ -12,8 +12,8 @@ func tinyCfg() Config {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ablation", "compress", "crossover", "fig1", "fig10", "fig8", "fig9",
-		"ingest", "repeat", "shard", "table2", "table3", "table4", "table5", "trace"}
+	want := []string{"ablation", "crossover", "fig1", "fig10", "fig8", "fig9",
+		"table2", "table3", "table4", "table5"}
 	exps := Experiments()
 	if len(exps) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(exps), len(want))
@@ -56,12 +56,10 @@ func TestAllExperimentsRun(t *testing.T) {
 						t.Fatalf("%s: row width %d != header width %d", rep.ID, len(row), len(rep.Headers))
 					}
 					// Every measurement cell parses as a number (ratio
-					// cells carry an "x" suffix). Status and padding
-					// cells (the shard oracle column, blank totals) are
-					// exempt.
+					// cells carry an "x" suffix); padding cells are exempt.
 					for _, cell := range row[1:] {
 						switch cell {
-						case "", "-", "ok", "MISMATCH":
+						case "", "-":
 							continue
 						}
 						cell = strings.TrimSuffix(strings.Fields(cell)[0], "x")

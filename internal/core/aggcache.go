@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"sync"
 
+	"astore/internal/agg"
 	"astore/internal/storage"
 )
 
@@ -14,19 +15,12 @@ import (
 // way.
 const DefaultAggCacheBytes = 64 << 20
 
-// defaultBindCacheBytes bounds the sealed-segment binding cache. Bindings
-// hold decode buffers (FoR word-wise decodes, RLE widenings) that are
-// O(segment rows) per plan, so the budget is larger than the aggregate
-// cache's; before this bound the per-plan binding maps could grow without
-// limit under many distinct plans.
-const defaultBindCacheBytes = 256 << 20
-
 // aggKey identifies one cached per-segment aggregate partial. The plan
 // field is the compiled plan instance (dimension-side state baked into
 // group ids makes partials plan-instance-specific); epoch catches
 // copy-on-write chunk replacement and consolidation FK rewrites; delGen
-// catches deletions, which by design never bump the epoch (bindings ignore
-// the deletion bitmap) and may mutate the bitmap in place.
+// catches deletions, which by design never bump the epoch and may mutate
+// the bitmap in place.
 type aggKey struct {
 	plan   uint64
 	seg    *storage.Segment
@@ -34,32 +28,24 @@ type aggKey struct {
 	delGen uint64
 }
 
-// bindKey identifies one cached sealed-segment binding. Bindings read only
-// chunk arrays, so the visible row set (delGen) is not part of the key and
-// bindings survive deletes.
-type bindKey struct {
-	plan  uint64
-	seg   *storage.Segment
-	epoch uint64
-}
-
-// memCache is a byte-accounted LRU cache shared by every plan of one
-// engine. A nil *memCache is the disabled state: get misses and put is a
-// no-op, so call sites need no budget checks. Cumulative hit/miss/eviction
-// counters feed db.Stats and the /metrics families.
+// memCache is the byte-accounted LRU of per-segment aggregate partials
+// shared by every plan of one engine. A nil *memCache is the disabled
+// state: get misses and put is a no-op, so call sites need no budget
+// checks. Cumulative hit/miss/eviction counters feed db.Stats and the
+// /metrics families.
 type memCache struct {
 	mu     sync.Mutex
 	budget int64
 	bytes  int64
 	ll     *list.List // front = most recently used
-	items  map[any]*list.Element
+	items  map[aggKey]*list.Element
 
 	hits, misses, evictions int64
 }
 
 type memEntry struct {
-	key   any
-	val   any
+	key   aggKey
+	val   *agg.Partial
 	bytes int64
 }
 
@@ -67,13 +53,13 @@ func newMemCache(budget int64) *memCache {
 	if budget <= 0 {
 		return nil
 	}
-	return &memCache{budget: budget, ll: list.New(), items: make(map[any]*list.Element)}
+	return &memCache{budget: budget, ll: list.New(), items: make(map[aggKey]*list.Element)}
 }
 
 func (c *memCache) enabled() bool { return c != nil }
 
 // get returns the cached value and refreshes its recency.
-func (c *memCache) get(key any) (any, bool) {
+func (c *memCache) get(key aggKey) (*agg.Partial, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -94,7 +80,7 @@ func (c *memCache) get(key any) (any, bool) {
 // Re-installing an existing key refreshes its value and accounting (two
 // executions may race to compute the same partial; both results are
 // identical, so last-writer-wins is safe).
-func (c *memCache) put(key, val any, bytes int64) {
+func (c *memCache) put(key aggKey, val *agg.Partial, bytes int64) {
 	if c == nil || bytes > c.budget {
 		return
 	}
@@ -122,47 +108,28 @@ func (c *memCache) put(key, val any, bytes int64) {
 	}
 }
 
-// memCacheStats is a point-in-time summary of one memCache.
-type memCacheStats struct {
-	Hits, Misses, Evictions int64
-	Bytes, Entries          int64
+// CacheStats is a point-in-time summary of the engine's per-segment
+// aggregate partial cache (Options.AggCacheBytes).
+type CacheStats struct {
+	AggHits, AggMisses, AggEvictions int64
+	AggBytes, AggEntries             int64
 }
 
-func (c *memCache) stats() memCacheStats {
+func (c *memCache) stats() CacheStats {
 	if c == nil {
-		return memCacheStats{}
+		return CacheStats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return memCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   int64(c.ll.Len()),
-	}
-}
-
-// CacheStats summarizes the engine's segment-level caches: the per-segment
-// aggregate partial cache and the sealed-segment binding cache.
-type CacheStats struct {
-	// Aggregate partial cache (Options.AggCacheBytes).
-	AggHits, AggMisses, AggEvictions int64
-	AggBytes, AggEntries             int64
-	// Sealed-segment binding cache (decode buffers, probe verdicts).
-	BindHits, BindMisses, BindEvictions int64
-	BindBytes, BindEntries              int64
-}
-
-// CacheStats returns cumulative counters and current sizes of the engine's
-// segment caches.
-func (e *Engine) CacheStats() CacheStats {
-	a := e.aggCache.stats()
-	b := e.bindCache.stats()
 	return CacheStats{
-		AggHits: a.Hits, AggMisses: a.Misses, AggEvictions: a.Evictions,
-		AggBytes: a.Bytes, AggEntries: a.Entries,
-		BindHits: b.Hits, BindMisses: b.Misses, BindEvictions: b.Evictions,
-		BindBytes: b.Bytes, BindEntries: b.Entries,
+		AggHits:      c.hits,
+		AggMisses:    c.misses,
+		AggEvictions: c.evictions,
+		AggBytes:     c.bytes,
+		AggEntries:   int64(c.ll.Len()),
 	}
 }
+
+// CacheStats returns cumulative counters and the current size of the
+// engine's aggregate cache.
+func (e *Engine) CacheStats() CacheStats { return e.aggCache.stats() }

@@ -30,12 +30,9 @@ type Engine struct {
 	arrPool map[string][]*agg.ArrayAgg
 
 	// aggCache holds per-(plan, segment) partial aggregates of sealed
-	// segments (Options.AggCacheBytes; nil when disabled). bindCache holds
-	// sealed-segment bindings — the decode buffers and probe verdicts that
-	// previously lived in unbounded per-plan maps. Both are byte-accounted
-	// LRU, shared by every plan compiled on this engine.
-	aggCache  *memCache
-	bindCache *memCache
+	// segments (Options.AggCacheBytes; nil when disabled): a byte-accounted
+	// LRU shared by every plan compiled on this engine.
+	aggCache *memCache
 }
 
 // getArray returns a pooled aggregation array of the given shape, or builds
@@ -72,12 +69,11 @@ func New(root *storage.Table, opt Options) (*Engine, error) {
 	}
 	opt = opt.withDefaults()
 	return &Engine{
-		root:      root,
-		graph:     g,
-		opt:       opt,
-		arrPool:   make(map[string][]*agg.ArrayAgg),
-		aggCache:  newMemCache(opt.AggCacheBytes), // nil (disabled) when negative
-		bindCache: newMemCache(defaultBindCacheBytes),
+		root:     root,
+		graph:    g,
+		opt:      opt,
+		arrPool:  make(map[string][]*agg.ArrayAgg),
+		aggCache: newMemCache(opt.AggCacheBytes), // nil (disabled) when negative
 	}, nil
 }
 

@@ -124,7 +124,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 			v, ok := pl.eng.aggCache.get(es.key)
 			cacheNS += time.Since(cacheT0).Nanoseconds()
 			if ok {
-				hits = append(hits, v.(*agg.Partial))
+				hits = append(hits, v)
 				rs.stats.AggCacheHits++
 				continue
 			}
@@ -134,7 +134,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 			rs.stats.TailRows += int64(sv.N)
 		}
 		bindT0 := time.Now()
-		st, err := pl.segStateFor(sv)
+		st, err := pl.bind(sv)
 		bindNS += time.Since(bindT0).Nanoseconds()
 		if err != nil {
 			return nil, nil, err
@@ -387,7 +387,7 @@ func filterProbe(f *boundFilter, sel []int32) []int32 {
 		// Run-at-a-time kernel over an RLE FK chunk: verdicts were
 		// computed per run at bind time; the (ascending) selection vector
 		// is walked with a forward-only run cursor, local to this call so
-		// cached bindings stay safe across concurrent workers.
+		// the binding stays safe across the execution's concurrent workers.
 		end, pass := f.runEnd, f.runPass
 		ri := 0
 		for _, r := range sel {

@@ -772,13 +772,11 @@ func (pl *plan) rootCovered(segs []storage.SegView) bool {
 
 // segState is the per-segment binding of a plan's root-resident arrays:
 // filter closures, group-id sources, and aggregate inputs, all addressed by
-// segment-local row indexes. Deletion bitmaps are intentionally NOT part of
-// the state — they come from the execution's SegView, so deletes never
-// invalidate cached bindings.
+// segment-local row indexes. A binding lives for one execution; deletion
+// bitmaps are not part of it — they come from the execution's SegView.
 type segState struct {
 	n        int
-	encoded  bool  // any chunk served by an encoded decode kernel
-	bytes    int64 // estimated footprint for binding-cache accounting
+	encoded  bool // any chunk served by an encoded decode kernel
 	filters  []boundFilter
 	dims     []boundDim
 	aggs     []boundAgg
@@ -892,27 +890,6 @@ type boundAgg struct {
 	aRLEEnd  []int32
 }
 
-// segStateFor returns the binding for one segment view, serving sealed
-// segments from the engine's byte-accounted binding cache (sealed chunks
-// are immutable; the epoch key catches copy-on-write replacements, and
-// LRU eviction bounds the decode buffers the bindings pin). The tail binds
-// fresh.
-func (pl *plan) segStateFor(sv *storage.SegView) (*segState, error) {
-	if !sv.Sealed {
-		return pl.bind(sv)
-	}
-	key := bindKey{plan: pl.id, seg: sv.Seg, epoch: sv.Epoch}
-	if v, ok := pl.eng.bindCache.get(key); ok {
-		return v.(*segState), nil
-	}
-	st, err := pl.bind(sv)
-	if err != nil {
-		return nil, err
-	}
-	pl.eng.bindCache.put(key, st, st.bytes)
-	return st, nil
-}
-
 // bind resolves the plan's root-resident recipes against one segment's
 // chunks.
 func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
@@ -924,11 +901,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			break
 		}
 	}
-	// alloc tracks the bytes this binding allocates beyond the chunk arrays
-	// it aliases — decode buffers, per-run verdicts, widened run values —
-	// which is what the engine's binding cache accounts and bounds.
-	alloc := int64(512)
-
 	st.filters = make([]boundFilter, 0, len(pl.filters))
 	for i := range pl.filters {
 		f := &pl.filters[i]
@@ -952,7 +924,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			for ri, x := range rle.V {
 				pass[ri] = f.probe.passValue(x)
 			}
-			alloc += int64(len(pass))
 			st.filters = append(st.filters, boundFilter{probe: f.probe, runEnd: rle.End, runPass: pass})
 			continue
 		}
@@ -960,7 +931,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 		if err != nil {
 			return nil, err
 		}
-		alloc += decodeAllocBytes(cols[f.probe.fk0], sv.N)
 		st.filters = append(st.filters, boundFilter{probe: f.probe, fk0: fk0})
 	}
 
@@ -973,7 +943,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			if err != nil {
 				return nil, err
 			}
-			alloc += decodeAllocBytes(cols[d.fk0], sv.N)
 			bd.fk0 = fk0
 		case gdRootDict:
 			switch c := cols[d.col].(type) {
@@ -1003,7 +972,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			default:
 				return nil, fmt.Errorf("core: segment column %s is not numeric", d.col)
 			}
-			alloc += decodeAllocBytes(cols[d.col], sv.N)
 		}
 		st.dims = append(st.dims, bd)
 	}
@@ -1028,7 +996,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 				if err != nil {
 					return nil, err
 				}
-				alloc += decodeAllocBytes(cols[eb.fk0], sv.N)
 				acc, fks := eb.acc, eb.dimFKs
 				if len(fks) == 0 {
 					return func(r int32) float64 { return acc(fk0[r]) }, nil
@@ -1047,7 +1014,7 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			ba.eval = eval
 			if ap.fastTry {
 				// Bind-time decode kernels: FoR chunks decode word-wise
-				// into a dense array once per (segment, epoch); RLE chunks
+				// into a dense array once per binding; RLE chunks
 				// used as SUM(col) measures keep their run form and feed
 				// the run-cursor sum loop.
 				assign := func(name string, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
@@ -1069,7 +1036,6 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 					default:
 						return false
 					}
-					alloc += decodeAllocBytes(cols[name], sv.N)
 					return true
 				}
 				if ap.form == expr.FCol {
@@ -1077,11 +1043,9 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 					case *storage.RLEInt32Col:
 						ba.aRLEVals, ba.aRLEEnd = widenRuns32(c.V), c.End
 						ba.fast = true
-						alloc += int64(8 * len(ba.aRLEVals))
 					case *storage.RLEInt64Col:
 						ba.aRLEVals, ba.aRLEEnd = widenRuns64(c.V), c.End
 						ba.fast = true
-						alloc += int64(8 * len(ba.aRLEVals))
 					}
 				}
 				if !ba.fast {
@@ -1111,21 +1075,7 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 			st.rowTests[i] = m
 		}
 	}
-	st.bytes = alloc
 	return st, nil
-}
-
-// decodeAllocBytes estimates the dense buffer a decode of chunk c into n
-// rows allocated: encoded chunks decode into fresh arrays the binding
-// pins, plain chunks are aliased for free.
-func decodeAllocBytes(c storage.Column, n int) int64 {
-	switch c.(type) {
-	case *storage.RLEInt32Col, *storage.FoRInt32Col:
-		return int64(4 * n)
-	case *storage.RLEInt64Col, *storage.FoRInt64Col:
-		return int64(8 * n)
-	}
-	return 0
 }
 
 func int32Chunk(cols map[string]storage.Column, name string) ([]int32, error) {

@@ -113,13 +113,6 @@ type Stats struct {
 	AggCacheEvictions int64
 	AggCacheBytes     int64
 	AggCacheEntries   int64
-	// Sealed-segment binding cache counters (decode buffers and probe
-	// verdicts, byte-accounted LRU), summed over the DB's engines.
-	BindCacheHits      int64
-	BindCacheMisses    int64
-	BindCacheEvictions int64
-	BindCacheBytes     int64
-	BindCacheEntries   int64
 }
 
 // Open builds a DB over the catalog: every fact table (a table referenced
@@ -241,11 +234,6 @@ func (d *DB) Stats() Stats {
 		s.AggCacheEvictions += cs.AggEvictions
 		s.AggCacheBytes += cs.AggBytes
 		s.AggCacheEntries += cs.AggEntries
-		s.BindCacheHits += cs.BindHits
-		s.BindCacheMisses += cs.BindMisses
-		s.BindCacheEvictions += cs.BindEvictions
-		s.BindCacheBytes += cs.BindBytes
-		s.BindCacheEntries += cs.BindEntries
 	}
 	return s
 }

@@ -218,9 +218,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"astore_aggcache_evictions_total ",
 		"astore_aggcache_bytes ",
 		"astore_aggcache_entries ",
-		"astore_bindcache_evictions_total ",
-		"astore_bindcache_bytes ",
-		"astore_bindcache_entries ",
 		"astore_admission_in_flight ",
 		"astore_uptime_seconds ",
 		`astore_table_rows{table="lineorder"} `,

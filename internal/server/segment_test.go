@@ -153,8 +153,4 @@ func TestAggCacheStatsServing(t *testing.T) {
 		t.Errorf("/v1/stats agg cache empty: entries=%d bytes=%d",
 			stats.DB.AggCacheEntries, stats.DB.AggCacheBytes)
 	}
-	if stats.DB.BindCacheEntries == 0 || stats.DB.BindCacheBytes == 0 {
-		t.Errorf("/v1/stats bind cache empty: entries=%d bytes=%d",
-			stats.DB.BindCacheEntries, stats.DB.BindCacheBytes)
-	}
 }

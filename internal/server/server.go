@@ -441,7 +441,7 @@ func (s *Server) StatsSnapshot() Stats {
 		UptimeSeconds: uptime.Seconds(),
 		Panics:        s.panics.Load(),
 		SlowQueries:   s.slow.Logged(),
-		DB:            DBStats(s.db.Stats()),
+		DB:            DBStats{dbCounters: dbCounters(s.db.Stats())},
 		Admission: AdmissionStats{
 			MaxInFlight: s.cfg.MaxInFlight,
 			MaxQueue:    s.cfg.MaxQueue,

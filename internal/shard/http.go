@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,6 +48,13 @@ type WireMismatch struct {
 	Got   uint64 `json:"got"`
 }
 
+// ErrReplyTooLarge reports a 200 reply from a worker whose body exceeds the
+// coordinator's buffer limit; the reply is discarded, not truncated.
+var ErrReplyTooLarge = errors.New("shard: worker reply too large")
+
+// maxErrorReplyBytes bounds how much of a non-200 body is read.
+const maxErrorReplyBytes = 64 << 10
+
 // HTTPWorker executes shard requests against a remote astore-serve worker
 // (`astore-serve -worker`). Transient transport failures (network errors
 // and 502/503/504) are retried once after a short backoff; a 409 decodes
@@ -60,6 +68,10 @@ type HTTPWorker struct {
 	// shard/nshards are sent with every request: every worker holds the
 	// full dataset and scans only its canonical segment slice.
 	shard, nshards int
+
+	// maxReply bounds a 200 /v1/shard/exec body (a base64 partial plus
+	// stats): 1 GiB; tests lower it.
+	maxReply int64
 
 	// Backoff before the single transient retry.
 	Backoff time.Duration
@@ -78,12 +90,13 @@ func NewHTTPWorker(base string, shard, nshards int, timeout time.Duration) *HTTP
 		timeout = 30 * time.Second
 	}
 	return &HTTPWorker{
-		name:    strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://"),
-		base:    base,
-		hc:      &http.Client{Timeout: timeout},
-		shard:   shard,
-		nshards: nshards,
-		Backoff: 50 * time.Millisecond,
+		name:     strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://"),
+		base:     base,
+		hc:       &http.Client{Timeout: timeout},
+		shard:    shard,
+		nshards:  nshards,
+		maxReply: 1 << 30,
+		Backoff:  50 * time.Millisecond,
 	}
 }
 
@@ -109,20 +122,29 @@ func (w *HTTPWorker) Exec(ctx context.Context, req ExecRequest) (*ExecResult, er
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
+	// The status decides how much of the body is worth buffering: only a
+	// 200 carries a partial; an error reply is a line of text or a small
+	// JSON object, whatever a misbehaving worker actually sends.
+	if resp.StatusCode != http.StatusOK {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxErrorReplyBytes))
+		if err != nil {
+			return nil, fmt.Errorf("reading %s response: %w", resp.Status, err)
+		}
+		if resp.StatusCode == http.StatusConflict {
+			var m WireMismatch
+			if err := json.Unmarshal(data, &m); err != nil {
+				return nil, fmt.Errorf("shard: version conflict with undecodable body: %v", err)
+			}
+			return nil, &db.VersionMismatchError{Fact: m.Fact, Want: m.Want, Got: m.Got}
+		}
+		return nil, fmt.Errorf("shard: worker returned %s: %s", resp.Status, firstLine(data))
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, w.maxReply+1))
 	if err != nil {
 		return nil, fmt.Errorf("reading response: %w", err)
 	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusConflict:
-		var m WireMismatch
-		if err := json.Unmarshal(data, &m); err != nil {
-			return nil, fmt.Errorf("shard: version conflict with undecodable body: %v", err)
-		}
-		return nil, &db.VersionMismatchError{Fact: m.Fact, Want: m.Want, Got: m.Got}
-	default:
-		return nil, fmt.Errorf("shard: worker returned %s: %s", resp.Status, firstLine(data))
+	if int64(len(data)) > w.maxReply {
+		return nil, fmt.Errorf("%w (limit %d bytes)", ErrReplyTooLarge, w.maxReply)
 	}
 	var wr WireResponse
 	if err := json.Unmarshal(data, &wr); err != nil {

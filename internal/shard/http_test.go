@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"astore/internal/query"
 )
 
 // TestHTTPWorkerRetriesTransient: a 503 answer is retried once after the
@@ -149,4 +154,96 @@ func TestCoordinatorUnreachableNamesShard(t *testing.T) {
 	if !errors.As(err, &we) || we.Worker != hw.Name() {
 		t.Fatalf("want WorkerError for %s, got %v", hw.Name(), err)
 	}
+}
+
+// TestHTTPWorkerReplyBounds: the coordinator looks at the status before it
+// buffers a worker's body. An oversized error body is clipped, an oversized
+// 200 body is ErrReplyTooLarge rather than a truncated JSON document, a
+// normal reply merges to the single-node answer, and none of the three
+// leaves a table pinned.
+func TestHTTPWorkerReplyBounds(t *testing.T) {
+	d := protoDB(t)
+	local := NewLocalWorkers(d, 1)[0]
+	var mode atomic.Value // "error", "huge" or "ok"
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if mode.Load() == "error" {
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write(bytes.Repeat([]byte("x"), 4*maxErrorReplyBytes))
+			return
+		}
+		var req WireRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		res, err := local.Exec(r.Context(), ExecRequest{SQL: req.SQL, ExpectDataVersion: req.ExpectDataVersion})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		data, err := res.Partial.MarshalBinary()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if mode.Load() == "huge" {
+			// Leading whitespace keeps the body valid JSON: cut at the
+			// limit it would read as a truncated document.
+			w.Write(bytes.Repeat([]byte(" "), 4096))
+		}
+		json.NewEncoder(w).Encode(WireResponse{
+			Fact:          res.Fact,
+			Domain:        res.Domain,
+			SchemaVersion: res.SchemaVersion,
+			DataVersion:   res.DataVersion,
+			Partial:       base64.StdEncoding.EncodeToString(data),
+		})
+	}))
+	defer ts.Close()
+	hw := NewHTTPWorker(ts.URL, 0, 1, 5*time.Second)
+	hw.maxReply = 2048
+	c, err := New(d, []Worker{hw}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	noPins := func(when string) {
+		t.Helper()
+		for _, tab := range d.Catalog().Tables() {
+			if n := tab.Pins(); n != 0 {
+				t.Errorf("after %s: table %s holds %d pins", when, tab.Name, n)
+			}
+		}
+	}
+
+	mode.Store("error")
+	_, _, err = c.Exec(ctx, protoSQL)
+	var we *WorkerError
+	if !errors.As(err, &we) || !strings.Contains(err.Error(), "500") {
+		t.Fatalf("oversized error body: got %v, want a WorkerError naming the 500", err)
+	}
+	if len(err.Error()) > 1024 {
+		t.Fatalf("oversized error body leaked %d bytes into the error", len(err.Error()))
+	}
+	noPins("an oversized error body")
+
+	mode.Store("huge")
+	if _, _, err = c.Exec(ctx, protoSQL); !errors.Is(err, ErrReplyTooLarge) {
+		t.Fatalf("oversized 200 body: got %v, want ErrReplyTooLarge", err)
+	}
+	noPins("an oversized 200 body")
+
+	mode.Store("ok")
+	got, _, err := c.Exec(ctx, protoSQL)
+	if err != nil {
+		t.Fatalf("normal reply: %v", err)
+	}
+	want, err := d.RunSQL(ctx, protoSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := query.Diff(want, got, 0); err != nil {
+		t.Fatalf("normal reply differs from single-node: %v", err)
+	}
+	noPins("a normal reply")
 }

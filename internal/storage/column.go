@@ -259,29 +259,6 @@ func Int64At(c Column, i int) (v int64, ok bool) {
 	}
 }
 
-// Float64At returns the numeric value at row i as a float64.
-// ok is false for string-typed columns.
-func Float64At(c Column, i int) (v float64, ok bool) {
-	switch c := c.(type) {
-	case *Int32Col:
-		return float64(c.V[i]), true
-	case *Int64Col:
-		return float64(c.V[i]), true
-	case *Float64Col:
-		return c.V[i], true
-	case *RLEInt32Col:
-		return float64(c.At(i)), true
-	case *RLEInt64Col:
-		return float64(c.At(i)), true
-	case *FoRInt32Col:
-		return float64(c.At(i)), true
-	case *FoRInt64Col:
-		return float64(c.At(i)), true
-	default:
-		return 0, false
-	}
-}
-
 // StringAt returns the string value at row i of a TString or TDict column.
 func StringAt(c Column, i int) (s string, ok bool) {
 	switch c := c.(type) {

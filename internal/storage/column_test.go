@@ -72,14 +72,8 @@ func TestColumnTypesAndAccessors(t *testing.T) {
 	if v, ok := Int64At(cols[0].c, 1); !ok || v != 2 {
 		t.Errorf("Int64At int32 = %d,%v", v, ok)
 	}
-	if v, ok := Float64At(cols[2].c, 0); !ok || v != 1.5 {
-		t.Errorf("Float64At = %v,%v", v, ok)
-	}
 	if _, ok := Int64At(cols[3].c, 0); ok {
 		t.Error("Int64At on StrCol reported ok")
-	}
-	if _, ok := Float64At(cols[3].c, 0); ok {
-		t.Error("Float64At on StrCol reported ok")
 	}
 	if _, ok := StringAt(cols[0].c, 0); ok {
 		t.Error("StringAt on Int32Col reported ok")

@@ -29,7 +29,9 @@ func segValue(t *testing.T, tab *Table, col string, row int) (int64, float64, st
 		}
 		i, f, s := int64(0), float64(0), ""
 		i, _ = Int64At(c, row-sv.Base)
-		f, _ = Float64At(c, row-sv.Base)
+		if fc, ok := c.(*Float64Col); ok { // floats always stay plain
+			f = fc.V[row-sv.Base]
+		}
 		s, _ = StringAt(c, row-sv.Base)
 		return i, f, s
 	}
