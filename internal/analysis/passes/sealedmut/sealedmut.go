@@ -1,9 +1,10 @@
 // Package sealedmut checks the sealed-segment immutability invariant:
 // once a segment is sealed, its column chunks (the V / Codes backing
-// slices of the *Col types, and the End / Words payload slices of the
-// encoded RLE and FoR chunk types) are shared by every open snapshot, so
-// they must never be written in place — mutation goes through
-// copy-on-write (CloneChunk) followed by an epoch bump.
+// slices of the plain *Col types, and the payload of the two encoded chunk
+// types: RLECol's End run ends and Vals run-value column, FoRCol's Words)
+// are shared by every open snapshot, so they must never be written in
+// place — mutation goes through copy-on-write (CloneChunk) followed by an
+// epoch bump.
 //
 // The analyzer flags any statement that writes into a chunk's backing
 // slice:
@@ -11,6 +12,7 @@
 //	c.V[i] = x            // element write
 //	c.V = append(c.V, x)  // slice reassignment / regrow
 //	copy(c.Codes, src)    // bulk overwrite
+//	c.Vals = other        // swapping an RLE chunk's run values
 //
 // unless the enclosing function carries the construction-site directive
 //
@@ -34,7 +36,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "sealedmut",
-	Doc:  "sealed segment chunks (Col.V / DictCol.Codes and encoded End / Words payloads) must not be written in place outside //astore:chunkwrite sites in internal/storage",
+	Doc:  "sealed segment chunks (Col.V / DictCol.Codes, RLECol.End / RLECol.Vals and FoRCol.Words) must not be written in place outside //astore:chunkwrite sites in internal/storage",
 	Run:  run,
 }
 
@@ -108,17 +110,17 @@ func baseOfIndex(e ast.Expr) ast.Expr {
 	return e
 }
 
-// chunkSelector reports whether e is a selector for a chunk backing
-// slice: field V or Codes (plain chunks), or End or Words (encoded RLE /
-// FoR payloads), of a named struct type whose name ends in "Col", of
-// slice type.
+// chunkSelector reports whether e is a selector for a chunk payload field
+// of a named struct type whose name ends in "Col": a slice field V or
+// Codes (plain chunks), End or Words (RLE run ends, FoR packed words), or
+// RLECol's Vals column of run values, whatever its type.
 func chunkSelector(info *types.Info, e ast.Expr) *ast.SelectorExpr {
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	switch sel.Sel.Name {
-	case "V", "Codes", "End", "Words":
+	case "V", "Codes", "End", "Words", "Vals":
 	default:
 		return nil
 	}
@@ -126,7 +128,7 @@ func chunkSelector(info *types.Info, e ast.Expr) *ast.SelectorExpr {
 	if !ok || selection.Kind() != types.FieldVal {
 		return nil
 	}
-	if _, isSlice := selection.Obj().Type().Underlying().(*types.Slice); !isSlice {
+	if _, isSlice := selection.Obj().Type().Underlying().(*types.Slice); !isSlice && sel.Sel.Name != "Vals" {
 		return nil
 	}
 	recv := selection.Recv()

@@ -10,15 +10,22 @@ type DictCol struct {
 	Dict  []string
 }
 
-// RLEInt32Col mirrors an encoded chunk: run values in V, cumulative
-// run ends in End — both shared, both immutable once sealed.
-type RLEInt32Col struct {
-	V   []int32
-	End []int32
+// Column stands in for the engine's chunk interface.
+type Column interface{ Len() int }
+
+func (c *Int32Col) Len() int { return len(c.V) }
+
+// RLECol mirrors a run-length chunk: cumulative run ends in End, one plain
+// value per run in the Vals column — both shared, both immutable once
+// sealed.
+type RLECol struct {
+	End  []int32
+	Vals Column
 }
 
-// FoRInt64Col mirrors a bit-packed chunk: packed words in Words.
-type FoRInt64Col struct {
+// FoRCol mirrors a bit-packed chunk: packed words in Words.
+type FoRCol struct {
+	Typ   uint8
 	Base  int64
 	Width uint8
 	N     int
@@ -57,28 +64,35 @@ func cloneChunk(c *Int32Col) *Int32Col {
 	return out
 }
 
-func patchRunEnds(c *RLEInt32Col, i int) {
+func patchRunEnds(c *RLECol, i int) {
 	c.End[i] = 0 // want `write into sealed chunk slice c\.End`
 }
 
-func regrowRuns(c *RLEInt32Col, v, end int32) {
-	c.V = append(c.V, v)       // want `reassignment of chunk slice c\.V`
+func regrowRuns(c *RLECol, end int32) {
 	c.End = append(c.End, end) // want `reassignment of chunk slice c\.End`
 }
 
-func patchWords(c *FoRInt64Col, w int) {
+func swapRunValues(c *RLECol, vals Column) {
+	c.Vals = vals // want `reassignment of chunk slice c\.Vals`
+}
+
+func patchRunValue(c *RLECol, ri int) {
+	c.Vals.(*Int32Col).V[ri] = 0 // want `write into sealed chunk slice \(\.\.\.\)\.V`
+}
+
+func patchWords(c *FoRCol, w int) {
 	c.Words[w] |= 1 // want `write into sealed chunk slice c\.Words`
 }
 
-func bulkWords(c *FoRInt64Col, src []uint64) {
+func bulkWords(c *FoRCol, src []uint64) {
 	copy(c.Words, src) // want `copy into sealed chunk slice c\.Words`
 }
 
 // forPack is an audited encoder: the directive allowlists packing.
 //
 //astore:chunkwrite
-func forPack(vals []int64) *FoRInt64Col {
-	out := &FoRInt64Col{Words: make([]uint64, 2), N: len(vals)}
+func forPack(vals []int64) *FoRCol {
+	out := &FoRCol{Words: make([]uint64, 2), N: len(vals)}
 	out.Words[0] = 42
 	return out
 }
@@ -87,8 +101,8 @@ func readOnly(c *Int32Col, i int) int32 {
 	return c.V[i] // reads are always fine
 }
 
-func readRuns(c *RLEInt32Col, i int) int32 {
-	return c.V[findRunFixture(c.End, int32(i))] // reads are always fine
+func readRuns(c *RLECol, i int) int32 {
+	return c.Vals.(*Int32Col).V[findRunFixture(c.End, int32(i))] // reads are always fine
 }
 
 func findRunFixture(end []int32, r int32) int {

@@ -498,7 +498,7 @@ func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
 		if b.rleEnd != nil {
 			// Run-cursor variant: the cursor advances for every selected
 			// row (sel is ascending), independent of the null check.
-			codes, end := b.rleCodes, b.rleEnd
+			codes, end := b.codes, b.rleEnd
 			ri := 0
 			for j, r := range sel {
 				for end[ri] <= r {

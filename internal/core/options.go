@@ -141,12 +141,13 @@ type Options struct {
 	// DefaultAggCacheBytes; negative disables the cache. Eviction is
 	// byte-accounted LRU.
 	AggCacheBytes int64
-	// SealedEncodings, when true, makes db.Open enable compressed chunk
-	// formats (RLE, frame-of-reference bit-packing, RLE dictionary codes)
-	// on sealed segments of every segmented fact table. Chunks are
+	// SealedEncodings, when true, makes db.Open enable the two compressed
+	// chunk encodings (RLE, over integers and dictionary codes, and
+	// frame-of-reference bit-packing of integers) on sealed segments of every segmented fact table. Chunks are
 	// encoded at seal time only when the encoded form is at most half the
-	// plain size; scans serve encoded chunks through per-encoding decode
-	// kernels. The engine itself does not consult this field.
+	// plain size. A scan binding walks an RLE chunk's runs where a run
+	// cursor consumes them and otherwise decodes each encoded chunk it
+	// reads once. The engine itself does not consult this field.
 	SealedEncodings bool
 }
 
@@ -228,8 +229,8 @@ type Stats struct {
 	// In a warm steady state, scanned rows == tail rows.
 	TailRows int64
 	// EncodedSegments is the number of admitted segments containing at
-	// least one compressed (RLE or FoR) chunk, i.e. segments served by the
-	// per-encoding decode kernels rather than plain array scans.
+	// least one compressed (RLE or FoR) chunk, i.e. segments whose binding
+	// walks runs or decodes chunks rather than reading plain arrays only.
 	EncodedSegments int
 
 	// UsedArrayAgg reports whether the multidimensional aggregation array

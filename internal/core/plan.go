@@ -775,46 +775,38 @@ func (pl *plan) rootCovered(segs []storage.SegView) bool {
 // segment-local row indexes. A binding lives for one execution; deletion
 // bitmaps are not part of it — they come from the execution's SegView.
 type segState struct {
-	n        int
-	encoded  bool // any chunk served by an encoded decode kernel
-	filters  []boundFilter
-	dims     []boundDim
-	aggs     []boundAgg
-	rowTests []func(int32) bool // row-wise variants only
+	n       int
+	encoded bool // any chunk RLE- or FoR-encoded
+	filters []boundFilter
+	dims    []boundDim
+	aggs    []boundAgg
 }
 
 // boundFilter is one scanFilter bound to a segment.
 type boundFilter struct {
-	filt  func([]int32) []int32 // root filters
+	filt  func([]int32) []int32 // root filter, columnar kernel
+	test  func(int32) bool      // root filter, row-wise kernel
 	probe *probeFilter          // shared dimension-side state
 	fk0   []int32               // probe first hop, segment-local
 
-	// Run-at-a-time probe kernel: when the FK chunk is RLE-encoded, the
-	// probe verdict is computed once per run at bind time and the scan
-	// walks runs instead of rows. runEnd is the chunk's cumulative run-end
-	// array; runPass[ri] is run ri's verdict.
+	// Run-at-a-time probe kernel (columnar): when the FK chunk is
+	// RLE-encoded, the probe verdict is computed once per run at bind time
+	// and the scan walks runs instead of rows. runEnd is the chunk's
+	// cumulative run-end array; runPass[ri] is run ri's verdict.
 	runEnd  []int32
 	runPass []bool
 }
 
-// keep reports whether local row r passes a probe filter.
+// keep reports whether local row r passes the filter, one row at a time.
 func (bf *boundFilter) keep(r int32) bool {
-	if bf.runEnd != nil {
-		return bf.runPass[sort.Search(len(bf.runEnd), func(i int) bool { return bf.runEnd[i] > r })]
+	if bf.test != nil {
+		return bf.test(r)
 	}
-	x := bf.fk0[r]
-	for _, fk := range bf.probe.dimFKs {
-		x = fk[x]
-	}
-	if bf.probe.vec != nil {
-		return bf.probe.vec.Get(int(x))
-	}
-	return bf.probe.match(x)
+	return bf.probe.passValue(bf.fk0[r])
 }
 
 // passValue reports whether FK value x (a first-level dimension row) passes
-// the probe, walking the remaining AIR hops. Factored out so RLE probe
-// binding can evaluate each distinct run value exactly once.
+// the probe, walking the remaining AIR hops.
 func (p *probeFilter) passValue(x int32) bool {
 	for _, fk := range p.dimFKs {
 		x = fk[x]
@@ -829,16 +821,15 @@ func (p *probeFilter) passValue(x int32) bool {
 type boundDim struct {
 	d     *groupDim
 	fk0   []int32 // leaf kind
-	codes []int32 // root dict kind
+	codes []int32 // root dict kind: per row, or per run when rleEnd is set
 	i32   []int32 // root numeric kinds (one of i32/i64/f64 set)
 	i64   []int64
 	f64   []float64
 
-	// Run-at-a-time grouping kernel: when a root dict chunk is
-	// RLE-encoded, its per-run codes are read directly (one code per run
-	// instead of one per row).
-	rleCodes []int32
-	rleEnd   []int32
+	// Run-at-a-time grouping kernel (array backend): when a root dict
+	// chunk is RLE-encoded, codes holds one code per run and rleEnd the
+	// run ends.
+	rleEnd []int32
 }
 
 // id returns the dense group id of local row r, or -1 if the row is
@@ -854,9 +845,6 @@ func (b *boundDim) id(r int32) int32 {
 		}
 		return d.vec[x]
 	case gdRootDict:
-		if b.rleEnd != nil {
-			return b.rleCodes[sort.Search(len(b.rleEnd), func(i int) bool { return b.rleEnd[i] > r })]
-		}
 		return b.codes[r]
 	default:
 		switch {
@@ -890,12 +878,68 @@ type boundAgg struct {
 	aRLEEnd  []int32
 }
 
+// segChunks reads one segment's root chunks for one binding, each at most
+// once: a plain chunk is used as it is, and an encoded one is decoded on
+// first use and its plain form shared by every later consumer. The run
+// cursor consumers — root filters and FK probes in the columnar kernel,
+// dict grouping and SUM(col) on the array backend — take an RLE chunk's
+// runs instead, and leave it encoded.
+type segChunks struct {
+	cols  map[string]storage.Column
+	plain map[string]storage.Column // decoded chunks
+}
+
+// col returns the named chunk in plain form.
+func (sc *segChunks) col(name string) (storage.Column, error) {
+	if c, ok := sc.plain[name]; ok {
+		return c, nil
+	}
+	c, ok := sc.cols[name]
+	if !ok {
+		return nil, fmt.Errorf("core: segment has no column %s", name)
+	}
+	if storage.ChunkEncoding(c) != storage.EncPlain {
+		c = storage.DecodeChunk(c)
+		if sc.plain == nil {
+			sc.plain = make(map[string]storage.Column)
+		}
+		sc.plain[name] = c
+	}
+	return c, nil
+}
+
+// int32s returns the named int32 chunk's values in plain form.
+func (sc *segChunks) int32s(name string) ([]int32, error) {
+	c, err := sc.col(name)
+	if err != nil {
+		return nil, err
+	}
+	return int32Values(name, c)
+}
+
+// int32Values returns the values of plain chunk c of column name, which
+// must be int32.
+func int32Values(name string, c storage.Column) ([]int32, error) {
+	ic, ok := c.(*storage.Int32Col)
+	if !ok {
+		return nil, fmt.Errorf("core: segment column %s is not int32", name)
+	}
+	return ic.V, nil
+}
+
+// runs returns the named chunk when it is RLE-encoded — its run ends and
+// one plain value per run — and nil otherwise.
+func (sc *segChunks) runs(name string) *storage.RLECol {
+	rle, _ := sc.cols[name].(*storage.RLECol)
+	return rle
+}
+
 // bind resolves the plan's root-resident recipes against one segment's
 // chunks.
 func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
-	cols := sv.Cols
+	sc := &segChunks{cols: sv.Cols}
 	st := &segState{n: sv.N}
-	for _, c := range cols {
+	for _, c := range sv.Cols {
 		if storage.ChunkEncoding(c) != storage.EncPlain {
 			st.encoded = true
 			break
@@ -903,211 +947,187 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 	}
 	st.filters = make([]boundFilter, 0, len(pl.filters))
 	for i := range pl.filters {
-		f := &pl.filters[i]
-		if f.root != nil {
-			c, ok := cols[f.root.col]
-			if !ok {
-				return nil, fmt.Errorf("core: segment has no column %s", f.root.col)
-			}
-			filt, err := f.root.pred.Filterer(c)
-			if err != nil {
-				return nil, err
-			}
-			st.filters = append(st.filters, boundFilter{filt: filt})
-			continue
-		}
-		// RLE FK chunks get the run-at-a-time probe kernel: each distinct
-		// run value is chased through the AIR chain exactly once here, and
-		// the scan consults only the per-run verdicts.
-		if rle, ok := cols[f.probe.fk0].(*storage.RLEInt32Col); ok {
-			pass := make([]bool, len(rle.V))
-			for ri, x := range rle.V {
-				pass[ri] = f.probe.passValue(x)
-			}
-			st.filters = append(st.filters, boundFilter{probe: f.probe, runEnd: rle.End, runPass: pass})
-			continue
-		}
-		fk0, err := int32Chunk(cols, f.probe.fk0)
+		bf, err := pl.bindFilter(sc, &pl.filters[i])
 		if err != nil {
 			return nil, err
 		}
-		st.filters = append(st.filters, boundFilter{probe: f.probe, fk0: fk0})
+		st.filters = append(st.filters, bf)
 	}
-
 	st.dims = make([]boundDim, 0, len(pl.dims))
 	for _, d := range pl.dims {
-		bd := boundDim{d: d}
-		switch d.kind {
-		case gdLeafVec:
-			fk0, err := int32Chunk(cols, d.fk0)
-			if err != nil {
-				return nil, err
-			}
-			bd.fk0 = fk0
-		case gdRootDict:
-			switch c := cols[d.col].(type) {
-			case *storage.DictCol:
-				bd.codes = c.Codes
-			case *storage.RLEDictCol:
-				bd.rleCodes, bd.rleEnd = c.V, c.End
-			default:
-				return nil, fmt.Errorf("core: segment column %s is not dict-compressed", d.col)
-			}
-		default:
-			switch c := cols[d.col].(type) {
-			case *storage.Int32Col:
-				bd.i32 = c.V
-			case *storage.Int64Col:
-				bd.i64 = c.V
-			case *storage.Float64Col:
-				bd.f64 = c.V
-			case *storage.RLEInt32Col:
-				bd.i32 = c.DecodeInt32()
-			case *storage.RLEInt64Col:
-				bd.i64 = c.DecodeInt64()
-			case *storage.FoRInt32Col:
-				bd.i32 = c.DecodeInt32()
-			case *storage.FoRInt64Col:
-				bd.i64 = c.DecodeInt64()
-			default:
-				return nil, fmt.Errorf("core: segment column %s is not numeric", d.col)
-			}
+		bd, err := pl.bindDim(sc, d)
+		if err != nil {
+			return nil, err
 		}
 		st.dims = append(st.dims, bd)
 	}
-
 	st.aggs = make([]boundAgg, 0, len(pl.aggs))
 	for _, ap := range pl.aggs {
-		ba := boundAgg{ap: ap}
-		if ap.agg.Expr != nil {
-			eval, err := expr.Compile(ap.agg.Expr, func(name string) (func(int32) float64, error) {
-				eb := ap.binds[name]
-				if eb == nil {
-					return nil, fmt.Errorf("core: unbound column %s", name)
-				}
-				if eb.onRoot {
-					c, ok := cols[eb.rootCol]
-					if !ok {
-						return nil, fmt.Errorf("core: segment has no column %s", eb.rootCol)
-					}
-					return expr.ColAccessor(c)
-				}
-				fk0, err := int32Chunk(cols, eb.fk0)
-				if err != nil {
-					return nil, err
-				}
-				acc, fks := eb.acc, eb.dimFKs
-				if len(fks) == 0 {
-					return func(r int32) float64 { return acc(fk0[r]) }, nil
-				}
-				return func(r int32) float64 {
-					x := fk0[r]
-					for _, fk := range fks {
-						x = fk[x]
-					}
-					return acc(x)
-				}, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			ba.eval = eval
-			if ap.fastTry {
-				// Bind-time decode kernels: FoR chunks decode word-wise
-				// into a dense array once per binding; RLE chunks
-				// used as SUM(col) measures keep their run form and feed
-				// the run-cursor sum loop.
-				assign := func(name string, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
-					switch c := cols[name].(type) {
-					case *storage.Int32Col:
-						*i32 = c.V
-					case *storage.Int64Col:
-						*i64 = c.V
-					case *storage.Float64Col:
-						*f64 = c.V
-					case *storage.RLEInt32Col:
-						*i32 = c.DecodeInt32()
-					case *storage.RLEInt64Col:
-						*i64 = c.DecodeInt64()
-					case *storage.FoRInt32Col:
-						*i32 = c.DecodeInt32()
-					case *storage.FoRInt64Col:
-						*i64 = c.DecodeInt64()
-					default:
-						return false
-					}
-					return true
-				}
-				if ap.form == expr.FCol {
-					switch c := cols[ap.colA].(type) {
-					case *storage.RLEInt32Col:
-						ba.aRLEVals, ba.aRLEEnd = widenRuns32(c.V), c.End
-						ba.fast = true
-					case *storage.RLEInt64Col:
-						ba.aRLEVals, ba.aRLEEnd = widenRuns64(c.V), c.End
-						ba.fast = true
-					}
-				}
-				if !ba.fast {
-					ba.fast = assign(ap.colA, &ba.aI32, &ba.aI64, &ba.aF64)
-					if ba.fast && ap.colB != "" {
-						ba.fast = assign(ap.colB, &ba.bI32, &ba.bI64, &ba.bF64)
-					}
-				}
-			}
+		ba, err := pl.bindAgg(sc, ap)
+		if err != nil {
+			return nil, err
 		}
 		st.aggs = append(st.aggs, ba)
-	}
-
-	if pl.variant.rowWise() {
-		st.rowTests = make([]func(int32) bool, len(st.filters))
-		for i := range st.filters {
-			bf := &st.filters[i]
-			if bf.probe != nil {
-				st.rowTests[i] = bf.keep
-				continue
-			}
-			f := pl.filters[i].root
-			m, err := f.pred.Matcher(cols[f.col])
-			if err != nil {
-				return nil, err
-			}
-			st.rowTests[i] = m
-		}
 	}
 	return st, nil
 }
 
-func int32Chunk(cols map[string]storage.Column, name string) ([]int32, error) {
-	switch c := cols[name].(type) {
-	case *storage.Int32Col:
-		return c.V, nil
-	case *storage.RLEInt32Col:
-		return c.DecodeInt32(), nil
-	case *storage.FoRInt32Col:
-		// Word-wise decode: consecutive packed values are extracted from
-		// each 64-bit word in sequence (spill values touch two words).
-		return c.DecodeInt32(), nil
+// bindFilter binds one filter: a selection-vector filterer for the
+// columnar kernel, a per-row test for the row-wise one. The columnar kernel
+// filters an RLE chunk run by run: a root predicate through Filterer's run
+// form, a probe by chasing each run's FK value through the AIR chain once.
+func (pl *plan) bindFilter(sc *segChunks, f *scanFilter) (boundFilter, error) {
+	columnar := !pl.variant.rowWise()
+	if f.root != nil {
+		if rle := sc.runs(f.root.col); rle != nil && columnar {
+			filt, err := f.root.pred.Filterer(rle)
+			return boundFilter{filt: filt}, err
+		}
+		c, err := sc.col(f.root.col)
+		if err != nil {
+			return boundFilter{}, err
+		}
+		if columnar {
+			filt, err := f.root.pred.Filterer(c)
+			return boundFilter{filt: filt}, err
+		}
+		test, err := f.root.pred.Matcher(c)
+		return boundFilter{test: test}, err
 	}
-	return nil, fmt.Errorf("core: segment column %s is not int32", name)
+	if rle := sc.runs(f.probe.fk0); rle != nil && columnar {
+		fk, err := int32Values(f.probe.fk0, rle.Vals)
+		if err != nil {
+			return boundFilter{}, err
+		}
+		pass := make([]bool, len(fk))
+		for ri, x := range fk {
+			pass[ri] = f.probe.passValue(x)
+		}
+		return boundFilter{probe: f.probe, runEnd: rle.End, runPass: pass}, nil
+	}
+	fk0, err := sc.int32s(f.probe.fk0)
+	return boundFilter{probe: f.probe, fk0: fk0}, err
 }
 
-// widenRuns32 pre-widens RLE run values to float64 for the run-cursor
-// accumulation loop.
-func widenRuns32(v []int32) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
+// bindDim binds one group dimension. On the array backend an RLE dict
+// chunk is grouped run by run.
+func (pl *plan) bindDim(sc *segChunks, d *groupDim) (boundDim, error) {
+	bd := boundDim{d: d}
+	switch d.kind {
+	case gdLeafVec:
+		fk0, err := sc.int32s(d.fk0)
+		bd.fk0 = fk0
+		return bd, err
+	case gdRootDict:
+		var c storage.Column
+		if rle := sc.runs(d.col); rle != nil && pl.useArray {
+			bd.rleEnd, c = rle.End, rle.Vals
+		} else {
+			var err error
+			if c, err = sc.col(d.col); err != nil {
+				return bd, err
+			}
+		}
+		dc, ok := c.(*storage.DictCol)
+		if !ok {
+			return bd, fmt.Errorf("core: segment column %s is not dict-compressed", d.col)
+		}
+		bd.codes = dc.Codes
+	default:
+		c, err := sc.col(d.col)
+		if err != nil {
+			return bd, err
+		}
+		switch c := c.(type) {
+		case *storage.Int32Col:
+			bd.i32 = c.V
+		case *storage.Int64Col:
+			bd.i64 = c.V
+		case *storage.Float64Col:
+			bd.f64 = c.V
+		default:
+			return bd, fmt.Errorf("core: segment column %s is not numeric", d.col)
+		}
 	}
-	return out
+	return bd, nil
 }
 
-func widenRuns64(v []int64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = float64(x)
+// bindAgg binds one aggregate: on the array backend, the dense arrays of a
+// recognized fast form (an RLE SUM(col) measure as its runs); everywhere
+// else, and whenever the fast form does not cover it, the generic
+// evaluator.
+func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
+	ba := boundAgg{ap: ap}
+	if ap.agg.Expr == nil {
+		return ba, nil
 	}
-	return out
+	if ap.fastTry && pl.useArray {
+		assign := func(name string, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
+			c, err := sc.col(name)
+			if err != nil {
+				return false
+			}
+			switch c := c.(type) {
+			case *storage.Int32Col:
+				*i32 = c.V
+			case *storage.Int64Col:
+				*i64 = c.V
+			case *storage.Float64Col:
+				*f64 = c.V
+			default:
+				return false
+			}
+			return true
+		}
+		if rle := sc.runs(ap.colA); rle != nil && ap.form == expr.FCol {
+			if acc, err := expr.ColAccessor(rle.Vals); err == nil {
+				ba.aRLEVals = make([]float64, len(rle.End))
+				for ri := range ba.aRLEVals {
+					ba.aRLEVals[ri] = acc(int32(ri))
+				}
+				ba.aRLEEnd, ba.fast = rle.End, true
+			}
+		}
+		if !ba.fast {
+			ba.fast = assign(ap.colA, &ba.aI32, &ba.aI64, &ba.aF64) &&
+				(ap.colB == "" || assign(ap.colB, &ba.bI32, &ba.bI64, &ba.bF64))
+		}
+		// sumLoop covers SUM/AVG of a single column whatever its type, so
+		// such an aggregate needs no evaluator (and its chunk no decode).
+		if ba.fast && ap.form == expr.FCol && (ap.kind == expr.Sum || ap.kind == expr.Avg) {
+			return ba, nil
+		}
+	}
+	eval, err := expr.Compile(ap.agg.Expr, func(name string) (func(int32) float64, error) {
+		eb := ap.binds[name]
+		if eb == nil {
+			return nil, fmt.Errorf("core: unbound column %s", name)
+		}
+		if eb.onRoot {
+			c, err := sc.col(eb.rootCol)
+			if err != nil {
+				return nil, err
+			}
+			return expr.ColAccessor(c)
+		}
+		fk0, err := sc.int32s(eb.fk0)
+		if err != nil {
+			return nil, err
+		}
+		acc, fks := eb.acc, eb.dimFKs
+		if len(fks) == 0 {
+			return func(r int32) float64 { return acc(fk0[r]) }, nil
+		}
+		return func(r int32) float64 {
+			x := fk0[r]
+			for _, fk := range fks {
+				x = fk[x]
+			}
+			return acc(x)
+		}, nil
+	})
+	ba.eval = eval
+	return ba, err
 }
 
 // mayMatchSegment reports whether a filter could select any row of the

@@ -28,8 +28,8 @@ rows:
 		if del != nil && del.Get(int(r)) {
 			continue
 		}
-		for _, test := range bound.rowTests {
-			if !test(r) {
+		for i := range bound.filters {
+			if !bound.filters[i].keep(r) {
 				continue rows
 			}
 		}

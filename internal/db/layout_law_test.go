@@ -542,7 +542,28 @@ func lawRun(t *testing.T, seed int64, factRows int, layouts []lawLayout) {
 			})
 		}},
 		{"consolidate", true, func() { consolidateFact() }},
-		{"consolidate sorted", true, func() { consolidateFact("lo_orderdate", "lo_discount") }},
+		{"consolidate sorted", true, func() {
+			consolidateFact("lo_orderdate", "lo_discount")
+			// The encoded layout must really be encoded when the queries run.
+			// Only FoR is asserted: 1 500 rows over ~2 500 dates leave no run
+			// long enough for RLE to halve a 64-row chunk.
+			for _, c := range copies {
+				if !c.encoded {
+					continue
+				}
+				encs := make(map[storage.Encoding]int)
+				for _, sv := range c.fact.SegViews() {
+					for _, ch := range sv.Cols {
+						if sv.Sealed {
+							encs[storage.ChunkEncoding(ch)]++
+						}
+					}
+				}
+				if encs[storage.EncFoR] == 0 {
+					t.Fatalf("%s: no FoR sealed chunk after the sort-key consolidate (%v)", c.name, encs)
+				}
+			}
+		}},
 		{"consolidate dimension", true, consolidateDim},
 		{"persist round trip", true, persist},
 	}

@@ -108,7 +108,8 @@ func (p Pred) FilterSel(c storage.Column, sel []int32) ([]int32, error) {
 // Filterer compiles the predicate against column c into a reusable
 // selection-vector refinement function, hoisting per-predicate setup —
 // dictionary masks, operand conversions, evaluator dispatch — out of the
-// scan loop. The returned function compacts sel in place and returns the
+// scan loop. c is a plain chunk, or an RLE chunk, which is filtered run by
+// run. The returned function compacts sel in place and returns the
 // shortened vector.
 func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 	// Fast paths for the most common scan shapes.
@@ -209,45 +210,19 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 			}, nil
 		}
 
-	// Run-at-a-time kernels for RLE chunks: the predicate is evaluated once
-	// per run at compile time, and the scan walks the (ascending) selection
-	// vector with a run cursor — no per-row value access at all.
-	case *storage.RLEInt32Col:
-		if p.Kind != KStr {
-			pass := make([]bool, len(col.V))
-			for ri, v := range col.V {
-				if p.Kind == KFloat {
-					pass[ri] = p.matchFloat(float64(v))
-				} else {
-					pass[ri] = p.matchInt(int64(v))
-				}
-			}
-			return rleSelFilter(col.End, pass), nil
+	// Run-at-a-time kernel for RLE chunks: the plain matcher runs once per
+	// run, over the run values, and the scan walks the (ascending)
+	// selection vector with a run cursor — no per-row value access at all.
+	case *storage.RLECol:
+		m, err := p.Matcher(col.Vals)
+		if err != nil {
+			return nil, err
 		}
-	case *storage.RLEInt64Col:
-		if p.Kind != KStr {
-			pass := make([]bool, len(col.V))
-			for ri, v := range col.V {
-				if p.Kind == KFloat {
-					pass[ri] = p.matchFloat(float64(v))
-				} else {
-					pass[ri] = p.matchInt(v)
-				}
-			}
-			return rleSelFilter(col.End, pass), nil
+		pass := make([]bool, len(col.End))
+		for ri := range pass {
+			pass[ri] = m(int32(ri))
 		}
-	case *storage.RLEDictCol:
-		if p.Kind == KStr {
-			mask, err := p.DictMask(col.Dict)
-			if err != nil {
-				return nil, err
-			}
-			pass := make([]bool, len(col.V))
-			for ri, code := range col.V {
-				pass[ri] = mask[code]
-			}
-			return rleSelFilter(col.End, pass), nil
-		}
+		return rleSelFilter(col.End, pass), nil
 	}
 
 	m, err := p.Matcher(c)

@@ -131,7 +131,7 @@ func MaxOf(e NumExpr, as string) Aggregate { return Aggregate{Kind: Max, Expr: e
 // AvgOf returns AVG(e) named as.
 func AvgOf(e NumExpr, as string) Aggregate { return Aggregate{Kind: Avg, Expr: e, As: as} }
 
-// ColAccessor returns a per-row float64 reader over a numeric column.
+// ColAccessor returns a per-row float64 reader over a plain numeric column.
 func ColAccessor(c storage.Column) (func(int32) float64, error) {
 	switch c := c.(type) {
 	case *storage.Int32Col:
@@ -143,14 +143,6 @@ func ColAccessor(c storage.Column) (func(int32) float64, error) {
 	case *storage.Float64Col:
 		v := c.V
 		return func(i int32) float64 { return v[i] }, nil
-	case *storage.RLEInt32Col:
-		return func(i int32) float64 { return float64(c.At(int(i))) }, nil
-	case *storage.RLEInt64Col:
-		return func(i int32) float64 { return float64(c.At(int(i))) }, nil
-	case *storage.FoRInt32Col:
-		return func(i int32) float64 { return float64(c.At(int(i))) }, nil
-	case *storage.FoRInt64Col:
-		return func(i int32) float64 { return float64(c.At(int(i))) }, nil
 	default:
 		return nil, fmt.Errorf("expr: column of type %s is not numeric", c.Type())
 	}

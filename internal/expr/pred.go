@@ -363,7 +363,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Matcher returns a per-row tester for the predicate over column c.
+// Matcher returns a per-row tester for the predicate over plain column c.
 // It is the building block for row-wise scans and AIR chain probing.
 func (p Pred) Matcher(c storage.Column) (func(row int32) bool, error) {
 	switch c := c.(type) {
@@ -404,44 +404,6 @@ func (p Pred) Matcher(c storage.Column) (func(row int32) bool, error) {
 		}
 		codes := c.Codes
 		return func(i int32) bool { return mask[codes[i]] }, nil
-	case *storage.RLEInt32Col:
-		if p.Kind == KStr {
-			return nil, typeErr(p, c)
-		}
-		if p.Kind == KFloat {
-			return func(i int32) bool { return p.matchFloat(float64(c.At(int(i)))) }, nil
-		}
-		return func(i int32) bool { return p.matchInt(int64(c.At(int(i)))) }, nil
-	case *storage.RLEInt64Col:
-		if p.Kind == KStr {
-			return nil, typeErr(p, c)
-		}
-		if p.Kind == KFloat {
-			return func(i int32) bool { return p.matchFloat(float64(c.At(int(i)))) }, nil
-		}
-		return func(i int32) bool { return p.matchInt(c.At(int(i))) }, nil
-	case *storage.RLEDictCol:
-		mask, err := p.DictMask(c.Dict)
-		if err != nil {
-			return nil, err
-		}
-		return func(i int32) bool { return mask[c.At(int(i))] }, nil
-	case *storage.FoRInt32Col:
-		if p.Kind == KStr {
-			return nil, typeErr(p, c)
-		}
-		if p.Kind == KFloat {
-			return func(i int32) bool { return p.matchFloat(float64(c.At(int(i)))) }, nil
-		}
-		return func(i int32) bool { return p.matchInt(int64(c.At(int(i)))) }, nil
-	case *storage.FoRInt64Col:
-		if p.Kind == KStr {
-			return nil, typeErr(p, c)
-		}
-		if p.Kind == KFloat {
-			return func(i int32) bool { return p.matchFloat(float64(c.At(int(i)))) }, nil
-		}
-		return func(i int32) bool { return p.matchInt(c.At(int(i))) }, nil
 	default:
 		return nil, fmt.Errorf("expr: unsupported column type %T", c)
 	}

@@ -244,15 +244,9 @@ func Int64At(c Column, i int) (v int64, ok bool) {
 		return int64(c.V[i]), true
 	case *DictCol:
 		return int64(c.Codes[i]), true
-	case *RLEInt32Col:
-		return int64(c.At(i)), true
-	case *RLEInt64Col:
-		return c.At(i), true
-	case *RLEDictCol:
-		return int64(c.At(i)), true
-	case *FoRInt32Col:
-		return int64(c.At(i)), true
-	case *FoRInt64Col:
+	case *RLECol:
+		return Int64At(c.Vals, findRun(c.End, i))
+	case *FoRCol:
 		return c.At(i), true
 	default:
 		return 0, false
@@ -266,8 +260,8 @@ func StringAt(c Column, i int) (s string, ok bool) {
 		return c.V[i], true
 	case *DictCol:
 		return c.Value(i), true
-	case *RLEDictCol:
-		return c.Value(i), true
+	case *RLECol:
+		return StringAt(c.Vals, findRun(c.End, i))
 	default:
 		return "", false
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -9,24 +10,26 @@ import (
 // are immutable, which makes them the one place in the engine where a
 // non-positional physical representation is safe: no append, free-slot
 // reuse, or in-place update ever touches a sealed chunk (writers go through
-// copy-on-write, which decodes back to plain). Three encodings are
-// supported beyond plain arrays:
+// copy-on-write, which decodes back to plain). Two encodings are supported
+// beyond plain arrays, one type each, whatever the column type:
 //
-//   - Run-length (RLE): consecutive equal values collapse to (value, end)
-//     run pairs. Pays off after consolidate-time attribute reordering,
-//     which sorts fact rows by configured key columns and thereby creates
-//     the runs. Scan kernels over RLE chunks work run-at-a-time.
-//   - Frame of reference (FoR): values are stored as fixed-width
-//     bit-packed deltas from the chunk minimum. Pays off on narrow-domain
-//     integers (AIR foreign keys, small measures) regardless of order.
-//     Decode is word-wise sequential.
-//   - Shared-dict codes: dictionary columns RLE-encode their code arrays;
-//     the dictionary itself stays shared and untouched (codes are stable).
+//   - Run-length (RLECol): consecutive equal values collapse to runs, each
+//     a value and the row where it ends. The run values are themselves a
+//     plain Int32Col, Int64Col or DictCol (which keeps sharing its
+//     dictionary), so the code that reads a plain chunk reads them too.
+//     Pays off after consolidate-time attribute reordering, which sorts fact
+//     rows by configured key columns and thereby creates the runs.
+//   - Frame of reference (FoRCol): int32 or int64 values stored as
+//     fixed-width bit-packed deltas from the chunk minimum. Pays off on
+//     narrow-domain integers (AIR foreign keys, small measures) regardless
+//     of order.
 //
-// Encoded chunks implement Column so every generic path (row-wise
-// execution, flatten, consolidation) keeps working, but their mutating
-// methods panic: encoding is applied only at seal/rebuild time and undone
-// by cloneChunk before any write.
+// Encoded chunks implement Column so every generic path (flatten,
+// consolidation, persistence) keeps working, but their mutating methods
+// panic: encoding is applied only at seal/rebuild time and undone by
+// cloneChunk before any write. DecodeChunk is the one decoder: a scan
+// binding decodes each encoded chunk it needs in plain form once, and
+// walks an RLE chunk's runs directly where a run cursor consumes them.
 
 // Encoding identifies the physical representation of a chunk.
 type Encoding uint8
@@ -35,9 +38,9 @@ const (
 	// EncPlain is a flat array (Int32Col, Int64Col, Float64Col, StrCol,
 	// DictCol).
 	EncPlain Encoding = 0
-	// EncRLE is run-length encoding (RLEInt32Col, RLEInt64Col, RLEDictCol).
+	// EncRLE is run-length encoding (RLECol).
 	EncRLE Encoding = 1
-	// EncFoR is frame-of-reference bit-packing (FoRInt32Col, FoRInt64Col).
+	// EncFoR is frame-of-reference bit-packing (FoRCol).
 	EncFoR Encoding = 2
 )
 
@@ -58,9 +61,9 @@ func (e Encoding) String() string {
 // ChunkEncoding reports the physical encoding of a chunk.
 func ChunkEncoding(c Column) Encoding {
 	switch c.(type) {
-	case *RLEInt32Col, *RLEInt64Col, *RLEDictCol:
+	case *RLECol:
 		return EncRLE
-	case *FoRInt32Col, *FoRInt64Col:
+	case *FoRCol:
 		return EncFoR
 	default:
 		return EncPlain
@@ -77,151 +80,43 @@ func findRun(end []int32, i int) int {
 	return sort.Search(len(end), func(ri int) bool { return end[ri] > int32(i) })
 }
 
-// RLEInt32Col is a run-length encoded int32 chunk: V[ri] repeats for local
-// rows [End[ri-1], End[ri]).
-type RLEInt32Col struct {
-	V   []int32 // run values
-	End []int32 // cumulative exclusive run ends; End[len-1] == Len()
+// RLECol is a run-length encoded chunk: Vals.At(ri) repeats for local rows
+// [End[ri-1], End[ri]).
+type RLECol struct {
+	End  []int32 // cumulative exclusive run ends; End[len-1] == Len()
+	Vals Column  // one plain value per run: *Int32Col, *Int64Col or *DictCol
 }
 
 // Len implements Column.
-func (c *RLEInt32Col) Len() int {
+func (c *RLECol) Len() int {
 	if len(c.End) == 0 {
 		return 0
 	}
 	return int(c.End[len(c.End)-1])
 }
 
-// Type implements Column.
-func (c *RLEInt32Col) Type() Type { return TInt32 }
-
-// At returns the value at local row i.
-func (c *RLEInt32Col) At(i int) int32 { return c.V[findRun(c.End, i)] }
+// Type implements Column: the type of the run values.
+func (c *RLECol) Type() Type { return c.Vals.Type() }
 
 // AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *RLEInt32Col) AppendFrom(Column, int) { sealedOnly() }
+func (c *RLECol) AppendFrom(Column, int) { sealedOnly() }
 
 // Move implements Column; encoded chunks are sealed-only.
-func (c *RLEInt32Col) Move(int, int) { sealedOnly() }
+func (c *RLECol) Move(int, int) { sealedOnly() }
 
 // Truncate implements Column; encoded chunks are sealed-only.
-func (c *RLEInt32Col) Truncate(int) { sealedOnly() }
+func (c *RLECol) Truncate(int) { sealedOnly() }
 
-// Clone implements Column.
-func (c *RLEInt32Col) Clone() Column {
-	return &RLEInt32Col{V: append([]int32(nil), c.V...), End: append([]int32(nil), c.End...)}
+// Clone implements Column. A dictionary is shared.
+func (c *RLECol) Clone() Column {
+	return &RLECol{End: append([]int32(nil), c.End...), Vals: c.Vals.Clone()}
 }
 
-// DecodeInt32 expands the runs into a fresh flat array.
-func (c *RLEInt32Col) DecodeInt32() []int32 {
-	out := make([]int32, 0, c.Len())
-	for ri, v := range c.V {
-		for len(out) < int(c.End[ri]) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// RLEInt64Col is a run-length encoded int64 chunk.
-type RLEInt64Col struct {
-	V   []int64
-	End []int32
-}
-
-// Len implements Column.
-func (c *RLEInt64Col) Len() int {
-	if len(c.End) == 0 {
-		return 0
-	}
-	return int(c.End[len(c.End)-1])
-}
-
-// Type implements Column.
-func (c *RLEInt64Col) Type() Type { return TInt64 }
-
-// At returns the value at local row i.
-func (c *RLEInt64Col) At(i int) int64 { return c.V[findRun(c.End, i)] }
-
-// AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *RLEInt64Col) AppendFrom(Column, int) { sealedOnly() }
-
-// Move implements Column; encoded chunks are sealed-only.
-func (c *RLEInt64Col) Move(int, int) { sealedOnly() }
-
-// Truncate implements Column; encoded chunks are sealed-only.
-func (c *RLEInt64Col) Truncate(int) { sealedOnly() }
-
-// Clone implements Column.
-func (c *RLEInt64Col) Clone() Column {
-	return &RLEInt64Col{V: append([]int64(nil), c.V...), End: append([]int32(nil), c.End...)}
-}
-
-// DecodeInt64 expands the runs into a fresh flat array.
-func (c *RLEInt64Col) DecodeInt64() []int64 {
-	out := make([]int64, 0, c.Len())
-	for ri, v := range c.V {
-		for len(out) < int(c.End[ri]) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// RLEDictCol is a run-length encoded dictionary chunk: run values are codes
-// into the shared dictionary.
-type RLEDictCol struct {
-	V    []int32 // run code values
-	End  []int32
-	Dict *Dict
-}
-
-// Len implements Column.
-func (c *RLEDictCol) Len() int {
-	if len(c.End) == 0 {
-		return 0
-	}
-	return int(c.End[len(c.End)-1])
-}
-
-// Type implements Column.
-func (c *RLEDictCol) Type() Type { return TDict }
-
-// At returns the code at local row i.
-func (c *RLEDictCol) At(i int) int32 { return c.V[findRun(c.End, i)] }
-
-// Value returns the decompressed string at local row i.
-func (c *RLEDictCol) Value(i int) string { return c.Dict.Value(c.At(i)) }
-
-// AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *RLEDictCol) AppendFrom(Column, int) { sealedOnly() }
-
-// Move implements Column; encoded chunks are sealed-only.
-func (c *RLEDictCol) Move(int, int) { sealedOnly() }
-
-// Truncate implements Column; encoded chunks are sealed-only.
-func (c *RLEDictCol) Truncate(int) { sealedOnly() }
-
-// Clone implements Column. The dictionary is shared.
-func (c *RLEDictCol) Clone() Column {
-	return &RLEDictCol{V: append([]int32(nil), c.V...), End: append([]int32(nil), c.End...), Dict: c.Dict}
-}
-
-// DecodeCodes expands the runs into a fresh flat code array.
-func (c *RLEDictCol) DecodeCodes() []int32 {
-	out := make([]int32, 0, c.Len())
-	for ri, v := range c.V {
-		for len(out) < int(c.End[ri]) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// FoRInt32Col is a frame-of-reference bit-packed int32 chunk: row i stores
-// the unsigned delta value-Base in Width bits at bit offset i*Width of
-// Words. Width 0 means every row equals Base.
-type FoRInt32Col struct {
+// FoRCol is a frame-of-reference bit-packed integer chunk: row i stores the
+// unsigned delta value-Base in Width bits at bit offset i*Width of Words.
+// Width 0 means every row equals Base.
+type FoRCol struct {
+	Typ   Type // TInt32 or TInt64
 	Base  int64
 	Width uint8
 	N     int
@@ -229,79 +124,32 @@ type FoRInt32Col struct {
 }
 
 // Len implements Column.
-func (c *FoRInt32Col) Len() int { return c.N }
+func (c *FoRCol) Len() int { return c.N }
 
 // Type implements Column.
-func (c *FoRInt32Col) Type() Type { return TInt32 }
+func (c *FoRCol) Type() Type { return c.Typ }
 
-// At returns the value at local row i.
-func (c *FoRInt32Col) At(i int) int32 {
-	return int32(c.Base + int64(forExtract(c.Words, c.Width, i)))
+// At returns the value at local row i, as DecodeChunk would.
+func (c *FoRCol) At(i int) int64 {
+	v := c.Base + int64(forExtract(c.Words, c.Width, i))
+	if c.Typ == TInt32 {
+		return int64(int32(v))
+	}
+	return v
 }
 
 // AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *FoRInt32Col) AppendFrom(Column, int) { sealedOnly() }
+func (c *FoRCol) AppendFrom(Column, int) { sealedOnly() }
 
 // Move implements Column; encoded chunks are sealed-only.
-func (c *FoRInt32Col) Move(int, int) { sealedOnly() }
+func (c *FoRCol) Move(int, int) { sealedOnly() }
 
 // Truncate implements Column; encoded chunks are sealed-only.
-func (c *FoRInt32Col) Truncate(int) { sealedOnly() }
+func (c *FoRCol) Truncate(int) { sealedOnly() }
 
 // Clone implements Column.
-func (c *FoRInt32Col) Clone() Column {
-	return &FoRInt32Col{Base: c.Base, Width: c.Width, N: c.N, Words: append([]uint64(nil), c.Words...)}
-}
-
-// DecodeInt32 unpacks the deltas word-wise into a fresh flat array.
-func (c *FoRInt32Col) DecodeInt32() []int32 {
-	out := make([]int32, c.N)
-	forDecode(c.Words, c.Width, c.N, func(i int, delta uint64) {
-		out[i] = int32(c.Base + int64(delta))
-	})
-	return out
-}
-
-// FoRInt64Col is a frame-of-reference bit-packed int64 chunk.
-type FoRInt64Col struct {
-	Base  int64
-	Width uint8
-	N     int
-	Words []uint64
-}
-
-// Len implements Column.
-func (c *FoRInt64Col) Len() int { return c.N }
-
-// Type implements Column.
-func (c *FoRInt64Col) Type() Type { return TInt64 }
-
-// At returns the value at local row i.
-func (c *FoRInt64Col) At(i int) int64 {
-	return c.Base + int64(forExtract(c.Words, c.Width, i))
-}
-
-// AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *FoRInt64Col) AppendFrom(Column, int) { sealedOnly() }
-
-// Move implements Column; encoded chunks are sealed-only.
-func (c *FoRInt64Col) Move(int, int) { sealedOnly() }
-
-// Truncate implements Column; encoded chunks are sealed-only.
-func (c *FoRInt64Col) Truncate(int) { sealedOnly() }
-
-// Clone implements Column.
-func (c *FoRInt64Col) Clone() Column {
-	return &FoRInt64Col{Base: c.Base, Width: c.Width, N: c.N, Words: append([]uint64(nil), c.Words...)}
-}
-
-// DecodeInt64 unpacks the deltas word-wise into a fresh flat array.
-func (c *FoRInt64Col) DecodeInt64() []int64 {
-	out := make([]int64, c.N)
-	forDecode(c.Words, c.Width, c.N, func(i int, delta uint64) {
-		out[i] = c.Base + int64(delta)
-	})
-	return out
+func (c *FoRCol) Clone() Column {
+	return &FoRCol{Typ: c.Typ, Base: c.Base, Width: c.Width, N: c.N, Words: append([]uint64(nil), c.Words...)}
 }
 
 // forExtract reads the width-bit field at index i from the packed words.
@@ -319,30 +167,33 @@ func forExtract(words []uint64, width uint8, i int) uint64 {
 	return v & (^uint64(0) >> (64 - w))
 }
 
-// forDecode walks all n fields sequentially, shifting through whole words
-// instead of recomputing offsets per row.
-func forDecode(words []uint64, width uint8, n int, emit func(i int, delta uint64)) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			emit(i, 0)
+// forValues unpacks a FoR chunk word-wise into a fresh flat array, shifting
+// consecutive fields out of each 64-bit word instead of recomputing offsets
+// per row (a field may straddle two words).
+func forValues[T int32 | int64](c *FoRCol) []T {
+	out := make([]T, c.N)
+	if c.Width == 0 {
+		for i := range out {
+			out[i] = T(c.Base)
 		}
-		return
+		return out
 	}
-	w := uint(width)
+	w := uint(c.Width)
 	mask := ^uint64(0) >> (64 - w)
 	var word, off uint
-	for i := 0; i < n; i++ {
-		v := words[word] >> off
+	for i := range out {
+		v := c.Words[word] >> off
 		if off+w > 64 {
-			v |= words[word+1] << (64 - off)
+			v |= c.Words[word+1] << (64 - off)
 		}
-		emit(i, v&mask)
+		out[i] = T(c.Base + int64(v&mask))
 		off += w
 		if off >= 64 {
 			word++
 			off -= 64
 		}
 	}
+	return out
 }
 
 // forPack bit-packs n width-bit deltas produced by src(i).
@@ -384,36 +235,30 @@ func encodedBytes(c Column, n int) int {
 			b += len(s) + 16
 		}
 		return b
-	case *RLEInt32Col:
-		return 8 * len(c.V)
-	case *RLEInt64Col:
-		return 12 * len(c.V)
-	case *RLEDictCol:
-		return 8 * len(c.V)
-	case *FoRInt32Col:
-		return 14 + 8*len(c.Words)
-	case *FoRInt64Col:
+	case *RLECol:
+		return 4*len(c.End) + encodedBytes(c.Vals, len(c.End))
+	case *FoRCol:
 		return 14 + 8*len(c.Words)
 	default:
 		return 0
 	}
 }
 
-// countRuns returns the number of equal-value runs over the first n values.
-func countRuns(n int, eq func(i, j int) bool) int {
+// countRuns returns the number of runs of equal consecutive values.
+func countRuns[T comparable](v []T) int {
 	runs := 0
-	for i := 0; i < n; i++ {
-		if i == 0 || !eq(i-1, i) {
+	for i, x := range v {
+		if i == 0 || x != v[i-1] {
 			runs++
 		}
 	}
 	return runs
 }
 
-// rleEncode builds the (value, end) run pairs over the first n values.
+// rleRuns builds the cumulative run ends and the one-per-run values of v.
 //
 //astore:chunkwrite
-func rleEncodeInt32(v []int32) (vals, end []int32) {
+func rleRuns[T comparable](v []T) (end []int32, vals []T) {
 	for i, x := range v {
 		if i == 0 || x != v[i-1] {
 			vals = append(vals, x)
@@ -421,159 +266,91 @@ func rleEncodeInt32(v []int32) (vals, end []int32) {
 		}
 		end[len(end)-1] = int32(i + 1)
 	}
-	return vals, end
+	return end, vals
 }
 
-//astore:chunkwrite
-func rleEncodeInt64(v []int64) (vals []int64, end []int32) {
-	for i, x := range v {
-		if i == 0 || x != v[i-1] {
-			vals = append(vals, x)
-			end = append(end, int32(i))
+// expandRuns repeats each run value over its rows into a fresh flat array
+// of n rows.
+func expandRuns[T any](n int, end []int32, vals []T) []T {
+	out := make([]T, 0, n)
+	for ri, v := range vals {
+		for len(out) < int(end[ri]) {
+			out = append(out, v)
 		}
-		end[len(end)-1] = int32(i + 1)
 	}
-	return vals, end
+	return out
 }
 
 // EncodeChunk returns the smallest beneficial encoded representation of the
 // first n rows of a plain chunk, or (nil, false) when the chunk should stay
 // plain: floats and strings are never encoded, and integer/dict chunks are
 // encoded only when the encoded payload is at most half the plain size (a
-// marginal win is not worth the decode kernels). Already-encoded chunks
-// return (nil, false).
+// marginal win is not worth the decode). Already-encoded chunks return
+// (nil, false).
 func EncodeChunk(c Column, n int) (Column, bool) {
+	if n == 0 {
+		return nil, false
+	}
 	switch c := c.(type) {
 	case *Int32Col:
-		if n == 0 {
-			return nil, false
-		}
-		v := c.V[:n]
-		runs := countRuns(n, func(i, j int) bool { return v[i] == v[j] })
-		mn, mx := v[0], v[0]
-		for _, x := range v {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		width := uint8(bits.Len64(uint64(int64(mx) - int64(mn))))
-		rleBytes := 8 * runs
-		forBytes := 14 + 8*int((uint(n)*uint(width)+63)/64)
-		plain := 4 * n
-		if rleBytes <= forBytes && 2*rleBytes <= plain {
-			vals, end := rleEncodeInt32(v)
-			return &RLEInt32Col{V: vals, End: end}, true
-		}
-		if 2*forBytes <= plain {
-			base := int64(mn)
-			return &FoRInt32Col{Base: base, Width: width, N: n,
-				Words: forPack(n, width, func(i int) uint64 { return uint64(int64(v[i]) - base) })}, true
-		}
+		return encodeInts(c.V[:n], TInt32, func(v []int32) Column { return &Int32Col{V: v} })
 	case *Int64Col:
-		if n == 0 {
-			return nil, false
-		}
-		v := c.V[:n]
-		runs := countRuns(n, func(i, j int) bool { return v[i] == v[j] })
-		mn, mx := v[0], v[0]
-		for _, x := range v {
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
-		}
-		width := uint8(bits.Len64(uint64(mx - mn)))
-		rleBytes := 12 * runs
-		forBytes := 14 + 8*int((uint(n)*uint(width)+63)/64)
-		plain := 8 * n
-		if rleBytes <= forBytes && 2*rleBytes <= plain {
-			vals, end := rleEncodeInt64(v)
-			return &RLEInt64Col{V: vals, End: end}, true
-		}
-		if 2*forBytes <= plain {
-			return &FoRInt64Col{Base: mn, Width: width, N: n,
-				Words: forPack(n, width, func(i int) uint64 { return uint64(v[i] - mn) })}, true
-		}
+		return encodeInts(c.V[:n], TInt64, func(v []int64) Column { return &Int64Col{V: v} })
 	case *DictCol:
-		if n == 0 {
-			return nil, false
-		}
 		codes := c.Codes[:n]
-		runs := countRuns(n, func(i, j int) bool { return codes[i] == codes[j] })
-		if 2*8*runs <= 4*n {
-			vals, end := rleEncodeInt32(codes)
-			return &RLEDictCol{V: vals, End: end, Dict: c.Dict}, true
+		if 2*8*countRuns(codes) <= 4*n {
+			end, vals := rleRuns(codes)
+			return &RLECol{End: end, Vals: &DictCol{Codes: vals, Dict: c.Dict}}, true
 		}
+	}
+	return nil, false
+}
+
+// encodeInts is EncodeChunk for an int32 or int64 chunk: RLE when its runs
+// take no more bytes than the FoR packing, else FoR, and either only at most
+// half the plain size. plain wraps the run values as a column of typ.
+func encodeInts[T int32 | int64](v []T, typ Type, plain func([]T) Column) (Column, bool) {
+	n, size := len(v), 4
+	if typ == TInt64 {
+		size = 8
+	}
+	mn, mx := slices.Min(v), slices.Max(v)
+	width := uint8(bits.Len64(uint64(int64(mx) - int64(mn))))
+	rleBytes := (4 + size) * countRuns(v)
+	forBytes := 14 + 8*int((uint(n)*uint(width)+63)/64)
+	if rleBytes <= forBytes && 2*rleBytes <= size*n {
+		end, vals := rleRuns(v)
+		return &RLECol{End: end, Vals: plain(vals)}, true
+	}
+	if 2*forBytes <= size*n {
+		base := int64(mn)
+		return &FoRCol{Typ: typ, Base: base, Width: width, N: n,
+			Words: forPack(n, width, func(i int) uint64 { return uint64(int64(v[i]) - base) })}, true
 	}
 	return nil, false
 }
 
 // DecodeChunk returns a plain representation of a chunk: encoded chunks are
 // expanded into a fresh flat column, plain chunks are returned unchanged
-// (no copy).
+// (no copy). It is the only decoder.
 func DecodeChunk(c Column) Column {
 	switch c := c.(type) {
-	case *RLEInt32Col:
-		return &Int32Col{V: c.DecodeInt32()}
-	case *RLEInt64Col:
-		return &Int64Col{V: c.DecodeInt64()}
-	case *RLEDictCol:
-		return &DictCol{Codes: c.DecodeCodes(), Dict: c.Dict}
-	case *FoRInt32Col:
-		return &Int32Col{V: c.DecodeInt32()}
-	case *FoRInt64Col:
-		return &Int64Col{V: c.DecodeInt64()}
-	default:
-		return c
+	case *RLECol:
+		switch v := c.Vals.(type) {
+		case *Int32Col:
+			return &Int32Col{V: expandRuns(c.Len(), c.End, v.V)}
+		case *Int64Col:
+			return &Int64Col{V: expandRuns(c.Len(), c.End, v.V)}
+		case *DictCol:
+			return &DictCol{Codes: expandRuns(c.Len(), c.End, v.Codes), Dict: v.Dict}
+		}
+	case *FoRCol:
+		if c.Typ == TInt32 {
+			return &Int32Col{V: forValues[int32](c)}
+		}
+		return &Int64Col{V: forValues[int64](c)}
 	}
-}
-
-// int32ChunkValues returns the first n values of an int32-typed chunk as a
-// flat slice, decoding if necessary. Plain chunks return their backing
-// array without copying.
-func int32ChunkValues(c Column, n int) []int32 {
-	switch c := c.(type) {
-	case *Int32Col:
-		return c.V[:n]
-	case *RLEInt32Col:
-		return c.DecodeInt32()[:n]
-	case *FoRInt32Col:
-		return c.DecodeInt32()[:n]
-	default:
-		panic("storage: not an int32 chunk")
-	}
-}
-
-// int64ChunkValues is int32ChunkValues for int64-typed chunks.
-func int64ChunkValues(c Column, n int) []int64 {
-	switch c := c.(type) {
-	case *Int64Col:
-		return c.V[:n]
-	case *RLEInt64Col:
-		return c.DecodeInt64()[:n]
-	case *FoRInt64Col:
-		return c.DecodeInt64()[:n]
-	default:
-		panic("storage: not an int64 chunk")
-	}
-}
-
-// dictChunkCodes returns the first n codes of a dict-typed chunk as a flat
-// slice, decoding if necessary.
-func dictChunkCodes(c Column, n int) []int32 {
-	switch c := c.(type) {
-	case *DictCol:
-		return c.Codes[:n]
-	case *RLEDictCol:
-		return c.DecodeCodes()[:n]
-	default:
-		panic("storage: not a dict chunk")
-	}
+	return c
 }
 
 // encodeSegmentLocked replaces the segment's plain chunks with encoded ones
@@ -633,7 +410,13 @@ func (t *Table) Layout() Layout {
 			l.PhysicalBytes += int64(encodedBytes(c, s.n))
 			if ChunkEncoding(c) != EncPlain {
 				l.EncodedChunks++
-				l.LogicalBytes += int64(encodedBytes(DecodeChunk(c), s.n))
+				// Encoded chunks hold integers or dict codes: logically
+				// 8 bytes a row for int64, 4 for the rest.
+				width := int64(4)
+				if c.Type() == TInt64 {
+					width = 8
+				}
+				l.LogicalBytes += width * int64(s.n)
 			} else {
 				l.LogicalBytes += int64(encodedBytes(c, s.n))
 			}

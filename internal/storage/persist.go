@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary database image format (little-endian throughout):
@@ -180,8 +181,8 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	if nd > maxLoadCount {
 		return nil, fmt.Errorf("storage: load: dictionary count %d too large", nd)
 	}
-	dicts := make([]*Dict, nd)
-	for i := range dicts {
+	var dicts []*Dict
+	for range nd {
 		nv, err := readU32(br)
 		if err != nil {
 			return nil, err
@@ -197,7 +198,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 			}
 			d.Intern(s)
 		}
-		dicts[i] = d
+		dicts = append(dicts, d)
 	}
 
 	nt, err := readU32(br)
@@ -254,7 +255,7 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		// Every column stores one tagged chunk per segment; the tail holds
 		// the rows the manifest does not account for.
 		chunkCounts := append(sealedRows, int(nrows-uint32(total)))
-		chunks := make(map[string][]Column, ncols)
+		chunks := make(map[string][]Column)
 		for ci := uint32(0); ci < ncols; ci++ {
 			colName, err := readStr(br)
 			if err != nil {
@@ -273,10 +274,13 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 				t.colDicts[colName] = dict
 			}
 			t.schemaVersion++
-			for _, cn := range chunkCounts {
+			for si, cn := range chunkCounts {
 				c, err := readChunk(br, typ, cn, dict)
 				if err != nil {
 					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
+				}
+				if si == len(chunkCounts)-1 && ChunkEncoding(c) != EncPlain {
+					return nil, fmt.Errorf("storage: load %s.%s: tail chunk is %s-encoded, want plain", name, colName, ChunkEncoding(c))
 				}
 				chunks[colName] = append(chunks[colName], c)
 			}
@@ -288,13 +292,12 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 		}
 		var del *Bitmap
 		if hasDel == 1 {
+			words, err := readFixed(br, (int(nrows)+63)/64, 8, binary.LittleEndian.Uint64)
+			if err != nil {
+				return nil, err
+			}
 			del = NewBitmap(int(nrows))
-			words := (int(nrows) + 63) / 64
-			for wi := 0; wi < words; wi++ {
-				word, err := readU64(br)
-				if err != nil {
-					return nil, err
-				}
+			for wi, word := range words {
 				for b := 0; b < 64; b++ {
 					i := wi*64 + b
 					if i < int(nrows) && word&(1<<uint(b)) != 0 {
@@ -378,39 +381,15 @@ func writeChunkPayload(w *bufio.Writer, c Column, n int) error {
 		return err
 	}
 	switch c := c.(type) {
-	case *RLEInt32Col:
-		writeU32(w, uint32(len(c.V)))
-		for _, v := range c.V {
-			writeU32(w, uint32(v))
+	case *RLECol:
+		writeU32(w, uint32(len(c.End)))
+		if err := writeColumnPayload(w, c.Vals, len(c.End)); err != nil {
+			return err
 		}
 		for _, e := range c.End {
 			writeU32(w, uint32(e))
 		}
-	case *RLEInt64Col:
-		writeU32(w, uint32(len(c.V)))
-		for _, v := range c.V {
-			writeU64(w, uint64(v))
-		}
-		for _, e := range c.End {
-			writeU32(w, uint32(e))
-		}
-	case *RLEDictCol:
-		writeU32(w, uint32(len(c.V)))
-		for _, v := range c.V {
-			writeU32(w, uint32(v))
-		}
-		for _, e := range c.End {
-			writeU32(w, uint32(e))
-		}
-	case *FoRInt32Col:
-		writeU64(w, uint64(c.Base))
-		w.WriteByte(c.Width)
-		writeU32(w, uint32(c.N))
-		writeU32(w, uint32(len(c.Words)))
-		for _, word := range c.Words {
-			writeU64(w, word)
-		}
-	case *FoRInt64Col:
+	case *FoRCol:
 		writeU64(w, uint64(c.Base))
 		w.WriteByte(c.Width)
 		writeU32(w, uint32(c.N))
@@ -427,18 +406,16 @@ func writeChunkPayload(w *bufio.Writer, c Column, n int) error {
 // readRLEEnds reads and validates cumulative run ends: strictly increasing,
 // last equal to the chunk row count.
 func readRLEEnds(r *bufio.Reader, runs, n int) ([]int32, error) {
-	end := make([]int32, runs)
+	end, err := readFixed(r, runs, 4, leInt32)
+	if err != nil {
+		return nil, err
+	}
 	prev := int32(0)
-	for i := range end {
-		x, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if int32(x) <= prev {
+	for _, e := range end {
+		if e <= prev {
 			return nil, fmt.Errorf("storage: load: RLE run ends not increasing")
 		}
-		end[i] = int32(x)
-		prev = end[i]
+		prev = e
 	}
 	if runs > 0 && int(end[runs-1]) != n {
 		return nil, fmt.Errorf("storage: load: RLE run ends cover %d rows, want %d", end[runs-1], n)
@@ -460,6 +437,9 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 	case EncPlain:
 		return readPlainPayload(r, typ, n, dict)
 	case EncRLE:
+		if typ != TInt32 && typ != TInt64 && typ != TDict {
+			return nil, fmt.Errorf("storage: load: RLE encoding invalid for type %s", typ)
+		}
 		runs, err := readU32(r)
 		if err != nil {
 			return nil, err
@@ -467,44 +447,15 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 		if int(runs) > n {
 			return nil, fmt.Errorf("storage: load: RLE chunk has %d runs over %d rows", runs, n)
 		}
-		switch typ {
-		case TInt32, TDict:
-			vals := make([]int32, runs)
-			for i := range vals {
-				x, err := readU32(r)
-				if err != nil {
-					return nil, err
-				}
-				if typ == TDict && int(x) >= dict.Len() {
-					return nil, fmt.Errorf("storage: code %d out of dictionary range", x)
-				}
-				vals[i] = int32(x)
-			}
-			end, err := readRLEEnds(r, int(runs), n)
-			if err != nil {
-				return nil, err
-			}
-			if typ == TDict {
-				return &RLEDictCol{V: vals, End: end, Dict: dict}, nil
-			}
-			return &RLEInt32Col{V: vals, End: end}, nil
-		case TInt64:
-			vals := make([]int64, runs)
-			for i := range vals {
-				x, err := readU64(r)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = int64(x)
-			}
-			end, err := readRLEEnds(r, int(runs), n)
-			if err != nil {
-				return nil, err
-			}
-			return &RLEInt64Col{V: vals, End: end}, nil
-		default:
-			return nil, fmt.Errorf("storage: load: RLE encoding invalid for type %s", typ)
+		vals, err := readPlainPayload(r, typ, int(runs), dict)
+		if err != nil {
+			return nil, err
 		}
+		end, err := readRLEEnds(r, int(runs), n)
+		if err != nil {
+			return nil, err
+		}
+		return &RLECol{End: end, Vals: vals}, nil
 	case EncFoR:
 		if typ != TInt32 && typ != TInt64 {
 			return nil, fmt.Errorf("storage: load: FoR encoding invalid for type %s", typ)
@@ -530,16 +481,11 @@ func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 			return nil, fmt.Errorf("storage: load: FoR chunk shape invalid (width %d, rows %d/%d, words %d/%d)",
 				width, cn, n, nwords, wantWords)
 		}
-		words := make([]uint64, nwords)
-		for i := range words {
-			if words[i], err = readU64(r); err != nil {
-				return nil, err
-			}
+		words, err := readFixed(r, int(nwords), 8, binary.LittleEndian.Uint64)
+		if err != nil {
+			return nil, err
 		}
-		if typ == TInt32 {
-			return &FoRInt32Col{Base: int64(base), Width: width, N: n, Words: words}, nil
-		}
-		return &FoRInt64Col{Base: int64(base), Width: width, N: n, Words: words}, nil
+		return &FoRCol{Typ: typ, Base: int64(base), Width: width, N: n, Words: words}, nil
 	default:
 		return nil, fmt.Errorf("storage: load: unknown chunk encoding tag %d", tag)
 	}
@@ -574,61 +520,71 @@ func readColumnHeader(r *bufio.Reader, dicts []*Dict) (Type, *Dict, error) {
 func readPlainPayload(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
 	switch typ {
 	case TInt32:
-		v := make([]int32, n)
-		for i := range v {
-			x, err := readU32(r)
-			if err != nil {
-				return nil, err
-			}
-			v[i] = int32(x)
-		}
-		return NewInt32Col(v), nil
+		v, err := readFixed(r, n, 4, leInt32)
+		return &Int32Col{V: v}, err
 	case TInt64:
-		v := make([]int64, n)
-		for i := range v {
-			x, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			v[i] = int64(x)
-		}
-		return NewInt64Col(v), nil
+		v, err := readFixed(r, n, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
+		return &Int64Col{V: v}, err
 	case TFloat64:
-		v := make([]float64, n)
-		for i := range v {
-			x, err := readU64(r)
-			if err != nil {
-				return nil, err
-			}
-			v[i] = math.Float64frombits(x)
-		}
-		return NewFloat64Col(v), nil
+		v, err := readFixed(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
+		return &Float64Col{V: v}, err
 	case TString:
-		v := make([]string, n)
-		for i := range v {
+		// Strings grow as they arrive: n is a header field, and a string
+		// header costs more memory than its length prefix costs input.
+		v := make([]string, 0, min(n, 1<<12))
+		for len(v) < n {
 			s, err := readStr(r)
 			if err != nil {
 				return nil, err
 			}
-			v[i] = s
+			v = append(v, s)
 		}
-		return NewStrCol(v), nil
+		return &StrCol{V: v}, nil
 	case TDict:
-		codes := make([]int32, n)
-		for i := range codes {
-			x, err := readU32(r)
-			if err != nil {
-				return nil, err
+		codes, err := readFixed(r, n, 4, leInt32)
+		if err != nil {
+			return nil, err
+		}
+		for _, x := range codes {
+			if x < 0 || int(x) >= dict.Len() {
+				return nil, fmt.Errorf("storage: code %d out of dictionary range", uint32(x))
 			}
-			if int(x) >= dict.Len() {
-				return nil, fmt.Errorf("storage: code %d out of dictionary range", x)
-			}
-			codes[i] = int32(x)
 		}
 		return &DictCol{Codes: codes, Dict: dict}, nil
 	default:
 		return nil, fmt.Errorf("storage: unknown column type %s", typ)
 	}
+}
+
+// readFixed reads n little-endian values of size bytes each, decoding each
+// with get. The raw bytes are read first, in bounded steps, so a corrupt
+// count cannot reserve memory the input does not back.
+func readFixed[T any](r *bufio.Reader, n, size int, get func([]byte) T) ([]T, error) {
+	b, err := readBytes(r, n*size)
+	if err != nil {
+		return nil, err
+	}
+	v := make([]T, n)
+	for i := range v {
+		v[i] = get(b[i*size:])
+	}
+	return v, nil
+}
+
+func leInt32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
+
+// readBytes reads n bytes, growing the buffer as the input delivers them.
+func readBytes(r *bufio.Reader, n int) ([]byte, error) {
+	const step = 1 << 16
+	b := make([]byte, 0, min(n, step))
+	for len(b) < n {
+		k := min(n-len(b), step)
+		b = slices.Grow(b, k)[:len(b)+k]
+		if _, err := io.ReadFull(r, b[len(b)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 func writeU32(w *bufio.Writer, v uint32) {
@@ -672,8 +628,8 @@ func readStr(r *bufio.Reader) (string, error) {
 	if n > 1<<28 {
 		return "", fmt.Errorf("storage: load: string length %d too large", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := readBytes(r, int(n))
+	if err != nil {
 		return "", err
 	}
 	return string(b), nil

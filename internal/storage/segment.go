@@ -86,8 +86,7 @@ func (z *Zone) widenFloat(v float64) {
 }
 
 // cover widens z over rows [lo, hi) of a chunk and reports whether chunks of
-// this kind are summarized at all (strings are not). Encoded chunks exist
-// only in sealed segments, which are summarized whole, so for them lo is 0.
+// this kind are summarized at all (strings are not).
 func (z *Zone) cover(c Column, lo, hi int) bool {
 	switch c := c.(type) {
 	case *Int32Col:
@@ -106,18 +105,13 @@ func (z *Zone) cover(c Column, lo, hi int) bool {
 		for _, v := range c.Codes[lo:hi] {
 			z.widenInt(int64(v))
 		}
-	case *RLEInt32Col:
-		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return int64(c.V[ri]) })
-	case *RLEInt64Col:
-		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return c.V[ri] })
-	case *RLEDictCol:
-		zoneOfRuns(z, hi, c.End, func(ri int) int64 { return int64(c.V[ri]) })
-	case *FoRInt32Col:
-		for i := 0; i < hi && i < c.N; i++ {
-			z.widenInt(int64(c.At(i)))
+	case *RLECol:
+		// The zone of rows [lo, hi) is the zone of the runs covering them.
+		if hi > lo {
+			return z.cover(c.Vals, findRun(c.End, lo), findRun(c.End, hi-1)+1)
 		}
-	case *FoRInt64Col:
-		for i := 0; i < hi && i < c.N; i++ {
+	case *FoRCol:
+		for i := lo; i < hi; i++ {
 			z.widenInt(c.At(i))
 		}
 	default:
@@ -132,19 +126,6 @@ func zoneOfChunk(c Column, n int) (Zone, bool) {
 	z := Zone{Typ: c.Type()}
 	ok := z.cover(c, 0, n)
 	return z, ok
-}
-
-// zoneOfRuns widens z over the run values of an RLE chunk that cover the
-// first n rows.
-func zoneOfRuns(z *Zone, n int, end []int32, val func(ri int) int64) {
-	prev := int32(0)
-	for ri := range end {
-		if int(prev) >= n {
-			break
-		}
-		z.widenInt(val(ri))
-		prev = end[ri]
-	}
 }
 
 // Segment is one horizontal chunk of a table: a per-column array family, a
@@ -230,20 +211,52 @@ func (t *Table) newSegment(capacity int) *Segment {
 	}
 	t.nextSegID++
 	for _, name := range t.names {
-		switch t.colTypes[name] {
-		case TInt32:
-			s.cols[name] = &Int32Col{V: make([]int32, 0, capacity)}
-		case TInt64:
-			s.cols[name] = &Int64Col{V: make([]int64, 0, capacity)}
-		case TFloat64:
-			s.cols[name] = &Float64Col{V: make([]float64, 0, capacity)}
-		case TString:
-			s.cols[name] = &StrCol{V: make([]string, 0, capacity)}
-		case TDict:
-			s.cols[name] = &DictCol{Codes: make([]int32, 0, capacity), Dict: t.colDicts[name]}
-		}
+		s.cols[name] = newChunk(t.colTypes[name], t.colDicts[name], capacity)
 	}
 	return s
+}
+
+// newChunk returns an empty plain chunk of type typ with room for capacity
+// rows; dict is the shared dictionary of a TDict chunk.
+func newChunk(typ Type, dict *Dict, capacity int) Column {
+	switch typ {
+	case TInt32:
+		return &Int32Col{V: make([]int32, 0, capacity)}
+	case TInt64:
+		return &Int64Col{V: make([]int64, 0, capacity)}
+	case TFloat64:
+		return &Float64Col{V: make([]float64, 0, capacity)}
+	case TString:
+		return &StrCol{V: make([]string, 0, capacity)}
+	case TDict:
+		return &DictCol{Codes: make([]int32, 0, capacity), Dict: dict}
+	default:
+		return nil
+	}
+}
+
+// appendRows appends rows [lo, hi) of plain chunk src to dst, a plain chunk
+// of the same type.
+//
+//astore:chunkwrite
+func appendRows(dst, src Column, lo, hi int) {
+	switch c := src.(type) {
+	case *Int32Col:
+		d := dst.(*Int32Col)
+		d.V = append(d.V, c.V[lo:hi]...)
+	case *Int64Col:
+		d := dst.(*Int64Col)
+		d.V = append(d.V, c.V[lo:hi]...)
+	case *Float64Col:
+		d := dst.(*Float64Col)
+		d.V = append(d.V, c.V[lo:hi]...)
+	case *StrCol:
+		d := dst.(*StrCol)
+		d.V = append(d.V, c.V[lo:hi]...)
+	case *DictCol:
+		d := dst.(*DictCol)
+		d.Codes = append(d.Codes, c.Codes[lo:hi]...)
+	}
 }
 
 // coverZonesLocked extends the zone maps over the rows added since they
@@ -330,38 +343,11 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 	}
 	out := make(map[string]Column, len(t.names))
 	for _, name := range t.names {
-		switch t.colTypes[name] {
-		case TInt32:
-			v := make([]int32, 0, t.nrows)
-			for s := range t.segments() {
-				v = append(v, int32ChunkValues(s.cols[name], s.n)...)
-			}
-			out[name] = &Int32Col{V: v}
-		case TInt64:
-			v := make([]int64, 0, t.nrows)
-			for s := range t.segments() {
-				v = append(v, int64ChunkValues(s.cols[name], s.n)...)
-			}
-			out[name] = &Int64Col{V: v}
-		case TFloat64:
-			v := make([]float64, 0, t.nrows)
-			for s := range t.segments() {
-				v = append(v, s.cols[name].(*Float64Col).V[:s.n]...)
-			}
-			out[name] = &Float64Col{V: v}
-		case TString:
-			v := make([]string, 0, t.nrows)
-			for s := range t.segments() {
-				v = append(v, s.cols[name].(*StrCol).V[:s.n]...)
-			}
-			out[name] = &StrCol{V: v}
-		case TDict:
-			v := make([]int32, 0, t.nrows)
-			for s := range t.segments() {
-				v = append(v, dictChunkCodes(s.cols[name], s.n)...)
-			}
-			out[name] = &DictCol{Codes: v, Dict: t.colDicts[name]}
+		col := newChunk(t.colTypes[name], t.colDicts[name], t.nrows)
+		for s := range t.segments() {
+			appendRows(col, DecodeChunk(s.cols[name]), 0, s.n)
 		}
+		out[name] = col
 	}
 	var del *Bitmap
 	for s := range t.segments() {
@@ -392,23 +378,7 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 	t.segs = nil
 	fill := func(s *Segment, lo, hi int) {
 		for _, name := range t.names {
-			switch c := flat[name].(type) {
-			case *Int32Col:
-				dst := s.cols[name].(*Int32Col)
-				dst.V = append(dst.V, c.V[lo:hi]...)
-			case *Int64Col:
-				dst := s.cols[name].(*Int64Col)
-				dst.V = append(dst.V, c.V[lo:hi]...)
-			case *Float64Col:
-				dst := s.cols[name].(*Float64Col)
-				dst.V = append(dst.V, c.V[lo:hi]...)
-			case *StrCol:
-				dst := s.cols[name].(*StrCol)
-				dst.V = append(dst.V, c.V[lo:hi]...)
-			case *DictCol:
-				dst := s.cols[name].(*DictCol)
-				dst.Codes = append(dst.Codes, c.Codes[lo:hi]...)
-			}
+			appendRows(s.cols[name], flat[name], lo, hi)
 		}
 		s.base, s.n = lo, hi-lo
 		if del != nil {
@@ -442,11 +412,12 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 
 // installSegmentsLocked installs loaded per-column chunks as the table's
 // segment list, preserving on-disk encodings for sealed chunks; the last
-// count is the tail, whose chunks must be plain to take appends. del, when
-// non-nil, is a global deletion bitmap split per segment. Loading any
-// encoded chunk turns sealed encodings on so later seals stay consistent.
-// Zone maps are not stored: each segment's are computed when first read.
-// Caller holds t.mu.
+// count is the tail, whose chunks the loader has checked are plain. del,
+// when non-nil, is a global deletion bitmap split per segment, each part
+// sized to its segment's rows (writableDelLocked grows it on the next
+// write). Loading any encoded chunk turns sealed encodings on so later
+// seals stay consistent. Zone maps are not stored: each segment's are
+// computed when first read. Caller holds t.mu.
 func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, del *Bitmap) {
 	t.segs = nil
 	at := 0
@@ -463,9 +434,7 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 		t.nextSegID++
 		for _, name := range t.names {
 			c := chunks[name][si]
-			if !s.sealed {
-				c = DecodeChunk(c)
-			} else if ChunkEncoding(c) != EncPlain {
+			if ChunkEncoding(c) != EncPlain {
 				t.encodeSealed = true
 			}
 			s.cols[name] = c
@@ -473,7 +442,10 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 		if del != nil {
 			for i := 0; i < rows; i++ {
 				if del.Get(at + i) {
-					s.writableDelLocked().Set(i)
+					if s.del == nil {
+						s.del = NewBitmap(rows)
+					}
+					s.del.Set(i)
 				}
 			}
 		}
@@ -604,20 +576,7 @@ func (t *Table) ColumnProto(name string) Column {
 	if !ok {
 		return nil
 	}
-	switch typ {
-	case TInt32:
-		return &Int32Col{}
-	case TInt64:
-		return &Int64Col{}
-	case TFloat64:
-		return &Float64Col{}
-	case TString:
-		return &StrCol{}
-	case TDict:
-		return &DictCol{Dict: t.colDicts[name]}
-	default:
-		return nil
-	}
+	return newChunk(typ, t.colDicts[name], 0)
 }
 
 // writableLocked returns the chunk of column col ready for an in-place
@@ -659,31 +618,12 @@ func (s *Segment) writableDelLocked() *Bitmap {
 // to a plain deep copy: the clone exists to be written, and encoded
 // representations are sealed-only.
 func cloneChunk(c Column, capacity int) Column {
-	if ChunkEncoding(c) != EncPlain {
-		c = DecodeChunk(c)
+	c = DecodeChunk(c)
+	var dict *Dict
+	if dc, ok := c.(*DictCol); ok {
+		dict = dc.Dict
 	}
-	switch c := c.(type) {
-	case *Int32Col:
-		v := make([]int32, len(c.V), max(capacity, len(c.V)))
-		copy(v, c.V)
-		return &Int32Col{V: v}
-	case *Int64Col:
-		v := make([]int64, len(c.V), max(capacity, len(c.V)))
-		copy(v, c.V)
-		return &Int64Col{V: v}
-	case *Float64Col:
-		v := make([]float64, len(c.V), max(capacity, len(c.V)))
-		copy(v, c.V)
-		return &Float64Col{V: v}
-	case *StrCol:
-		v := make([]string, len(c.V), max(capacity, len(c.V)))
-		copy(v, c.V)
-		return &StrCol{V: v}
-	case *DictCol:
-		v := make([]int32, len(c.Codes), max(capacity, len(c.Codes)))
-		copy(v, c.Codes)
-		return &DictCol{Codes: v, Dict: c.Dict}
-	default:
-		panic("storage: unknown column type in cloneChunk")
-	}
+	out := newChunk(c.Type(), dict, max(capacity, c.Len()))
+	appendRows(out, c, 0, c.Len())
+	return out
 }

@@ -159,16 +159,8 @@ func shallowHeaderCopy(c Column) Column {
 		return &StrCol{V: c.V[:len(c.V):len(c.V)]}
 	case *DictCol:
 		return &DictCol{Codes: c.Codes[:len(c.Codes):len(c.Codes)], Dict: c.Dict}
-	case *RLEInt32Col:
-		return &RLEInt32Col{V: c.V, End: c.End}
-	case *RLEInt64Col:
-		return &RLEInt64Col{V: c.V, End: c.End}
-	case *RLEDictCol:
-		return &RLEDictCol{V: c.V, End: c.End, Dict: c.Dict}
-	case *FoRInt32Col:
-		return &FoRInt32Col{Base: c.Base, Width: c.Width, N: c.N, Words: c.Words}
-	case *FoRInt64Col:
-		return &FoRInt64Col{Base: c.Base, Width: c.Width, N: c.N, Words: c.Words}
+	case *RLECol, *FoRCol:
+		return c // sealed and immutable: nothing to cap
 	default:
 		panic("storage: unknown column type in snapshot")
 	}

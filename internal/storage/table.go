@@ -262,7 +262,7 @@ func (t *Table) forEachInt32(col string, fn func(chunk []int32, base int, del *B
 		return fmt.Errorf("storage: table %s: column %s is not int32", t.Name, col)
 	}
 	for s := range t.segments() {
-		if err := fn(int32ChunkValues(s.cols[col], s.n), s.base, s.del); err != nil {
+		if err := fn(DecodeChunk(s.cols[col]).(*Int32Col).V[:s.n], s.base, s.del); err != nil {
 			return err
 		}
 	}
@@ -283,38 +283,20 @@ func (t *Table) MemBytes() int64 {
 }
 
 func colMemBytes(c Column, seen map[*Dict]bool) int64 {
-	var b int64
 	switch c := c.(type) {
-	case *Int32Col:
-		b += int64(len(c.V)) * 4
-	case *Int64Col:
-		b += int64(len(c.V)) * 8
-	case *Float64Col:
-		b += int64(len(c.V)) * 8
-	case *StrCol:
-		for _, s := range c.V {
-			b += int64(len(s)) + 16
-		}
+	case *RLECol:
+		return int64(4*len(c.End)) + colMemBytes(c.Vals, seen)
 	case *DictCol:
-		b += int64(len(c.Codes)) * 4
+		b := int64(encodedBytes(c, c.Len()))
 		if !seen[c.Dict] {
 			seen[c.Dict] = true
 			for _, s := range c.Dict.Values() {
 				b += int64(len(s)) + 16
 			}
 		}
-	case *RLEDictCol:
-		b += int64(encodedBytes(c, c.Len()))
-		if !seen[c.Dict] {
-			seen[c.Dict] = true
-			for _, s := range c.Dict.Values() {
-				b += int64(len(s)) + 16
-			}
-		}
-	case *RLEInt32Col, *RLEInt64Col, *FoRInt32Col, *FoRInt64Col:
-		b += int64(encodedBytes(c, c.Len()))
+		return b
 	}
-	return b
+	return int64(encodedBytes(c, c.Len()))
 }
 
 // SetSortKeys configures the columns Consolidate orders fact rows by before
