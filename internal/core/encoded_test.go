@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,11 +14,13 @@ import (
 // encodedStar builds a fact table whose sealed chunks land on every sealed
 // encoding shape — RLE over int32 (an AIR foreign key and a plain int),
 // int64 and dictionary codes; FoR over int32 (an AIR foreign key and a
-// measure) and int64 — next to plain floats and full-range ints, with FKs to
-// two small dimensions. With target > 0 the fact seals segments of that many
-// rows and encodes them; target 0 leaves the identical rows flat, the
-// oracle's input. The same rows are deleted in both.
-func encodedStar(t *testing.T, n, target int) *storage.Table {
+// measure) and int64 (one of them around a negative Base) — next to plain
+// floats and full-range ints, with FKs to two small dimensions. sorted lays
+// the date FK out in runs, as a sort key would, so it seals as RLE;
+// otherwise it is random and seals as FoR. With target > 0 the fact seals
+// segments of that many rows and encodes them; target 0 leaves the
+// identical rows flat, the oracle's input. The same rows are deleted in both.
+func encodedStar(t *testing.T, n, target int, sorted bool) *storage.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 
@@ -44,17 +47,21 @@ func encodedStar(t *testing.T, n, target int) *storage.Table {
 	customer.MustAddColumn("c_balance", storage.NewInt64Col(cBal))
 
 	dk, ck, batch, qty, wide := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
-	price, cost, lot := make([]int64, n), make([]int64, n), make([]int64, n)
+	price, cost, net, lot := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
 	frac := make([]float64, n)
 	tag := storage.NewDictCol(storage.NewDict())
 	for i := 0; i < n; i++ {
 		dk[i] = int32(i/150) % nDate // RLE int32, AIR FK
+		if !sorted {
+			dk[i] = int32(rng.Intn(nDate)) // FoR int32, AIR FK
+		}
 		ck[i] = int32(rng.Intn(nCust))
 		batch[i] = int32(i / 100) // RLE int32
 		qty[i] = int32(rng.Intn(50) + 1)
 		wide[i] = int32(uint32(i) * 2654435761) // stays plain
 		price[i] = int64(rng.Intn(10000) + 100)
 		cost[i] = int64(rng.Intn(5000))
+		net[i] = cost[i] - 2500                   // FoR int64 with a negative Base
 		lot[i] = int64(i/64) * 1000               // RLE int64
 		frac[i] = float64(rng.Intn(4)) / 4        // exact in binary: sums stay exact
 		tag.Append(regions[(i/128)%len(regions)]) // RLE dict
@@ -67,6 +74,7 @@ func encodedStar(t *testing.T, n, target int) *storage.Table {
 	fact.MustAddColumn("f_wide", storage.NewInt32Col(wide))
 	fact.MustAddColumn("f_price", storage.NewInt64Col(price))
 	fact.MustAddColumn("f_cost", storage.NewInt64Col(cost))
+	fact.MustAddColumn("f_net", storage.NewInt64Col(net))
 	fact.MustAddColumn("f_lot", storage.NewInt64Col(lot))
 	fact.MustAddColumn("f_frac", storage.NewFloat64Col(frac))
 	fact.MustAddColumn("f_tag", tag)
@@ -145,59 +153,146 @@ func encodedQueries() []*query.Query {
 	}
 }
 
-// TestEncodedMatchesOracle is the engine-level differential test over
-// encoded sealed segments: every variant, serial and parallel, with the
-// aggregate cache on (run twice, so the second run merges cached partials)
-// and off, must return the oracle's answer over the flat twin exactly.
-func TestEncodedMatchesOracle(t *testing.T) {
-	const n, target = 6000, 512
-	flat := encodedStar(t, n, 0)
-	seg := encodedStar(t, n, target)
-
-	want := map[string]storage.Encoding{
-		"f_dk": storage.EncRLE, "f_batch": storage.EncRLE, "f_lot": storage.EncRLE, "f_tag": storage.EncRLE,
-		"f_ck": storage.EncFoR, "f_qty": storage.EncFoR, "f_price": storage.EncFoR, "f_cost": storage.EncFoR,
-		"f_wide": storage.EncPlain, "f_frac": storage.EncPlain,
+// forPredicates is the FoR filter matrix over column col: every comparison
+// Op against every literal, with integer and float operands, BETWEEN over
+// neighbouring literals (and the empty reversed range), and IN lists that
+// mix values inside and outside the frame.
+func forPredicates(col string, lits []int64) []expr.Pred {
+	var ps []expr.Pred
+	for _, v := range lits {
+		for _, op := range []expr.Op{expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge} {
+			ps = append(ps,
+				expr.Pred{Col: col, Op: op, Kind: expr.KInt, IVal: v},
+				expr.Pred{Col: col, Op: op, Kind: expr.KFloat, FVal: float64(v) + 0.5})
+		}
 	}
-	sealed := 0
+	for i := 1; i < len(lits); i++ {
+		lo, hi := lits[i-1], lits[i]
+		ps = append(ps, expr.IntBetween(col, lo, hi), expr.IntBetween(col, hi, lo),
+			expr.FloatBetween(col, float64(lo), float64(hi)+0.5))
+	}
+	return append(ps, expr.IntBetween(col, lits[0], lits[len(lits)-1]),
+		expr.IntIn(col, lits...), expr.IntIn(col, lits[1], lits[3], lits[len(lits)-2]))
+}
+
+// forLiterals picks literals around the frame of col's FoR chunk in the
+// first sealed segment: below Base, at Base, inside the frame, at its top
+// Base+2^Width−1 and just above it, plus the extremes of the column's type
+// (int64 extremes on an int32 column too when wide is set).
+func forLiterals(t *testing.T, seg *storage.Table, col string, wide bool) []int64 {
+	t.Helper()
 	for _, sv := range seg.SegViews() {
-		if !sv.Sealed {
+		f, ok := sv.Cols[col].(*storage.FoRCol)
+		if !ok {
 			continue
 		}
-		sealed++
-		for col, enc := range want {
-			if got := storage.ChunkEncoding(sv.Cols[col]); got != enc {
-				t.Fatalf("fixture: %s sealed as %s, want %s", col, got, enc)
+		top := f.Base + int64(1)<<f.Width - 1
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if f.Typ == storage.TInt32 && !wide {
+			lo, hi = math.MinInt32, math.MaxInt32
+		}
+		return []int64{lo, f.Base - 1, f.Base, f.Base + (top-f.Base)/3, top, top + 1, hi}
+	}
+	t.Fatalf("fixture: %s has no FoR chunk", col)
+	return nil
+}
+
+// TestEncodedMatchesOracle is the engine-level differential test over
+// encoded sealed segments, on two layouts of one fact: date FK in runs (RLE)
+// and scattered (FoR). Every variant, plus Auto forced onto the hash
+// backend, serial and parallel, with the aggregate cache on (run twice, so
+// the second run merges cached partials) and off, must return the oracle's
+// answer over the flat twin exactly; so must every predicate of the FoR
+// filter matrix, column-wise and row-wise.
+func TestEncodedMatchesOracle(t *testing.T) {
+	const n, target = 6000, 512
+	engines := []Options{{Variant: Auto, MaxArrayGroups: 2}}
+	for _, v := range allVariants() {
+		engines = append(engines, Options{Variant: v})
+	}
+	label := func(o Options) string {
+		if o.MaxArrayGroups == 2 {
+			return o.Variant.String() + "/hash"
+		}
+		return o.Variant.String()
+	}
+	for _, sorted := range []bool{true, false} {
+		flat := encodedStar(t, n, 0, sorted)
+		seg := encodedStar(t, n, target, sorted)
+
+		want := map[string]storage.Encoding{
+			"f_dk": storage.EncFoR, "f_batch": storage.EncRLE, "f_lot": storage.EncRLE, "f_tag": storage.EncRLE,
+			"f_ck": storage.EncFoR, "f_qty": storage.EncFoR, "f_price": storage.EncFoR, "f_cost": storage.EncFoR,
+			"f_net": storage.EncFoR, "f_wide": storage.EncPlain, "f_frac": storage.EncPlain,
+		}
+		if sorted {
+			want["f_dk"] = storage.EncRLE
+		}
+		sealed := 0
+		for _, sv := range seg.SegViews() {
+			if !sv.Sealed {
+				continue
+			}
+			sealed++
+			for col, enc := range want {
+				if got := storage.ChunkEncoding(sv.Cols[col]); got != enc {
+					t.Fatalf("fixture (sorted %v): %s sealed as %s, want %s", sorted, col, got, enc)
+				}
 			}
 		}
-	}
-	if sealed != n/target {
-		t.Fatalf("fixture: %d sealed segments, want %d", sealed, n/target)
-	}
-
-	for _, q := range encodedQueries() {
-		oracle, err := naiveRun(flat, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
+		if sealed != n/target {
+			t.Fatalf("fixture (sorted %v): %d sealed segments, want %d", sorted, sealed, n/target)
 		}
-		for _, v := range allVariants() {
-			for _, workers := range []int{1, 4} {
-				for _, cacheBytes := range []int64{0, -1} {
-					label := fmt.Sprintf("%s [%s w=%d cache=%v]", q.Name, v, workers, cacheBytes >= 0)
-					eng, err := New(seg, Options{Variant: v, Workers: workers, AggCacheBytes: cacheBytes})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var c *Compiled
-					for run := 0; run < 2; run++ {
-						got, stats := execFresh(t, eng, &c, q)
-						if err := query.Diff(oracle, got, 0); err != nil {
-							t.Fatalf("%s run %d: %v", label, run, err)
+
+		for _, q := range encodedQueries() {
+			oracle, err := naiveRun(flat, q)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", q.Name, err)
+			}
+			for _, o := range engines {
+				for _, workers := range []int{1, 4} {
+					for _, cacheBytes := range []int64{0, -1} {
+						label := fmt.Sprintf("%s [sorted %v %s w=%d cache=%v]", q.Name, sorted, label(o), workers, cacheBytes >= 0)
+						o.Workers, o.AggCacheBytes = workers, cacheBytes
+						eng, err := New(seg, o)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if stats.EncodedSegments == 0 && stats.AggCacheHits == 0 {
-							t.Fatalf("%s run %d: no encoded segment admitted", label, run)
+						var c *Compiled
+						for run := 0; run < 2; run++ {
+							got, stats := execFresh(t, eng, &c, q)
+							if err := query.Diff(oracle, got, 0); err != nil {
+								t.Fatalf("%s run %d: %v", label, run, err)
+							}
+							if stats.EncodedSegments == 0 && stats.AggCacheHits == 0 {
+								t.Fatalf("%s run %d: no encoded segment admitted", label, run)
+							}
 						}
 					}
+				}
+			}
+		}
+
+		var preds []expr.Pred
+		for _, col := range []string{"f_qty", "f_net"} {
+			preds = append(preds, forPredicates(col, forLiterals(t, seg, col, false))...)
+		}
+		for _, o := range []Options{{Variant: Auto}, {Variant: RowWise}} {
+			o.AggCacheBytes = -1
+			eng, err := New(seg, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range preds {
+				q := query.New(p.String()).Where(p).Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_price"), "price"))
+				oracle, err := naiveRun(flat, q)
+				if err != nil {
+					t.Fatalf("%s: oracle: %v", q.Name, err)
+				}
+				var c *Compiled
+				got, _ := execFresh(t, eng, &c, q)
+				if err := query.Diff(oracle, got, 0); err != nil {
+					t.Fatalf("%s [sorted %v %s, %s operand]: %v", q.Name, sorted, o.Variant, p.Kind, err)
 				}
 			}
 		}
