@@ -63,7 +63,7 @@ func main() {
 		sortKeys = flag.String("sort-keys", "",
 			"comma-separated fact columns to cluster by at consolidation (keys a table lacks are ignored)")
 		encode = flag.Bool("encode-sealed", false,
-			"compress sealed-segment chunks (RLE/FoR); a query walks RLE runs where it can and decodes the rest once per segment")
+			"compress sealed-segment chunks (RLE/FoR); queries read them in place, without decoding")
 
 		maxInFlight = flag.Int("max-inflight", 4, "max concurrently executing queries")
 		timeout     = flag.Duration("timeout", 30*time.Second, "default per-query deadline")

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"astore/internal/datagen/ssb"
 	"astore/internal/expr"
 	"astore/internal/query"
 	"astore/internal/storage"
@@ -177,9 +179,9 @@ func forPredicates(col string, lits []int64) []expr.Pred {
 
 // forLiterals picks literals around the frame of col's FoR chunk in the
 // first sealed segment: below Base, at Base, inside the frame, at its top
-// Base+2^Width−1 and just above it, plus the extremes of the column's type
-// (int64 extremes on an int32 column too when wide is set).
-func forLiterals(t *testing.T, seg *storage.Table, col string, wide bool) []int64 {
+// Base+2^Width−1 and just above it, and the int64 extremes — plus the int32
+// ones on an int32 column, where an int64 literal must not be truncated.
+func forLiterals(t *testing.T, seg *storage.Table, col string) []int64 {
 	t.Helper()
 	for _, sv := range seg.SegViews() {
 		f, ok := sv.Cols[col].(*storage.FoRCol)
@@ -187,11 +189,11 @@ func forLiterals(t *testing.T, seg *storage.Table, col string, wide bool) []int6
 			continue
 		}
 		top := f.Base + int64(1)<<f.Width - 1
-		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-		if f.Typ == storage.TInt32 && !wide {
-			lo, hi = math.MinInt32, math.MaxInt32
+		lits := []int64{f.Base - 1, f.Base, f.Base + (top-f.Base)/3, top, top + 1}
+		if f.Typ == storage.TInt32 {
+			lits = append([]int64{math.MinInt32}, append(lits, math.MaxInt32)...)
 		}
-		return []int64{lo, f.Base - 1, f.Base, f.Base + (top-f.Base)/3, top, top + 1, hi}
+		return append([]int64{math.MinInt64}, append(lits, math.MaxInt64)...)
 	}
 	t.Fatalf("fixture: %s has no FoR chunk", col)
 	return nil
@@ -275,7 +277,7 @@ func TestEncodedMatchesOracle(t *testing.T) {
 
 		var preds []expr.Pred
 		for _, col := range []string{"f_qty", "f_net"} {
-			preds = append(preds, forPredicates(col, forLiterals(t, seg, col, false))...)
+			preds = append(preds, forPredicates(col, forLiterals(t, seg, col))...)
 		}
 		for _, o := range []Options{{Variant: Auto}, {Variant: RowWise}} {
 			o.AggCacheBytes = -1
@@ -294,6 +296,64 @@ func TestEncodedMatchesOracle(t *testing.T) {
 				if err := query.Diff(oracle, got, 0); err != nil {
 					t.Fatalf("%s [sorted %v %s, %s operand]: %v", q.Name, sorted, o.Variant, p.Kind, err)
 				}
+			}
+		}
+	}
+}
+
+// TestEncodedBindAllocatesNoRows: binding a plan to a sealed, encoded
+// segment costs O(runs + plan), never O(rows). Q1.1- and Q3.1-shaped plans,
+// on the array and the hash backend, bound to one 64 Ki-row segment sorted
+// by its date FK, allocate under 64 KiB per bind; decoding a single int32
+// chunk of that segment would take 256 KiB.
+func TestEncodedBindAllocatesNoRows(t *testing.T) {
+	const rows = 1 << 16
+	data := ssb.Generate(ssb.Config{SF: 0.012, Seed: 1})
+	fact := data.Lineorder
+	for _, err := range []error{fact.SetSortKeys("lo_orderdate"), fact.SetSegmentTarget(rows), fact.SetSealedEncodings(true)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := storage.Consolidate(data.DB, fact); err != nil {
+		t.Fatal(err)
+	}
+	sv := fact.SegViews()[0]
+	if !sv.Sealed || sv.N != rows ||
+		storage.ChunkEncoding(sv.Cols["lo_orderdate"]) != storage.EncRLE ||
+		storage.ChunkEncoding(sv.Cols["lo_custkey"]) != storage.EncFoR ||
+		storage.ChunkEncoding(sv.Cols["lo_revenue"]) != storage.EncFoR {
+		t.Fatalf("fixture: first segment sealed %v, %d rows, not the sorted RLE/FoR layout", sv.Sealed, sv.N)
+	}
+	for _, q := range []*query.Query{ssb.Q1_1(), ssb.Q3_1()} {
+		for _, v := range []Variant{Auto, ColWisePF} {
+			eng, err := New(fact, Options{Variant: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := eng.plan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.useArray != (v == Auto) {
+				t.Fatalf("%s [%s]: array backend %v", q.Name, v, pl.useArray)
+			}
+			const binds = 10
+			perBind := uint64(math.MaxUint64)
+			for attempt := 0; attempt < 3; attempt++ { // TotalAlloc is process-wide
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < binds; i++ {
+					if _, err := pl.bind(&sv); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				perBind = min(perBind, (after.TotalAlloc-before.TotalAlloc)/binds)
+			}
+			t.Logf("%s [%s]: %d bytes per bind", q.Name, v, perBind)
+			if perBind > 64<<10 {
+				t.Errorf("%s [%s]: binding a %d-row encoded segment allocated %d bytes, want < 64 KiB", q.Name, v, rows, perBind)
 			}
 		}
 	}

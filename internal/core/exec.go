@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -52,11 +53,13 @@ type worker struct {
 	stats Stats // ScanNS, AggNS, RowsScanned, RowsSelected
 	err   error // why the worker stopped early: ctx.Err() or a failed merge
 
-	// Reused per-morsel buffers.
-	sel   []int32
-	mi    []int32
-	cells []*agg.Cell
-	key   []byte
+	// Reused per-morsel buffers. ints and ints2 hold integer values read in
+	// place from encoded chunks at the selected rows.
+	sel         []int32
+	mi          []int32
+	cells       []*agg.Cell
+	key         []byte
+	ints, ints2 []int64
 }
 
 // newState builds an empty aggregation state of the plan's backend: a
@@ -347,7 +350,7 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 		if f.filt != nil {
 			sel = f.filt(sel)
 		} else {
-			sel = filterProbe(f, sel)
+			sel = filterProbe(w, f, sel)
 		}
 	}
 
@@ -381,8 +384,26 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 // filterProbe refines the selection vector through one probe filter,
 // following the AIR chain and testing the predicate vector bit (or the
 // direct matcher).
-func filterProbe(f *boundFilter, sel []int32) []int32 {
+func filterProbe(w *worker, f *boundFilter, sel []int32) []int32 {
 	out := sel[:0]
+	if f.keys != nil {
+		// FoR FK chunk: the selected keys are read in place, then probed.
+		w.ints = f.keys.Gather(w.ints, sel)
+		if vec := f.probe.vec; vec != nil && len(f.probe.dimFKs) == 0 {
+			for j, k := range w.ints {
+				if vec.Get(int(k)) {
+					out = append(out, sel[j])
+				}
+			}
+			return out
+		}
+		for j, k := range w.ints {
+			if f.probe.passValue(int32(k)) {
+				out = append(out, sel[j])
+			}
+		}
+		return out
+	}
 	if f.runEnd != nil {
 		// Run-at-a-time kernel over an RLE FK chunk: verdicts were
 		// computed per run at bind time; the (ascending) selection vector
@@ -433,7 +454,7 @@ func groupArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) []int32
 	mult := arr.Mult()
 	dead := false
 	for k := range st.dims {
-		dead = accumulateDim(&st.dims[k], sel, mi, mult[k]) || dead
+		dead = accumulateDim(w, &st.dims[k], sel, mi, mult[k]) || dead
 	}
 	if dead {
 		keep := sel[:0]
@@ -456,9 +477,53 @@ func groupArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) []int32
 
 // accumulateDim folds one grouping column's dense ids into the measure
 // index. Returns true if any row hit a null group (marked -1).
-func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
+func accumulateDim(w *worker, b *boundDim, sel []int32, mi []int32, mult int32) bool {
 	d := b.d
 	dead := false
+	switch {
+	case b.runEnd != nil:
+		// RLE chunk, any kind: one id per run, and a run cursor that
+		// advances for every selected row (sel is ascending), independent
+		// of the null check; it is local to this call, so the binding stays
+		// safe across the execution's concurrent workers.
+		ids, end := b.runIDs, b.runEnd
+		ri := 0
+		for j, r := range sel {
+			for end[ri] <= r {
+				ri++
+			}
+			if mi[j] < 0 {
+				continue
+			}
+			if id := ids[ri]; id >= 0 {
+				mi[j] += id * mult
+			} else {
+				mi[j] = -1
+				dead = true
+			}
+		}
+		return dead
+	case b.keys != nil:
+		// FoR chunk (a leaf's FK or a root number): the selected values are
+		// read in place.
+		w.ints = b.keys.Gather(w.ints, sel)
+		for j, k := range w.ints {
+			if mi[j] < 0 {
+				continue
+			}
+			id := int32(k - d.base)
+			if d.kind == gdLeafVec {
+				id = d.leafID(int32(k))
+			}
+			if id >= 0 {
+				mi[j] += id * mult
+			} else {
+				mi[j] = -1
+				dead = true
+			}
+		}
+		return dead
+	}
 	switch d.kind {
 	case gdLeafVec:
 		if len(d.dimFKs) == 0 {
@@ -482,11 +547,7 @@ func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
 			if mi[j] < 0 {
 				continue
 			}
-			x := b.fk0[r]
-			for _, fk := range d.dimFKs {
-				x = fk[x]
-			}
-			id := d.vec[x]
+			id := d.leafID(b.fk0[r])
 			if id < 0 {
 				mi[j] = -1
 				dead = true
@@ -495,21 +556,6 @@ func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
 			mi[j] += id * mult
 		}
 	case gdRootDict:
-		if b.rleEnd != nil {
-			// Run-cursor variant: the cursor advances for every selected
-			// row (sel is ascending), independent of the null check.
-			codes, end := b.codes, b.rleEnd
-			ri := 0
-			for j, r := range sel {
-				for end[ri] <= r {
-					ri++
-				}
-				if mi[j] >= 0 {
-					mi[j] += codes[ri] * mult
-				}
-			}
-			return false
-		}
 		codes := b.codes
 		for j, r := range sel {
 			if mi[j] >= 0 {
@@ -547,18 +593,30 @@ func accumulateDim(b *boundDim, sel []int32, mi []int32, mult int32) bool {
 
 // groupHash assigns each selected row its hash-aggregation cell, keyed by
 // the packed dense group ids (stable across workers, so partials merge).
+// The ids are computed one grouping column at a time, by groupArray's
+// per-column loops (column-wise grouping, Fig. 6), into w.mi: column k's
+// ids for the n selected rows at [k*n, (k+1)*n).
 func groupHash(w *worker, h *agg.HashAgg, st *segState, sel []int32) []int32 {
-	if cap(w.cells) < len(sel) {
-		w.cells = make([]*agg.Cell, len(sel))
+	n := len(sel)
+	if cap(w.mi) < n*len(st.dims) {
+		w.mi = make([]int32, n*len(st.dims))
 	}
-	cells := w.cells[:len(sel)]
+	ids := w.mi[:n*len(st.dims)]
+	clear(ids)
+	for k := range st.dims {
+		accumulateDim(w, &st.dims[k], sel, ids[k*n:(k+1)*n], 1)
+	}
+	if cap(w.cells) < n {
+		w.cells = make([]*agg.Cell, n)
+	}
+	cells := w.cells[:n]
 	key := w.key
 	out := sel[:0]
 	kept := cells[:0]
-	for _, r := range sel {
+	for j, r := range sel {
 		ok := true
 		for k := range st.dims {
-			id := st.dims[k].id(r)
+			id := ids[k*n+j]
 			if id < 0 {
 				ok = false
 				break
@@ -590,7 +648,7 @@ func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
 		vals := arr.Vals(k)
 		switch ba.ap.kind {
 		case expr.Sum, expr.Avg:
-			if ba.sumLoop(vals, sel, mi) {
+			if ba.sumLoop(w, vals, sel, mi) {
 				continue
 			}
 			ev := ba.eval
@@ -620,24 +678,17 @@ func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
 // sumLoop runs the recognized dense fast path for Sum/Avg accumulation,
 // returning false when the expression shape or column types are not
 // specialized.
-func (ba *boundAgg) sumLoop(vals []float64, sel, mi []int32) bool {
+func (ba *boundAgg) sumLoop(w *worker, vals []float64, sel, mi []int32) bool {
 	if !ba.fast {
 		return false
+	}
+	if ba.encA != nil {
+		ba.sumEncoded(w, vals, sel, mi)
+		return true
 	}
 	switch ba.ap.form {
 	case expr.FCol:
 		switch {
-		case ba.aRLEVals != nil:
-			// Run-cursor kernel over an RLE measure chunk: one pre-widened
-			// value per run, cursor local to this call.
-			a, end := ba.aRLEVals, ba.aRLEEnd
-			ri := 0
-			for j, r := range sel {
-				for end[ri] <= r {
-					ri++
-				}
-				vals[mi[j]] += a[ri]
-			}
 		case ba.aI64 != nil:
 			a := ba.aI64
 			for j, r := range sel {
@@ -715,6 +766,62 @@ func (ba *boundAgg) sumLoop(vals []float64, sel, mi []int32) bool {
 		return false
 	}
 	return true
+}
+
+// sumEncoded is sumLoop's one arm per form for integer operands of which at
+// least one is encoded: each operand is read at the selected rows into the
+// worker's scratch (a FoR chunk in place, an RLE chunk by run cursor) and
+// the sum runs over that.
+func (ba *boundAgg) sumEncoded(w *worker, vals []float64, sel, mi []int32) {
+	w.ints = gatherInts(w.ints, ba.encA, sel)
+	a := w.ints
+	switch ba.ap.form {
+	case expr.FCol:
+		for j, x := range a {
+			vals[mi[j]] += float64(x)
+		}
+	case expr.FMulCols:
+		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
+		b := w.ints2
+		for j, x := range a {
+			vals[mi[j]] += float64(x * b[j])
+		}
+	case expr.FSubCols:
+		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
+		b := w.ints2
+		for j, x := range a {
+			vals[mi[j]] += float64(x - b[j])
+		}
+	}
+}
+
+// gatherInts reads integer chunk c at the rows of selection vector sel
+// (ascending) into dst, reusing its storage: a FoR chunk in place, an RLE
+// chunk with a run cursor, a plain chunk directly.
+func gatherInts(dst []int64, c storage.Column, sel []int32) []int64 {
+	if f, ok := c.(*storage.FoRCol); ok {
+		return f.Gather(dst, sel)
+	}
+	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
+	switch c := c.(type) {
+	case *storage.Int32Col:
+		for j, r := range sel {
+			dst[j] = int64(c.V[r])
+		}
+	case *storage.Int64Col:
+		for j, r := range sel {
+			dst[j] = c.V[r]
+		}
+	case *storage.RLECol:
+		ri := 0
+		for j, r := range sel {
+			for c.End[ri] <= r {
+				ri++
+			}
+			dst[j], _ = storage.Int64At(c.Vals, ri)
+		}
+	}
+	return dst
 }
 
 // aggregateHash is phase 3 over the hash backend.

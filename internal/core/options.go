@@ -143,11 +143,13 @@ type Options struct {
 	AggCacheBytes int64
 	// SealedEncodings, when true, makes db.Open enable the two compressed
 	// chunk encodings (RLE, over integers and dictionary codes, and
-	// frame-of-reference bit-packing of integers) on sealed segments of every segmented fact table. Chunks are
-	// encoded at seal time only when the encoded form is at most half the
-	// plain size. A scan binding walks an RLE chunk's runs where a run
-	// cursor consumes them and otherwise decodes each encoded chunk it
-	// reads once. The engine itself does not consult this field.
+	// frame-of-reference bit-packing of integers) on sealed segments of
+	// every segmented fact table. Chunks are encoded at seal time only when
+	// the encoded form is at most half the plain size. The column-wise scan
+	// reads encoded chunks where they lie — RLE run by run, FoR field by
+	// field at the selected rows — and never decodes them; the row-wise
+	// variants decode each chunk they read once per binding. The engine
+	// itself does not consult this field.
 	SealedEncodings bool
 }
 
@@ -229,8 +231,8 @@ type Stats struct {
 	// In a warm steady state, scanned rows == tail rows.
 	TailRows int64
 	// EncodedSegments is the number of admitted segments containing at
-	// least one compressed (RLE or FoR) chunk, i.e. segments whose binding
-	// walks runs or decodes chunks rather than reading plain arrays only.
+	// least one compressed (RLE or FoR) chunk, i.e. segments the scan reads
+	// at least partly in encoded form rather than as plain arrays only.
 	EncodedSegments int
 
 	// UsedArrayAgg reports whether the multidimensional aggregation array

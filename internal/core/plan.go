@@ -20,11 +20,9 @@ import (
 //     AIR hops beyond the first) is captured at plan time from the
 //     dimensions' contiguous column arrays, and any dimension mutation
 //     advances its DataVersion, which evicts the plan.
-//   - Root(fact)-side state — the arrays the scan actually reads — is a
-//     *recipe* bound per segment at execution time (segState). Sealed
-//     segments are immutable, so their bindings are cached keyed by
-//     (segment, epoch); the mutable tail is rebound per execution. A root
-//     that never seals is all tail.
+//   - Root(fact)-side state — the chunks the scan actually reads — is a
+//     *recipe* bound per segment at execution time (segState), for that
+//     execution only. A root that never seals is all tail.
 //
 // This is what lets live appends to a fact table advance its DataVersion
 // without invalidating cached plans: new rows only ever land in the tail
@@ -782,19 +780,20 @@ type segState struct {
 	aggs    []boundAgg
 }
 
-// boundFilter is one scanFilter bound to a segment.
+// boundFilter is one scanFilter bound to a segment. A probe's FK chunk is
+// held in one of three forms: plain keys (fk0), an RLE chunk's run ends
+// with one verdict per run, chased through the AIR chain at bind time
+// (runEnd, runPass), or a FoR chunk whose keys the scan reads in place
+// (keys). The encoded forms serve the column-wise kernel only.
 type boundFilter struct {
 	filt  func([]int32) []int32 // root filter, columnar kernel
 	test  func(int32) bool      // root filter, row-wise kernel
 	probe *probeFilter          // shared dimension-side state
 	fk0   []int32               // probe first hop, segment-local
 
-	// Run-at-a-time probe kernel (columnar): when the FK chunk is
-	// RLE-encoded, the probe verdict is computed once per run at bind time
-	// and the scan walks runs instead of rows. runEnd is the chunk's
-	// cumulative run-end array; runPass[ri] is run ri's verdict.
 	runEnd  []int32
 	runPass []bool
+	keys    *storage.FoRCol
 }
 
 // keep reports whether local row r passes the filter, one row at a time.
@@ -817,33 +816,42 @@ func (p *probeFilter) passValue(x int32) bool {
 	return p.match(x)
 }
 
-// boundDim is one groupDim bound to a segment.
+// leafID returns the group id of first-level dimension row x: the group
+// vector entry at the end of the remaining AIR hops (-1 if the leaf's
+// predicates exclude it).
+func (d *groupDim) leafID(x int32) int32 {
+	for _, fk := range d.dimFKs {
+		x = fk[x]
+	}
+	return d.vec[x]
+}
+
+// boundDim is one groupDim bound to a segment. Its chunk is held plain
+// (fk0, codes or one of i32/i64/f64, by kind) or, for the column-wise
+// kernel, encoded: an RLE chunk of any kind as one group id per run
+// (runIDs, computed at bind; the dictionary codes themselves for a root
+// dict) with its run ends, a FoR chunk (a leaf FK or a root number) as the
+// chunk, read in place.
 type boundDim struct {
 	d     *groupDim
 	fk0   []int32 // leaf kind
-	codes []int32 // root dict kind: per row, or per run when rleEnd is set
+	codes []int32 // root dict kind
 	i32   []int32 // root numeric kinds (one of i32/i64/f64 set)
 	i64   []int64
 	f64   []float64
 
-	// Run-at-a-time grouping kernel (array backend): when a root dict
-	// chunk is RLE-encoded, codes holds one code per run and rleEnd the
-	// run ends.
-	rleEnd []int32
+	runIDs, runEnd []int32
+	keys           *storage.FoRCol
 }
 
 // id returns the dense group id of local row r, or -1 if the row is
 // excluded by the owning leaf's predicates (group vectors double as
-// filters, §4.3).
+// filters, §4.3). It reads plain chunks only: the row-wise kernel's.
 func (b *boundDim) id(r int32) int32 {
 	d := b.d
 	switch d.kind {
 	case gdLeafVec:
-		x := b.fk0[r]
-		for _, fk := range d.dimFKs {
-			x = fk[x]
-		}
-		return d.vec[x]
+		return d.leafID(b.fk0[r])
 	case gdRootDict:
 		return b.codes[r]
 	default:
@@ -858,7 +866,9 @@ func (b *boundDim) id(r int32) int32 {
 	}
 }
 
-// boundAgg is one aggPlan bound to a segment.
+// boundAgg is one aggPlan bound to a segment. A recognized fast form reads
+// plain operand arrays (aI32 … bF64) or, when an operand chunk is encoded,
+// its integer operand chunks as they lie (encA, encB).
 type boundAgg struct {
 	ap   *aggPlan
 	eval func(int32) float64
@@ -871,50 +881,59 @@ type boundAgg struct {
 	bF64 []float64
 	fast bool
 
-	// Run-at-a-time sum kernel: when a SUM(col) measure chunk is
-	// RLE-encoded, the per-run values are pre-widened to float64 and the
-	// accumulation loop walks runs with a cursor instead of reading rows.
-	aRLEVals []float64
-	aRLEEnd  []int32
+	encA, encB storage.Column
 }
 
-// segChunks reads one segment's root chunks for one binding, each at most
-// once: a plain chunk is used as it is, and an encoded one is decoded on
-// first use and its plain form shared by every later consumer. The run
-// cursor consumers — root filters and FK probes in the columnar kernel,
-// dict grouping and SUM(col) on the array backend — take an RLE chunk's
-// runs instead, and leave it encoded.
+// segChunks reads one segment's root chunks for one binding. The
+// column-wise kernel reads every chunk where it lies — plain, RLE or FoR —
+// so its binding holds the chunks themselves plus O(runs) verdicts and ids
+// and allocates nothing per row. The row-wise kernel, which exists to
+// measure the unoptimized scan, reads plain arrays only: for it (decode) an
+// encoded chunk is decoded on first use and its plain form shared.
 type segChunks struct {
-	cols  map[string]storage.Column
-	plain map[string]storage.Column // decoded chunks
+	cols   map[string]storage.Column
+	decode bool
+	plain  map[string]storage.Column // decoded chunks, row-wise only
 }
 
-// col returns the named chunk in plain form.
+// col returns the named chunk: as it lies, or in plain form under decode.
 func (sc *segChunks) col(name string) (storage.Column, error) {
-	if c, ok := sc.plain[name]; ok {
-		return c, nil
-	}
 	c, ok := sc.cols[name]
 	if !ok {
 		return nil, fmt.Errorf("core: segment has no column %s", name)
 	}
-	if storage.ChunkEncoding(c) != storage.EncPlain {
-		c = storage.DecodeChunk(c)
-		if sc.plain == nil {
-			sc.plain = make(map[string]storage.Column)
-		}
-		sc.plain[name] = c
+	if !sc.decode || storage.ChunkEncoding(c) == storage.EncPlain {
+		return c, nil
 	}
-	return c, nil
+	if p, ok := sc.plain[name]; ok {
+		return p, nil
+	}
+	p := storage.DecodeChunk(c)
+	if sc.plain == nil {
+		sc.plain = make(map[string]storage.Column)
+	}
+	sc.plain[name] = p
+	return p, nil
 }
 
-// int32s returns the named int32 chunk's values in plain form.
-func (sc *segChunks) int32s(name string) ([]int32, error) {
+// keyAt returns a per-row reader of the named int32 key chunk, whatever
+// its encoding.
+func (sc *segChunks) keyAt(name string) (func(int32) int32, error) {
 	c, err := sc.col(name)
 	if err != nil {
 		return nil, err
 	}
-	return int32Values(name, c)
+	if c.Type() != storage.TInt32 {
+		return nil, fmt.Errorf("core: segment column %s is not int32", name)
+	}
+	if ic, ok := c.(*storage.Int32Col); ok {
+		v := ic.V
+		return func(r int32) int32 { return v[r] }, nil
+	}
+	return func(r int32) int32 {
+		v, _ := storage.Int64At(c, int(r))
+		return int32(v)
+	}, nil
 }
 
 // int32Values returns the values of plain chunk c of column name, which
@@ -927,17 +946,18 @@ func int32Values(name string, c storage.Column) ([]int32, error) {
 	return ic.V, nil
 }
 
-// runs returns the named chunk when it is RLE-encoded — its run ends and
-// one plain value per run — and nil otherwise.
-func (sc *segChunks) runs(name string) *storage.RLECol {
-	rle, _ := sc.cols[name].(*storage.RLECol)
-	return rle
+// int32Keys checks that FoR chunk c of key column name holds int32 keys.
+func int32Keys(name string, c *storage.FoRCol) (*storage.FoRCol, error) {
+	if c.Typ != storage.TInt32 {
+		return nil, fmt.Errorf("core: segment column %s is not int32", name)
+	}
+	return c, nil
 }
 
 // bind resolves the plan's root-resident recipes against one segment's
 // chunks.
 func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
-	sc := &segChunks{cols: sv.Cols}
+	sc := &segChunks{cols: sv.Cols, decode: pl.variant.rowWise()}
 	st := &segState{n: sv.N}
 	for _, c := range sv.Cols {
 		if storage.ChunkEncoding(c) != storage.EncPlain {
@@ -955,7 +975,7 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 	}
 	st.dims = make([]boundDim, 0, len(pl.dims))
 	for _, d := range pl.dims {
-		bd, err := pl.bindDim(sc, d)
+		bd, err := bindDim(sc, d)
 		if err != nil {
 			return nil, err
 		}
@@ -973,72 +993,98 @@ func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
 }
 
 // bindFilter binds one filter: a selection-vector filterer for the
-// columnar kernel, a per-row test for the row-wise one. The columnar kernel
-// filters an RLE chunk run by run: a root predicate through Filterer's run
-// form, a probe by chasing each run's FK value through the AIR chain once.
+// columnar kernel (over the chunk as it lies), a per-row test for the
+// row-wise one. A probe over an RLE FK chunk chases each run's key through
+// the AIR chain once, here.
 func (pl *plan) bindFilter(sc *segChunks, f *scanFilter) (boundFilter, error) {
-	columnar := !pl.variant.rowWise()
 	if f.root != nil {
-		if rle := sc.runs(f.root.col); rle != nil && columnar {
-			filt, err := f.root.pred.Filterer(rle)
-			return boundFilter{filt: filt}, err
-		}
 		c, err := sc.col(f.root.col)
 		if err != nil {
 			return boundFilter{}, err
 		}
-		if columnar {
-			filt, err := f.root.pred.Filterer(c)
-			return boundFilter{filt: filt}, err
+		if sc.decode {
+			test, err := f.root.pred.Matcher(c)
+			return boundFilter{test: test}, err
 		}
-		test, err := f.root.pred.Matcher(c)
-		return boundFilter{test: test}, err
+		filt, err := f.root.pred.Filterer(c)
+		return boundFilter{filt: filt}, err
 	}
-	if rle := sc.runs(f.probe.fk0); rle != nil && columnar {
-		fk, err := int32Values(f.probe.fk0, rle.Vals)
+	bf := boundFilter{probe: f.probe}
+	c, err := sc.col(f.probe.fk0)
+	if err != nil {
+		return bf, err
+	}
+	switch c := c.(type) {
+	case *storage.RLECol:
+		fk, err := int32Values(f.probe.fk0, c.Vals)
 		if err != nil {
-			return boundFilter{}, err
+			return bf, err
 		}
-		pass := make([]bool, len(fk))
+		bf.runEnd, bf.runPass = c.End, make([]bool, len(fk))
 		for ri, x := range fk {
-			pass[ri] = f.probe.passValue(x)
+			bf.runPass[ri] = f.probe.passValue(x)
 		}
-		return boundFilter{probe: f.probe, runEnd: rle.End, runPass: pass}, nil
+	case *storage.FoRCol:
+		bf.keys, err = int32Keys(f.probe.fk0, c)
+	default:
+		bf.fk0, err = int32Values(f.probe.fk0, c)
 	}
-	fk0, err := sc.int32s(f.probe.fk0)
-	return boundFilter{probe: f.probe, fk0: fk0}, err
+	return bf, err
 }
 
-// bindDim binds one group dimension. On the array backend an RLE dict
-// chunk is grouped run by run.
-func (pl *plan) bindDim(sc *segChunks, d *groupDim) (boundDim, error) {
+// bindDim binds one group dimension; an RLE chunk gets its group id per
+// run here.
+func bindDim(sc *segChunks, d *groupDim) (boundDim, error) {
 	bd := boundDim{d: d}
+	name := d.col
+	if d.kind == gdLeafVec {
+		name = d.fk0
+	}
+	c, err := sc.col(name)
+	if err != nil {
+		return bd, err
+	}
+	if rle, ok := c.(*storage.RLECol); ok {
+		bd.runEnd = rle.End
+		c = rle.Vals
+	}
 	switch d.kind {
 	case gdLeafVec:
-		fk0, err := sc.int32s(d.fk0)
-		bd.fk0 = fk0
-		return bd, err
-	case gdRootDict:
-		var c storage.Column
-		if rle := sc.runs(d.col); rle != nil && pl.useArray {
-			bd.rleEnd, c = rle.End, rle.Vals
-		} else {
-			var err error
-			if c, err = sc.col(d.col); err != nil {
-				return bd, err
-			}
-		}
-		dc, ok := c.(*storage.DictCol)
-		if !ok {
-			return bd, fmt.Errorf("core: segment column %s is not dict-compressed", d.col)
-		}
-		bd.codes = dc.Codes
-	default:
-		c, err := sc.col(d.col)
-		if err != nil {
+		if f, ok := c.(*storage.FoRCol); ok {
+			bd.keys, err = int32Keys(name, f)
 			return bd, err
 		}
+		fk, err := int32Values(name, c)
+		if err != nil || bd.runEnd == nil {
+			bd.fk0 = fk
+			return bd, err
+		}
+		bd.runIDs = make([]int32, len(fk))
+		for ri, x := range fk {
+			bd.runIDs[ri] = d.leafID(x)
+		}
+	case gdRootDict:
+		dc, ok := c.(*storage.DictCol)
+		if !ok {
+			return bd, fmt.Errorf("core: segment column %s is not dict-compressed", name)
+		}
+		if bd.runEnd != nil {
+			bd.runIDs = dc.Codes
+		} else {
+			bd.codes = dc.Codes
+		}
+	default:
+		if bd.runEnd != nil {
+			bd.runIDs = make([]int32, len(bd.runEnd))
+			for ri := range bd.runIDs {
+				v, _ := storage.Int64At(c, ri)
+				bd.runIDs[ri] = int32(v - d.base)
+			}
+			return bd, nil
+		}
 		switch c := c.(type) {
+		case *storage.FoRCol:
+			bd.keys = c
 		case *storage.Int32Col:
 			bd.i32 = c.V
 		case *storage.Int64Col:
@@ -1046,54 +1092,46 @@ func (pl *plan) bindDim(sc *segChunks, d *groupDim) (boundDim, error) {
 		case *storage.Float64Col:
 			bd.f64 = c.V
 		default:
-			return bd, fmt.Errorf("core: segment column %s is not numeric", d.col)
+			return bd, fmt.Errorf("core: segment column %s is not numeric", name)
 		}
 	}
 	return bd, nil
 }
 
-// bindAgg binds one aggregate: on the array backend, the dense arrays of a
-// recognized fast form (an RLE SUM(col) measure as its runs); everywhere
-// else, and whenever the fast form does not cover it, the generic
-// evaluator.
+// bindAgg binds one aggregate: on the array backend, the operands of a
+// recognized fast form — plain arrays, or integer chunks as they lie when
+// any operand is encoded; everywhere else, and whenever the fast form does
+// not cover it, the generic evaluator over per-row accessors.
 func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
 	ba := boundAgg{ap: ap}
 	if ap.agg.Expr == nil {
 		return ba, nil
 	}
 	if ap.fastTry && pl.useArray {
-		assign := func(name string, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
-			c, err := sc.col(name)
-			if err != nil {
-				return false
+		a, b := sc.cols[ap.colA], sc.cols[ap.colB]
+		if storage.ChunkEncoding(a) != storage.EncPlain || (b != nil && storage.ChunkEncoding(b) != storage.EncPlain) {
+			if ap.form != expr.FMulOneMinus && intChunk(a) && (ap.colB == "" || intChunk(b)) {
+				ba.encA, ba.encB, ba.fast = a, b, true
 			}
-			switch c := c.(type) {
-			case *storage.Int32Col:
-				*i32 = c.V
-			case *storage.Int64Col:
-				*i64 = c.V
-			case *storage.Float64Col:
-				*f64 = c.V
-			default:
-				return false
-			}
-			return true
-		}
-		if rle := sc.runs(ap.colA); rle != nil && ap.form == expr.FCol {
-			if acc, err := expr.ColAccessor(rle.Vals); err == nil {
-				ba.aRLEVals = make([]float64, len(rle.End))
-				for ri := range ba.aRLEVals {
-					ba.aRLEVals[ri] = acc(int32(ri))
+		} else {
+			assign := func(c storage.Column, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
+				switch c := c.(type) {
+				case *storage.Int32Col:
+					*i32 = c.V
+				case *storage.Int64Col:
+					*i64 = c.V
+				case *storage.Float64Col:
+					*f64 = c.V
+				default:
+					return false
 				}
-				ba.aRLEEnd, ba.fast = rle.End, true
+				return true
 			}
+			ba.fast = assign(a, &ba.aI32, &ba.aI64, &ba.aF64) &&
+				(ap.colB == "" || assign(b, &ba.bI32, &ba.bI64, &ba.bF64))
 		}
-		if !ba.fast {
-			ba.fast = assign(ap.colA, &ba.aI32, &ba.aI64, &ba.aF64) &&
-				(ap.colB == "" || assign(ap.colB, &ba.bI32, &ba.bI64, &ba.bF64))
-		}
-		// sumLoop covers SUM/AVG of a single column whatever its type, so
-		// such an aggregate needs no evaluator (and its chunk no decode).
+		// sumLoop covers SUM/AVG of a single column whatever its type or
+		// encoding, so such an aggregate needs no evaluator.
 		if ba.fast && ap.form == expr.FCol && (ap.kind == expr.Sum || ap.kind == expr.Avg) {
 			return ba, nil
 		}
@@ -1110,16 +1148,16 @@ func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
 			}
 			return expr.ColAccessor(c)
 		}
-		fk0, err := sc.int32s(eb.fk0)
+		key, err := sc.keyAt(eb.fk0)
 		if err != nil {
 			return nil, err
 		}
 		acc, fks := eb.acc, eb.dimFKs
 		if len(fks) == 0 {
-			return func(r int32) float64 { return acc(fk0[r]) }, nil
+			return func(r int32) float64 { return acc(key(r)) }, nil
 		}
 		return func(r int32) float64 {
-			x := fk0[r]
+			x := key(r)
 			for _, fk := range fks {
 				x = fk[x]
 			}
@@ -1128,6 +1166,11 @@ func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
 	})
 	ba.eval = eval
 	return ba, err
+}
+
+// intChunk reports whether c is an integer chunk, plain or encoded.
+func intChunk(c storage.Column) bool {
+	return c != nil && (c.Type() == storage.TInt32 || c.Type() == storage.TInt64)
 }
 
 // mayMatchSegment reports whether a filter could select any row of the

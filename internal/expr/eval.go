@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 
 	"astore/internal/storage"
 )
@@ -22,7 +23,7 @@ func (p Pred) Bitmap(c storage.Column, out *storage.Bitmap) error {
 		if p.Kind == KStr {
 			return typeErr(p, c)
 		}
-		if p.Kind == KInt {
+		if p.Kind == KInt && p.int32Operands() {
 			switch p.Op {
 			case Eq:
 				v := int32(p.IVal)
@@ -108,14 +109,14 @@ func (p Pred) FilterSel(c storage.Column, sel []int32) ([]int32, error) {
 // Filterer compiles the predicate against column c into a reusable
 // selection-vector refinement function, hoisting per-predicate setup —
 // dictionary masks, operand conversions, evaluator dispatch — out of the
-// scan loop. c is a plain chunk, or an RLE chunk, which is filtered run by
-// run. The returned function compacts sel in place and returns the
-// shortened vector.
+// scan loop. c is a plain chunk or an encoded one, read where it lies: an
+// RLE chunk is filtered run by run, a FoR chunk field by field. The
+// returned function compacts sel in place and returns the shortened vector.
 func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 	// Fast paths for the most common scan shapes.
 	switch col := c.(type) {
 	case *storage.Int32Col:
-		if p.Kind == KInt {
+		if p.Kind == KInt && p.int32Operands() {
 			v := col.V
 			switch p.Op {
 			case Eq:
@@ -223,6 +224,11 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 			pass[ri] = m(int32(ri))
 		}
 		return rleSelFilter(col.End, pass), nil
+
+	case *storage.FoRCol:
+		if f := p.forFilterer(col); f != nil {
+			return f, nil
+		}
 	}
 
 	m, err := p.Matcher(c)
@@ -259,6 +265,57 @@ func rleSelFilter(end []int32, pass []bool) func(sel []int32) []int32 {
 		return out
 	}
 }
+
+// forFilterer compiles an integer comparison into the delta domain of FoR
+// chunk c: the values it keeps form one range, which meets the chunk's frame
+// in one range of stored deltas, the whole frame or nothing — decided here,
+// once, so the scan does one unsigned compare per row or none. It returns
+// nil for the other predicates (Ne, In, float operands) and for a chunk
+// whose frame wraps; those test each row's value through the Matcher.
+func (p Pred) forFilterer(c *storage.FoRCol) func(sel []int32) []int32 {
+	if p.Kind != KInt {
+		return nil
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	switch p.Op {
+	case Eq:
+		lo, hi = p.IVal, p.IVal
+	case Between:
+		lo, hi = p.IVal, p.IHi
+	case Lt:
+		if p.IVal == math.MinInt64 {
+			return keepNone
+		}
+		hi = p.IVal - 1
+	case Le:
+		hi = p.IVal
+	case Gt:
+		if p.IVal == math.MaxInt64 {
+			return keepNone
+		}
+		lo = p.IVal + 1
+	case Ge:
+		lo = p.IVal
+	default:
+		return nil
+	}
+	base, top, ok := c.Frame()
+	if !ok {
+		return nil
+	}
+	lo, hi = max(lo, base), min(hi, top)
+	switch {
+	case lo > hi:
+		return keepNone
+	case lo == base && hi == top:
+		return keepAll
+	}
+	dlo, dhi := uint64(lo)-uint64(base), uint64(hi)-uint64(base)
+	return func(sel []int32) []int32 { return c.FilterDelta(sel, dlo, dhi) }
+}
+
+func keepAll(sel []int32) []int32  { return sel }
+func keepNone(sel []int32) []int32 { return sel[:0] }
 
 // FilterSelVia refines selection vector sel of *root* rows by testing the
 // predicate against column c of a leaf table, where leafRow maps a root row

@@ -131,9 +131,21 @@ func MaxOf(e NumExpr, as string) Aggregate { return Aggregate{Kind: Max, Expr: e
 // AvgOf returns AVG(e) named as.
 func AvgOf(e NumExpr, as string) Aggregate { return Aggregate{Kind: Avg, Expr: e, As: as} }
 
-// ColAccessor returns a per-row float64 reader over a plain numeric column.
+// ColAccessor returns a per-row float64 reader over a numeric column: a
+// plain chunk, or an encoded one read in place — a FoR row through its
+// field, an RLE row through the run that holds it.
 func ColAccessor(c storage.Column) (func(int32) float64, error) {
 	switch c := c.(type) {
+	case *storage.FoRCol:
+		return func(i int32) float64 { return float64(c.At(int(i))) }, nil
+	case *storage.RLECol:
+		if !c.Type().IsNumeric() {
+			break
+		}
+		return func(i int32) float64 {
+			v, _ := storage.Int64At(c, int(i))
+			return float64(v)
+		}, nil
 	case *storage.Int32Col:
 		v := c.V
 		return func(i int32) float64 { return float64(v[i]) }, nil
@@ -143,9 +155,8 @@ func ColAccessor(c storage.Column) (func(int32) float64, error) {
 	case *storage.Float64Col:
 		v := c.V
 		return func(i int32) float64 { return v[i] }, nil
-	default:
-		return nil, fmt.Errorf("expr: column of type %s is not numeric", c.Type())
 	}
+	return nil, fmt.Errorf("expr: column of type %s is not numeric", c.Type())
 }
 
 // Compile lowers e to a per-row evaluator. resolve must return a float64

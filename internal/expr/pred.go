@@ -363,10 +363,25 @@ func (k Kind) String() string {
 	}
 }
 
-// Matcher returns a per-row tester for the predicate over plain column c.
-// It is the building block for row-wise scans and AIR chain probing.
+// int32Operands reports whether the integer operands fit an int32, so a
+// comparison may run in the int32 domain of an int32 column.
+func (p Pred) int32Operands() bool {
+	return p.IVal == int64(int32(p.IVal)) && p.IHi == int64(int32(p.IHi))
+}
+
+// Matcher returns a per-row tester for the predicate over plain column c,
+// or over a FoR chunk, whose rows it reads in place. It is the building
+// block for row-wise scans and AIR chain probing.
 func (p Pred) Matcher(c storage.Column) (func(row int32) bool, error) {
 	switch c := c.(type) {
+	case *storage.FoRCol:
+		if p.Kind == KStr {
+			return nil, typeErr(p, c)
+		}
+		if p.Kind == KFloat {
+			return func(i int32) bool { return p.matchFloat(float64(c.At(int(i)))) }, nil
+		}
+		return func(i int32) bool { return p.matchInt(c.At(int(i))) }, nil
 	case *storage.Int32Col:
 		if p.Kind == KStr {
 			return nil, typeErr(p, c)

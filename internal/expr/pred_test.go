@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -163,6 +164,8 @@ func TestBitmapMatchesMatcher(t *testing.T) {
 	}
 	preds := []Pred{
 		IntEq("c", 25), IntBetween("c", 10, 30), IntLt("c", 5), IntIn("c", 1, 2, 3),
+		// Literals an int32 does not hold must not be truncated to one.
+		IntEq("c", 1<<32+25), IntBetween("c", math.MinInt64, math.MaxInt64), IntBetween("c", 10, 1<<32),
 		StrEq("c", "c"), StrBetween("c", "b", "d"), StrIn("c", "a", "e"), StrNe("c", "a"),
 	}
 	for _, col := range cols {
@@ -225,6 +228,9 @@ func TestFilterSelQuick(t *testing.T) {
 			IntBetween("c", int64(rng.Intn(10)), int64(10+rng.Intn(10))),
 			IntLt("c", int64(rng.Intn(20))),
 			IntGe("c", int64(rng.Intn(20))),
+			IntEq("c", 1<<32+int64(rng.Intn(20))),
+			IntLt("c", math.MaxInt64-int64(rng.Intn(2))),
+			IntBetween("c", math.MinInt64, 1<<32),
 			StrEq("c", pool[rng.Intn(4)]),
 			StrBetween("c", "bb", "cc"),
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -27,9 +28,12 @@ import (
 // Encoded chunks implement Column so every generic path (flatten,
 // consolidation, persistence) keeps working, but their mutating methods
 // panic: encoding is applied only at seal/rebuild time and undone by
-// cloneChunk before any write. DecodeChunk is the one decoder: a scan
-// binding decodes each encoded chunk it needs in plain form once, and
-// walks an RLE chunk's runs directly where a run cursor consumes them.
+// cloneChunk before any write. A column-wise scan reads encoded chunks
+// where they lie: it walks an RLE chunk's runs with a cursor, and reads a
+// FoR chunk's fields in place through Gather, FilterDelta and At — this
+// file is the one place that knows the bit layout. DecodeChunk, the one
+// decoder, expands a chunk to plain form for copy-on-write and for the
+// row-wise scan kernel.
 
 // Encoding identifies the physical representation of a chunk.
 type Encoding uint8
@@ -138,6 +142,69 @@ func (c *FoRCol) At(i int) int64 {
 	return v
 }
 
+// Gather reads the chunk in place at the rows of selection vector sel:
+// dst[j] is the value of row sel[j], as At and DecodeChunk read it. It
+// reuses dst's storage and returns it resized to len(sel).
+func (c *FoRCol) Gather(dst []int64, sel []int32) []int64 {
+	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
+	if c.Width == 0 {
+		for j := range dst {
+			dst[j] = c.Base
+		}
+	} else {
+		w, mask := uint(c.Width), forMask(c.Width)
+		for j, r := range sel {
+			dst[j] = c.Base + int64(forField(c.Words, w, mask, int(r)))
+		}
+	}
+	if _, _, framed := c.Frame(); c.Typ == TInt32 && !framed {
+		for j, v := range dst {
+			dst[j] = int64(int32(v))
+		}
+	}
+	return dst
+}
+
+// Frame returns the range of values the chunk's fields can express, Base
+// to Base+2^Width−1. ok is false when that range leaves the chunk's type —
+// as it can for values within 2^Width of the type's maximum — because a
+// field could then hold a value that wraps, and the order of the stored
+// deltas would not be the order of the values.
+func (c *FoRCol) Frame() (lo, hi int64, ok bool) {
+	var span uint64
+	if c.Width > 0 {
+		span = forMask(c.Width)
+	}
+	low, lim := int64(math.MinInt64), int64(math.MaxInt64)
+	if c.Typ == TInt32 {
+		low, lim = math.MinInt32, math.MaxInt32
+	}
+	if c.Base < low || c.Base > lim || span > uint64(lim)-uint64(c.Base) {
+		return 0, 0, false
+	}
+	return c.Base, int64(uint64(c.Base) + span), true
+}
+
+// FilterDelta keeps the rows of selection vector sel whose stored delta
+// (value − Base) lies in [lo, hi], lo <= hi, compacting sel in place: one
+// field extract and one unsigned compare per row, no decode.
+func (c *FoRCol) FilterDelta(sel []int32, lo, hi uint64) []int32 {
+	if c.Width == 0 { // every delta is 0
+		if lo == 0 {
+			return sel
+		}
+		return sel[:0]
+	}
+	out := sel[:0]
+	w, mask, span := uint(c.Width), forMask(c.Width), hi-lo
+	for _, r := range sel {
+		if forField(c.Words, w, mask, int(r))-lo <= span {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // AppendFrom implements Column; encoded chunks are sealed-only.
 func (c *FoRCol) AppendFrom(Column, int) { sealedOnly() }
 
@@ -157,14 +224,22 @@ func forExtract(words []uint64, width uint8, i int) uint64 {
 	if width == 0 {
 		return 0
 	}
-	w := uint(width)
+	return forField(words, uint(width), forMask(width), i)
+}
+
+// forMask has the low width bits set; width is 1 to 64.
+func forMask(width uint8) uint64 { return ^uint64(0) >> (64 - width) }
+
+// forField reads the w-bit field at index i (w >= 1, mask = forMask(w))
+// without a branch: a field may straddle into the next word, whose bits are
+// always or-ed in — beyond the field they fall under the mask, and a shift
+// by 64 (off == 0) yields 0. Past the last word, the last word stands in
+// for the next (the format has no padding word).
+func forField(words []uint64, w uint, mask uint64, i int) uint64 {
 	bit := uint(i) * w
 	word, off := bit/64, bit%64
-	v := words[word] >> off
-	if off+w > 64 {
-		v |= words[word+1] << (64 - off)
-	}
-	return v & (^uint64(0) >> (64 - w))
+	next := min(word+1, uint(len(words)-1))
+	return (words[word]>>off | words[next]<<(64-off)) & mask
 }
 
 // forValues unpacks a FoR chunk word-wise into a fresh flat array, shifting
