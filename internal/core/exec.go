@@ -775,20 +775,20 @@ func (ba *boundAgg) sumLoop(w *worker, vals []float64, sel, mi []int32) bool {
 func (ba *boundAgg) sumEncoded(w *worker, vals []float64, sel, mi []int32) {
 	w.ints = gatherInts(w.ints, ba.encA, sel)
 	a := w.ints
+	if ba.encB != nil {
+		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
+	}
+	b := w.ints2
 	switch ba.ap.form {
 	case expr.FCol:
 		for j, x := range a {
 			vals[mi[j]] += float64(x)
 		}
 	case expr.FMulCols:
-		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
-		b := w.ints2
 		for j, x := range a {
 			vals[mi[j]] += float64(x * b[j])
 		}
 	case expr.FSubCols:
-		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
-		b := w.ints2
 		for j, x := range a {
 			vals[mi[j]] += float64(x - b[j])
 		}

@@ -828,10 +828,10 @@ func (d *groupDim) leafID(x int32) int32 {
 
 // boundDim is one groupDim bound to a segment. Its chunk is held plain
 // (fk0, codes or one of i32/i64/f64, by kind) or, for the column-wise
-// kernel, encoded: an RLE chunk of any kind as one group id per run
-// (runIDs, computed at bind; the dictionary codes themselves for a root
-// dict) with its run ends, a FoR chunk (a leaf FK or a root number) as the
-// chunk, read in place.
+// kernel, encoded: an RLE chunk of any kind as its run ends plus one group
+// id per run (runIDs: a root dict's own codes, computed at bind for the
+// other kinds), a FoR chunk (a leaf FK or a root number) as the chunk
+// itself (keys), read in place.
 type boundDim struct {
 	d     *groupDim
 	fk0   []int32 // leaf kind
@@ -1109,7 +1109,7 @@ func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
 	}
 	if ap.fastTry && pl.useArray {
 		a, b := sc.cols[ap.colA], sc.cols[ap.colB]
-		if storage.ChunkEncoding(a) != storage.EncPlain || (b != nil && storage.ChunkEncoding(b) != storage.EncPlain) {
+		if storage.ChunkEncoding(a) != storage.EncPlain || storage.ChunkEncoding(b) != storage.EncPlain {
 			if ap.form != expr.FMulOneMinus && intChunk(a) && (ap.colB == "" || intChunk(b)) {
 				ba.encA, ba.encB, ba.fast = a, b, true
 			}
