@@ -13,11 +13,11 @@ import (
 	"astore/internal/storage"
 )
 
-// A binding (the dense decode of every encoded chunk a plan touches in one
-// segment) lives for one execution. These two tests guard what caching it
+// A binding (the chunks a plan touches in one segment, plain or encoded, as
+// they lie) lives for one execution. These two tests guard what caching it
 // used to be responsible for: memory that tracks the data rather than the
-// number of plans seen, and a correct re-scan of a sealed encoded segment
-// whose cached partial a delete invalidated.
+// number of plans seen, and a correct re-scan of a sealed segment whose
+// cached partial a delete or an update invalidated.
 
 // TestAdHocPlansLeaveNoBindingsBehind: once the plan cache and the aggregate
 // cache are full, 300 more never-repeated statements over a sorted, encoded
@@ -80,14 +80,38 @@ AND lo_quantity < %d AND lo_extendedprice > %d GROUP BY d_year ORDER BY d_year`,
 }
 
 // TestRepeatAfterDeleteInEncodedSegment: a warm statement whose cached
-// partials a delete invalidates re-binds and re-scans the touched sealed,
-// encoded segments (the one served shape that used to find a cached
-// binding) and still agrees, at tolerance 0, with a hash-join engine over a
-// flat copy of the same rows.
+// partials a write invalidates re-binds and re-scans the touched sealed
+// segments and still agrees, at tolerance 0, with a hash-join engine over a
+// flat copy of the same rows. It runs over plain and encoded sealed chunks,
+// and for deletes and for in-place updates of Q1's filter columns: a sealed
+// chunk written in place instead of cloned keeps its epoch, so the stale
+// cached partial would answer.
 func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
+	writes := map[string]func(tab *storage.Table, row int) error{
+		"delete": func(tab *storage.Table, row int) error { return tab.Delete(row) },
+		// Moves the row into Q1.1's filter range and out of Q1.2's and Q1.3's.
+		"update": func(tab *storage.Table, row int) error {
+			if err := tab.Update(row, "lo_quantity", int32(1+row%24)); err != nil {
+				return err
+			}
+			return tab.Update(row, "lo_discount", int32(1+row%3))
+		},
+	}
+	for _, encoded := range []bool{false, true} {
+		for _, name := range []string{"delete", "update"} {
+			layout := "plain"
+			if encoded {
+				layout = "encoded"
+			}
+			t.Run(layout+"/"+name, func(t *testing.T) { repeatAfterWrite(t, encoded, writes[name]) })
+		}
+	}
+}
+
+func repeatAfterWrite(t *testing.T, encoded bool, write func(tab *storage.Table, row int) error) {
 	cfg := ssb.Config{SF: 0.005, Seed: 3}
 	served, flat := ssb.Generate(cfg), ssb.Generate(cfg)
-	d, err := Open(served.DB, core.Options{SegmentRows: 2048, SealedEncodings: true})
+	d, err := Open(served.DB, core.Options{SegmentRows: 2048, SealedEncodings: encoded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +138,10 @@ func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
 		t.Fatalf("only %d sealed segments", sealed)
 	}
 	for row := 0; row < 2*2048; row += 3 {
-		if err := served.Lineorder.Delete(row); err != nil {
+		if err := write(served.Lineorder, row); err != nil {
 			t.Fatal(err)
 		}
-		if err := flat.Lineorder.Delete(row); err != nil {
+		if err := write(flat.Lineorder, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,18 +151,22 @@ func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
 		var st core.Stats
 		got, err := prepared[i].ExecStats(ctx, &st)
 		if err != nil {
-			t.Fatalf("%s after delete: %v", q.Name, err)
+			t.Fatalf("%s after write: %v", q.Name, err)
 		}
 		want, err := oracle.Run(q)
 		if err != nil {
 			t.Fatalf("%s oracle: %v", q.Name, err)
 		}
 		if err := query.Diff(want, got, 0); err != nil {
-			t.Errorf("%s after delete: %v", q.Name, err)
+			t.Errorf("%s after write: %v", q.Name, err)
 		}
-		// Only the two segments the deletes touched are re-bound and
+		// Only the two segments the writes touched are re-bound and
 		// re-scanned; the rest still answer from their cached partials.
-		if st.AggCacheMisses > 2 || st.EncodedSegments != st.AggCacheMisses {
+		wantEncoded := 0
+		if encoded {
+			wantEncoded = st.AggCacheMisses
+		}
+		if st.AggCacheMisses > 2 || st.EncodedSegments != wantEncoded {
 			t.Errorf("%s: re-scanned %d segments, %d of them encoded, want the <= 2 touched ones: %+v",
 				q.Name, st.AggCacheMisses, st.EncodedSegments, st)
 		}
@@ -148,6 +176,6 @@ func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
 		}
 	}
 	if rescanned == 0 || changed == 0 {
-		t.Fatalf("the deletes re-scanned %d segments and changed %d answers; the test exercised nothing", rescanned, changed)
+		t.Fatalf("the writes re-scanned %d segments and changed %d answers; the test exercised nothing", rescanned, changed)
 	}
 }

@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"astore/internal/core"
+	"astore/internal/datagen/ssb"
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
@@ -366,6 +368,39 @@ func TestCancellationReleasesPins(t *testing.T) {
 	}
 	if pins := fact.Pins(); pins != 0 {
 		t.Errorf("fact pins = %d", pins)
+	}
+}
+
+// TestPlanFailureReleasesPins: a statement that parses and routes but fails
+// to compile has already pinned a snapshot of the fact table and every
+// dimension; each failure path must release that pin, both at prepare and
+// on the cold Run path.
+func TestPlanFailureReleasesPins(t *testing.T) {
+	data := ssb.Generate(ssb.Config{SF: 0.002, Seed: 1})
+	d, err := Open(data.DB, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		`SELECT no_such_col, sum(lo_revenue) AS rev FROM lineorder GROUP BY no_such_col`,
+		`SELECT sum(c_name) AS s FROM lineorder`,
+		`SELECT sum(lo_revenue) AS rev FROM lineorder WHERE no_such_col = 3`,
+	} {
+		if _, err := d.PrepareSQL(text); err == nil {
+			t.Fatalf("%s: prepared without error", text)
+		}
+		st, err := sql.ParseStatement(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if _, err := d.Run(context.Background(), st.Query); err == nil {
+			t.Fatalf("%s: ran without error", text)
+		}
+	}
+	for _, tab := range append([]*storage.Table{data.Lineorder}, dims(data.Lineorder)...) {
+		if pins := tab.Pins(); pins != 0 {
+			t.Errorf("table %s pins = %d after failed plans", tab.Name, pins)
+		}
 	}
 }
 
