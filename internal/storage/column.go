@@ -41,18 +41,12 @@ func (c *Int32Col) Len() int { return len(c.V) }
 func (c *Int32Col) Type() Type { return TInt32 }
 
 // AppendFrom implements Column.
-//
-//astore:chunkwrite
 func (c *Int32Col) AppendFrom(src Column, i int) { c.V = append(c.V, src.(*Int32Col).V[i]) }
 
 // Move implements Column.
-//
-//astore:chunkwrite
 func (c *Int32Col) Move(dst, src int) { c.V[dst] = c.V[src] }
 
 // Truncate implements Column.
-//
-//astore:chunkwrite
 func (c *Int32Col) Truncate(n int) { c.V = c.V[:n] }
 
 // Clone implements Column.
@@ -75,18 +69,12 @@ func (c *Int64Col) Len() int { return len(c.V) }
 func (c *Int64Col) Type() Type { return TInt64 }
 
 // AppendFrom implements Column.
-//
-//astore:chunkwrite
 func (c *Int64Col) AppendFrom(src Column, i int) { c.V = append(c.V, src.(*Int64Col).V[i]) }
 
 // Move implements Column.
-//
-//astore:chunkwrite
 func (c *Int64Col) Move(dst, src int) { c.V[dst] = c.V[src] }
 
 // Truncate implements Column.
-//
-//astore:chunkwrite
 func (c *Int64Col) Truncate(n int) { c.V = c.V[:n] }
 
 // Clone implements Column.
@@ -109,18 +97,12 @@ func (c *Float64Col) Len() int { return len(c.V) }
 func (c *Float64Col) Type() Type { return TFloat64 }
 
 // AppendFrom implements Column.
-//
-//astore:chunkwrite
 func (c *Float64Col) AppendFrom(src Column, i int) { c.V = append(c.V, src.(*Float64Col).V[i]) }
 
 // Move implements Column.
-//
-//astore:chunkwrite
 func (c *Float64Col) Move(dst, src int) { c.V[dst] = c.V[src] }
 
 // Truncate implements Column.
-//
-//astore:chunkwrite
 func (c *Float64Col) Truncate(n int) { c.V = c.V[:n] }
 
 // Clone implements Column.
@@ -146,18 +128,12 @@ func (c *StrCol) Len() int { return len(c.V) }
 func (c *StrCol) Type() Type { return TString }
 
 // AppendFrom implements Column.
-//
-//astore:chunkwrite
 func (c *StrCol) AppendFrom(src Column, i int) { c.V = append(c.V, src.(*StrCol).V[i]) }
 
 // Move implements Column.
-//
-//astore:chunkwrite
 func (c *StrCol) Move(dst, src int) { c.V[dst] = c.V[src] }
 
 // Truncate implements Column.
-//
-//astore:chunkwrite
 func (c *StrCol) Truncate(n int) { c.V = c.V[:n] }
 
 // Clone implements Column.
@@ -197,8 +173,6 @@ func (c *DictCol) Type() Type { return TDict }
 
 // AppendFrom implements Column. The source must share c's dictionary; codes
 // are stable, so no re-encoding is needed.
-//
-//astore:chunkwrite
 func (c *DictCol) AppendFrom(src Column, i int) {
 	s := src.(*DictCol)
 	if s.Dict != c.Dict {
@@ -208,13 +182,9 @@ func (c *DictCol) AppendFrom(src Column, i int) {
 }
 
 // Move implements Column.
-//
-//astore:chunkwrite
 func (c *DictCol) Move(dst, src int) { c.Codes[dst] = c.Codes[src] }
 
 // Truncate implements Column.
-//
-//astore:chunkwrite
 func (c *DictCol) Truncate(n int) { c.Codes = c.Codes[:n] }
 
 // Clone implements Column. The dictionary is shared.
@@ -225,8 +195,6 @@ func (c *DictCol) Clone() Column {
 }
 
 // Append appends s, interning it into the shared dictionary.
-//
-//astore:chunkwrite
 func (c *DictCol) Append(s string) { c.Codes = append(c.Codes, c.Dict.Intern(s)) }
 
 // Value returns the decompressed string at row i.
@@ -269,8 +237,6 @@ func StringAt(c Column, i int) (s string, ok bool) {
 
 // setValue stores an untyped value at row i. Used by the in-place update
 // path; the value must match the column's type.
-//
-//astore:chunkwrite
 func setValue(c Column, i int, v any) error {
 	switch c := c.(type) {
 	case *Int32Col:
@@ -317,8 +283,6 @@ func setValue(c Column, i int, v any) error {
 }
 
 // appendValue appends an untyped value. The value must match the column type.
-//
-//astore:chunkwrite
 func appendValue(c Column, v any) error {
 	switch c := c.(type) {
 	case *Int32Col:

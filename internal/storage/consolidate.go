@@ -181,8 +181,6 @@ func (t *Table) reorderFlatLocked(flat map[string]Column, remap []int32, n int) 
 }
 
 // gatherColumn builds a fresh plain column with out[i] = c[perm[i]].
-//
-//astore:chunkwrite
 func gatherColumn(c Column, perm []int32) Column {
 	switch c := c.(type) {
 	case *Int32Col:
@@ -225,8 +223,6 @@ func gatherColumn(c Column, perm []int32) Column {
 // by Consolidate) and are parked at 0, a safe in-range index. The column is
 // rewritten chunk by chunk, with each segment's epoch bumped (cached plan
 // bindings must rebind) and the column's zone recomputed.
-//
-//astore:chunkwrite
 func (t *Table) remapFKLocked(col string, remap []int32) {
 	for s := range t.segments() {
 		c := s.cols[col]

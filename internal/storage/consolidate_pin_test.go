@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestConsolidatePinnedErrorPathLeaksNoPins asserts the invariant the
-// pinrelease analyzer guards at the API boundary: both refusal paths of
+// TestConsolidatePinnedErrorPathLeaksNoPins asserts that every pin is
+// released on an error path, at the API boundary: both refusal paths of
 // Consolidate (table pinned, referrer pinned) leave every pin count
 // exactly as they found it, so a rejected consolidation can be retried
 // after Release without the table being wedged by a phantom pin.

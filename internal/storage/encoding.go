@@ -272,8 +272,6 @@ func forValues[T int32 | int64](c *FoRCol) []T {
 }
 
 // forPack bit-packs n width-bit deltas produced by src(i).
-//
-//astore:chunkwrite
 func forPack(n int, width uint8, src func(i int) uint64) []uint64 {
 	if width == 0 {
 		return nil
@@ -331,8 +329,6 @@ func countRuns[T comparable](v []T) int {
 }
 
 // rleRuns builds the cumulative run ends and the one-per-run values of v.
-//
-//astore:chunkwrite
 func rleRuns[T comparable](v []T) (end []int32, vals []T) {
 	for i, x := range v {
 		if i == 0 || x != v[i-1] {

@@ -237,8 +237,6 @@ func newChunk(typ Type, dict *Dict, capacity int) Column {
 
 // appendRows appends rows [lo, hi) of plain chunk src to dst, a plain chunk
 // of the same type.
-//
-//astore:chunkwrite
 func appendRows(dst, src Column, lo, hi int) {
 	switch c := src.(type) {
 	case *Int32Col:
@@ -371,8 +369,6 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 // rows plus a tail. Rows that all fit the tail — always, without a sealing
 // threshold — are not copied: the tail adopts the flat arrays. Caller holds
 // t.mu.
-//
-//astore:chunkwrite
 func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 	nrows := t.nrows
 	t.segs = nil
