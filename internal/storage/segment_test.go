@@ -356,16 +356,18 @@ func TestConcurrentAppendConsolidateSnapshots(t *testing.T) {
 		go func(w int) {
 			defer writeWG.Done()
 			for i := 0; i < perwrite; i++ {
-				if _, err := tab.Insert(map[string]any{"v": int64(1), "k": int32(i % 7)}); err != nil {
+				row, err := tab.Insert(map[string]any{"v": int64(1), "k": int32(i % 7)})
+				if err != nil {
 					t.Error(err)
 					return
 				}
 				inserted.Add(1)
 				if w == 0 && i%97 == 41 {
-					// Delete a recent row and try to consolidate; pinned
-					// tables refuse, which is fine (retried next round).
-					n := tab.NumRows()
-					if err := tab.Delete(n - 1); err == nil {
+					// Delete the row just inserted and try to consolidate;
+					// pinned tables refuse, which is fine (retried next
+					// round). Only this goroutine consolidates, so row still
+					// names that row.
+					if err := tab.Delete(row); err == nil {
 						_, _ = Consolidate(db, tab)
 					}
 				}
