@@ -87,23 +87,22 @@ AND lo_quantity < %d AND lo_extendedprice > %d GROUP BY d_year ORDER BY d_year`,
 // chunk written in place instead of cloned keeps its epoch, so the stale
 // cached partial would answer.
 func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
-	writes := map[string]func(tab *storage.Table, row int) error{
-		"delete": func(tab *storage.Table, row int) error { return tab.Delete(row) },
+	writes := []struct {
+		name  string
+		apply func(tab *storage.Table, row int) error
+	}{
+		{"delete", func(tab *storage.Table, row int) error { return tab.Delete(row) }},
 		// Moves the row into Q1.1's filter range and out of Q1.2's and Q1.3's.
-		"update": func(tab *storage.Table, row int) error {
+		{"update", func(tab *storage.Table, row int) error {
 			if err := tab.Update(row, "lo_quantity", int32(1+row%24)); err != nil {
 				return err
 			}
 			return tab.Update(row, "lo_discount", int32(1+row%3))
-		},
+		}},
 	}
-	for _, encoded := range []bool{false, true} {
-		for _, name := range []string{"delete", "update"} {
-			layout := "plain"
-			if encoded {
-				layout = "encoded"
-			}
-			t.Run(layout+"/"+name, func(t *testing.T) { repeatAfterWrite(t, encoded, writes[name]) })
+	for _, layout := range []string{"plain", "encoded"} {
+		for _, w := range writes {
+			t.Run(layout+"/"+w.name, func(t *testing.T) { repeatAfterWrite(t, layout == "encoded", w.apply) })
 		}
 	}
 }
