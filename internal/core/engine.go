@@ -171,7 +171,7 @@ func recordExecSpans(tr *obs.Trace, parent obs.SpanID, t0 time.Time, st *Stats) 
 		return id
 	}
 	prune := add(obs.StagePrune, st.PruneNS)
-	tr.SetSegments(prune, st.SegmentsTotal, st.SegmentsPruned)
+	tr.SetSegments(prune, int(st.SegmentsTotal), int(st.SegmentsPruned))
 	cache := add(obs.StageCache, st.CacheNS)
 	tr.SetAggCache(cache, st.AggCacheHits, st.AggCacheMisses, st.TailRows)
 	add(obs.StageBind, st.BindNS)

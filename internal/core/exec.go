@@ -21,7 +21,7 @@ type runState struct {
 }
 
 // morsel is one unit of scan work: a local row range [lo, hi) of one
-// segment. The engine over-partitions (Workers × PartitionsPerWorker
+// segment. The engine over-partitions (Workers × partitionsPerWorker
 // morsels, at least one per scan batch) and lets workers pull morsels from
 // a queue, which is the paper's load-balancing scheme of allocating more
 // logical partitions than physical threads (§5) — now segment-granular, so
@@ -32,6 +32,11 @@ type morsel struct {
 	lo, hi int  // local row range within the segment
 	whole  bool // whole-segment unit: capture + install its partial
 }
+
+// partitionsPerWorker is how many morsels per worker the live rows are cut
+// into, at least: the paper allocates more logical partitions than physical
+// threads to keep every thread saturated.
+const partitionsPerWorker = 4
 
 // execSeg is one segment admitted to the scan, with its bound state. A
 // sealed segment missing from the aggregate cache carries install=true: it
@@ -98,7 +103,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 	useCache := pl.aggCacheable()
 	kept := make([]execSeg, 0, len(segs))
 	var hits []*agg.Partial
-	rs.stats.SegmentsTotal += len(segs)
+	rs.stats.SegmentsTotal += int64(len(segs))
 	for i := range segs {
 		sv := &segs[i]
 		if sv.N == 0 {
@@ -110,7 +115,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 			if !pl.filters[fi].mayMatchSegment(sv) {
 				pruned = true
 				if rs.stats.PruneByFilter == nil {
-					rs.stats.PruneByFilter = make(map[string]int)
+					rs.stats.PruneByFilter = make(map[string]int64)
 				}
 				rs.stats.PruneByFilter[pl.filters[fi].label]++
 				break
@@ -175,7 +180,7 @@ func (pl *plan) makeUnits(kept []execSeg) []morsel {
 	if live == 0 {
 		return units
 	}
-	count := max(pl.opt.Workers*pl.opt.PartitionsPerWorker, (live+pl.opt.BatchRows-1)/pl.opt.BatchRows)
+	count := max(pl.opt.Workers*partitionsPerWorker, (live+pl.opt.BatchRows-1)/pl.opt.BatchRows)
 	chunk := max(1, min((live+count-1)/count, pl.opt.BatchRows))
 	for si, es := range kept {
 		if es.install {

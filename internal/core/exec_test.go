@@ -9,7 +9,9 @@ import (
 )
 
 // TestPartitionsPerWorker: results must be identical no matter how the fact
-// table is horizontally partitioned.
+// table is horizontally partitioned. The morsel count is the larger of
+// Workers × partitionsPerWorker and the batch count, so the sweep over both
+// knobs moves it from one morsel per worker to one morsel per row.
 func TestPartitionsPerWorker(t *testing.T) {
 	fact := buildStar(t, 41, 3000)
 	q := query.New("q").
@@ -21,9 +23,9 @@ func TestPartitionsPerWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ppw := range []int{1, 2, 7, 100} {
-		for _, workers := range []int{1, 3} {
-			eng, err := New(fact, Options{Workers: workers, PartitionsPerWorker: ppw})
+	for _, batch := range []int{1, 7, 256, 1 << 16} {
+		for _, workers := range []int{1, 3, 8} {
+			eng, err := New(fact, Options{Workers: workers, BatchRows: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,7 +34,7 @@ func TestPartitionsPerWorker(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Errorf("ppw=%d workers=%d: %v", ppw, workers, err)
+				t.Errorf("batch=%d workers=%d: %v", batch, workers, err)
 			}
 		}
 	}

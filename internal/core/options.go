@@ -101,10 +101,6 @@ type Options struct {
 	// Workers is the number of worker goroutines for the parallel scan
 	// (§5). Values below 1 mean serial execution.
 	Workers int
-	// PartitionsPerWorker controls horizontal over-partitioning of the
-	// fact table: the paper allocates more logical partitions than
-	// physical threads to keep all threads saturated. Default 4.
-	PartitionsPerWorker int
 	// PrefilterMaxRows is the optimizer's cache budget for predicate
 	// vectors, in dimension rows (one bit each). Auto builds a predicate
 	// vector only for tables at most this large; explicit _P variants
@@ -157,9 +153,6 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.PartitionsPerWorker < 1 {
-		o.PartitionsPerWorker = 4
-	}
 	if o.PrefilterMaxRows == 0 {
 		o.PrefilterMaxRows = 32 << 20
 	}
@@ -201,24 +194,11 @@ type Stats struct {
 	// the scan that computed the partial).
 	CacheNS int64
 
-	// RowsScanned is the number of root rows considered.
-	RowsScanned int64
-	// RowsSelected is the number of root rows surviving all predicates.
-	RowsSelected int64
+	// Counters are the row and segment counters that add up across
+	// executions.
+	Counters
 	// Groups is the number of result groups before LIMIT.
 	Groups int
-
-	// SegmentsTotal is the number of root segments considered by the scan
-	// (sealed ones plus the tail).
-	SegmentsTotal int
-	// SegmentsPruned is the number of segments skipped entirely because a
-	// zone map proved no row could match (empty segments count as pruned).
-	SegmentsPruned int
-	// PruneByFilter attributes zone-map prunes to the filter that proved
-	// them, keyed by the filter's display label (the predicate text for
-	// root filters, "probe <table> via <fk>" for dimension probes). Empty
-	// segments, which every filter would prune, are not attributed.
-	PruneByFilter map[string]int
 	// AggCacheHits is the number of sealed segments whose scan was skipped
 	// because the plan's partial aggregate was served from the segment
 	// aggregate cache.
@@ -226,14 +206,6 @@ type Stats struct {
 	// AggCacheMisses is the number of sealed segments scanned live and
 	// installed into the segment aggregate cache.
 	AggCacheMisses int
-	// TailRows is the number of rows that can never be served from the
-	// aggregate cache: rows of the unsealed tail segment.
-	// In a warm steady state, scanned rows == tail rows.
-	TailRows int64
-	// EncodedSegments is the number of admitted segments containing at
-	// least one compressed (RLE or FoR) chunk, i.e. segments the scan reads
-	// at least partly in encoded form rather than as plain arrays only.
-	EncodedSegments int
 
 	// UsedArrayAgg reports whether the multidimensional aggregation array
 	// was used (as opposed to hash aggregation).
@@ -241,14 +213,63 @@ type Stats struct {
 	// PrefilterTables lists the tables for which predicate vectors were
 	// built, in evaluation order.
 	PrefilterTables []string
+	// PlanHit reports whether the execution ran a plan it found in the
+	// database's plan cache, compiled by an earlier request. The engine
+	// never sets it; the db layer does.
+	PlanHit bool
+}
+
+// Counters are the scan counters a database sums over its executions: one
+// execution's row and segment work, and db.Stats's cumulative totals. Each
+// is declared once, here — the json tag is its /v1/stats key, the metric
+// and help tags its /metrics family (obs.Registry.RegisterFields).
+type Counters struct {
+	// SegmentsTotal is the number of root segments considered by the scan
+	// (sealed ones plus the tail).
+	SegmentsTotal int64 `json:"segments_total" metric:"astore_segments_considered_total,counter" help:"Root segments considered by segment admission."`
+	// SegmentsPruned is the number of segments skipped entirely because a
+	// zone map proved no row could match (empty segments count as pruned).
+	SegmentsPruned int64 `json:"segments_pruned" metric:"astore_segments_pruned_total,counter" help:"Root segments skipped by zone-map pruning."`
+	// RowsScanned is the number of root rows considered.
+	RowsScanned int64 `json:"rows_scanned" metric:"astore_rows_scanned_total,counter" help:"Root rows considered across executions."`
+	// RowsSelected is the number of root rows surviving all predicates.
+	RowsSelected int64 `json:"rows_selected" metric:"astore_rows_selected_total,counter" help:"Root rows surviving all predicates across executions."`
+	// EncodedSegments is the number of admitted segments containing at
+	// least one compressed (RLE or FoR) chunk, i.e. segments the scan reads
+	// at least partly in encoded form rather than as plain arrays only.
+	EncodedSegments int64 `json:"encoded_segments" metric:"astore_encoded_segments_total,counter" help:"Admitted segments containing compressed (RLE/FoR) chunks."`
+	// TailRows is the number of rows that can never be served from the
+	// aggregate cache: rows of the unsealed tail segment.
+	// In a warm steady state, scanned rows == tail rows.
+	TailRows int64 `json:"tail_rows" metric:"astore_tail_rows_total,counter" help:"Rows scanned live from mutable tails (work the aggregate cache cannot absorb)."`
+	// PruneByFilter attributes zone-map prunes to the filter that proved
+	// them, keyed by the filter's display label (the predicate text for
+	// root filters, "probe <table> via <fk>" for dimension probes). Empty
+	// segments, which every filter would prune, are not attributed.
+	PruneByFilter map[string]int64 `json:"prune_by_filter,omitempty"`
+}
+
+// Add accumulates o into c. Counters of disjoint segment subsets add up to
+// exactly the counters of a scan over their union.
+func (c *Counters) Add(o *Counters) {
+	c.SegmentsTotal += o.SegmentsTotal
+	c.SegmentsPruned += o.SegmentsPruned
+	c.RowsScanned += o.RowsScanned
+	c.RowsSelected += o.RowsSelected
+	c.EncodedSegments += o.EncodedSegments
+	c.TailRows += o.TailRows
+	if len(o.PruneByFilter) > 0 && c.PruneByFilter == nil {
+		c.PruneByFilter = make(map[string]int64, len(o.PruneByFilter))
+	}
+	for k, v := range o.PruneByFilter {
+		c.PruneByFilter[k] += v
+	}
 }
 
 // Add accumulates o's time, row, segment and cache counters into s: one
-// worker's share into a run, one shard's run into a distributed query, one
-// query into a database's cumulative totals. Times add as work, not wall
-// time; segment and row counters of disjoint segment subsets add up to
-// exactly the counters of a scan over their union. The per-plan facts
-// (Groups, UsedArrayAgg, PrefilterTables) are not counters and stay s's.
+// worker's share into a run, one shard's run into a distributed query.
+// Times add as work, not wall time. The per-plan facts (Groups,
+// UsedArrayAgg, PrefilterTables, PlanHit) are not counters and stay s's.
 func (s *Stats) Add(o *Stats) {
 	s.LeafNS += o.LeafNS
 	s.ScanNS += o.ScanNS
@@ -256,18 +277,7 @@ func (s *Stats) Add(o *Stats) {
 	s.PruneNS += o.PruneNS
 	s.BindNS += o.BindNS
 	s.CacheNS += o.CacheNS
-	s.RowsScanned += o.RowsScanned
-	s.RowsSelected += o.RowsSelected
-	s.SegmentsTotal += o.SegmentsTotal
-	s.SegmentsPruned += o.SegmentsPruned
 	s.AggCacheHits += o.AggCacheHits
 	s.AggCacheMisses += o.AggCacheMisses
-	s.TailRows += o.TailRows
-	s.EncodedSegments += o.EncodedSegments
-	if len(o.PruneByFilter) > 0 && s.PruneByFilter == nil {
-		s.PruneByFilter = make(map[string]int, len(o.PruneByFilter))
-	}
-	for k, v := range o.PruneByFilter {
-		s.PruneByFilter[k] += v
-	}
+	s.Counters.Add(&o.Counters)
 }

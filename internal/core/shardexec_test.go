@@ -161,7 +161,7 @@ func checkPartitionLaw(t *testing.T, rng *rand.Rand, eng *Engine, v *View, q *qu
 			if err != nil {
 				t.Fatalf("%s [%s] split %d subset %d/%d: %v", q.Name, label, pi, s, len(subsets), err)
 			}
-			if len(sub) > 0 && len(sub) < len(v.RootSegments()) && st.SegmentsPruned == len(sub) {
+			if len(sub) > 0 && len(sub) < len(v.RootSegments()) && st.SegmentsPruned == int64(len(sub)) {
 				pruned++
 			}
 			sum.Add(&st)

@@ -161,9 +161,9 @@ func repeatAfterWrite(t *testing.T, encoded bool, write func(tab *storage.Table,
 		}
 		// Only the two segments the writes touched are re-bound and
 		// re-scanned; the rest still answer from their cached partials.
-		wantEncoded := 0
+		wantEncoded := int64(0)
 		if encoded {
-			wantEncoded = st.AggCacheMisses
+			wantEncoded = int64(st.AggCacheMisses)
 		}
 		if st.AggCacheMisses > 2 || st.EncodedSegments != wantEncoded {
 			t.Errorf("%s: re-scanned %d segments, %d of them encoded, want the <= 2 touched ones: %+v",

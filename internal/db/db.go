@@ -30,8 +30,10 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"astore/internal/core"
 	"astore/internal/expr"
@@ -57,8 +59,7 @@ type DB struct {
 	cache map[cacheKey]*list.Element // guarded by mu
 	lru   *list.List                 // guarded by mu; of *cacheEntry, most recently used first
 	cap   int                        // guarded by mu
-	stats Stats                      // guarded by mu; plan-cache and call counters
-	execs core.Stats                 // guarded by mu; scan counters summed over executions
+	stats Stats                      // guarded by mu; all but the AggCache* counters
 }
 
 type cacheKey struct{ fact, sig string }
@@ -68,51 +69,32 @@ type cacheEntry struct {
 	c   *core.Compiled
 }
 
-// Stats are cumulative serving counters of a DB.
+// Stats are cumulative serving counters of a DB. Each is declared once:
+// the json tag is its /v1/stats key (in the "db" block), the metric and
+// help tags its /metrics family (obs.Registry.RegisterFields).
 type Stats struct {
 	// Prepares counts Prepare/PrepareOn/PrepareSQL calls.
-	Prepares int64
+	Prepares int64 `json:"prepares"`
 	// Execs counts query executions (Prepared.Exec and DB.Run).
-	Execs int64
-	// PlanHits counts executions that reused a cached plan unchanged.
-	PlanHits int64
-	// PlanMisses counts compilations because no cached plan existed.
-	PlanMisses int64
-	// PlanStale counts recompilations because table versions moved under a
-	// cached plan.
-	PlanStale int64
+	Execs      int64 `json:"execs"`
+	PlanHits   int64 `json:"plan_hits" metric:"astore_plan_cache_hits_total,counter" help:"Executions that reused a cached plan unchanged."`
+	PlanMisses int64 `json:"plan_misses" metric:"astore_plan_cache_misses_total,counter" help:"Compilations because no cached plan existed."`
+	PlanStale  int64 `json:"plan_stale" metric:"astore_plan_cache_stale_total,counter" help:"Recompilations because table versions moved under a cached plan."`
 	// PlanEvictions counts cached plans dropped because the cache exceeded
 	// its capacity (stale replacements do not count).
-	PlanEvictions int64
-	// SegmentsTotal counts root segments considered across executions.
-	SegmentsTotal int64
-	// SegmentsPruned counts root segments skipped by zone-map pruning
-	// across executions (before any row work).
-	SegmentsPruned int64
-	// RowsScanned counts root rows considered across executions.
-	RowsScanned int64
-	// RowsSelected counts root rows surviving all predicates across
-	// executions.
-	RowsSelected int64
-	// EncodedSegments counts admitted root segments containing at least
-	// one compressed (RLE/FoR) chunk across executions.
-	EncodedSegments int64
-	// PruneByFilter attributes zone-map segment prunes to the filter that
-	// proved them, keyed by the filter's display label, cumulative across
-	// executions.
-	PruneByFilter map[string]int64
-	// TailRows counts rows scanned live from mutable tails across
-	// executions — the work the segment aggregate cache can never absorb.
-	TailRows int64
+	PlanEvictions int64 `json:"plan_evictions" metric:"astore_plan_cache_evictions_total,counter" help:"Cached plans dropped by the LRU capacity bound."`
+
+	// Counters sum the scan counters of every completed execution.
+	core.Counters
 
 	// Segment aggregate cache counters, summed over the DB's engines
 	// (cumulative for hits/misses/evictions, point-in-time for
 	// bytes/entries). See core.Options.AggCacheBytes.
-	AggCacheHits      int64
-	AggCacheMisses    int64
-	AggCacheEvictions int64
-	AggCacheBytes     int64
-	AggCacheEntries   int64
+	AggCacheHits      int64 `json:"agg_cache_hits" metric:"astore_aggcache_hits_total,counter" help:"Sealed-segment scans skipped by serving a cached partial aggregate."`
+	AggCacheMisses    int64 `json:"agg_cache_misses" metric:"astore_aggcache_misses_total,counter" help:"Sealed segments scanned live and installed into the aggregate cache."`
+	AggCacheEvictions int64 `json:"agg_cache_evictions" metric:"astore_aggcache_evictions_total,counter" help:"Aggregate cache entries dropped by the byte-accounted LRU bound."`
+	AggCacheBytes     int64 `json:"agg_cache_bytes" metric:"astore_aggcache_bytes,gauge" help:"Current size of the segment aggregate cache."`
+	AggCacheEntries   int64 `json:"agg_cache_entries" metric:"astore_aggcache_entries,gauge" help:"Current entry count of the segment aggregate cache."`
 }
 
 // Open builds a DB over the catalog: every fact table (a table referenced
@@ -214,18 +196,7 @@ func (d *DB) SetPlanCacheCap(n int) {
 func (d *DB) Stats() Stats {
 	d.mu.Lock()
 	s := d.stats
-	s.SegmentsTotal = int64(d.execs.SegmentsTotal)
-	s.SegmentsPruned = int64(d.execs.SegmentsPruned)
-	s.RowsScanned = d.execs.RowsScanned
-	s.RowsSelected = d.execs.RowsSelected
-	s.EncodedSegments = int64(d.execs.EncodedSegments)
-	s.TailRows = d.execs.TailRows
-	if len(d.execs.PruneByFilter) > 0 {
-		s.PruneByFilter = make(map[string]int64, len(d.execs.PruneByFilter))
-		for k, v := range d.execs.PruneByFilter {
-			s.PruneByFilter[k] = int64(v)
-		}
-	}
+	s.PruneByFilter = maps.Clone(s.PruneByFilter)
 	d.mu.Unlock()
 	for _, name := range d.order {
 		cs := d.facts[name].CacheStats()
@@ -428,9 +399,11 @@ func (d *DB) prepareOn(fact string, q *query.Query) (*Prepared, error) {
 		return nil, err
 	}
 	defer view.Release()
-	if _, _, err := p.plan(view); err != nil {
+	_, hit, err := p.plan(view)
+	if err != nil {
 		return nil, err
 	}
+	p.prepCompiled.Store(!hit)
 	d.mu.Lock()
 	d.stats.Prepares++
 	d.mu.Unlock()
@@ -482,6 +455,10 @@ type Prepared struct {
 	// cold marks the transient statement behind DB.Run: it compiles on
 	// every execution and never touches the plan cache.
 	cold bool
+	// prepCompiled is set while the plan compiled by preparing the statement
+	// has not been executed yet: the first execution to find it in the
+	// cache reports no plan hit, since the compile was made for it.
+	prepCompiled atomic.Bool
 }
 
 // Fact returns the fact table the statement was routed to.
@@ -510,12 +487,13 @@ func (p *Prepared) ExecStats(ctx context.Context, stats *core.Stats) (*query.Res
 		stats = &local
 	}
 	var res *query.Result
-	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled) (err error) {
+	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled, hit bool) (err error) {
 		res, err = p.eng.Exec(ctx, view, c, stats)
+		stats.PlanHit = hit
 		p.db.mu.Lock()
 		p.db.stats.Execs++ // attempts; only completed scans add their counters
 		if err == nil {
-			p.db.execs.Add(stats)
+			p.db.stats.Counters.Add(&stats.Counters)
 		}
 		p.db.mu.Unlock()
 		return err
@@ -535,9 +513,11 @@ func (p *Prepared) plan(view *core.View) (*core.Compiled, bool, error) {
 
 // withPlan is the scaffolding every execution of a statement shares: check
 // ctx, pin a snapshot view, obtain a plan that is fresh in it, call fn, and
-// release the pin on every path. With a trace on ctx the pin and the plan
-// lookup are recorded as `pin` and `plan_cache` spans.
-func (p *Prepared) withPlan(ctx context.Context, fn func(*core.View, *core.Compiled) error) error {
+// release the pin on every path. fn learns whether the plan was a hit: found
+// in the cache and not compiled for this execution by its Prepare. With a
+// trace on ctx the pin and the plan lookup are recorded as `pin` and
+// `plan_cache` spans.
+func (p *Prepared) withPlan(ctx context.Context, fn func(*core.View, *core.Compiled, bool) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -565,5 +545,8 @@ func (p *Prepared) withPlan(ctx context.Context, fn func(*core.View, *core.Compi
 	if err != nil {
 		return err
 	}
-	return fn(view, c)
+	if hit && p.prepCompiled.Load() && p.prepCompiled.Swap(false) {
+		hit = false
+	}
+	return fn(view, c, hit)
 }

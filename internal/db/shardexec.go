@@ -71,7 +71,7 @@ func (p *Prepared) ExecPartial(ctx context.Context, req PartialRequest, stats *c
 		stats = &local
 	}
 	var res *PartialResult
-	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled) error {
+	err := p.withPlan(ctx, func(view *core.View, c *core.Compiled, hit bool) error {
 		vers := view.Versions()[p.fact]
 		if req.ExpectDataVersion != 0 && vers.Data != req.ExpectDataVersion {
 			return &VersionMismatchError{Fact: p.fact, Want: req.ExpectDataVersion, Got: vers.Data}
@@ -80,6 +80,7 @@ func (p *Prepared) ExecPartial(ctx context.Context, req PartialRequest, stats *c
 		if err != nil {
 			return err
 		}
+		stats.PlanHit = hit
 		res = &PartialResult{
 			Fact:          p.fact,
 			SchemaVersion: vers.Schema,
@@ -149,7 +150,7 @@ func ShardSegments(segs []storage.SegView, shard, n int) []storage.SegView {
 // are the coordinator's job (AddExecStats).
 func (p *Prepared) MergePartials(ctx context.Context, parts []*agg.Partial, stats *core.Stats) (*query.Result, error) {
 	var res *query.Result
-	err := p.withPlan(ctx, func(_ *core.View, c *core.Compiled) (err error) {
+	err := p.withPlan(ctx, func(_ *core.View, c *core.Compiled, _ bool) (err error) {
 		res, err = p.eng.MergePartials(c, parts, stats)
 		return err
 	})
@@ -168,5 +169,5 @@ func (d *DB) AddExecStats(stats *core.Stats) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.stats.Execs++
-	d.execs.Add(stats)
+	d.stats.Counters.Add(&stats.Counters)
 }

@@ -220,7 +220,7 @@ func TestExecPartialStatsFolding(t *testing.T) {
 		t.Fatalf("Execs = %d, want %d", after.Execs, base.Execs+1)
 	}
 	if after.RowsScanned != base.RowsScanned+sum.RowsScanned ||
-		after.SegmentsTotal != base.SegmentsTotal+int64(sum.SegmentsTotal) {
+		after.SegmentsTotal != base.SegmentsTotal+sum.SegmentsTotal {
 		t.Fatalf("fold mismatch: %+v", after)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,63 +144,118 @@ func (v *CounterVec) With(value string) *Counter {
 	return v.f.get(key, func() series { return &Counter{} }).(*Counter)
 }
 
-type funcSeries struct {
-	fn    func() float64
-	asInt bool
+// RegisterFields registers one collect-time family per tagged field of the
+// struct v points to, so a counter kept in a stats struct is declared once —
+// as the field, with its JSON name beside its metric name, help and kind:
+//
+//	Hits int64 `json:"hits" metric:"astore_hits_total,counter" help:"Cache hits."`
+//
+// The kind is counter or gauge, and the field any integer or float type.
+// Untagged struct fields, embedded or not, are walked for tags; so is the
+// struct behind a pointer that is non-nil at registration (a nil one
+// registers nothing). A map from string to struct tagged label:"<name>"
+// registers each tagged field of its element as one family with that label,
+// a series per map key.
+//
+// Every WriteText reads the current values out of *v, so the caller
+// refreshes *v and renders under one lock of its own.
+func (r *Registry) RegisterFields(v any) {
+	root := reflect.ValueOf(v).Elem()
+	r.registerFields(root, root, nil)
 }
 
-func (s funcSeries) write(w io.Writer, name, labels string) {
-	v := s.fn()
-	if s.asInt && v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		fmt.Fprintf(w, "%s%s %d\n", name, labels, int64(v))
-		return
-	}
-	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(v))
-}
-
-// CounterFunc registers a counter whose value is read at scrape time —
-// used to surface counters another layer already maintains (plan-cache
-// hits, admission totals) without double accounting.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	f := r.addFamily(name, help, kindCounter)
-	f.get("", func() series { return funcSeries{fn: fn, asInt: true} })
-}
-
-// GaugeFunc registers a gauge read at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.addFamily(name, help, kindGauge)
-	f.get("", func() series { return funcSeries{fn: fn} })
-}
-
-// LabeledSample is one sample of a collect-time labelled gauge.
-type LabeledSample struct {
-	Label string
-	Value float64
-}
-
-type gaugeVecFunc struct {
-	label string
-	fn    func() []LabeledSample
-}
-
-func (s gaugeVecFunc) write(w io.Writer, name, _ string) {
-	samples := s.fn()
-	sort.Slice(samples, func(i, j int) bool { return samples[i].Label < samples[j].Label })
-	for _, sm := range samples {
-		labels := labelKey([][2]string{{s.label, sm.Label}})
-		if sm.Value == math.Trunc(sm.Value) && math.Abs(sm.Value) < 1e15 {
-			fmt.Fprintf(w, "%s%s %d\n", name, labels, int64(sm.Value))
-		} else {
-			fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(sm.Value))
+func (r *Registry) registerFields(root, v reflect.Value, path []int) {
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		f, fv := t.Field(i), v.Field(i)
+		idx := append(append([]int(nil), path...), i)
+		if tag := f.Tag.Get("metric"); tag != "" {
+			name, kind := parseMetricTag(tag, f.Type)
+			r.addFamily(name, f.Tag.Get("help"), kind).get("", func() series {
+				return fieldSeries{root: root, idx: idx}
+			})
+			continue
+		}
+		switch {
+		case fv.Kind() == reflect.Struct:
+			r.registerFields(root, fv, idx)
+		case fv.Kind() == reflect.Pointer && !fv.IsNil() && fv.Elem().Kind() == reflect.Struct:
+			r.registerFields(root, fv.Elem(), idx)
+		case fv.Kind() == reflect.Map && f.Tag.Get("label") != "":
+			et := f.Type.Elem()
+			for j := 0; j < et.NumField(); j++ {
+				if tag := et.Field(j).Tag.Get("metric"); tag != "" {
+					name, kind := parseMetricTag(tag, et.Field(j).Type)
+					r.addFamily(name, et.Field(j).Tag.Get("help"), kind).get("", func() series {
+						return labeledFieldSeries{root: root, idx: idx, label: f.Tag.Get("label"), field: j}
+					})
+				}
+			}
 		}
 	}
 }
 
-// GaugeFuncVec registers a labelled gauge family whose samples are produced
-// at scrape time (e.g. per-table row counts and data versions).
-func (r *Registry) GaugeFuncVec(name, help, label string, fn func() []LabeledSample) {
-	f := r.addFamily(name, help, kindGauge)
-	f.get("", func() series { return gaugeVecFunc{label: label, fn: fn} })
+// parseMetricTag splits the `metric:"name,kind"` tag of a field of type t.
+func parseMetricTag(tag string, t reflect.Type) (string, metricKind) {
+	name, kind, _ := strings.Cut(tag, ",")
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+	default:
+		panic("obs: metric " + name + " tags a " + t.String() + ", not a number")
+	}
+	switch kind {
+	case "counter":
+		return name, kindCounter
+	case "gauge":
+		return name, kindGauge
+	}
+	panic("obs: metric " + name + ": kind must be counter or gauge, not " + strconv.Quote(kind))
+}
+
+// fieldSeries is one tagged field, read at every render.
+type fieldSeries struct {
+	root reflect.Value
+	idx  []int
+}
+
+func (s fieldSeries) write(w io.Writer, name, labels string) {
+	v, err := s.root.FieldByIndexErr(s.idx)
+	if err != nil { // a block that was present at registration went nil
+		return
+	}
+	writeNumber(w, name, labels, v)
+}
+
+// labeledFieldSeries is one element field of a labelled map, a series per
+// key in key order.
+type labeledFieldSeries struct {
+	root  reflect.Value
+	idx   []int
+	label string
+	field int
+}
+
+func (s labeledFieldSeries) write(w io.Writer, name, _ string) {
+	m := s.root.FieldByIndex(s.idx)
+	keys := m.MapKeys()
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	for _, k := range keys {
+		writeNumber(w, name, labelKey([][2]string{{s.label, k.String()}}), m.MapIndex(k).Field(s.field))
+	}
+}
+
+// writeNumber renders one sample of an integer or float field.
+func writeNumber(w io.Writer, name, labels string, v reflect.Value) {
+	switch {
+	case v.CanInt():
+		fmt.Fprintf(w, "%s%s %d\n", name, labels, v.Int())
+	case v.CanUint():
+		fmt.Fprintf(w, "%s%s %d\n", name, labels, v.Uint())
+	default:
+		fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(v.Float()))
+	}
 }
 
 // DefaultLatencyBuckets are exponential (log-bucketed) upper bounds in

@@ -175,15 +175,35 @@ func ValidatePrometheusText(t *testing.T, text string) int {
 	return samples
 }
 
+// tableSample and fieldSample are a stats snapshot as RegisterFields reads
+// it.
+type tableSample struct {
+	Rows int64  `metric:"astore_table_rows,gauge" help:"per-table"`
+	Name string // untagged: not a family
+}
+
+type fieldSample struct {
+	Up     float64 `metric:"astore_up,gauge" help:"a gauge"`
+	Nested struct {
+		Hits uint64 `metric:"astore_hits_total,counter" help:"a nested counter"`
+	}
+	Absent *struct {
+		N int64 `metric:"astore_absent_total,counter" help:"nil at registration"`
+	}
+	Tables map[string]tableSample `label:"table"`
+}
+
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("astore_test_total", "a counter")
 	c.Add(3)
 	r.CounterVec("astore_reqs_total", "labelled", "endpoint").With("query").Inc()
-	r.GaugeFunc("astore_up", "a gauge", func() float64 { return 1.5 })
-	r.GaugeFuncVec("astore_table_rows", "per-table", "table", func() []LabeledSample {
-		return []LabeledSample{{Label: "lineorder", Value: 60175}, {Label: `we"ird`, Value: 1}}
-	})
+	var sample fieldSample
+	r.RegisterFields(&sample)
+	// Registration binds the fields, not their values at the time.
+	sample.Up = 1.5
+	sample.Nested.Hits = 9
+	sample.Tables = map[string]tableSample{"lineorder": {Rows: 60175}, `we"ird`: {Rows: 1}}
 	h := r.Histogram("astore_lat_seconds", "latency", DefaultLatencyBuckets())
 	h.Observe(0.002)
 	h.Observe(0.004)
@@ -205,11 +225,20 @@ func TestRegistryExposition(t *testing.T) {
 		`astore_lat_seconds_bucket{le="+Inf"} 2`,
 		"astore_lat_seconds_count 2",
 		`astore_ep_seconds_bucket{endpoint="query",le="+Inf"} 1`,
+		"# TYPE astore_up gauge",
+		"astore_up 1.5",
+		"# TYPE astore_hits_total counter",
+		"astore_hits_total 9",
+		"# TYPE astore_table_rows gauge",
 		`astore_table_rows{table="lineorder"} 60175`,
+		`astore_table_rows{table="we\"ird"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "astore_absent_total") {
+		t.Fatalf("a block nil at registration registered a family:\n%s", text)
 	}
 	// Cumulative buckets must be monotonic.
 	if !strings.Contains(text, `astore_lat_seconds_bucket{le="0.002048"} 1`) {

@@ -21,8 +21,8 @@ type SlowEntry struct {
 	Rows           int                `json:"rows"`
 	RowsScanned    int64              `json:"rows_scanned,omitempty"`
 	RowsSelected   int64              `json:"rows_selected,omitempty"`
-	SegmentsTotal  int                `json:"segments_total,omitempty"`
-	SegmentsPruned int                `json:"segments_pruned,omitempty"`
+	SegmentsTotal  int64              `json:"segments_total,omitempty"`
+	SegmentsPruned int64              `json:"segments_pruned,omitempty"`
 	PlanHit        bool               `json:"plan_hit"`
 	StagesUS       map[string]float64 `json:"stages_us,omitempty"`
 	Error          string             `json:"error,omitempty"`

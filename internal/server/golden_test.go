@@ -131,7 +131,7 @@ func TestServingSurfaceGolden(t *testing.T) {
 		checkSurface(t, "surface_single.golden", servingSurface(t, ts.URL))
 	})
 	t.Run("coordinator", func(t *testing.T) {
-		ts := newLocalCoordinator(t)
+		_, ts := newLocalCoordinator(t, Config{})
 		surfaceTraffic(t, ts.URL)
 		checkSurface(t, "surface_coordinator.golden", servingSurface(t, ts.URL))
 	})
@@ -139,7 +139,7 @@ func TestServingSurfaceGolden(t *testing.T) {
 
 // newLocalCoordinator mounts a coordinator server over two in-process
 // workers sharing its DB.
-func newLocalCoordinator(t *testing.T) *httptest.Server {
+func newLocalCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	data := ssb.Generate(ssb.Config{SF: 0.005, Seed: 1})
 	d, err := db.Open(data.DB, core.Options{SegmentRows: 4096})
@@ -150,7 +150,9 @@ func newLocalCoordinator(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(d, Config{Coordinator: coord}).Handler())
+	cfg.Coordinator = coord
+	srv := New(d, cfg)
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return srv, ts
 }

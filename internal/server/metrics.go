@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"astore/internal/db"
 	"astore/internal/obs"
 	"astore/internal/shard"
 )
@@ -18,33 +19,23 @@ import (
 // sizes — are read in exactly one place, StatsSnapshot, which /v1/stats
 // serves as is and a /metrics scrape takes once before rendering.
 
-// endpointMetrics are cumulative per-endpoint serving counters, updated
-// lock-free on every request by the instrumentation wrapper. lat is the
-// endpoint's latency histogram in the shared registry (set once at mount
-// time, before any request), so /v1/stats quantiles and /metrics buckets
-// come from the same observations.
+// endpointMetrics are one endpoint's serving instruments, updated lock-free
+// on every request by the instrumentation wrapper: its latency histogram
+// and error counter in the shared registry (bound once at mount time,
+// before any request), so /v1/stats and /metrics read the same
+// observations, and the slowest request, which no registry family holds.
 type endpointMetrics struct {
-	count   atomic.Int64 // requests served (including errors)
-	errors  atomic.Int64 // responses with status >= 400
-	totalNS atomic.Int64 // summed wall time
-	maxNS   atomic.Int64 // slowest request
-	lat     *obs.Histogram
-	errsC   *obs.Counter
+	lat   *obs.Histogram
+	errs  *obs.Counter
+	maxNS atomic.Int64
 }
 
 func (m *endpointMetrics) observe(d time.Duration, failed bool) {
-	m.count.Add(1)
 	if failed {
-		m.errors.Add(1)
-		if m.errsC != nil {
-			m.errsC.Inc()
-		}
+		m.errs.Inc()
 	}
-	if m.lat != nil {
-		m.lat.Observe(d.Seconds())
-	}
+	m.lat.Observe(d.Seconds())
 	ns := d.Nanoseconds()
-	m.totalNS.Add(ns)
 	for {
 		cur := m.maxNS.Load()
 		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
@@ -68,14 +59,12 @@ type EndpointStats struct {
 
 func (m *endpointMetrics) snapshot() EndpointStats {
 	s := EndpointStats{
-		Count:  m.count.Load(),
-		Errors: m.errors.Load(),
+		Count:  m.lat.Count(),
+		Errors: m.errs.Value(),
 		MaxUS:  float64(m.maxNS.Load()) / 1e3,
 	}
 	if s.Count > 0 {
-		s.AvgUS = float64(m.totalNS.Load()) / float64(s.Count) / 1e3
-	}
-	if m.lat != nil && m.lat.Count() > 0 {
+		s.AvgUS = m.lat.Sum() / float64(s.Count) * 1e6
 		s.P50US = m.lat.Quantile(0.50) * 1e6
 		s.P95US = m.lat.Quantile(0.95) * 1e6
 		s.P99US = m.lat.Quantile(0.99) * 1e6
@@ -83,73 +72,40 @@ func (m *endpointMetrics) snapshot() EndpointStats {
 	return s
 }
 
+// The stats types below are the JSON of /v1/stats and, through their
+// metric and help tags, the counter and gauge families of /metrics
+// (obs.Registry.RegisterFields). A counter is added in exactly one place:
+// a tagged field of the struct whose layer maintains it.
+
 // AdmissionStats is the JSON rendering of the admission controller's state.
 type AdmissionStats struct {
 	MaxInFlight int   `json:"max_in_flight"`
 	MaxQueue    int   `json:"max_queue"`
-	InFlight    int   `json:"in_flight"`
-	Waiting     int   `json:"waiting"`
-	Admitted    int64 `json:"admitted"`
-	Queued      int64 `json:"queued"`
-	Rejected    int64 `json:"rejected"`
+	InFlight    int   `json:"in_flight" metric:"astore_admission_in_flight,gauge" help:"Queries currently executing."`
+	Waiting     int   `json:"waiting" metric:"astore_admission_waiting,gauge" help:"Queries currently queued for a slot."`
+	Admitted    int64 `json:"admitted" metric:"astore_admission_admitted_total,counter" help:"Queries admitted to execute."`
+	Queued      int64 `json:"queued" metric:"astore_admission_queued_total,counter" help:"Queries admitted after waiting in the queue."`
+	Rejected    int64 `json:"rejected" metric:"astore_admission_rejected_total,counter" help:"Queries rejected by admission control."`
 }
 
 // DBStats is the "db" block of /v1/stats: the DB's plan-cache and serving
 // counters.
 type DBStats struct {
-	dbCounters
+	db.Stats
 	// Always 0: the binding cache is gone, but the pinned benchmark client
 	// still sums these two; they leave with the next [benchmark] PR.
 	BindCacheHits   int64 `json:"bind_cache_hits"`
 	BindCacheMisses int64 `json:"bind_cache_misses"`
 }
 
-// dbCounters is db.Stats field for field, with JSON names.
-type dbCounters struct {
-	Prepares      int64 `json:"prepares"`
-	Execs         int64 `json:"execs"`
-	PlanHits      int64 `json:"plan_hits"`
-	PlanMisses    int64 `json:"plan_misses"`
-	PlanStale     int64 `json:"plan_stale"`
-	PlanEvictions int64 `json:"plan_evictions"`
-	// SegmentsTotal and SegmentsPruned report the segment-admission summary
-	// across all executions — the same decision Explain renders per plan:
-	// segments considered vs. segments skipped before any row work.
-	SegmentsTotal  int64 `json:"segments_total"`
-	SegmentsPruned int64 `json:"segments_pruned"`
-	// RowsScanned and RowsSelected report root rows considered vs. rows
-	// surviving all predicates across executions.
-	RowsScanned  int64 `json:"rows_scanned"`
-	RowsSelected int64 `json:"rows_selected"`
-	// EncodedSegments counts admitted segments containing at least one
-	// compressed (RLE/FoR) chunk across executions.
-	EncodedSegments int64 `json:"encoded_segments"`
-	// PruneByFilter attributes segment prunes to the filter that proved
-	// them, keyed by the filter's display label (predicate text for root
-	// filters, "probe <table> via <fk>" for dimension probes). Omitted
-	// until the first attributed prune.
-	PruneByFilter map[string]int64 `json:"prune_by_filter,omitempty"`
-	// TailRows counts rows scanned live from mutable tails — the work the
-	// segment aggregate cache can never absorb.
-	TailRows int64 `json:"tail_rows"`
-	// Segment aggregate cache counters (per-plan partial aggregates over
-	// sealed segments): cumulative hits/misses/evictions, point-in-time
-	// bytes/entries, summed over the DB's engines.
-	AggCacheHits      int64 `json:"agg_cache_hits"`
-	AggCacheMisses    int64 `json:"agg_cache_misses"`
-	AggCacheEvictions int64 `json:"agg_cache_evictions"`
-	AggCacheBytes     int64 `json:"agg_cache_bytes"`
-	AggCacheEntries   int64 `json:"agg_cache_entries"`
-}
-
 // TableStats is the per-table block of /v1/stats: one consistent sample of
 // the table's row count, versions and layout, read under the table's mutex
 // without pinning it.
 type TableStats struct {
-	Rows int64 `json:"rows"`
+	Rows int64 `json:"rows" metric:"astore_table_rows,gauge" help:"Rows per table (including deleted)."`
 	// DataVersion counts row mutations (appends, updates, deletes); plan
 	// freshness checks compare against it.
-	DataVersion uint64 `json:"data_version"`
+	DataVersion uint64 `json:"data_version" metric:"astore_table_data_version,gauge" help:"Data mutation counter per table."`
 	// SchemaVersion counts structural mutations (columns, FKs,
 	// re-segmentation).
 	SchemaVersion uint64 `json:"schema_version"`
@@ -160,8 +116,8 @@ type TableStats struct {
 	// LogicalBytes and PhysicalBytes report the decoded vs. stored size of
 	// the table's live chunks; they differ when sealed-segment encodings
 	// are enabled. EncodedChunks of Chunks are stored compressed.
-	LogicalBytes  int64 `json:"logical_bytes"`
-	PhysicalBytes int64 `json:"physical_bytes"`
+	LogicalBytes  int64 `json:"logical_bytes" metric:"astore_table_logical_bytes,gauge" help:"Decoded size of live chunks per table."`
+	PhysicalBytes int64 `json:"physical_bytes" metric:"astore_table_physical_bytes,gauge" help:"Stored size of live chunks per table (after encodings)."`
 	EncodedChunks int   `json:"encoded_chunks"`
 	Chunks        int   `json:"chunks"`
 }
@@ -169,33 +125,30 @@ type TableStats struct {
 // Stats is the GET /v1/stats response body.
 type Stats struct {
 	UptimeMS      int64                    `json:"uptime_ms"`
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Panics        int64                    `json:"panics"`
-	SlowQueries   int64                    `json:"slow_queries"`
+	UptimeSeconds float64                  `json:"uptime_seconds" metric:"astore_uptime_seconds,gauge" help:"Seconds since the server started."`
+	Panics        int64                    `json:"panics" metric:"astore_panics_total,counter" help:"Handler panics recovered to 500s."`
+	SlowQueries   int64                    `json:"slow_queries" metric:"astore_slow_queries_total,counter" help:"Queries at or above the slow-query threshold."`
 	DB            DBStats                  `json:"db"`
 	Admission     AdmissionStats           `json:"admission"`
 	Endpoints     map[string]EndpointStats `json:"endpoints"`
-	Tables        map[string]TableStats    `json:"tables"`
+	Tables        map[string]TableStats    `json:"tables" label:"table"`
 	// Shard is present on coordinators: cumulative scatter-gather counters.
 	Shard *shard.Stats `json:"shard,omitempty"`
 }
 
-// serverMetrics are the push-side instruments of the server's registry.
-// Counters another layer already maintains (plan cache, admission,
-// per-table versions) are registered as collect-time funcs instead, which
-// read them from the scrape's one StatsSnapshot.
+// serverMetrics are the push-side instruments of the server's registry:
+// the events no /v1/stats field counts.
 type serverMetrics struct {
 	reqDur    *obs.HistogramVec // astore_http_request_duration_seconds{endpoint}
 	reqErrors *obs.CounterVec   // astore_http_request_errors_total{endpoint}
 	queueWait *obs.Histogram    // astore_query_queue_wait_seconds
 
-	slowQueries   *obs.Counter // astore_slow_queries_total
 	rowsAppended  *obs.Counter // astore_rows_appended_total
 	appendBatches *obs.Counter // astore_append_batches_total
 
-	// scrape is the sample the collect-time funcs read. handleMetrics
-	// refreshes it and renders the registry under scrapeMu; the funcs run
-	// nowhere else.
+	// scrape is the sample the tagged-field families read. handleMetrics
+	// refreshes it and renders the registry under scrapeMu; nothing else
+	// reads it.
 	scrapeMu sync.Mutex
 	scrape   Stats
 }
@@ -206,9 +159,6 @@ func (s *Server) initMetrics() {
 	r := obs.NewRegistry()
 	s.reg = r
 
-	r.GaugeFunc("astore_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return time.Since(s.start).Seconds() })
-
 	buckets := obs.DefaultLatencyBuckets()
 	s.met.reqDur = r.HistogramVec("astore_http_request_duration_seconds",
 		"Wall time of HTTP requests by endpoint.", "endpoint", buckets)
@@ -216,84 +166,17 @@ func (s *Server) initMetrics() {
 		"HTTP responses with status >= 400 by endpoint.", "endpoint")
 	s.met.queueWait = r.Histogram("astore_query_queue_wait_seconds",
 		"Time queries spent waiting for an admission slot.", buckets)
-	s.met.slowQueries = r.Counter("astore_slow_queries_total",
-		"Queries at or above the slow-query threshold.")
 	s.met.rowsAppended = r.Counter("astore_rows_appended_total",
 		"Rows appended through POST /v1/tables/{table}/append.")
 	s.met.appendBatches = r.Counter("astore_append_batches_total",
 		"Append request bodies fully applied.")
 
-	// Plan-cache and execution counters, as sampled from the DB at the
-	// start of the scrape.
-	dbCounter := func(name, help string, get func() int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(get()) })
+	// Every tagged field of the snapshot. The shard block registers only
+	// when it is present, on a coordinator.
+	if s.cfg.Coordinator != nil {
+		s.met.scrape.Shard = &shard.Stats{}
 	}
-	dbCounter("astore_plan_cache_hits_total", "Executions that reused a cached plan unchanged.",
-		func() int64 { return s.met.scrape.DB.PlanHits })
-	dbCounter("astore_plan_cache_misses_total", "Compilations because no cached plan existed.",
-		func() int64 { return s.met.scrape.DB.PlanMisses })
-	dbCounter("astore_plan_cache_stale_total", "Recompilations because table versions moved under a cached plan.",
-		func() int64 { return s.met.scrape.DB.PlanStale })
-	dbCounter("astore_plan_cache_evictions_total", "Cached plans dropped by the LRU capacity bound.",
-		func() int64 { return s.met.scrape.DB.PlanEvictions })
-	dbCounter("astore_segments_considered_total", "Root segments considered by segment admission.",
-		func() int64 { return s.met.scrape.DB.SegmentsTotal })
-	dbCounter("astore_segments_pruned_total", "Root segments skipped by zone-map pruning.",
-		func() int64 { return s.met.scrape.DB.SegmentsPruned })
-	dbCounter("astore_rows_scanned_total", "Root rows considered across executions.",
-		func() int64 { return s.met.scrape.DB.RowsScanned })
-	dbCounter("astore_rows_selected_total", "Root rows surviving all predicates across executions.",
-		func() int64 { return s.met.scrape.DB.RowsSelected })
-	dbCounter("astore_encoded_segments_total", "Admitted segments containing compressed (RLE/FoR) chunks.",
-		func() int64 { return s.met.scrape.DB.EncodedSegments })
-	dbCounter("astore_tail_rows_total", "Rows scanned live from mutable tails (work the aggregate cache cannot absorb).",
-		func() int64 { return s.met.scrape.DB.TailRows })
-
-	// Segment aggregate cache (per-plan partial aggregates over sealed
-	// segments).
-	dbCounter("astore_aggcache_hits_total", "Sealed-segment scans skipped by serving a cached partial aggregate.",
-		func() int64 { return s.met.scrape.DB.AggCacheHits })
-	dbCounter("astore_aggcache_misses_total", "Sealed segments scanned live and installed into the aggregate cache.",
-		func() int64 { return s.met.scrape.DB.AggCacheMisses })
-	dbCounter("astore_aggcache_evictions_total", "Aggregate cache entries dropped by the byte-accounted LRU bound.",
-		func() int64 { return s.met.scrape.DB.AggCacheEvictions })
-	r.GaugeFunc("astore_aggcache_bytes", "Current size of the segment aggregate cache.",
-		func() float64 { return float64(s.met.scrape.DB.AggCacheBytes) })
-	r.GaugeFunc("astore_aggcache_entries", "Current entry count of the segment aggregate cache.",
-		func() float64 { return float64(s.met.scrape.DB.AggCacheEntries) })
-
-	// Admission controller state and totals.
-	r.GaugeFunc("astore_admission_in_flight", "Queries currently executing.",
-		func() float64 { return float64(s.adm.inFlight()) })
-	r.GaugeFunc("astore_admission_waiting", "Queries currently queued for a slot.",
-		func() float64 { return float64(s.adm.waiting()) })
-	dbCounter("astore_admission_admitted_total", "Queries admitted to execute.",
-		func() int64 { return s.adm.admitted.Load() })
-	dbCounter("astore_admission_queued_total", "Queries admitted after waiting in the queue.",
-		func() int64 { return s.adm.queued.Load() })
-	dbCounter("astore_admission_rejected_total", "Queries rejected by admission control.",
-		func() int64 { return s.adm.rejected.Load() })
-	dbCounter("astore_panics_total", "Handler panics recovered to 500s.",
-		func() int64 { return s.panics.Load() })
-
-	// Per-table gauges, from the scrape's per-table samples.
-	tableGauge := func(name, help string, get func(TableStats) float64) {
-		r.GaugeFuncVec(name, help, "table", func() []obs.LabeledSample {
-			out := make([]obs.LabeledSample, 0, len(s.met.scrape.Tables))
-			for table, ts := range s.met.scrape.Tables {
-				out = append(out, obs.LabeledSample{Label: table, Value: get(ts)})
-			}
-			return out
-		})
-	}
-	tableGauge("astore_table_rows", "Rows per table (including deleted).",
-		func(ts TableStats) float64 { return float64(ts.Rows) })
-	tableGauge("astore_table_data_version", "Data mutation counter per table.",
-		func(ts TableStats) float64 { return float64(ts.DataVersion) })
-	tableGauge("astore_table_physical_bytes", "Stored size of live chunks per table (after encodings).",
-		func(ts TableStats) float64 { return float64(ts.PhysicalBytes) })
-	tableGauge("astore_table_logical_bytes", "Decoded size of live chunks per table.",
-		func(ts TableStats) float64 { return float64(ts.LogicalBytes) })
+	r.RegisterFields(&s.met.scrape)
 }
 
 // handleMetrics serves GET /metrics in Prometheus text exposition format.

@@ -141,14 +141,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // queryMeta describes one executed query for the slow-query log.
 type queryMeta struct {
-	fact    string
-	text    string // SQL text or the structured query's name
-	planHit bool
-	stats   core.Stats
+	fact  string
+	text  string // SQL text or the structured query's name
+	stats core.Stats
 }
 
 // logSlowQuery emits at most one slow-query log line per request (success
-// or failure) and bumps the slow-query counter.
+// or failure).
 func (s *Server) logSlowQuery(rid string, req *queryRequest, meta *queryMeta, res *query.Result, elapsed time.Duration, err error) {
 	if !s.slow.Enabled() {
 		return
@@ -157,7 +156,7 @@ func (s *Server) logSlowQuery(rid string, req *queryRequest, meta *queryMeta, re
 		RequestID:      rid,
 		Fact:           meta.fact,
 		Query:          meta.text,
-		PlanHit:        meta.planHit,
+		PlanHit:        meta.stats.PlanHit,
 		RowsScanned:    meta.stats.RowsScanned,
 		RowsSelected:   meta.stats.RowsSelected,
 		SegmentsTotal:  meta.stats.SegmentsTotal,
@@ -176,9 +175,7 @@ func (s *Server) logSlowQuery(rid string, req *queryRequest, meta *queryMeta, re
 	if err != nil {
 		e.Error = err.Error()
 	}
-	if s.slow.Observe(elapsed, e) {
-		s.met.slowQueries.Inc()
-	}
+	s.slow.Observe(elapsed, e)
 }
 
 // handleExplain serves EXPLAIN <select>: render the plan, execute nothing.
@@ -276,16 +273,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*query.Result
 		meta.stats = cmeta.Stats
 		return res, meta, nil
 	}
-	// Plan-hit attribution for the slow log: a cumulative-counter delta,
-	// exact when queries do not overlap and advisory otherwise.
-	var hitsBefore int64
-	if s.slow.Enabled() {
-		hitsBefore = s.db.Stats().PlanHits
-	}
 	res, err := p.ExecStats(ctx, &meta.stats)
-	if s.slow.Enabled() {
-		meta.planHit = s.db.Stats().PlanHits > hitsBefore
-	}
 	if err != nil {
 		return nil, meta, err
 	}

@@ -289,8 +289,8 @@ func (s *Server) endpoint(name string) *endpointMetrics {
 	m, ok := s.endpoints[name]
 	if !ok {
 		m = &endpointMetrics{
-			lat:   s.met.reqDur.With(name),
-			errsC: s.met.reqErrors.With(name),
+			lat:  s.met.reqDur.With(name),
+			errs: s.met.reqErrors.With(name),
 		}
 		s.endpoints[name] = m
 	}
@@ -441,7 +441,7 @@ func (s *Server) StatsSnapshot() Stats {
 		UptimeSeconds: uptime.Seconds(),
 		Panics:        s.panics.Load(),
 		SlowQueries:   s.slow.Logged(),
-		DB:            DBStats{dbCounters: dbCounters(s.db.Stats())},
+		DB:            DBStats{Stats: s.db.Stats()},
 		Admission: AdmissionStats{
 			MaxInFlight: s.cfg.MaxInFlight,
 			MaxQueue:    s.cfg.MaxQueue,

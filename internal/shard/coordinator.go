@@ -37,13 +37,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats are the coordinator's cumulative scatter-gather counters.
+// Stats are the coordinator's cumulative scatter-gather counters, each
+// declared once: the json tag is its key in the "shard" block of /v1/stats,
+// the metric and help tags its /metrics family.
 type Stats struct {
 	Workers        int   `json:"workers"`
-	Scatters       int64 `json:"scatters"`
-	Repins         int64 `json:"repins"`
-	Failures       int64 `json:"failures"`
-	PartialsMerged int64 `json:"partials_merged"`
+	Scatters       int64 `json:"scatters" metric:"astore_shard_scatters_total,counter" help:"Distributed executions fanned out by the shard coordinator."`
+	Repins         int64 `json:"repins" metric:"astore_shard_repins_total,counter" help:"Scatters that needed the bounded re-pin retry for a consistent snapshot."`
+	Failures       int64 `json:"failures" metric:"astore_shard_failures_total,counter" help:"Shard worker executions that failed (after transport retries)."`
+	PartialsMerged int64 `json:"partials_merged" metric:"astore_shard_partials_merged_total,counter" help:"Partial aggregate snapshots merged by the coordinator."`
 }
 
 // Meta describes one distributed execution: the fan-out shape, whether the
@@ -125,16 +127,10 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// RegisterMetrics registers the coordinator's instruments on a registry
-// (idempotent per registry; call once from the serving layer).
+// RegisterMetrics registers the coordinator's per-worker instruments on a
+// registry (idempotent per registry; call once from the serving layer). The
+// Stats counters reach /metrics through the serving layer's snapshot.
 func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
-	counter := func(name, help string, v *atomic.Int64) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("astore_shard_scatters_total", "Distributed executions fanned out by the shard coordinator.", &c.scatters)
-	counter("astore_shard_repins_total", "Scatters that needed the bounded re-pin retry for a consistent snapshot.", &c.repins)
-	counter("astore_shard_failures_total", "Shard worker executions that failed (after transport retries).", &c.failures)
-	counter("astore_shard_partials_merged_total", "Partial aggregate snapshots merged by the coordinator.", &c.merged)
 	c.execDur = r.HistogramVec("astore_shard_exec_seconds",
 		"Wall time of shard worker executions by worker.", "worker", obs.DefaultLatencyBuckets())
 	c.failVec = r.CounterVec("astore_shard_worker_failures_total",
