@@ -8,8 +8,8 @@
 //
 // Endpoints (see the README for request bodies):
 //
-//	POST /v1/query                 SQL or structured JSON query (supports
-//	                               "trace": true and EXPLAIN [ANALYZE])
+//	POST /v1/query                 SQL query (supports "trace": true and
+//	                               EXPLAIN [ANALYZE])
 //	POST /v1/tables/{table}/append live ingest
 //	GET  /healthz                  liveness
 //	GET  /v1/stats                 serving counters (JSON)

@@ -467,9 +467,6 @@ func (p *Prepared) Fact() string { return p.fact }
 // Query returns the underlying query.
 func (p *Prepared) Query() *query.Query { return p.q }
 
-// Signature returns the plan-cache key: the query's canonical SQL.
-func (p *Prepared) Signature() string { return p.sig }
-
 // Exec executes the prepared query against a snapshot pinned for the
 // duration of the call. While the underlying tables are unmodified since
 // the plan was compiled, execution skips planning entirely (a plan-cache

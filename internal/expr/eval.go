@@ -91,27 +91,14 @@ func (p Pred) Bitmap(c storage.Column, out *storage.Bitmap) error {
 	return nil
 }
 
-// FilterSel refines selection vector sel in place, keeping the rows of
-// column c that satisfy the predicate, and returns the shortened vector.
-// This is the vector-based column-wise scan primitive of §4.1: a tuple that
-// fails one predicate is removed immediately and never evaluated again.
-//
-// Scan loops that evaluate the same predicate repeatedly (batches, spans)
-// should compile it once with Filterer instead.
-func (p Pred) FilterSel(c storage.Column, sel []int32) ([]int32, error) {
-	f, err := p.Filterer(c)
-	if err != nil {
-		return nil, err
-	}
-	return f(sel), nil
-}
-
 // Filterer compiles the predicate against column c into a reusable
 // selection-vector refinement function, hoisting per-predicate setup —
 // dictionary masks, operand conversions, evaluator dispatch — out of the
 // scan loop. c is a plain chunk or an encoded one, read where it lies: an
 // RLE chunk is filtered run by run, a FoR chunk field by field. The
 // returned function compacts sel in place and returns the shortened vector.
+// This is the vector-based column-wise scan primitive of §4.1: a tuple that
+// fails one predicate is removed immediately and never evaluated again.
 func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 	// Fast paths for the most common scan shapes.
 	switch col := c.(type) {
@@ -316,25 +303,6 @@ func (p Pred) forFilterer(c *storage.FoRCol) func(sel []int32) []int32 {
 
 func keepAll(sel []int32) []int32  { return sel }
 func keepNone(sel []int32) []int32 { return sel[:0] }
-
-// FilterSelVia refines selection vector sel of *root* rows by testing the
-// predicate against column c of a leaf table, where leafRow maps a root row
-// to the leaf row through the AIR reference path. It is used by scan
-// variants that probe dimension columns directly instead of using predicate
-// vectors.
-func (p Pred) FilterSelVia(c storage.Column, leafRow func(int32) int32, sel []int32) ([]int32, error) {
-	m, err := p.Matcher(c)
-	if err != nil {
-		return nil, err
-	}
-	out := sel[:0]
-	for _, r := range sel {
-		if m(leafRow(r)) {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
 
 // EstimatedSel returns the predicate's selectivity estimate, defaulting to
 // 0.5 when unknown. The engine evaluates the most selective predicates

@@ -198,7 +198,7 @@ func TestBitmapLengthError(t *testing.T) {
 	}
 }
 
-// Property: FilterSel equals brute-force filtering with the Matcher for
+// Property: a compiled Filterer equals brute-force filtering with the Matcher for
 // random data, predicates, and input selection vectors.
 func TestFilterSelQuick(t *testing.T) {
 	pool := []string{"aa", "bb", "cc", "dd"}
@@ -253,10 +253,11 @@ func TestFilterSelQuick(t *testing.T) {
 						want = append(want, r)
 					}
 				}
-				got, err := p.FilterSel(col, append([]int32(nil), baseSel...))
+				filter, err := p.Filterer(col)
 				if err != nil {
 					return false
 				}
+				got := filter(append([]int32(nil), baseSel...))
 				if len(got) != len(want) {
 					return false
 				}
@@ -271,22 +272,6 @@ func TestFilterSelQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFilterSelVia(t *testing.T) {
-	leaf := storage.NewStrCol([]string{"red", "green", "blue"})
-	fk := []int32{2, 0, 1, 0, 2}
-	sel := []int32{0, 1, 2, 3, 4}
-	got, err := StrEq("c", "red").FilterSelVia(leaf, func(r int32) int32 { return fk[r] }, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("FilterSelVia = %v", got)
-	}
-	if _, err := IntEq("c", 1).FilterSelVia(leaf, nil, sel); err == nil {
-		t.Fatal("type error not surfaced")
 	}
 }
 

@@ -22,12 +22,11 @@ type appendRequest struct {
 // the table's version counters after the batch. DataVersion advances on
 // every data mutation; clients can poll /v1/stats (or re-read it here) to
 // confirm read-their-writes: a snapshot taken at or after this DataVersion
-// includes the batch. Version is a legacy alias of DataVersion.
+// includes the batch.
 type appendResponse struct {
 	Table       string   `json:"table"`
 	Rows        []int    `json:"rows"`
 	Count       int      `json:"count"`
-	Version     uint64   `json:"version"`
 	DataVersion uint64   `json:"data_version"`
 	Columns     []string `json:"columns,omitempty"` // on error: expected columns
 }
@@ -88,10 +87,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.rowsAppended.Add(int64(len(inserted)))
 	s.met.appendBatches.Inc()
-	dv := t.DataVersion()
 	writeJSON(w, appendResponse{
 		Table: t.Name, Rows: inserted, Count: len(inserted),
-		Version: dv, DataVersion: dv,
+		DataVersion: t.DataVersion(),
 	})
 }
 

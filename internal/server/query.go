@@ -6,13 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"astore/internal/core"
 	"astore/internal/db"
-	"astore/internal/expr"
 	"astore/internal/obs"
 	"astore/internal/query"
 	"astore/internal/shard"
@@ -24,55 +21,16 @@ import (
 // unreachable.
 const statusClientClosed = 499
 
-// queryRequest is the POST /v1/query body: exactly one of SQL or Query.
+// queryRequest is the POST /v1/query body.
 type queryRequest struct {
 	// SQL is a SPJGA SELECT statement, optionally prefixed with EXPLAIN
 	// (plan only) or EXPLAIN ANALYZE (execute traced).
 	SQL string `json:"sql"`
-	// Query is the structured form of the same query family.
-	Query *jsonQuery `json:"query"`
 	// TimeoutMS overrides the server's default per-query deadline, capped
 	// at the server's maximum.
 	TimeoutMS int64 `json:"timeout_ms"`
 	// Trace attaches the span tree of the execution to the response.
 	Trace bool `json:"trace"`
-}
-
-// jsonQuery is a structured SPJGA query.
-type jsonQuery struct {
-	Name    string      `json:"name"`
-	Fact    string      `json:"fact"` // optional explicit routing
-	Where   []jsonPred  `json:"where"`
-	GroupBy []string    `json:"group_by"`
-	Aggs    []jsonAgg   `json:"aggs"`
-	OrderBy []jsonOrder `json:"order_by"`
-	Limit   int         `json:"limit"`
-}
-
-// jsonPred is one conjunct: {"col","op","value"} for comparisons,
-// {"col","op":"between","lo","hi"}, or {"col","op":"in","values":[...]}.
-type jsonPred struct {
-	Col    string `json:"col"`
-	Op     string `json:"op"`
-	Value  any    `json:"value"`
-	Values []any  `json:"values"`
-	Lo     any    `json:"lo"`
-	Hi     any    `json:"hi"`
-}
-
-// jsonAgg is one aggregate: kind sum|count|min|max|avg, an optional
-// arithmetic expression over columns (required for every kind but count),
-// and an optional result name.
-type jsonAgg struct {
-	Kind string `json:"kind"`
-	Expr string `json:"expr"`
-	As   string `json:"as"`
-}
-
-// jsonOrder is one ORDER BY key.
-type jsonOrder struct {
-	Col  string `json:"col"`
-	Desc bool   `json:"desc"`
 }
 
 // handleQuery serves POST /v1/query: decode, admit, execute under the
@@ -86,20 +44,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if (req.SQL == "") == (req.Query == nil) {
-		writeError(w, http.StatusBadRequest, `body must carry exactly one of "sql" or "query"`)
+	if req.SQL == "" {
+		writeError(w, http.StatusBadRequest, `body must carry "sql"`)
 		return
 	}
-	if req.SQL != "" {
-		// The HTTP endpoint accepts the same EXPLAIN prefixes as the shell.
-		switch mode, rest := sql.StripExplain(req.SQL); mode {
-		case sql.ExplainPlan:
-			s.handleExplain(w, rest)
-			return
-		case sql.ExplainAnalyze:
-			req.SQL = rest
-			req.Trace = true
-		}
+	// The HTTP endpoint accepts the same EXPLAIN prefixes as the shell.
+	switch mode, rest := sql.StripExplain(req.SQL); mode {
+	case sql.ExplainPlan:
+		s.handleExplain(w, rest)
+		return
+	case sql.ExplainAnalyze:
+		req.SQL = rest
+		req.Trace = true
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -142,7 +98,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // queryMeta describes one executed query for the slow-query log.
 type queryMeta struct {
 	fact  string
-	text  string // SQL text or the structured query's name
 	stats core.Stats
 }
 
@@ -155,7 +110,7 @@ func (s *Server) logSlowQuery(rid string, req *queryRequest, meta *queryMeta, re
 	e := obs.SlowEntry{
 		RequestID:      rid,
 		Fact:           meta.fact,
-		Query:          meta.text,
+		Query:          req.SQL,
 		PlanHit:        meta.stats.PlanHit,
 		RowsScanned:    meta.stats.RowsScanned,
 		RowsSelected:   meta.stats.RowsSelected,
@@ -219,12 +174,6 @@ func (b badRequest) Error() string { return b.err.Error() }
 // client cannot pin a slot.
 func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*query.Result, queryMeta, error) {
 	var meta queryMeta
-	if req.SQL != "" {
-		meta.text = req.SQL
-	} else if req.Query != nil {
-		meta.text = "structured:" + req.Query.Name
-	}
-
 	qt0 := time.Now()
 	err := s.adm.acquire(ctx)
 	s.met.queueWait.Observe(time.Since(qt0).Seconds())
@@ -246,12 +195,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*query.Result
 	if tr != nil {
 		parseSpan = tr.Start(tr.Root(), obs.StageParse)
 	}
-	var p *db.Prepared
-	if req.SQL != "" {
-		p, err = s.db.PrepareSQL(req.SQL)
-	} else {
-		p, err = s.prepareStructured(req.Query)
-	}
+	p, err := s.db.PrepareSQL(req.SQL)
 	if tr != nil {
 		tr.End(parseSpan)
 	}
@@ -259,14 +203,9 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*query.Result
 		return nil, meta, badRequest{err}
 	}
 	meta.fact = p.Fact()
-	// A coordinator executes scatter-gather instead of scanning locally;
-	// structured queries ship to workers via their canonical SQL rendering.
+	// A coordinator executes scatter-gather instead of scanning locally.
 	if c := s.cfg.Coordinator; c != nil {
-		text := req.SQL
-		if text == "" {
-			text = p.Signature()
-		}
-		res, cmeta, err := c.Exec(ctx, text)
+		res, cmeta, err := c.Exec(ctx, req.SQL)
 		if err != nil {
 			return nil, meta, err
 		}
@@ -306,7 +245,7 @@ func (s *Server) writeQueryError(w http.ResponseWriter, timeout time.Duration, e
 }
 
 // streamResult writes the result as one JSON object, row by row, flushing
-// every FlushRows rows so large group-bys reach the client incrementally
+// every flushRows rows so large group-bys reach the client incrementally
 // instead of buffering server-side:
 //
 //	{"fact":"lineorder","columns":[...],"rows":[[...],...],
@@ -341,7 +280,7 @@ func (s *Server) streamResult(w http.ResponseWriter, fact string, res *query.Res
 		if _, err := w.Write(b); err != nil {
 			return
 		}
-		if flusher != nil && (i+1)%s.cfg.FlushRows == 0 {
+		if flusher != nil && (i+1)%flushRows == 0 {
 			flusher.Flush()
 		}
 	}
@@ -356,197 +295,4 @@ func (s *Server) streamResult(w http.ResponseWriter, fact string, res *query.Res
 		}
 	}
 	fmt.Fprintf(w, `,"row_count":%d,"elapsed_us":%d}`+"\n", len(res.Rows), elapsed.Microseconds())
-}
-
-// prepareStructured converts the JSON query into a query.Query and prepares
-// it, routing explicitly when a fact table is named.
-func (s *Server) prepareStructured(jq *jsonQuery) (*db.Prepared, error) {
-	q, err := buildQuery(jq)
-	if err != nil {
-		return nil, err
-	}
-	if jq.Fact != "" {
-		return s.db.PrepareOn(jq.Fact, q)
-	}
-	return s.db.Prepare(q)
-}
-
-var jsonAggKinds = map[string]expr.AggKind{
-	"sum": expr.Sum, "count": expr.Count, "min": expr.Min, "max": expr.Max, "avg": expr.Avg,
-}
-
-// buildQuery translates a jsonQuery into the engine's query model.
-func buildQuery(jq *jsonQuery) (*query.Query, error) {
-	name := jq.Name
-	if name == "" {
-		name = "http"
-	}
-	q := query.New(name)
-	for i := range jq.Where {
-		p, err := buildPred(&jq.Where[i])
-		if err != nil {
-			return nil, err
-		}
-		q.Where(p)
-	}
-	q.GroupByCols(jq.GroupBy...)
-	for _, a := range jq.Aggs {
-		kind, ok := jsonAggKinds[strings.ToLower(a.Kind)]
-		if !ok {
-			return nil, fmt.Errorf("server: unknown aggregate kind %q", a.Kind)
-		}
-		agg := expr.Aggregate{Kind: kind, As: a.As}
-		if a.Expr != "" {
-			e, err := sql.ParseExpr(a.Expr)
-			if err != nil {
-				return nil, fmt.Errorf("server: aggregate expression %q: %v", a.Expr, err)
-			}
-			agg.Expr = e
-		} else if kind != expr.Count {
-			return nil, fmt.Errorf("server: %s aggregate needs an expression", a.Kind)
-		}
-		if agg.As == "" {
-			agg.As = kind.String()
-			if agg.Expr != nil {
-				if cols := expr.Cols(agg.Expr); len(cols) > 0 {
-					agg.As += "_" + cols[0]
-				}
-			}
-		}
-		q.Agg(agg)
-	}
-	for _, o := range jq.OrderBy {
-		if o.Desc {
-			q.OrderDesc(o.Col)
-		} else {
-			q.OrderAsc(o.Col)
-		}
-	}
-	q.WithLimit(jq.Limit)
-	return q, q.Validate()
-}
-
-var jsonOps = map[string]expr.Op{
-	"=": expr.Eq, "==": expr.Eq, "!=": expr.Ne, "<>": expr.Ne,
-	"<": expr.Lt, "<=": expr.Le, ">": expr.Gt, ">=": expr.Ge,
-}
-
-// buildPred translates one structured predicate.
-func buildPred(jp *jsonPred) (expr.Pred, error) {
-	if jp.Col == "" {
-		return expr.Pred{}, fmt.Errorf("server: predicate without a column")
-	}
-	switch op := strings.ToLower(jp.Op); op {
-	case "between":
-		lo, err := toLiteral(jp.Lo, jp.Col)
-		if err != nil {
-			return expr.Pred{}, err
-		}
-		hi, err := toLiteral(jp.Hi, jp.Col)
-		if err != nil {
-			return expr.Pred{}, err
-		}
-		switch {
-		case lo.isStr != hi.isStr:
-			return expr.Pred{}, fmt.Errorf("server: between bounds of mixed types on %s", jp.Col)
-		case lo.isStr:
-			return expr.StrBetween(jp.Col, lo.s, hi.s), nil
-		case lo.isFloat || hi.isFloat:
-			return expr.FloatBetween(jp.Col, lo.float(), hi.float()), nil
-		default:
-			return expr.IntBetween(jp.Col, lo.i, hi.i), nil
-		}
-	case "in":
-		if len(jp.Values) == 0 {
-			return expr.Pred{}, fmt.Errorf("server: in predicate on %s without values", jp.Col)
-		}
-		lits := make([]jsonLiteral, len(jp.Values))
-		for i, v := range jp.Values {
-			l, err := toLiteral(v, jp.Col)
-			if err != nil {
-				return expr.Pred{}, err
-			}
-			if l.isStr != lits[0].isStr && i > 0 {
-				return expr.Pred{}, fmt.Errorf("server: in list of mixed types on %s", jp.Col)
-			}
-			lits[i] = l
-		}
-		if lits[0].isStr {
-			ss := make([]string, len(lits))
-			for i, l := range lits {
-				ss[i] = l.s
-			}
-			return expr.StrIn(jp.Col, ss...), nil
-		}
-		vs := make([]int64, len(lits))
-		for i, l := range lits {
-			if l.isFloat {
-				return expr.Pred{}, fmt.Errorf("server: in list must be integers on %s", jp.Col)
-			}
-			vs[i] = l.i
-		}
-		return expr.IntIn(jp.Col, vs...), nil
-	default:
-		eop, ok := jsonOps[op]
-		if !ok {
-			return expr.Pred{}, fmt.Errorf("server: unknown predicate op %q on %s", jp.Op, jp.Col)
-		}
-		l, err := toLiteral(jp.Value, jp.Col)
-		if err != nil {
-			return expr.Pred{}, err
-		}
-		switch {
-		case l.isStr:
-			return expr.Pred{Col: jp.Col, Op: eop, Kind: expr.KStr, SVal: l.s}, nil
-		case l.isFloat:
-			return expr.Pred{Col: jp.Col, Op: eop, Kind: expr.KFloat, FVal: l.f}, nil
-		default:
-			return expr.Pred{Col: jp.Col, Op: eop, Kind: expr.KInt, IVal: l.i}, nil
-		}
-	}
-}
-
-// jsonLiteral is one decoded predicate literal.
-type jsonLiteral struct {
-	isStr   bool
-	isFloat bool
-	s       string
-	i       int64
-	f       float64
-}
-
-func (l jsonLiteral) float() float64 {
-	if l.isFloat {
-		return l.f
-	}
-	return float64(l.i)
-}
-
-// toLiteral converts a decoded JSON value (string or json.Number, since the
-// request decoder uses UseNumber) into a typed literal.
-func toLiteral(v any, col string) (jsonLiteral, error) {
-	switch x := v.(type) {
-	case nil:
-		return jsonLiteral{}, fmt.Errorf("server: predicate on %s missing a value", col)
-	case string:
-		return jsonLiteral{isStr: true, s: x}, nil
-	case json.Number:
-		if i, err := strconv.ParseInt(x.String(), 10, 64); err == nil {
-			return jsonLiteral{i: i}, nil
-		}
-		f, err := x.Float64()
-		if err != nil {
-			return jsonLiteral{}, fmt.Errorf("server: bad number %q on %s", x.String(), col)
-		}
-		return jsonLiteral{isFloat: true, f: f}, nil
-	case float64: // defensive: a decoder without UseNumber
-		if x == float64(int64(x)) {
-			return jsonLiteral{i: int64(x)}, nil
-		}
-		return jsonLiteral{isFloat: true, f: x}, nil
-	case bool:
-		return jsonLiteral{}, fmt.Errorf("server: boolean literal on %s is not supported", col)
-	default:
-		return jsonLiteral{}, fmt.Errorf("server: unsupported literal %T on %s", v, col)
-	}
 }

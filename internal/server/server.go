@@ -4,8 +4,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/query                 execute one query (SQL text or structured
-//	                               JSON), streaming the result as JSON
+//	POST /v1/query                 execute one SQL query (EXPLAIN and
+//	                               EXPLAIN ANALYZE too), streaming the
+//	                               result as JSON
 //	POST /v1/tables/{table}/append live ingest: append rows to a table while
 //	                               readers stay snapshot-isolated
 //	GET  /healthz                  liveness (503 while draining)
@@ -41,6 +42,13 @@ import (
 	"astore/internal/shard"
 )
 
+const (
+	// maxBodyBytes bounds request bodies (queries and appends).
+	maxBodyBytes = 8 << 20
+	// flushRows is the number of result rows streamed between flushes.
+	flushRows = 1024
+)
+
 // Config tunes the server. The zero value serves with sensible defaults.
 type Config struct {
 	// MaxInFlight bounds concurrently executing queries. Default 4.
@@ -60,11 +68,6 @@ type Config struct {
 	// MaxTimeout caps the per-query deadline a request may ask for.
 	// Default 5m.
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (queries and appends). Default 8 MB.
-	MaxBodyBytes int64
-	// FlushRows is the number of result rows streamed between flushes.
-	// Default 1024.
-	FlushRows int
 	// SlowQuery, when > 0, logs every query at or above this latency as one
 	// JSON line to SlowQueryWriter. Default 0 (disabled).
 	SlowQuery time.Duration
@@ -104,12 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.FlushRows < 1 {
-		c.FlushRows = 1024
 	}
 	if c.SlowQuery > 0 && c.SlowQueryWriter == nil {
 		c.SlowQueryWriter = os.Stderr
@@ -331,7 +328,7 @@ func (s *Server) handle(pattern, name string, fn http.HandlerFunc) {
 		rid := obs.NewRequestID()
 		sw.Header().Set("X-Astore-Request-Id", rid)
 		r = r.WithContext(obs.WithRequestID(r.Context(), rid))
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		fn(sw, r)
 	})
 }

@@ -90,7 +90,6 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		SchemaVersion: res.SchemaVersion,
 		DataVersion:   res.DataVersion,
 		Partial:       base64.StdEncoding.EncodeToString(data),
-		Rows:          res.Partial.Rows(),
 		Stats:         st,
 	})
 }

@@ -15,11 +15,11 @@ import (
 	"astore/internal/query"
 )
 
+// maxFanOut bounds concurrently executing shard requests per query.
+const maxFanOut = 8
+
 // Options tunes a Coordinator. The zero value is usable.
 type Options struct {
-	// MaxFanOut bounds concurrently executing shard requests per query.
-	// Default 8.
-	MaxFanOut int
 	// ExecTimeout bounds one worker execution (on top of the query's own
 	// context). Default: none beyond the caller's context.
 	ExecTimeout time.Duration
@@ -28,9 +28,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxFanOut <= 0 {
-		o.MaxFanOut = 8
-	}
 	if o.PingTimeout <= 0 {
 		o.PingTimeout = 2 * time.Second
 	}
@@ -89,7 +86,7 @@ func New(d *db.DB, workers []Worker, opt Options) (*Coordinator, error) {
 		d:       d,
 		workers: workers,
 		opt:     opt,
-		sem:     make(chan struct{}, opt.MaxFanOut),
+		sem:     make(chan struct{}, maxFanOut),
 	}, nil
 }
 
@@ -220,7 +217,7 @@ func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, 
 	}, nil
 }
 
-// scatter fans the statement out to every worker (bounded by MaxFanOut)
+// scatter fans the statement out to every worker (bounded by maxFanOut)
 // and waits for all replies. expect, when non-nil, carries the per-worker
 // pinned-version requirement of the re-pin pass. The first failure is
 // returned, wrapped with the shard's name; the remaining workers still run

@@ -15,6 +15,7 @@ import (
 	"astore/internal/datagen/ssb"
 	"astore/internal/db"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
@@ -119,8 +120,8 @@ func TestCoordinatorAnyPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			text := renderSQL(t, d, q)
-			got, _, err := c.Exec(ctx, text)
+			// The coordinator ships a builder query as its SQL rendering.
+			got, _, err := c.Exec(ctx, sql.Render(q))
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, q.Name, err)
 			}
@@ -132,17 +133,6 @@ func TestCoordinatorAnyPartition(t *testing.T) {
 	if pins := fact.Pins(); pins != 0 {
 		t.Fatalf("leaked %d pins", pins)
 	}
-}
-
-// renderSQL round-trips a structured query through the SQL renderer, as
-// the serving layer does to ship structured queries to workers.
-func renderSQL(t *testing.T, d *db.DB, q *query.Query) string {
-	t.Helper()
-	p, err := d.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p.Signature()
 }
 
 // fakeWorker scripts version sequences for protocol tests. Partial is nil

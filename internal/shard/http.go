@@ -35,7 +35,6 @@ type WireResponse struct {
 	SchemaVersion uint64     `json:"schema_version"`
 	DataVersion   uint64     `json:"data_version"`
 	Partial       string     `json:"partial"`
-	Rows          int64      `json:"rows"`
 	Stats         core.Stats `json:"stats"`
 }
 
@@ -226,37 +225,6 @@ func (w *HTTPWorker) Ping(ctx context.Context) error {
 		return fmt.Errorf("shard: healthz returned %s", resp.Status)
 	}
 	return nil
-}
-
-// Append forwards an append batch to the worker (used by a coordinator to
-// route ingest to the tail-owner shard).
-// Returns the number of rows inserted.
-func (w *HTTPWorker) Append(ctx context.Context, table string, rows []map[string]any) (int, error) {
-	body, err := json.Marshal(struct {
-		Rows []map[string]any `json:"rows"`
-	}{rows})
-	if err != nil {
-		return 0, err
-	}
-	resp, err := w.post(ctx, w.base+"/v1/tables/"+table+"/append", body)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("shard: worker append returned %s: %s", resp.Status, firstLine(data))
-	}
-	var ar struct {
-		Count int `json:"count"`
-	}
-	if err := json.Unmarshal(data, &ar); err != nil {
-		return 0, err
-	}
-	return ar.Count, nil
 }
 
 // firstLine clips a response body for error messages.

@@ -19,23 +19,29 @@ import (
 // TestHTTPWorkerRetriesTransient: a 503 answer is retried once after the
 // backoff and the second answer is used.
 func TestHTTPWorkerRetriesTransient(t *testing.T) {
+	local := NewLocalWorkers(protoDB(t), 1)[0]
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
-		w.Write([]byte(`{"count":2}`))
+		res, err := local.Exec(r.Context(), ExecRequest{SQL: protoSQL})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		writeWireResponse(w, res)
 	}))
 	defer ts.Close()
 	hw := NewHTTPWorker(ts.URL, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
-	n, err := hw.Append(context.Background(), "supplier", []map[string]any{{"a": 1}, {"a": 2}})
+	res, err := hw.Exec(context.Background(), ExecRequest{SQL: protoSQL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || calls.Load() != 2 {
-		t.Fatalf("count %d after %d calls, want 2 after 2", n, calls.Load())
+	if res.DataVersion == 0 || calls.Load() != 2 {
+		t.Fatalf("data version %d after %d calls, want a pinned version after 2", res.DataVersion, calls.Load())
 	}
 }
 
@@ -44,12 +50,12 @@ func TestHTTPWorkerNoRetryOnClientError(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		http.Error(w, "bad row", http.StatusBadRequest)
+		http.Error(w, "bad statement", http.StatusBadRequest)
 	}))
 	defer ts.Close()
 	hw := NewHTTPWorker(ts.URL, 0, 1, time.Second)
 	hw.Backoff = time.Millisecond
-	if _, err := hw.Append(context.Background(), "supplier", nil); err == nil {
+	if _, err := hw.Exec(context.Background(), ExecRequest{SQL: "SELECT 1"}); err == nil {
 		t.Fatal("want error")
 	}
 	if calls.Load() != 1 {
@@ -181,23 +187,12 @@ func TestHTTPWorkerReplyBounds(t *testing.T) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		data, err := res.Partial.MarshalBinary()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		if mode.Load() == "huge" {
 			// Leading whitespace keeps the body valid JSON: cut at the
 			// limit it would read as a truncated document.
 			w.Write(bytes.Repeat([]byte(" "), 4096))
 		}
-		json.NewEncoder(w).Encode(WireResponse{
-			Fact:          res.Fact,
-			Domain:        res.Domain,
-			SchemaVersion: res.SchemaVersion,
-			DataVersion:   res.DataVersion,
-			Partial:       base64.StdEncoding.EncodeToString(data),
-		})
+		writeWireResponse(w, res)
 	}))
 	defer ts.Close()
 	hw := NewHTTPWorker(ts.URL, 0, 1, 5*time.Second)
@@ -246,4 +241,21 @@ func TestHTTPWorkerReplyBounds(t *testing.T) {
 		t.Fatalf("normal reply differs from single-node: %v", err)
 	}
 	noPins("a normal reply")
+}
+
+// writeWireResponse answers a scripted /v1/shard/exec request the way a
+// worker does: the result's snapshot identity and its base64 partial.
+func writeWireResponse(w http.ResponseWriter, res *ExecResult) {
+	data, err := res.Partial.MarshalBinary()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	json.NewEncoder(w).Encode(WireResponse{
+		Fact:          res.Fact,
+		Domain:        res.Domain,
+		SchemaVersion: res.SchemaVersion,
+		DataVersion:   res.DataVersion,
+		Partial:       base64.StdEncoding.EncodeToString(data),
+	})
 }

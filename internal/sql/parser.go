@@ -54,27 +54,6 @@ func ParseStatement(src string) (*Statement, error) {
 	return &Statement{Query: q, Tables: p.tables}, nil
 }
 
-// ParseExpr compiles one arithmetic measure expression — column references,
-// numeric literals, + - * / and parentheses — such as
-// "lo_extendedprice * lo_discount". It is the expression grammar of the
-// SELECT list's aggregate arguments, exposed for callers that build
-// structured queries (the HTTP serving layer's JSON query bodies).
-func ParseExpr(src string) (expr.NumExpr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, src: src}
-	e, err := p.parseNumExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().kind != tokEOF {
-		return nil, p.errf("unexpected trailing input after expression")
-	}
-	return e, nil
-}
-
 type parser struct {
 	toks   []token
 	i      int

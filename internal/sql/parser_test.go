@@ -145,6 +145,16 @@ func TestParseFeatures(t *testing.T) {
 					t.Fatalf("col = %q", q.Preds[0].Col)
 				}
 			}},
+		{"agg-expr-cols", "SELECT sum(lo_extendedprice * lo_discount) AS v FROM f", func(t *testing.T, q *query.Query) {
+			if cols := expr.Cols(q.Aggs[0].Expr); len(cols) != 2 || cols[0] != "lo_extendedprice" || cols[1] != "lo_discount" {
+				t.Fatalf("Cols = %v", cols)
+			}
+		}},
+		{"agg-expr-precedence", "SELECT sum((a + 2) * b - c / 4.5) AS v FROM f", func(t *testing.T, q *query.Query) {
+			if got := expr.ExprString(q.Aggs[0].Expr); got != "(((a + 2) * b) - (c / 4.5))" {
+				t.Fatalf("expr = %s", got)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,6 +191,12 @@ func TestParseErrors(t *testing.T) {
 		{"semicolon-in-select-list", "SELECT a; b, count(*) AS n FROM f GROUP BY a", "expected FROM"},
 		{"semicolon-in-where", "SELECT count(*) AS n FROM f WHERE a = 1; AND b = 2", "input after statement terminator"},
 		{"garbage-after-group", "SELECT count(*) AS n FROM f GROUP BY x y z", "trailing"},
+		{"agg-expr-empty", "SELECT sum() AS v FROM f", "expected expression"},
+		{"agg-expr-dangling-op", "SELECT sum(a +) AS v FROM f", "expected expression"},
+		{"agg-expr-juxtaposed", "SELECT sum(a b) AS v FROM f", `expected ")" at "b"`},
+		{"agg-expr-nested-agg", "SELECT sum(sum(a)) AS v FROM f", `expected ")" at "("`},
+		{"agg-expr-semicolon", "SELECT sum(a; b) AS v FROM f", `expected ")" at ";"`},
+		{"agg-expr-comparison", "SELECT sum(a = 1) AS v FROM f", `expected ")" at "="`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,24 +229,6 @@ func TestParseStatementTerminator(t *testing.T) {
 		}
 		if len(q.Aggs) != 1 || q.Aggs[0].As != "n" {
 			t.Errorf("%q: Aggs = %+v", src, q.Aggs)
-		}
-	}
-}
-
-func TestParseExpr(t *testing.T) {
-	e, err := ParseExpr("lo_extendedprice * lo_discount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cols := expr.Cols(e); len(cols) != 2 || cols[0] != "lo_extendedprice" || cols[1] != "lo_discount" {
-		t.Fatalf("Cols = %v", cols)
-	}
-	if _, err := ParseExpr("(a + 2) * b - c / 4.5"); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"", "a +", "a b", "sum(a)", "a; b", "a = 1"} {
-		if _, err := ParseExpr(bad); err == nil {
-			t.Errorf("ParseExpr(%q) accepted", bad)
 		}
 	}
 }
