@@ -7,52 +7,62 @@ import (
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
 
+// engineTargets serves each conventional engine over the cell's fact or,
+// with denormalize, over its materialized universal table.
+func engineTargets(denormalize bool) []testutil.Target {
+	var ts []testutil.Target
+	for _, e := range []struct {
+		name  string
+		build func(*storage.Table) Engine
+	}{
+		{"hashjoin", func(fact *storage.Table) Engine { return NewHashJoinEngine(fact) }},
+		{"vector", func(fact *storage.Table) Engine { return NewVectorEngine(fact) }},
+	} {
+		ts = append(ts, testutil.Target{Name: e.name, Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+			if denormalize {
+				wide, err := Denormalize(fact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wide.NumRows() != fact.NumRows() || len(wide.FKs()) != 0 {
+					t.Fatalf("wide table: %d rows (fact %d), %d foreign keys", wide.NumRows(), fact.NumRows(), len(wide.FKs()))
+				}
+				fact = wide
+			}
+			eng := e.build(fact)
+			return func(q *query.Query, _ testutil.Run) (*query.Result, error) { return eng.Run(q) }
+		}})
+	}
+	return ts
+}
+
 // TestBaselineEnginesMatchOracleStar: both conventional engines must return
 // exactly the oracle's result on the full query battery.
 func TestBaselineEnginesMatchOracleStar(t *testing.T) {
-	fact := testutil.BuildStar(42, 5000)
-	engines := []Engine{NewHashJoinEngine(fact), NewVectorEngine(fact)}
-	for _, q := range testutil.StarQueries() {
-		want, err := testutil.NaiveRun(fact, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
-		}
-		for _, eng := range engines {
-			got, err := eng.Run(q)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", q.Name, eng.Name(), err)
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Errorf("%s [%s]: %v", q.Name, eng.Name(), err)
-			}
-		}
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(42, 5000, 0)},
+		Targets:  engineTargets(false),
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestBaselineEnginesMatchOracleSnowflake exercises the recursive hash
 // semi-join qualification through order -> customer -> nation -> region.
 func TestBaselineEnginesMatchOracleSnowflake(t *testing.T) {
-	fact := testutil.BuildSnowflake(7, 4000)
-	engines := []Engine{NewHashJoinEngine(fact), NewVectorEngine(fact)}
-	for _, q := range testutil.SnowflakeQueries() {
-		want, err := testutil.NaiveRun(fact, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
-		}
-		for _, eng := range engines {
-			got, err := eng.Run(q)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", q.Name, eng.Name(), err)
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Errorf("%s [%s]: %v", q.Name, eng.Name(), err)
-			}
-		}
-	}
+	testutil.Matrix{
+		Queries:  testutil.SnowflakeQueries(),
+		Fixtures: []testutil.Fixture{testutil.Snowflake(7, 4000, 0)},
+		Targets:  engineTargets(false),
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestDenormalizePreservesQueries: any engine over the materialized
@@ -60,54 +70,24 @@ func TestBaselineEnginesMatchOracleSnowflake(t *testing.T) {
 // with the *same* query text, since universal-table columns keep their
 // names.
 func TestDenormalizePreservesQueries(t *testing.T) {
-	fact := testutil.BuildStar(3, 3000)
-	wide, err := Denormalize(fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.NumRows() != fact.NumRows() {
-		t.Fatalf("wide rows = %d, want %d", wide.NumRows(), fact.NumRows())
-	}
-	if len(wide.FKs()) != 0 {
-		t.Fatal("denormalized table still has foreign keys")
-	}
-	for _, q := range testutil.StarQueries() {
-		want, err := testutil.NaiveRun(fact, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, eng := range []Engine{NewHashJoinEngine(wide), NewVectorEngine(wide)} {
-			got, err := eng.Run(q)
-			if err != nil {
-				t.Fatalf("%s [%s_D]: %v", q.Name, eng.Name(), err)
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Errorf("%s [%s_D]: %v", q.Name, eng.Name(), err)
-			}
-		}
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(3, 3000, 0)},
+		Targets:  engineTargets(true),
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestDenormalizeSnowflake flattens a 4-hop snowflake.
 func TestDenormalizeSnowflake(t *testing.T) {
-	fact := testutil.BuildSnowflake(11, 2000)
-	wide, err := Denormalize(fact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range testutil.SnowflakeQueries() {
-		want, err := testutil.NaiveRun(fact, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := NewVectorEngine(wide).Run(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("%s: %v", q.Name, err)
-		}
-	}
+	testutil.Matrix{
+		Queries:  testutil.SnowflakeQueries(),
+		Fixtures: []testutil.Fixture{testutil.Snowflake(11, 2000, 0)},
+		Targets:  engineTargets(true),
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestDenormalizeMemoryBlowup: the universal table must cost substantially

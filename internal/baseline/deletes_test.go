@@ -5,6 +5,7 @@ import (
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
@@ -13,43 +14,42 @@ import (
 // rows must be invisible to both baseline engines (§4.4: the deletion
 // vector filters out-of-date tuples).
 func TestBaselinesRespectDeletionVectors(t *testing.T) {
-	fact := testutil.BuildStar(61, 1200)
-	part := fact.FK("f_pk")
-
-	// Retarget and delete a dimension row, then delete some fact rows.
-	fk := fact.Column("f_pk").(*storage.Int32Col)
-	for i, v := range fk.V {
-		if v == 7 {
-			fk.V[i] = 8
+	// Retarget the facts referencing part row 7, which the write deletes
+	// along with some fact rows.
+	build := func() *storage.Table {
+		fact := testutil.BuildStar(61, 1200)
+		fk := fact.Column("f_pk").(*storage.Int32Col)
+		for i, v := range fk.V {
+			if v == 7 {
+				fk.V[i] = 8
+			}
 		}
+		return fact
 	}
-	if err := part.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{0, 500, 1199} {
-		if err := fact.Delete(r); err != nil {
-			t.Fatal(err)
+	del := func(fact *storage.Table) error {
+		if err := fact.FK("f_pk").Delete(7); err != nil {
+			return err
 		}
+		for _, r := range []int{0, 500, 1199} {
+			if err := fact.Delete(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-
 	q := query.New("q").
 		Where(expr.IntLe("p_size", 15)).
 		GroupByCols("p_brand").
 		Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_revenue"), "rev")).
 		OrderAsc("p_brand")
-	want, err := testutil.NaiveRun(fact, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, eng := range []Engine{NewHashJoinEngine(fact), NewVectorEngine(fact)} {
-		got, err := eng.Run(q)
-		if err != nil {
-			t.Fatalf("[%s]: %v", eng.Name(), err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("[%s]: %v", eng.Name(), err)
-		}
-	}
+	testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, build)},
+		Targets:  engineTargets(false),
+		Writes:   []testutil.Write{{Name: "delete", Apply: del}},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestBaselineSkipsUnreferencedDimensions: a query touching no dimension

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
+	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // warmableQuery groups by a dimension attribute and carries one aggregate
@@ -23,25 +27,21 @@ func warmableQuery() *query.Query {
 		OrderAsc("d_year")
 }
 
-// execFresh acquires a view, checks plan freshness (recompiling if the
-// mutation invalidated it), executes, and returns the result plus per-run
-// stats.
+// warmMatrix is the matrix of warmableQuery over clusteredFact(n, 64),
+// whose served copy seals segments of target rows.
+func warmMatrix(t *testing.T, n, target int, targets ...testutil.Target) testutil.Matrix {
+	return testutil.Matrix{
+		Queries:  []*query.Query{warmableQuery()},
+		Fixtures: []testutil.Fixture{testutil.Sealed("", target, func() *storage.Table { return clusteredFact(t, n, 64) })},
+		Targets:  targets,
+		Render:   sql.Render,
+	}
+}
+
+// execFresh is execView failing t on an error.
 func execFresh(t *testing.T, eng *Engine, c **Compiled, q *query.Query) (*query.Result, Stats) {
 	t.Helper()
-	v, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	if *c == nil || !(*c).FreshIn(v) {
-		nc, err := v.Compile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		*c = nc
-	}
-	var stats Stats
-	res, err := eng.Exec(t.Context(), v, *c, &stats)
+	res, stats, err := execView(eng, c, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,253 +49,135 @@ func execFresh(t *testing.T, eng *Engine, c **Compiled, q *query.Query) (*query.
 }
 
 // TestAggCacheWarmMatchesCold: repeated executions of one compiled plan
-// must return the cold result exactly — the first run installs per-segment
+// must return the oracle's result — the first run installs per-segment
 // partials (all misses), subsequent runs merge them (all hits over sealed
 // segments) — on both the array and the hash aggregation backend.
 func TestAggCacheWarmMatchesCold(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		variant Variant
-	}{
-		{"array backend", Auto},
-		{"hash backend", ColWisePF}, // columnar but always hash-aggregated
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			fact := clusteredFact(t, 4000, 64)
-			if err := fact.SetSegmentTarget(500); err != nil {
-				t.Fatal(err)
+	target := func(name string, v Variant) testutil.Target {
+		var cold Stats
+		return engineTarget(name, Options{Variant: v, Workers: 2}, func(_ *Engine, r testutil.Run, st Stats) error {
+			switch {
+			case r.Warm == 0 && (st.AggCacheMisses == 0 || st.AggCacheHits != 0):
+				return fmt.Errorf("cold run: hits %d misses %d, want 0 hits and > 0 misses", st.AggCacheHits, st.AggCacheMisses)
+			case r.Warm == 0:
+				cold = st
+			case st.AggCacheMisses != 0 || st.AggCacheHits != cold.AggCacheMisses:
+				return fmt.Errorf("hits %d misses %d, want %d hits and 0 misses", st.AggCacheHits, st.AggCacheMisses, cold.AggCacheMisses)
+			case st.RowsScanned >= cold.RowsScanned:
+				return fmt.Errorf("scanned %d rows, cold scanned %d: the cache absorbed no sealed segment", st.RowsScanned, cold.RowsScanned)
 			}
-			eng, err := New(fact, Options{Variant: tc.variant, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := warmableQuery()
-			var c *Compiled
-			cold, coldStats := execFresh(t, eng, &c, q)
-			if coldStats.AggCacheMisses == 0 || coldStats.AggCacheHits != 0 {
-				t.Fatalf("cold run: hits %d misses %d, want 0 hits and > 0 misses",
-					coldStats.AggCacheHits, coldStats.AggCacheMisses)
-			}
-			for i := 0; i < 3; i++ {
-				warm, ws := execFresh(t, eng, &c, q)
-				if err := query.Diff(cold, warm, 0); err != nil {
-					t.Fatalf("warm run %d differs from cold: %v", i, err)
-				}
-				if ws.AggCacheMisses != 0 || ws.AggCacheHits != coldStats.AggCacheMisses {
-					t.Fatalf("warm run %d: hits %d misses %d, want %d hits and 0 misses",
-						i, ws.AggCacheHits, ws.AggCacheMisses, coldStats.AggCacheMisses)
-				}
-				if ws.RowsScanned >= coldStats.RowsScanned {
-					t.Fatalf("warm run scanned %d rows, cold scanned %d — cache did not absorb sealed segments",
-						ws.RowsScanned, coldStats.RowsScanned)
-				}
-			}
+			return nil
 		})
 	}
+	m := warmMatrix(t, 4000, 500,
+		target("array backend", Auto),
+		target("hash backend", ColWisePF), // columnar but always hash-aggregated
+	)
+	m.Warm = 3
+	m.Run(t)
 }
 
 // TestAggCacheDisabled: a negative budget turns the cache off — every run
 // scans everything and the counters stay at zero.
 func TestAggCacheDisabled(t *testing.T) {
-	fact := clusteredFact(t, 2000, 64)
-	if err := fact.SetSegmentTarget(250); err != nil {
-		t.Fatal(err)
+	warmMatrix(t, 2000, 250, engineTarget("", Options{AggCacheBytes: -1}, func(eng *Engine, _ testutil.Run, st Stats) error {
+		if cs := eng.CacheStats(); st.AggCacheHits != 0 || st.AggCacheMisses != 0 || cs.AggEntries != 0 || cs.AggBytes != 0 {
+			return fmt.Errorf("disabled cache recorded hits %d misses %d and holds %d entries / %d bytes",
+				st.AggCacheHits, st.AggCacheMisses, cs.AggEntries, cs.AggBytes)
+		}
+		return nil
+	})).Run(t)
+}
+
+// missesAfterWrite fails a first run after a write that recomputes no
+// segment: a stale cached partial answered it.
+func missesAfterWrite(_ *Engine, r testutil.Run, st Stats) error {
+	if r.Written && r.Warm == 0 && st.AggCacheMisses == 0 {
+		return fmt.Errorf("the first run after the write recorded no cache misses")
 	}
-	eng, err := New(fact, Options{AggCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := warmableQuery()
-	var c *Compiled
-	first, _ := execFresh(t, eng, &c, q)
-	second, st := execFresh(t, eng, &c, q)
-	if err := query.Diff(first, second, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st.AggCacheHits != 0 || st.AggCacheMisses != 0 {
-		t.Fatalf("disabled cache recorded hits %d misses %d", st.AggCacheHits, st.AggCacheMisses)
-	}
-	if cs := eng.CacheStats(); cs.AggEntries != 0 || cs.AggBytes != 0 {
-		t.Fatalf("disabled cache holds %d entries / %d bytes", cs.AggEntries, cs.AggBytes)
-	}
+	return nil
 }
 
 // TestAggCacheUpdateInvalidation: a copy-on-write update of a sealed row
 // bumps the segment's epoch; the next execution must recompute that segment
-// (a miss) and return exactly what a cache-free engine computes over the
-// mutated table.
+// (a miss) and return the oracle's answer over the mutated rows.
 func TestAggCacheUpdateInvalidation(t *testing.T) {
-	fact := clusteredFact(t, 3000, 64)
-	if err := fact.SetSegmentTarget(300); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := warmableQuery()
-	var c *Compiled
-	execFresh(t, eng, &c, q) // cold: install partials
-	before, _ := execFresh(t, eng, &c, q)
-
-	// Flip a sealed row's measure to a new in-range value: the group sums
-	// must move, so serving a stale partial is observable.
-	if err := fact.Update(100, "f_val", int64(96)); err != nil {
-		t.Fatal(err)
-	}
-	after, st := execFresh(t, eng, &c, q)
-	if st.AggCacheMisses == 0 {
-		t.Fatal("post-update run recorded no misses: epoch bump did not invalidate the cached partial")
-	}
-	if err := query.Diff(before, after, 0); err == nil {
-		t.Fatal("update moved no aggregate — fixture no longer observes the mutation")
-	}
-	oracle, err := New(fact, Options{AggCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, after, 0); err != nil {
-		t.Fatalf("post-update warm result differs from cache-free oracle: %v", err)
-	}
+	m := warmMatrix(t, 3000, 300, engineTarget("", Options{}, missesAfterWrite))
+	// A sealed row's measure moves to a new in-range value: the group sums
+	// move, so serving a stale partial is observable.
+	m.Writes = []testutil.Write{{Name: "update", Apply: func(fact *storage.Table) error { return fact.Update(100, "f_val", int64(96)) }}}
+	m.Run(t)
 }
 
 // TestAggCacheDeleteInvalidation: deletes mutate a sealed segment's bitmap
 // in place without an epoch bump, so the cache key must include the
 // per-segment delete generation — a stale partial would keep counting the
-// deleted rows.
+// deleted rows. Deleting a whole sealed segment re-captures an empty
+// partial.
 func TestAggCacheDeleteInvalidation(t *testing.T) {
-	fact := clusteredFact(t, 3000, 64)
-	if err := fact.SetSegmentTarget(300); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := warmableQuery()
-	var c *Compiled
-	execFresh(t, eng, &c, q)
-	before, _ := execFresh(t, eng, &c, q)
-
-	for _, row := range []int{10, 11, 450, 900} {
-		if err := fact.Delete(row); err != nil {
-			t.Fatal(err)
+	deleteRows := func(rows ...int) func(*storage.Table) error {
+		return func(fact *storage.Table) error {
+			for _, r := range rows {
+				if err := fact.Delete(r); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
-	after, st := execFresh(t, eng, &c, q)
-	if st.AggCacheMisses == 0 {
-		t.Fatal("post-delete run recorded no misses: delete generation is not part of the cache key")
+	var segment []int
+	for r := 600; r < 900; r++ {
+		segment = append(segment, r)
 	}
-	if err := query.Diff(before, after, 0); err == nil {
-		t.Fatal("deletes moved no aggregate — fixture no longer observes the mutation")
+	m := warmMatrix(t, 3000, 300, engineTarget("", Options{}, missesAfterWrite))
+	m.Writes = []testutil.Write{
+		{Name: "delete", Apply: deleteRows(10, 11, 450, 900)},
+		{Name: "delete segment", Apply: deleteRows(segment...)},
 	}
-	oracle, err := New(fact, Options{AggCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, after, 0); err != nil {
-		t.Fatalf("post-delete warm result differs from cache-free oracle: %v", err)
-	}
-
-	// Fully delete one sealed segment: its re-captured partial is empty and
-	// the result must still match the cache-free oracle.
-	for row := 600; row < 900; row++ {
-		if err := fact.Delete(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	execFresh(t, eng, &c, q) // re-install
-	warm, _ := execFresh(t, eng, &c, q)
-	want2, err := oracle.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want2, warm, 0); err != nil {
-		t.Fatalf("fully-deleted segment: warm result differs from oracle: %v", err)
-	}
+	m.Run(t)
 }
 
 // TestAggCacheEvictionBudget: a budget far smaller than the working set
 // must evict instead of growing, keep byte accounting within budget, and
 // never change results.
 func TestAggCacheEvictionBudget(t *testing.T) {
-	fact := clusteredFact(t, 4000, 64)
-	if err := fact.SetSegmentTarget(250); err != nil {
-		t.Fatal(err)
-	}
 	const budget = 2048 // a handful of partials at most
-	eng, err := New(fact, Options{AggCacheBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := warmableQuery()
-	var c *Compiled
-	first, _ := execFresh(t, eng, &c, q)
-	for i := 0; i < 3; i++ {
-		res, _ := execFresh(t, eng, &c, q)
-		if err := query.Diff(first, res, 0); err != nil {
-			t.Fatalf("run %d under eviction pressure differs: %v", i, err)
+	m := warmMatrix(t, 4000, 250, engineTarget("", Options{AggCacheBytes: budget}, func(eng *Engine, r testutil.Run, _ Stats) error {
+		cs := eng.CacheStats()
+		if cs.AggBytes > budget || (r.Warm == 3 && cs.AggEvictions == 0) {
+			return fmt.Errorf("cache holds %d bytes in %d entries after %d evictions, budget %d", cs.AggBytes, cs.AggEntries, cs.AggEvictions, budget)
 		}
-	}
-	cs := eng.CacheStats()
-	if cs.AggBytes > budget {
-		t.Fatalf("cache holds %d bytes, budget %d", cs.AggBytes, budget)
-	}
-	if cs.AggEvictions == 0 {
-		t.Fatalf("no evictions under a %d-byte budget (bytes %d, entries %d)", budget, cs.AggBytes, cs.AggEntries)
-	}
+		return nil
+	}))
+	m.Warm = 3
+	m.Run(t)
 }
 
 // TestAggCacheTailRows: rows in the mutable tail are always computed live
 // and reported as TailRows; appends grow the tail without invalidating the
 // sealed segments' cached partials.
 func TestAggCacheTailRows(t *testing.T) {
-	fact := clusteredFact(t, 2000, 64)
-	if err := fact.SetSegmentTarget(300); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := warmableQuery()
-	var c *Compiled
-	_, cold := execFresh(t, eng, &c, q)
-	if cold.TailRows == 0 {
-		t.Fatal("fixture has no mutable tail")
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := fact.Insert(map[string]any{"f_seq": 500, "f_dk": 0, "f_val": int64(3)}); err != nil {
-			t.Fatal(err)
+	var cold Stats
+	m := warmMatrix(t, 2000, 300, engineTarget("", Options{}, func(_ *Engine, r testutil.Run, st Stats) error {
+		switch {
+		case !r.Written && st.TailRows == 0:
+			return fmt.Errorf("fixture has no mutable tail")
+		case !r.Written:
+			cold = st
+		case st.TailRows != cold.TailRows+50 || st.AggCacheMisses != 0:
+			return fmt.Errorf("after 50 appends: TailRows %d, want %d; %d sealed partials invalidated", st.TailRows, cold.TailRows+50, st.AggCacheMisses)
 		}
-	}
-	_, warm := execFresh(t, eng, &c, q)
-	if warm.TailRows != cold.TailRows+50 {
-		t.Fatalf("TailRows = %d after 50 appends, want %d", warm.TailRows, cold.TailRows+50)
-	}
-	if warm.AggCacheMisses != 0 {
-		t.Fatalf("appends invalidated %d sealed partials", warm.AggCacheMisses)
-	}
-	oracle, err := New(fact, Options{AggCacheBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmRes, _ := execFresh(t, eng, &c, q)
-	if err := query.Diff(want, warmRes, 0); err != nil {
-		t.Fatalf("warm result with grown tail differs from oracle: %v", err)
-	}
+		return nil
+	}))
+	m.Writes = []testutil.Write{{Name: "append", Apply: func(fact *storage.Table) error {
+		for i := 0; i < 50; i++ {
+			if _, err := fact.Insert(map[string]any{"f_seq": 500, "f_dk": 0, "f_val": int64(3)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}}
+	m.Run(t)
 }
 
 // TestAggCacheExplain: the plan rendering states whether the cache applies

@@ -10,7 +10,9 @@ import (
 	"astore/internal/datagen/ssb"
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // encodedStar builds a fact table whose sealed chunks land on every sealed
@@ -22,7 +24,7 @@ import (
 // otherwise it is random and seals as FoR. With target > 0 the fact seals
 // segments of that many rows and encodes them; target 0 leaves the
 // identical rows flat, the oracle's input. The same rows are deleted in both.
-func encodedStar(t *testing.T, n, target int, sorted bool) *storage.Table {
+func encodedStar(t testing.TB, n, target int, sorted bool) *storage.Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 
@@ -181,7 +183,7 @@ func forPredicates(col string, lits []int64) []expr.Pred {
 // first sealed segment: below Base, at Base, inside the frame, at its top
 // Base+2^Width−1 and just above it, and the int64 extremes — plus the int32
 // ones on an int32 column, where an int64 literal must not be truncated.
-func forLiterals(t *testing.T, seg *storage.Table, col string) []int64 {
+func forLiterals(t testing.TB, seg *storage.Table, col string) []int64 {
 	t.Helper()
 	for _, sv := range seg.SegViews() {
 		f, ok := sv.Cols[col].(*storage.FoRCol)
@@ -199,37 +201,24 @@ func forLiterals(t *testing.T, seg *storage.Table, col string) []int64 {
 	return nil
 }
 
-// TestEncodedMatchesOracle is the engine-level differential test over
-// encoded sealed segments, on two layouts of one fact: date FK in runs (RLE)
-// and scattered (FoR). Every variant, plus Auto forced onto the hash
-// backend, serial and parallel, with the aggregate cache on (run twice, so
-// the second run merges cached partials) and off, must return the oracle's
-// answer over the flat twin exactly; so must every predicate of the FoR
-// filter matrix, column-wise and row-wise.
-func TestEncodedMatchesOracle(t *testing.T) {
-	const n, target = 6000, 512
-	engines := []Options{{Variant: Auto, MaxArrayGroups: 2}}
-	for _, v := range allVariants() {
-		engines = append(engines, Options{Variant: v})
+// encodedFixture is encodedStar as a matrix fixture: its served copy seals
+// segments of target rows, and every sealed chunk must carry the encoding
+// the fixture was built to produce.
+func encodedFixture(n, target int, sorted bool) testutil.Fixture {
+	want := map[string]storage.Encoding{
+		"f_dk": storage.EncFoR, "f_batch": storage.EncRLE, "f_lot": storage.EncRLE, "f_tag": storage.EncRLE,
+		"f_ck": storage.EncFoR, "f_qty": storage.EncFoR, "f_price": storage.EncFoR, "f_cost": storage.EncFoR,
+		"f_net": storage.EncFoR, "f_wide": storage.EncPlain, "f_frac": storage.EncPlain,
 	}
-	label := func(o Options) string {
-		if o.MaxArrayGroups == 2 {
-			return o.Variant.String() + "/hash"
+	if sorted {
+		want["f_dk"] = storage.EncRLE
+	}
+	name := map[bool]string{true: "sorted", false: "scattered"}[sorted]
+	return testutil.Fixture{Name: name, Build: func(t testing.TB, flat bool) *storage.Table {
+		if flat {
+			return encodedStar(t, n, 0, sorted)
 		}
-		return o.Variant.String()
-	}
-	for _, sorted := range []bool{true, false} {
-		flat := encodedStar(t, n, 0, sorted)
 		seg := encodedStar(t, n, target, sorted)
-
-		want := map[string]storage.Encoding{
-			"f_dk": storage.EncFoR, "f_batch": storage.EncRLE, "f_lot": storage.EncRLE, "f_tag": storage.EncRLE,
-			"f_ck": storage.EncFoR, "f_qty": storage.EncFoR, "f_price": storage.EncFoR, "f_cost": storage.EncFoR,
-			"f_net": storage.EncFoR, "f_wide": storage.EncPlain, "f_frac": storage.EncPlain,
-		}
-		if sorted {
-			want["f_dk"] = storage.EncRLE
-		}
 		sealed := 0
 		for _, sv := range seg.SegViews() {
 			if !sv.Sealed {
@@ -238,67 +227,76 @@ func TestEncodedMatchesOracle(t *testing.T) {
 			sealed++
 			for col, enc := range want {
 				if got := storage.ChunkEncoding(sv.Cols[col]); got != enc {
-					t.Fatalf("fixture (sorted %v): %s sealed as %s, want %s", sorted, col, got, enc)
+					t.Fatalf("fixture: %s sealed as %s, want %s", col, got, enc)
 				}
 			}
 		}
 		if sealed != n/target {
-			t.Fatalf("fixture (sorted %v): %d sealed segments, want %d", sorted, sealed, n/target)
+			t.Fatalf("fixture: %d sealed segments, want %d", sealed, n/target)
 		}
+		return seg
+	}}
+}
 
-		for _, q := range encodedQueries() {
-			oracle, err := naiveRun(flat, q)
-			if err != nil {
-				t.Fatalf("%s: oracle: %v", q.Name, err)
-			}
-			for _, o := range engines {
-				for _, workers := range []int{1, 4} {
-					for _, cacheBytes := range []int64{0, -1} {
-						label := fmt.Sprintf("%s [sorted %v %s w=%d cache=%v]", q.Name, sorted, label(o), workers, cacheBytes >= 0)
-						o.Workers, o.AggCacheBytes = workers, cacheBytes
-						eng, err := New(seg, o)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var c *Compiled
-						for run := 0; run < 2; run++ {
-							got, stats := execFresh(t, eng, &c, q)
-							if err := query.Diff(oracle, got, 0); err != nil {
-								t.Fatalf("%s run %d: %v", label, run, err)
-							}
-							if stats.EncodedSegments == 0 && stats.AggCacheHits == 0 {
-								t.Fatalf("%s run %d: no encoded segment admitted", label, run)
-							}
-						}
-					}
-				}
+// TestEncodedMatchesOracle is the engine-level differential test over
+// encoded sealed segments, on two layouts of one fact: date FK in runs (RLE)
+// and scattered (FoR). Every variant, plus Auto forced onto the hash
+// backend, serial and parallel, with the aggregate cache on (the warm run
+// merges cached partials) and off, must return the oracle's answer over the
+// flat twin exactly; so must every predicate of the FoR filter matrix,
+// column-wise and row-wise.
+func TestEncodedMatchesOracle(t *testing.T) {
+	const n, target = 6000, 512
+	fixtures := []testutil.Fixture{encodedFixture(n, target, true), encodedFixture(n, target, false)}
+	admitted := func(_ *Engine, _ testutil.Run, st Stats) error {
+		if st.EncodedSegments == 0 && st.AggCacheHits == 0 {
+			return fmt.Errorf("no encoded segment admitted")
+		}
+		return nil
+	}
+	engines := []Options{{Variant: Auto, MaxArrayGroups: 2}}
+	for _, v := range allVariants() {
+		engines = append(engines, Options{Variant: v})
+	}
+	var targets []testutil.Target
+	for _, o := range engines {
+		name := o.Variant.String()
+		if o.MaxArrayGroups == 2 {
+			name += "/hash"
+		}
+		for _, workers := range []int{1, 4} {
+			for _, cacheBytes := range []int64{0, -1} {
+				o.Workers, o.AggCacheBytes = workers, cacheBytes
+				targets = append(targets, engineTarget(fmt.Sprintf("%s/w%d/cache=%v", name, workers, cacheBytes >= 0), o, admitted))
 			}
 		}
+	}
+	testutil.Matrix{Queries: encodedQueries(), Fixtures: fixtures, Targets: targets, Render: sql.Render}.Run(t)
 
-		var preds []expr.Pred
+	// The FoR predicate matrix, over literals around the frames of both
+	// layouts' first sealed segment.
+	var preds []*query.Query
+	seen := make(map[string]bool)
+	for _, sorted := range []bool{true, false} {
+		seg := encodedStar(t, n, target, sorted)
 		for _, col := range []string{"f_qty", "f_net"} {
-			preds = append(preds, forPredicates(col, forLiterals(t, seg, col))...)
-		}
-		for _, o := range []Options{{Variant: Auto}, {Variant: RowWise}} {
-			o.AggCacheBytes = -1
-			eng, err := New(seg, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range preds {
-				q := query.New(p.String()).Where(p).Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_price"), "price"))
-				oracle, err := naiveRun(flat, q)
-				if err != nil {
-					t.Fatalf("%s: oracle: %v", q.Name, err)
-				}
-				var c *Compiled
-				got, _ := execFresh(t, eng, &c, q)
-				if err := query.Diff(oracle, got, 0); err != nil {
-					t.Fatalf("%s [sorted %v %s, %s operand]: %v", q.Name, sorted, o.Variant, p.Kind, err)
+			for _, p := range forPredicates(col, forLiterals(t, seg, col)) {
+				if name := p.String(); !seen[name] {
+					seen[name] = true
+					preds = append(preds, query.New(name).Where(p).Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_price"), "price")))
 				}
 			}
 		}
 	}
+	testutil.Matrix{
+		Queries:  preds,
+		Fixtures: fixtures,
+		Targets: []testutil.Target{
+			engineTarget(Auto.String(), Options{Variant: Auto, AggCacheBytes: -1}, nil),
+			engineTarget(RowWise.String(), Options{Variant: RowWise, AggCacheBytes: -1}, nil),
+		},
+		Render: sql.Render,
+	}.Run(t)
 }
 
 // TestEncodedBindAllocatesNoRows: binding a plan to a sealed, encoded

@@ -1,94 +1,38 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // TestVariantsMatchOracleStar is the central differential test: every scan
 // variant, serial and parallel, must produce exactly the oracle's result on
 // every query of the battery.
 func TestVariantsMatchOracleStar(t *testing.T) {
-	fact := buildStar(t, 42, 5000)
-	for _, q := range starQueries() {
-		want, err := naiveRun(fact, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
-		}
-		for _, v := range allVariants() {
-			for _, workers := range []int{1, 4} {
-				eng, err := New(fact, Options{Variant: v, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Run(q)
-				if err != nil {
-					t.Fatalf("%s [%s w=%d]: %v", q.Name, v, workers, err)
-				}
-				if err := query.Diff(want, got, 1e-9); err != nil {
-					t.Errorf("%s [%s w=%d]: %v", q.Name, v, workers, err)
-				}
-			}
-		}
-	}
+	matrix(testutil.StarQueries(), testutil.Star(42, 5000, 0), variantTargets(1, 4)...).Run(t)
 }
 
 // TestVariantsMatchOracleSnowflake exercises multi-hop reference paths and
 // predicate-filter chain folding.
 func TestVariantsMatchOracleSnowflake(t *testing.T) {
-	fact := buildSnowflakeLarge(t, 7, 4000)
-	queries := []*query.Query{
-		query.New("q3-like").
-			Where(expr.StrEq("r_name", "ASIA"), expr.IntGe("o_price", 800)).
-			GroupByCols("n_name").
-			Agg(expr.SumOf(expr.Mul(expr.C("l_extendedprice"), expr.Subtract(expr.K(1), expr.C("l_discount"))), "revenue")).
-			OrderDesc("revenue"),
-		query.New("deep-group").
-			Where(expr.StrIn("c_mktsegment", "BUILDING", "MACHINERY")).
-			GroupByCols("r_name", "p_type").
-			Agg(expr.CountStar("cnt"), expr.SumOf(expr.C("l_extendedprice"), "rev")).
-			OrderAsc("r_name").OrderAsc("p_type"),
-		query.New("deep-pred-only").
-			Where(expr.StrEq("r_name", "EUROPE")).
-			Agg(expr.CountStar("cnt")),
-		query.New("mid-chain-measure").
-			Where(expr.StrEq("p_type", "TYPE3")).
-			GroupByCols("c_mktsegment").
-			Agg(expr.SumOf(expr.C("o_price"), "total")).
-			OrderAsc("c_mktsegment"),
-	}
-	for _, q := range queries {
-		want, err := naiveRun(fact, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
-		}
-		for _, v := range allVariants() {
-			eng, err := New(fact, Options{Variant: v, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Run(q)
-			if err != nil {
-				t.Fatalf("%s [%s]: %v", q.Name, v, err)
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Errorf("%s [%s]: %v", q.Name, v, err)
-			}
-		}
-	}
+	matrix(testutil.SnowflakeQueries(), testutil.Snowflake(7, 4000, 0), variantTargets(2)...).Run(t)
 }
 
 // TestChainFoldingCollapsesToFirstLevel verifies that a predicate on the
 // deepest snowflake table is folded into a single predicate vector on the
 // first-level dimension when everything fits the budget.
 func TestChainFoldingCollapsesToFirstLevel(t *testing.T) {
-	fact := buildSnowflakeLarge(t, 7, 1000)
+	fact := testutil.BuildSnowflake(7, 1000)
 	eng, err := New(fact, Options{Variant: Auto})
 	if err != nil {
 		t.Fatal(err)
@@ -105,119 +49,91 @@ func TestChainFoldingCollapsesToFirstLevel(t *testing.T) {
 	}
 }
 
+// prefilterTarget is Auto with opt's budgets, requiring every run to build
+// predicate vectors for exactly the tables want.
+func prefilterTarget(opt Options, want ...string) testutil.Target {
+	return engineTarget("", opt, func(_ *Engine, _ testutil.Run, st Stats) error {
+		if !slices.Equal(st.PrefilterTables, want) {
+			return fmt.Errorf("prefilter tables = %v, want %v", st.PrefilterTables, want)
+		}
+		return nil
+	})
+}
+
 // TestBudgetStopsFolding verifies the paper's "probe the big table
 // directly" case: when an intermediate table exceeds the cache budget, the
 // deeper filter stays separate and the big table is never vectorized.
 func TestBudgetStopsFolding(t *testing.T) {
-	fact := buildSnowflakeLarge(t, 7, 1000)
-	// Budget below the order table's 200 rows but above customer's 60.
-	eng, err := New(fact, Options{Variant: Auto, PrefilterMaxRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := query.New("deep").
 		Where(expr.StrEq("r_name", "ASIA"), expr.IntGe("o_price", 500)).
 		Agg(expr.CountStar("cnt"))
-	var st Stats
-	got, err := eng.RunWithStats(q, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The region filter folds down to customer (60 rows <= 100) but cannot
-	// enter order (200 rows > 100); o_price is probed directly.
-	if len(st.PrefilterTables) != 1 || st.PrefilterTables[0] != "customer" {
-		t.Errorf("prefilter tables = %v, want [customer]", st.PrefilterTables)
-	}
-	want, err := naiveRun(fact, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Error(err)
-	}
+	// Budget below the order table's 200 rows but above customer's 60: the
+	// region filter folds down to customer but cannot enter order, and
+	// o_price is probed directly.
+	matrix([]*query.Query{q}, testutil.Snowflake(7, 1000, 0), prefilterTarget(Options{Variant: Auto, PrefilterMaxRows: 100}, "customer")).Run(t)
 }
 
 // TestHashFallbackWhenArrayTooSparse verifies the §4.3 optimizer: a tiny
-// MaxArrayGroups forces hash aggregation, with identical results.
+// MaxArrayGroups forces hash aggregation, with the oracle's results.
 func TestHashFallbackWhenArrayTooSparse(t *testing.T) {
-	fact := buildStar(t, 9, 2000)
 	q := query.New("wide-group").
 		GroupByCols("c_nation", "p_brand", "d_year").
 		Agg(expr.SumOf(expr.C("f_revenue"), "rev"))
-
-	engArr, _ := New(fact, Options{Variant: Auto})
-	engHash, _ := New(fact, Options{Variant: Auto, MaxArrayGroups: 2})
-
-	var stArr, stHash Stats
-	resArr, err := engArr.RunWithStats(q, &stArr)
-	if err != nil {
-		t.Fatal(err)
+	backend := func(name string, maxGroups int, array bool) testutil.Target {
+		return engineTarget(name, Options{Variant: Auto, MaxArrayGroups: maxGroups}, func(_ *Engine, _ testutil.Run, st Stats) error {
+			if st.UsedArrayAgg != array {
+				return fmt.Errorf("UsedArrayAgg = %v, want %v", st.UsedArrayAgg, array)
+			}
+			return nil
+		})
 	}
-	resHash, err := engHash.RunWithStats(q, &stHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stArr.UsedArrayAgg {
-		t.Error("default engine did not use array aggregation")
-	}
-	if stHash.UsedArrayAgg {
-		t.Error("constrained engine did not fall back to hash aggregation")
-	}
-	if err := query.Diff(resArr, resHash, 1e-9); err != nil {
-		t.Error(err)
-	}
+	matrix([]*query.Query{q}, testutil.Star(9, 2000, 0), backend("array", 0, true), backend("hash", 2, false)).Run(t)
 }
 
 // TestPrefilterBudgetDisablesVectors: with a zero-ish budget, Auto must
 // probe all dimensions directly and still match.
 func TestPrefilterBudgetDisablesVectors(t *testing.T) {
-	fact := buildStar(t, 11, 1500)
 	q := query.New("q").
 		Where(expr.StrEq("c_region", "EUROPE"), expr.IntEq("d_year", 1995)).
 		GroupByCols("c_nation").
 		Agg(expr.CountStar("cnt"))
-	eng, _ := New(fact, Options{Variant: Auto, PrefilterMaxRows: 1})
-	var st Stats
-	got, err := eng.RunWithStats(q, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.PrefilterTables) != 0 {
-		t.Errorf("prefilter tables = %v, want none", st.PrefilterTables)
-	}
-	want, _ := naiveRun(fact, q)
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Error(err)
-	}
+	matrix([]*query.Query{q}, testutil.Star(11, 1500, 0), prefilterTarget(Options{Variant: Auto, PrefilterMaxRows: 1})).Run(t)
 }
 
 func TestDeletedRowsExcluded(t *testing.T) {
-	fact := buildStar(t, 13, 800)
-	date := fact.FK("f_dk")
-
-	// Retarget fact rows referencing date row 3, then delete it; also
-	// delete some fact rows directly.
-	fk := fact.Column("f_dk").(*storage.Int32Col)
-	for i, v := range fk.V {
-		if v == 3 {
-			fk.V[i] = 4
+	// Retarget fact rows referencing date row 3, which the write deletes;
+	// it also deletes some fact rows directly.
+	build := func() *storage.Table {
+		fact := testutil.BuildStar(13, 800)
+		fk := fact.Column("f_dk").(*storage.Int32Col)
+		for i, v := range fk.V {
+			if v == 3 {
+				fk.V[i] = 4
+			}
 		}
+		return fact
 	}
-	if err := date.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []int{10, 20, 30, 700} {
-		if err := fact.Delete(r); err != nil {
-			t.Fatal(err)
+	del := func(fact *storage.Table) error {
+		if err := fact.FK("f_dk").Delete(3); err != nil {
+			return err
 		}
+		for _, r := range []int{10, 20, 30, 700} {
+			if err := fact.Delete(r); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-
 	q := query.New("q").
 		Where(expr.IntBetween("d_year", 1992, 1998)).
 		GroupByCols("d_year").
 		Agg(expr.CountStar("cnt"), expr.SumOf(expr.C("f_revenue"), "rev")).
 		OrderAsc("d_year")
-	want, err := naiveRun(fact, q)
+	fact := build()
+	if err := del(fact); err != nil {
+		t.Fatal(err)
+	}
+	want, err := testutil.NaiveRun(fact, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,20 +144,18 @@ func TestDeletedRowsExcluded(t *testing.T) {
 	if total != float64(800-4) {
 		t.Fatalf("oracle counted %v rows, want 796", total)
 	}
-	for _, v := range allVariants() {
-		eng, _ := New(fact, Options{Variant: v})
-		got, err := eng.Run(q)
-		if err != nil {
-			t.Fatalf("[%s]: %v", v, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("[%s]: %v", v, err)
-		}
-	}
+	testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, build)},
+		Targets:  variantTargets(0),
+		Writes:   []testutil.Write{{Name: "delete", Apply: del}},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 func TestRunErrors(t *testing.T) {
-	fact := buildStar(t, 1, 100)
+	fact := testutil.BuildStar(1, 100)
 	eng, err := New(fact, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +190,7 @@ func TestNewRejectsNonTree(t *testing.T) {
 }
 
 func TestStatsSanity(t *testing.T) {
-	fact := buildStar(t, 5, 3000)
+	fact := testutil.BuildStar(5, 3000)
 	eng, _ := New(fact, Options{Variant: Auto})
 	q := query.New("q").
 		Where(expr.StrEq("c_region", "ASIA")).
@@ -328,7 +242,7 @@ func TestRandomQueriesQuick(t *testing.T) {
 	groupCols := []string{"d_year", "d_month", "c_region", "c_nation", "p_brand", "f_discount", "f_tag"}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fact := buildStar(t, seed, rng.Intn(2000)+100)
+		n := rng.Intn(2000) + 100
 
 		q := query.New("rand")
 		if rng.Intn(2) == 0 {
@@ -358,26 +272,14 @@ func TestRandomQueriesQuick(t *testing.T) {
 			q.Agg(expr.MinOf(expr.C("f_revenue"), "lo"), expr.MaxOf(expr.C("f_revenue"), "hi"))
 		}
 
-		want, err := naiveRun(fact, q)
-		if err != nil {
-			return false
-		}
+		var targets []testutil.Target
 		for _, v := range allVariants() {
 			workers := 1 + rng.Intn(3)
-			eng, err := New(fact, Options{Variant: v, Workers: workers})
-			if err != nil {
-				return false
-			}
-			got, err := eng.Run(q)
-			if err != nil {
-				return false
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Logf("seed %d variant %s: %v", seed, v, err)
-				return false
-			}
+			targets = append(targets, engineTarget(fmt.Sprintf("%s/w%d", v, workers), Options{Variant: v, Workers: workers}, nil))
 		}
-		return true
+		return t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			matrix([]*query.Query{q}, testutil.Star(seed, n, 0), targets...).Run(t)
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -6,10 +6,11 @@ import (
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/testutil"
 )
 
 func TestExplainStar(t *testing.T) {
-	fact := buildStar(t, 71, 800)
+	fact := testutil.BuildStar(71, 800)
 	eng, err := New(fact, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func TestExplainStar(t *testing.T) {
 }
 
 func TestExplainSnowflakeAndFallbacks(t *testing.T) {
-	fact := buildSnowflakeLarge(t, 72, 500)
+	fact := testutil.BuildSnowflake(72, 500)
 	eng, err := New(fact, Options{PrefilterMaxRows: 100, MaxArrayGroups: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestExplainSnowflakeAndFallbacks(t *testing.T) {
 }
 
 func TestExplainGlobalAggregate(t *testing.T) {
-	fact := buildStar(t, 73, 100)
+	fact := testutil.BuildStar(73, 100)
 	eng, _ := New(fact, Options{})
 	out, err := eng.Explain(query.New("q").Agg(expr.CountStar("n")))
 	if err != nil {

@@ -5,14 +5,16 @@ import (
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // TestArrayPoolReuseKeepsResultsCorrect runs the same and different queries
 // repeatedly on one engine: recycled aggregation arrays must never leak
 // state between runs.
 func TestArrayPoolReuseKeepsResultsCorrect(t *testing.T) {
-	fact := buildStar(t, 31, 3000)
+	fact := testutil.BuildStar(31, 3000)
 	eng, err := New(fact, Options{Variant: ColWisePFG, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func TestArrayPoolReuseKeepsResultsCorrect(t *testing.T) {
 // (run with -race): pooled arrays must never be shared between in-flight
 // queries.
 func TestArrayPoolConcurrentQueries(t *testing.T) {
-	fact := buildStar(t, 33, 2000)
+	fact := testutil.BuildStar(33, 2000)
 	eng, err := New(fact, Options{Variant: Auto})
 	if err != nil {
 		t.Fatal(err)
@@ -93,61 +95,46 @@ func TestArrayPoolConcurrentQueries(t *testing.T) {
 
 // TestConsolidationPreservesQueryResults is the §4.4 invariant: deleting
 // dimension rows (after retargeting), consolidating, and re-running any
-// query gives the same result as before consolidation.
+// query gives the oracle's result, as it did before consolidation.
 func TestConsolidationPreservesQueryResults(t *testing.T) {
-	fact := buildStar(t, 35, 2000)
-	part := fact.FK("f_pk")
-
-	// Retarget all fact references to part rows 10..19 onto row 0, then
-	// delete those part rows.
-	fk := fact.Column("f_pk").(*storage.Int32Col)
-	for i, v := range fk.V {
-		if v >= 10 && v < 20 {
-			fk.V[i] = 0
+	build := func(consolidate bool) func() *storage.Table {
+		return func() *storage.Table {
+			fact := testutil.BuildStar(35, 2000)
+			part := fact.FK("f_pk")
+			// Retarget all fact references to part rows 10..19 onto row 0,
+			// then delete those part rows.
+			fk := fact.Column("f_pk").(*storage.Int32Col)
+			for i, v := range fk.V {
+				if v >= 10 && v < 20 {
+					fk.V[i] = 0
+				}
+			}
+			for r := 10; r < 20; r++ {
+				if err := part.Delete(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if consolidate {
+				if _, err := storage.Consolidate(testutil.Catalog(fact), part); err != nil {
+					t.Fatal(err)
+				}
+				if part.NumRows() != 30 {
+					t.Fatalf("part rows after consolidation = %d, want 30", part.NumRows())
+				}
+			}
+			return fact
 		}
 	}
-	for r := 10; r < 20; r++ {
-		if err := part.Delete(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	q := query.New("q").
 		Where(expr.IntLe("p_size", 12)).
 		GroupByCols("p_brand").
 		Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_revenue"), "rev")).
 		OrderAsc("p_brand")
-
-	engBefore, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engBefore.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db := storage.NewDatabase()
-	db.MustAdd(fact)
-	db.MustAdd(part)
-	db.MustAdd(fact.FK("f_dk"))
-	db.MustAdd(fact.FK("f_ck"))
-	if _, err := storage.Consolidate(db, part); err != nil {
-		t.Fatal(err)
-	}
-	if part.NumRows() != 30 {
-		t.Fatalf("part rows after consolidation = %d, want 30", part.NumRows())
-	}
-
-	engAfter, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engAfter.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Fatal(err)
-	}
+	testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Sealed("deleted", 0, build(false)), testutil.Sealed("consolidated", 0, build(true))},
+		Targets:  []testutil.Target{engineTarget("", Options{}, nil)},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }

@@ -1,19 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // segmentStar builds the deterministic star fixture and converts its fact
 // table to segmented storage.
 func segmentStar(t *testing.T, seed int64, nFact, target int) *storage.Table {
 	t.Helper()
-	fact := buildStar(t, seed, nFact)
+	fact := testutil.BuildStar(seed, nFact)
 	if err := fact.SetSegmentTarget(target); err != nil {
 		t.Fatal(err)
 	}
@@ -25,68 +28,26 @@ func segmentStar(t *testing.T, seed int64, nFact, target int) *storage.Table {
 // must produce exactly the results of the brute-force oracle running over
 // the flat twin (identical seed).
 func TestSegmentedMatchesOracleAllVariants(t *testing.T) {
-	flat := buildStar(t, 42, 5000)
-	seg := segmentStar(t, 42, 5000, 512) // ~10 segments
-	for _, q := range starQueries() {
-		want, err := naiveRun(flat, q)
-		if err != nil {
-			t.Fatalf("%s: oracle: %v", q.Name, err)
-		}
-		for _, v := range allVariants() {
-			for _, workers := range []int{1, 4} {
-				eng, err := New(seg, Options{Variant: v, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Run(q)
-				if err != nil {
-					t.Fatalf("%s [%s w=%d]: %v", q.Name, v, workers, err)
-				}
-				if err := query.Diff(want, got, 1e-9); err != nil {
-					t.Errorf("%s [%s w=%d]: %v", q.Name, v, workers, err)
-				}
-			}
-		}
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(42, 5000, 512)}, // ~10 segments
+		Targets:  variantTargets(1, 4),
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestSegmentedSnowflakeMatchesOracle exercises multi-hop AIR chains over a
 // segmented root.
 func TestSegmentedSnowflakeMatchesOracle(t *testing.T) {
-	flat := buildSnowflakeLarge(t, 7, 4000)
-	seg := buildSnowflakeLarge(t, 7, 4000)
-	if err := seg.SetSegmentTarget(640); err != nil {
-		t.Fatal(err)
-	}
-	q := query.New("snowflake-seg").
-		Where(expr.StrEq("r_name", "ASIA"), expr.IntGe("o_price", 800)).
-		GroupByCols("n_name").
-		Agg(expr.SumOf(expr.Mul(expr.C("l_extendedprice"), expr.Subtract(expr.K(1), expr.C("l_discount"))), "revenue")).
-		OrderDesc("revenue")
-	want, err := naiveRun(flat, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range allVariants() {
-		eng, err := New(seg, Options{Variant: v, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.Run(q)
-		if err != nil {
-			t.Fatalf("[%s]: %v", v, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("[%s]: %v", v, err)
-		}
-	}
+	matrix(testutil.SnowflakeQueries(), testutil.Snowflake(7, 4000, 640), variantTargets(3)...).Run(t)
 }
 
 // clusteredFact builds a fact table whose f_seq column is monotonically
 // increasing (append order ≈ time order, the live-ingest shape) and whose
 // f_dk FK is range-correlated with the date dimension, so both root-filter
 // and FK-probe zone maps have pruning power.
-func clusteredFact(t *testing.T, nFact, nDate int) *storage.Table {
+func clusteredFact(t testing.TB, nFact, nDate int) *storage.Table {
 	t.Helper()
 	date := storage.NewTable("date")
 	years := make([]int32, nDate)
@@ -111,56 +72,36 @@ func clusteredFact(t *testing.T, nFact, nDate int) *storage.Table {
 	return fact
 }
 
+// pruningMatrix is the matrix of q over clusteredFact(8000, 64), whose
+// served copy seals 500-row segments, through one engine whose runs must
+// each prune: at least one segment, and with maxKept > 0 all but maxKept.
+func pruningMatrix(t *testing.T, q *query.Query, opt Options, maxKept int) testutil.Matrix {
+	const nFact, target = 8000, 500
+	return testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Sealed("", target, func() *storage.Table { return clusteredFact(t, nFact, 64) })},
+		Targets: []testutil.Target{engineTarget("", opt, func(_ *Engine, _ testutil.Run, st Stats) error {
+			kept := st.SegmentsTotal - st.SegmentsPruned
+			if st.SegmentsTotal < nFact/target || st.SegmentsPruned == 0 || (maxKept > 0 && (kept > int64(maxKept) || st.RowsScanned >= nFact)) {
+				return fmt.Errorf("%d of %d segments pruned, %d rows scanned: %+v", st.SegmentsPruned, st.SegmentsTotal, st.RowsScanned, st)
+			}
+			return nil
+		})},
+		Render: sql.Render,
+		Tol:    1e-9,
+	}
+}
+
 // TestZoneMapPruningRootFilter asserts that a selective range predicate on
 // a clustered root column skips segments — and that the pruned execution
-// returns exactly the unpruned (flat) result.
+// returns the oracle's result over the flat twin.
 func TestZoneMapPruningRootFilter(t *testing.T) {
-	const nFact, nDate, target = 8000, 64, 500
-	flat := clusteredFact(t, nFact, nDate)
-	seg := clusteredFact(t, nFact, nDate)
-	if err := seg.SetSegmentTarget(target); err != nil {
-		t.Fatal(err)
-	}
-
 	q := query.New("narrow").
 		Where(expr.IntBetween("f_seq", 1000, 1200)).
 		Agg(expr.CountStar("cnt"), expr.SumOf(expr.C("f_val"), "sum"))
-
-	flatEng, err := New(flat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := flatEng.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	segEng, err := New(seg, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats Stats
-	got, err := segEng.RunWithStats(q, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Fatalf("pruned result differs from unpruned: %v", err)
-	}
-	if stats.SegmentsTotal < nFact/target {
-		t.Fatalf("SegmentsTotal = %d, want >= %d", stats.SegmentsTotal, nFact/target)
-	}
-	if stats.SegmentsPruned == 0 {
-		t.Fatalf("SegmentsPruned = 0, want > 0 (stats: %+v)", stats)
-	}
 	// The predicate spans rows 1000–1200: at most two 500-row segments can
 	// contain matches.
-	if kept := stats.SegmentsTotal - stats.SegmentsPruned; kept > 2 {
-		t.Errorf("kept %d segments, want <= 2", kept)
-	}
-	if stats.RowsScanned >= int64(nFact) {
-		t.Errorf("RowsScanned = %d, want < %d (pruning should cut row work)", stats.RowsScanned, nFact)
-	}
+	pruningMatrix(t, q, Options{Workers: 2}, 2).Run(t)
 }
 
 // TestZoneMapPruningFKProbe asserts that a dimension predicate prunes
@@ -168,43 +109,12 @@ func TestZoneMapPruningRootFilter(t *testing.T) {
 // range-correlated (the predicate vector's set bits fall outside most
 // segments' FK ranges).
 func TestZoneMapPruningFKProbe(t *testing.T) {
-	const nFact, nDate, target = 8000, 64, 500
-	flat := clusteredFact(t, nFact, nDate)
-	seg := clusteredFact(t, nFact, nDate)
-	if err := seg.SetSegmentTarget(target); err != nil {
-		t.Fatal(err)
-	}
-
 	// d_year == 1992 selects only the first chunk of date rows, reachable
 	// only from the first few fact segments.
 	q := query.New("dimsel").
 		Where(expr.IntEq("d_year", 1992)).
 		Agg(expr.CountStar("cnt"), expr.SumOf(expr.C("f_val"), "sum"))
-
-	flatEng, err := New(flat, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := flatEng.Run(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	segEng, err := New(seg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats Stats
-	got, err := segEng.RunWithStats(q, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Fatalf("pruned result differs from unpruned: %v", err)
-	}
-	if stats.SegmentsPruned == 0 {
-		t.Fatalf("SegmentsPruned = 0, want > 0 (stats: %+v)", stats)
-	}
+	pruningMatrix(t, q, Options{}, 0).Run(t)
 }
 
 // TestSegmentedExplainShowsPruning checks the Explain satellite: the plan

@@ -9,26 +9,8 @@ import (
 	"astore/internal/agg"
 	"astore/internal/query"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
-
-// execOracle runs q single-node over the engine's pinned view.
-func execOracle(t *testing.T, eng *Engine, q *query.Query) *query.Result {
-	t.Helper()
-	v, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Release()
-	c, err := v.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Exec(context.Background(), v, c, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
 
 // partitionFixture is the segmented star fixture with every segment class
 // present: sealed segments with deleted rows, a run of appended rows whose
@@ -39,7 +21,7 @@ func execOracle(t *testing.T, eng *Engine, q *query.Query) *query.Result {
 // the order partitions are merged in, and results compare at tolerance 0.
 func partitionFixture(t *testing.T, seed int64) *storage.Table {
 	t.Helper()
-	fact := buildStar(t, seed, 5000)
+	fact := testutil.BuildStar(seed, 5000)
 	frac := fact.Column("f_frac").(*storage.Float64Col).V
 	for i := range frac {
 		frac[i] = float64(i%128) / 128
@@ -117,7 +99,7 @@ func TestExecPartialMergeEqualsExec(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, q := range starQueries() {
+				for _, q := range testutil.StarQueries() {
 					prunedSubsets += checkPartitionLaw(t, rng, eng, v, q, label)
 				}
 				v.Release()
@@ -186,52 +168,41 @@ func checkPartitionLaw(t *testing.T, rng *rand.Rand, eng *Engine, v *View, q *qu
 // TestExecPartialWireRoundTrip pushes every shard partial through the wire
 // encoding before merging, as the HTTP transport does.
 func TestExecPartialWireRoundTrip(t *testing.T) {
-	fact := segmentStar(t, 22, 3000, 512)
-	eng, err := New(fact, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range starQueries() {
-		want := execOracle(t, eng, q)
-		v, err := eng.Acquire()
+	wire := testutil.Target{Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+		eng, err := New(fact, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := v.Compile(q)
-		if err != nil {
-			v.Release()
-			t.Fatal(err)
-		}
-		segs := v.RootSegments()
-		mid := len(segs) / 2
-		var parts []*agg.Partial
-		for _, sub := range [][]storage.SegView{segs[:mid], segs[mid:]} {
-			part, err := eng.ExecPartial(context.Background(), v, c, sub, nil)
+		return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
+			v, err := eng.Acquire()
 			if err != nil {
-				v.Release()
-				t.Fatal(err)
+				return nil, err
 			}
-			data, err := part.MarshalBinary()
+			defer v.Release()
+			c, err := v.Compile(q)
 			if err != nil {
-				v.Release()
-				t.Fatal(err)
+				return nil, err
 			}
-			decoded, err := agg.UnmarshalPartial(data)
-			if err != nil {
-				v.Release()
-				t.Fatal(err)
+			segs := v.RootSegments()
+			var parts []*agg.Partial
+			for _, sub := range [][]storage.SegView{segs[:len(segs)/2], segs[len(segs)/2:]} {
+				part, err := eng.ExecPartial(context.Background(), v, c, sub, nil)
+				if err != nil {
+					return nil, err
+				}
+				data, err := part.MarshalBinary()
+				if err != nil {
+					return nil, err
+				}
+				if part, err = agg.UnmarshalPartial(data); err != nil {
+					return nil, err
+				}
+				parts = append(parts, part)
 			}
-			parts = append(parts, decoded)
+			return eng.MergePartials(c, parts, nil)
 		}
-		got, err := eng.MergePartials(c, parts, nil)
-		v.Release()
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Fatalf("%s via wire: %v", q.Name, err)
-		}
-	}
+	}}
+	matrix(testutil.StarQueries(), testutil.Star(22, 3000, 512), wire).Run(t)
 }
 
 // TestExecPartialEmptySubset captures a well-formed empty snapshot, and the
@@ -242,7 +213,7 @@ func TestExecPartialEmptySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := starQueries()[0]
+	q := testutil.StarQueries()[0]
 	v, err := eng.Acquire()
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/testutil"
 )
 
 // TestRandomSnowflakeQueriesQuick: random queries with predicates, group
@@ -16,7 +18,7 @@ import (
 func TestRandomSnowflakeQueriesQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		fact := buildSnowflakeLarge(t, seed, rng.Intn(2500)+200)
+		n := rng.Intn(2500) + 200
 
 		q := query.New("rand-snow")
 		// Predicates at random depths.
@@ -53,31 +55,15 @@ func TestRandomSnowflakeQueriesQuick(t *testing.T) {
 				expr.Subtract(expr.K(1), expr.C("l_discount"))), "m"))
 		}
 
-		want, err := naiveRun(fact, q)
-		if err != nil {
-			return false
-		}
 		budgets := []int{0, 1, 100} // default, none, stop-at-order
+		var targets []testutil.Target
 		for _, v := range allVariants() {
-			eng, err := New(fact, Options{
-				Variant:          v,
-				Workers:          1 + rng.Intn(3),
-				PrefilterMaxRows: budgets[rng.Intn(len(budgets))],
-			})
-			if err != nil {
-				return false
-			}
-			got, err := eng.Run(q)
-			if err != nil {
-				t.Logf("seed %d [%s]: %v", seed, v, err)
-				return false
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Logf("seed %d [%s]: %v", seed, v, err)
-				return false
-			}
+			opt := Options{Variant: v, Workers: 1 + rng.Intn(3), PrefilterMaxRows: budgets[rng.Intn(len(budgets))]}
+			targets = append(targets, engineTarget(fmt.Sprintf("%s/w%d/budget=%d", v, opt.Workers, opt.PrefilterMaxRows), opt, nil))
 		}
-		return true
+		return t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			matrix([]*query.Query{q}, testutil.Snowflake(seed, n, 0), targets...).Run(t)
+		})
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

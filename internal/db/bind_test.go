@@ -6,11 +6,12 @@ import (
 	"runtime"
 	"testing"
 
-	"astore/internal/baseline"
 	"astore/internal/core"
 	"astore/internal/datagen/ssb"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // A binding (the chunks a plan touches in one segment, plain or encoded, as
@@ -87,94 +88,64 @@ AND lo_quantity < %d AND lo_extendedprice > %d GROUP BY d_year ORDER BY d_year`,
 // chunk written in place instead of cloned keeps its epoch, so the stale
 // cached partial would answer.
 func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
-	writes := []struct {
-		name  string
-		apply func(tab *storage.Table, row int) error
-	}{
-		{"delete", func(tab *storage.Table, row int) error { return tab.Delete(row) }},
-		// Moves the row into Q1.1's filter range and out of Q1.2's and Q1.3's.
-		{"update", func(tab *storage.Table, row int) error {
-			if err := tab.Update(row, "lo_quantity", int32(1+row%24)); err != nil {
-				return err
+	const segRows = 2048
+	// The first run after the write re-binds and re-scans only the two
+	// segments the write touched; the rest answer from cached partials.
+	layout := func(name string, encoded bool) testutil.Target {
+		return testutil.Target{Name: name, Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+			rescanned := 0
+			t.Cleanup(func() {
+				if rescanned == 0 {
+					t.Error("the write re-scanned no segment; the test exercised nothing")
+				}
+			})
+			// No sort keys, so a row sits at the same position in both copies.
+			opt := core.Options{SegmentRows: segRows, SealedEncodings: encoded}
+			return dbTarget("", opt, func(_ *DB, r testutil.Run, st core.Stats) error {
+				if sealed, _ := fact.SegmentCounts(); sealed < 2 {
+					return fmt.Errorf("only %d sealed segments", sealed)
+				}
+				if !r.Written || r.Warm > 0 {
+					return nil
+				}
+				wantEncoded := int64(0)
+				if encoded {
+					wantEncoded = int64(st.AggCacheMisses)
+				}
+				if st.AggCacheMisses > 2 || st.EncodedSegments != wantEncoded {
+					return fmt.Errorf("re-scanned %d segments, %d of them encoded, want the <= 2 touched ones: %+v",
+						st.AggCacheMisses, st.EncodedSegments, st)
+				}
+				rescanned += st.AggCacheMisses
+				return nil
+			}).Open(t, fact)
+		}}
+	}
+	writeRows := func(write func(tab *storage.Table, row int) error) func(*storage.Table) error {
+		return func(tab *storage.Table) error {
+			for row := 0; row < 2*segRows; row += 3 {
+				if err := write(tab, row); err != nil {
+					return err
+				}
 			}
-			return tab.Update(row, "lo_discount", int32(1+row%3))
-		}},
-	}
-	for _, layout := range []string{"plain", "encoded"} {
-		for _, w := range writes {
-			t.Run(layout+"/"+w.name, func(t *testing.T) { repeatAfterWrite(t, layout == "encoded", w.apply) })
+			return nil
 		}
 	}
-}
-
-func repeatAfterWrite(t *testing.T, encoded bool, write func(tab *storage.Table, row int) error) {
-	cfg := ssb.Config{SF: 0.005, Seed: 3}
-	served, flat := ssb.Generate(cfg), ssb.Generate(cfg)
-	d, err := Open(served.DB, core.Options{SegmentRows: 2048, SealedEncodings: encoded})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := baseline.NewHashJoinEngine(flat.Lineorder)
-	ctx := context.Background()
-
-	queries := ssb.Queries()
-	prepared := make([]*Prepared, len(queries))
-	before := make([]*query.Result, len(queries))
-	for i, q := range queries {
-		if prepared[i], err = d.Prepare(q); err != nil {
-			t.Fatal(err)
-		}
-		for rep := 0; rep < 2; rep++ { // cold installs the partials, warm serves them
-			if before[i], err = prepared[i].Exec(ctx); err != nil {
-				t.Fatalf("%s: %v", q.Name, err)
-			}
-		}
-	}
-
-	// No sort keys, so a row sits at the same position in both copies.
-	sealed, _ := served.Lineorder.SegmentCounts()
-	if sealed < 2 {
-		t.Fatalf("only %d sealed segments", sealed)
-	}
-	for row := 0; row < 2*2048; row += 3 {
-		if err := write(served.Lineorder, row); err != nil {
-			t.Fatal(err)
-		}
-		if err := write(flat.Lineorder, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	rescanned, changed := 0, 0
-	for i, q := range queries {
-		var st core.Stats
-		got, err := prepared[i].ExecStats(ctx, &st)
-		if err != nil {
-			t.Fatalf("%s after write: %v", q.Name, err)
-		}
-		want, err := oracle.Run(q)
-		if err != nil {
-			t.Fatalf("%s oracle: %v", q.Name, err)
-		}
-		if err := query.Diff(want, got, 0); err != nil {
-			t.Errorf("%s after write: %v", q.Name, err)
-		}
-		// Only the two segments the writes touched are re-bound and
-		// re-scanned; the rest still answer from their cached partials.
-		wantEncoded := int64(0)
-		if encoded {
-			wantEncoded = int64(st.AggCacheMisses)
-		}
-		if st.AggCacheMisses > 2 || st.EncodedSegments != wantEncoded {
-			t.Errorf("%s: re-scanned %d segments, %d of them encoded, want the <= 2 touched ones: %+v",
-				q.Name, st.AggCacheMisses, st.EncodedSegments, st)
-		}
-		rescanned += st.AggCacheMisses
-		if query.Diff(before[i], got, 0) != nil {
-			changed++
-		}
-	}
-	if rescanned == 0 || changed == 0 {
-		t.Fatalf("the writes re-scanned %d segments and changed %d answers; the test exercised nothing", rescanned, changed)
-	}
+	testutil.Matrix{
+		Queries:  ssb.Queries(),
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, func() *storage.Table { return ssb.Generate(ssb.Config{SF: 0.005, Seed: 3}).Lineorder })},
+		Targets:  []testutil.Target{layout("plain", false), layout("encoded", true)},
+		Writes: []testutil.Write{
+			{Name: "delete", Apply: writeRows(func(tab *storage.Table, row int) error { return tab.Delete(row) })},
+			// Moves the row into Q1.1's filter range and out of Q1.2's and Q1.3's.
+			{Name: "update", Apply: writeRows(func(tab *storage.Table, row int) error {
+				if err := tab.Update(row, "lo_quantity", int32(1+row%24)); err != nil {
+					return err
+				}
+				return tab.Update(row, "lo_discount", int32(1+row%3))
+			})},
+		},
+		Oracle: hashJoin,
+		Render: sql.Render,
+	}.Run(t)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"astore/internal/baseline"
 	"astore/internal/core"
 	"astore/internal/datagen/ssb"
 	"astore/internal/expr"
@@ -19,12 +20,39 @@ import (
 // starCatalog returns a catalog holding the testutil star schema.
 func starCatalog(seed int64, nFact int) (*storage.Database, *storage.Table) {
 	fact := testutil.BuildStar(seed, nFact)
-	cat := storage.NewDatabase()
-	cat.MustAdd(fact)
-	for _, ref := range fact.FKs() {
-		cat.MustAdd(ref)
-	}
-	return cat, fact
+	return testutil.Catalog(fact), fact
+}
+
+// hashJoin is the hash-join engine as a matrix oracle.
+func hashJoin(twin *storage.Table, q *query.Query) (*query.Result, error) {
+	return baseline.NewHashJoinEngine(twin).Run(q)
+}
+
+// dbTarget is the matrix axis of one DB configuration, opened over the
+// cell's fact and its dimensions. A query's first run is DB.Run, the cold
+// transient statement; later runs execute one Prepared statement, so they
+// hit the plan and aggregate caches. check, if set, sees each run's stats.
+func dbTarget(name string, opt core.Options, check func(d *DB, r testutil.Run, st core.Stats) error) testutil.Target {
+	return testutil.Target{Name: name, Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+		d, err := Open(testutil.Catalog(fact), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		prepared := make(map[*query.Query]*Prepared)
+		return func(q *query.Query, r testutil.Run) (res *query.Result, err error) {
+			var st core.Stats
+			if p := prepared[q]; p != nil {
+				res, err = p.ExecStats(ctx, &st)
+			} else if res, err = d.RunStats(ctx, q, &st); err == nil {
+				prepared[q], err = d.Prepare(q)
+			}
+			if err == nil && check != nil {
+				err = check(d, r, st)
+			}
+			return res, err
+		}
+	}}
 }
 
 func sumRevenueByRegion() *query.Query {
@@ -62,31 +90,13 @@ func TestOpenRegistersFactTables(t *testing.T) {
 }
 
 func TestRunMatchesEngine(t *testing.T) {
-	cat, fact := starCatalog(2, 2000)
-	d, err := Open(cat, core.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.New(fact, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range testutil.StarQueries() {
-		want, err := eng.Run(q)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", q.Name, err)
-		}
-		got, err := d.Run(context.Background(), q)
-		if err != nil {
-			t.Fatalf("%s: db: %v", q.Name, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("%s: %v", q.Name, err)
-		}
-	}
-	if pins := fact.Pins(); pins != 0 {
-		t.Errorf("fact pins = %d after runs", pins)
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(2, 2000, 0)},
+		Targets:  []testutil.Target{dbTarget("", core.Options{Workers: 2}, nil)},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 func TestRoutingByColumns(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 	"astore/internal/core"
 	"astore/internal/datagen/ssb"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // The layout-invariance law (Kaser & Lemire's reordering law, PAPERS.md,
@@ -422,20 +424,10 @@ func lawRun(t *testing.T, seed int64, factRows int, layouts []lawLayout) {
 
 	// check asserts the law: (a) the model's rows, the expected physical row
 	// count and a clean AIR verdict in every copy, and with deep (b) every
-	// SSB query equal, at tolerance 0, to the oracle's answer.
+	// SSB query, through every copy, equal at tolerance 0 to the oracle's
+	// answer over a flat table built from the model.
 	check := func(step string, deep bool) {
 		t.Helper()
-		var want []*query.Result
-		if deep {
-			oracle := baseline.NewHashJoinEngine(oracleFact(model, types, copies[0].cat, copies[0].fact.Name))
-			for _, q := range queries {
-				res, err := oracle.Run(q)
-				if err != nil {
-					t.Fatalf("%s: oracle %s: %v", step, q.Name, err)
-				}
-				want = append(want, res)
-			}
-		}
 		for _, c := range copies {
 			what := step + " " + c.name
 			checkRows(t, what, c.fact, model.cols, c.idOf, model.rows)
@@ -445,23 +437,55 @@ func lawRun(t *testing.T, seed int64, factRows int, layouts []lawLayout) {
 			if err := c.cat.ValidateAIR(); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			if !deep {
-				continue
-			}
-			d, err := Open(c.cat, core.Options{Workers: 1 + rng.Intn(2)})
+		}
+		if !deep {
+			return
+		}
+		twin := oracleFact(model, types, copies[0].cat, copies[0].fact.Name)
+		fixtures := make([]testutil.Fixture, len(copies))
+		for i, c := range copies {
+			fixtures[i] = testutil.Fixture{Name: c.name, Build: func(_ testing.TB, flat bool) *storage.Table {
+				if flat {
+					return twin
+				}
+				return c.fact
+			}}
+		}
+		// Each query pins its copy once, as DB.Run does: the cold run
+		// compiles and executes on the pinned view, and the warm run executes
+		// again on it, merging the partials the cold run cached, and unpins.
+		layouts := testutil.Target{Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+			d, err := Open(testutil.Catalog(fact), core.Options{Workers: 1 + rng.Intn(2)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for qi, q := range queries {
-				got, err := d.Run(ctx, q)
-				if err != nil {
-					t.Fatalf("%s %s: %v", what, q.Name, err)
+			eng := d.Engine(fact.Name)
+			var view *core.View
+			var c *core.Compiled
+			return func(q *query.Query, r testutil.Run) (res *query.Result, err error) {
+				if r.Warm == 0 {
+					if view, err = eng.Acquire(); err == nil {
+						c, err = view.Compile(q)
+					}
 				}
-				if err := query.Diff(want[qi], got, 0); err != nil {
-					t.Fatalf("%s %s: %v", what, q.Name, err)
+				if err == nil {
+					res, err = eng.Exec(ctx, view, c, nil)
 				}
+				if r.Warm > 0 || err != nil {
+					view.Release()
+				}
+				return res, err
 			}
-		}
+		}}
+		t.Run(step, func(t *testing.T) {
+			testutil.Matrix{
+				Queries:  queries,
+				Fixtures: fixtures,
+				Targets:  []testutil.Target{layouts},
+				Oracle:   hashJoin,
+				Render:   sql.Render,
+			}.Run(t)
+		})
 	}
 
 	// pinned runs mutate while every copy is pinned, then asserts (c): each

@@ -2,11 +2,13 @@ package db
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"astore/internal/core"
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
@@ -46,39 +48,26 @@ func TestOpenSegmentsFactTables(t *testing.T) {
 	}
 }
 
-// TestSegmentedMatchesFlatThroughDB runs the same queries through a flat
-// and a segmented DB built from identical data and requires identical
-// results — the acceptance's "identical results vs. unpruned" clause at
-// the serving layer.
+// TestSegmentedMatchesFlatThroughDB runs the star queries through a flat
+// and a segmented DB and requires both to return the oracle's answers over
+// the flat twin: the acceptance's "identical results vs. unpruned" clause
+// at the serving layer.
 func TestSegmentedMatchesFlatThroughDB(t *testing.T) {
-	flatCat, _ := starCatalog(11, 4000)
-	segCat, _ := starCatalog(11, 4000)
-	dFlat, err := Open(flatCat, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dSeg, err := Open(segCat, core.Options{SegmentRows: 512, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, q := range testutil.StarQueries() {
-		want, err := dFlat.Run(ctx, q)
-		if err != nil {
-			t.Fatalf("%s flat: %v", q.Name, err)
-		}
-		got, err := dSeg.Run(ctx, q)
-		if err != nil {
-			t.Fatalf("%s segmented: %v", q.Name, err)
-		}
-		if err := query.Diff(want, got, 1e-9); err != nil {
-			t.Errorf("%s: %v", q.Name, err)
-		}
-	}
-	st := dSeg.Stats()
-	if st.SegmentsTotal == 0 {
-		t.Error("db stats recorded no segments")
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(11, 4000, 0)},
+		Targets: []testutil.Target{
+			dbTarget("flat", core.Options{}, nil),
+			dbTarget("segmented", core.Options{SegmentRows: 512, Workers: 2}, func(d *DB, _ testutil.Run, _ core.Stats) error {
+				if d.Stats().SegmentsTotal == 0 {
+					return fmt.Errorf("db stats recorded no segments")
+				}
+				return nil
+			}),
+		},
+		Render: sql.Render,
+		Tol:    1e-9,
+	}.Run(t)
 }
 
 // TestAppendsDoNotEvictPlans is the acceptance criterion for plan
@@ -147,54 +136,38 @@ func TestAppendsDoNotEvictPlans(t *testing.T) {
 // silently corrupt the aggregation array — the plan goes stale and the
 // recompiled plan sees the new group.
 func TestAppendOutsideCompiledRangeRecompiles(t *testing.T) {
-	cat, fact := starCatalog(9, 1000)
-	d, err := Open(cat, core.Options{SegmentRows: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
 	// Group by f_quantity, a root numeric column with values 1..50.
 	q := query.New("byqty").
 		GroupByCols("f_quantity").
 		Agg(expr.CountStar("n")).
 		OrderAsc("f_quantity")
-	p, err := d.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := p.Exec(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Insert a row with quantity far outside the compiled range.
-	row := factRow(0, 1, 2, 100)
-	row["f_quantity"] = int32(500)
-	if _, err := fact.Insert(row); err != nil {
-		t.Fatal(err)
-	}
-	after, err := p.Exec(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Rows) != len(before.Rows)+1 {
-		t.Fatalf("groups before=%d after=%d, want one new group", len(before.Rows), len(after.Rows))
-	}
-	last := after.Rows[len(after.Rows)-1]
-	if got := last.Keys[0].Num; got != 500 {
-		t.Fatalf("new group key = %v, want 500", last.Keys[0])
-	}
-	if st := d.Stats(); st.PlanStale == 0 {
-		t.Error("expected a stale recompile after out-of-range append")
-	}
+	stale := dbTarget("", core.Options{SegmentRows: 128}, func(d *DB, r testutil.Run, _ core.Stats) error {
+		if r.Written && d.Stats().PlanStale == 0 {
+			return fmt.Errorf("no stale recompile after an out-of-range append")
+		}
+		return nil
+	})
+	testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Star(9, 1000, 0)},
+		Targets:  []testutil.Target{stale},
+		Writes: []testutil.Write{{Name: "append", Apply: func(fact *storage.Table) error {
+			// A row with quantity far outside the compiled range.
+			row := factRow(0, 1, 2, 100)
+			row["f_quantity"] = int32(500)
+			_, err := fact.Insert(row)
+			return err
+		}}},
+		Render: sql.Render,
+	}.Run(t)
 }
 
 // TestSegmentedPruningThroughDB: a selective predicate over clustered data
 // skips segments end-to-end through the DB layer (acceptance: a query with
-// a selective dimension predicate demonstrably skips segments), with
-// results identical to the flat engine.
+// a selective dimension predicate demonstrably skips segments), with the
+// oracle's results over the flat twin.
 func TestSegmentedPruningThroughDB(t *testing.T) {
-	build := func() *storage.Database {
+	build := func() *storage.Table {
 		nDate, nFact := 40, 4000
 		date := storage.NewTable("date")
 		years := make([]int32, nDate)
@@ -212,46 +185,22 @@ func TestSegmentedPruningThroughDB(t *testing.T) {
 		fact.MustAddColumn("f_dk", storage.NewInt32Col(fk))
 		fact.MustAddColumn("f_val", storage.NewInt64Col(val))
 		fact.MustAddFK("f_dk", date)
-		cat := storage.NewDatabase()
-		cat.MustAdd(fact)
-		cat.MustAdd(date)
-		return cat
+		return fact
 	}
 	q := query.New("sel-year").
 		Where(expr.IntEq("d_year", 1992)).
 		Agg(expr.CountStar("n"), expr.SumOf(expr.C("f_val"), "sum"))
-	ctx := context.Background()
-
-	dFlat, err := Open(build(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := dFlat.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dSeg, err := Open(build(), core.Options{SegmentRows: 250})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats core.Stats
-	p, err := dSeg.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.ExecStats(ctx, &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Fatalf("pruned result differs: %v", err)
-	}
-	if stats.SegmentsPruned == 0 {
-		t.Fatalf("SegmentsPruned = 0, want > 0 (total %d)", stats.SegmentsTotal)
-	}
-	st := dSeg.Stats()
-	if st.SegmentsPruned == 0 || st.SegmentsTotal == 0 {
-		t.Errorf("db cumulative segment counters not threaded: %+v", st)
-	}
+	pruned := dbTarget("", core.Options{SegmentRows: 250}, func(d *DB, _ testutil.Run, st core.Stats) error {
+		if cum := d.Stats(); st.SegmentsPruned == 0 || cum.SegmentsPruned == 0 || cum.SegmentsTotal == 0 {
+			return fmt.Errorf("SegmentsPruned = %d of %d, cumulative %+v: want > 0 and threaded", st.SegmentsPruned, st.SegmentsTotal, cum)
+		}
+		return nil
+	})
+	testutil.Matrix{
+		Queries:  []*query.Query{q},
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, build)},
+		Targets:  []testutil.Target{pruned},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }

@@ -3,11 +3,13 @@ package db
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"astore/internal/agg"
 	"astore/internal/core"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
 )
@@ -72,55 +74,69 @@ func TestShardSegmentsPartition(t *testing.T) {
 	}
 }
 
-// TestExecPartialMergeMatchesRun: executing the canonical shard subsets
-// through the DB layer and merging reproduces Run, for every star query
-// and shard count, with deletes in the data.
-func TestExecPartialMergeMatchesRun(t *testing.T) {
-	d, fact := shardDB(t, 32, 5000)
-	for _, r := range []int{3, 700, 701, 4321} {
-		if err := fact.Delete(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 23; i++ {
-		if _, err := fact.Insert(factRow(int32(i%8), int32(i%50), int32(i%40), int64(90+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx := context.Background()
-	for _, q := range testutil.StarQueries() {
-		want, err := d.Run(ctx, q)
-		if err != nil {
-			t.Fatalf("%s: run: %v", q.Name, err)
-		}
-		p, err := d.Prepare(q)
+// partialTarget opens a DB sealing 512-row segments over the cell's fact
+// and answers each query by executing one partial per request and merging
+// them.
+func partialTarget(name string, reqs ...PartialRequest) testutil.Target {
+	return testutil.Target{Name: name, Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+		d, err := Open(testutil.Catalog(fact), core.Options{SegmentRows: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for n := 1; n <= 4; n++ {
-			parts := make([]*agg.Partial, n)
-			for s := 0; s < n; s++ {
-				res, err := p.ExecPartial(ctx, PartialRequest{Shard: s, NShards: n}, nil)
+		ctx := context.Background()
+		return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
+			p, err := d.Prepare(q)
+			if err != nil {
+				return nil, err
+			}
+			parts := make([]*agg.Partial, len(reqs))
+			for i, req := range reqs {
+				res, err := p.ExecPartial(ctx, req, nil)
 				if err != nil {
-					t.Fatalf("%s shard %d/%d: %v", q.Name, s, n, err)
+					return nil, fmt.Errorf("partial %d: %w", i, err)
 				}
 				if res.Fact != "fact" || res.DataVersion == 0 {
-					t.Fatalf("%s shard %d/%d: result meta %+v", q.Name, s, n, res)
+					return nil, fmt.Errorf("partial %d: result meta %+v", i, res)
 				}
-				parts[s] = res.Partial
+				parts[i] = res.Partial
 			}
-			got, err := p.MergePartials(ctx, parts, nil)
-			if err != nil {
-				t.Fatalf("%s merge %d: %v", q.Name, n, err)
-			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Fatalf("%s over %d shards: %v", q.Name, n, err)
-			}
+			return p.MergePartials(ctx, parts, nil)
 		}
+	}}
+}
+
+// TestExecPartialMergeMatchesRun: executing the canonical shard subsets
+// through the DB layer and merging returns the oracle's answer, for every
+// star query and shard count, before and after deletes and appends.
+func TestExecPartialMergeMatchesRun(t *testing.T) {
+	var targets []testutil.Target
+	for n := 1; n <= 4; n++ {
+		reqs := make([]PartialRequest, n)
+		for s := range reqs {
+			reqs[s] = PartialRequest{Shard: s, NShards: n}
+		}
+		targets = append(targets, partialTarget(fmt.Sprintf("%d shards", n), reqs...))
 	}
-	if pins := fact.Pins(); pins != 0 {
-		t.Fatalf("leaked %d pins", pins)
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(32, 5000, 0)},
+		Targets:  targets,
+		Writes: []testutil.Write{{Name: "delete+append", Apply: func(fact *storage.Table) error {
+			for _, r := range []int{3, 700, 701, 4321} {
+				if err := fact.Delete(r); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < 23; i++ {
+				if _, err := fact.Insert(factRow(int32(i%8), int32(i%50), int32(i%40), int64(90+i))); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}},
+		Render: sql.Render,
+		Tol:    1e-9,
+	}.Run(t)
 }
 
 // TestExecPartialVersionMismatch: a non-zero expectation that does not match
@@ -160,34 +176,16 @@ func TestExecPartialVersionMismatch(t *testing.T) {
 // TestExecPartialSelectOverride: a custom Select partition replaces the
 // canonical round-robin split.
 func TestExecPartialSelectOverride(t *testing.T) {
-	d, _ := shardDB(t, 34, 3000)
-	q := sumRevenueByRegion()
-	ctx := context.Background()
-	want, err := d.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	half := func(h int) PartialRequest {
+		return PartialRequest{Select: func(i int, sv *storage.SegView) bool { return i%2 == h }}
 	}
-	p, err := d.Prepare(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []*agg.Partial
-	for half := 0; half < 2; half++ {
-		res, err := p.ExecPartial(ctx, PartialRequest{
-			Select: func(i int, sv *storage.SegView) bool { return i%2 == half },
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, res.Partial)
-	}
-	got, err := p.MergePartials(ctx, parts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := query.Diff(want, got, 1e-9); err != nil {
-		t.Fatal(err)
-	}
+	testutil.Matrix{
+		Queries:  []*query.Query{sumRevenueByRegion()},
+		Fixtures: []testutil.Fixture{testutil.Star(34, 3000, 0)},
+		Targets:  []testutil.Target{partialTarget("", half(0), half(1))},
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // TestExecPartialStatsFolding: ExecPartial does not touch the DB's

@@ -44,8 +44,39 @@ type queryResp struct {
 	ElapsedUS int64    `json:"elapsed_us"`
 }
 
+// result rebuilds the served answer of a query with nKeys grouping
+// columns, so it diffs like any engine's.
+func (r queryResp) result(nKeys int) (*query.Result, error) {
+	if len(r.Columns) < nKeys {
+		return nil, fmt.Errorf("columns %v, want %d grouping columns", r.Columns, nKeys)
+	}
+	res := &query.Result{GroupCols: r.Columns[:nKeys], AggNames: r.Columns[nKeys:]}
+	for _, vals := range r.Rows {
+		if len(vals) != len(r.Columns) {
+			return nil, fmt.Errorf("row %v under columns %v", vals, r.Columns)
+		}
+		var row query.Row
+		for i, v := range vals {
+			switch v := v.(type) {
+			case string:
+				row.Keys = append(row.Keys, query.StrValue(v))
+			case float64:
+				if i < nKeys {
+					row.Keys = append(row.Keys, query.NumValue(v))
+				} else {
+					row.Aggs = append(row.Aggs, v)
+				}
+			default:
+				return nil, fmt.Errorf("row %v: value %v", vals, v)
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
+
 // post sends a JSON body and returns the response with its body read.
-func post(t *testing.T, url, body string) (*http.Response, []byte) {
+func post(t testing.TB, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {

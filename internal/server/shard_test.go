@@ -1,22 +1,24 @@
 package server
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"astore/internal/baseline"
 	"astore/internal/core"
 	"astore/internal/datagen/ssb"
 	"astore/internal/db"
+	"astore/internal/query"
 	"astore/internal/shard"
+	"astore/internal/storage"
+	"astore/internal/testutil"
 )
 
 // newShardTopology mounts nWorkers worker servers plus a coordinator server
@@ -25,35 +27,38 @@ import (
 // coordinator's own DB is also returned so tests can compute single-node
 // oracles over identical data.
 func newShardTopology(t *testing.T, nWorkers int) (coordTS *httptest.Server, workerTS []*httptest.Server, coordDB *db.DB, workerDBs []*db.DB) {
+	return shardTopologyOver(t, nWorkers, topologyData().DB)
+}
+
+// topologyData is the dataset every process of a shard topology serves.
+func topologyData() *ssb.Data { return ssb.Generate(ssb.Config{SF: 0.002, Seed: 3}) }
+
+// shardTopologyOver is newShardTopology with the coordinator serving coord,
+// a catalog holding the same rows as topologyData.
+func shardTopologyOver(t testing.TB, nWorkers int, coord *storage.Database) (coordTS *httptest.Server, workerTS []*httptest.Server, coordDB *db.DB, workerDBs []*db.DB) {
 	t.Helper()
 	opt := core.Options{SegmentRows: 2048}
-	mk := func(cfg Config) (*httptest.Server, *db.DB) {
-		data := ssb.Generate(ssb.Config{SF: 0.002, Seed: 3})
-		d, err := db.Open(data.DB, opt)
+	var workers []shard.Worker
+	for i := 0; i < nWorkers; i++ {
+		d, err := db.Open(topologyData().DB, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(New(d, cfg).Handler())
+		ts := httptest.NewServer(New(d, Config{ShardWorker: true}).Handler())
 		t.Cleanup(ts.Close)
-		return ts, d
-	}
-	var workers []shard.Worker
-	for i := 0; i < nWorkers; i++ {
-		ts, d := mk(Config{ShardWorker: true})
 		workerTS = append(workerTS, ts)
 		workerDBs = append(workerDBs, d)
 		workers = append(workers, shard.NewHTTPWorker(ts.URL, i, nWorkers, 10*time.Second))
 	}
-	data := ssb.Generate(ssb.Config{SF: 0.002, Seed: 3})
-	d, err := db.Open(data.DB, opt)
+	d, err := db.Open(coord, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := shard.New(d, workers, shard.Options{})
+	c, err := shard.New(d, workers, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(d, Config{Coordinator: coord}).Handler())
+	ts := httptest.NewServer(New(d, Config{Coordinator: c}).Handler())
 	t.Cleanup(ts.Close)
 	return ts, workerTS, d, workerDBs
 }
@@ -123,33 +128,38 @@ func TestShardExecBadRequest(t *testing.T) {
 	}
 }
 
-// TestCoordinatorServerOracle runs queries through the coordinator's
-// /v1/query and checks the JSON rows match a single-node execution over
-// the identical dataset.
+// TestCoordinatorServerOracle runs the SSB queries, as their SQL text,
+// through the coordinator's /v1/query and checks the JSON rows against the
+// hash-join oracle over identical data.
 func TestCoordinatorServerOracle(t *testing.T) {
-	coordTS, _, coordDB, _ := newShardTopology(t, 2)
-	for i, sqlText := range ssb.QueriesSQL() {
-		want, err := coordDB.RunSQL(context.Background(), sqlText)
-		if err != nil {
-			t.Fatal(err)
+	texts := ssb.QueriesSQL()
+	statement := func(q *query.Query) string { return texts[q.Name] }
+	coordinator := testutil.Target{Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+		coordTS, _, _, _ := shardTopologyOver(t, 2, testutil.Catalog(fact))
+		return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
+			resp, raw := post(t, coordTS.URL+"/v1/query", fmt.Sprintf(`{"sql":%q}`, statement(q)))
+			if resp.StatusCode != http.StatusOK {
+				return nil, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+			}
+			var got queryResp
+			if err := json.Unmarshal(raw, &got); err != nil {
+				return nil, err
+			}
+			if got.Fact != "lineorder" {
+				return nil, fmt.Errorf("fact %q", got.Fact)
+			}
+			return got.result(len(q.GroupBy))
 		}
-		wantCols, wantRows := normalizedRows(t, want)
-		resp, raw := post(t, coordTS.URL+"/v1/query", fmt.Sprintf(`{"sql":%q}`, sqlText))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d: %s", i, resp.StatusCode, raw)
-		}
-		var got queryResp
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		if got.Fact != "lineorder" {
-			t.Fatalf("%s fact %q", i, got.Fact)
-		}
-		if !reflect.DeepEqual(wantCols, got.Columns) || !reflect.DeepEqual(wantRows, got.Rows) {
-			t.Fatalf("%s: scatter-gather result diverged from single-node\nwant %v %v\ngot  %v %v",
-				i, wantCols, wantRows, got.Columns, got.Rows)
-		}
-	}
+	}}
+	testutil.Matrix{
+		Queries:  ssb.Queries(),
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, func() *storage.Table { return topologyData().Lineorder })},
+		Targets:  []testutil.Target{coordinator},
+		Oracle: func(twin *storage.Table, q *query.Query) (*query.Result, error) {
+			return baseline.NewHashJoinEngine(twin).Run(q)
+		},
+		Render: statement,
+	}.Run(t)
 }
 
 // TestCoordinatorServerExplain: EXPLAIN through a coordinator reports the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"astore/internal/baseline"
 	"astore/internal/core"
 	"astore/internal/datagen/ssb"
 	"astore/internal/db"
@@ -20,119 +21,106 @@ import (
 	"astore/internal/testutil"
 )
 
-// ssbDB opens a segmented SSB database.
-func ssbDB(t *testing.T, sf float64, segRows int) (*db.DB, *ssb.Data) {
-	t.Helper()
-	data := ssb.Generate(ssb.Config{SF: sf, Seed: 7})
-	d, err := db.Open(data.DB, core.Options{SegmentRows: segRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, data
-}
-
 // starDB opens a segmented testutil star database.
 func starDB(t *testing.T, seed int64, nFact, segRows int) (*db.DB, *storage.Table) {
 	t.Helper()
 	fact := testutil.BuildStar(seed, nFact)
-	cat := storage.NewDatabase()
-	cat.MustAdd(fact)
-	for _, ref := range fact.FKs() {
-		cat.MustAdd(ref)
-	}
-	d, err := db.Open(cat, core.Options{SegmentRows: segRows})
+	d, err := db.Open(testutil.Catalog(fact), core.Options{SegmentRows: segRows})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return d, fact
 }
 
-// TestCoordinatorSSBOracle is the acceptance oracle: all 13 SSB queries
-// produce bit-identical results through the coordinator for every shard
-// count. SSB measures are integer-valued, so sums are exact in float64 and
-// the comparison tolerates nothing.
+// TestCoordinatorSSBOracle is the acceptance oracle: all 13 SSB queries,
+// sent as their SQL text, return through the coordinator exactly the
+// hash-join oracle's answers for every shard count. SSB measures are
+// integer-valued, so sums are exact in float64 and the comparison
+// tolerates nothing.
 func TestCoordinatorSSBOracle(t *testing.T) {
-	d, data := ssbDB(t, 0.005, 2048)
 	ctx := context.Background()
-	for _, nShards := range []int{1, 2, 3, 4} {
-		c, err := New(d, NewLocalWorkers(d, nShards), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, text := range ssb.QueriesSQL() {
-			want, err := d.RunSQL(ctx, text)
+	texts := ssb.QueriesSQL()
+	statement := func(q *query.Query) string { return texts[q.Name] }
+	coordinator := func(nShards int) testutil.Target {
+		return testutil.Target{Name: fmt.Sprintf("%d shards", nShards), Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+			d, err := db.Open(testutil.Catalog(fact), core.Options{SegmentRows: 2048})
 			if err != nil {
-				t.Fatalf("%s: single-node: %v", name, err)
+				t.Fatal(err)
 			}
-			got, meta, err := c.Exec(ctx, text)
+			c, err := New(d, NewLocalWorkers(d, nShards), Options{})
 			if err != nil {
-				t.Fatalf("%s over %d shards: %v", name, nShards, err)
+				t.Fatal(err)
 			}
-			if err := query.Diff(want, got, 0); err != nil {
-				t.Fatalf("%s over %d shards differs from single-node: %v", name, nShards, err)
-			}
-			if meta.Shards != nShards || meta.Fact != "lineorder" {
-				t.Fatalf("%s: meta %+v", name, meta)
-			}
-			if len(meta.Versions) != nShards {
-				t.Fatalf("%s: version vector has %d entries, want %d", name, len(meta.Versions), nShards)
-			}
-			for w, v := range meta.Versions {
-				if v == 0 {
-					t.Fatalf("%s: worker %s pinned version 0", name, w)
+			return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
+				got, meta, err := c.Exec(ctx, statement(q))
+				if err != nil {
+					return nil, err
 				}
+				if meta.Shards != nShards || meta.Fact != "lineorder" || len(meta.Versions) != nShards {
+					return nil, fmt.Errorf("meta %+v", meta)
+				}
+				for w, v := range meta.Versions {
+					if v == 0 {
+						return nil, fmt.Errorf("worker %s pinned version 0", w)
+					}
+				}
+				return got, nil
 			}
-		}
+		}}
 	}
-	if pins := data.Lineorder.Pins(); pins != 0 {
-		t.Fatalf("leaked %d pins", pins)
-	}
+	testutil.Matrix{
+		Queries:  ssb.Queries(),
+		Fixtures: []testutil.Fixture{testutil.Sealed("", 0, func() *storage.Table { return ssb.Generate(ssb.Config{SF: 0.005, Seed: 7}).Lineorder })},
+		Targets:  []testutil.Target{coordinator(1), coordinator(2), coordinator(3), coordinator(4)},
+		Oracle: func(twin *storage.Table, q *query.Query) (*query.Result, error) {
+			return baseline.NewHashJoinEngine(twin).Run(q)
+		},
+		Render: statement,
+	}.Run(t)
 }
 
 // TestCoordinatorAnyPartition is the partition-invariance property at the
 // coordinator layer: ANY disjoint covering assignment of segments to
-// workers merges to the single-node result.
+// workers merges to the oracle's result.
 func TestCoordinatorAnyPartition(t *testing.T) {
-	d, fact := starDB(t, 41, 6000, 512)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(5))
+	var trials []testutil.Target
 	for trial := 0; trial < 5; trial++ {
 		nShards := 2 + rng.Intn(3)
-		ws := NewLocalWorkers(d, nShards)
 		// Random disjoint covering partition, overriding the canonical
 		// round-robin slices.
 		assign := make(map[int]int)
 		for i := 0; i < 64; i++ {
 			assign[i] = rng.Intn(nShards)
 		}
-		for s, w := range ws {
-			s := s
-			w.(*LocalWorker).Select = func(i int, sv *storage.SegView) bool {
-				return assign[i] == s
-			}
-		}
-		c, err := New(d, ws, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, q := range testutil.StarQueries() {
-			want, err := d.Run(ctx, q)
+		trials = append(trials, testutil.Target{Name: fmt.Sprintf("trial %d", trial), Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
+			d, err := db.Open(testutil.Catalog(fact), core.Options{SegmentRows: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The coordinator ships a builder query as its SQL rendering.
-			got, _, err := c.Exec(ctx, sql.Render(q))
+			ws := NewLocalWorkers(d, nShards)
+			for s, w := range ws {
+				w.(*LocalWorker).Select = func(i int, sv *storage.SegView) bool { return assign[i] == s }
+			}
+			c, err := New(d, ws, Options{})
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, q.Name, err)
+				t.Fatal(err)
 			}
-			if err := query.Diff(want, got, 1e-9); err != nil {
-				t.Fatalf("trial %d %s over %d shards: %v", trial, q.Name, nShards, err)
+			return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
+				// The coordinator ships a builder query as its SQL rendering.
+				got, _, err := c.Exec(ctx, sql.Render(q))
+				return got, err
 			}
-		}
+		}})
 	}
-	if pins := fact.Pins(); pins != 0 {
-		t.Fatalf("leaked %d pins", pins)
-	}
+	testutil.Matrix{
+		Queries:  testutil.StarQueries(),
+		Fixtures: []testutil.Fixture{testutil.Star(41, 6000, 0)},
+		Targets:  trials,
+		Render:   sql.Render,
+		Tol:      1e-9,
+	}.Run(t)
 }
 
 // fakeWorker scripts version sequences for protocol tests. Partial is nil
