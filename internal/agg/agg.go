@@ -111,10 +111,6 @@ func (a *ArrayAgg) Unflatten(flat int32) []int32 {
 	return ids
 }
 
-// Counts exposes the per-group row counters. Accumulate rows through AddRow
-// (not by writing counts directly) so the touched-cell list stays correct.
-func (a *ArrayAgg) Counts() []int64 { return a.counts }
-
 // Vals exposes the flat accumulator array of aggregate k for direct
 // accumulation in scan loops. For Sum/Avg the cell holds the running sum;
 // for Min/Max the running extremum.

@@ -29,8 +29,8 @@ func TestArrayAggReset(t *testing.T) {
 	}
 	// Min/Max sentinels restored, sums zeroed, counts zeroed.
 	for _, f := range []int32{3, 50, 99} {
-		if a.Counts()[f] != 0 {
-			t.Fatalf("count[%d] = %d after reset", f, a.Counts()[f])
+		if a.counts[f] != 0 {
+			t.Fatalf("count[%d] = %d after reset", f, a.counts[f])
 		}
 		if a.Vals(0)[f] != 0 {
 			t.Fatalf("sum[%d] = %g after reset", f, a.Vals(0)[f])

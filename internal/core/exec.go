@@ -334,7 +334,12 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 	w.stats.RowsScanned += int64(hi - lo)
 	bound := es.st
 
-	// Phase 2a: scan-and-filter with a shrinking selection vector.
+	// Phase 2a: scan-and-filter with a shrinking selection vector: the
+	// ascending row ids of the tuples that have survived predicate evaluation
+	// so far. Unlike bitmap-based scans, which evaluate every column
+	// completely and combine bitmaps, a selection vector shrinks after each
+	// predicate, so later columns are only probed at surviving positions —
+	// saving memory bandwidth and, under AIR, random lookups.
 	sel := w.sel[:0]
 	if del := es.sv.Del; del == nil {
 		for r := lo; r < hi; r++ {

@@ -38,7 +38,7 @@ func TestAdHocPlansLeaveNoBindingsBehind(t *testing.T) {
 	if _, err := storage.Consolidate(data.DB, data.Lineorder); err != nil {
 		t.Fatal(err)
 	}
-	d.SetPlanCacheCap(32)
+	d.setPlanCacheCap(32)
 	ctx := context.Background()
 	adhoc := func(i int) {
 		t.Helper()

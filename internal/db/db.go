@@ -177,8 +177,8 @@ func (d *DB) Catalog() *storage.Database { return d.catalog }
 // Prepare/Run, which add routing, plan caching, and snapshot isolation.
 func (d *DB) Engine(fact string) *core.Engine { return d.facts[fact] }
 
-// SetPlanCacheCap bounds the number of cached compiled plans (minimum 1).
-func (d *DB) SetPlanCacheCap(n int) {
+// setPlanCacheCap bounds the number of cached compiled plans (minimum 1).
+func (d *DB) setPlanCacheCap(n int) {
 	if n < 1 {
 		n = 1
 	}

@@ -251,7 +251,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetPlanCacheCap(2)
+	d.setPlanCacheCap(2)
 	discountCount := func(i int) *query.Query {
 		return query.New("q").
 			Where(expr.IntEq("f_discount", int64(i))).
@@ -284,7 +284,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 
 	// Shrinking the cap below the resident count evicts immediately.
-	d.SetPlanCacheCap(1)
+	d.setPlanCacheCap(1)
 	d.mu.Lock()
 	n = d.lru.Len()
 	d.mu.Unlock()

@@ -156,20 +156,3 @@ func AIR(payload []int64, fkPos []int32, workers int) (count, sum int64) {
 	}
 	return parallelReduce(fkPos, workers, probe)
 }
-
-// AIRFiltered is the AIR join restricted by a dimension predicate vector:
-// only fact tuples whose referenced dimension bit is set match. This is the
-// scan shape A-Store actually executes inside star joins (§4.2).
-func AIRFiltered(payload []int64, fkPos []int32, prevec []uint64, workers int) (count, sum int64) {
-	probe := func(part []int32) (int64, int64) {
-		var c, s int64
-		for _, p := range part {
-			if prevec[p>>6]&(1<<(uint32(p)&63)) != 0 {
-				c++
-				s += payload[p]
-			}
-		}
-		return c, s
-	}
-	return parallelReduce(fkPos, workers, probe)
-}

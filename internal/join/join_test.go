@@ -76,30 +76,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestAIRFiltered(t *testing.T) {
-	in := MakeInput(64, 500, 2)
-	// Predicate vector selecting even dimension rows.
-	prevec := make([]uint64, 1)
-	selected := make(map[int32]bool)
-	for i := 0; i < 64; i += 2 {
-		prevec[0] |= 1 << uint(i)
-		selected[int32(i)] = true
-	}
-	var wantC, wantS int64
-	for _, p := range in.FKPos {
-		if selected[p] {
-			wantC++
-			wantS += in.Payload[p]
-		}
-	}
-	if c, s := AIRFiltered(in.Payload, in.FKPos, prevec, 1); c != wantC || s != wantS {
-		t.Errorf("AIRFiltered = (%d,%d), want (%d,%d)", c, s, wantC, wantS)
-	}
-	if c, s := AIRFiltered(in.Payload, in.FKPos, prevec, 4); c != wantC || s != wantS {
-		t.Errorf("AIRFiltered parallel = (%d,%d), want (%d,%d)", c, s, wantC, wantS)
-	}
-}
-
 func TestRadixSort64by32(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := make([]uint64, 5000)

@@ -49,14 +49,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
 // Enabled reports whether the log is active.
 func (l *SlowLog) Enabled() bool { return l != nil }
 
-// Threshold returns the configured latency threshold (0 when disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
-}
-
 // Logged returns how many entries have been written.
 func (l *SlowLog) Logged() int64 {
 	if l == nil {

@@ -189,20 +189,8 @@ func (t *Trace) SetHit(id SpanID, hit bool) {
 	t.mu.Unlock()
 }
 
-// Finish closes the root span; WallNS is valid afterwards.
+// Finish closes the root span.
 func (t *Trace) Finish() { t.End(0) }
-
-// WallNS reports the root span's duration (total traced wall time). Zero
-// until Finish.
-func (t *Trace) WallNS() int64 {
-	t.mu.Lock()
-	d := t.spans[0].durNS
-	t.mu.Unlock()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
 
 func clampNS(ns int64) int64 {
 	if ns < 1 {
@@ -331,27 +319,6 @@ func formatSpan(b *strings.Builder, s *Span, depth int) {
 	for _, c := range kids {
 		formatSpan(b, c, depth+1)
 	}
-}
-
-// StageDurUS sums the durations (microseconds) of every span named one of
-// StageNames, keyed by stage. Used by the slow-query log's compact summary.
-func (s *Span) StageDurUS() map[string]float64 {
-	out := map[string]float64{}
-	var walk func(*Span)
-	stages := map[string]bool{}
-	for _, n := range StageNames() {
-		stages[n] = true
-	}
-	walk = func(n *Span) {
-		if stages[n.Name] {
-			out[n.Name] += n.DurUS
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(s)
-	return out
 }
 
 type traceCtxKey struct{}

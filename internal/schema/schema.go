@@ -197,13 +197,3 @@ func (b *Binding) RowAccessor() func(rootRow int32) int32 {
 		return r
 	}
 }
-
-// FKArrays returns the foreign-key arrays along the binding's path, root
-// side first. It is empty for root-table bindings.
-func (b *Binding) FKArrays() [][]int32 {
-	fks := make([][]int32, len(b.Path))
-	for i, s := range b.Path {
-		fks[i] = s.From.Column(s.FKCol).(*storage.Int32Col).V
-	}
-	return fks
-}

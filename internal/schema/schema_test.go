@@ -205,10 +205,10 @@ func TestRowAccessorFollowsAIRChain(t *testing.T) {
 		t.Fatalf("identity accessor(3) = %d", got)
 	}
 
-	if n := len(b.FKArrays()); n != 4 {
-		t.Fatalf("FKArrays len = %d, want 4", n)
+	if n := len(b.Path); n != 4 {
+		t.Fatalf("path len = %d, want 4", n)
 	}
-	if n := len(b0.FKArrays()); n != 0 {
-		t.Fatalf("root FKArrays len = %d, want 0", n)
+	if n := len(b0.Path); n != 0 {
+		t.Fatalf("root path len = %d, want 0", n)
 	}
 }

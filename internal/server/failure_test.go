@@ -47,7 +47,7 @@ func postNB(url, body string) (status int, raw []byte, err error) {
 // next query is rejected immediately with 503 and a Retry-After hint.
 func TestOverloadReturns503(t *testing.T) {
 	srv, ts, data, _ := newSSBServer(t, 0.001,
-		Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 10 * time.Second, RetryAfter: 2 * time.Second},
+		Config{MaxInFlight: 1, MaxQueue: 1, QueueWait: 10 * time.Second},
 		core.Options{})
 	gate := make(chan struct{})
 	srv.testHookAdmitted = func() { <-gate }
@@ -76,8 +76,8 @@ func TestOverloadReturns503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503: %s", resp.StatusCode, raw)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Errorf("Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want \"1\"", ra)
 	}
 	if !strings.Contains(string(raw), "capacity") {
 		t.Errorf("error body = %s", raw)

@@ -62,13 +62,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutMS > 0 {
 		// Clamp in milliseconds before converting: a huge timeout_ms would
 		// overflow time.Duration into the negative.
-		if req.TimeoutMS >= s.cfg.MaxTimeout.Milliseconds() {
-			timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS >= maxTimeout.Milliseconds() {
+			timeout = maxTimeout
 		} else {
 			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
-	} else if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
+	} else if timeout > maxTimeout {
+		timeout = maxTimeout
 	}
 	// r.Context() is canceled when the client disconnects, so both
 	// disconnects and deadlines cancel the scan at a batch boundary.

@@ -29,10 +29,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +47,10 @@ const (
 	maxBodyBytes = 8 << 20
 	// flushRows is the number of result rows streamed between flushes.
 	flushRows = 1024
+	// retryAfter is the Retry-After hint attached to 503 responses.
+	retryAfter = time.Second
+	// maxTimeout caps the per-query deadline a request may ask for.
+	maxTimeout = 5 * time.Minute
 )
 
 // Config tunes the server. The zero value serves with sensible defaults.
@@ -59,15 +63,9 @@ type Config struct {
 	// QueueWait bounds how long a queued query waits for a slot before
 	// giving up with 503. Default 1s.
 	QueueWait time.Duration
-	// RetryAfter is the Retry-After hint attached to 503 responses.
-	// Default 1s.
-	RetryAfter time.Duration
 	// DefaultTimeout is the per-query deadline when the request names none.
 	// Default 30s.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps the per-query deadline a request may ask for.
-	// Default 5m.
-	MaxTimeout time.Duration
 	// SlowQuery, when > 0, logs every query at or above this latency as one
 	// JSON line to SlowQueryWriter. Default 0 (disabled).
 	SlowQuery time.Duration
@@ -99,14 +97,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueWait <= 0 {
 		c.QueueWait = time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
 	}
 	if c.SlowQuery > 0 && c.SlowQueryWriter == nil {
 		c.SlowQueryWriter = os.Stderr
@@ -195,7 +187,7 @@ func (s *Server) ListenAndServe(addr string) error {
 		// timeout leaves headroom over the longest allowed query deadline
 		// plus result streaming.
 		ReadHeaderTimeout: 10 * time.Second,
-		WriteTimeout:      s.cfg.MaxTimeout + time.Minute,
+		WriteTimeout:      maxTimeout + time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
 	s.srvMu.Lock()
@@ -383,11 +375,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeOverloaded writes a 503 with the Retry-After hint.
 func (s *Server) writeOverloaded(w http.ResponseWriter, msg string) {
-	secs := int(math.Ceil(s.cfg.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 	writeError(w, http.StatusServiceUnavailable, "%s", msg)
 }
 

@@ -346,7 +346,7 @@ func TestQueryTimeoutReturns504(t *testing.T) {
 
 func TestHugeTimeoutIsClamped(t *testing.T) {
 	// A timeout_ms large enough to overflow time.Duration must clamp to
-	// MaxTimeout, not wrap negative and kill the query.
+	// maxTimeout, not wrap negative and kill the query.
 	_, ts, _, _ := newSSBServer(t, 0.001, Config{}, core.Options{})
 	resp, raw := post(t, ts.URL+"/v1/query",
 		`{"sql": "SELECT count(*) AS n FROM lineorder", "timeout_ms": 10000000000000000}`)

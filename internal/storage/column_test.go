@@ -126,25 +126,3 @@ func TestDictColAppendFromForeignDictPanics(t *testing.T) {
 	b := NewDictColFrom([]string{"y"})
 	a.AppendFrom(b, 0)
 }
-
-func TestSelVecConstructors(t *testing.T) {
-	s := NewSel(4)
-	for i, v := range s {
-		if v != int32(i) {
-			t.Fatalf("NewSel[%d] = %d", i, v)
-		}
-	}
-	r := NewSelRange(2, 5)
-	if len(r) != 3 || r[0] != 2 || r[2] != 4 {
-		t.Fatalf("NewSelRange = %v", r)
-	}
-	del := NewBitmap(6)
-	del.Set(3)
-	lv := NewSelLive(2, 6, del)
-	if len(lv) != 3 || lv[0] != 2 || lv[1] != 4 || lv[2] != 5 {
-		t.Fatalf("NewSelLive = %v", lv)
-	}
-	if got := NewSelLive(0, 3, nil); len(got) != 3 {
-		t.Fatalf("NewSelLive nil del = %v", got)
-	}
-}
