@@ -49,8 +49,8 @@ func TestChainFoldingCollapsesToFirstLevel(t *testing.T) {
 	}
 }
 
-// prefilterTarget is Auto with opt's budgets, requiring every run to build
-// predicate vectors for exactly the tables want.
+// prefilterTarget serves opt and requires every run to build predicate
+// vectors for exactly the tables want.
 func prefilterTarget(opt Options, want ...string) testutil.Target {
 	return engineTarget("", opt, func(_ *Engine, _ testutil.Run, st Stats) error {
 		if !slices.Equal(st.PrefilterTables, want) {
