@@ -33,6 +33,11 @@ type Engine struct {
 	// segments (Options.AggCacheBytes; nil when disabled): a byte-accounted
 	// LRU shared by every plan compiled on this engine.
 	aggCache *memCache
+
+	// ordinals is 0, 1, …, BatchRows−1, shared read-only by every worker:
+	// the index array of a FoR chunk's view (no selection is longer than a
+	// batch).
+	ordinals []int32
 }
 
 // getArray returns a pooled aggregation array of the given shape, or builds
@@ -68,12 +73,17 @@ func New(root *storage.Table, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
+	ordinals := make([]int32, opt.BatchRows)
+	for i := range ordinals {
+		ordinals[i] = int32(i)
+	}
 	return &Engine{
 		root:     root,
 		graph:    g,
 		opt:      opt,
 		arrPool:  make(map[string][]*agg.ArrayAgg),
 		aggCache: newMemCache(opt.AggCacheBytes), // nil (disabled) when negative
+		ordinals: ordinals,
 	}, nil
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sync"
 	"time"
 
@@ -58,13 +57,13 @@ type worker struct {
 	stats Stats // ScanNS, AggNS, RowsScanned, RowsSelected
 	err   error // why the worker stopped early: ctx.Err() or a failed merge
 
-	// Reused per-morsel buffers. ints and ints2 hold integer values read in
-	// place from encoded chunks at the selected rows.
-	sel         []int32
-	mi          []int32
-	cells       []*agg.Cell
-	key         []byte
-	ints, ints2 []int64
+	// Reused per-morsel buffers; bufs back the views of bound columns (two
+	// at once: a binary aggregate's operands).
+	sel   []int32
+	mi    []int32
+	cells []*agg.Cell
+	key   []byte
+	bufs  [2]colBuf
 }
 
 // newState builds an empty aggregation state of the plan's backend: a
@@ -226,7 +225,9 @@ func (pl *plan) scan(ctx context.Context, segs []storage.SegView, rs *runState) 
 		if err != nil {
 			return nil, err
 		}
-		workers[i] = &worker{st: st, key: make([]byte, 4*len(pl.dims))}
+		w := &worker{st: st, key: make([]byte, 4*len(pl.dims))}
+		w.bufs[0].ordinals, w.bufs[1].ordinals = pl.eng.ordinals, pl.eng.ordinals
+		workers[i] = w
 	}
 	if err := pl.runWorkers(ctx, workers, kept, units); err != nil {
 		return nil, err
@@ -391,59 +392,46 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 	w.stats.AggNS += time.Since(t1).Nanoseconds()
 }
 
-// filterProbe refines the selection vector through one probe filter,
-// following the AIR chain and testing the predicate vector bit (or the
-// direct matcher).
+// filterProbe refines the selection vector through one probe filter: the
+// FK chunk's key at each selected row is tested against the predicate
+// vector, or chased along the AIR chain to the direct matcher.
 func filterProbe(w *worker, f *boundFilter, sel []int32) []int32 {
+	keys, idx := f.keys.view(sel, &w.bufs[0])
+	if keys.i32 != nil {
+		return probeKeys(f.probe, sel, idx, keys.i32)
+	}
+	return probeKeys(f.probe, sel, idx, keys.i64)
+}
+
+// probeKeys keeps the selected rows sel[j] whose key keys[idx[j]] passes
+// probe p, compacting sel in place. A probe's index is the selection vector
+// itself (a plain FK chunk) or 0…n−1 over gathered keys (FoR; an RLE FK
+// chunk binds as a filterer instead), and it is the identity exactly when
+// it is as long as keys. The predicate-vector loops, the kernel loops that
+// run at the full row rate, use that: the identity reads the keys in order,
+// and an index that is the selection vector is the row itself.
+func probeKeys[K int32 | int64](p *probeFilter, sel, idx []int32, keys []K) []int32 {
+	sel = sel[:len(idx)]
 	out := sel[:0]
-	if f.keys != nil {
-		// FoR FK chunk: the selected keys are read in place, then probed.
-		w.ints = f.keys.Gather(w.ints, sel)
-		if vec := f.probe.vec; vec != nil && len(f.probe.dimFKs) == 0 {
-			for j, k := range w.ints {
+	if vec := p.vec; vec != nil && len(p.dimFKs) == 0 {
+		if len(idx) == len(keys) {
+			for j, k := range keys {
 				if vec.Get(int(k)) {
 					out = append(out, sel[j])
 				}
 			}
 			return out
 		}
-		for j, k := range w.ints {
-			if f.probe.passValue(int32(k)) {
-				out = append(out, sel[j])
-			}
-		}
-		return out
-	}
-	if f.runEnd != nil {
-		// Run-at-a-time kernel over an RLE FK chunk: verdicts were
-		// computed per run at bind time; the (ascending) selection vector
-		// is walked with a forward-only run cursor, local to this call so
-		// the binding stays safe across the execution's concurrent workers.
-		end, pass := f.runEnd, f.runPass
-		ri := 0
-		for _, r := range sel {
-			for end[ri] <= r {
-				ri++
-			}
-			if pass[ri] {
+		for _, r := range idx {
+			if vec.Get(int(keys[r])) {
 				out = append(out, r)
 			}
 		}
 		return out
 	}
-	if f.probe.vec != nil && len(f.probe.dimFKs) == 0 {
-		fk := f.fk0
-		vec := f.probe.vec
-		for _, r := range sel {
-			if vec.Get(int(fk[r])) {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	for _, r := range sel {
-		if f.keep(r) {
-			out = append(out, r)
+	for j, x := range idx {
+		if p.passValue(int32(keys[x])) {
+			out = append(out, sel[j])
 		}
 	}
 	return out
@@ -488,114 +476,50 @@ func groupArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) []int32
 // accumulateDim folds one grouping column's dense ids into the measure
 // index. Returns true if any row hit a null group (marked -1).
 func accumulateDim(w *worker, b *boundDim, sel []int32, mi []int32, mult int32) bool {
-	d := b.d
-	dead := false
+	vals, idx := b.col.view(sel, &w.bufs[0])
 	switch {
-	case b.runEnd != nil:
-		// RLE chunk, any kind: one id per run, and a run cursor that
-		// advances for every selected row (sel is ascending), independent
-		// of the null check; it is local to this call, so the binding stays
-		// safe across the execution's concurrent workers.
-		ids, end := b.runIDs, b.runEnd
-		ri := 0
-		for j, r := range sel {
-			for end[ri] <= r {
-				ri++
-			}
-			if mi[j] < 0 {
-				continue
-			}
-			if id := ids[ri]; id >= 0 {
-				mi[j] += id * mult
-			} else {
-				mi[j] = -1
-				dead = true
-			}
-		}
-		return dead
-	case b.keys != nil:
-		// FoR chunk (a leaf's FK or a root number): the selected values are
-		// read in place.
-		w.ints = b.keys.Gather(w.ints, sel)
-		for j, k := range w.ints {
-			if mi[j] < 0 {
-				continue
-			}
-			id := int32(k - d.base)
-			if d.kind == gdLeafVec {
-				id = d.leafID(int32(k))
-			}
-			if id >= 0 {
-				mi[j] += id * mult
-			} else {
-				mi[j] = -1
-				dead = true
-			}
-		}
-		return dead
+	case b.leaf && vals.i32 != nil:
+		return leafIDs(b.d, vals.i32, idx, mi, mult)
+	case b.leaf:
+		return leafIDs(b.d, vals.i64, idx, mi, mult)
+	case vals.i32 != nil:
+		return numIDs(vals.i32, b.base, idx, mi, mult)
 	}
-	switch d.kind {
-	case gdLeafVec:
-		if len(d.dimFKs) == 0 {
-			fk := b.fk0
-			vec := d.vec
-			for j, r := range sel {
-				if mi[j] < 0 {
-					continue
-				}
-				id := vec[fk[r]]
-				if id < 0 {
-					mi[j] = -1
-					dead = true
-					continue
-				}
-				mi[j] += id * mult
-			}
-			return dead
+	return numIDs(vals.i64, b.base, idx, mi, mult)
+}
+
+// leafIDs adds, for each row still live in mi, mult times the group id of
+// its key's leaf row: the group vector entry at the end of the AIR chain.
+func leafIDs[K int32 | int64](d *groupDim, keys []K, idx, mi []int32, mult int32) (dead bool) {
+	vec, hops := d.vec, d.dimFKs
+	for j, x := range idx {
+		if mi[j] < 0 {
+			continue
 		}
-		for j, r := range sel {
-			if mi[j] < 0 {
-				continue
-			}
-			id := d.leafID(b.fk0[r])
-			if id < 0 {
-				mi[j] = -1
-				dead = true
-				continue
-			}
+		k := int32(keys[x])
+		for _, fk := range hops {
+			k = fk[k]
+		}
+		if id := vec[k]; id >= 0 {
 			mi[j] += id * mult
+		} else {
+			mi[j], dead = -1, true
 		}
-	case gdRootDict:
-		codes := b.codes
-		for j, r := range sel {
-			if mi[j] >= 0 {
-				mi[j] += codes[r] * mult
-			}
+	}
+	return dead
+}
+
+// numIDs adds, for each row still live in mi, mult times the group id
+// value − base of its value.
+func numIDs[T int32 | int64](vals []T, base int64, idx, mi []int32, mult int32) (dead bool) {
+	for j, x := range idx {
+		if mi[j] < 0 {
+			continue
 		}
-	default: // gdRootNum
-		switch {
-		case b.i32 != nil:
-			v := b.i32
-			base := int32(d.base)
-			for j, r := range sel {
-				if mi[j] >= 0 {
-					mi[j] += (v[r] - base) * mult
-				}
-			}
-		case b.i64 != nil:
-			v := b.i64
-			for j, r := range sel {
-				if mi[j] >= 0 {
-					mi[j] += int32(v[r]-d.base) * mult
-				}
-			}
-		default:
-			v := b.f64
-			for j, r := range sel {
-				if mi[j] >= 0 {
-					mi[j] += int32(int64(v[r])-d.base) * mult
-				}
-			}
+		if id := int32(int64(vals[x]) - base); id >= 0 {
+			mi[j] += id * mult
+		} else {
+			mi[j], dead = -1, true
 		}
 	}
 	return dead
@@ -658,7 +582,8 @@ func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
 		vals := arr.Vals(k)
 		switch ba.ap.kind {
 		case expr.Sum, expr.Avg:
-			if ba.sumLoop(w, vals, sel, mi) {
+			if ba.fast {
+				ba.sum(w, vals, sel, mi)
 				continue
 			}
 			ev := ba.eval
@@ -685,153 +610,63 @@ func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
 	}
 }
 
-// sumLoop runs the recognized dense fast path for Sum/Avg accumulation,
-// returning false when the expression shape or column types are not
-// specialized.
-func (ba *boundAgg) sumLoop(w *worker, vals []float64, sel, mi []int32) bool {
-	if !ba.fast {
-		return false
+// number is the element type of a bound column's values.
+type number interface{ int32 | int64 | float64 }
+
+// sum accumulates the aggregate's recognized form at the selected rows:
+// each operand is viewed at sel, and sumOf runs over the views' element
+// types.
+func (ba *boundAgg) sum(w *worker, vals []float64, sel, mi []int32) {
+	a, ia := ba.a.view(sel, &w.bufs[0])
+	b, ib := ba.b.view(sel, &w.bufs[1])
+	switch {
+	case a.i32 != nil:
+		sumOver(ba.ap.form, vals, mi, a.i32, ia, b, ib)
+	case a.i64 != nil:
+		sumOver(ba.ap.form, vals, mi, a.i64, ia, b, ib)
+	default:
+		sumOver(ba.ap.form, vals, mi, a.f64, ia, b, ib)
 	}
-	if ba.encA != nil {
-		ba.sumEncoded(w, vals, sel, mi)
-		return true
+}
+
+// sumOver dispatches on the second operand's element type.
+func sumOver[A number](form expr.Form, vals []float64, mi []int32, a []A, ia []int32, b boundCol, ib []int32) {
+	switch {
+	case b.i32 != nil:
+		sumOf(form, vals, mi, a, ia, b.i32, ib)
+	case b.i64 != nil:
+		sumOf(form, vals, mi, a, ia, b.i64, ib)
+	default:
+		sumOf(form, vals, mi, a, ia, b.f64, ib)
 	}
-	switch ba.ap.form {
+}
+
+// sumOf is the SUM loop of each recognized form: the j-th selected row adds
+// its value, a[ia[j]] combined with b[ib[j]], into aggregation cell mi[j].
+// Operands are combined as float64, as the generic evaluator does.
+func sumOf[A, B number](form expr.Form, vals []float64, mi []int32, a []A, ia []int32, b []B, ib []int32) {
+	ia = ia[:len(mi)]
+	switch form {
 	case expr.FCol:
-		switch {
-		case ba.aI64 != nil:
-			a := ba.aI64
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r])
-			}
-		case ba.aI32 != nil:
-			a := ba.aI32
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r])
-			}
-		case ba.aF64 != nil:
-			a := ba.aF64
-			for j, r := range sel {
-				vals[mi[j]] += a[r]
-			}
-		default:
-			return false
+		for j, m := range mi {
+			vals[m] += float64(a[ia[j]])
 		}
 	case expr.FMulCols:
-		switch {
-		case ba.aI64 != nil && ba.bI32 != nil:
-			a, b := ba.aI64, ba.bI32
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r] * int64(b[r]))
-			}
-		case ba.aI64 != nil && ba.bI64 != nil:
-			a, b := ba.aI64, ba.bI64
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r] * b[r])
-			}
-		case ba.aI32 != nil && ba.bI32 != nil:
-			a, b := ba.aI32, ba.bI32
-			for j, r := range sel {
-				vals[mi[j]] += float64(int64(a[r]) * int64(b[r]))
-			}
-		case ba.aF64 != nil && ba.bF64 != nil:
-			a, b := ba.aF64, ba.bF64
-			for j, r := range sel {
-				vals[mi[j]] += a[r] * b[r]
-			}
-		default:
-			return false
+		ib = ib[:len(mi)]
+		for j, m := range mi {
+			vals[m] += float64(a[ia[j]]) * float64(b[ib[j]])
 		}
 	case expr.FSubCols:
-		switch {
-		case ba.aI64 != nil && ba.bI64 != nil:
-			a, b := ba.aI64, ba.bI64
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r] - b[r])
-			}
-		case ba.aI32 != nil && ba.bI32 != nil:
-			a, b := ba.aI32, ba.bI32
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r] - b[r])
-			}
-		default:
-			return false
+		ib = ib[:len(mi)]
+		for j, m := range mi {
+			vals[m] += float64(a[ia[j]]) - float64(b[ib[j]])
 		}
 	case expr.FMulOneMinus:
-		switch {
-		case ba.aF64 != nil && ba.bF64 != nil:
-			a, b := ba.aF64, ba.bF64
-			for j, r := range sel {
-				vals[mi[j]] += a[r] * (1 - b[r])
-			}
-		case ba.aI64 != nil && ba.bF64 != nil:
-			a, b := ba.aI64, ba.bF64
-			for j, r := range sel {
-				vals[mi[j]] += float64(a[r]) * (1 - b[r])
-			}
-		default:
-			return false
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// sumEncoded is sumLoop's one arm per form for integer operands of which at
-// least one is encoded: each operand is read at the selected rows into the
-// worker's scratch (a FoR chunk in place, an RLE chunk by run cursor) and
-// the sum runs over that.
-func (ba *boundAgg) sumEncoded(w *worker, vals []float64, sel, mi []int32) {
-	w.ints = gatherInts(w.ints, ba.encA, sel)
-	a := w.ints
-	if ba.encB != nil {
-		w.ints2 = gatherInts(w.ints2, ba.encB, sel)
-	}
-	b := w.ints2
-	switch ba.ap.form {
-	case expr.FCol:
-		for j, x := range a {
-			vals[mi[j]] += float64(x)
-		}
-	case expr.FMulCols:
-		for j, x := range a {
-			vals[mi[j]] += float64(x * b[j])
-		}
-	case expr.FSubCols:
-		for j, x := range a {
-			vals[mi[j]] += float64(x - b[j])
+		ib = ib[:len(mi)]
+		for j, m := range mi {
+			vals[m] += float64(a[ia[j]]) * (1 - float64(b[ib[j]]))
 		}
 	}
-}
-
-// gatherInts reads integer chunk c at the rows of selection vector sel
-// (ascending) into dst, reusing its storage: a FoR chunk in place, an RLE
-// chunk with a run cursor, a plain chunk directly.
-func gatherInts(dst []int64, c storage.Column, sel []int32) []int64 {
-	if f, ok := c.(*storage.FoRCol); ok {
-		return f.Gather(dst, sel)
-	}
-	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
-	switch c := c.(type) {
-	case *storage.Int32Col:
-		for j, r := range sel {
-			dst[j] = int64(c.V[r])
-		}
-	case *storage.Int64Col:
-		for j, r := range sel {
-			dst[j] = c.V[r]
-		}
-	case *storage.RLECol:
-		ri := 0
-		for j, r := range sel {
-			for c.End[ri] <= r {
-				ri++
-			}
-			dst[j], _ = storage.Int64At(c.Vals, ri)
-		}
-	}
-	return dst
 }
 
 // aggregateHash is phase 3 over the hash backend.

@@ -88,9 +88,9 @@ func TestEngineOverDatabaseSnapshot(t *testing.T) {
 	}
 }
 
-// TestFastPathForms covers every specialized accumulation loop in sumLoop
-// (column, product, difference, one-minus-product over each supported type
-// pairing) against the oracle.
+// TestFastPathForms covers the SUM loop of every recognized form in sumOf
+// (column, product, difference, one-minus-product) over several operand
+// type pairings against the oracle.
 func TestFastPathForms(t *testing.T) {
 	build := func() *storage.Table {
 		n := 500

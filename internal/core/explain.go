@@ -94,11 +94,7 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 		}
 	}
 	if encoded > 0 {
-		how := "read in place by the column-wise kernel"
-		if pl.variant.rowWise() {
-			how = "decoded per binding for the row-wise kernel"
-		}
-		fmt.Fprintf(&sb, "encoded segments: %d/%d (RLE/FoR chunks %s)\n", encoded, total, how)
+		fmt.Fprintf(&sb, "encoded segments: %d/%d (RLE/FoR chunks read in place)\n", encoded, total)
 	}
 	if pl.aggCacheable() {
 		fmt.Fprintf(&sb, "segment agg cache: enabled, budget %d MB — sealed segments merge cached partials, tail computed live (hits k / misses m / tail rows r via EXPLAIN ANALYZE)\n",

@@ -141,10 +141,9 @@ type Options struct {
 	// chunk encodings (RLE, over integers and dictionary codes, and
 	// frame-of-reference bit-packing of integers) on sealed segments of
 	// every segmented fact table. Chunks are encoded at seal time only when
-	// the encoded form is at most half the plain size. The column-wise scan
+	// the encoded form is at most half the plain size. Every scan variant
 	// reads encoded chunks where they lie — RLE run by run, FoR field by
-	// field at the selected rows — and never decodes them; the row-wise
-	// variants decode each chunk they read once per binding. The engine
+	// field at the selected rows — and never decodes them. The engine
 	// itself does not consult this field.
 	SealedEncodings bool
 }

@@ -768,411 +768,6 @@ func (pl *plan) rootCovered(segs []storage.SegView) bool {
 	return true
 }
 
-// segState is the per-segment binding of a plan's root-resident arrays:
-// filter closures, group-id sources, and aggregate inputs, all addressed by
-// segment-local row indexes. A binding lives for one execution; deletion
-// bitmaps are not part of it — they come from the execution's SegView.
-type segState struct {
-	n       int
-	encoded bool // any chunk RLE- or FoR-encoded
-	filters []boundFilter
-	dims    []boundDim
-	aggs    []boundAgg
-}
-
-// boundFilter is one scanFilter bound to a segment. A probe's FK chunk is
-// held in one of three forms: plain keys (fk0), an RLE chunk's run ends
-// with one verdict per run, chased through the AIR chain at bind time
-// (runEnd, runPass), or a FoR chunk whose keys the scan reads in place
-// (keys). The encoded forms serve the column-wise kernel only.
-type boundFilter struct {
-	filt  func([]int32) []int32 // root filter, columnar kernel
-	test  func(int32) bool      // root filter, row-wise kernel
-	probe *probeFilter          // shared dimension-side state
-	fk0   []int32               // probe first hop, segment-local
-
-	runEnd  []int32
-	runPass []bool
-	keys    *storage.FoRCol
-}
-
-// keep reports whether local row r passes the filter, one row at a time.
-func (bf *boundFilter) keep(r int32) bool {
-	if bf.test != nil {
-		return bf.test(r)
-	}
-	return bf.probe.passValue(bf.fk0[r])
-}
-
-// passValue reports whether FK value x (a first-level dimension row) passes
-// the probe, walking the remaining AIR hops.
-func (p *probeFilter) passValue(x int32) bool {
-	for _, fk := range p.dimFKs {
-		x = fk[x]
-	}
-	if p.vec != nil {
-		return p.vec.Get(int(x))
-	}
-	return p.match(x)
-}
-
-// leafID returns the group id of first-level dimension row x: the group
-// vector entry at the end of the remaining AIR hops (-1 if the leaf's
-// predicates exclude it).
-func (d *groupDim) leafID(x int32) int32 {
-	for _, fk := range d.dimFKs {
-		x = fk[x]
-	}
-	return d.vec[x]
-}
-
-// boundDim is one groupDim bound to a segment. Its chunk is held plain
-// (fk0, codes or one of i32/i64/f64, by kind) or, for the column-wise
-// kernel, encoded: an RLE chunk of any kind as its run ends plus one group
-// id per run (runIDs: a root dict's own codes, computed at bind for the
-// other kinds), a FoR chunk (a leaf FK or a root number) as the chunk
-// itself (keys), read in place.
-type boundDim struct {
-	d     *groupDim
-	fk0   []int32 // leaf kind
-	codes []int32 // root dict kind
-	i32   []int32 // root numeric kinds (one of i32/i64/f64 set)
-	i64   []int64
-	f64   []float64
-
-	runIDs, runEnd []int32
-	keys           *storage.FoRCol
-}
-
-// id returns the dense group id of local row r, or -1 if the row is
-// excluded by the owning leaf's predicates (group vectors double as
-// filters, §4.3). It reads plain chunks only: the row-wise kernel's.
-func (b *boundDim) id(r int32) int32 {
-	d := b.d
-	switch d.kind {
-	case gdLeafVec:
-		return d.leafID(b.fk0[r])
-	case gdRootDict:
-		return b.codes[r]
-	default:
-		switch {
-		case b.i32 != nil:
-			return int32(int64(b.i32[r]) - d.base)
-		case b.i64 != nil:
-			return int32(b.i64[r] - d.base)
-		default:
-			return int32(int64(b.f64[r]) - d.base)
-		}
-	}
-}
-
-// boundAgg is one aggPlan bound to a segment. A recognized fast form reads
-// plain operand arrays (aI32 … bF64) or, when an operand chunk is encoded,
-// its integer operand chunks as they lie (encA, encB).
-type boundAgg struct {
-	ap   *aggPlan
-	eval func(int32) float64
-
-	aI32 []int32
-	aI64 []int64
-	aF64 []float64
-	bI32 []int32
-	bI64 []int64
-	bF64 []float64
-	fast bool
-
-	encA, encB storage.Column
-}
-
-// segChunks reads one segment's root chunks for one binding. The
-// column-wise kernel reads every chunk where it lies — plain, RLE or FoR —
-// so its binding holds the chunks themselves plus O(runs) verdicts and ids
-// and allocates nothing per row. The row-wise kernel, which exists to
-// measure the unoptimized scan, reads plain arrays only: for it (decode) an
-// encoded chunk is decoded on first use and its plain form shared.
-type segChunks struct {
-	cols   map[string]storage.Column
-	decode bool
-	plain  map[string]storage.Column // decoded chunks, row-wise only
-}
-
-// col returns the named chunk: as it lies, or in plain form under decode.
-func (sc *segChunks) col(name string) (storage.Column, error) {
-	c, ok := sc.cols[name]
-	if !ok {
-		return nil, fmt.Errorf("core: segment has no column %s", name)
-	}
-	if !sc.decode || storage.ChunkEncoding(c) == storage.EncPlain {
-		return c, nil
-	}
-	if p, ok := sc.plain[name]; ok {
-		return p, nil
-	}
-	p := storage.DecodeChunk(c)
-	if sc.plain == nil {
-		sc.plain = make(map[string]storage.Column)
-	}
-	sc.plain[name] = p
-	return p, nil
-}
-
-// keyAt returns a per-row reader of the named int32 key chunk, whatever
-// its encoding.
-func (sc *segChunks) keyAt(name string) (func(int32) int32, error) {
-	c, err := sc.col(name)
-	if err != nil {
-		return nil, err
-	}
-	if c.Type() != storage.TInt32 {
-		return nil, fmt.Errorf("core: segment column %s is not int32", name)
-	}
-	if ic, ok := c.(*storage.Int32Col); ok {
-		v := ic.V
-		return func(r int32) int32 { return v[r] }, nil
-	}
-	return func(r int32) int32 {
-		v, _ := storage.Int64At(c, int(r))
-		return int32(v)
-	}, nil
-}
-
-// int32Values returns the values of plain chunk c of column name, which
-// must be int32.
-func int32Values(name string, c storage.Column) ([]int32, error) {
-	ic, ok := c.(*storage.Int32Col)
-	if !ok {
-		return nil, fmt.Errorf("core: segment column %s is not int32", name)
-	}
-	return ic.V, nil
-}
-
-// int32Keys checks that FoR chunk c of key column name holds int32 keys.
-func int32Keys(name string, c *storage.FoRCol) (*storage.FoRCol, error) {
-	if c.Typ != storage.TInt32 {
-		return nil, fmt.Errorf("core: segment column %s is not int32", name)
-	}
-	return c, nil
-}
-
-// bind resolves the plan's root-resident recipes against one segment's
-// chunks.
-func (pl *plan) bind(sv *storage.SegView) (*segState, error) {
-	sc := &segChunks{cols: sv.Cols, decode: pl.variant.rowWise()}
-	st := &segState{n: sv.N}
-	for _, c := range sv.Cols {
-		if storage.ChunkEncoding(c) != storage.EncPlain {
-			st.encoded = true
-			break
-		}
-	}
-	st.filters = make([]boundFilter, 0, len(pl.filters))
-	for i := range pl.filters {
-		bf, err := pl.bindFilter(sc, &pl.filters[i])
-		if err != nil {
-			return nil, err
-		}
-		st.filters = append(st.filters, bf)
-	}
-	st.dims = make([]boundDim, 0, len(pl.dims))
-	for _, d := range pl.dims {
-		bd, err := bindDim(sc, d)
-		if err != nil {
-			return nil, err
-		}
-		st.dims = append(st.dims, bd)
-	}
-	st.aggs = make([]boundAgg, 0, len(pl.aggs))
-	for _, ap := range pl.aggs {
-		ba, err := pl.bindAgg(sc, ap)
-		if err != nil {
-			return nil, err
-		}
-		st.aggs = append(st.aggs, ba)
-	}
-	return st, nil
-}
-
-// bindFilter binds one filter: a selection-vector filterer for the
-// columnar kernel (over the chunk as it lies), a per-row test for the
-// row-wise one. A probe over an RLE FK chunk chases each run's key through
-// the AIR chain once, here.
-func (pl *plan) bindFilter(sc *segChunks, f *scanFilter) (boundFilter, error) {
-	if f.root != nil {
-		c, err := sc.col(f.root.col)
-		if err != nil {
-			return boundFilter{}, err
-		}
-		if sc.decode {
-			test, err := f.root.pred.Matcher(c)
-			return boundFilter{test: test}, err
-		}
-		filt, err := f.root.pred.Filterer(c)
-		return boundFilter{filt: filt}, err
-	}
-	bf := boundFilter{probe: f.probe}
-	c, err := sc.col(f.probe.fk0)
-	if err != nil {
-		return bf, err
-	}
-	switch c := c.(type) {
-	case *storage.RLECol:
-		fk, err := int32Values(f.probe.fk0, c.Vals)
-		if err != nil {
-			return bf, err
-		}
-		bf.runEnd, bf.runPass = c.End, make([]bool, len(fk))
-		for ri, x := range fk {
-			bf.runPass[ri] = f.probe.passValue(x)
-		}
-	case *storage.FoRCol:
-		bf.keys, err = int32Keys(f.probe.fk0, c)
-	default:
-		bf.fk0, err = int32Values(f.probe.fk0, c)
-	}
-	return bf, err
-}
-
-// bindDim binds one group dimension; an RLE chunk gets its group id per
-// run here.
-func bindDim(sc *segChunks, d *groupDim) (boundDim, error) {
-	bd := boundDim{d: d}
-	name := d.col
-	if d.kind == gdLeafVec {
-		name = d.fk0
-	}
-	c, err := sc.col(name)
-	if err != nil {
-		return bd, err
-	}
-	if rle, ok := c.(*storage.RLECol); ok {
-		bd.runEnd = rle.End
-		c = rle.Vals
-	}
-	switch d.kind {
-	case gdLeafVec:
-		if f, ok := c.(*storage.FoRCol); ok {
-			bd.keys, err = int32Keys(name, f)
-			return bd, err
-		}
-		fk, err := int32Values(name, c)
-		if err != nil || bd.runEnd == nil {
-			bd.fk0 = fk
-			return bd, err
-		}
-		bd.runIDs = make([]int32, len(fk))
-		for ri, x := range fk {
-			bd.runIDs[ri] = d.leafID(x)
-		}
-	case gdRootDict:
-		dc, ok := c.(*storage.DictCol)
-		if !ok {
-			return bd, fmt.Errorf("core: segment column %s is not dict-compressed", name)
-		}
-		if bd.runEnd != nil {
-			bd.runIDs = dc.Codes
-		} else {
-			bd.codes = dc.Codes
-		}
-	default:
-		if bd.runEnd != nil {
-			bd.runIDs = make([]int32, len(bd.runEnd))
-			for ri := range bd.runIDs {
-				v, _ := storage.Int64At(c, ri)
-				bd.runIDs[ri] = int32(v - d.base)
-			}
-			return bd, nil
-		}
-		switch c := c.(type) {
-		case *storage.FoRCol:
-			bd.keys = c
-		case *storage.Int32Col:
-			bd.i32 = c.V
-		case *storage.Int64Col:
-			bd.i64 = c.V
-		case *storage.Float64Col:
-			bd.f64 = c.V
-		default:
-			return bd, fmt.Errorf("core: segment column %s is not numeric", name)
-		}
-	}
-	return bd, nil
-}
-
-// bindAgg binds one aggregate: on the array backend, the operands of a
-// recognized fast form — plain arrays, or integer chunks as they lie when
-// any operand is encoded; everywhere else, and whenever the fast form does
-// not cover it, the generic evaluator over per-row accessors.
-func (pl *plan) bindAgg(sc *segChunks, ap *aggPlan) (boundAgg, error) {
-	ba := boundAgg{ap: ap}
-	if ap.agg.Expr == nil {
-		return ba, nil
-	}
-	if ap.fastTry && pl.useArray {
-		a, b := sc.cols[ap.colA], sc.cols[ap.colB]
-		if storage.ChunkEncoding(a) != storage.EncPlain || storage.ChunkEncoding(b) != storage.EncPlain {
-			if ap.form != expr.FMulOneMinus && intChunk(a) && (ap.colB == "" || intChunk(b)) {
-				ba.encA, ba.encB, ba.fast = a, b, true
-			}
-		} else {
-			assign := func(c storage.Column, i32 *[]int32, i64 *[]int64, f64 *[]float64) bool {
-				switch c := c.(type) {
-				case *storage.Int32Col:
-					*i32 = c.V
-				case *storage.Int64Col:
-					*i64 = c.V
-				case *storage.Float64Col:
-					*f64 = c.V
-				default:
-					return false
-				}
-				return true
-			}
-			ba.fast = assign(a, &ba.aI32, &ba.aI64, &ba.aF64) &&
-				(ap.colB == "" || assign(b, &ba.bI32, &ba.bI64, &ba.bF64))
-		}
-		// sumLoop covers SUM/AVG of a single column whatever its type or
-		// encoding, so such an aggregate needs no evaluator.
-		if ba.fast && ap.form == expr.FCol && (ap.kind == expr.Sum || ap.kind == expr.Avg) {
-			return ba, nil
-		}
-	}
-	eval, err := expr.Compile(ap.agg.Expr, func(name string) (func(int32) float64, error) {
-		eb := ap.binds[name]
-		if eb == nil {
-			return nil, fmt.Errorf("core: unbound column %s", name)
-		}
-		if eb.onRoot {
-			c, err := sc.col(eb.rootCol)
-			if err != nil {
-				return nil, err
-			}
-			return expr.ColAccessor(c)
-		}
-		key, err := sc.keyAt(eb.fk0)
-		if err != nil {
-			return nil, err
-		}
-		acc, fks := eb.acc, eb.dimFKs
-		if len(fks) == 0 {
-			return func(r int32) float64 { return acc(key(r)) }, nil
-		}
-		return func(r int32) float64 {
-			x := key(r)
-			for _, fk := range fks {
-				x = fk[x]
-			}
-			return acc(x)
-		}, nil
-	})
-	ba.eval = eval
-	return ba, err
-}
-
-// intChunk reports whether c is an integer chunk, plain or encoded.
-func intChunk(c storage.Column) bool {
-	return c != nil && (c.Type() == storage.TInt32 || c.Type() == storage.TInt64)
-}
-
 // mayMatchSegment reports whether a filter could select any row of the
 // segment, consulting zone maps. Conservative: unknown shapes return true.
 func (f *scanFilter) mayMatchSegment(sv *storage.SegView) bool {

@@ -21,6 +21,8 @@ func (pl *plan) processMorselRowWise(w *worker, st *agg.State, es execSeg, lo, h
 	t0 := time.Now()
 	w.stats.RowsScanned += int64(hi - lo)
 	key := w.key
+	one := append(w.sel[:0], 0)
+	w.sel = one
 	h := st.Hash()
 	kinds := h.Kinds()
 rows:
@@ -29,12 +31,21 @@ rows:
 			continue
 		}
 		for i := range bound.filters {
-			if !bound.filters[i].keep(r) {
+			f := &bound.filters[i]
+			if f.probe != nil {
+				if !f.probe.passValue(int32(f.keys.at(r))) {
+					continue rows
+				}
+				continue
+			}
+			one[0] = r // a filterer over a one-row selection
+			if len(f.filt(one)) == 0 {
 				continue rows
 			}
 		}
 		for k := range bound.dims {
-			id := bound.dims[k].id(r)
+			b := &bound.dims[k]
+			id := b.idOf(b.col.at(r))
 			if id < 0 {
 				continue rows
 			}

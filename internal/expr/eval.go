@@ -210,7 +210,7 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 		for ri := range pass {
 			pass[ri] = m(int32(ri))
 		}
-		return rleSelFilter(col.End, pass), nil
+		return func(sel []int32) []int32 { return storage.KeepRuns(sel, col.End, pass) }, nil
 
 	case *storage.FoRCol:
 		if f := p.forFilterer(col); f != nil {
@@ -231,26 +231,6 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 		}
 		return out
 	}, nil
-}
-
-// rleSelFilter builds a run-cursor selection filter over precomputed
-// per-run verdicts. Selection vectors are ascending, so the cursor only
-// moves forward; it is re-initialized on every call, making the returned
-// closure safe for concurrent use across scan workers.
-func rleSelFilter(end []int32, pass []bool) func(sel []int32) []int32 {
-	return func(sel []int32) []int32 {
-		out := sel[:0]
-		ri := 0
-		for _, r := range sel {
-			for end[ri] <= r {
-				ri++
-			}
-			if pass[ri] {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
 }
 
 // forFilterer compiles an integer comparison into the delta domain of FoR

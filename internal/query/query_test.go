@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -91,6 +92,23 @@ func TestResultSort(t *testing.T) {
 	}
 	if err := r.Sort([]OrderKey{{Col: "bogus"}}); err == nil {
 		t.Fatal("sort by unknown column accepted")
+	}
+
+	// Tied ORDER BY values fall back to the full key ascending, also under
+	// DESC; a NaN aggregate sorts before every number, so last under DESC.
+	n := &Result{GroupCols: []string{"k"}, AggNames: []string{"v"}, Rows: []Row{
+		{Keys: []Value{NumValue(3)}, Aggs: []float64{1}},
+		{Keys: []Value{NumValue(1)}, Aggs: []float64{math.NaN()}},
+		{Keys: []Value{NumValue(2)}, Aggs: []float64{1}},
+		{Keys: []Value{NumValue(0)}, Aggs: []float64{5}},
+	}}
+	if err := n.Sort([]OrderKey{{Col: "v", Desc: true}}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []float64{0, 2, 3, 1} {
+		if got := n.Rows[i].Keys[0].Num; got != want {
+			t.Fatalf("DESC with ties and NaN: row %d has key %g, want %g (rows %+v)", i, got, want, n.Rows)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -91,7 +92,9 @@ func (r *Result) colIndex(name string) (idx int, isAgg bool, err error) {
 
 // Sort orders the rows by the given keys, breaking remaining ties by the
 // full group key so results are deterministic regardless of execution
-// order (workers, hash iteration).
+// order (workers, hash iteration); Sort(nil) orders by the full group key
+// alone. Aggregates compare as cmp.Compare does — a NaN before every
+// number — so the order is total.
 func (r *Result) Sort(order []OrderKey) error {
 	type sortKey struct {
 		idx   int
@@ -106,34 +109,27 @@ func (r *Result) Sort(order []OrderKey) error {
 		}
 		keys = append(keys, sortKey{idx, isAgg, o.Desc})
 	}
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := &r.Rows[i], &r.Rows[j]
+	slices.SortFunc(r.Rows, func(a, b Row) int {
 		for _, k := range keys {
 			var c int
 			if k.isAgg {
-				switch {
-				case a.Aggs[k.idx] < b.Aggs[k.idx]:
-					c = -1
-				case a.Aggs[k.idx] > b.Aggs[k.idx]:
-					c = 1
-				}
+				c = cmp.Compare(a.Aggs[k.idx], b.Aggs[k.idx])
 			} else {
 				c = a.Keys[k.idx].Compare(b.Keys[k.idx])
 			}
+			if k.desc {
+				c = -c
+			}
 			if c != 0 {
-				if k.desc {
-					return c > 0
-				}
-				return c < 0
+				return c
 			}
 		}
-		// Tiebreak on the full group key.
 		for x := range a.Keys {
 			if c := a.Keys[x].Compare(b.Keys[x]); c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	return nil
 }
@@ -145,23 +141,10 @@ func (r *Result) Truncate(limit int) {
 	}
 }
 
-// Canonical sorts rows by their full group key, for comparison.
-func (r *Result) Canonical() {
-	sort.Slice(r.Rows, func(i, j int) bool {
-		a, b := &r.Rows[i], &r.Rows[j]
-		for x := range a.Keys {
-			if c := a.Keys[x].Compare(b.Keys[x]); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
 // Diff compares two results as ordered sets of groups with a relative
 // floating-point tolerance on aggregates, returning a descriptive error on
-// the first difference. Both results are canonicalized first, so execution
-// order does not matter. It is the backbone of the engine-equivalence test
+// the first difference. Both results are sorted by their full group key
+// first, so execution order does not matter. It is the backbone of the engine-equivalence test
 // suite.
 func Diff(a, b *Result, tol float64) error {
 	if len(a.GroupCols) != len(b.GroupCols) || len(a.AggNames) != len(b.AggNames) {
@@ -174,8 +157,8 @@ func Diff(a, b *Result, tol float64) error {
 	ac, bc := *a, *b
 	ac.Rows = append([]Row(nil), a.Rows...)
 	bc.Rows = append([]Row(nil), b.Rows...)
-	ac.Canonical()
-	bc.Canonical()
+	_ = ac.Sort(nil)
+	_ = bc.Sort(nil)
 	for i := range ac.Rows {
 		ra, rb := ac.Rows[i], bc.Rows[i]
 		for k := range ra.Keys {

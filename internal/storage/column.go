@@ -213,7 +213,7 @@ func Int64At(c Column, i int) (v int64, ok bool) {
 	case *DictCol:
 		return int64(c.Codes[i]), true
 	case *RLECol:
-		return Int64At(c.Vals, findRun(c.End, i))
+		return Int64At(c.Vals, FindRun(c.End, i))
 	case *FoRCol:
 		return c.At(i), true
 	default:
@@ -229,7 +229,7 @@ func StringAt(c Column, i int) (s string, ok bool) {
 	case *DictCol:
 		return c.Value(i), true
 	case *RLECol:
-		return StringAt(c.Vals, findRun(c.End, i))
+		return StringAt(c.Vals, FindRun(c.End, i))
 	default:
 		return "", false
 	}

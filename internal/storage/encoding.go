@@ -28,12 +28,13 @@ import (
 // Encoded chunks implement Column so every generic path (flatten,
 // consolidation, persistence) keeps working, but their mutating methods
 // panic: encoding is applied only at seal/rebuild time and undone by
-// cloneChunk before any write. A column-wise scan reads encoded chunks
-// where they lie: it walks an RLE chunk's runs with a cursor, and reads a
-// FoR chunk's fields in place through Gather, FilterDelta and At — this
-// file is the one place that knows the bit layout. DecodeChunk, the one
-// decoder, expands a chunk to plain form for copy-on-write and for the
-// row-wise scan kernel.
+// cloneChunk before any write. Every scan reads encoded chunks where they
+// lie: it walks an RLE chunk's runs with the one run cursor (or finds a
+// single row's run with FindRun), and reads a FoR chunk's fields in place
+// through Gather, FilterDelta and At — this file is the one place that
+// knows the bit layout. DecodeChunk, the one decoder, expands a chunk to
+// plain form for copy-on-write and for the table-wide passes (flattening,
+// foreign-key checks).
 
 // Encoding identifies the physical representation of a chunk.
 type Encoding uint8
@@ -78,10 +79,70 @@ func sealedOnly() {
 	panic("storage: encoded chunks are sealed-only (decode via cloneChunk before writing)")
 }
 
-// findRun returns the index of the run containing row i, given cumulative
-// exclusive run ends.
-func findRun(end []int32, i int) int {
+// FindRun returns the index of the run containing row i, given cumulative
+// exclusive run ends: a binary search, for reads at one row. A walk over
+// ascending rows uses RunIndex or KeepRuns instead.
+func FindRun(end []int32, i int) int {
 	return sort.Search(len(end), func(ri int) bool { return end[ri] > int32(i) })
+}
+
+// runCursor maps ascending rows of an RLE chunk to the runs that hold them,
+// moving forward only. It is the engine's one run cursor: the column-wise
+// kernel's run index (RunIndex) and the run-at-a-time filters (KeepRuns)
+// walk their selection vectors with it. A cursor is a value private to one
+// walk, so the chunk it reads stays safe to share across concurrent scans.
+type runCursor struct {
+	end []int32
+	ri  int32
+}
+
+// newRunCursor returns a cursor over the runs ending at end (an RLECol's
+// End), placed at the run that holds row first.
+func newRunCursor(end []int32, first int32) runCursor {
+	return runCursor{end: end, ri: int32(FindRun(end, int(first)))}
+}
+
+// run returns the run that holds row r; r must not be less than the row of
+// the previous call or the cursor's first row.
+func (c *runCursor) run(r int32) int32 {
+	end, ri := c.end, c.ri
+	for end[ri] <= r {
+		ri++
+	}
+	c.ri = ri
+	return ri
+}
+
+// RunIndex sets dst[j] to the run that holds row sel[j] of the chunk whose
+// runs end at end, for an ascending selection vector sel. It reuses dst's
+// storage and returns it resized to len(sel).
+func RunIndex(dst, end, sel []int32) []int32 {
+	dst = slices.Grow(dst[:0], len(sel))[:len(sel)]
+	if len(sel) == 0 {
+		return dst
+	}
+	cur := newRunCursor(end, sel[0])
+	for j, r := range sel {
+		dst[j] = cur.run(r)
+	}
+	return dst
+}
+
+// KeepRuns keeps the rows of the ascending selection vector sel whose run,
+// in the chunk whose runs end at end, passes (pass[run]), compacting sel in
+// place: a filter decided once per run.
+func KeepRuns(sel, end []int32, pass []bool) []int32 {
+	out := sel[:0]
+	if len(sel) == 0 {
+		return out
+	}
+	cur := newRunCursor(end, sel[0])
+	for _, r := range sel {
+		if pass[cur.run(r)] {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // RLECol is a run-length encoded chunk: Vals.At(ri) repeats for local rows

@@ -1,9 +1,12 @@
 package storage_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"astore/internal/expr"
@@ -185,6 +188,145 @@ func FuzzFoRReader(f *testing.F) {
 			}
 			if n != len(kept) {
 				t.Fatalf("%s over %+v: kept %d rows, want %d", p, c, len(kept), n)
+			}
+		}
+	})
+}
+
+// chunkModeInt64 and chunkModeRuns are the bits of FuzzChunkReader's mode
+// argument: int64 rather than int32 values, and each value repeated over
+// chunkRunLength rows, runs long enough that EncodeChunk picks RLE.
+const (
+	chunkModeInt64 = 1
+	chunkModeRuns  = 2
+	chunkRunLength = 64
+)
+
+// forPacked builds the FoR form of v field by field, independently of
+// EncodeChunk: Base the minimum, Width the bits of the widest delta.
+func forPacked(typ storage.Type, v []int64) *storage.FoRCol {
+	lo, hi := slices.Min(v), slices.Max(v)
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	c := &storage.FoRCol{Typ: typ, Base: lo, Width: uint8(width), N: len(v)}
+	if width == 0 {
+		return c
+	}
+	c.Words = make([]uint64, (len(v)*width+63)/64)
+	for i, x := range v {
+		d, word, off := uint64(x)-uint64(lo), i*width/64, i*width%64
+		c.Words[word] |= d << off
+		if off+width > 64 {
+			c.Words[word+1] |= d >> (64 - off)
+		}
+	}
+	return c
+}
+
+// FuzzChunkReader: the in-place reads the scan kernels make at an ascending
+// selection vector return the plain value at every selected row, for the
+// RLE and FoR forms of the same int32 or int64 values and for the form
+// EncodeChunk picks: RunIndex (the shared run cursor) and FindRun over an
+// RLE chunk's runs, and Gather over a FoR chunk. pick selects row i when
+// bit i%8 of pick[i/8 % len(pick)] is set (every row when pick is empty).
+func FuzzChunkReader(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for _, mode := range []uint8{0, chunkModeInt64, chunkModeRuns, chunkModeRuns | chunkModeInt64} {
+		raw := make([]byte, 256)
+		rng.Read(raw)
+		f.Add(raw, mode, []byte{0x5a, 0x01, 0xff})
+		f.Add(raw[:8], mode, []byte{})
+	}
+	f.Add(bytes.Repeat([]byte{0xff}, 64), uint8(chunkModeRuns), []byte{0x80})
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0x7f}, 16), uint8(chunkModeInt64), []byte{0x0f})
+
+	f.Fuzz(func(t *testing.T, raw []byte, mode uint8, pick []byte) {
+		// At most 4 KiB of values, at most 64 rows each: rows stay bounded
+		// by the input's size.
+		raw, pick = raw[:min(len(raw), 4<<10)], pick[:min(len(pick), 4<<10)]
+		typ, size := storage.TInt32, 4
+		if mode&chunkModeInt64 != 0 {
+			typ, size = storage.TInt64, 8
+		}
+		rep := 1
+		if mode&chunkModeRuns != 0 {
+			rep = chunkRunLength
+		}
+		var want []int64
+		for i := 0; i+size <= len(raw); i += size {
+			v := int64(binary.LittleEndian.Uint64(append(raw[i:i+size:i+size], make([]byte, 8-size)...)))
+			if size == 4 {
+				v = int64(int32(v))
+			}
+			for range rep {
+				want = append(want, v)
+			}
+		}
+		if len(want) == 0 {
+			return
+		}
+		var sel []int32
+		for i := range want {
+			if len(pick) == 0 || pick[i/8%len(pick)]&(1<<(i%8)) != 0 {
+				sel = append(sel, int32(i))
+			}
+		}
+
+		rle := &storage.RLECol{}
+		var runs []int64
+		for i, v := range want {
+			if i == 0 || v != want[i-1] {
+				runs = append(runs, v)
+				rle.End = append(rle.End, 0)
+			}
+			rle.End[len(rle.End)-1] = int32(i + 1)
+		}
+		rle.Vals = storage.NewInt64Col(runs)
+		if typ == storage.TInt32 {
+			v32 := make([]int32, len(runs))
+			for i, v := range runs {
+				v32[i] = int32(v)
+			}
+			rle.Vals = storage.NewInt32Col(v32)
+		}
+		chunks := []storage.Column{rle, forPacked(typ, want)}
+		var plain storage.Column = storage.NewInt64Col(want)
+		if typ == storage.TInt32 {
+			plain = storage.DecodeChunk(rle)
+		}
+		enc, ok := storage.EncodeChunk(plain, len(want))
+		if ok {
+			chunks = append(chunks, enc)
+		}
+		if mode&chunkModeRuns != 0 && len(runs) > 1 && !ok {
+			t.Fatalf("%d runs of %d rows: EncodeChunk kept the chunk plain", len(runs), chunkRunLength)
+		}
+		for _, c := range chunks {
+			switch c := c.(type) {
+			case *storage.RLECol:
+				idx := storage.RunIndex(make([]int32, len(pick)%4), c.End, sel)
+				if len(idx) != len(sel) {
+					t.Fatalf("RunIndex returned %d runs for %d rows", len(idx), len(sel))
+				}
+				for j, r := range sel {
+					if got, _ := storage.Int64At(c.Vals, int(idx[j])); got != want[r] {
+						t.Fatalf("RLE run cursor: row %d in run %d = %d, plain %d", r, idx[j], got, want[r])
+					}
+					if ri := storage.FindRun(c.End, int(r)); ri != int(idx[j]) {
+						t.Fatalf("row %d: FindRun %d, run cursor %d", r, ri, idx[j])
+					}
+				}
+			case *storage.FoRCol:
+				got := c.Gather(make([]int64, len(raw)%4), sel)
+				if len(got) != len(sel) {
+					t.Fatalf("Gather returned %d values for %d rows", len(got), len(sel))
+				}
+				for j, r := range sel {
+					if got[j] != want[r] {
+						t.Fatalf("FoR Gather (base %d, width %d): row %d = %d, plain %d", c.Base, c.Width, r, got[j], want[r])
+					}
+				}
+			default:
+				t.Fatalf("EncodeChunk returned a %T", c)
 			}
 		}
 	})

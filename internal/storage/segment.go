@@ -108,7 +108,7 @@ func (z *Zone) cover(c Column, lo, hi int) bool {
 	case *RLECol:
 		// The zone of rows [lo, hi) is the zone of the runs covering them.
 		if hi > lo {
-			return z.cover(c.Vals, findRun(c.End, lo), findRun(c.End, hi-1)+1)
+			return z.cover(c.Vals, FindRun(c.End, lo), FindRun(c.End, hi-1)+1)
 		}
 	case *FoRCol:
 		for i := lo; i < hi; i++ {
