@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"astore/internal/expr"
 	"astore/internal/query"
@@ -236,11 +235,24 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
+// randomQuerySeeds is the fixed seed corpus of TestRandomQueriesQuick. Each
+// seed draws the fixture size, the query and the worker counts, so a fixed
+// corpus keeps every subtest name, and any failure, the same from run to run.
+var randomQuerySeeds = []int64{
+	-1998415166030463149, -2071797479309650266, -3148206171242133863, -3961095885193918327,
+	-5684599528306067570, -6230100166399805996, -6513798106024989530, -6591377241571987810,
+	-7836772573385229322, -8449486026991874837, -8784848634262735225, 1983761610793125607,
+	286102425071498300, 3891810446147824662, 419107948600921584, 5447853045226353982,
+	5492752723090031442, 61198464446027797, 6331434868611295400, 6376256759527081243,
+	6439498864177145174, 6657681130622898352, 7629450563294975746, 7877929647650150745,
+	8029006816208837216,
+}
+
 // Property: random queries over random star schemas agree across all
 // variants and the oracle.
 func TestRandomQueriesQuick(t *testing.T) {
 	groupCols := []string{"d_year", "d_month", "c_region", "c_nation", "p_brand", "f_discount", "f_tag"}
-	f := func(seed int64) bool {
+	for _, seed := range randomQuerySeeds {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(2000) + 100
 
@@ -277,11 +289,8 @@ func TestRandomQueriesQuick(t *testing.T) {
 			workers := 1 + rng.Intn(3)
 			targets = append(targets, engineTarget(fmt.Sprintf("%s/w%d", v, workers), Options{Variant: v, Workers: workers}, nil))
 		}
-		return t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			matrix([]*query.Query{q}, testutil.Star(seed, n, 0), targets...).Run(t)
 		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }
