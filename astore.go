@@ -18,36 +18,21 @@
 //
 // The entry point is OpenDB: it registers every fact table of a catalog
 // and serves queries with snapshot isolation, plan caching, and context
-// cancellation.
+// cancellation. ExampleOpenDB builds a three-table star schema, prepares a
+// SQL statement over it and runs the builder form of the same query; go
+// test checks its printed output, and that of the examples named below.
 //
-//	dim := astore.NewTable("color")
-//	dim.MustAddColumn("name", astore.NewStrCol([]string{"red", "green"}))
-//
-//	fact := astore.NewTable("sales")
-//	fact.MustAddColumn("color_fk", astore.NewInt32Col([]int32{0, 1, 0}))
-//	fact.MustAddColumn("amount", astore.NewInt64Col([]int64{10, 20, 30}))
-//	fact.MustAddFK("color_fk", dim)
-//
-//	catalog := astore.NewDatabase()
-//	catalog.MustAdd(fact)
-//	catalog.MustAdd(dim)
-//
-//	db, _ := astore.OpenDB(catalog, astore.Options{})
-//	stmt, _ := db.PrepareSQL(
-//		`SELECT name, sum(amount) AS total FROM sales GROUP BY name ORDER BY name`)
-//	res, _ := stmt.Exec(context.Background())
-//	fmt.Print(res.Format())
-//
-// Re-executing stmt skips planning while the tables are unmodified (the
-// compiled plan is cached and invalidated by table version counters), and
-// every execution pins a copy-on-write snapshot, so writers may insert,
-// update, and delete concurrently through the Table API.
+// Re-executing a prepared statement skips planning while the tables are
+// unmodified (the compiled plan is cached and invalidated by table version
+// counters), and every execution pins a copy-on-write snapshot, so writers
+// may insert, update, and delete concurrently through the Table API
+// (ExampleConsolidate). ExampleNewLoader imports CSV with natural keys,
+// Example_snowflake shows predicate folding down a four-hop chain, and
+// Example_nested runs a nested query as single-rooted pieces.
 //
 // The builder API (NewQuery, predicates, aggregates) constructs the same
 // queries programmatically; DB.Prepare and DB.Run route them to the right
-// fact table by column resolution. The lower-level per-fact-table Open /
-// Engine.Run path remains for direct engine experiments (benchmark
-// variants, explain) but provides no snapshot isolation or plan cache.
+// fact table by column resolution.
 //
 // The subpackages under internal implement the storage model, the serving
 // layer, the scan variants of the paper's Table 6, the baseline engines
@@ -162,7 +147,8 @@ func NewServer(d *DB, cfg ServerConfig) *Server { return server.New(d, cfg) }
 
 // Engine.
 type (
-	// Engine executes SPJGA queries over a star/snowflake schema.
+	// Engine executes SPJGA queries over the star/snowflake schema of one
+	// fact table; DB.Engine returns the one a DB runs for that table.
 	Engine = core.Engine
 	// Options configure an Engine (and, through OpenDB, every engine of a
 	// DB).
@@ -260,15 +246,6 @@ func NewLoader(db *Database) *Loader { return load.NewLoader(db) }
 // mutate tables concurrently. The schema must not change after OpenDB;
 // table contents may.
 func OpenDB(catalog *Database, opt Options) (*DB, error) { return db.Open(catalog, opt) }
-
-// Open builds an engine over the star/snowflake schema reachable from the
-// root (fact) table.
-//
-// Deprecated: Open returns a bare per-fact-table engine with no snapshot
-// isolation, plan caching, or cancellation; it remains for benchmark
-// harnesses and variant experiments. New code should build a catalog and
-// use OpenDB.
-func Open(root *Table, opt Options) (*Engine, error) { return core.New(root, opt) }
 
 // Denormalize physically materializes the universal table (the baseline the
 // paper calls real denormalization); any engine can then run the same

@@ -1,6 +1,7 @@
 package astore_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,11 +20,14 @@ func TestQuickstart(t *testing.T) {
 	fact.MustAddColumn("amount", astore.NewInt64Col([]int64{10, 20, 30}))
 	fact.MustAddFK("color_fk", dim)
 
-	eng, err := astore.Open(fact, astore.Options{})
+	catalog := astore.NewDatabase()
+	catalog.MustAdd(fact)
+	catalog.MustAdd(dim)
+	db, err := astore.OpenDB(catalog, astore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(astore.NewQuery("by-color").
+	res, err := db.Run(context.Background(), astore.NewQuery("by-color").
 		GroupByCols("name").
 		Agg(astore.SumOf(astore.C("amount"), "total")).
 		OrderAsc("name"))
@@ -69,11 +73,11 @@ func TestFacadeVariantsAndPredicates(t *testing.T) {
 		astore.VariantAuto, astore.VariantRowWise, astore.VariantRowWisePF,
 		astore.VariantColWise, astore.VariantColWisePF, astore.VariantColWisePFG,
 	} {
-		eng, err := astore.Open(fact, astore.Options{Variant: v, Workers: 2})
+		db, err := astore.OpenDB(testutil.Catalog(fact), astore.Options{Variant: v, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Run(q)
+		got, err := db.Run(context.Background(), q)
 		if err != nil {
 			t.Fatalf("[%s]: %v", v, err)
 		}
@@ -108,13 +112,15 @@ func TestFacadeDenormalize(t *testing.T) {
 	}
 }
 
+// mustOpenRun serves q from a DB over root and every table it reaches; the
+// denormalized wide table is a one-table catalog.
 func mustOpenRun(t *testing.T, root *astore.Table, q *astore.Query) (*astore.Result, error) {
 	t.Helper()
-	eng, err := astore.Open(root, astore.Options{})
+	db, err := astore.OpenDB(testutil.Catalog(root), astore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng.Run(q)
+	return db.Run(context.Background(), q)
 }
 
 // TestFacadeUpdatesAndConsolidate exercises the update/consolidation API.
@@ -125,25 +131,25 @@ func TestFacadeUpdatesAndConsolidate(t *testing.T) {
 	fact.MustAddColumn("fk", astore.NewInt32Col([]int32{0, 2, 2}))
 	fact.MustAddColumn("v", astore.NewInt64Col([]int64{1, 2, 3}))
 	fact.MustAddFK("fk", dim)
-	db := astore.NewDatabase()
-	db.MustAdd(dim)
-	db.MustAdd(fact)
+	catalog := astore.NewDatabase()
+	catalog.MustAdd(dim)
+	catalog.MustAdd(fact)
 
 	if err := dim.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	remap, err := astore.Consolidate(db, dim)
+	remap, err := astore.Consolidate(catalog, dim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if remap[2] != 1 {
 		t.Fatalf("remap = %v", remap)
 	}
-	eng, err := astore.Open(fact, astore.Options{})
+	db, err := astore.OpenDB(catalog, astore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(astore.NewQuery("q").
+	res, err := db.Run(context.Background(), astore.NewQuery("q").
 		GroupByCols("name").
 		Agg(astore.CountStar("n")).
 		OrderAsc("name"))

@@ -1,6 +1,7 @@
 package astore_test
 
 import (
+	"context"
 	"testing"
 
 	"astore"
@@ -12,7 +13,7 @@ import (
 // result against the builder form of the same query.
 func TestParseQueryThroughFacade(t *testing.T) {
 	fact := testutil.BuildStar(51, 1500)
-	eng, err := astore.Open(fact, astore.Options{})
+	db, err := astore.OpenDB(testutil.Catalog(fact), astore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,12 @@ func TestParseQueryThroughFacade(t *testing.T) {
 		).
 		OrderDesc("profit")
 
-	got, err := eng.Run(parsed)
+	ctx := context.Background()
+	got, err := db.Run(ctx, parsed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eng.Run(built)
+	want, err := db.Run(ctx, built)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,8 +177,10 @@ func (p Pred) String() string {
 	}
 }
 
-// matchInt tests an integer value against the predicate's operands.
-func (p Pred) matchInt(v int64) bool {
+// matchInt tests an integer value against the predicate's operands. The
+// match methods take a pointer: Matcher's closures call them once per
+// tested row, and a value receiver would copy the whole Pred each time.
+func (p *Pred) matchInt(v int64) bool {
 	switch p.Op {
 	case Eq:
 		return v == p.IVal
@@ -206,7 +208,7 @@ func (p Pred) matchInt(v int64) bool {
 }
 
 // matchFloat tests a float value against the predicate's operands.
-func (p Pred) matchFloat(v float64) bool {
+func (p *Pred) matchFloat(v float64) bool {
 	lo, hi := p.FVal, p.FHi
 	if p.Kind == KInt {
 		lo, hi = float64(p.IVal), float64(p.IHi)
@@ -238,7 +240,7 @@ func (p Pred) matchFloat(v float64) bool {
 }
 
 // matchStr tests a string value against the predicate's operands.
-func (p Pred) matchStr(v string) bool {
+func (p *Pred) matchStr(v string) bool {
 	switch p.Op {
 	case Eq:
 		return v == p.SVal

@@ -210,6 +210,9 @@ func (r *Result) Format() string {
 				sb.WriteString("  ")
 			}
 			sb.WriteString(c)
+			if i == len(line)-1 {
+				break // no trailing blanks after the last column
+			}
 			for pad := len(c); pad < widths[i]; pad++ {
 				sb.WriteByte(' ')
 			}
