@@ -2,6 +2,7 @@ package astore_test
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"astore"
 	"astore/internal/datagen/ssb"
 	"astore/internal/query"
+	"astore/internal/storage"
 )
 
 // TestOpenDBQuickstart exercises the documented DB-first flow end to end:
@@ -258,5 +260,59 @@ func BenchmarkDBColdRun(b *testing.B) {
 		if _, err := db.Run(ctx, q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestForeignKeyWritesChecked: Insert and Update refuse a foreign key that
+// is not a live row of the referenced table with storage.ErrForeignKey and
+// write nothing, so the next query answers instead of indexing past the
+// dimension's arrays.
+func TestForeignKeyWritesChecked(t *testing.T) {
+	dim := astore.NewTable("color")
+	dim.MustAddColumn("name", astore.NewStrCol([]string{"red", "green"}))
+	fact := astore.NewTable("sales")
+	fact.MustAddColumn("fk", astore.NewInt32Col([]int32{0, 1, 0}))
+	fact.MustAddColumn("amount", astore.NewInt64Col([]int64{10, 20, 30}))
+	fact.MustAddFK("fk", dim)
+	catalog := astore.NewDatabase()
+	catalog.MustAdd(fact)
+	catalog.MustAdd(dim)
+	db, err := astore.OpenDB(catalog, astore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fact.Update(0, "fk", int32(7)); !errors.Is(err, storage.ErrForeignKey) {
+		t.Fatalf("fk 7 into a 2-row dimension: err = %v, want ErrForeignKey", err)
+	}
+	if row, err := dim.Insert(map[string]any{"name": "blue"}); err != nil || dim.Delete(row) != nil {
+		t.Fatal(row, err)
+	}
+	version := fact.DataVersion()
+	for name, write := range map[string]func() error{
+		"update past the end": func() error { return fact.Update(0, "fk", int32(7)) },
+		"update negative":     func() error { return fact.Update(1, "fk", int64(-1)) },
+		"update deleted row":  func() error { return fact.Update(0, "fk", int32(2)) },
+		"insert past the end": func() error {
+			_, err := fact.Insert(map[string]any{"fk": int32(3), "amount": int64(1)})
+			return err
+		},
+		"insert deleted row": func() error {
+			_, err := fact.Insert(map[string]any{"fk": int64(2), "amount": int64(1)})
+			return err
+		},
+	} {
+		if err := write(); !errors.Is(err, storage.ErrForeignKey) {
+			t.Errorf("%s: err = %v, want ErrForeignKey", name, err)
+		}
+	}
+	if v, n := fact.DataVersion(), fact.NumRows(); v != version || n != 3 {
+		t.Fatalf("refused writes moved the table: version %d → %d, %d rows", version, v, n)
+	}
+	res, err := db.RunSQL(context.Background(), `SELECT name, sum(amount) AS total FROM sales GROUP BY name ORDER BY name`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 || res.Rows[0].Aggs[0] != 20 || res.Rows[1].Aggs[0] != 40 {
+		t.Fatalf("rows = %+v", res.Rows)
 	}
 }

@@ -44,7 +44,7 @@ func (e *VectorEngine) Run(q *query.Query) (*query.Result, error) {
 
 	// Compile root predicates once; the batch loop must not redo
 	// per-predicate setup (dictionary masks and the like) per vector.
-	filts := make([]func([]int32) []int32, len(p.rootPreds))
+	filts := make([]func(dst, sel []int32) []int32, len(p.rootPreds))
 	for i, bp := range p.rootPreds {
 		filts[i], err = bp.pred.Filterer(bp.col)
 		if err != nil {
@@ -88,7 +88,7 @@ func (e *VectorEngine) Run(q *query.Query) (*query.Result, error) {
 			if len(sel) == 0 {
 				break
 			}
-			sel = filt(sel)
+			sel = filt(sel, sel)
 		}
 
 		// Probe each dimension hash table, compacting the selection vector

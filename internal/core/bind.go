@@ -30,7 +30,8 @@ type segState struct {
 //     leaf group id — is derived once per run (a probe over an RLE chunk
 //     binds as a filterer over its per-run verdicts instead);
 //   - FoR: the values at the selected rows, gathered in place into the
-//     worker's scratch at each view and indexed 0…n−1.
+//     worker's scratch at each view and indexed by the engine's shared
+//     row numbers 0…n−1.
 //
 // The values array is whichever of i32, i64 and f64 is set; dictionary
 // codes bind as i32, and a FoR chunk's gathered values are int64.
@@ -44,21 +45,23 @@ type boundCol struct {
 
 // colBuf is one worker's scratch for one view of a boundCol.
 type colBuf struct {
-	vals     []int64 // FoR: the values gathered at the selection
-	idx      []int32 // RLE: the run of each selected row
-	ordinals []int32 // FoR: 0, 1, 2, … (the engine's, read-only)
+	vals []int64 // FoR: the values gathered at the selection
+	idx  []int32 // RLE: the run of each selected row
+	rows []int32 // FoR: 0, 1, 2, … (the engine's, read-only)
 }
 
 // view returns c's values array at the ascending selection vector sel and,
 // for each selected row, its index into that array. Whatever a view
 // computes lands in buf, the calling worker's, so a binding stays
 // read-only across the execution's concurrent workers; the result aliases
-// buf until its next view.
+// buf until its next view. sel is only read: at a morsel's first filter it
+// is a range of the engine's shared row numbers, and a plain chunk's index
+// is then that range itself.
 func (c *boundCol) view(sel []int32, buf *colBuf) (boundCol, []int32) {
 	switch {
 	case c.packed != nil:
 		buf.vals = c.packed.Gather(buf.vals, sel)
-		return boundCol{i64: buf.vals}, buf.ordinals[:len(sel)]
+		return boundCol{i64: buf.vals}, buf.rows[:len(sel)]
 	case c.runEnd != nil:
 		buf.idx = storage.RunIndex(buf.idx, c.runEnd, sel)
 		return *c, buf.idx
@@ -140,7 +143,7 @@ func bindCol(sv *storage.SegView, name string, ok func(storage.Type) bool) (boun
 // filterer (a root filter over its chunk as it lies, or a probe over an RLE
 // FK chunk, run once per run here), or a probe's first-hop FK chunk.
 type boundFilter struct {
-	filt  func([]int32) []int32
+	filt  expr.Filter
 	probe *probeFilter // shared dimension-side state
 	keys  boundCol
 }
@@ -258,7 +261,7 @@ func bindFilter(sv *storage.SegView, f *scanFilter) (boundFilter, error) {
 	for ri, x := range keys.i32 {
 		pass[ri] = f.probe.passValue(x)
 	}
-	return boundFilter{filt: func(sel []int32) []int32 { return storage.KeepRuns(sel, end, pass) }}, nil
+	return boundFilter{filt: func(dst, sel []int32) []int32 { return storage.KeepRuns(dst, sel, end, pass) }}, nil
 }
 
 // bindDim binds one group dimension; a leaf's RLE FK chunk gets its group

@@ -34,10 +34,28 @@ type Engine struct {
 	// LRU shared by every plan compiled on this engine.
 	aggCache *memCache
 
-	// ordinals is 0, 1, …, BatchRows−1, shared read-only by every worker:
-	// the index array of a FoR chunk's view (no selection is longer than a
-	// batch).
-	ordinals []int32
+	// rows is 0, 1, 2, …, at least as long as the longest segment scanned
+	// yet, shared read-only by every worker: a morsel's first filter reads
+	// its rows [lo, hi) from it, and a FoR chunk's view indexes its gathered
+	// values by it. A longer scan replaces it with a longer copy; nothing
+	// ever writes it, so a copy an execution holds stays valid.
+	rowsMu sync.Mutex
+	rows   []int32
+}
+
+// rowNumbers returns the engine's shared row numbers 0, 1, …, at least n
+// of them.
+func (e *Engine) rowNumbers(n int) []int32 {
+	e.rowsMu.Lock()
+	defer e.rowsMu.Unlock()
+	if len(e.rows) < n {
+		rows := make([]int32, max(n, 2*len(e.rows)))
+		for i := range rows {
+			rows[i] = int32(i)
+		}
+		e.rows = rows
+	}
+	return e.rows
 }
 
 // getArray returns a pooled aggregation array of the given shape, or builds
@@ -73,17 +91,12 @@ func New(root *storage.Table, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	ordinals := make([]int32, opt.BatchRows)
-	for i := range ordinals {
-		ordinals[i] = int32(i)
-	}
 	return &Engine{
 		root:     root,
 		graph:    g,
 		opt:      opt,
 		arrPool:  make(map[string][]*agg.ArrayAgg),
 		aggCache: newMemCache(opt.AggCacheBytes), // nil (disabled) when negative
-		ordinals: ordinals,
 	}, nil
 }
 

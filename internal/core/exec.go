@@ -57,8 +57,10 @@ type worker struct {
 	stats Stats // ScanNS, AggNS, RowsScanned, RowsSelected
 	err   error // why the worker stopped early: ctx.Err() or a failed merge
 
-	// Reused per-morsel buffers; bufs back the views of bound columns (two
-	// at once: a binary aggregate's operands).
+	// rows is the engine's shared row numbers, read-only, as long as the
+	// longest kept segment. Reused per-morsel buffers; bufs back the views
+	// of bound columns (two at once: a binary aggregate's operands).
+	rows  []int32
 	sel   []int32
 	mi    []int32
 	cells []*agg.Cell
@@ -209,6 +211,11 @@ func (pl *plan) scan(ctx context.Context, segs []storage.SegView, rs *runState) 
 		return nil, err
 	}
 	units := pl.makeUnits(kept)
+	longest := 0
+	for _, es := range kept {
+		longest = max(longest, es.sv.N)
+	}
+	rows := pl.eng.rowNumbers(longest)
 	workers := make([]*worker, max(1, min(pl.opt.Workers, len(units))))
 	merged := false
 	defer func() {
@@ -225,8 +232,8 @@ func (pl *plan) scan(ctx context.Context, segs []storage.SegView, rs *runState) 
 		if err != nil {
 			return nil, err
 		}
-		w := &worker{st: st, key: make([]byte, 4*len(pl.dims))}
-		w.bufs[0].ordinals, w.bufs[1].ordinals = pl.eng.ordinals, pl.eng.ordinals
+		w := &worker{st: st, key: make([]byte, 4*len(pl.dims)), rows: rows}
+		w.bufs[0].rows, w.bufs[1].rows = rows, rows
 		workers[i] = w
 	}
 	if err := pl.runWorkers(ctx, workers, kept, units); err != nil {
@@ -341,17 +348,26 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 	// completely and combine bitmaps, a selection vector shrinks after each
 	// predicate, so later columns are only probed at surviving positions —
 	// saving memory bandwidth and, under AIR, random lookups.
-	sel := w.sel[:0]
-	if del := es.sv.Del; del == nil {
+	//
+	// No identity vector is built: over a segment without deletions the
+	// first filter reads the morsel's rows [lo, hi) in order from the
+	// engine's shared row numbers, which no worker writes. A segment with
+	// deletions starts from its live rows, written to the worker's buffer.
+	// Every filter writes its survivors to that buffer (aliasing its input
+	// after the first), storing each row and advancing by its 0/1 verdict,
+	// with no branch.
+	if cap(w.sel) < hi-lo {
+		w.sel = make([]int32, hi-lo)
+	}
+	buf := w.sel[:hi-lo]
+	sel := w.rows[lo:hi]
+	if del := es.sv.Del; del != nil {
+		words, n := del.Words(), 0
 		for r := lo; r < hi; r++ {
-			sel = append(sel, int32(r))
+			buf[n] = int32(r)
+			n += int(^words[r>>6] >> (r & 63) & 1)
 		}
-	} else {
-		for r := lo; r < hi; r++ {
-			if !del.Get(r) {
-				sel = append(sel, int32(r))
-			}
-		}
+		sel = buf[:n]
 	}
 	for i := range bound.filters {
 		if len(sel) == 0 {
@@ -359,10 +375,13 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 		}
 		f := &bound.filters[i]
 		if f.filt != nil {
-			sel = f.filt(sel)
+			sel = f.filt(buf, sel)
 		} else {
-			sel = filterProbe(w, f, sel)
+			sel = filterProbe(w, f, buf, sel)
 		}
+	}
+	if len(bound.filters) == 0 {
+		sel = append(buf[:0], sel...) // grouping compacts sel in place
 	}
 
 	// Phase 2b (array backend): grouping — compute the measure index. For
@@ -392,49 +411,51 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 	w.stats.AggNS += time.Since(t1).Nanoseconds()
 }
 
-// filterProbe refines the selection vector through one probe filter: the
-// FK chunk's key at each selected row is tested against the predicate
+// filterProbe writes to dst the selected rows that pass one probe filter:
+// the FK chunk's key at each selected row is tested against the predicate
 // vector, or chased along the AIR chain to the direct matcher.
-func filterProbe(w *worker, f *boundFilter, sel []int32) []int32 {
+func filterProbe(w *worker, f *boundFilter, dst, sel []int32) []int32 {
 	keys, idx := f.keys.view(sel, &w.bufs[0])
 	if keys.i32 != nil {
-		return probeKeys(f.probe, sel, idx, keys.i32)
+		return probeKeys(f.probe, dst, sel, idx, keys.i32)
 	}
-	return probeKeys(f.probe, sel, idx, keys.i64)
+	return probeKeys(f.probe, dst, sel, idx, keys.i64)
 }
 
-// probeKeys keeps the selected rows sel[j] whose key keys[idx[j]] passes
-// probe p, compacting sel in place. A probe's index is the selection vector
-// itself (a plain FK chunk) or 0…n−1 over gathered keys (FoR; an RLE FK
-// chunk binds as a filterer instead), and it is the identity exactly when
-// it is as long as keys. The predicate-vector loops, the kernel loops that
-// run at the full row rate, use that: the identity reads the keys in order,
-// and an index that is the selection vector is the row itself.
-func probeKeys[K int32 | int64](p *probeFilter, sel, idx []int32, keys []K) []int32 {
-	sel = sel[:len(idx)]
-	out := sel[:0]
+// probeKeys writes to dst the selected rows sel[j] whose key keys[idx[j]]
+// passes probe p, under the expr.Filter contract. A probe's index is the
+// selection vector itself (a plain FK chunk) or 0…n−1 over gathered keys
+// (FoR; an RLE FK chunk binds as a filterer instead): ascending either way,
+// so it is one contiguous run exactly when its last entry less its first is
+// its length less one. The predicate-vector loops, the kernel loops that
+// run at the full row rate, use that: a run's keys are read in order (every
+// FoR probe, and a morsel's first filter over a plain FK chunk), and
+// otherwise an index that is the selection vector is the row itself.
+func probeKeys[K int32 | int64](p *probeFilter, dst, sel, idx []int32, keys []K) []int32 {
+	out, n := dst[:len(idx)], 0
 	if vec := p.vec; vec != nil && len(p.dimFKs) == 0 {
-		if len(idx) == len(keys) {
-			for j, k := range keys {
-				if vec.Get(int(k)) {
-					out = append(out, sel[j])
-				}
+		words := vec.Words()
+		if m := len(idx); m > 0 && int(idx[m-1]-idx[0]) == m-1 {
+			sel = sel[:m]
+			for j, k := range keys[idx[0]:][:m] {
+				out[n] = sel[j]
+				n += int(words[uint(k)>>6] >> (uint(k) & 63) & 1)
 			}
-			return out
+			return out[:n]
 		}
 		for _, r := range idx {
-			if vec.Get(int(keys[r])) {
-				out = append(out, r)
-			}
+			k := uint(keys[r])
+			out[n] = r
+			n += int(words[k>>6] >> (k & 63) & 1)
 		}
-		return out
+		return out[:n]
 	}
+	sel = sel[:len(idx)]
 	for j, x := range idx {
-		if p.passValue(int32(keys[x])) {
-			out = append(out, sel[j])
-		}
+		out[n] = sel[j]
+		n += storage.Bit(p.passValue(int32(keys[x])))
 	}
-	return out
+	return out[:n]
 }
 
 // groupArray fills the measure index with flat aggregation-array cell

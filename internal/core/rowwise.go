@@ -39,7 +39,7 @@ rows:
 				continue
 			}
 			one[0] = r // a filterer over a one-row selection
-			if len(f.filt(one)) == 0 {
+			if len(f.filt(one, one)) == 0 {
 				continue rows
 			}
 		}

@@ -91,94 +91,31 @@ func (p Pred) Bitmap(c storage.Column, out *storage.Bitmap) error {
 	return nil
 }
 
-// Filterer compiles the predicate against column c into a reusable
-// selection-vector refinement function, hoisting per-predicate setup —
-// dictionary masks, operand conversions, evaluator dispatch — out of the
-// scan loop. c is a plain chunk or an encoded one, read where it lies: an
-// RLE chunk is filtered run by run, a FoR chunk field by field. The
-// returned function compacts sel in place and returns the shortened vector.
-// This is the vector-based column-wise scan primitive of §4.1: a tuple that
-// fails one predicate is removed immediately and never evaluated again.
-func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
+// Filter is a compiled selection-vector refinement: it writes to dst the
+// rows of the ascending selection vector sel that pass, in order, and
+// returns them. dst must have room for len(sel) rows and may alias sel; sel
+// is only read, so a filter can take its input from an array it must not
+// write. Every filter compacts without a branch: it stores each row and
+// advances by its 0/1 verdict.
+type Filter func(dst, sel []int32) []int32
+
+// Filterer compiles the predicate against column c into a reusable Filter,
+// hoisting per-predicate setup — dictionary masks, operand conversions,
+// evaluator dispatch — out of the scan loop. c is a plain chunk or an
+// encoded one, read where it lies: an RLE chunk is filtered run by run, a
+// FoR chunk field by field. This is the vector-based column-wise scan
+// primitive of §4.1: a tuple that fails one predicate is removed
+// immediately and never evaluated again.
+func (p Pred) Filterer(c storage.Column) (Filter, error) {
 	// Fast paths for the most common scan shapes.
 	switch col := c.(type) {
 	case *storage.Int32Col:
-		if p.Kind == KInt && p.int32Operands() {
-			v := col.V
-			switch p.Op {
-			case Eq:
-				w := int32(p.IVal)
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if v[r] == w {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			case Between:
-				lo, hi := int32(p.IVal), int32(p.IHi)
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if x := v[r]; x >= lo && x <= hi {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			case Lt:
-				w := int32(p.IVal)
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if v[r] < w {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			}
+		if lo, hi, ok := p.intRange(); ok {
+			return inRange(col.V, lo, hi), nil
 		}
 	case *storage.Int64Col:
-		if p.Kind == KInt {
-			v := col.V
-			switch p.Op {
-			case Eq:
-				w := p.IVal
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if v[r] == w {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			case Between:
-				lo, hi := p.IVal, p.IHi
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if x := v[r]; x >= lo && x <= hi {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			case Lt:
-				w := p.IVal
-				return func(sel []int32) []int32 {
-					out := sel[:0]
-					for _, r := range sel {
-						if v[r] < w {
-							out = append(out, r)
-						}
-					}
-					return out
-				}, nil
-			}
+		if lo, hi, ok := p.intRange(); ok {
+			return inRange(col.V, lo, hi), nil
 		}
 	case *storage.DictCol:
 		if p.Kind == KStr {
@@ -187,14 +124,13 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 				return nil, err
 			}
 			codes := col.Codes
-			return func(sel []int32) []int32 {
-				out := sel[:0]
+			return func(dst, sel []int32) []int32 {
+				out, n := dst[:len(sel)], 0
 				for _, r := range sel {
-					if mask[codes[r]] {
-						out = append(out, r)
-					}
+					out[n] = r
+					n += storage.Bit(mask[codes[r]])
 				}
-				return out
+				return out[:n]
 			}, nil
 		}
 
@@ -210,7 +146,7 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 		for ri := range pass {
 			pass[ri] = m(int32(ri))
 		}
-		return func(sel []int32) []int32 { return storage.KeepRuns(sel, col.End, pass) }, nil
+		return func(dst, sel []int32) []int32 { return storage.KeepRuns(dst, sel, col.End, pass) }, nil
 
 	case *storage.FoRCol:
 		if f := p.forFilterer(col); f != nil {
@@ -222,15 +158,65 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(sel []int32) []int32 {
-		out := sel[:0]
+	return func(dst, sel []int32) []int32 {
+		out, n := dst[:len(sel)], 0
 		for _, r := range sel {
-			if m(r) {
-				out = append(out, r)
-			}
+			out[n] = r
+			n += storage.Bit(m(r))
 		}
-		return out
+		return out[:n]
 	}, nil
+}
+
+// intRange returns the values an integer comparison keeps as one inclusive
+// range, lo > hi when it keeps none. ok is false for the other predicates
+// (Ne, In, float and string operands).
+func (p Pred) intRange() (lo, hi int64, ok bool) {
+	if p.Kind != KInt {
+		return 0, 0, false
+	}
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch p.Op {
+	case Eq:
+		lo, hi = p.IVal, p.IVal
+	case Between:
+		lo, hi = p.IVal, p.IHi
+	case Lt:
+		if p.IVal == math.MinInt64 {
+			return 1, 0, true
+		}
+		hi = p.IVal - 1
+	case Le:
+		hi = p.IVal
+	case Gt:
+		if p.IVal == math.MaxInt64 {
+			return 1, 0, true
+		}
+		lo = p.IVal + 1
+	case Ge:
+		lo = p.IVal
+	default:
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// inRange filters plain integer values v by the inclusive range [lo, hi]
+// with one unsigned compare per row: x − lo, taken modulo 2^64, is at most
+// hi − lo exactly when lo <= x <= hi.
+func inRange[T int32 | int64](v []T, lo, hi int64) Filter {
+	if lo > hi {
+		return keepNone
+	}
+	base, span := uint64(lo), uint64(hi)-uint64(lo)
+	return func(dst, sel []int32) []int32 {
+		out, n := dst[:len(sel)], 0
+		for _, r := range sel {
+			out[n] = r
+			n += storage.Bit(uint64(v[r])-base <= span)
+		}
+		return out[:n]
+	}
 }
 
 // forFilterer compiles an integer comparison into the delta domain of FoR
@@ -239,31 +225,9 @@ func (p Pred) Filterer(c storage.Column) (func(sel []int32) []int32, error) {
 // once, so the scan does one unsigned compare per row or none. It returns
 // nil for the other predicates (Ne, In, float operands) and for a chunk
 // whose frame wraps; those test each row's value through the Matcher.
-func (p Pred) forFilterer(c *storage.FoRCol) func(sel []int32) []int32 {
-	if p.Kind != KInt {
-		return nil
-	}
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	switch p.Op {
-	case Eq:
-		lo, hi = p.IVal, p.IVal
-	case Between:
-		lo, hi = p.IVal, p.IHi
-	case Lt:
-		if p.IVal == math.MinInt64 {
-			return keepNone
-		}
-		hi = p.IVal - 1
-	case Le:
-		hi = p.IVal
-	case Gt:
-		if p.IVal == math.MaxInt64 {
-			return keepNone
-		}
-		lo = p.IVal + 1
-	case Ge:
-		lo = p.IVal
-	default:
+func (p Pred) forFilterer(c *storage.FoRCol) Filter {
+	lo, hi, ok := p.intRange()
+	if !ok {
 		return nil
 	}
 	base, top, ok := c.Frame()
@@ -278,11 +242,11 @@ func (p Pred) forFilterer(c *storage.FoRCol) func(sel []int32) []int32 {
 		return keepAll
 	}
 	dlo, dhi := uint64(lo)-uint64(base), uint64(hi)-uint64(base)
-	return func(sel []int32) []int32 { return c.FilterDelta(sel, dlo, dhi) }
+	return func(dst, sel []int32) []int32 { return c.FilterDelta(dst, sel, dlo, dhi) }
 }
 
-func keepAll(sel []int32) []int32  { return sel }
-func keepNone(sel []int32) []int32 { return sel[:0] }
+func keepAll(dst, sel []int32) []int32 { return append(dst[:0], sel...) }
+func keepNone(dst, _ []int32) []int32  { return dst[:0] }
 
 // EstimatedSel returns the predicate's selectivity estimate, defaulting to
 // 0.5 when unknown. The engine evaluates the most selective predicates

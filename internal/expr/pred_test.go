@@ -2,7 +2,9 @@ package expr
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -199,7 +201,9 @@ func TestBitmapLengthError(t *testing.T) {
 }
 
 // Property: a compiled Filterer equals brute-force filtering with the Matcher for
-// random data, predicates, and input selection vectors.
+// random data, predicates, and input selection vectors, over plain, FoR and
+// RLE chunks; both when it writes over its input and when it writes to a
+// separate dst, where the input comes back unchanged.
 func TestFilterSelQuick(t *testing.T) {
 	pool := []string{"aa", "bb", "cc", "dd"}
 	f := func(seed int64) bool {
@@ -222,12 +226,18 @@ func TestFilterSelQuick(t *testing.T) {
 			}()),
 			storage.NewDictColFrom(strs),
 			storage.NewStrCol(strs),
+			forCol(i32),
+			rleCol(i32),
 		}
 		preds := []Pred{
 			IntEq("c", int64(rng.Intn(20))),
 			IntBetween("c", int64(rng.Intn(10)), int64(10+rng.Intn(10))),
 			IntLt("c", int64(rng.Intn(20))),
 			IntGe("c", int64(rng.Intn(20))),
+			IntLe("c", int64(rng.Intn(20))),
+			IntGt("c", int64(rng.Intn(20))),
+			IntNe("c", int64(rng.Intn(20))),
+			IntIn("c", int64(rng.Intn(20)), int64(rng.Intn(20))),
 			IntEq("c", 1<<32+int64(rng.Intn(20))),
 			IntLt("c", math.MaxInt64-int64(rng.Intn(2))),
 			IntBetween("c", math.MinInt64, 1<<32),
@@ -257,14 +267,13 @@ func TestFilterSelQuick(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				got := filter(append([]int32(nil), baseSel...))
-				if len(got) != len(want) {
+				in := append([]int32(nil), baseSel...)
+				if !slices.Equal(filter(in, in), want) {
 					return false
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						return false
-					}
+				src, dst := slices.Clone(baseSel), make([]int32, len(baseSel))
+				if !slices.Equal(filter(dst, src), want) || !slices.Equal(src, baseSel) {
+					return false
 				}
 			}
 		}
@@ -273,6 +282,38 @@ func TestFilterSelQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// forCol is v as a FoR chunk: Base the minimum, each delta in as many bits
+// as the widest needs.
+func forCol(v []int32) storage.Column {
+	lo := slices.Min(v)
+	width := bits.Len32(uint32(slices.Max(v) - lo))
+	c := &storage.FoRCol{Typ: storage.TInt32, Base: int64(lo), Width: uint8(width), N: len(v)}
+	c.Words = make([]uint64, (len(v)*width+63)/64+1)
+	for i, x := range v {
+		d, off := uint64(x-lo), i*width
+		c.Words[off/64] |= d << (off % 64)
+		if off%64+width > 64 {
+			c.Words[off/64+1] |= d >> (64 - off%64)
+		}
+	}
+	return c
+}
+
+// rleCol is v as an RLE chunk: one run per stretch of equal values.
+func rleCol(v []int32) storage.Column {
+	c := &storage.RLECol{}
+	var runs []int32
+	for i, x := range v {
+		if i == 0 || x != v[i-1] {
+			runs = append(runs, x)
+			c.End = append(c.End, 0)
+		}
+		c.End[len(c.End)-1] = int32(i + 1)
+	}
+	c.Vals = storage.NewInt32Col(runs)
+	return c
 }
 
 func TestPredStringAndEstimatedSel(t *testing.T) {

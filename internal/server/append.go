@@ -31,10 +31,11 @@ type appendResponse struct {
 	Columns     []string `json:"columns,omitempty"` // on error: expected columns
 }
 
-// handleAppend serves live ingest. Rows are validated (column set, value
-// types, AIR range of foreign keys) before insertion; a bad row aborts the
-// batch with a 400 naming the row, with every prior row already inserted
-// (inserts are per-row atomic, there is no multi-row transaction).
+// handleAppend serves live ingest. Rows are validated (column set and value
+// types here, the AIR range of foreign keys by Insert) before insertion; a
+// bad row aborts the batch with a 400 naming the row, with every prior row
+// already inserted (inserts are per-row atomic, there is no multi-row
+// transaction).
 // Concurrent queries are unaffected: they read pinned snapshots, and the
 // writers' copy-on-write keeps those stable.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -67,13 +68,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	bounds := fkBounds(t)
 	inserted := make([]int, 0, len(req.Rows))
 	for i, jsonRow := range req.Rows {
 		vals, err := convertRow(t, jsonRow)
-		if err == nil {
-			err = validateFKs(bounds, vals)
-		}
 		if err != nil {
 			s.appendError(w, t, inserted, fmt.Errorf("row %d: %w", i, err))
 			return
@@ -170,54 +167,4 @@ func convertValue(typ storage.Type, col string, v any) (any, error) {
 	default:
 		return nil, fmt.Errorf("server: column %q has unsupported type", col)
 	}
-}
-
-// fkBound is the referenced table's row count and deletion vector as of a
-// consistent point before the batch.
-type fkBound struct {
-	refName string
-	n       int
-	del     *storage.Bitmap
-}
-
-// fkBounds captures, per FK column, a consistent view of the referenced
-// table via a transient snapshot (reading a live table's row count and
-// deletion vector unlocked would race concurrent writers). The deletion
-// vector is copied while the snapshot pins it and the snapshot released
-// immediately; rows appended to the referenced table after this point are
-// simply not yet referenceable by this batch.
-func fkBounds(t *storage.Table) map[string]fkBound {
-	bounds := make(map[string]fkBound)
-	for col, ref := range t.FKs() {
-		snap := ref.Snapshot()
-		b := fkBound{refName: ref.Name, n: snap.NumRows()}
-		if del := snap.Deleted(); del != nil {
-			b.del = del.Clone()
-		}
-		snap.Release()
-		bounds[col] = b
-	}
-	return bounds
-}
-
-// validateFKs enforces the AIR invariant at the ingest boundary: every
-// foreign-key value must be a live array index of the referenced table.
-// (storage.Insert does not check this; a violating row would poison every
-// query that joins through it.) As with the storage API itself, callers
-// deleting dimension rows concurrently are responsible for not deleting
-// still-referenced tuples.
-func validateFKs(bounds map[string]fkBound, vals map[string]any) error {
-	for col, b := range bounds {
-		v, ok := vals[col].(int64)
-		if !ok {
-			continue // missing column: caught by convertRow
-		}
-		if v < 0 || int(v) >= b.n {
-			return fmt.Errorf("server: fk %s=%d out of range for %s (%d rows)", col, v, b.refName, b.n)
-		}
-		if b.del != nil && b.del.Get(int(v)) {
-			return fmt.Errorf("server: fk %s=%d references a deleted row of %s", col, v, b.refName)
-		}
-	}
-	return nil
 }

@@ -32,6 +32,21 @@ func (b *Bitmap) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
 // Get reports whether bit i is set.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
+// Words returns the packed bits, bit i at words[i>>6]>>(i&63)&1, for loops
+// that take a verdict as a 0/1 number instead of a branch. The caller must
+// not modify them.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
+// Bit returns 1 if v holds and 0 if not. It compiles to a flag-setting
+// compare, with no branch, so a selection-vector compaction can store every
+// row and advance by the verdict: out[n] = r; n += Bit(pass).
+func Bit(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // SetAll sets every bit to 1.
 func (b *Bitmap) SetAll() {
 	for i := range b.words {

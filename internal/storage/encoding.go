@@ -128,21 +128,21 @@ func RunIndex(dst, end, sel []int32) []int32 {
 	return dst
 }
 
-// KeepRuns keeps the rows of the ascending selection vector sel whose run,
-// in the chunk whose runs end at end, passes (pass[run]), compacting sel in
-// place: a filter decided once per run.
-func KeepRuns(sel, end []int32, pass []bool) []int32 {
-	out := sel[:0]
+// KeepRuns writes to dst the rows of the ascending selection vector sel
+// whose run, in the chunk whose runs end at end, passes (pass[run]): a
+// filter decided once per run. dst must have room for len(sel) rows and may
+// alias sel; sel is only read.
+func KeepRuns(dst, sel, end []int32, pass []bool) []int32 {
 	if len(sel) == 0 {
-		return out
+		return dst[:0]
 	}
+	out, n := dst[:len(sel)], 0
 	cur := newRunCursor(end, sel[0])
 	for _, r := range sel {
-		if pass[cur.run(r)] {
-			out = append(out, r)
-		}
+		out[n] = r
+		n += Bit(pass[cur.run(r)])
 	}
-	return out
+	return out[:n]
 }
 
 // RLECol is a run-length encoded chunk: Vals.At(ri) repeats for local rows
@@ -246,24 +246,24 @@ func (c *FoRCol) Frame() (lo, hi int64, ok bool) {
 	return c.Base, int64(uint64(c.Base) + span), true
 }
 
-// FilterDelta keeps the rows of selection vector sel whose stored delta
-// (value − Base) lies in [lo, hi], lo <= hi, compacting sel in place: one
-// field extract and one unsigned compare per row, no decode.
-func (c *FoRCol) FilterDelta(sel []int32, lo, hi uint64) []int32 {
+// FilterDelta writes to dst the rows of selection vector sel whose stored
+// delta (value − Base) lies in [lo, hi], lo <= hi: one field extract and
+// one unsigned compare per row, no decode. dst must have room for len(sel)
+// rows and may alias sel; sel is only read.
+func (c *FoRCol) FilterDelta(dst, sel []int32, lo, hi uint64) []int32 {
 	if c.Width == 0 { // every delta is 0
 		if lo == 0 {
-			return sel
+			return append(dst[:0], sel...)
 		}
-		return sel[:0]
+		return dst[:0]
 	}
-	out := sel[:0]
+	out, n := dst[:len(sel)], 0
 	w, mask, span := uint(c.Width), forMask(c.Width), hi-lo
 	for _, r := range sel {
-		if forField(c.Words, w, mask, int(r))-lo <= span {
-			out = append(out, r)
-		}
+		out[n] = r
+		n += Bit(forField(c.Words, w, mask, int(r))-lo <= span)
 	}
-	return out
+	return out[:n]
 }
 
 // AppendFrom implements Column; encoded chunks are sealed-only.

@@ -175,7 +175,7 @@ func FuzzFoRReader(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: %v", p, err)
 			}
-			kept := filt(append([]int32(nil), sel...))
+			kept := filt(make([]int32, len(sel)), sel)
 			n := 0
 			for _, r := range sel {
 				if !m(r) {
@@ -226,8 +226,12 @@ func forPacked(typ storage.Type, v []int64) *storage.FoRCol {
 // selection vector return the plain value at every selected row, for the
 // RLE and FoR forms of the same int32 or int64 values and for the form
 // EncodeChunk picks: RunIndex (the shared run cursor) and FindRun over an
-// RLE chunk's runs, and Gather over a FoR chunk. pick selects row i when
-// bit i%8 of pick[i/8 % len(pick)] is set (every row when pick is empty).
+// RLE chunk's runs, and Gather over a FoR chunk. The in-place filters keep
+// exactly the rows a plain test keeps, written over their input or to a
+// separate dst that leaves the input unchanged: KeepRuns over an RLE
+// chunk's runs, and FilterDelta over a FoR chunk's deltas. pick selects row
+// i when bit i%8 of pick[i/8 % len(pick)] is set (every row when pick is
+// empty).
 func FuzzChunkReader(f *testing.F) {
 	rng := rand.New(rand.NewSource(2))
 	for _, mode := range []uint8{0, chunkModeInt64, chunkModeRuns, chunkModeRuns | chunkModeInt64} {
@@ -300,6 +304,24 @@ func FuzzChunkReader(f *testing.F) {
 		if mode&chunkModeRuns != 0 && len(runs) > 1 && !ok {
 			t.Fatalf("%d runs of %d rows: EncodeChunk kept the chunk plain", len(runs), chunkRunLength)
 		}
+		// keeps checks a filter against the plain test pass over sel, both
+		// over its input and into a separate dst.
+		keeps := func(name string, filt func(dst, sel []int32) []int32, pass func(r int32) bool) {
+			var want []int32
+			for _, r := range sel {
+				if pass(r) {
+					want = append(want, r)
+				}
+			}
+			in := slices.Clone(sel)
+			if got := filt(in, in); !slices.Equal(got, want) {
+				t.Fatalf("%s over its input: kept %v, want %v", name, got, want)
+			}
+			in = slices.Clone(sel)
+			if got := filt(make([]int32, len(sel)), in); !slices.Equal(got, want) || !slices.Equal(in, sel) {
+				t.Fatalf("%s into dst: kept %v, want %v; input %v, was %v", name, got, want, in, sel)
+			}
+		}
 		for _, c := range chunks {
 			switch c := c.(type) {
 			case *storage.RLECol:
@@ -315,6 +337,13 @@ func FuzzChunkReader(f *testing.F) {
 						t.Fatalf("row %d: FindRun %d, run cursor %d", r, ri, idx[j])
 					}
 				}
+				pass := make([]bool, len(c.End)) // keep the runs of even values
+				for ri := range pass {
+					v, _ := storage.Int64At(c.Vals, ri)
+					pass[ri] = v%2 == 0
+				}
+				keeps("KeepRuns", func(dst, sel []int32) []int32 { return storage.KeepRuns(dst, sel, c.End, pass) },
+					func(r int32) bool { return want[r]%2 == 0 })
 			case *storage.FoRCol:
 				got := c.Gather(make([]int64, len(raw)%4), sel)
 				if len(got) != len(sel) {
@@ -325,6 +354,15 @@ func FuzzChunkReader(f *testing.F) {
 						t.Fatalf("FoR Gather (base %d, width %d): row %d = %d, plain %d", c.Base, c.Width, r, got[j], want[r])
 					}
 				}
+				// The deltas of the middle half of the frame, a delta being
+				// value − Base taken modulo 2^64.
+				var top uint64
+				if c.Width > 0 {
+					top = uint64(1)<<c.Width - 1
+				}
+				lo, hi := top/4, top-top/4
+				keeps("FilterDelta", func(dst, sel []int32) []int32 { return c.FilterDelta(dst, sel, lo, hi) },
+					func(r int32) bool { d := uint64(want[r]) - uint64(c.Base); return d >= lo && d <= hi })
 			default:
 				t.Fatalf("EncodeChunk returned a %T", c)
 			}

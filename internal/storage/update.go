@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // This file implements the update mechanisms of §4.4:
 //
@@ -20,8 +23,14 @@ import "fmt"
 // (its primary key). vals must contain a value for every column of the
 // table. The tuple is appended to the tail, which seals when it reaches the
 // table's sealing threshold; a table without one first reuses the slot of a
-// deleted tuple if any is free.
+// deleted tuple if any is free. A foreign key that is not a live row of the
+// table it references fails with ErrForeignKey, and nothing is inserted.
 func (t *Table) Insert(vals map[string]any) (int, error) {
+	for col, ref := range t.fks {
+		if err := t.checkFK(col, ref, vals[col]); err != nil {
+			return -1, err
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(vals) != len(t.names) {
@@ -96,8 +105,14 @@ func (t *Table) Delete(i int) error {
 
 // Update overwrites column col of row i. In-place updating never touches
 // foreign keys of referring tables because the primary key (the array
-// index) does not change.
+// index) does not change. A foreign key that is not a live row of the table
+// it references fails with ErrForeignKey, and nothing is written.
 func (t *Table) Update(i int, col string, v any) error {
+	if ref := t.fks[col]; ref != nil {
+		if err := t.checkFK(col, ref, v); err != nil {
+			return err
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if i < 0 || i >= t.nrows {
@@ -120,6 +135,33 @@ func (t *Table) Update(i int, col string, v any) error {
 		return err
 	}
 	t.version++
+	return nil
+}
+
+// ErrForeignKey reports a foreign-key value that is not a live row of the
+// table it references. AIR hops index the referenced arrays directly, so
+// such a value, once stored, would fail every query that joins through it.
+var ErrForeignKey = errors.New("foreign key is not a live row of the referenced table")
+
+// checkFK checks that v, the value of FK column col, is a live row of ref.
+// It reads ref under ref's own lock, before the caller takes t's:
+// Consolidate locks a dimension and then its fact table, so the other order
+// could deadlock. A row of ref deleted after the check is, as for Delete
+// itself, the deleter's to avoid. A value of the wrong type is left to the
+// caller's type check.
+func (t *Table) checkFK(col string, ref *Table, v any) error {
+	x, err := toInt64(v)
+	if err != nil {
+		return nil
+	}
+	ref.mu.Lock()
+	defer ref.mu.Unlock()
+	if x < 0 || x >= int64(ref.nrows) {
+		return fmt.Errorf("storage: table %s: %s=%d out of range for %s (%d rows): %w", t.Name, col, x, ref.Name, ref.nrows, ErrForeignKey)
+	}
+	if s, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
+		return fmt.Errorf("storage: table %s: %s=%d references a deleted row of %s: %w", t.Name, col, x, ref.Name, ErrForeignKey)
+	}
 	return nil
 }
 
