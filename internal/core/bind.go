@@ -123,20 +123,25 @@ func bindCol(sv *storage.SegView, name string, ok func(storage.Type) bool) (boun
 		bc.runEnd, c = rle.End, rle.Vals
 	}
 	switch c := c.(type) {
-	case *storage.Int32Col:
-		bc.i32 = c.V
-	case *storage.Int64Col:
-		bc.i64 = c.V
-	case *storage.Float64Col:
-		bc.f64 = c.V
 	case *storage.DictCol:
 		bc.i32 = c.Codes
 	case *storage.FoRCol:
 		bc.packed = c
 	default:
-		return bc, fmt.Errorf("core: segment column %s: unsupported chunk %T", name, c)
+		if !bindVec(&bc.i32, c) && !bindVec(&bc.i64, c) && !bindVec(&bc.f64, c) {
+			return bc, fmt.Errorf("core: segment column %s: unsupported chunk %T", name, c)
+		}
 	}
 	return bc, nil
+}
+
+// bindVec sets *dst to the array of c if c is a Vec of T.
+func bindVec[T storage.Elem](dst *[]T, c storage.Column) bool {
+	v, ok := c.(*storage.Vec[T])
+	if ok {
+		*dst = v.V
+	}
+	return ok
 }
 
 // boundFilter is one scanFilter bound to a segment: a selection-vector

@@ -92,7 +92,7 @@ type groupDim struct {
 	col    string    // root kinds: root column name
 	fk0    string    // leaf kind: root-side FK column name
 	dimFKs [][]int32 // AIR hops beyond the first (dimension-resident)
-	vec    []int32   // leaf group vector: dense id, or -1 for filtered rows
+	vec    []int32   // leaf group vector: dense id, or -1 for deleted rows
 
 	base int64
 	card int
@@ -514,8 +514,7 @@ func (pl *plan) planGroupDims() error {
 // widen the column's value range evict the plan instead of overflowing the
 // aggregation array.
 func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) {
-	switch c := b.Col.(type) {
-	case *storage.DictCol:
+	if c, ok := b.Col.(*storage.DictCol); ok {
 		card := c.Dict.Len()
 		if card == 0 {
 			card = 1
@@ -525,26 +524,22 @@ func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) 
 			name: name, kind: gdRootDict, col: b.Name,
 			card: card, dict: c.Dict,
 		}, nil
-	case *storage.Int32Col, *storage.Int64Col:
-		lo, hi, err := pl.rootNumRange(name, b)
-		if err != nil {
-			return nil, err
-		}
-		if hi-lo >= math.MaxInt32 {
-			return nil, fmt.Errorf("core: group column %s has range %d, too wide for dense ids", name, hi-lo)
-		}
-		pl.dimReqs = append(pl.dimReqs, rootDimReq{col: b.Name, lo: lo, hi: hi})
-		return &groupDim{
-			name: name, kind: gdRootNum, col: b.Name,
-			base: lo, card: int(hi - lo + 1),
-		}, nil
-	case *storage.Float64Col:
-		return nil, fmt.Errorf("core: grouping by float column %s is not supported", name)
-	case *storage.StrCol:
-		return nil, fmt.Errorf("core: grouping by uncompressed string column %s on the fact table is not supported; dictionary-compress it", name)
-	default:
-		return nil, fmt.Errorf("core: unsupported group column type %T", b.Col)
 	}
+	if !isInt(b.Col.Type()) {
+		return nil, fmt.Errorf("core: grouping by %s column %s on the fact table is not supported; group by an integer or dictionary-compressed column", b.Col.Type(), name)
+	}
+	lo, hi, err := pl.rootNumRange(name, b)
+	if err != nil {
+		return nil, err
+	}
+	if hi-lo >= math.MaxInt32 {
+		return nil, fmt.Errorf("core: group column %s has range %d, too wide for dense ids", name, hi-lo)
+	}
+	pl.dimReqs = append(pl.dimReqs, rootDimReq{col: b.Name, lo: lo, hi: hi})
+	return &groupDim{
+		name: name, kind: gdRootNum, col: b.Name,
+		base: lo, card: int(hi - lo + 1),
+	}, nil
 }
 
 // rootNumRange returns the integer value range of a numeric root column:
@@ -576,69 +571,60 @@ func leafGroupDim(name string, b *schema.Binding) (*groupDim, error) {
 	n := t.NumRows()
 	d := &groupDim{name: name, kind: gdLeafVec, vec: make([]int32, n)}
 	del := t.Deleted()
-	deleted := func(i int) bool { return del != nil && del.Get(i) }
 
-	switch c := b.Col.(type) {
-	case *storage.DictCol:
-		// Map dictionary codes to dense ids in first-appearance order.
-		codeID := make([]int32, c.Dict.Len())
-		for i := range codeID {
-			codeID[i] = -1
+	c := b.Col
+	var slot func(i int) *int32 // the id cell of row i's group
+	value := func(i int) query.Value { s, _ := storage.StringAt(c, i); return query.StrValue(s) }
+	switch typ := c.Type(); {
+	case typ == storage.TDict:
+		// Dictionary codes are dense: their id cells are an array.
+		dc := c.(*storage.DictCol)
+		codes, ids := dc.Codes, make([]int32, dc.Dict.Len())
+		for i := range ids {
+			ids[i] = -1
 		}
-		for i := 0; i < n; i++ {
-			if deleted(i) {
-				d.vec[i] = -1
-				continue
-			}
-			code := c.Codes[i]
-			id := codeID[code]
-			if id < 0 {
-				id = int32(len(d.vals))
-				codeID[code] = id
-				d.vals = append(d.vals, query.StrValue(c.Dict.Value(code)))
-			}
-			d.vec[i] = id
-		}
-	case *storage.StrCol:
-		byStr := make(map[string]int32)
-		for i := 0; i < n; i++ {
-			if deleted(i) {
-				d.vec[i] = -1
-				continue
-			}
-			s := c.V[i]
-			id, ok := byStr[s]
-			if !ok {
-				id = int32(len(d.vals))
-				byStr[s] = id
-				d.vals = append(d.vals, query.StrValue(s))
-			}
-			d.vec[i] = id
-		}
-	case *storage.Int32Col, *storage.Int64Col:
-		byNum := make(map[int64]int32)
-		for i := 0; i < n; i++ {
-			if deleted(i) {
-				d.vec[i] = -1
-				continue
-			}
-			v, _ := storage.Int64At(b.Col, i)
-			id, ok := byNum[v]
-			if !ok {
-				id = int32(len(d.vals))
-				byNum[v] = id
-				d.vals = append(d.vals, query.NumValue(float64(v)))
-			}
-			d.vec[i] = id
-		}
+		slot = func(i int) *int32 { return &ids[codes[i]] }
+	case typ == storage.TString:
+		slot = mapSlots(func(i int) string { s, _ := storage.StringAt(c, i); return s })
+	case isInt(typ):
+		slot = mapSlots(func(i int) int64 { v, _ := storage.Int64At(c, i); return v })
+		value = func(i int) query.Value { v, _ := storage.Int64At(c, i); return query.NumValue(float64(v)) }
 	default:
-		return nil, fmt.Errorf("core: unsupported group column type %s for %s", b.Col.Type(), name)
+		return nil, fmt.Errorf("core: unsupported group column type %s for %s", typ, name)
+	}
+	for i := range d.vec {
+		if del != nil && del.Get(i) {
+			d.vec[i] = -1
+			continue
+		}
+		id := slot(i)
+		if *id < 0 {
+			*id = int32(len(d.vals))
+			d.vals = append(d.vals, value(i))
+		}
+		d.vec[i] = *id
 	}
 	d.card = len(d.vals)
 	if d.card == 0 {
 		d.card = 1 // empty table: keep array shapes valid
 	}
 	return d, nil
+}
+
+// mapSlots returns id cells keyed by key(i), each -1 until first used: the
+// group ids of a column whose values are not dense codes.
+func mapSlots[K comparable](key func(i int) K) func(i int) *int32 {
+	ids := make(map[K]*int32)
+	return func(i int) *int32 {
+		k := key(i)
+		id, ok := ids[k]
+		if !ok {
+			id = new(int32)
+			*id = -1
+			ids[k] = id
+		}
+		return id
+	}
 }
 
 // planAggs prepares the aggregate evaluator recipes, recognizing dense fast

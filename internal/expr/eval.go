@@ -108,15 +108,15 @@ type Filter func(dst, sel []int32) []int32
 // immediately and never evaluated again.
 func (p Pred) Filterer(c storage.Column) (Filter, error) {
 	// Fast paths for the most common scan shapes.
+	if lo, hi, ok := p.intRange(); ok {
+		if f := inRange[int32](c, lo, hi); f != nil {
+			return f, nil
+		}
+		if f := inRange[int64](c, lo, hi); f != nil {
+			return f, nil
+		}
+	}
 	switch col := c.(type) {
-	case *storage.Int32Col:
-		if lo, hi, ok := p.intRange(); ok {
-			return inRange(col.V, lo, hi), nil
-		}
-	case *storage.Int64Col:
-		if lo, hi, ok := p.intRange(); ok {
-			return inRange(col.V, lo, hi), nil
-		}
 	case *storage.DictCol:
 		if p.Kind == KStr {
 			mask, err := p.DictMask(col.Dict)
@@ -201,13 +201,19 @@ func (p Pred) intRange() (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// inRange filters plain integer values v by the inclusive range [lo, hi]
+// inRange filters plain integer column c by the inclusive range [lo, hi]
 // with one unsigned compare per row: x − lo, taken modulo 2^64, is at most
-// hi − lo exactly when lo <= x <= hi.
-func inRange[T int32 | int64](v []T, lo, hi int64) Filter {
-	if lo > hi {
+// hi − lo exactly when lo <= x <= hi. It returns nil when c is not a Vec of
+// T.
+func inRange[T int32 | int64](c storage.Column, lo, hi int64) Filter {
+	col, ok := c.(*storage.Vec[T])
+	switch {
+	case !ok:
+		return nil
+	case lo > hi:
 		return keepNone
 	}
+	v := col.V
 	base, span := uint64(lo), uint64(hi)-uint64(lo)
 	return func(dst, sel []int32) []int32 {
 		out, n := dst[:len(sel)], 0

@@ -146,17 +146,22 @@ func ColAccessor(c storage.Column) (func(int32) float64, error) {
 			v, _ := storage.Int64At(c, int(i))
 			return float64(v)
 		}, nil
-	case *storage.Int32Col:
-		v := c.V
-		return func(i int32) float64 { return float64(v[i]) }, nil
-	case *storage.Int64Col:
-		v := c.V
-		return func(i int32) float64 { return float64(v[i]) }, nil
-	case *storage.Float64Col:
-		v := c.V
-		return func(i int32) float64 { return v[i] }, nil
+	}
+	var f func(int32) float64
+	if vecReader[int32](c, &f) || vecReader[int64](c, &f) || vecReader[float64](c, &f) {
+		return f, nil
 	}
 	return nil, fmt.Errorf("expr: column of type %s is not numeric", c.Type())
+}
+
+// vecReader sets *f to a per-row float64 reader over c if c is a Vec of T.
+func vecReader[T int32 | int64 | float64](c storage.Column, f *func(int32) float64) bool {
+	col, ok := c.(*storage.Vec[T])
+	if ok {
+		v := col.V
+		*f = func(i int32) float64 { return float64(v[i]) }
+	}
+	return ok
 }
 
 // Compile lowers e to a per-row evaluator. resolve must return a float64

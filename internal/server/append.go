@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 
@@ -142,10 +141,6 @@ func convertValue(typ storage.Type, col string, v any) (any, error) {
 		i, err := strconv.ParseInt(n.String(), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("server: column %q wants an integer, got %q", col, n.String())
-		}
-		if typ == storage.TInt32 && (i < math.MinInt32 || i > math.MaxInt32) {
-			// storage.appendValue would silently truncate to int32.
-			return nil, fmt.Errorf("server: column %q: %d overflows int32", col, i)
 		}
 		return i, nil
 	case storage.TFloat64:

@@ -87,42 +87,8 @@ func TestColumnTypesAndAccessors(t *testing.T) {
 func TestColumnMoveTruncateClone(t *testing.T) {
 	c := NewInt64Col([]int64{10, 20, 30, 40})
 	cl := c.Clone().(*Int64Col)
-	c.Move(1, 3)
-	c.Truncate(2)
-	if c.Len() != 2 || c.V[0] != 10 || c.V[1] != 40 {
-		t.Fatalf("after Move+Truncate: %v", c.V)
-	}
+	c.V[1] = 99
 	if cl.Len() != 4 || cl.V[1] != 20 {
 		t.Fatalf("Clone shared memory with original: %v", cl.V)
 	}
-}
-
-func TestAppendFrom(t *testing.T) {
-	d := NewDict()
-	src := NewDictCol(d)
-	src.Append("x")
-	src.Append("y")
-	dst := NewDictCol(d)
-	dst.AppendFrom(src, 1)
-	if dst.Value(0) != "y" {
-		t.Fatalf("AppendFrom gave %q", dst.Value(0))
-	}
-
-	s32 := NewInt32Col([]int32{7})
-	d32 := NewInt32Col(nil)
-	d32.AppendFrom(s32, 0)
-	if d32.V[0] != 7 {
-		t.Fatal("Int32Col.AppendFrom failed")
-	}
-}
-
-func TestDictColAppendFromForeignDictPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AppendFrom across dictionaries did not panic")
-		}
-	}()
-	a := NewDictColFrom([]string{"x"})
-	b := NewDictColFrom([]string{"y"})
-	a.AppendFrom(b, 0)
 }

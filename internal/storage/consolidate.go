@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Consolidate compacts table t by physically removing tuples marked in the
@@ -102,121 +103,61 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 	return remap, nil
 }
 
-// compactLocked rebuilds the segment list without the deleted rows:
-// surviving rows move down over the holes of the flattened columns, which
-// are then re-chunked into sealed segments at the current target plus a
-// tail. With sealed segments the flattened columns are fresh copies and the
-// old segments are discarded whole, so any stale reader keeps a coherent
-// (if outdated) view; a table that is all tail is compacted in place.
-// When sort keys are configured, surviving rows are additionally
-// stable-sorted by the key columns before re-sealing (attribute-value
-// reordering): zone maps tighten and equal key values form the runs RLE
-// encoding exploits. The returned remap composes compaction and
-// reordering, so referrer FKs are rewritten once.
+// compactLocked rebuilds the segment list without the deleted rows. One
+// permutation — the surviving rows in order, stable-sorted by the sort keys
+// when the table has them (attribute-value reordering: zone maps tighten
+// and equal key values form the runs RLE encoding exploits) — is gathered
+// from the flattened columns into fresh arrays, which are then re-chunked
+// into sealed segments at the current target plus a tail. The old arrays
+// are discarded whole, so any stale reader keeps a coherent (if outdated)
+// view. The returned remap is the permutation's inverse, so referrer FKs
+// are rewritten once.
 func (t *Table) compactLocked() []int32 {
 	flat, del := t.flattenLocked()
-	remap := make([]int32, t.nrows)
-	next := 0
+	// perm[newPos] = old row that lands at newPos.
+	perm := make([]int32, 0, t.nrows)
 	for i := 0; i < t.nrows; i++ {
-		if del != nil && del.Get(i) {
-			remap[i] = -1
-			continue
+		if del == nil || !del.Get(i) {
+			perm = append(perm, int32(i))
 		}
-		if next != i {
-			for _, name := range t.names {
-				flat[name].Move(next, i)
+	}
+	if len(t.sortKeys) > 0 {
+		keys := make([][]int64, len(t.sortKeys))
+		for k, name := range t.sortKeys {
+			keys[k] = make([]int64, t.nrows)
+			for i := range keys[k] {
+				keys[k][i], _ = Int64At(flat[name], i)
 			}
 		}
-		remap[i] = int32(next)
-		next++
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			for _, key := range keys {
+				if c := cmp.Compare(key[a], key[b]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
 	}
-	for _, name := range t.names {
-		flat[name].Truncate(next)
+	remap := make([]int32, t.nrows)
+	for i := range remap {
+		remap[i] = -1
 	}
-	if len(t.sortKeys) > 0 && next > 1 {
-		t.reorderFlatLocked(flat, remap, next)
+	for newPos, old := range perm {
+		remap[old] = int32(newPos)
 	}
-	t.nrows = next
+	if len(perm) < t.nrows || len(t.sortKeys) > 0 {
+		for name, c := range flat {
+			flat[name] = gatherColumn(c, perm)
+		}
+	}
+	t.nrows = len(perm)
 	t.free = t.free[:0]
 	t.rebuildSegmentsLocked(flat, nil)
 	return remap
 }
 
-// reorderFlatLocked stable-sorts the compacted flat columns by the table's
-// sort keys and composes the permutation into remap (which currently maps
-// old indexes to compacted indexes).
-func (t *Table) reorderFlatLocked(flat map[string]Column, remap []int32, n int) {
-	keys := make([]Column, 0, len(t.sortKeys))
-	for _, name := range t.sortKeys {
-		keys = append(keys, flat[name])
-	}
-	// perm[newPos] = compacted index that lands at newPos.
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		for _, kc := range keys {
-			va, _ := Int64At(kc, int(perm[a]))
-			vb, _ := Int64At(kc, int(perm[b]))
-			if va != vb {
-				return va < vb
-			}
-		}
-		return false
-	})
-	for name, c := range flat {
-		flat[name] = gatherColumn(c, perm)
-	}
-	// inv[compacted] = final position after the sort.
-	inv := make([]int32, n)
-	for newPos, mid := range perm {
-		inv[mid] = int32(newPos)
-	}
-	for i, m := range remap {
-		if m >= 0 {
-			remap[i] = inv[m]
-		}
-	}
-}
-
 // gatherColumn builds a fresh plain column with out[i] = c[perm[i]].
-func gatherColumn(c Column, perm []int32) Column {
-	switch c := c.(type) {
-	case *Int32Col:
-		out := make([]int32, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return &Int32Col{V: out}
-	case *Int64Col:
-		out := make([]int64, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return &Int64Col{V: out}
-	case *Float64Col:
-		out := make([]float64, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return &Float64Col{V: out}
-	case *StrCol:
-		out := make([]string, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return &StrCol{V: out}
-	case *DictCol:
-		out := make([]int32, len(perm))
-		for i, p := range perm {
-			out[i] = c.Codes[p]
-		}
-		return &DictCol{Codes: out, Dict: c.Dict}
-	default:
-		panic("storage: unknown column type in gatherColumn")
-	}
-}
+func gatherColumn(c Column, perm []int32) Column { return c.(plainChunk).gather(perm) }
 
 // remapFKLocked rewrites every value of an int32 FK column through remap.
 // Values mapping to -1 belong to rows that are themselves deleted (checked
@@ -247,9 +188,9 @@ func (t *Table) remapFKLocked(col string, remap []int32) {
 				s.cols[col] = ec
 			}
 		}
-		if z, ok := zoneOfChunk(s.cols[col], s.zoned); ok {
-			s.zones[col] = z
-		}
+		z := Zone{Typ: TInt32}
+		z.cover(s.cols[col], 0, s.zoned)
+		s.zones[col] = z
 		s.epoch++
 	}
 }

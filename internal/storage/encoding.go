@@ -26,9 +26,9 @@ import (
 //     of order.
 //
 // Encoded chunks implement Column so every generic path (flatten,
-// consolidation, persistence) keeps working, but their mutating methods
-// panic: encoding is applied only at seal/rebuild time and undone by
-// cloneChunk before any write. Every scan reads encoded chunks where they
+// consolidation, persistence) keeps working; they are never written:
+// encoding is applied only at seal/rebuild time and undone by cloneChunk
+// before any write. Every scan reads encoded chunks where they
 // lie: it walks an RLE chunk's runs with the one run cursor (or finds a
 // single row's run with FindRun), and reads a FoR chunk's fields in place
 // through Gather, FilterDelta and At — this file is the one place that
@@ -73,10 +73,6 @@ func ChunkEncoding(c Column) Encoding {
 	default:
 		return EncPlain
 	}
-}
-
-func sealedOnly() {
-	panic("storage: encoded chunks are sealed-only (decode via cloneChunk before writing)")
 }
 
 // FindRun returns the index of the run containing row i, given cumulative
@@ -162,15 +158,6 @@ func (c *RLECol) Len() int {
 
 // Type implements Column: the type of the run values.
 func (c *RLECol) Type() Type { return c.Vals.Type() }
-
-// AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *RLECol) AppendFrom(Column, int) { sealedOnly() }
-
-// Move implements Column; encoded chunks are sealed-only.
-func (c *RLECol) Move(int, int) { sealedOnly() }
-
-// Truncate implements Column; encoded chunks are sealed-only.
-func (c *RLECol) Truncate(int) { sealedOnly() }
 
 // Clone implements Column. A dictionary is shared.
 func (c *RLECol) Clone() Column {
@@ -266,15 +253,6 @@ func (c *FoRCol) FilterDelta(dst, sel []int32, lo, hi uint64) []int32 {
 	return out[:n]
 }
 
-// AppendFrom implements Column; encoded chunks are sealed-only.
-func (c *FoRCol) AppendFrom(Column, int) { sealedOnly() }
-
-// Move implements Column; encoded chunks are sealed-only.
-func (c *FoRCol) Move(int, int) { sealedOnly() }
-
-// Truncate implements Column; encoded chunks are sealed-only.
-func (c *FoRCol) Truncate(int) { sealedOnly() }
-
 // Clone implements Column.
 func (c *FoRCol) Clone() Column {
 	return &FoRCol{Typ: c.Typ, Base: c.Base, Width: c.Width, N: c.N, Words: append([]uint64(nil), c.Words...)}
@@ -359,10 +337,6 @@ func forPack(n int, width uint8, src func(i int) uint64) []uint64 {
 // the smallest encoding and for compression accounting.
 func encodedBytes(c Column, n int) int {
 	switch c := c.(type) {
-	case *Int32Col, *DictCol:
-		return 4 * n
-	case *Int64Col, *Float64Col:
-		return 8 * n
 	case *StrCol:
 		b := 0
 		for _, s := range c.V[:n] {
@@ -373,9 +347,8 @@ func encodedBytes(c Column, n int) int {
 		return 4*len(c.End) + encodedBytes(c.Vals, len(c.End))
 	case *FoRCol:
 		return 14 + 8*len(c.Words)
-	default:
-		return 0
 	}
+	return c.Type().width() * n
 }
 
 // countRuns returns the number of runs of equal consecutive values.
@@ -401,18 +374,6 @@ func rleRuns[T comparable](v []T) (end []int32, vals []T) {
 	return end, vals
 }
 
-// expandRuns repeats each run value over its rows into a fresh flat array
-// of n rows.
-func expandRuns[T any](n int, end []int32, vals []T) []T {
-	out := make([]T, 0, n)
-	for ri, v := range vals {
-		for len(out) < int(end[ri]) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // EncodeChunk returns the smallest beneficial encoded representation of the
 // first n rows of a plain chunk, or (nil, false) when the chunk should stay
 // plain: floats and strings are never encoded, and integer/dict chunks are
@@ -425,9 +386,9 @@ func EncodeChunk(c Column, n int) (Column, bool) {
 	}
 	switch c := c.(type) {
 	case *Int32Col:
-		return encodeInts(c.V[:n], TInt32, func(v []int32) Column { return &Int32Col{V: v} })
+		return encodeInts(c.V[:n])
 	case *Int64Col:
-		return encodeInts(c.V[:n], TInt64, func(v []int64) Column { return &Int64Col{V: v} })
+		return encodeInts(c.V[:n])
 	case *DictCol:
 		codes := c.Codes[:n]
 		if 2*8*countRuns(codes) <= 4*n {
@@ -440,19 +401,17 @@ func EncodeChunk(c Column, n int) (Column, bool) {
 
 // encodeInts is EncodeChunk for an int32 or int64 chunk: RLE when its runs
 // take no more bytes than the FoR packing, else FoR, and either only at most
-// half the plain size. plain wraps the run values as a column of typ.
-func encodeInts[T int32 | int64](v []T, typ Type, plain func([]T) Column) (Column, bool) {
-	n, size := len(v), 4
-	if typ == TInt64 {
-		size = 8
-	}
+// half the plain size.
+func encodeInts[T int32 | int64](v []T) (Column, bool) {
+	typ := elemType[T]()
+	n, size := len(v), typ.width()
 	mn, mx := slices.Min(v), slices.Max(v)
 	width := uint8(bits.Len64(uint64(int64(mx) - int64(mn))))
 	rleBytes := (4 + size) * countRuns(v)
 	forBytes := 14 + 8*int((uint(n)*uint(width)+63)/64)
 	if rleBytes <= forBytes && 2*rleBytes <= size*n {
 		end, vals := rleRuns(v)
-		return &RLECol{End: end, Vals: plain(vals)}, true
+		return &RLECol{End: end, Vals: &Vec[T]{V: vals}}, true
 	}
 	if 2*forBytes <= size*n {
 		base := int64(mn)
@@ -468,14 +427,14 @@ func encodeInts[T int32 | int64](v []T, typ Type, plain func([]T) Column) (Colum
 func DecodeChunk(c Column) Column {
 	switch c := c.(type) {
 	case *RLECol:
-		switch v := c.Vals.(type) {
-		case *Int32Col:
-			return &Int32Col{V: expandRuns(c.Len(), c.End, v.V)}
-		case *Int64Col:
-			return &Int64Col{V: expandRuns(c.Len(), c.End, v.V)}
-		case *DictCol:
-			return &DictCol{Codes: expandRuns(c.Len(), c.End, v.Codes), Dict: v.Dict}
+		// Each row reads its run's value: a gather by run index.
+		runOf := make([]int32, 0, c.Len())
+		for ri, e := range c.End {
+			for int32(len(runOf)) < e {
+				runOf = append(runOf, int32(ri))
+			}
 		}
+		return gatherColumn(c.Vals, runOf)
 	case *FoRCol:
 		if c.Typ == TInt32 {
 			return &Int32Col{V: forValues[int32](c)}
@@ -542,13 +501,9 @@ func (t *Table) Layout() Layout {
 			l.PhysicalBytes += int64(encodedBytes(c, s.n))
 			if ChunkEncoding(c) != EncPlain {
 				l.EncodedChunks++
-				// Encoded chunks hold integers or dict codes: logically
-				// 8 bytes a row for int64, 4 for the rest.
-				width := int64(4)
-				if c.Type() == TInt64 {
-					width = 8
-				}
-				l.LogicalBytes += width * int64(s.n)
+				// Encoded chunks hold integers or dict codes, whose
+				// plain width is their type's.
+				l.LogicalBytes += int64(c.Type().width() * s.n)
 			} else {
 				l.LogicalBytes += int64(encodedBytes(c, s.n))
 			}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 )
 
@@ -131,19 +130,10 @@ func saveTableLocked(bw *bufio.Writer, t *Table, dictID map[*Dict]uint32) error 
 	}
 
 	// Deletion bits, combined across segments into one global vector.
-	if t.NumLive() < t.nrows {
+	if del := t.deletedLocked(); del != nil {
 		bw.WriteByte(1)
-		words := make([]uint64, (t.nrows+63)/64)
-		for s := range t.segments() {
-			if s.del == nil {
-				continue
-			}
-			for j := s.del.NextSet(0); j >= 0 && j < s.n; j = s.del.NextSet(j + 1) {
-				words[(s.base+j)>>6] |= 1 << (uint(s.base+j) & 63)
-			}
-		}
-		for _, word := range words {
-			writeU64(bw, word)
+		if err := writeLE(bw, del.Words()); err != nil {
+			return err
 		}
 	} else {
 		bw.WriteByte(0)
@@ -161,178 +151,43 @@ func saveTableLocked(bw *bufio.Writer, t *Table, dictID map[*Dict]uint32) error 
 // LoadDatabase reads a binary image written by Save, rebuilding tables,
 // shared dictionaries, deletion vectors, slot free lists, and FK edges.
 func LoadDatabase(r io.Reader) (*Database, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, len(persistMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("storage: load: %w", err)
-	}
-	switch string(magic) {
-	case persistMagic:
-	case "ASTORDB1", "ASTORDB2":
-		return nil, &UnsupportedFormatError{Magic: string(magic)}
-	default:
+	d := &imageReader{r: bufio.NewReaderSize(r, 1<<20)}
+	switch magic := string(d.bytes(len(persistMagic))); {
+	case d.err != nil:
+		return nil, fmt.Errorf("storage: load: %w", d.err)
+	case magic == "ASTORDB1" || magic == "ASTORDB2":
+		return nil, &UnsupportedFormatError{Magic: magic}
+	case magic != persistMagic:
 		return nil, fmt.Errorf("storage: load: bad magic %q", magic)
 	}
 
-	nd, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if nd > maxLoadCount {
-		return nil, fmt.Errorf("storage: load: dictionary count %d too large", nd)
-	}
 	var dicts []*Dict
-	for range nd {
-		nv, err := readU32(br)
-		if err != nil {
-			return nil, err
+	for i, nd := 0, d.count("dictionary count"); i < nd && d.err == nil; i++ {
+		dict := NewDict()
+		for v, nv := 0, d.count("dictionary size"); v < nv && d.err == nil; v++ {
+			dict.Intern(d.str())
 		}
-		if nv > maxLoadCount {
-			return nil, fmt.Errorf("storage: load: dictionary size %d too large", nv)
-		}
-		d := NewDict()
-		for v := uint32(0); v < nv; v++ {
-			s, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			d.Intern(s)
-		}
-		dicts = append(dicts, d)
+		dicts = append(dicts, dict)
 	}
 
-	nt, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
 	db := NewDatabase()
 	type fkEdge struct{ table, col, ref string }
 	var edges []fkEdge
-	for ti := uint32(0); ti < nt; ti++ {
-		name, err := readStr(br)
-		if err != nil {
-			return nil, err
+	for ti, nt := uint32(0), d.u32(); ti < nt && d.err == nil; ti++ {
+		t := d.table(dicts)
+		for f, nfk := uint32(0), d.u32(); f < nfk && d.err == nil; f++ {
+			col := d.str()
+			edges = append(edges, fkEdge{table: t.Name, col: col, ref: d.str()})
 		}
-		nrows, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		segTarget, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		nseg, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if nseg > maxLoadCount {
-			return nil, fmt.Errorf("storage: load: table %s implausible segment count", name)
-		}
-		var sealedRows []int
-		total := uint64(0)
-		for si := uint32(0); si < nseg; si++ {
-			rows, err := readU32(br)
-			if err != nil {
-				return nil, err
-			}
-			total += uint64(rows)
-			sealedRows = append(sealedRows, int(rows))
-		}
-		if segTarget == 0 && nseg > 0 {
-			return nil, fmt.Errorf("storage: load: table %s has segments but no segment target", name)
-		}
-		if total > uint64(nrows) {
-			return nil, fmt.Errorf("storage: load: table %s segment manifest exceeds row count", name)
-		}
-		ncols, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		if nrows > maxLoadCount || ncols > 1<<20 {
-			return nil, fmt.Errorf("storage: load: table %s implausible shape", name)
-		}
-		t := NewTable(name)
-		// Every column stores one tagged chunk per segment; the tail holds
-		// the rows the manifest does not account for.
-		chunkCounts := append(sealedRows, int(nrows-uint32(total)))
-		chunks := make(map[string][]Column)
-		for ci := uint32(0); ci < ncols; ci++ {
-			colName, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			typ, dict, err := readColumnHeader(br, dicts)
-			if err != nil {
-				return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-			}
-			if _, dup := t.colTypes[colName]; dup {
-				return nil, fmt.Errorf("storage: load %s: duplicate column %s", name, colName)
-			}
-			t.names = append(t.names, colName)
-			t.colTypes[colName] = typ
-			if dict != nil {
-				t.colDicts[colName] = dict
-			}
-			t.schemaVersion++
-			for si, cn := range chunkCounts {
-				c, err := readChunk(br, typ, cn, dict)
-				if err != nil {
-					return nil, fmt.Errorf("storage: load %s.%s: %w", name, colName, err)
-				}
-				if si == len(chunkCounts)-1 && ChunkEncoding(c) != EncPlain {
-					return nil, fmt.Errorf("storage: load %s.%s: tail chunk is %s-encoded, want plain", name, colName, ChunkEncoding(c))
-				}
-				chunks[colName] = append(chunks[colName], c)
-			}
-		}
-		t.nrows = int(nrows) // tables with zero columns still carry rows
-		hasDel, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		var del *Bitmap
-		if hasDel == 1 {
-			words, err := readFixed(br, (int(nrows)+63)/64, 8, binary.LittleEndian.Uint64)
-			if err != nil {
-				return nil, err
-			}
-			del = NewBitmap(int(nrows))
-			for wi, word := range words {
-				for b := 0; b < 64; b++ {
-					i := wi*64 + b
-					if i < int(nrows) && word&(1<<uint(b)) != 0 {
-						del.Set(i)
-						t.free = append(t.free, int32(i))
-					}
-				}
-			}
-		}
-		// Install the on-disk segments directly, preserving sealed-chunk
-		// encodings (zone maps are recomputed).
-		t.segTarget = int(segTarget)
-		t.installSegmentsLocked(chunks, chunkCounts, del)
-		nfk, err := readU32(br)
-		if err != nil {
-			return nil, err
-		}
-		for f := uint32(0); f < nfk; f++ {
-			col, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			ref, err := readStr(br)
-			if err != nil {
-				return nil, err
-			}
-			edges = append(edges, fkEdge{table: name, col: col, ref: ref})
-		}
-		if err := db.Add(t); err != nil {
-			return nil, err
+		if d.err == nil {
+			d.err = db.Add(t)
 		}
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	for _, e := range edges {
-		t := db.Table(e.table)
-		ref := db.Table(e.ref)
+		t, ref := db.Table(e.table), db.Table(e.ref)
 		if ref == nil {
 			return nil, fmt.Errorf("storage: load: FK %s.%s references unknown table %s", e.table, e.col, e.ref)
 		}
@@ -343,35 +198,159 @@ func LoadDatabase(r io.Reader) (*Database, error) {
 	return db, nil
 }
 
+// imageReader reads the fields of an image and keeps the first error: after
+// it, every read returns a zero value without touching the input, so the
+// loader checks for an error once per record, and every loop over a count
+// read from the image stops at the first error.
+type imageReader struct {
+	r   *bufio.Reader
+	err error
+}
+
+func (d *imageReader) failf(format string, a ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, a...)
+	}
+}
+
+func (d *imageReader) read(b []byte) {
+	if d.err == nil {
+		_, d.err = io.ReadFull(d.r, b)
+	}
+}
+
+func (d *imageReader) u8() byte {
+	var b [1]byte
+	d.read(b[:])
+	return b[0]
+}
+
+func (d *imageReader) u32() uint32 {
+	var b [4]byte
+	d.read(b[:])
+	return binary.LittleEndian.Uint32(b[:])
+}
+
+func (d *imageReader) u64() uint64 {
+	var b [8]byte
+	d.read(b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
+
+// count reads an element count, refusing one above maxLoadCount.
+func (d *imageReader) count(what string) int {
+	n := d.u32()
+	if n > maxLoadCount {
+		d.failf("storage: load: %s %d too large", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+func (d *imageReader) str() string {
+	n := d.u32()
+	if n > 1<<28 {
+		d.failf("storage: load: string length %d too large", n)
+	}
+	return string(d.bytes(int(n)))
+}
+
+// bytes reads n bytes, growing the buffer as the input delivers them, so a
+// corrupt count cannot reserve memory the input does not back.
+func (d *imageReader) bytes(n int) []byte {
+	const step = 1 << 16
+	if d.err != nil {
+		return nil
+	}
+	b := make([]byte, 0, min(n, step))
+	for len(b) < n && d.err == nil {
+		k := min(n-len(b), step)
+		b = slices.Grow(b, k)[:len(b)+k]
+		d.read(b[len(b)-k:])
+	}
+	return b
+}
+
+// table reads one table record up to its foreign keys: the shape, the
+// segment manifest, every column's chunks and the deletion vector.
+func (d *imageReader) table(dicts []*Dict) *Table {
+	t := NewTable(d.str())
+	nrows, segTarget := d.u32(), d.u32()
+	nseg := d.count("segment count")
+	// counts holds the rows of every segment, sealed ones first; the tail
+	// holds the rows the manifest does not account for.
+	var counts []int
+	total := 0
+	for si := 0; si < nseg && d.err == nil; si++ {
+		counts = append(counts, int(d.u32()))
+		total += counts[si]
+	}
+	ncols := d.u32()
+	switch {
+	case segTarget == 0 && nseg > 0:
+		d.failf("storage: load: table %s has segments but no segment target", t.Name)
+	case total > int(nrows):
+		d.failf("storage: load: table %s segment manifest exceeds row count", t.Name)
+	case nrows > maxLoadCount || ncols > 1<<20:
+		d.failf("storage: load: table %s implausible shape", t.Name)
+	}
+	counts = append(counts, int(nrows)-total)
+	chunks := make(map[string][]Column)
+	for ci := uint32(0); ci < ncols && d.err == nil; ci++ {
+		name := d.str()
+		typ, dict := d.columnHeader(dicts)
+		if _, dup := t.colTypes[name]; dup {
+			d.failf("duplicate column")
+		}
+		t.names = append(t.names, name)
+		t.colTypes[name] = typ
+		if dict != nil {
+			t.colDicts[name] = dict
+		}
+		t.schemaVersion++
+		for si, n := range counts {
+			c := d.chunk(typ, n, dict)
+			if si == len(counts)-1 && d.err == nil && ChunkEncoding(c) != EncPlain {
+				d.failf("tail chunk is %s-encoded, want plain", ChunkEncoding(c))
+			}
+			chunks[name] = append(chunks[name], c)
+		}
+		if d.err != nil {
+			d.err = fmt.Errorf("storage: load %s.%s: %w", t.Name, name, d.err)
+		}
+	}
+	t.nrows = int(nrows) // tables with zero columns still carry rows
+	var del *Bitmap
+	if d.u8() == 1 {
+		words := readLE[uint64](d, (t.nrows+63)/64)
+		if d.err == nil {
+			del = NewBitmap(t.nrows)
+			copy(del.Words(), words)
+			del.trim() // bits past the last row are not rows
+			t.free = del.AppendSet(nil)
+		}
+	}
+	if d.err == nil {
+		// Install the on-disk segments directly, preserving sealed-chunk
+		// encodings (zone maps are recomputed).
+		t.segTarget = int(segTarget)
+		t.installSegmentsLocked(chunks, counts, del)
+	}
+	return t
+}
+
 // writeColumnPayload writes the first n elements of a chunk's array (type
 // byte and dictionary header are written once per column by the caller,
-// before the per-segment payloads).
+// before the per-segment payloads): strings with a length prefix each,
+// every other type as fixed-width little-endian words.
 func writeColumnPayload(w *bufio.Writer, c Column, n int) error {
-	switch c := c.(type) {
-	case *Int32Col:
-		for _, v := range c.V[:n] {
-			writeU32(w, uint32(v))
-		}
-	case *Int64Col:
-		for _, v := range c.V[:n] {
-			writeU64(w, uint64(v))
-		}
-	case *Float64Col:
-		for _, v := range c.V[:n] {
-			writeU64(w, math.Float64bits(v))
-		}
-	case *StrCol:
+	if c, ok := c.(*StrCol); ok {
 		for _, s := range c.V[:n] {
 			writeStr(w, s)
 		}
-	case *DictCol:
-		for _, v := range c.Codes[:n] {
-			writeU32(w, uint32(v))
-		}
-	default:
-		return fmt.Errorf("storage: unknown column type %T", c)
+		return nil
 	}
-	return nil
+	return c.(plainChunk).writeLE(w, n)
 }
 
 // writeChunkPayload writes one chunk as a u8 encoding tag plus payload.
@@ -386,205 +365,139 @@ func writeChunkPayload(w *bufio.Writer, c Column, n int) error {
 		if err := writeColumnPayload(w, c.Vals, len(c.End)); err != nil {
 			return err
 		}
-		for _, e := range c.End {
-			writeU32(w, uint32(e))
-		}
+		return writeLE(w, c.End)
 	case *FoRCol:
 		writeU64(w, uint64(c.Base))
 		w.WriteByte(c.Width)
 		writeU32(w, uint32(c.N))
 		writeU32(w, uint32(len(c.Words)))
-		for _, word := range c.Words {
-			writeU64(w, word)
+		return writeLE(w, c.Words)
+	}
+	return writeColumnPayload(w, c, n)
+}
+
+// runEnds reads and validates cumulative run ends: strictly increasing,
+// the last equal to the chunk row count n.
+func (d *imageReader) runEnds(runs, n int) []int32 {
+	end := readLE[int32](d, runs)
+	prev := int32(0)
+	for _, e := range end {
+		if e <= prev {
+			d.failf("storage: load: RLE run ends not increasing")
+			return nil
 		}
+		prev = e
+	}
+	if int(prev) != n {
+		d.failf("storage: load: RLE run ends cover %d rows, want %d", prev, n)
+	}
+	return end
+}
+
+// chunk reads one tagged chunk of n rows for a column of the given declared
+// type (dict carries the already-resolved shared dictionary).
+func (d *imageReader) chunk(typ Type, n int, dict *Dict) Column {
+	tag := Encoding(d.u8())
+	if d.err != nil {
+		return nil
+	}
+	switch tag {
+	case EncPlain:
+		return d.plain(typ, n, dict)
+	case EncRLE:
+		if typ != TInt32 && typ != TInt64 && typ != TDict {
+			d.failf("storage: load: RLE encoding invalid for type %s", typ)
+			return nil
+		}
+		runs := int(d.u32())
+		if runs > n {
+			d.failf("storage: load: RLE chunk has %d runs over %d rows", runs, n)
+			return nil
+		}
+		vals := d.plain(typ, runs, dict)
+		return &RLECol{End: d.runEnds(runs, n), Vals: vals}
+	case EncFoR:
+		if typ != TInt32 && typ != TInt64 {
+			d.failf("storage: load: FoR encoding invalid for type %s", typ)
+			return nil
+		}
+		base, width, cn, nwords := d.u64(), d.u8(), d.u32(), d.u32()
+		wantWords := (uint64(cn)*uint64(width) + 63) / 64
+		if width > 64 || int(cn) != n || uint64(nwords) != wantWords {
+			d.failf("storage: load: FoR chunk shape invalid (width %d, rows %d/%d, words %d/%d)",
+				width, cn, n, nwords, wantWords)
+		}
+		return &FoRCol{Typ: typ, Base: int64(base), Width: width, N: n, Words: readLE[uint64](d, int(nwords))}
+	}
+	d.failf("storage: load: unknown chunk encoding tag %d", tag)
+	return nil
+}
+
+// columnHeader reads a column's type byte plus, for dict columns, its
+// shared dictionary reference.
+func (d *imageReader) columnHeader(dicts []*Dict) (Type, *Dict) {
+	typ := Type(d.u8())
+	switch typ {
+	case TInt32, TInt64, TFloat64, TString:
+	case TDict:
+		di := d.u32()
+		if int(di) < len(dicts) {
+			return typ, dicts[di]
+		}
+		d.failf("storage: dictionary index %d out of range", di)
 	default:
-		return writeColumnPayload(w, c, n)
+		d.failf("storage: unknown column type byte %d", typ)
+	}
+	return typ, nil
+}
+
+// plain reads a flat array of n elements of the given type.
+func (d *imageReader) plain(typ Type, n int, dict *Dict) Column {
+	if typ == TString {
+		// Strings grow as they arrive: n is a header field, and a string
+		// header costs more memory than its length prefix costs input.
+		v := make([]string, 0, min(n, 1<<12))
+		for len(v) < n && d.err == nil {
+			v = append(v, d.str())
+		}
+		return &StrCol{V: v}
+	}
+	c := newChunk(typ, dict, 0).(plainChunk) // columnHeader has checked typ
+	c.readLE(d, n)
+	if dc, ok := c.(*DictCol); ok {
+		for _, x := range dc.Codes {
+			if x < 0 || int(x) >= dict.Len() {
+				d.failf("storage: code %d out of dictionary range", uint32(x))
+				break
+			}
+		}
+	}
+	return c
+}
+
+// writeLE writes a fixed-width array as little-endian words, in bounded
+// steps: binary.Write buffers what it is given.
+func writeLE[T any](w *bufio.Writer, v []T) error {
+	for len(v) > 0 {
+		k := min(len(v), 1<<13)
+		if err := binary.Write(w, binary.LittleEndian, v[:k]); err != nil {
+			return err
+		}
+		v = v[k:]
 	}
 	return nil
 }
 
-// readRLEEnds reads and validates cumulative run ends: strictly increasing,
-// last equal to the chunk row count.
-func readRLEEnds(r *bufio.Reader, runs, n int) ([]int32, error) {
-	end, err := readFixed(r, runs, 4, leInt32)
-	if err != nil {
-		return nil, err
-	}
-	prev := int32(0)
-	for _, e := range end {
-		if e <= prev {
-			return nil, fmt.Errorf("storage: load: RLE run ends not increasing")
-		}
-		prev = e
-	}
-	if runs > 0 && int(end[runs-1]) != n {
-		return nil, fmt.Errorf("storage: load: RLE run ends cover %d rows, want %d", end[runs-1], n)
-	}
-	if runs == 0 && n != 0 {
-		return nil, fmt.Errorf("storage: load: RLE chunk of %d rows has no runs", n)
-	}
-	return end, nil
-}
-
-// readChunk reads one tagged chunk of n rows for a column of the given
-// declared type (dict carries the already-resolved shared dictionary).
-func readChunk(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
-	tag, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	switch Encoding(tag) {
-	case EncPlain:
-		return readPlainPayload(r, typ, n, dict)
-	case EncRLE:
-		if typ != TInt32 && typ != TInt64 && typ != TDict {
-			return nil, fmt.Errorf("storage: load: RLE encoding invalid for type %s", typ)
-		}
-		runs, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if int(runs) > n {
-			return nil, fmt.Errorf("storage: load: RLE chunk has %d runs over %d rows", runs, n)
-		}
-		vals, err := readPlainPayload(r, typ, int(runs), dict)
-		if err != nil {
-			return nil, err
-		}
-		end, err := readRLEEnds(r, int(runs), n)
-		if err != nil {
-			return nil, err
-		}
-		return &RLECol{End: end, Vals: vals}, nil
-	case EncFoR:
-		if typ != TInt32 && typ != TInt64 {
-			return nil, fmt.Errorf("storage: load: FoR encoding invalid for type %s", typ)
-		}
-		base, err := readU64(r)
-		if err != nil {
-			return nil, err
-		}
-		width, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		cn, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		nwords, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		wantWords := (uint64(cn)*uint64(width) + 63) / 64
-		if width > 64 || int(cn) != n || uint64(nwords) != wantWords {
-			return nil, fmt.Errorf("storage: load: FoR chunk shape invalid (width %d, rows %d/%d, words %d/%d)",
-				width, cn, n, nwords, wantWords)
-		}
-		words, err := readFixed(r, int(nwords), 8, binary.LittleEndian.Uint64)
-		if err != nil {
-			return nil, err
-		}
-		return &FoRCol{Typ: typ, Base: int64(base), Width: width, N: n, Words: words}, nil
-	default:
-		return nil, fmt.Errorf("storage: load: unknown chunk encoding tag %d", tag)
-	}
-}
-
-// readColumnHeader reads a column's type byte plus, for dict columns, its
-// shared dictionary reference.
-func readColumnHeader(r *bufio.Reader, dicts []*Dict) (Type, *Dict, error) {
-	tb, err := r.ReadByte()
-	if err != nil {
-		return 0, nil, err
-	}
-	typ := Type(tb)
-	switch typ {
-	case TInt32, TInt64, TFloat64, TString:
-		return typ, nil, nil
-	case TDict:
-		di, err := readU32(r)
-		if err != nil {
-			return 0, nil, err
-		}
-		if int(di) >= len(dicts) {
-			return 0, nil, fmt.Errorf("storage: dictionary index %d out of range", di)
-		}
-		return typ, dicts[di], nil
-	default:
-		return 0, nil, fmt.Errorf("storage: unknown column type byte %d", tb)
-	}
-}
-
-// readPlainPayload reads a flat array of n elements of the given type.
-func readPlainPayload(r *bufio.Reader, typ Type, n int, dict *Dict) (Column, error) {
-	switch typ {
-	case TInt32:
-		v, err := readFixed(r, n, 4, leInt32)
-		return &Int32Col{V: v}, err
-	case TInt64:
-		v, err := readFixed(r, n, 8, func(b []byte) int64 { return int64(binary.LittleEndian.Uint64(b)) })
-		return &Int64Col{V: v}, err
-	case TFloat64:
-		v, err := readFixed(r, n, 8, func(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) })
-		return &Float64Col{V: v}, err
-	case TString:
-		// Strings grow as they arrive: n is a header field, and a string
-		// header costs more memory than its length prefix costs input.
-		v := make([]string, 0, min(n, 1<<12))
-		for len(v) < n {
-			s, err := readStr(r)
-			if err != nil {
-				return nil, err
-			}
-			v = append(v, s)
-		}
-		return &StrCol{V: v}, nil
-	case TDict:
-		codes, err := readFixed(r, n, 4, leInt32)
-		if err != nil {
-			return nil, err
-		}
-		for _, x := range codes {
-			if x < 0 || int(x) >= dict.Len() {
-				return nil, fmt.Errorf("storage: code %d out of dictionary range", uint32(x))
-			}
-		}
-		return &DictCol{Codes: codes, Dict: dict}, nil
-	default:
-		return nil, fmt.Errorf("storage: unknown column type %s", typ)
-	}
-}
-
-// readFixed reads n little-endian values of size bytes each, decoding each
-// with get. The raw bytes are read first, in bounded steps, so a corrupt
-// count cannot reserve memory the input does not back.
-func readFixed[T any](r *bufio.Reader, n, size int, get func([]byte) T) ([]T, error) {
-	b, err := readBytes(r, n*size)
-	if err != nil {
-		return nil, err
+// readLE reads n fixed-width little-endian values (T is never a string:
+// plain reads string payloads itself).
+func readLE[T any](d *imageReader, n int) []T {
+	b := d.bytes(n * binary.Size(*new(T)))
+	if d.err != nil {
+		return nil
 	}
 	v := make([]T, n)
-	for i := range v {
-		v[i] = get(b[i*size:])
-	}
-	return v, nil
-}
-
-func leInt32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
-
-// readBytes reads n bytes, growing the buffer as the input delivers them.
-func readBytes(r *bufio.Reader, n int) ([]byte, error) {
-	const step = 1 << 16
-	b := make([]byte, 0, min(n, step))
-	for len(b) < n {
-		k := min(n-len(b), step)
-		b = slices.Grow(b, k)[:len(b)+k]
-		if _, err := io.ReadFull(r, b[len(b)-k:]); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	_, d.err = binary.Decode(b, binary.LittleEndian, v)
+	return v
 }
 
 func writeU32(w *bufio.Writer, v uint32) {
@@ -602,35 +515,4 @@ func writeU64(w *bufio.Writer, v uint64) {
 func writeStr(w *bufio.Writer, s string) {
 	writeU32(w, uint32(len(s)))
 	w.WriteString(s)
-}
-
-func readU32(r *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-func readU64(r *bufio.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func readStr(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<28 {
-		return "", fmt.Errorf("storage: load: string length %d too large", n)
-	}
-	b, err := readBytes(r, int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }

@@ -89,43 +89,21 @@ func (z *Zone) widenFloat(v float64) {
 // this kind are summarized at all (strings are not).
 func (z *Zone) cover(c Column, lo, hi int) bool {
 	switch c := c.(type) {
-	case *Int32Col:
-		for _, v := range c.V[lo:hi] {
-			z.widenInt(int64(v))
-		}
-	case *Int64Col:
-		for _, v := range c.V[lo:hi] {
-			z.widenInt(v)
-		}
-	case *Float64Col:
-		for _, v := range c.V[lo:hi] {
-			z.widenFloat(v)
-		}
-	case *DictCol:
-		for _, v := range c.Codes[lo:hi] {
-			z.widenInt(int64(v))
-		}
 	case *RLECol:
 		// The zone of rows [lo, hi) is the zone of the runs covering them.
 		if hi > lo {
 			return z.cover(c.Vals, FindRun(c.End, lo), FindRun(c.End, hi-1)+1)
 		}
+		return true
 	case *FoRCol:
 		for i := lo; i < hi; i++ {
 			z.widenInt(c.At(i))
 		}
-	default:
-		return false
+		return true
 	}
-	return true
-}
-
-// zoneOfChunk computes an exact zone over the first n elements of a chunk.
-// String columns are not summarized (ok=false return).
-func zoneOfChunk(c Column, n int) (Zone, bool) {
-	z := Zone{Typ: c.Type()}
-	ok := z.cover(c, 0, n)
-	return z, ok
+	var ok bool
+	*z, ok = c.(plainChunk).cover(*z, lo, hi)
+	return ok
 }
 
 // Segment is one horizontal chunk of a table: a per-column array family, a
@@ -221,13 +199,13 @@ func (t *Table) newSegment(capacity int) *Segment {
 func newChunk(typ Type, dict *Dict, capacity int) Column {
 	switch typ {
 	case TInt32:
-		return &Int32Col{V: make([]int32, 0, capacity)}
+		return newVec[int32](capacity)
 	case TInt64:
-		return &Int64Col{V: make([]int64, 0, capacity)}
+		return newVec[int64](capacity)
 	case TFloat64:
-		return &Float64Col{V: make([]float64, 0, capacity)}
+		return newVec[float64](capacity)
 	case TString:
-		return &StrCol{V: make([]string, 0, capacity)}
+		return newVec[string](capacity)
 	case TDict:
 		return &DictCol{Codes: make([]int32, 0, capacity), Dict: dict}
 	default:
@@ -235,27 +213,7 @@ func newChunk(typ Type, dict *Dict, capacity int) Column {
 	}
 }
 
-// appendRows appends rows [lo, hi) of plain chunk src to dst, a plain chunk
-// of the same type.
-func appendRows(dst, src Column, lo, hi int) {
-	switch c := src.(type) {
-	case *Int32Col:
-		d := dst.(*Int32Col)
-		d.V = append(d.V, c.V[lo:hi]...)
-	case *Int64Col:
-		d := dst.(*Int64Col)
-		d.V = append(d.V, c.V[lo:hi]...)
-	case *Float64Col:
-		d := dst.(*Float64Col)
-		d.V = append(d.V, c.V[lo:hi]...)
-	case *StrCol:
-		d := dst.(*StrCol)
-		d.V = append(d.V, c.V[lo:hi]...)
-	case *DictCol:
-		d := dst.(*DictCol)
-		d.Codes = append(d.Codes, c.Codes[lo:hi]...)
-	}
-}
+func newVec[T Elem](capacity int) Column { return &Vec[T]{V: make([]T, 0, capacity)} }
 
 // coverZonesLocked extends the zone maps over the rows added since they
 // were last brought up to date.
@@ -341,12 +299,18 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 	}
 	out := make(map[string]Column, len(t.names))
 	for _, name := range t.names {
-		col := newChunk(t.colTypes[name], t.colDicts[name], t.nrows)
+		col := newChunk(t.colTypes[name], t.colDicts[name], t.nrows).(plainChunk)
 		for s := range t.segments() {
-			appendRows(col, DecodeChunk(s.cols[name]), 0, s.n)
+			col.appendRange(DecodeChunk(s.cols[name]), 0, s.n)
 		}
 		out[name] = col
 	}
+	return out, t.deletedLocked()
+}
+
+// deletedLocked returns the deletion bits of every segment as one bitmap
+// over global rows, or nil if no row is deleted. Caller holds t.mu.
+func (t *Table) deletedLocked() *Bitmap {
 	var del *Bitmap
 	for s := range t.segments() {
 		if s.del == nil || s.del.Count() == 0 {
@@ -355,13 +319,24 @@ func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
 		if del == nil {
 			del = NewBitmap(t.nrows)
 		}
-		for i := 0; i < s.n; i++ {
-			if s.del.Get(i) {
-				del.Set(s.base + i)
-			}
+		for i := s.del.NextSet(0); i >= 0 && i < s.n; i = s.del.NextSet(i + 1) {
+			del.Set(s.base + i)
 		}
 	}
-	return out, del
+	return del
+}
+
+// delRange returns rows [lo, hi) of a global deletion bitmap as a segment's
+// own, or nil if none of them is deleted.
+func delRange(del *Bitmap, lo, hi int) *Bitmap {
+	if del == nil || !del.AnySetInRange(lo, hi-1) {
+		return nil
+	}
+	out := NewBitmap(hi - lo)
+	for i := del.NextSet(lo); i >= 0 && i < hi; i = del.NextSet(i + 1) {
+		out.Set(i - lo)
+	}
+	return out
 }
 
 // rebuildSegmentsLocked re-chunks flat column arrays (and their global
@@ -374,16 +349,9 @@ func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
 	t.segs = nil
 	fill := func(s *Segment, lo, hi int) {
 		for _, name := range t.names {
-			appendRows(s.cols[name], flat[name], lo, hi)
+			s.cols[name].(plainChunk).appendRange(flat[name], lo, hi)
 		}
-		s.base, s.n = lo, hi-lo
-		if del != nil {
-			for i := lo; i < hi; i++ {
-				if del.Get(i) {
-					s.writableDelLocked().Set(i - lo)
-				}
-			}
-		}
+		s.base, s.n, s.del = lo, hi-lo, delRange(del, lo, hi)
 	}
 	at := 0
 	for ; t.segTarget > 0 && nrows-at > t.segTarget; at += t.segTarget {
@@ -418,16 +386,8 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 	t.segs = nil
 	at := 0
 	for si, rows := range counts {
-		s := &Segment{
-			id:     t.nextSegID,
-			base:   at,
-			n:      rows,
-			cap:    t.segTarget,
-			sealed: si < len(counts)-1,
-			cols:   make(map[string]Column, len(t.names)),
-			zones:  make(map[string]Zone, len(t.names)),
-		}
-		t.nextSegID++
+		s := t.newSegment(0)
+		s.base, s.n, s.cap, s.sealed = at, rows, t.segTarget, si < len(counts)-1
 		for _, name := range t.names {
 			c := chunks[name][si]
 			if ChunkEncoding(c) != EncPlain {
@@ -435,16 +395,7 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 			}
 			s.cols[name] = c
 		}
-		if del != nil {
-			for i := 0; i < rows; i++ {
-				if del.Get(at + i) {
-					if s.del == nil {
-						s.del = NewBitmap(rows)
-					}
-					s.del.Set(i)
-				}
-			}
-		}
+		s.del = delRange(del, at, at+rows)
 		if s.sealed {
 			t.segs = append(t.segs, s)
 		} else {
@@ -510,7 +461,12 @@ func (s *Segment) frozenLocked() *Segment {
 		live: s,
 	}
 	for name, c := range s.cols {
-		f.cols[name] = shallowHeaderCopy(c)
+		// Capped headers keep later appends invisible; encoded chunks are
+		// sealed and immutable, so there is nothing to cap.
+		if p, ok := c.(plainChunk); ok {
+			c = p.capped()
+		}
+		f.cols[name] = c
 	}
 	for name, z := range s.zones {
 		f.zones[name] = z
@@ -614,12 +570,5 @@ func (s *Segment) writableDelLocked() *Bitmap {
 // to a plain deep copy: the clone exists to be written, and encoded
 // representations are sealed-only.
 func cloneChunk(c Column, capacity int) Column {
-	c = DecodeChunk(c)
-	var dict *Dict
-	if dc, ok := c.(*DictCol); ok {
-		dict = dc.Dict
-	}
-	out := newChunk(c.Type(), dict, max(capacity, c.Len()))
-	appendRows(out, c, 0, c.Len())
-	return out
+	return DecodeChunk(c).(plainChunk).grow(capacity)
 }

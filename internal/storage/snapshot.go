@@ -144,24 +144,3 @@ func (db *Database) Snapshot() (snap *Database, release func()) {
 	}
 	return snap, release
 }
-
-// shallowHeaderCopy copies a column's struct (slice headers) without copying
-// element data, then caps length so post-snapshot appends are invisible.
-func shallowHeaderCopy(c Column) Column {
-	switch c := c.(type) {
-	case *Int32Col:
-		return &Int32Col{V: c.V[:len(c.V):len(c.V)]}
-	case *Int64Col:
-		return &Int64Col{V: c.V[:len(c.V):len(c.V)]}
-	case *Float64Col:
-		return &Float64Col{V: c.V[:len(c.V):len(c.V)]}
-	case *StrCol:
-		return &StrCol{V: c.V[:len(c.V):len(c.V)]}
-	case *DictCol:
-		return &DictCol{Codes: c.Codes[:len(c.Codes):len(c.Codes)], Dict: c.Dict}
-	case *RLECol, *FoRCol:
-		return c // sealed and immutable: nothing to cap
-	default:
-		panic("storage: unknown column type in snapshot")
-	}
-}

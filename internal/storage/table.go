@@ -77,17 +77,21 @@ func NewTable(name string) *Table {
 	return t
 }
 
-// AddColumn adds a named column, which becomes the tail's chunk as is (no
-// copy, and no pass over its data: zone maps are computed when the first
-// reader asks for them). The first column fixes the row count; every later
-// column must match it. Declare all columns before giving the table a
-// sealing threshold: adding columns afterwards is not supported.
+// AddColumn adds a named plain column (a Vec or a DictCol), which becomes
+// the tail's chunk as is (no copy, and no pass over its data: zone maps are
+// computed when the first reader asks for them). The first column fixes the
+// row count; every later column must match it. Declare all columns before
+// giving the table a sealing threshold: adding columns afterwards is not
+// supported.
 func (t *Table) AddColumn(name string, c Column) error {
 	if _, dup := t.colTypes[name]; dup {
 		return fmt.Errorf("storage: table %s: duplicate column %s", t.Name, name)
 	}
 	if t.segTarget > 0 {
 		return fmt.Errorf("storage: table %s: cannot add column %s to a segmented table", t.Name, name)
+	}
+	if _, ok := c.(plainChunk); !ok {
+		return fmt.Errorf("storage: table %s: column %s is %T, not a plain chunk", t.Name, name, c)
 	}
 	if len(t.names) == 0 {
 		t.nrows, t.tail.n = c.Len(), c.Len()

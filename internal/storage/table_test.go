@@ -56,6 +56,11 @@ func TestAddColumnErrors(t *testing.T) {
 	if err := tb.AddColumn("b", NewInt64Col([]int64{1})); err == nil {
 		t.Fatal("misaligned column accepted")
 	}
+	// Encoded chunks are sealed-only: a table's tail takes writes.
+	rle := &RLECol{End: []int32{2}, Vals: NewInt64Col([]int64{7})}
+	if err := tb.AddColumn("c", rle); err == nil {
+		t.Fatal("encoded column accepted")
+	}
 }
 
 func TestAddFKErrors(t *testing.T) {

@@ -65,3 +65,12 @@ func (t Type) String() string {
 func (t Type) IsNumeric() bool {
 	return t == TInt32 || t == TInt64 || t == TFloat64
 }
+
+// width is the bytes one row of a fixed-width plain chunk of this type
+// takes: 8 for int64 and float64, 4 for int32 and dictionary codes.
+func (t Type) width() int {
+	if t == TInt64 || t == TFloat64 {
+		return 8
+	}
+	return 4
+}

@@ -37,15 +37,21 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 		return -1, fmt.Errorf("storage: table %s: insert got %d values, want %d",
 			t.Name, len(vals), len(t.names))
 	}
+	t.sealFullTailLocked() // a loaded tail may already be full
 	// Validate before mutating so a bad value cannot leave a torn tuple.
+	var cbuf [32]plainChunk
+	var vbuf [32]any
+	chunks, vs := cbuf[:0], vbuf[:0]
 	for _, name := range t.names {
 		v, ok := vals[name]
 		if !ok {
 			return -1, fmt.Errorf("storage: table %s: insert missing column %s", t.Name, name)
 		}
-		if err := checkAssignable(t.tail.cols[name], v); err != nil {
-			return -1, fmt.Errorf("storage: table %s: %w", t.Name, err)
+		c := t.tail.cols[name].(plainChunk)
+		if err := c.check(v); err != nil {
+			return -1, fmt.Errorf("storage: table %s: column %s: %w", t.Name, name, err)
 		}
+		chunks, vs = append(chunks, c), append(vs, v)
 	}
 
 	// A freed slot may lie in a sealed segment, so only a table that never
@@ -53,8 +59,8 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 	if n := len(t.free); n > 0 && t.segTarget == 0 {
 		row := int(t.free[n-1])
 		t.free = t.free[:n-1]
-		for _, name := range t.names {
-			if err := t.tail.setLocked(name, row, vals[name]); err != nil {
+		for i, name := range t.names {
+			if err := t.tail.setLocked(name, row, vs[i]); err != nil {
 				return -1, err
 			}
 		}
@@ -64,10 +70,9 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 		return row, nil
 	}
 
-	t.sealFullTailLocked() // a loaded tail may already be full
 	tail := t.tail
-	for _, name := range t.names {
-		if err := appendValue(tail.cols[name], vals[name]); err != nil {
+	for i, c := range chunks {
+		if err := c.push(vs[i]); err != nil {
 			return -1, err
 		}
 	}
@@ -128,8 +133,8 @@ func (t *Table) Update(i int, col string, v any) error {
 	if !ok {
 		return fmt.Errorf("storage: table %s: no column %s", t.Name, col)
 	}
-	if err := checkAssignable(c, v); err != nil {
-		return fmt.Errorf("storage: table %s: %w", t.Name, err)
+	if err := c.(plainChunk).check(v); err != nil {
+		return fmt.Errorf("storage: table %s: column %s: %w", t.Name, col, err)
 	}
 	if err := s.setLocked(col, local, v); err != nil {
 		return err
@@ -147,16 +152,16 @@ var ErrForeignKey = errors.New("foreign key is not a live row of the referenced 
 // It reads ref under ref's own lock, before the caller takes t's:
 // Consolidate locks a dimension and then its fact table, so the other order
 // could deadlock. A row of ref deleted after the check is, as for Delete
-// itself, the deleter's to avoid. A value of the wrong type is left to the
-// caller's type check.
+// itself, the deleter's to avoid. The check reads v as the column stores
+// it; a value that does not convert is left to the caller's type check.
 func (t *Table) checkFK(col string, ref *Table, v any) error {
-	x, err := toInt64(v)
+	x, err := convert[int32](v)
 	if err != nil {
 		return nil
 	}
 	ref.mu.Lock()
 	defer ref.mu.Unlock()
-	if x < 0 || x >= int64(ref.nrows) {
+	if x < 0 || int(x) >= ref.nrows {
 		return fmt.Errorf("storage: table %s: %s=%d out of range for %s (%d rows): %w", t.Name, col, x, ref.Name, ref.nrows, ErrForeignKey)
 	}
 	if s, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
@@ -171,7 +176,7 @@ func (t *Table) checkFK(col string, ref *Table, v any) error {
 // pruning opportunity, never correctness).
 func (s *Segment) setLocked(col string, i int, v any) error {
 	c := s.writableLocked(col)
-	if err := setValue(c, i, v); err != nil {
+	if err := c.(plainChunk).set(i, v); err != nil {
 		return err
 	}
 	if z := s.zones[col]; i < s.zoned && z.cover(c, i, i+1) {
@@ -179,25 +184,4 @@ func (s *Segment) setLocked(col string, i int, v any) error {
 		s.zones[col] = z
 	}
 	return nil
-}
-
-// checkAssignable verifies v can be stored into column c without mutating it.
-func checkAssignable(c Column, v any) error {
-	switch c.(type) {
-	case *Int32Col, *Int64Col:
-		_, err := toInt64(v)
-		return err
-	case *Float64Col:
-		switch v.(type) {
-		case float64, float32, int, int64:
-			return nil
-		}
-		return fmt.Errorf("storage: cannot store %T in float64 column", v)
-	case *StrCol, *DictCol:
-		if _, ok := v.(string); !ok {
-			return fmt.Errorf("storage: cannot store %T in string column", v)
-		}
-		return nil
-	}
-	return fmt.Errorf("storage: unknown column type %T", c)
 }
