@@ -29,8 +29,8 @@ func main() {
 		save     = flag.String("save", "", "write the generated database image to this file")
 		load     = flag.String("load", "", "load a database image instead of generating")
 		segRows  = flag.Int("segment-rows", 0, "seal fact-table segments at this many rows before saving (0 = never seal)")
-		sortKeys = flag.String("sort-keys", "", "comma-separated fact columns to cluster by at consolidation (requires -segment-rows)")
-		encode   = flag.Bool("encode-sealed", false, "compress sealed-segment chunks (RLE/FoR) before saving (requires -segment-rows)")
+		sortKeys = flag.String("sort-keys", "", "comma-separated fact columns to cluster by before saving (keys a table lacks are ignored)")
+		encode   = flag.Bool("encode-sealed", false, "compress sealed-segment chunks (RLE/FoR) before saving")
 	)
 	flag.Parse()
 
@@ -64,53 +64,29 @@ func main() {
 	}
 	genTime := time.Since(t0)
 
-	if *segRows > 0 {
-		// Segment every fact table (a table referenced by no other) so the
-		// saved image carries segment manifests and a serving process
-		// re-opens with sealed segments + zone maps already in place.
-		referenced := make(map[*storage.Table]bool)
-		for _, t := range catalog.Tables() {
-			for _, ref := range t.FKs() {
-				referenced[ref] = true
-			}
+	// Register the catalog with the serving layer, which also lays the fact
+	// tables out as the flags ask: this verifies each fact table's reachable
+	// schema builds into a valid join tree, and a saved image carries the
+	// segment manifests, so a serving process re-opens with sealed segments
+	// and zone maps already in place.
+	opt := core.Options{SegmentRows: *segRows, SealedEncodings: *encode}
+	for _, k := range strings.Split(*sortKeys, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			opt.SortKeys = append(opt.SortKeys, k)
 		}
-		for _, t := range catalog.Tables() {
-			if referenced[t] {
-				continue
-			}
-			if err := t.SetSegmentTarget(*segRows); err != nil {
+	}
+	d, err := db.Open(catalog, opt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "astore-gen: serving registration failed: %v\n", err)
+		os.Exit(1)
+	}
+	if len(opt.SortKeys) > 0 {
+		// Consolidate applies the re-sort pass now, so the saved image
+		// carries clustered segments.
+		for _, fact := range d.Facts() {
+			if _, err := storage.Consolidate(catalog, catalog.Table(fact)); err != nil {
 				fmt.Fprintln(os.Stderr, "astore-gen:", err)
 				os.Exit(1)
-			}
-			if *sortKeys != "" {
-				var keys []string
-				for _, k := range strings.Split(*sortKeys, ",") {
-					k = strings.TrimSpace(k)
-					if k == "" {
-						continue
-					}
-					if _, ok := t.ColumnType(k); ok {
-						keys = append(keys, k)
-					}
-				}
-				if len(keys) > 0 {
-					if err := t.SetSortKeys(keys...); err != nil {
-						fmt.Fprintln(os.Stderr, "astore-gen:", err)
-						os.Exit(1)
-					}
-					// Consolidate applies the re-sort pass now, so the
-					// saved image carries clustered segments.
-					if _, err := storage.Consolidate(catalog, t); err != nil {
-						fmt.Fprintln(os.Stderr, "astore-gen:", err)
-						os.Exit(1)
-					}
-				}
-			}
-			if *encode {
-				if err := t.SetSealedEncodings(true); err != nil {
-					fmt.Fprintln(os.Stderr, "astore-gen:", err)
-					os.Exit(1)
-				}
 			}
 		}
 	}
@@ -157,14 +133,6 @@ func main() {
 	}
 	fmt.Printf("%-24s %12d %8s %12d\n", "TOTAL", totalRows, "", totalBytes)
 
-	// Register the catalog with the serving layer: this verifies each fact
-	// table's reachable schema builds into a valid join tree and reports
-	// the entry points a DB would serve.
-	d, err := db.Open(catalog, core.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "astore-gen: serving registration failed: %v\n", err)
-		os.Exit(1)
-	}
 	fmt.Println()
 	for _, fact := range d.Facts() {
 		g := d.Engine(fact).Graph()

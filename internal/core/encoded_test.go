@@ -88,7 +88,7 @@ func encodedStar(t testing.TB, n, target int, sorted bool) *storage.Table {
 		if err := fact.SetSegmentTarget(target); err != nil {
 			t.Fatal(err)
 		}
-		if err := fact.SetSealedEncodings(true); err != nil {
+		if err := fact.EncodeSealed(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +308,7 @@ func TestEncodedBindAllocatesNoRows(t *testing.T) {
 	const rows = 1 << 16
 	data := ssb.Generate(ssb.Config{SF: 0.012, Seed: 1})
 	fact := data.Lineorder
-	for _, err := range []error{fact.SetSortKeys("lo_orderdate"), fact.SetSegmentTarget(rows), fact.SetSealedEncodings(true)} {
+	for _, err := range []error{fact.SetSortKeys("lo_orderdate"), fact.SetSegmentTarget(rows), fact.EncodeSealed()} {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,16 +125,10 @@ func Open(catalog *storage.Database, opt core.Options) (*DB, error) {
 		if referenced[t] {
 			continue
 		}
-		// Give fact tables a sealing threshold when asked (a loaded image
-		// keeps the one it carries): sealed segments + mutable tail give
-		// zone-map pruning and cacheable per-segment partials.
-		if opt.SegmentRows > 0 && t.SegmentTarget() == 0 {
-			if err := t.SetSegmentTarget(opt.SegmentRows); err != nil {
-				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-			}
-		}
-		// Sort keys apply per table: keys a fact table does not have are
-		// dropped (a shared key list may span heterogeneous facts).
+		// Apply the fact layout the options ask for in one pass: sort keys
+		// and encodings first, so the segments are encoded as they are
+		// built. Sort keys apply per table: keys a fact table does not have
+		// are dropped (a shared key list may span heterogeneous facts).
 		var keys []string
 		for _, k := range opt.SortKeys {
 			if _, ok := t.ColumnType(k); ok {
@@ -147,7 +141,13 @@ func Open(catalog *storage.Database, opt core.Options) (*DB, error) {
 			}
 		}
 		if opt.SealedEncodings {
-			if err := t.SetSealedEncodings(true); err != nil {
+			if err := t.EncodeSealed(); err != nil {
+				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
+			}
+		}
+		// A loaded image keeps the sealing threshold it carries.
+		if opt.SegmentRows > 0 && t.SegmentTarget() == 0 {
+			if err := t.SetSegmentTarget(opt.SegmentRows); err != nil {
 				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
 			}
 		}

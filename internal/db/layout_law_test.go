@@ -238,7 +238,7 @@ func lawRun(t *testing.T, seed int64, factRows int, layouts []lawLayout) {
 			}
 		}
 		if l.encoded {
-			if err := fact.SetSealedEncodings(true); err != nil {
+			if err := fact.EncodeSealed(); err != nil {
 				t.Fatal(err)
 			}
 		}

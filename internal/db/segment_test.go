@@ -2,12 +2,14 @@ package db
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"astore/internal/core"
 	"astore/internal/expr"
 	"astore/internal/query"
+	"astore/internal/schema"
 	"astore/internal/sql"
 	"astore/internal/storage"
 	"astore/internal/testutil"
@@ -203,4 +205,61 @@ func TestSegmentedPruningThroughDB(t *testing.T) {
 		Render:   sql.Render,
 		Tol:      1e-9,
 	}.Run(t)
+}
+
+// TestSegmentedDimensionRefused: an AIR hop indexes a dimension as one
+// contiguous array, so a referenced table that seals segments is refused
+// with schema.ErrSegmentedDimension — by Open when it seals beforehand, by
+// the query when it seals afterwards — and no pin is left behind.
+func TestSegmentedDimensionRefused(t *testing.T) {
+	build := func() (*storage.Database, *storage.Table, *storage.Table) {
+		dim := storage.NewTable("dim")
+		dim.MustAddColumn("d_name", storage.NewStrCol([]string{"a", "b", "c", "d", "e"}))
+		fact := storage.NewTable("fact")
+		fact.MustAddColumn("f_dk", storage.NewInt32Col([]int32{0, 1, 2, 3, 4, 4, 0}))
+		fact.MustAddColumn("f_v", storage.NewInt64Col([]int64{1, 2, 3, 4, 5, 6, 7}))
+		fact.MustAddFK("f_dk", dim)
+		cat := storage.NewDatabase()
+		cat.MustAdd(dim)
+		cat.MustAdd(fact)
+		return cat, dim, fact
+	}
+	const text = `SELECT d_name, sum(f_v) FROM fact GROUP BY d_name`
+
+	cat, dim, fact := build()
+	if err := dim.SetSegmentTarget(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(cat, core.Options{}); !errors.Is(err, schema.ErrSegmentedDimension) {
+		t.Fatalf("Open over a segmented dimension: err = %v, want ErrSegmentedDimension", err)
+	}
+	for _, tab := range []*storage.Table{dim, fact} {
+		if pins := tab.Pins(); pins != 0 {
+			t.Errorf("table %s pins = %d after refused Open", tab.Name, pins)
+		}
+	}
+
+	cat, dim, fact = build()
+	d, err := Open(cat, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.PrepareSQL(text); err != nil {
+		t.Fatal(err)
+	}
+	if err := dim.SetSegmentTarget(2); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sql.ParseStatement(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Run(context.Background(), st.Query); !errors.Is(err, schema.ErrSegmentedDimension) {
+		t.Fatalf("query over a dimension segmented after Open: err = %v, want ErrSegmentedDimension", err)
+	}
+	for _, tab := range []*storage.Table{dim, fact} {
+		if pins := tab.Pins(); pins != 0 {
+			t.Errorf("table %s pins = %d after refused query", tab.Name, pins)
+		}
+	}
 }

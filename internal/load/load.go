@@ -73,13 +73,6 @@ type ColumnSpec struct {
 type Loader struct {
 	db   *storage.Database
 	keys map[string]map[string]int32
-
-	// SegmentRows, when positive, converts every loaded table that
-	// declares at least one FK column (a fact-like table) to segmented
-	// storage with this sealing threshold: subsequent appends go to the
-	// mutable tail and scans prune on per-segment zone maps. Dimension
-	// tables (no FK columns) stay flat, as AIR chain lookups require.
-	SegmentRows int
 }
 
 // NewLoader returns a loader that registers loaded tables into db.
@@ -224,20 +217,6 @@ func (l *Loader) LoadCSV(r io.Reader, table string, specs []ColumnSpec, skipHead
 			}
 			if err := t.AddFK(b.spec.Name, ref); err != nil {
 				return nil, err
-			}
-		}
-	}
-	if l.SegmentRows > 0 {
-		hasFK := false
-		for _, sp := range specs {
-			if sp.Kind == FK {
-				hasFK = true
-				break
-			}
-		}
-		if hasFK {
-			if err := t.SetSegmentTarget(l.SegmentRows); err != nil {
-				return nil, fmt.Errorf("load: table %s: %w", table, err)
 			}
 		}
 	}

@@ -11,6 +11,7 @@
 package schema
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -48,11 +49,17 @@ type Graph struct {
 	ambig  map[string]bool
 }
 
+// ErrSegmentedDimension reports a referenced table that seals segments. An
+// AIR hop indexes a dimension's column as one contiguous array, which a
+// table with a sealing threshold does not have (storage.Table.Column is nil
+// for it); only a root may seal segments.
+var ErrSegmentedDimension = errors.New("schema: referenced table seals segments")
+
 // Build constructs the join graph reachable from root by following
 // foreign-key edges. It returns an error if the reachable graph is not a
 // tree (a table reachable via two different reference paths, or a cycle),
 // because the universal-table model requires a unique reference path per
-// leaf.
+// leaf, and ErrSegmentedDimension if a referenced table seals segments.
 func Build(root *storage.Table) (*Graph, error) {
 	g := &Graph{
 		root:  root,
@@ -79,6 +86,9 @@ func Build(root *storage.Table) (*Graph, error) {
 			ref := t.FK(fkCol)
 			if ref == nil {
 				continue
+			}
+			if ref.SegmentTarget() > 0 { // sealed segments imply a threshold
+				return fmt.Errorf("%w: %s (referenced by %s.%s)", ErrSegmentedDimension, ref.Name, t.Name, fkCol)
 			}
 			step := Step{From: t, FKCol: fkCol, To: ref}
 			if _, seen := g.paths[ref]; seen {

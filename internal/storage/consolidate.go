@@ -103,17 +103,14 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 	return remap, nil
 }
 
-// compactLocked rebuilds the segment list without the deleted rows. One
+// compactLocked lays the table out anew without the deleted rows. One
 // permutation — the surviving rows in order, stable-sorted by the sort keys
 // when the table has them (attribute-value reordering: zone maps tighten
-// and equal key values form the runs RLE encoding exploits) — is gathered
-// from the flattened columns into fresh arrays, which are then re-chunked
-// into sealed segments at the current target plus a tail. The old arrays
-// are discarded whole, so any stale reader keeps a coherent (if outdated)
-// view. The returned remap is the permutation's inverse, so referrer FKs
-// are rewritten once.
+// and equal key values form the runs RLE encoding exploits) — is what
+// relayoutLocked gathers every column through. The returned remap is the
+// permutation's inverse, so referrer FKs are rewritten once.
 func (t *Table) compactLocked() []int32 {
-	flat, del := t.flattenLocked()
+	del := t.deletedLocked()
 	// perm[newPos] = old row that lands at newPos.
 	perm := make([]int32, 0, t.nrows)
 	for i := 0; i < t.nrows; i++ {
@@ -124,9 +121,10 @@ func (t *Table) compactLocked() []int32 {
 	if len(t.sortKeys) > 0 {
 		keys := make([][]int64, len(t.sortKeys))
 		for k, name := range t.sortKeys {
+			col := t.joinedLocked(name)
 			keys[k] = make([]int64, t.nrows)
 			for i := range keys[k] {
-				keys[k][i], _ = Int64At(flat[name], i)
+				keys[k][i], _ = col.int64At(i)
 			}
 		}
 		slices.SortStableFunc(perm, func(a, b int32) int {
@@ -145,14 +143,8 @@ func (t *Table) compactLocked() []int32 {
 	for newPos, old := range perm {
 		remap[old] = int32(newPos)
 	}
-	if len(perm) < t.nrows || len(t.sortKeys) > 0 {
-		for name, c := range flat {
-			flat[name] = gatherColumn(c, perm)
-		}
-	}
-	t.nrows = len(perm)
 	t.free = t.free[:0]
-	t.rebuildSegmentsLocked(flat, nil)
+	t.relayoutLocked(perm)
 	return remap
 }
 

@@ -445,19 +445,22 @@ func DecodeChunk(c Column) Column {
 }
 
 // encodeSegmentLocked replaces the segment's plain chunks with encoded ones
-// where beneficial. Safe on sealed segments only (their chunks never see
-// in-place writes); snapshots hold their own chunk-header copies, so
-// replacing the map entry is invisible to pinned readers. Caller holds the
-// table mutex.
-func (t *Table) encodeSegmentLocked(s *Segment) {
+// where beneficial, and reports whether it replaced any. Safe on sealed
+// segments only (their chunks never see in-place writes); snapshots hold
+// their own chunk-header copies, so replacing the map entry is invisible to
+// pinned readers. Caller holds the table mutex.
+func (t *Table) encodeSegmentLocked(s *Segment) bool {
 	if !t.encodeSealed || !s.sealed {
-		return
+		return false
 	}
+	changed := false
 	for name, c := range s.cols {
 		if ec, ok := EncodeChunk(c, s.n); ok {
 			s.cols[name] = ec
+			changed = true
 		}
 	}
+	return changed
 }
 
 // CompressionStats summarizes the physical effect of sealed-chunk encodings

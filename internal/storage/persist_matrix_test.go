@@ -104,7 +104,7 @@ func buildEncodedFixture(t *testing.T, n int) (*Database, *Table) {
 	if err := fact.SetSegmentTarget(256); err != nil {
 		t.Fatal(err)
 	}
-	if err := fact.SetSealedEncodings(true); err != nil {
+	if err := fact.EncodeSealed(); err != nil {
 		t.Fatal(err)
 	}
 	return db, fact

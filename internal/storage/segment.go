@@ -281,31 +281,99 @@ func (t *Table) SetSegmentTarget(target int) error {
 	if t.pins > 0 {
 		return fmt.Errorf("storage: table %s: cannot re-segment while pinned by %d snapshot(s)", t.Name, t.pins)
 	}
-	flat, del := t.flattenLocked()
 	t.segTarget = target
-	t.rebuildSegmentsLocked(flat, del)
+	t.relayoutLocked(nil)
 	t.schemaVersion++
 	t.version++
 	return nil
 }
 
-// flattenLocked returns the table's rows as one plain array per column plus
-// a global deletion bitmap (nil if no deletions). A table with no sealed
-// segment already is that — the tail's own chunks are returned, not copies;
-// otherwise the chunks are concatenated. Caller holds t.mu.
-func (t *Table) flattenLocked() (map[string]Column, *Bitmap) {
-	if len(t.segs) == 0 {
-		return t.tail.cols, t.tail.del
+// relayoutLocked rebuilds the segment list at the current sealing
+// threshold: sealed segments of exactly segTarget rows, then a tail. With
+// perm nil every row stays where it is, deletion bits included; otherwise
+// new row i is old row perm[i] and no row is deleted. It is the one way a
+// table's rows are laid out anew (SetSegmentTarget and Consolidate).
+//
+// It works one column at a time: the column's old chunks are joined into
+// one plain array (encoded chunks decoded), which is gathered through perm
+// (or copied, perm nil) into the new segments one chunk at a time, each
+// sealed chunk zoned and encoded as it is built. So beside the old and the
+// new segments it never holds more than two whole copies of one column.
+// Rows that all fit the tail — always, without a sealing threshold — are
+// not split: the tail adopts the whole array. The old segments are
+// discarded whole, so a stale reader keeps a coherent (if outdated) view.
+// Caller holds t.mu.
+func (t *Table) relayoutLocked(perm []int32) {
+	nrows, del := len(perm), (*Bitmap)(nil)
+	if perm == nil {
+		nrows, del = t.nrows, t.deletedLocked()
 	}
-	out := make(map[string]Column, len(t.names))
+	// The new segments' shells; their chunks are built column by column.
+	var segs []*Segment
+	for at := 0; t.segTarget > 0 && nrows-at > t.segTarget; at += t.segTarget {
+		s := t.newSegment(0)
+		s.base, s.n, s.cap, s.sealed = at, t.segTarget, t.segTarget, true
+		segs = append(segs, s)
+	}
+	tail := t.newSegment(0)
+	tail.base, tail.cap = len(segs)*t.segTarget, t.segTarget
+	tail.n = nrows - tail.base
+	all := append(segs[:len(segs):len(segs)], tail)
+
 	for _, name := range t.names {
-		col := newChunk(t.colTypes[name], t.colDicts[name], t.nrows).(plainChunk)
-		for s := range t.segments() {
-			col.appendRange(DecodeChunk(s.cols[name]), 0, s.n)
+		col := t.joinedLocked(name)
+		if len(segs) == 0 {
+			if perm != nil {
+				col = col.gather(perm).(plainChunk)
+			}
+			tail.cols[name] = col
+			continue
 		}
-		out[name] = col
+		for _, s := range all {
+			var c plainChunk
+			if perm != nil {
+				c = col.gather(perm[s.base : s.base+s.n]).(plainChunk)
+			} else {
+				c = newChunk(t.colTypes[name], t.colDicts[name], s.cap).(plainChunk)
+				c.appendRange(col, s.base, s.base+s.n)
+			}
+			s.cols[name] = c
+			if !s.sealed {
+				continue
+			}
+			z := Zone{Typ: c.Type()}
+			if z.cover(c, 0, s.n) {
+				s.zones[name] = z
+			}
+			if t.encodeSealed {
+				if ec, ok := EncodeChunk(c, s.n); ok {
+					s.cols[name] = ec
+				}
+			}
+		}
 	}
-	return out, t.deletedLocked()
+	for _, s := range all {
+		s.del = delRange(del, s.base, s.base+s.n)
+		if s.sealed {
+			s.zoned = s.n
+		}
+	}
+	t.segs, t.tail, t.nrows = segs, tail, nrows
+}
+
+// joinedLocked returns a column's rows as one plain array: the tail's own
+// chunk when the table has no sealed segment, otherwise a fresh
+// concatenation of every segment's chunk, encoded ones decoded. Caller
+// holds t.mu.
+func (t *Table) joinedLocked(name string) plainChunk {
+	if len(t.segs) == 0 {
+		return t.tail.cols[name].(plainChunk)
+	}
+	col := newChunk(t.colTypes[name], t.colDicts[name], t.nrows).(plainChunk)
+	for s := range t.segments() {
+		col.appendRange(DecodeChunk(s.cols[name]), 0, s.n)
+	}
+	return col
 }
 
 // deletedLocked returns the deletion bits of every segment as one bitmap
@@ -337,41 +405,6 @@ func delRange(del *Bitmap, lo, hi int) *Bitmap {
 		out.Set(i - lo)
 	}
 	return out
-}
-
-// rebuildSegmentsLocked re-chunks flat column arrays (and their global
-// deletion bitmap, nil for none) into sealed segments of exactly segTarget
-// rows plus a tail. Rows that all fit the tail — always, without a sealing
-// threshold — are not copied: the tail adopts the flat arrays. Caller holds
-// t.mu.
-func (t *Table) rebuildSegmentsLocked(flat map[string]Column, del *Bitmap) {
-	nrows := t.nrows
-	t.segs = nil
-	fill := func(s *Segment, lo, hi int) {
-		for _, name := range t.names {
-			s.cols[name].(plainChunk).appendRange(flat[name], lo, hi)
-		}
-		s.base, s.n, s.del = lo, hi-lo, delRange(del, lo, hi)
-	}
-	at := 0
-	for ; t.segTarget > 0 && nrows-at > t.segTarget; at += t.segTarget {
-		s := t.newSegment(t.segTarget)
-		fill(s, at, at+t.segTarget)
-		t.sealLocked(s)
-	}
-	t.tail = t.newSegment(t.segTarget)
-	if at > 0 {
-		fill(t.tail, at, nrows)
-		return
-	}
-	t.tail.n = nrows
-	for _, name := range t.names {
-		t.tail.cols[name] = flat[name]
-	}
-	if del != nil {
-		t.tail.del = del
-		t.tail.writableDelLocked()
-	}
 }
 
 // installSegmentsLocked installs loaded per-column chunks as the table's

@@ -51,6 +51,73 @@ func TestSetSegmentTargetRechunks(t *testing.T) {
 	if seen != 250 {
 		t.Fatalf("visited %d rows, want 250", seen)
 	}
+
+	// Re-segmenting a table whose sealed segments are encoded and hold
+	// deleted rows, to a smaller and to a larger target, moves no value and
+	// no deletion bit; every sealed segment is re-encoded with exact zones.
+	if err := tab.EncodeSealed(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{3, 99, 100, 101, 180, 249} {
+		if err := tab.Delete(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := segRows(t, tab)
+	for _, target := range []int{30, 160} {
+		if err := tab.SetSegmentTarget(target); err != nil {
+			t.Fatal(err)
+		}
+		if tab.NumRows() != 250 || tab.NumLive() != 244 {
+			t.Fatalf("target %d: NumRows/NumLive = %d/%d, want 250/244", target, tab.NumRows(), tab.NumLive())
+		}
+		if sealed, _ := tab.SegmentCounts(); sealed != (250-1)/target {
+			t.Fatalf("target %d: %d sealed segments, want %d", target, sealed, (250-1)/target)
+		}
+		got := segRows(t, tab)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("target %d: row %d = %v (v, k, deleted), want %v", target, i, got[i], want[i])
+			}
+		}
+		for _, sv := range tab.SegViews() {
+			if sv.Sealed && ChunkEncoding(sv.Cols["v"]) == EncPlain {
+				t.Fatalf("target %d: sealed segment at %d left v plain", target, sv.Base)
+			}
+			for c, name := range []string{"v", "k"} {
+				z := sv.Zones[name]
+				lo, hi := want[sv.Base][c], want[sv.Base][c]
+				for _, r := range want[sv.Base : sv.Base+sv.N] {
+					lo, hi = min(lo, r[c]), max(hi, r[c])
+				}
+				if !z.OK || z.MinI > lo || z.MaxI < hi || (sv.Sealed && (z.MinI != lo || z.MaxI != hi)) {
+					t.Fatalf("target %d: segment at %d zone %s = %+v, rows span [%d, %d]", target, sv.Base, name, z, lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// segRow is one row of a segTestTable as read through its segment views:
+// v, k and whether the row is deleted (1) or not (0).
+type segRow = [3]int64
+
+// segRows reads every row of a segTestTable through its segment views.
+func segRows(t *testing.T, tab *Table) []segRow {
+	t.Helper()
+	var out []segRow
+	for _, sv := range tab.SegViews() {
+		for i := 0; i < sv.N; i++ {
+			v, _ := Int64At(sv.Cols["v"], i)
+			k, _ := Int64At(sv.Cols["k"], i)
+			var del int64
+			if sv.Del != nil && sv.Del.Get(i) {
+				del = 1
+			}
+			out = append(out, segRow{v, k, del})
+		}
+	}
+	return out
 }
 
 func TestSealOnAppendOverflowAndZones(t *testing.T) {
@@ -472,7 +539,7 @@ func TestConcurrentAppendConsolidateSnapshotsReordering(t *testing.T) {
 	if err := tab.SetSortKeys("k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.SetSealedEncodings(true); err != nil {
+	if err := tab.EncodeSealed(); err != nil {
 		t.Fatal(err)
 	}
 	db.MustAdd(tab)

@@ -331,36 +331,24 @@ func (t *Table) SortKeys() []string {
 	return append([]string(nil), t.sortKeys...)
 }
 
-// SetSealedEncodings toggles compressed sealed-chunk encodings. Turning it
-// on re-encodes existing sealed segments in place (and every segment sealed
-// afterwards); turning it off decodes them back to plain arrays. Chunk
+// EncodeSealed turns on compressed sealed-chunk encodings: existing sealed
+// segments are encoded in place, and every segment sealed afterwards is
+// encoded at seal time. Encodings stay on for the table's lifetime. Chunk
 // replacement bumps segment epochs so cached per-segment plan bindings
 // rebind; it fails while snapshots pin the table because pinned readers
 // hold the current chunk headers.
-func (t *Table) SetSealedEncodings(on bool) error {
+func (t *Table) EncodeSealed() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.encodeSealed == on {
+	if t.encodeSealed {
 		return nil
 	}
 	if t.pins > 0 {
-		return fmt.Errorf("storage: table %s: cannot change sealed encodings while pinned by %d snapshot(s)", t.Name, t.pins)
+		return fmt.Errorf("storage: table %s: cannot encode sealed segments while pinned by %d snapshot(s)", t.Name, t.pins)
 	}
-	t.encodeSealed = on
+	t.encodeSealed = true
 	for _, s := range t.segs {
-		changed := false
-		for name, c := range s.cols {
-			if on {
-				if ec, ok := EncodeChunk(c, s.n); ok {
-					s.cols[name] = ec
-					changed = true
-				}
-			} else if ChunkEncoding(c) != EncPlain {
-				s.cols[name] = cloneChunk(c, s.cap)
-				changed = true
-			}
-		}
-		if changed {
+		if t.encodeSegmentLocked(s) {
 			s.epoch++
 		}
 	}
