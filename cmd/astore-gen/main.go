@@ -80,16 +80,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "astore-gen: serving registration failed: %v\n", err)
 		os.Exit(1)
 	}
-	if len(opt.SortKeys) > 0 {
-		// Consolidate applies the re-sort pass now, so the saved image
-		// carries clustered segments.
-		for _, fact := range d.Facts() {
-			if _, err := storage.Consolidate(catalog, catalog.Table(fact)); err != nil {
-				fmt.Fprintln(os.Stderr, "astore-gen:", err)
-				os.Exit(1)
-			}
-		}
-	}
 
 	if *save != "" {
 		f, err := os.Create(*save)

@@ -61,7 +61,7 @@ func main() {
 		segRows = flag.Int("segment-rows", storage.DefaultSegmentRows,
 			"rows per fact-table segment (sealed segments + mutable tail: zone-map pruning, append-stable plans; 0 = never seal)")
 		sortKeys = flag.String("sort-keys", "",
-			"comma-separated fact columns to cluster by at consolidation (keys a table lacks are ignored)")
+			"comma-separated fact columns to sort rows by at open and at every consolidation (keys a table lacks are ignored)")
 		encode = flag.Bool("encode-sealed", false,
 			"compress sealed-segment chunks (RLE/FoR); queries read them in place, without decoding")
 
@@ -90,15 +90,6 @@ func main() {
 	d, err := db.Open(catalog, opt)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if len(opt.SortKeys) > 0 {
-		// Apply the re-sort pass up front so the initial dataset is already
-		// clustered; later Consolidate calls keep it that way.
-		for _, fact := range d.Facts() {
-			if _, err := storage.Consolidate(catalog, catalog.Table(fact)); err != nil {
-				log.Fatal(err)
-			}
-		}
 	}
 	for _, t := range catalog.Tables() {
 		sealed, total := t.SegmentCounts()

@@ -115,15 +115,15 @@ type Options struct {
 	// Default 64K rows.
 	BatchRows int
 	// SegmentRows, when positive, makes db.Open give every fact table this
-	// sealing threshold (storage.SetSegmentTarget): the tail seals when it
+	// sealing threshold (storage.Arrange): the tail seals when it
 	// reaches it, per-segment zone maps prune scans, and sealed segments'
 	// partial aggregates are cacheable. Zero leaves each table as it is —
 	// all tail, unless a loaded image says otherwise. The engine itself
 	// does not consult this field.
 	SegmentRows int
-	// SortKeys, when non-empty, makes db.Open configure every fact table
-	// to re-sort surviving rows by these columns (integer or
-	// dict-coded) during Consolidate, before sealing. Clustering by the
+	// SortKeys, when non-empty, makes db.Open sort every fact table's live
+	// rows by these columns (integer or dict-coded) as it lays the table
+	// out, and every later Consolidate sort them again. Clustering by the
 	// sort key tightens zone maps and lengthens runs, which is what makes
 	// the sealed-segment encodings below pay off. Keys missing from a
 	// fact table are ignored for that table. The engine itself does not

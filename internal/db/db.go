@@ -125,31 +125,17 @@ func Open(catalog *storage.Database, opt core.Options) (*DB, error) {
 		if referenced[t] {
 			continue
 		}
-		// Apply the fact layout the options ask for in one pass: sort keys
-		// and encodings first, so the segments are encoded as they are
-		// built. Sort keys apply per table: keys a fact table does not have
-		// are dropped (a shared key list may span heterogeneous facts).
+		// Lay the fact out as the options ask, in one pass. Sort keys apply
+		// per table: keys a fact table does not have are dropped (a shared
+		// key list may span heterogeneous facts).
 		var keys []string
 		for _, k := range opt.SortKeys {
 			if _, ok := t.ColumnType(k); ok {
 				keys = append(keys, k)
 			}
 		}
-		if len(keys) > 0 {
-			if err := t.SetSortKeys(keys...); err != nil {
-				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-			}
-		}
-		if opt.SealedEncodings {
-			if err := t.EncodeSealed(); err != nil {
-				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-			}
-		}
-		// A loaded image keeps the sealing threshold it carries.
-		if opt.SegmentRows > 0 && t.SegmentTarget() == 0 {
-			if err := t.SetSegmentTarget(opt.SegmentRows); err != nil {
-				return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
-			}
+		if err := storage.Arrange(catalog, t, opt.SegmentRows, keys, opt.SealedEncodings); err != nil {
+			return nil, fmt.Errorf("db: fact table %s: %w", t.Name, err)
 		}
 		eng, err := core.New(t, opt)
 		if err != nil {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -578,36 +579,81 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 }
 
 // TestOpenThreadsSortKeysAndEncodings is the regression test for the
-// Options.SortKeys wiring: Open segments fact tables *before* configuring
-// sort keys, so the membership check must consult the schema
-// (ColumnType), not the flat-column map, which is empty once segmented.
-// Unknown keys are dropped silently; results must match the unclustered
-// catalog after the reordering consolidation.
+// Options.SortKeys wiring: the membership check must consult the schema
+// (ColumnType), and unknown keys are dropped silently. Open itself lays
+// the fact out sorted by the key, in sealed, encoded segments at the
+// threshold — a catalog loaded from an image that already carries a
+// threshold (50 rows) keeps it and is sorted too — and the answers match
+// the unclustered catalog's.
 func TestOpenThreadsSortKeysAndEncodings(t *testing.T) {
-	cat, fact := starCatalog(7, 900)
 	want := mustExec(t, mustOpen(t, starOnly(t, 7, 900)), sumRevenueByRegion())
-
-	d, err := Open(cat, core.Options{
-		SegmentRows:     64,
-		SortKeys:        []string{"f_dk", "no_such_col"},
-		SealedEncodings: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fact.SortKeys(); len(got) != 1 || got[0] != "f_dk" {
-		t.Fatalf("SortKeys() = %v, want [f_dk] (segmented tables must keep schema-resolved keys)", got)
-	}
-	if !fact.SealedEncodings() {
-		t.Fatal("SealedEncodings not threaded")
-	}
-	// The re-sort pass clusters by f_dk; answers are order-independent.
-	if _, err := storage.Consolidate(cat, fact); err != nil {
-		t.Fatal(err)
-	}
-	got := mustExec(t, d, sumRevenueByRegion())
-	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-		t.Fatalf("reordered results diverge:\n got %v\nwant %v", got.Rows, want.Rows)
+	for _, loaded := range []int{0, 50} {
+		t.Run(fmt.Sprintf("loaded_target=%d", loaded), func(t *testing.T) {
+			cat, fact := starCatalog(7, 900)
+			segRows := 64
+			if loaded > 0 {
+				if err := fact.SetSegmentTarget(loaded); err != nil {
+					t.Fatal(err)
+				}
+				var img bytes.Buffer
+				if err := cat.Save(&img); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if cat, err = storage.LoadDatabase(&img); err != nil {
+					t.Fatal(err)
+				}
+				fact, segRows = cat.Table(fact.Name), loaded
+			}
+			d, err := Open(cat, core.Options{
+				SegmentRows:     64,
+				SortKeys:        []string{"f_dk", "no_such_col"},
+				SealedEncodings: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fact.SortKeys(); len(got) != 1 || got[0] != "f_dk" {
+				t.Fatalf("SortKeys() = %v, want [f_dk] (keys must be resolved against the schema)", got)
+			}
+			if !fact.SealedEncodings() {
+				t.Fatal("SealedEncodings not threaded")
+			}
+			if got := fact.SegmentTarget(); got != segRows {
+				t.Fatalf("SegmentTarget() = %d, want %d", got, segRows)
+			}
+			prev, sealed := int64(-1), 0
+			for _, sv := range fact.SegViews() {
+				encoded := 0
+				for _, c := range sv.Cols {
+					if storage.ChunkEncoding(c) != storage.EncPlain {
+						encoded++
+					}
+				}
+				if sv.Sealed {
+					sealed++
+					if sv.N != segRows || encoded == 0 {
+						t.Fatalf("sealed segment at row %d: %d rows, %d encoded chunks; want %d rows, some encoded",
+							sv.Base, sv.N, encoded, segRows)
+					}
+				}
+				for i := 0; i < sv.N; i++ {
+					v, _ := storage.Int64At(sv.Cols["f_dk"], i)
+					if v < prev {
+						t.Fatalf("f_dk[%d] = %d after %d: Open did not sort the fact", sv.Base+i, v, prev)
+					}
+					prev = v
+				}
+			}
+			// The last segment's rows stay in the tail, even when full.
+			if sealed != (900-1)/segRows {
+				t.Fatalf("%d sealed segments, want %d", sealed, (900-1)/segRows)
+			}
+			got := mustExec(t, d, sumRevenueByRegion())
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Fatalf("reordered results diverge:\n got %v\nwant %v", got.Rows, want.Rows)
+			}
+		})
 	}
 }
 

@@ -1,16 +1,15 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
 
 // Consolidate compacts table t by physically removing tuples marked in the
-// deletion vector, preserving the order of surviving tuples, and rewrites
-// every foreign-key column in the database that references t so the AIR
-// invariant keeps holding. It returns the old-index-to-new-index map
-// (-1 for removed rows).
+// deletion vector, keeping the surviving tuples in their order (or in
+// sort-key order, when t has sort keys), and rewrites every foreign-key
+// column in the database that references t so the AIR invariant keeps
+// holding. It returns the old-index-to-new-index map (-1 for removed rows).
 //
 // Consolidation is the expensive maintenance operation of §4.4: because the
 // primary key is the array index, compaction renumbers keys and therefore
@@ -21,6 +20,40 @@ import (
 // is the only way deleted slots are reclaimed on a table that seals
 // segments (its inserts never reuse slots in place).
 func Consolidate(db *Database, t *Table) ([]int32, error) {
+	return consolidate(db, t, 0, false)
+}
+
+// Arrange gives table t of db a fact table's layout in one pass: the sort
+// keys (SetSortKeys' rules; none leaves the table's as they are), sealed
+// encodings when encode is set, and a sealing threshold of segmentRows when
+// t has none yet (a loaded image keeps the one it carries). With sort keys
+// the live rows are gathered in key order straight into zoned, encoded
+// segments and referrers are remapped, as Consolidate does; without, every
+// row keeps its place, as SetSegmentTarget does.
+func Arrange(db *Database, t *Table, segmentRows int, keys []string, encode bool) error {
+	if len(keys) > 0 {
+		if err := t.SetSortKeys(keys...); err != nil {
+			return err
+		}
+		_, err := consolidate(db, t, segmentRows, encode)
+		return err
+	}
+	if encode {
+		if err := t.EncodeSealed(); err != nil {
+			return err
+		}
+	}
+	if segmentRows > 0 && t.SegmentTarget() == 0 {
+		return t.SetSegmentTarget(segmentRows)
+	}
+	return nil
+}
+
+// consolidate is Consolidate; once its checks pass, it also gives t the
+// sealing threshold segmentRows if t has none, and turns sealed encodings
+// on if encode is set, so the one relayout builds them. Arrange calls it
+// only for a table with sort keys, which always takes the relayout.
+func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32, error) {
 	refs := db.Referrers(t)
 
 	t.mu.Lock()
@@ -82,6 +115,11 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 		}
 	}
 
+	if segmentRows > 0 && t.segTarget == 0 {
+		t.segTarget = segmentRows
+		t.schemaVersion++
+	}
+	t.encodeSealed = t.encodeSealed || encode
 	remap := t.compactLocked()
 	t.version++
 
@@ -105,8 +143,8 @@ func Consolidate(db *Database, t *Table) ([]int32, error) {
 
 // compactLocked lays the table out anew without the deleted rows. One
 // permutation — the surviving rows in order, stable-sorted by the sort keys
-// when the table has them (attribute-value reordering: zone maps tighten
-// and equal key values form the runs RLE encoding exploits) — is what
+// (sortRows) when the table has them (attribute-value reordering: zone maps
+// tighten and equal key values form the runs RLE encoding exploits) — is what
 // relayoutLocked gathers every column through. The returned remap is the
 // permutation's inverse, so referrer FKs are rewritten once.
 func (t *Table) compactLocked() []int32 {
@@ -127,14 +165,7 @@ func (t *Table) compactLocked() []int32 {
 				keys[k][i], _ = col.int64At(i)
 			}
 		}
-		slices.SortStableFunc(perm, func(a, b int32) int {
-			for _, key := range keys {
-				if c := cmp.Compare(key[a], key[b]); c != 0 {
-					return c
-				}
-			}
-			return 0
-		})
+		sortRows(perm, keys)
 	}
 	remap := make([]int32, t.nrows)
 	for i := range remap {
@@ -146,6 +177,43 @@ func (t *Table) compactLocked() []int32 {
 	t.free = t.free[:0]
 	t.relayoutLocked(perm)
 	return remap
+}
+
+// sortRows stable-sorts perm, a list of rows, by keys[0][row], then
+// keys[1][row], and so on: ties keep their order in perm. It is an LSD
+// radix sort on 16-bit digits that sorts by the last key first. A key is
+// sorted as each value's offset from the key's minimum, taken as uint64 so
+// the full int64 range cannot overflow, and digits above the key's span
+// take no pass: a key spanning fewer than 65 536 values, such as a date,
+// takes one.
+func sortRows(perm []int32, keys [][]int64) {
+	if len(perm) < 2 {
+		return
+	}
+	out, buf := perm, make([]int32, len(perm))
+	count := make([]int, 1<<16)
+	for k := len(keys) - 1; k >= 0; k-- {
+		key := keys[k]
+		lo := uint64(slices.Min(key))
+		span := uint64(slices.Max(key)) - lo
+		for shift := 0; shift < 64 && span>>shift > 0; shift += 16 {
+			clear(count)
+			for _, r := range out {
+				count[(uint64(key[r])-lo)>>shift&0xffff]++
+			}
+			at := 0
+			for d, c := range count {
+				count[d], at = at, at+c
+			}
+			for _, r := range out {
+				d := (uint64(key[r]) - lo) >> shift & 0xffff
+				buf[count[d]] = r
+				count[d]++
+			}
+			out, buf = buf, out
+		}
+	}
+	copy(perm, out)
 }
 
 // gatherColumn builds a fresh plain column with out[i] = c[perm[i]].

@@ -292,7 +292,8 @@ func (t *Table) SetSegmentTarget(target int) error {
 // threshold: sealed segments of exactly segTarget rows, then a tail. With
 // perm nil every row stays where it is, deletion bits included; otherwise
 // new row i is old row perm[i] and no row is deleted. It is the one way a
-// table's rows are laid out anew (SetSegmentTarget and Consolidate).
+// table's rows are laid out anew (SetSegmentTarget, Consolidate and
+// Arrange).
 //
 // It works one column at a time: the column's old chunks are joined into
 // one plain array (encoded chunks decoded), which is gathered through perm

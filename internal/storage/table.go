@@ -43,8 +43,9 @@ type Table struct {
 	pins int // guarded by mu; live snapshots of the table
 
 	// Sealed-segment physical tuning (encoding.go, consolidate.go):
-	// sortKeys orders rows at consolidation time; encodeSealed compresses
-	// sealed chunks (RLE / frame-of-reference) at seal time.
+	// sortKeys orders rows whenever they are laid out anew (Arrange,
+	// Consolidate); encodeSealed compresses sealed chunks (RLE /
+	// frame-of-reference) at seal time.
 	sortKeys     []string
 	encodeSealed bool
 
@@ -303,9 +304,10 @@ func colMemBytes(c Column, seen map[*Dict]bool) int64 {
 	return int64(encodedBytes(c, c.Len()))
 }
 
-// SetSortKeys configures the columns Consolidate orders fact rows by before
-// re-sealing segments (attribute-value reordering: clustering tightens zone
-// maps and creates the runs RLE needs). Keys must be integer-valued —
+// SetSortKeys configures the columns a table's live rows are ordered by
+// whenever they are laid out anew — by Arrange, which db.Open runs, and by
+// every Consolidate (attribute-value reordering: clustering tightens zone
+// maps and creates the runs RLE needs). Setting keys moves no row. Keys must be integer-valued —
 // int32/int64 values, AIR foreign keys, or dictionary codes; strings and
 // floats are rejected. Passing no columns clears the keys.
 func (t *Table) SetSortKeys(cols ...string) error {
@@ -324,7 +326,7 @@ func (t *Table) SetSortKeys(cols ...string) error {
 	return nil
 }
 
-// SortKeys returns the configured consolidation sort keys.
+// SortKeys returns the configured sort keys.
 func (t *Table) SortKeys() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
