@@ -31,8 +31,8 @@
 // Example_nested runs a nested query as single-rooted pieces.
 //
 // The builder API (NewQuery, predicates, aggregates) constructs the same
-// queries programmatically; DB.Prepare and DB.Run route them to the right
-// fact table by column resolution.
+// queries programmatically; DB.Prepare routes them to the right fact table
+// by column resolution (DB.Run prepares and executes in one call).
 //
 // The subpackages under internal implement the storage model, the serving
 // layer, the scan variants of the paper's Table 6, the baseline engines

@@ -89,7 +89,7 @@ func main() {
 			return
 		}
 		if mode == sql.ExplainPlan {
-			out, err := db.Engine(p.Fact()).Explain(p.Query())
+			out, err := p.Explain()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return

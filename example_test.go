@@ -61,7 +61,8 @@ func ExampleOpenDB() {
 	}
 	fmt.Print(res.Format())
 
-	// The builder form of the same query is routed by column resolution.
+	// The builder form of the same query is routed by column resolution;
+	// it renders to the same statement, so it reuses the cached plan.
 	res, err = db.Run(ctx, astore.NewQuery("milk-revenue-by-city").
 		Where(astore.StrEq("p_category", "milk")).
 		GroupByCols("s_city").
@@ -84,7 +85,7 @@ func ExampleOpenDB() {
 	// Beijing    3250     4
 	// Amsterdam  1850     2
 	// builder form, first row: Beijing 3250
-	// plan cache: 2 hits, 1 misses
+	// plan cache: 4 hits, 1 misses
 }
 
 // Loading CSV extracts that carry natural keys: the loader drops the

@@ -92,8 +92,8 @@ func TestOpenDBQuickstart(t *testing.T) {
 
 // TestPreparedFasterThanCold asserts the acceptance criterion: repeated
 // execution of a Prepared SSB query (plan-cache hits) outruns the cold
-// DB.Run path, which replans — rebuilding predicate and group vectors —
-// on every call. SSB Q2.3 with a parallel scan makes the gap structural
+// path, the fact's Engine.Run, which replans — rebuilding predicate and
+// group vectors — on every call. SSB Q2.3 with a parallel scan makes the gap structural
 // (planning is serial and roughly half of a cold run), and comparing
 // medians of interleaved rounds makes the comparison robust to scheduler
 // noise.
@@ -105,6 +105,7 @@ func TestPreparedFasterThanCold(t *testing.T) {
 	}
 	q := ssbQuery(t, "Q2.3")
 	ctx := context.Background()
+	eng := db.Engine("lineorder")
 
 	p, err := db.Prepare(q)
 	if err != nil {
@@ -114,7 +115,7 @@ func TestPreparedFasterThanCold(t *testing.T) {
 	if _, err := p.Exec(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Run(ctx, q); err != nil {
+	if _, err := eng.Run(q); err != nil {
 		t.Fatal(err)
 	}
 
@@ -136,7 +137,7 @@ func TestPreparedFasterThanCold(t *testing.T) {
 			return err
 		}))
 		cold = append(cold, timeBatch(func() error {
-			_, err := db.Run(ctx, q)
+			_, err := eng.Run(q)
 			return err
 		}))
 	}
@@ -147,7 +148,7 @@ func TestPreparedFasterThanCold(t *testing.T) {
 		// burying the structural gap; the uninstrumented run asserts it.
 		t.Log("race detector enabled; skipping the latency comparison")
 	} else if medP >= medC {
-		t.Errorf("prepared re-execution (median %v) not faster than cold Run (median %v)", medP, medC)
+		t.Errorf("prepared re-execution (median %v) not faster than cold Engine.Run (median %v)", medP, medC)
 	}
 	st := db.Stats()
 	if st.PlanHits < rounds*perRound {
@@ -245,8 +246,9 @@ func BenchmarkDBLiveIngestQ2_3(b *testing.B) {
 	}
 }
 
-// BenchmarkDBColdRun measures the cold path on the same query: routing,
-// schema resolution, and full planning on every execution.
+// BenchmarkDBColdRun measures uncached planning on the same query: the
+// fact's Engine.Run pins a view, resolves the schema and plans in full on
+// every execution.
 func BenchmarkDBColdRun(b *testing.B) {
 	data, _ := benchData(b)
 	db, err := astore.OpenDB(data.DB, astore.Options{Workers: 4})
@@ -254,10 +256,10 @@ func BenchmarkDBColdRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := ssbQuery(b, "Q2.3")
-	ctx := context.Background()
+	eng := db.Engine("lineorder")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Run(ctx, q); err != nil {
+		if _, err := eng.Run(q); err != nil {
 			b.Fatal(err)
 		}
 	}

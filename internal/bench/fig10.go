@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -49,7 +50,13 @@ func runFig10(cfg Config) ([]*Report, error) {
 			var bestStats core.Stats
 			for r := 0; r < cfg.Runs; r++ {
 				var st core.Stats
-				if _, err := eng.RunWithStats(q, &st); err != nil {
+				v := eng.Acquire()
+				c, err := v.Compile(q)
+				if err == nil {
+					_, err = eng.Exec(context.Background(), v, c, &st)
+				}
+				v.Release()
+				if err != nil {
 					return nil, err
 				}
 				if t := st.LeafNS + st.ScanNS + st.AggNS; t < bestTotal {

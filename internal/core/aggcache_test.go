@@ -191,7 +191,7 @@ func TestAggCacheExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Explain(warmableQuery())
+	out, err := explain(eng, warmableQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAggCacheExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = off.Explain(warmableQuery())
+	out, err = explain(off, warmableQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAggCacheExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = rw.Explain(warmableQuery())
+	out, err = explain(rw, warmableQuery())
 	if err != nil {
 		t.Fatal(err)
 	}

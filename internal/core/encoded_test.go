@@ -329,7 +329,7 @@ func TestEncodedBindAllocatesNoRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := eng.plan(q)
+			pl, err := planOf(eng, q)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,9 +15,9 @@ import (
 )
 
 // Engine executes SPJGA queries over the virtual universal table rooted at
-// one fact table. It is safe for concurrent use by multiple goroutines as
-// long as the underlying tables are not concurrently mutated (take storage
-// snapshots for isolation from writers).
+// one fact table. It is safe for concurrent use by multiple goroutines,
+// also beside writers: every plan is compiled and executed on a pinned View,
+// so a query reads one consistent state of the tables.
 type Engine struct {
 	root  *storage.Table
 	graph *schema.Graph
@@ -100,36 +100,20 @@ func New(root *storage.Table, opt Options) (*Engine, error) {
 	}, nil
 }
 
-// Root returns the engine's root (fact) table.
-func (e *Engine) Root() *storage.Table { return e.root }
-
 // Graph returns the engine's join graph.
 func (e *Engine) Graph() *schema.Graph { return e.graph }
 
-// Options returns the engine's effective options.
-func (e *Engine) Options() Options { return e.opt }
-
-// Run executes a SPJGA query and returns its ordered result.
+// Run plans and executes a query once, uncached, on a view pinned for the
+// call. A query that repeats should compile once and Exec under each new
+// view instead (the db layer's Prepared statements do).
 func (e *Engine) Run(q *query.Query) (*query.Result, error) {
-	return e.RunWithStats(q, nil)
-}
-
-// RunWithStats executes a query and, if stats is non-nil, fills it with
-// per-phase timing and optimizer decisions.
-func (e *Engine) RunWithStats(q *query.Query, stats *Stats) (*query.Result, error) {
-	return e.RunContext(context.Background(), q, stats)
-}
-
-// RunContext plans and executes a query against the engine's live tables,
-// honoring ctx cancellation at scan-batch boundaries. For execution that is
-// isolated from concurrent writers, acquire a View and execute a Compiled
-// plan instead (that is what the db layer's Prepared queries do).
-func (e *Engine) RunContext(ctx context.Context, q *query.Query, stats *Stats) (*query.Result, error) {
-	pl, err := e.plan(q)
+	v := e.Acquire()
+	defer v.Release()
+	c, err := v.Compile(q)
 	if err != nil {
 		return nil, err
 	}
-	return pl.exec(ctx, pl.planSegs, stats)
+	return e.Exec(context.Background(), v, c, nil)
 }
 
 // execute is the path every scanning entry point takes: scan segs into one
@@ -231,7 +215,7 @@ type View struct {
 // View. The caller must Release it. The view's join graph is built lazily
 // on first Compile, so executions that reuse a cached plan pay only the
 // snapshot pin and the version stamps.
-func (e *Engine) Acquire() (*View, error) {
+func (e *Engine) Acquire() *View {
 	frozen, release := storage.SnapshotSet(e.graph.Tables())
 	versions := make(map[string]TableVersions, len(frozen))
 	for live, f := range frozen {
@@ -244,7 +228,7 @@ func (e *Engine) Acquire() (*View, error) {
 		rootSegs: root.SegViews(),
 		versions: versions,
 		release:  release,
-	}, nil
+	}
 }
 
 // Release unpins the view's snapshots. It is idempotent.
@@ -289,15 +273,12 @@ func (v *View) Compile(q *query.Query) (*Compiled, error) {
 		}
 		v.graph = g
 	}
-	pl, err := v.eng.planOn(q, v.root, v.graph)
+	pl, err := v.eng.planOn(q, v)
 	if err != nil {
 		return nil, err
 	}
 	return &Compiled{pl: pl, versions: v.versions, rootName: v.root.Name}, nil
 }
-
-// Versions returns the per-table versions the plan was compiled at.
-func (c *Compiled) Versions() map[string]TableVersions { return c.versions }
 
 // FreshIn reports whether the compiled plan is still valid for execution
 // under the given view. Schema changes always invalidate; data changes
@@ -325,12 +306,7 @@ func (c *Compiled) FreshIn(v *View) bool {
 // Exec executes a compiled plan against the view's pinned root segments.
 // The caller is responsible for holding a View in which the plan is fresh
 // (FreshIn) for the duration of the call; ctx cancellation is honored at
-// scan-batch boundaries. A nil view executes against the state the plan
-// was compiled on.
+// scan-batch boundaries.
 func (e *Engine) Exec(ctx context.Context, v *View, c *Compiled, stats *Stats) (*query.Result, error) {
-	segs := c.pl.planSegs
-	if v != nil {
-		segs = v.rootSegs
-	}
-	return c.pl.exec(ctx, segs, stats)
+	return c.pl.exec(ctx, v.rootSegs, stats)
 }

@@ -39,8 +39,8 @@ func TestChainFoldingCollapsesToFirstLevel(t *testing.T) {
 	q := query.New("deep").
 		Where(expr.StrEq("r_name", "ASIA")).
 		Agg(expr.CountStar("cnt"))
-	var st Stats
-	if _, err := eng.RunWithStats(q, &st); err != nil {
+	_, st, err := execView(eng, new(*Compiled), q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st.PrefilterTables) != 1 || st.PrefilterTables[0] != "order" {
@@ -195,8 +195,7 @@ func TestStatsSanity(t *testing.T) {
 		Where(expr.StrEq("c_region", "ASIA")).
 		GroupByCols("c_nation").
 		Agg(expr.CountStar("cnt"))
-	var st Stats
-	res, err := eng.RunWithStats(q, &st)
+	res, st, err := execView(eng, new(*Compiled), q)
 	if err != nil {
 		t.Fatal(err)
 	}

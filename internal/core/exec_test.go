@@ -171,7 +171,7 @@ func TestSelectivityOrderingObserved(t *testing.T) {
 			expr.IntEq("f_discount", 3).WithSel(0.09), // most selective
 		).
 		Agg(expr.CountStar("n"))
-	pl, err := eng.plan(q)
+	pl, err := planOf(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}

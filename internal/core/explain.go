@@ -6,45 +6,40 @@ import (
 
 	"astore/internal/expr"
 	"astore/internal/obs"
-	"astore/internal/query"
 	"astore/internal/storage"
 )
 
-// Explain compiles the query and renders the resulting plan: the unified
-// filter order with selectivities and per-filter zone-map pruning
-// decisions, the predicate vectors built (and what was folded into them),
-// the group dimensions with their cardinalities, the aggregation backend
-// choice, and the recognized measure fast paths. Explain performs the
-// leaf-processing phase (predicate and group vectors are actually built)
-// and consults the root's zone maps, but scans nothing.
-func (e *Engine) Explain(q *query.Query) (string, error) {
-	pl, err := e.plan(q)
-	if err != nil {
-		return "", err
-	}
+// Explain renders the compiled plan against the view v it is fresh in: the
+// unified filter order with selectivities and per-filter zone-map pruning
+// decisions over v's root segments, the predicate vectors built (and what
+// was folded into them), the group dimensions with their cardinalities, the
+// aggregation backend choice, and the recognized measure fast paths. It
+// scans nothing.
+func (c *Compiled) Explain(v *View) string {
+	pl, segs := c.pl, v.rootSegs
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "plan %s (variant %s, workers %d)\n", q.Name, pl.variant, pl.opt.Workers)
+	fmt.Fprintf(&sb, "plan %s (variant %s, workers %d)\n", pl.q.Name, pl.variant, pl.opt.Workers)
 	// The stage list matches the span names a traced execution records
 	// (EXPLAIN ANALYZE in the shell, "trace": true over HTTP), so the
 	// plan-only and timed renderings name the same stages.
 	fmt.Fprintf(&sb, "stages: %s (timings via EXPLAIN ANALYZE or \"trace\": true)\n",
 		strings.Join(obs.StageNames(), " -> "))
 	fmt.Fprintf(&sb, "scan %s: %d rows in %d segments (%d sealed + tail)\n",
-		pl.root.Name, pl.rootN, len(pl.planSegs), len(pl.planSegs)-1)
+		v.root.Name, v.root.NumRows(), len(segs), len(segs)-1)
 
 	// Zone-map pruning decisions: per filter, how many segments survive
 	// its zone test alone; then the combined admission decision.
-	total := len(pl.planSegs)
+	total := len(segs)
 	nonEmpty := 0
-	for i := range pl.planSegs {
-		if pl.planSegs[i].N > 0 {
+	for i := range segs {
+		if segs[i].N > 0 {
 			nonEmpty++
 		}
 	}
 	perFilterKept := make([]int, len(pl.filters))
 	combinedKept := 0
-	for i := range pl.planSegs {
-		sv := &pl.planSegs[i]
+	for i := range segs {
+		sv := &segs[i]
 		if sv.N == 0 {
 			continue
 		}
@@ -85,8 +80,8 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 	fmt.Fprintf(&sb, "segment admission: %d/%d segments scanned (%d pruned by zone maps, %d empty)\n",
 		combinedKept, total, nonEmpty-combinedKept, total-nonEmpty)
 	encoded := 0
-	for i := range pl.planSegs {
-		for _, c := range pl.planSegs[i].Cols {
+	for i := range segs {
+		for _, c := range segs[i].Cols {
 			if storage.ChunkEncoding(c) != storage.EncPlain {
 				encoded++
 				break
@@ -152,5 +147,5 @@ func (e *Engine) Explain(q *query.Query) (string, error) {
 		fmt.Fprintf(&sb, "  %-12s %s(%s) — %s\n",
 			ap.agg.As, ap.agg.Kind, expr.ExprString(ap.agg.Expr), path)
 	}
-	return sb.String(), nil
+	return sb.String()
 }

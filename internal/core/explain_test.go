@@ -23,7 +23,7 @@ func TestExplainStar(t *testing.T) {
 		GroupByCols("c_nation", "d_year").
 		Agg(expr.SumOf(expr.C("f_revenue"), "rev"), expr.CountStar("n")).
 		OrderDesc("rev")
-	out, err := eng.Explain(q)
+	out, err := explain(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExplainSnowflakeAndFallbacks(t *testing.T) {
 		Where(expr.StrEq("r_name", "ASIA"), expr.IntGe("o_price", 500)).
 		GroupByCols("c_mktsegment", "p_type").
 		Agg(expr.SumOf(expr.Mul(expr.C("l_extendedprice"), expr.Subtract(expr.K(1), expr.C("l_discount"))), "rev"))
-	out, err := eng.Explain(q)
+	out, err := explain(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExplainSnowflakeAndFallbacks(t *testing.T) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := eng.Explain(query.New("bad").Agg(expr.SumOf(expr.C("nope"), "s"))); err == nil {
+	if _, err := explain(eng, query.New("bad").Agg(expr.SumOf(expr.C("nope"), "s"))); err == nil {
 		t.Fatal("Explain of invalid query succeeded")
 	}
 }
@@ -79,7 +79,7 @@ func TestExplainSnowflakeAndFallbacks(t *testing.T) {
 func TestExplainGlobalAggregate(t *testing.T) {
 	fact := testutil.BuildStar(73, 100)
 	eng, _ := New(fact, Options{})
-	out, err := eng.Explain(query.New("q").Agg(expr.CountStar("n")))
+	out, err := explain(eng, query.New("q").Agg(expr.CountStar("n")))
 	if err != nil {
 		t.Fatal(err)
 	}

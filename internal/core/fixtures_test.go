@@ -20,18 +20,38 @@ func allVariants() []Variant {
 // partials.
 func execView(eng *Engine, c **Compiled, q *query.Query) (*query.Result, Stats, error) {
 	var stats Stats
-	v, err := eng.Acquire()
-	if err != nil {
-		return nil, stats, err
-	}
+	v := eng.Acquire()
 	defer v.Release()
 	if *c == nil || !(*c).FreshIn(v) {
+		var err error
 		if *c, err = v.Compile(q); err != nil {
 			return nil, stats, err
 		}
 	}
 	res, err := eng.Exec(context.Background(), v, *c, &stats)
 	return res, stats, err
+}
+
+// planOf compiles q on a fresh view and returns its plan.
+func planOf(eng *Engine, q *query.Query) (*plan, error) {
+	v := eng.Acquire()
+	defer v.Release()
+	c, err := v.Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return c.pl, nil
+}
+
+// explain compiles q on a fresh view and renders its plan.
+func explain(eng *Engine, q *query.Query) (string, error) {
+	v := eng.Acquire()
+	defer v.Release()
+	c, err := v.Compile(q)
+	if err != nil {
+		return "", err
+	}
+	return c.Explain(v), nil
 }
 
 // engineTarget is the matrix axis of one engine configuration: a fresh

@@ -153,12 +153,7 @@ type plan struct {
 	eng     *Engine
 	graph   *schema.Graph // join graph the plan was resolved against
 
-	root  *storage.Table
-	rootN int
-
-	// planSegs are the root segment views the plan was compiled against;
-	// executions under a newer view pass their own.
-	planSegs []storage.SegView
+	root *storage.Table
 
 	rootFilters  []rootFilter
 	probeFilters []probeFilter
@@ -199,37 +194,29 @@ type plan struct {
 // planSeq issues unique plan instance ids.
 var planSeq atomic.Uint64
 
-// plan compiles q against the engine's live schema. This is the "leaf
-// processing" phase of Fig. 10.
-func (e *Engine) plan(q *query.Query) (*plan, error) {
-	return e.planOn(q, e.root, e.graph)
-}
-
-// planOn compiles q against an explicit root and join graph — the engine's
-// live tables, or the frozen tables of a pinned View — building predicate
-// vectors, group vectors, and aggregate evaluators.
-func (e *Engine) planOn(q *query.Query, root *storage.Table, g *schema.Graph) (*plan, error) {
+// planOn compiles q against the frozen tables of a pinned View, building
+// predicate vectors, group vectors, and aggregate evaluators. This is the
+// "leaf processing" phase of Fig. 10.
+func (e *Engine) planOn(q *query.Query, v *View) (*plan, error) {
 	start := time.Now()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	pl := &plan{
-		q:        q,
-		variant:  e.opt.Variant,
-		opt:      e.opt,
-		eng:      e,
-		graph:    g,
-		root:     root,
-		rootN:    root.NumRows(),
-		planSegs: root.SegViews(),
-		fkMax:    make(map[string]int64),
-		id:       planSeq.Add(1),
+		q:       q,
+		variant: e.opt.Variant,
+		opt:     e.opt,
+		eng:     e,
+		graph:   v.graph,
+		root:    v.root,
+		fkMax:   make(map[string]int64),
+		id:      planSeq.Add(1),
 	}
 
 	if err := pl.planFilters(); err != nil {
 		return nil, err
 	}
-	if err := pl.planGroupDims(); err != nil {
+	if err := pl.planGroupDims(v.rootSegs); err != nil {
 		return nil, err
 	}
 	if err := pl.planAggs(); err != nil {
@@ -483,15 +470,16 @@ func (pl *plan) coveredByVec(t *storage.Table, vecs map[*storage.Table]*storage.
 // planGroupDims prepares a dense group-id mapping per grouping column: a
 // group vector plus dictionary for leaf columns (built while the leaf is
 // already being processed, §4.3), dictionary codes for root dict columns,
-// and base-offset encoding for root numeric columns.
-func (pl *plan) planGroupDims() error {
+// and base-offset encoding for root numeric columns, whose ranges come from
+// the zones of the root segments segs.
+func (pl *plan) planGroupDims(segs []storage.SegView) error {
 	for _, name := range pl.q.GroupBy {
 		b, err := pl.graph.Resolve(name)
 		if err != nil {
 			return err
 		}
 		if b.OnRoot() {
-			d, err := pl.rootGroupDim(name, b)
+			d, err := pl.rootGroupDim(name, b, segs)
 			if err != nil {
 				return err
 			}
@@ -513,7 +501,7 @@ func (pl *plan) planGroupDims() error {
 // deleted rows) and is recorded as a freshness requirement, so appends that
 // widen the column's value range evict the plan instead of overflowing the
 // aggregation array.
-func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) {
+func (pl *plan) rootGroupDim(name string, b *schema.Binding, segs []storage.SegView) (*groupDim, error) {
 	if c, ok := b.Col.(*storage.DictCol); ok {
 		card := c.Dict.Len()
 		if card == 0 {
@@ -528,7 +516,7 @@ func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) 
 	if !isInt(b.Col.Type()) {
 		return nil, fmt.Errorf("core: grouping by %s column %s on the fact table is not supported; group by an integer or dictionary-compressed column", b.Col.Type(), name)
 	}
-	lo, hi, err := pl.rootNumRange(name, b)
+	lo, hi, err := rootNumRange(name, b, segs)
 	if err != nil {
 		return nil, err
 	}
@@ -543,10 +531,10 @@ func (pl *plan) rootGroupDim(name string, b *schema.Binding) (*groupDim, error) 
 }
 
 // rootNumRange returns the integer value range of a numeric root column:
-// the union of its zones over the segments the plan was compiled against.
-func (pl *plan) rootNumRange(name string, b *schema.Binding) (lo, hi int64, err error) {
+// the union of its zones over segs.
+func rootNumRange(name string, b *schema.Binding, segs []storage.SegView) (lo, hi int64, err error) {
 	any := false
-	for _, sv := range pl.planSegs {
+	for _, sv := range segs {
 		if sv.N == 0 {
 			continue
 		}

@@ -131,7 +131,7 @@ func TestSegmentedExplainShowsPruning(t *testing.T) {
 	q := query.New("explain-prune").
 		Where(expr.IntBetween("f_seq", 0, 99), expr.IntEq("d_year", 1992)).
 		Agg(expr.CountStar("cnt"))
-	out, err := eng.Explain(q)
+	out, err := explain(eng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +160,7 @@ func TestSegmentedViewExecAcrossAppends(t *testing.T) {
 	}
 	q := query.New("count-all").Agg(expr.CountStar("cnt"), expr.SumOf(expr.C("f_val"), "sum"))
 
-	v1, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1 := eng.Acquire()
 	c, err := v1.Compile(q)
 	if err != nil {
 		v1.Release()
@@ -186,10 +183,7 @@ func TestSegmentedViewExecAcrossAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v2, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := eng.Acquire()
 	defer v2.Release()
 	if !c.FreshIn(v2) {
 		t.Fatal("plan went stale across tail appends")
@@ -216,10 +210,7 @@ func TestSegCacheBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query.New("sum").Agg(expr.SumOf(expr.C("f_val"), "sum"))
-	v, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := eng.Acquire()
 	c, err := v.Compile(q)
 	if err != nil {
 		v.Release()
@@ -238,10 +229,7 @@ func TestSegCacheBounded(t *testing.T) {
 		if err := seg.Update(round*37%1800, "f_val", int64(round%97)); err != nil {
 			t.Fatal(err)
 		}
-		v, err := eng.Acquire()
-		if err != nil {
-			t.Fatal(err)
-		}
+		v := eng.Acquire()
 		if !c.FreshIn(v) {
 			v.Release()
 			t.Fatal("in-range update must not stale the plan")

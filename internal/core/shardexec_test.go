@@ -95,10 +95,7 @@ func TestExecPartialMergeEqualsExec(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s maxGroups=%d aggCache=%d", variant, maxGroups, cacheBytes)
-				v, err := eng.Acquire()
-				if err != nil {
-					t.Fatal(err)
-				}
+				v := eng.Acquire()
 				for _, q := range testutil.StarQueries() {
 					prunedSubsets += checkPartitionLaw(t, rng, eng, v, q, label)
 				}
@@ -174,10 +171,7 @@ func TestExecPartialWireRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		return func(q *query.Query, _ testutil.Run) (*query.Result, error) {
-			v, err := eng.Acquire()
-			if err != nil {
-				return nil, err
-			}
+			v := eng.Acquire()
 			defer v.Release()
 			c, err := v.Compile(q)
 			if err != nil {
@@ -214,10 +208,7 @@ func TestExecPartialEmptySubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := testutil.StarQueries()[0]
-	v, err := eng.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := eng.Acquire()
 	defer v.Release()
 	c, err := v.Compile(q)
 	if err != nil {

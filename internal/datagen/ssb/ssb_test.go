@@ -160,7 +160,13 @@ func TestQuerySelectivities(t *testing.T) {
 	n := float64(d.Lineorder.NumRows())
 	for _, c := range checks {
 		var st core.Stats
-		if _, err := eng.RunWithStats(c.q, &st); err != nil {
+		v := eng.Acquire()
+		pc, err := v.Compile(c.q)
+		if err == nil {
+			_, err = eng.Exec(t.Context(), v, pc, &st)
+		}
+		v.Release()
+		if err != nil {
 			t.Fatalf("%s: %v", c.q.Name, err)
 		}
 		got := float64(st.RowsSelected) / n

@@ -158,9 +158,9 @@ func (d *DB) Facts() []string { return append([]string(nil), d.order...) }
 // must not change the schema.
 func (d *DB) Catalog() *storage.Database { return d.catalog }
 
-// Engine returns the engine serving the named fact table, or nil. It gives
-// access to the schema graph and Explain; queries should go through
-// Prepare/Run, which add routing, plan caching, and snapshot isolation.
+// Engine returns the engine serving the named fact table, or nil. Its Run
+// plans every call anew; queries that repeat should go through Prepare/Run,
+// which add routing and plan caching.
 func (d *DB) Engine(fact string) *core.Engine { return d.facts[fact] }
 
 // setPlanCacheCap bounds the number of cached compiled plans (minimum 1).
@@ -380,12 +380,9 @@ func (d *DB) PrepareSQL(text string) (*Prepared, error) {
 // already hits the plan cache.
 func (d *DB) prepareOn(fact string, q *query.Query) (*Prepared, error) {
 	p := &Prepared{db: d, eng: d.facts[fact], fact: fact, q: q, sig: sql.Render(q)}
-	view, err := p.eng.Acquire()
-	if err != nil {
-		return nil, err
-	}
+	view := p.eng.Acquire()
 	defer view.Release()
-	_, hit, err := p.plan(view)
+	_, hit, err := d.compiled(fact, p.sig, q, view)
 	if err != nil {
 		return nil, err
 	}
@@ -396,28 +393,15 @@ func (d *DB) prepareOn(fact string, q *query.Query) (*Prepared, error) {
 	return p, nil
 }
 
-// Run executes a query once, cold: routing, schema resolution, and
-// planning all run on this call and the plan cache is not consulted. Use
-// Prepare (or RunSQL, which prepares internally) when the query repeats.
-// Execution is snapshot-isolated and honors ctx cancellation.
+// Run prepares and executes a query once. Its plan lands in the plan
+// cache like any Prepare's; for planning that bypasses the cache, use the
+// fact's Engine.Run.
 func (d *DB) Run(ctx context.Context, q *query.Query) (*query.Result, error) {
-	return d.RunStats(ctx, q, nil)
-}
-
-// RunStats is Run filling per-phase engine stats when stats is non-nil.
-func (d *DB) RunStats(ctx context.Context, q *query.Query, stats *core.Stats) (*query.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	fact, err := d.route(q)
+	p, err := d.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{db: d, eng: d.facts[fact], fact: fact, q: q, cold: true}
-	return p.ExecStats(ctx, stats)
+	return p.Exec(ctx)
 }
 
 // RunSQL parses, prepares (hitting the plan cache), and executes one SQL
@@ -438,9 +422,6 @@ type Prepared struct {
 	fact string
 	q    *query.Query
 	sig  string
-	// cold marks the transient statement behind DB.Run: it compiles on
-	// every execution and never touches the plan cache.
-	cold bool
 	// prepCompiled is set while the plan compiled by preparing the statement
 	// has not been executed yet: the first execution to find it in the
 	// cache reports no plan hit, since the compile was made for it.
@@ -484,14 +465,16 @@ func (p *Prepared) ExecStats(ctx context.Context, stats *core.Stats) (*query.Res
 	return res, err
 }
 
-// plan returns the statement's compiled plan for view and whether it came
-// out of the plan cache unchanged.
-func (p *Prepared) plan(view *core.View) (*core.Compiled, bool, error) {
-	if p.cold {
-		c, err := view.Compile(p.q)
-		return c, false, err
-	}
-	return p.db.compiled(p.fact, p.sig, p.q, view)
+// Explain renders the statement's plan (core.Compiled.Explain) under one
+// pinned view: the cached plan when it is fresh there, a recompiled one
+// otherwise. It executes nothing.
+func (p *Prepared) Explain() (string, error) {
+	var out string
+	err := p.withPlan(context.Background(), func(view *core.View, c *core.Compiled, _ bool) error {
+		out = c.Explain(view)
+		return nil
+	})
+	return out, err
 }
 
 // withPlan is the scaffolding every execution of a statement shares: check
@@ -509,18 +492,15 @@ func (p *Prepared) withPlan(ctx context.Context, fn func(*core.View, *core.Compi
 	if tr != nil {
 		sp = tr.Start(tr.Root(), obs.StagePin)
 	}
-	view, err := p.eng.Acquire()
+	view := p.eng.Acquire()
 	if tr != nil {
 		tr.End(sp)
-	}
-	if err != nil {
-		return err
 	}
 	defer view.Release()
 	if tr != nil {
 		sp = tr.Start(tr.Root(), obs.StagePlanCache)
 	}
-	c, hit, err := p.plan(view)
+	c, hit, err := p.db.compiled(p.fact, p.sig, p.q, view)
 	if tr != nil {
 		tr.SetHit(sp, hit)
 		tr.End(sp)

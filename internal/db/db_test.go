@@ -30,9 +30,9 @@ func hashJoin(twin *storage.Table, q *query.Query) (*query.Result, error) {
 }
 
 // dbTarget is the matrix axis of one DB configuration, opened over the
-// cell's fact and its dimensions. A query's first run is DB.Run, the cold
-// transient statement; later runs execute one Prepared statement, so they
-// hit the plan and aggregate caches. check, if set, sees each run's stats.
+// cell's fact and its dimensions. A query's first run prepares it; every
+// run executes that one Prepared statement, so later runs hit the plan and
+// aggregate caches. check, if set, sees each run's stats.
 func dbTarget(name string, opt core.Options, check func(d *DB, r testutil.Run, st core.Stats) error) testutil.Target {
 	return testutil.Target{Name: name, Open: func(t testing.TB, fact *storage.Table) func(*query.Query, testutil.Run) (*query.Result, error) {
 		d, err := Open(testutil.Catalog(fact), opt)
@@ -42,13 +42,15 @@ func dbTarget(name string, opt core.Options, check func(d *DB, r testutil.Run, s
 		ctx := context.Background()
 		prepared := make(map[*query.Query]*Prepared)
 		return func(q *query.Query, r testutil.Run) (res *query.Result, err error) {
-			var st core.Stats
-			if p := prepared[q]; p != nil {
-				res, err = p.ExecStats(ctx, &st)
-			} else if res, err = d.RunStats(ctx, q, &st); err == nil {
-				prepared[q], err = d.Prepare(q)
+			p := prepared[q]
+			if p == nil {
+				if p, err = d.Prepare(q); err != nil {
+					return nil, err
+				}
+				prepared[q] = p
 			}
-			if err == nil && check != nil {
+			var st core.Stats
+			if res, err = p.ExecStats(ctx, &st); err == nil && check != nil {
 				err = check(d, r, st)
 			}
 			return res, err

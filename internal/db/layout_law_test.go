@@ -469,9 +469,8 @@ func lawRun(t *testing.T, seed int64, factRows int, layouts []lawLayout) {
 			var c *core.Compiled
 			return func(q *query.Query, r testutil.Run) (res *query.Result, err error) {
 				if r.Warm == 0 {
-					if view, err = eng.Acquire(); err == nil {
-						c, err = view.Compile(q)
-					}
+					view = eng.Acquire()
+					c, err = view.Compile(q)
 				}
 				if err == nil {
 					res, err = eng.Exec(ctx, view, c, nil)

@@ -36,10 +36,7 @@ func TestShardSegmentsPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v, err := d.Engine("fact").Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := d.Engine("fact").Acquire()
 	defer v.Release()
 	segs := v.RootSegments()
 	if len(segs) < 4 {

@@ -258,7 +258,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // concurrent queries against MaxInFlight=2 with a bounded queue while a
 // writer appends over HTTP — the 4 that fit the system succeed with correct
 // snapshot-isolated results, the overflow gets 503, and shutdown leaves no
-// snapshot pin behind. Run it under -race.
+// snapshot pin behind. EXPLAIN requests (which skip admission) plan beside
+// the same writer and must read only pinned state. Run it under -race.
 func TestConcurrentServingWithWriter(t *testing.T) {
 	srv, ts, data, d := newSSBServer(t, 0.01,
 		Config{MaxInFlight: 2, MaxQueue: 2, QueueWait: 10 * time.Second},
@@ -278,15 +279,27 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 	n0 := data.Lineorder.NumRows()
 
 	// Writer: live ingest through the append endpoint, concurrent with
-	// everything below.
-	const appendBatches, rowsPerBatch = 20, 5
+	// everything below. It appends at least minBatches batches, and goes on
+	// until the explainers below are done, so every plan they render is
+	// compiled beside appends.
+	const minBatches, rowsPerBatch = 20, 5
 	appendRow := `{"lo_custkey": 0, "lo_suppkey": 0, "lo_partkey": 0, "lo_orderdate": 0,
 		"lo_quantity": 30, "lo_discount": 0, "lo_extendedprice": 100, "lo_ordtotalprice": 100,
 		"lo_revenue": 100, "lo_supplycost": 50, "lo_tax": 1}`
+	var batches atomic.Int64
+	explaining := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
 		rows := strings.Repeat(appendRow+",", rowsPerBatch-1) + appendRow
-		for i := 0; i < appendBatches; i++ {
+		for i := 0; ; i++ {
+			if i >= minBatches {
+				select {
+				case <-explaining:
+					writerDone <- nil
+					return
+				default:
+				}
+			}
 			code, raw, err := postNB(ts.URL+"/v1/tables/lineorder/append", `{"rows": [`+rows+`]}`)
 			if err != nil {
 				writerDone <- err
@@ -296,8 +309,36 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 				writerDone <- fmt.Errorf("append batch %d: %d %s", i, code, raw)
 				return
 			}
+			batches.Add(1)
 		}
-		writerDone <- nil
+	}()
+
+	// Explainers: EXPLAIN skips admission, so these plan beside the writer
+	// while the query waves below wait.
+	const explainers, explains = 2, 40
+	explainErrs := make(chan error, explainers)
+	var explainWG sync.WaitGroup
+	for e := 0; e < explainers; e++ {
+		explainWG.Add(1)
+		go func() {
+			defer explainWG.Done()
+			for i := 0; i < explains; i++ {
+				q := []string{"Q1.1", "Q1.2", "Q1.3"}[i%3]
+				body := fmt.Sprintf(`{"sql": %q}`, "EXPLAIN "+ssb.QueriesSQL()[q])
+				code, raw, err := postNB(ts.URL+"/v1/query", body)
+				if err == nil && (code != http.StatusOK || !strings.Contains(string(raw), `"fact":"lineorder"`)) {
+					err = fmt.Errorf("EXPLAIN %s: %d %s", q, code, raw)
+				}
+				if err != nil {
+					explainErrs <- err
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		explainWG.Wait()
+		close(explaining)
 	}()
 
 	// First wave: 4 queries fill both slots and both queue places.
@@ -357,8 +398,13 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 		t.Fatalf("outcomes: %d ok, %d overloaded, %d other; want 4/4/0",
 			ok200.Load(), got503.Load(), other.Load())
 	}
-	if err := <-writerDone; err != nil {
+	if err := <-writerDone; err != nil { // returns once the explainers are done
 		t.Fatal(err)
+	}
+	select {
+	case err := <-explainErrs:
+		t.Fatal(err)
+	default:
 	}
 
 	// All appends are visible to a fresh count, and only they are.
@@ -370,8 +416,8 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(qr.Rows[0][0].(float64)); got != n0+appendBatches*rowsPerBatch {
-		t.Errorf("final count = %d, want %d", got, n0+appendBatches*rowsPerBatch)
+	if want := n0 + int(batches.Load())*rowsPerBatch; int(qr.Rows[0][0].(float64)) != want {
+		t.Errorf("final count = %v, want %d", qr.Rows[0][0], want)
 	}
 
 	// Shutdown drains cleanly and leaves zero snapshot pins.

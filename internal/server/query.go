@@ -144,7 +144,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, text string) {
 		var p *db.Prepared
 		if p, err = s.db.PrepareSQL(text); err == nil {
 			fact = p.Fact()
-			plan, err = s.db.Engine(fact).Explain(p.Query())
+			plan, err = p.Explain()
 		}
 	}
 	if err != nil {

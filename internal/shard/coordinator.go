@@ -147,6 +147,12 @@ func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, 
 		span = tr.Start(tr.Root(), obs.StageScatter)
 		defer tr.End(span)
 	}
+	// Prepare first: a statement the coordinator cannot route or compile
+	// never reaches a worker. The merge below runs on this statement.
+	p, err := c.d.PrepareSQL(sqlText)
+	if err != nil {
+		return nil, nil, err
+	}
 	c.scatters.Add(1)
 
 	results, err := c.scatter(ctx, sqlText, nil)
@@ -185,10 +191,6 @@ func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, 
 			merged++
 		}
 		total.Add(&r.Stats)
-	}
-	p, err := c.d.PrepareSQL(sqlText)
-	if err != nil {
-		return nil, nil, err
 	}
 	// The shards' counters add up to exactly the single-node numbers because
 	// their slices partition the pinned view (time counters add as per-shard
@@ -339,7 +341,7 @@ func (c *Coordinator) Explain(sqlText string) (string, string, error) {
 	if err != nil {
 		return "", "", err
 	}
-	plan, err := c.d.Engine(p.Fact()).Explain(p.Query())
+	plan, err := p.Explain()
 	if err != nil {
 		return "", "", err
 	}

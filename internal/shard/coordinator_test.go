@@ -258,6 +258,28 @@ func TestCoordinatorWorkerErrorNamesShard(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRoutesBeforeScatter: a statement the coordinator cannot
+// route fails with the routing error before any worker executes it.
+func TestCoordinatorRoutesBeforeScatter(t *testing.T) {
+	d := protoDB(t)
+	a := &fakeWorker{name: "a", domain: "dom", versions: []uint64{5}}
+	b := &fakeWorker{name: "b", domain: "dom", versions: []uint64{5}}
+	c, err := New(d, []Worker{a, b}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = c.Exec(context.Background(), "SELECT SUM(no_such_col) AS s FROM universal_table")
+	if err == nil || !strings.Contains(err.Error(), "no fact table resolves columns") {
+		t.Fatalf("err = %v, want the routing error", err)
+	}
+	if a.calls != 0 || b.calls != 0 {
+		t.Fatalf("workers executed an unroutable statement: a %d, b %d calls", a.calls, b.calls)
+	}
+	if st := c.Stats(); st.Scatters != 0 {
+		t.Fatalf("scatters = %d, want 0", st.Scatters)
+	}
+}
+
 // TestCoordinatorHealth reports per-worker reachability.
 func TestCoordinatorHealth(t *testing.T) {
 	d := protoDB(t)

@@ -18,7 +18,9 @@ import (
 // the table or its referrers. Consolidation rebuilds the segment list —
 // surviving rows re-chunk into freshly sealed segments plus a tail — which
 // is the only way deleted slots are reclaimed on a table that seals
-// segments (its inserts never reuse slots in place).
+// segments (its inserts never reuse slots in place). A table with no
+// deleted row whose rows already stand in sort-key order is left as it is,
+// and the identity map returned.
 func Consolidate(db *Database, t *Table) ([]int32, error) {
 	return consolidate(db, t, 0, false)
 }
@@ -52,7 +54,7 @@ func Arrange(db *Database, t *Table, segmentRows int, keys []string, encode bool
 // consolidate is Consolidate; once its checks pass, it also gives t the
 // sealing threshold segmentRows if t has none, and turns sealed encodings
 // on if encode is set, so the one relayout builds them. Arrange calls it
-// only for a table with sort keys, which always takes the relayout.
+// only for a table with sort keys.
 func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32, error) {
 	refs := db.Referrers(t)
 
@@ -77,14 +79,16 @@ func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32,
 			return nil, fmt.Errorf("storage: consolidate %s: referrer %s pinned by snapshot", t.Name, r.From.Name)
 		}
 	}
-	if t.NumLive() == t.nrows && len(t.sortKeys) == 0 {
-		// Nothing to compact; identity map.
-		remap := make([]int32, t.nrows)
-		for i := range remap {
-			remap[i] = int32(i)
-		}
+	// perm[newPos] = old row that lands at newPos. When it keeps every row
+	// in place and the call sets no threshold or encoding, the layout stands:
+	// no relayout, no version bump, no referrer rewrite, so cached plans,
+	// bindings and partials of t's segments stay valid. perm is then its own
+	// inverse, the identity remap.
+	perm := t.layoutPermLocked()
+	newTarget := segmentRows > 0 && t.segTarget == 0
+	if len(perm) == t.nrows && !newTarget && (t.encodeSealed || !encode) && isIdentity(perm) {
 		t.free = t.free[:0]
-		return remap, nil
+		return perm, nil
 	}
 
 	// No live reference may point at a deleted row; check before mutating.
@@ -115,12 +119,20 @@ func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32,
 		}
 	}
 
-	if segmentRows > 0 && t.segTarget == 0 {
+	if newTarget {
 		t.segTarget = segmentRows
 		t.schemaVersion++
 	}
 	t.encodeSealed = t.encodeSealed || encode
-	remap := t.compactLocked()
+	remap := make([]int32, t.nrows)
+	for i := range remap {
+		remap[i] = -1
+	}
+	for newPos, old := range perm {
+		remap[old] = int32(newPos)
+	}
+	t.free = t.free[:0]
+	t.relayoutLocked(perm)
 	t.version++
 
 	// Rewrite all references (the extra cost of consolidation under AIR).
@@ -141,15 +153,14 @@ func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32,
 	return remap, nil
 }
 
-// compactLocked lays the table out anew without the deleted rows. One
-// permutation — the surviving rows in order, stable-sorted by the sort keys
-// (sortRows) when the table has them (attribute-value reordering: zone maps
-// tighten and equal key values form the runs RLE encoding exploits) — is what
-// relayoutLocked gathers every column through. The returned remap is the
-// permutation's inverse, so referrer FKs are rewritten once.
-func (t *Table) compactLocked() []int32 {
+// layoutPermLocked returns the rows of the compacted layout: the surviving
+// rows in order, stable-sorted by the sort keys (sortRows) when the table
+// has them (attribute-value reordering: zone maps tighten and equal key
+// values form the runs RLE encoding exploits). relayoutLocked gathers every
+// column through it, and its inverse is the remap referrer FKs are
+// rewritten through, once.
+func (t *Table) layoutPermLocked() []int32 {
 	del := t.deletedLocked()
-	// perm[newPos] = old row that lands at newPos.
 	perm := make([]int32, 0, t.nrows)
 	for i := 0; i < t.nrows; i++ {
 		if del == nil || !del.Get(i) {
@@ -167,16 +178,17 @@ func (t *Table) compactLocked() []int32 {
 		}
 		sortRows(perm, keys)
 	}
-	remap := make([]int32, t.nrows)
-	for i := range remap {
-		remap[i] = -1
+	return perm
+}
+
+// isIdentity reports whether perm[i] == i for every i.
+func isIdentity(perm []int32) bool {
+	for i, r := range perm {
+		if int(r) != i {
+			return false
+		}
 	}
-	for newPos, old := range perm {
-		remap[old] = int32(newPos)
-	}
-	t.free = t.free[:0]
-	t.relayoutLocked(perm)
-	return remap
+	return true
 }
 
 // sortRows stable-sorts perm, a list of rows, by keys[0][row], then

@@ -62,6 +62,48 @@ func TestConsolidateNoDeletesIsIdentity(t *testing.T) {
 	if dim.NumRows() != 3 {
 		t.Fatal("identity consolidation changed rows")
 	}
+
+	// A sorted, segmented table consolidated a second time is already in
+	// sort-key order: the second call changes nothing, so its segments, their
+	// epochs and the data version stay as they were.
+	tb := NewTable("sorted")
+	vals := make([]int64, 1000)
+	for i := range vals {
+		vals[i] = int64((i * 7919) % 1000)
+	}
+	tb.MustAddColumn("v", NewInt64Col(vals))
+	sdb := NewDatabase()
+	sdb.MustAdd(tb)
+	if err := tb.SetSegmentTarget(128); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.SetSortKeys("v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Consolidate(sdb, tb); err != nil {
+		t.Fatal(err)
+	}
+	before, version := tb.SegViews(), tb.DataVersion()
+	if remap, err = Consolidate(sdb, tb); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range remap {
+		if int(v) != i {
+			t.Fatalf("second consolidation: remap[%d] = %d, want identity", i, v)
+		}
+	}
+	if len(remap) != 1000 || tb.DataVersion() != version {
+		t.Fatalf("second consolidation: %d remap entries, data version %d -> %d", len(remap), version, tb.DataVersion())
+	}
+	after := tb.SegViews()
+	if len(after) != len(before) || len(before) < 2 {
+		t.Fatalf("segments %d -> %d", len(before), len(after))
+	}
+	for i := range before {
+		if after[i].Seg != before[i].Seg || after[i].Epoch != before[i].Epoch {
+			t.Fatalf("segment %d rebuilt by a consolidation that changes nothing", i)
+		}
+	}
 }
 
 func TestConsolidateRefusesLiveReferenceToDeleted(t *testing.T) {
