@@ -11,6 +11,7 @@
 //	BenchmarkTable4Denorm   Table 4 — engines over the denormalized table
 //	BenchmarkTable5SSB      Table 5 — full SSB per engine
 //	BenchmarkFig9Variants   Fig. 9  — the five AIRScan variants
+//	BenchmarkHighCardGroupBy §4.3  — the hash fallback on a sparse group-by
 //	BenchmarkFig10Stages    Fig. 10 — per-stage breakdown variants
 package astore_test
 
@@ -24,6 +25,7 @@ import (
 	"astore/internal/expr"
 	"astore/internal/join"
 	"astore/internal/query"
+	"astore/internal/sql"
 	"astore/internal/storage"
 )
 
@@ -369,6 +371,32 @@ func BenchmarkFig9Variants(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHighCardGroupBy measures the sparse backend: a group-by whose
+// aggregation array would be far too sparse, so Auto falls back to the
+// hash table, and nearly every selected row starts a group of its own.
+// ns/group is the time per execution over the groups it returns.
+func BenchmarkHighCardGroupBy(b *testing.B) {
+	data, _ := benchData(b)
+	q, err := sql.Parse("SELECT c_name, s_name, d_datekey, sum(lo_revenue) FROM lineorder GROUP BY c_name, s_name, d_datekey")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.New(data.Lineorder, core.Options{Variant: core.Auto, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	groups := 0
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Run(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		groups = len(res.Rows)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*groups), "ns/group")
 }
 
 // BenchmarkFig10Stages measures the three column-wise variants whose stage

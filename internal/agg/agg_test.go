@@ -2,6 +2,7 @@ package agg
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -15,8 +16,8 @@ func TestArrayAggFlatIndexRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cells() != 60 {
-		t.Fatalf("Cells = %d, want 60", a.Cells())
+	if len(a.counts) != 60 {
+		t.Fatalf("cells = %d, want 60", len(a.counts))
 	}
 	seen := make(map[int32]bool)
 	for x := int32(0); x < 3; x++ {
@@ -118,29 +119,42 @@ func TestArrayAggMerge(t *testing.T) {
 	}
 }
 
+// hashCell returns the row count and finalized values of the group with
+// the given ids, and whether the hash aggregation holds it.
+func hashCell(h *HashAgg, ids ...int32) (int64, []float64, bool) {
+	var key []byte
+	for _, id := range ids {
+		key = binary.LittleEndian.AppendUint32(key, uint32(id))
+	}
+	s, ok := h.slots[string(key)]
+	if !ok {
+		return 0, nil, false
+	}
+	return h.counts[s], h.final(s), true
+}
+
 func TestHashAggBasics(t *testing.T) {
 	kinds := []expr.AggKind{expr.Sum, expr.Avg, expr.Count, expr.Min, expr.Max}
 	h := NewHashAgg(kinds)
-	add := func(key string, v float64) {
-		c := h.Upsert([]byte(key))
-		c.Count++
+	add := func(id int32, v float64) {
+		s := h.Slot([]int32{id, 9})
+		h.AddRow(s)
 		for k := range kinds {
-			c.Update(kinds, k, v)
+			h.Update(s, k, v)
 		}
 	}
-	add("a", 4)
-	add("a", 6)
-	add("b", 1)
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d", h.Len())
+	add(4, 4)
+	add(4, 6)
+	add(1, 1)
+	if s := h.Slot([]int32{1, 9}); s != 1 {
+		t.Fatalf("second group's slot = %d, want 1", s)
 	}
-	cells := h.Extract()
-	if len(cells) != 2 || cells[0].Key() != "a" || cells[1].Key() != "b" {
-		t.Fatalf("extraction order broken: %v", cells)
+	var got []string
+	for ids, vals := range h.State().Groups {
+		got = append(got, fmt.Sprint(ids, vals))
 	}
-	a := cells[0]
-	if a.Vals[0] != 10 || a.Vals[1] != 5 || a.Vals[2] != 2 || a.Vals[3] != 4 || a.Vals[4] != 6 {
-		t.Errorf("cell a = %+v", a.Vals)
+	if want := "[[4 9] [10 5 2 4 6] [1 9] [1 1 1 1 1]]"; fmt.Sprint(got) != want {
+		t.Fatalf("groups = %v, want %s in first-insertion order", got, want)
 	}
 	if len(h.Kinds()) != 5 {
 		t.Error("Kinds lost")
@@ -152,24 +166,24 @@ func TestHashAggMerge(t *testing.T) {
 	h1 := NewHashAgg(kinds)
 	h2 := NewHashAgg(kinds)
 	for i, h := range []*HashAgg{h1, h2} {
-		c := h.Upsert([]byte("x"))
-		c.Count++
+		s := h.Slot([]int32{0})
+		h.AddRow(s)
 		v := float64(i + 1) // 1 then 2
 		for k := range kinds {
-			c.Update(kinds, k, v)
+			h.Update(s, k, v)
 		}
 	}
-	c2 := h2.Upsert([]byte("y"))
-	c2.Count++
-	c2.Update(kinds, 0, 7)
+	s := h2.Slot([]int32{1})
+	h2.AddRow(s)
+	h2.Update(s, 0, 7)
 
 	h1.Merge(h2)
-	if h1.Len() != 2 {
-		t.Fatalf("merged Len = %d", h1.Len())
+	if len(h1.keys) != 2 {
+		t.Fatalf("merged groups = %d", len(h1.keys))
 	}
-	x := h1.Extract()[0]
-	if x.Count != 2 || x.Vals[0] != 3 || x.Vals[1] != 1 || x.Vals[2] != 2 {
-		t.Errorf("merged x = %+v count=%d", x.Vals, x.Count)
+	count, x, _ := hashCell(h1, 0)
+	if count != 2 || x[0] != 3 || x[1] != 1 || x[2] != 2 {
+		t.Errorf("merged x = %+v count=%d", x, count)
 	}
 }
 
@@ -186,7 +200,6 @@ func TestArrayVsHashQuick(t *testing.T) {
 		ha := NewHashAgg(kinds)
 
 		n := rng.Intn(500)
-		key := make([]byte, 8)
 		for i := 0; i < n; i++ {
 			x := int32(rng.Intn(dims[0]))
 			y := int32(rng.Intn(dims[1]))
@@ -199,14 +212,12 @@ func TestArrayVsHashQuick(t *testing.T) {
 				part = pb
 			}
 			part.AddRow(flat)
-			binary.LittleEndian.PutUint32(key[0:], uint32(x))
-			binary.LittleEndian.PutUint32(key[4:], uint32(y))
-			c := ha.Upsert(key)
-			c.Count++
+			s := ha.Slot([]int32{x, y})
+			ha.AddRow(s)
 			for k := range kinds {
 				full.Update(flat, k, v)
 				part.Update(flat, k, v)
-				c.Update(kinds, k, v)
+				ha.Update(s, k, v)
 			}
 		}
 		if err := pa.Merge(pb); err != nil {
@@ -215,7 +226,7 @@ func TestArrayVsHashQuick(t *testing.T) {
 
 		gFull := full.Extract()
 		gPart := pa.Extract()
-		if len(gFull) != len(gPart) || len(gFull) != ha.Len() {
+		if len(gFull) != len(gPart) || len(gFull) != len(ha.keys) {
 			return false
 		}
 		for i := range gFull {
@@ -227,22 +238,13 @@ func TestArrayVsHashQuick(t *testing.T) {
 					return false
 				}
 			}
-			// Check against the hash cell with the same key.
-			binary.LittleEndian.PutUint32(key[0:], uint32(gFull[i].Ids[0]))
-			binary.LittleEndian.PutUint32(key[4:], uint32(gFull[i].Ids[1]))
-			hc := ha.Upsert(key)
-			if hc.Count != gFull[i].Count {
+			// Check against the hash cell with the same ids.
+			count, hv, ok := hashCell(ha, gFull[i].Ids...)
+			if !ok || count != gFull[i].Count {
 				return false
 			}
-			for k, kind := range kinds {
-				hv := hc.Vals[k]
-				switch kind {
-				case expr.Avg:
-					hv /= float64(hc.Count)
-				case expr.Count:
-					hv = float64(hc.Count)
-				}
-				if math.Abs(gFull[i].Vals[k]-hv) > 1e-9 {
+			for k := range kinds {
+				if math.Abs(gFull[i].Vals[k]-hv[k]) > 1e-9 {
 					return false
 				}
 			}

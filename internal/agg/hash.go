@@ -1,101 +1,75 @@
 package agg
 
 import (
-	"math"
+	"encoding/binary"
 
 	"astore/internal/expr"
 )
 
-// Cell is one group of a HashAgg: running accumulators plus the row count.
-type Cell struct {
-	Count int64
-	Vals  []float64
-	key   string
-}
-
-// Key returns the encoded group key the cell was created with.
-func (c *Cell) Key() string { return c.key }
-
-// HashAgg is the conventional hash-table grouping backend. Keys are opaque
-// byte strings encoded by the caller (packed group ids for A-Store's sparse
-// fallback, raw group values for the baseline engines).
+// HashAgg is the hash-table grouping backend: the cells of an aggregation
+// array, appended one per group in first-insertion order, and a map from
+// each group's key to its cell, its slot. A key packs the group's
+// per-column dense ids, 4 little-endian bytes per grouping column; the
+// packing stays inside this package.
 type HashAgg struct {
-	kinds []expr.AggKind
-	cells map[string]*Cell
-	order []*Cell
+	cells
+	slots map[string]int32
+	keys  []string // slot → key
+	key   []byte   // Slot's packing buffer
 }
 
 // NewHashAgg returns an empty hash aggregation over the given aggregate
 // kinds.
 func NewHashAgg(kinds []expr.AggKind) *HashAgg {
-	return &HashAgg{
-		kinds: append([]expr.AggKind(nil), kinds...),
-		cells: make(map[string]*Cell),
-	}
+	return &HashAgg{cells: newCells(kinds, 0), slots: make(map[string]int32)}
 }
 
-// Upsert returns the cell for key, creating it if needed. The lookup avoids
-// allocating for existing groups (map[string] indexing with a []byte
-// conversion is allocation-free in Go).
-func (h *HashAgg) Upsert(key []byte) *Cell {
-	if c, ok := h.cells[string(key)]; ok {
-		return c
+// Slot returns the cell of the group with the given per-column dense ids,
+// appending an empty cell for a group not seen before. A known group costs
+// no allocation.
+func (h *HashAgg) Slot(ids []int32) int32 {
+	key := h.key[:0]
+	for _, id := range ids {
+		key = binary.LittleEndian.AppendUint32(key, uint32(id))
 	}
-	c := &Cell{Vals: make([]float64, len(h.kinds)), key: string(key)}
-	for k, kind := range h.kinds {
-		switch kind {
-		case expr.Min:
-			c.Vals[k] = math.Inf(1)
-		case expr.Max:
-			c.Vals[k] = math.Inf(-1)
-		}
+	h.key = key
+	if s, ok := h.slots[string(key)]; ok {
+		return s
 	}
-	h.cells[c.key] = c
-	h.order = append(h.order, c)
-	return c
+	return h.insert(string(key))
 }
 
-// Update folds value v of aggregate k into the cell. Counts are maintained
-// by the caller bumping Count.
-func (c *Cell) Update(kinds []expr.AggKind, k int, v float64) {
-	fold(kinds[k], &c.Vals[k], v)
+// slotOf is Slot for a packed key.
+func (h *HashAgg) slotOf(key string) int32 {
+	if s, ok := h.slots[key]; ok {
+		return s
+	}
+	return h.insert(key)
 }
 
-// Kinds returns the aggregate kinds of the hash aggregation.
-func (h *HashAgg) Kinds() []expr.AggKind { return h.kinds }
+func (h *HashAgg) insert(key string) int32 {
+	s := h.grow()
+	h.slots[key] = s
+	h.keys = append(h.keys, key)
+	return s
+}
 
-// Len returns the number of groups.
-func (h *HashAgg) Len() int { return len(h.cells) }
+// keyIDs unpacks a key's group ids into ids[:0].
+func keyIDs(ids []int32, key string) []int32 {
+	ids = ids[:0]
+	for k := 0; k+4 <= len(key); k += 4 {
+		ids = append(ids, int32(uint32(key[k])|uint32(key[k+1])<<8|uint32(key[k+2])<<16|uint32(key[k+3])<<24))
+	}
+	return ids
+}
+
+// AddRow records one qualifying row in slot s.
+func (h *HashAgg) AddRow(s int32) { h.counts[s]++ }
 
 // Merge folds another hash aggregation (same kinds) into h. Used to combine
 // per-worker partial results after parallel scans.
 func (h *HashAgg) Merge(o *HashAgg) {
-	for _, oc := range o.order {
-		c := h.Upsert([]byte(oc.key))
-		c.Count += oc.Count
-		for k, kind := range h.kinds {
-			fold(kind, &c.Vals[k], oc.Vals[k])
-		}
+	for s, key := range o.keys {
+		h.merge(h.slotOf(key), &o.cells, int32(s))
 	}
-}
-
-// Extract returns the groups in first-insertion order, finalizing Avg and
-// Count aggregates. The cell's Key carries the caller's encoded group key.
-func (h *HashAgg) Extract() []*Cell {
-	out := make([]*Cell, 0, len(h.order))
-	for _, c := range h.order {
-		fc := &Cell{Count: c.Count, Vals: append([]float64(nil), c.Vals...), key: c.key}
-		for k, kind := range h.kinds {
-			switch kind {
-			case expr.Count:
-				fc.Vals[k] = float64(c.Count)
-			case expr.Avg:
-				if c.Count > 0 {
-					fc.Vals[k] = c.Vals[k] / float64(c.Count)
-				}
-			}
-		}
-		out = append(out, fc)
-	}
-	return out
 }

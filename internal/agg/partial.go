@@ -16,62 +16,43 @@ import (
 // A Partial is never mutated after capture; concurrent executions may merge
 // the same snapshot into their private states without synchronization.
 type Partial struct {
-	kinds []expr.AggKind
+	acc cells
 
-	// Array form: flat cell indexes of the touched cells. Hash form: the
-	// encoded group keys. Exactly one of the two is non-nil for non-empty
-	// snapshots; both may be empty when no row of the segment qualified.
+	// Array form: the flat cell index of each cell. Hash form: its group
+	// key. Exactly one of the two is non-nil for non-empty snapshots; both
+	// may be empty when no row of the segment qualified.
 	flats []int32
 	keys  []string
-
-	counts []int64   // per-cell row counts
-	vals   []float64 // row-major raw accumulators: cell*len(kinds) + k
 }
 
 // Capture snapshots the array state into an immutable Partial. Only touched
 // cells are copied, so the cost is O(groups), not O(cells).
 func (a *ArrayAgg) Capture() *Partial {
-	nk := len(a.kinds)
-	p := &Partial{
-		kinds:  append([]expr.AggKind(nil), a.kinds...),
-		flats:  append([]int32(nil), a.touched...),
-		counts: make([]int64, len(a.touched)),
-		vals:   make([]float64, len(a.touched)*nk),
-	}
+	p := &Partial{acc: newCells(a.kinds, len(a.touched)), flats: append([]int32(nil), a.touched...)}
 	for i, f := range a.touched {
-		p.counts[i] = a.counts[f]
-		for k := range a.kinds {
-			p.vals[i*nk+k] = a.vals[k][f]
-		}
+		p.acc.merge(int32(i), &a.cells, f)
 	}
 	return p
 }
 
 // Capture snapshots the hash state into an immutable Partial, preserving
-// raw accumulators (unlike Extract, which finalizes).
+// raw accumulators.
 func (h *HashAgg) Capture() *Partial {
-	nk := len(h.kinds)
-	p := &Partial{
-		kinds:  append([]expr.AggKind(nil), h.kinds...),
-		keys:   make([]string, len(h.order)),
-		counts: make([]int64, len(h.order)),
-		vals:   make([]float64, len(h.order)*nk),
-	}
-	for i, c := range h.order {
-		p.keys[i] = c.key
-		p.counts[i] = c.Count
-		copy(p.vals[i*nk:(i+1)*nk], c.Vals)
+	p := &Partial{acc: newCells(h.kinds, len(h.keys)), keys: make([]string, len(h.keys))}
+	copy(p.keys, h.keys)
+	for s := range h.keys {
+		p.acc.merge(int32(s), &h.cells, int32(s))
 	}
 	return p
 }
 
 // Cells returns the number of non-empty group cells in the snapshot.
-func (p *Partial) Cells() int { return len(p.counts) }
+func (p *Partial) Cells() int { return len(p.acc.counts) }
 
 // Rows returns the total number of qualifying rows the snapshot represents.
 func (p *Partial) Rows() int64 {
 	var n int64
-	for _, c := range p.counts {
+	for _, c := range p.acc.counts {
 		n += c
 	}
 	return n
@@ -81,8 +62,8 @@ func (p *Partial) Rows() int64 {
 func (p *Partial) Bytes() int64 {
 	b := int64(96) // struct + slice headers
 	b += int64(len(p.flats)) * 4
-	b += int64(len(p.counts)) * 8
-	b += int64(len(p.vals)) * 8
+	b += int64(len(p.acc.counts)) * 8
+	b += int64(len(p.acc.counts)*len(p.acc.kinds)) * 8
 	for _, k := range p.keys {
 		b += int64(len(k)) + 24 // string payload + header + map share
 	}
@@ -113,10 +94,9 @@ func (p *Partial) MergeIntoArray(a *ArrayAgg) error {
 	if p.keys != nil {
 		return fmt.Errorf("agg: hash-form partial merged into an aggregation array")
 	}
-	if err := kindsMatch(p.kinds, a.kinds); err != nil {
+	if err := kindsMatch(p.acc.kinds, a.kinds); err != nil {
 		return err
 	}
-	nk := len(p.kinds)
 	for i, f := range p.flats {
 		if int(f) < 0 || int(f) >= len(a.counts) {
 			return fmt.Errorf("agg: partial cell %d outside aggregation array of %d cells", f, len(a.counts))
@@ -124,10 +104,7 @@ func (p *Partial) MergeIntoArray(a *ArrayAgg) error {
 		if a.counts[f] == 0 {
 			a.touched = append(a.touched, f)
 		}
-		a.counts[f] += p.counts[i]
-		for k, kind := range a.kinds {
-			fold(kind, &a.vals[k][f], p.vals[i*nk+k])
-		}
+		a.merge(f, &p.acc, int32(i))
 	}
 	return nil
 }
@@ -137,15 +114,31 @@ func (p *Partial) MergeIntoHash(h *HashAgg) error {
 	if p.flats != nil {
 		return fmt.Errorf("agg: array-form partial merged into a hash aggregation")
 	}
-	if err := kindsMatch(p.kinds, h.kinds); err != nil {
+	if err := kindsMatch(p.acc.kinds, h.kinds); err != nil {
 		return err
 	}
-	nk := len(p.kinds)
 	for i, key := range p.keys {
-		c := h.Upsert([]byte(key))
-		c.Count += p.counts[i]
-		for k, kind := range h.kinds {
-			fold(kind, &c.Vals[k], p.vals[i*nk+k])
+		h.merge(h.slotOf(key), &p.acc, int32(i))
+	}
+	return nil
+}
+
+// CheckGroups refuses a hash-form snapshot whose group keys do not hold
+// one id per grouping column, each below that column's cardinality dims[k]:
+// a snapshot from another process is merged and then finalized through
+// per-column decode tables. An array-form snapshot's cells are checked by
+// MergeIntoArray.
+func (p *Partial) CheckGroups(dims []int) error {
+	var ids []int32
+	for _, key := range p.keys {
+		if len(key) != 4*len(dims) {
+			return fmt.Errorf("agg: partial group key of %d bytes for %d grouping columns", len(key), len(dims))
+		}
+		ids = keyIDs(ids, key)
+		for k, id := range ids {
+			if id < 0 || int(id) >= dims[k] {
+				return fmt.Errorf("agg: partial group id %d outside grouping column %d of %d groups", id, k, dims[k])
+			}
 		}
 	}
 	return nil

@@ -17,17 +17,14 @@ var partialKinds = []expr.AggKind{expr.Sum, expr.Count, expr.Min, expr.Max, expr
 // aggRow is one qualifying input row: a group cell and a measure value.
 type aggRow struct {
 	flat int32
-	key  string
 	val  float64
 }
 
 func genRows(rng *rand.Rand, n, cells int) []aggRow {
 	rows := make([]aggRow, n)
 	for i := range rows {
-		f := int32(rng.Intn(cells))
 		rows[i] = aggRow{
-			flat: f,
-			key:  fmt.Sprintf("g%03d", f),
+			flat: int32(rng.Intn(cells)),
 			val:  math.Round(rng.NormFloat64()*1000) / 8, // exact in float64
 		}
 	}
@@ -52,10 +49,10 @@ func feedArray(t *testing.T, rows []aggRow, cells int) *ArrayAgg {
 func feedHash(rows []aggRow) *HashAgg {
 	h := NewHashAgg(partialKinds)
 	for _, r := range rows {
-		c := h.Upsert([]byte(r.key))
-		c.Count++
+		s := h.Slot([]int32{r.flat})
+		h.AddRow(s)
 		for k := range partialKinds {
-			c.Update(partialKinds, k, r.val)
+			h.Update(s, k, r.val)
 		}
 	}
 	return h
@@ -83,31 +80,11 @@ func sameArrayResult(t *testing.T, got, want *ArrayAgg, label string) {
 	}
 }
 
+// sameHashResult compares the finalized groups of two hash aggregations,
+// whatever their insertion order.
 func sameHashResult(t *testing.T, got, want *HashAgg, label string) {
 	t.Helper()
-	gc, wc := got.Extract(), want.Extract()
-	if len(gc) != len(wc) {
-		t.Fatalf("%s: %d groups, want %d", label, len(gc), len(wc))
-	}
-	wantBy := make(map[string]*Cell, len(wc))
-	for _, c := range wc {
-		wantBy[c.Key()] = c
-	}
-	for _, c := range gc {
-		w := wantBy[c.Key()]
-		if w == nil {
-			t.Fatalf("%s: unexpected group %q", label, c.Key())
-		}
-		if c.Count != w.Count {
-			t.Fatalf("%s: group %q count %d, want %d", label, c.Key(), c.Count, w.Count)
-		}
-		for k := range partialKinds {
-			if c.Vals[k] != w.Vals[k] {
-				t.Fatalf("%s: group %q agg %v = %v, want %v",
-					label, c.Key(), partialKinds[k], c.Vals[k], w.Vals[k])
-			}
-		}
-	}
+	sameGroups(t, groupsOf(got.State()), groupsOf(want.State()), label)
 }
 
 // TestPartialMergeEqualsWholeArray is the cache's correctness property on

@@ -1,9 +1,6 @@
 package agg
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // State is one live aggregation state of a query execution: an aggregation
 // array or a hash table, never both. The backend is chosen once, when the
@@ -11,10 +8,6 @@ import (
 // worker states, folding in cached or remote partials, capturing a snapshot,
 // finalizing groups, recycling a pooled array — goes through State, so the
 // choice is made in exactly one place.
-//
-// Hash-form group keys are the per-dimension dense group ids packed by
-// PutGroupID; Groups unpacks them again, so the key layout stays inside
-// this package.
 type State struct {
 	arr     *ArrayAgg
 	h       *HashAgg
@@ -31,16 +24,20 @@ func (a *ArrayAgg) State(release func(*ArrayAgg)) *State {
 func (h *HashAgg) State() *State { return &State{h: h} }
 
 // Array returns the aggregation array, or nil for a hash-form state. Scan
-// kernels accumulate into the backend directly.
+// kernels group into the backend directly.
 func (s *State) Array() *ArrayAgg { return s.arr }
 
 // Hash returns the hash table, or nil for an array-form state.
 func (s *State) Hash() *HashAgg { return s.h }
 
-// PutGroupID packs dimension k's dense group id into a hash-form group key
-// of 4 bytes per dimension.
-func PutGroupID(key []byte, k int, id int32) {
-	binary.LittleEndian.PutUint32(key[4*k:], uint32(id))
+// Vals exposes the accumulator column of aggregate k, indexed by the flat
+// cell of the array form or the slot of the hash form, for direct
+// accumulation in scan loops.
+func (s *State) Vals(k int) []float64 {
+	if s.arr != nil {
+		return s.arr.vals[k]
+	}
+	return s.h.vals[k]
 }
 
 // Merge folds another live state of the same form and shape into s, as
@@ -89,13 +86,9 @@ func (s *State) Groups(yield func(ids []int32, vals []float64) bool) {
 		return
 	}
 	var ids []int32
-	for _, c := range s.h.Extract() {
-		ids = ids[:0]
-		for k := 0; k+4 <= len(c.key); k += 4 {
-			ids = append(ids, int32(uint32(c.key[k])|uint32(c.key[k+1])<<8|
-				uint32(c.key[k+2])<<16|uint32(c.key[k+3])<<24))
-		}
-		if !yield(ids, c.Vals) {
+	for slot, key := range s.h.keys {
+		ids = keyIDs(ids, key)
+		if !yield(ids, s.h.final(int32(slot))) {
 			return
 		}
 	}

@@ -11,7 +11,8 @@ import (
 var stateDims = []int{8, 5}
 
 // feedState aggregates rows into a fresh state of the given form, the way
-// the scan kernels do: array cells by flat index, hash cells by packed ids.
+// the scan kernels do: array cells by flat index, hash cells by the slot
+// of their ids.
 func feedState(t *testing.T, rows []aggRow, array bool) *State {
 	t.Helper()
 	if array {
@@ -28,14 +29,11 @@ func feedState(t *testing.T, rows []aggRow, array bool) *State {
 		return a.State(nil)
 	}
 	h := NewHashAgg(partialKinds)
-	key := make([]byte, 4*len(stateDims))
 	for _, r := range rows {
-		PutGroupID(key, 0, r.flat%int32(stateDims[0]))
-		PutGroupID(key, 1, r.flat/int32(stateDims[0]))
-		c := h.Upsert(key)
-		c.Count++
+		s := h.Slot([]int32{r.flat % int32(stateDims[0]), r.flat / int32(stateDims[0])})
+		h.AddRow(s)
 		for k := range partialKinds {
-			c.Update(partialKinds, k, r.val)
+			h.Update(s, k, r.val)
 		}
 	}
 	return h.State()

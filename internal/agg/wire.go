@@ -23,7 +23,7 @@ import (
 //	u32  cells
 //	array form: cells × i32 flat cell indexes
 //	hash form:  cells × (u32 key length + key bytes)
-//	cells × i64 per-cell row counts (non-negative)
+//	cells × i64 per-cell row counts (positive)
 //	cells × nkinds × f64 raw accumulators (row-major)
 const (
 	wireMagic   = 0x41535057 // "ASPW"
@@ -43,22 +43,12 @@ func wireKindValid(k uint8) bool { return expr.AggKind(k) <= expr.Avg }
 
 // MarshalBinary encodes the snapshot in the stable wire format.
 func (p *Partial) MarshalBinary() ([]byte, error) {
-	if len(p.kinds) > 255 {
-		return nil, fmt.Errorf("agg: partial wire: %d aggregate kinds exceed the u8 header", len(p.kinds))
+	kinds := p.acc.kinds
+	if len(kinds) > 255 {
+		return nil, fmt.Errorf("agg: partial wire: %d aggregate kinds exceed the u8 header", len(kinds))
 	}
-	cells := len(p.counts)
-	if p.keys != nil && len(p.keys) != cells {
-		return nil, fmt.Errorf("agg: partial wire: %d keys for %d cells", len(p.keys), cells)
-	}
-	if p.keys == nil && len(p.flats) != cells {
-		return nil, fmt.Errorf("agg: partial wire: %d cell indexes for %d cells", len(p.flats), cells)
-	}
-	if len(p.vals) != cells*len(p.kinds) {
-		return nil, fmt.Errorf("agg: partial wire: %d accumulators for %d cells × %d kinds",
-			len(p.vals), cells, len(p.kinds))
-	}
-
-	buf := make([]byte, 0, 11+len(p.kinds)+cells*(12+8*len(p.kinds)))
+	n := len(p.acc.counts)
+	buf := make([]byte, 0, 11+len(kinds)+n*(12+8*len(kinds)))
 	buf = binary.LittleEndian.AppendUint32(buf, wireMagic)
 	buf = append(buf, wireVersion)
 	if p.keys != nil {
@@ -66,11 +56,11 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 	} else {
 		buf = append(buf, wireFormArray)
 	}
-	buf = append(buf, uint8(len(p.kinds)))
-	for _, k := range p.kinds {
+	buf = append(buf, uint8(len(kinds)))
+	for _, k := range kinds {
 		buf = append(buf, uint8(k))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cells))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	if p.keys != nil {
 		for _, key := range p.keys {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
@@ -81,11 +71,13 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(f))
 		}
 	}
-	for _, c := range p.counts {
+	for _, c := range p.acc.counts {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
 	}
-	for _, v := range p.vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	for i := range n {
+		for _, col := range p.acc.vals {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col[i]))
+		}
 	}
 	return buf, nil
 }
@@ -130,29 +122,30 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 		}
 		kinds[i] = expr.AggKind(code)
 	}
-	cells64, err := r.u32()
+	n64, err := r.u32()
 	if err != nil {
 		return nil, err
 	}
-	cells := int(cells64)
-	if cells > maxWireCells {
-		return nil, fmt.Errorf("agg: partial wire: %d cells exceed the decode bound", cells)
+	n := int(n64)
+	if n > maxWireCells {
+		return nil, fmt.Errorf("agg: partial wire: %d cells exceed the decode bound", n)
 	}
 	// The fixed-width tail alone needs cells×(8 + 8·nk) bytes; reject
 	// impossible cell counts before any allocation.
-	if need := cells * (8 + 8*int(nk)); need > len(r.buf)-r.off {
+	if need := n * (8 + 8*int(nk)); need > len(r.buf)-r.off {
 		if form == wireFormArray || need > len(r.buf) {
-			return nil, fmt.Errorf("agg: partial wire: truncated (%d cells in %d bytes)", cells, len(data))
+			return nil, fmt.Errorf("agg: partial wire: truncated (%d cells in %d bytes)", n, len(data))
 		}
 	}
 
-	p := &Partial{
-		kinds:  kinds,
-		counts: make([]int64, cells),
-		vals:   make([]float64, cells*int(nk)),
+	// An empty snapshot gets no accumulator columns: their headers would
+	// outgrow the one byte per aggregate kind it takes on the wire.
+	p := &Partial{acc: cells{kinds: kinds}}
+	if n > 0 {
+		p.acc = newCells(kinds, n)
 	}
 	if form == wireFormHash {
-		p.keys = make([]string, cells)
+		p.keys = make([]string, n)
 		for i := range p.keys {
 			klen, err := r.u32()
 			if err != nil {
@@ -165,7 +158,7 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 			p.keys[i] = string(key)
 		}
 	} else {
-		p.flats = make([]int32, cells)
+		p.flats = make([]int32, n)
 		for i := range p.flats {
 			v, err := r.u32()
 			if err != nil {
@@ -178,23 +171,25 @@ func UnmarshalPartial(data []byte) (*Partial, error) {
 			p.flats[i] = f
 		}
 	}
-	for i := range p.counts {
+	for i := range p.acc.counts {
 		v, err := r.u64()
 		if err != nil {
 			return nil, err
 		}
 		c := int64(v)
-		if c < 0 {
-			return nil, fmt.Errorf("agg: partial wire: negative row count %d in cell %d", c, i)
+		if c <= 0 {
+			return nil, fmt.Errorf("agg: partial wire: cell %d holds %d rows, not at least one", i, c)
 		}
-		p.counts[i] = c
+		p.acc.counts[i] = c
 	}
-	for i := range p.vals {
-		v, err := r.u64()
-		if err != nil {
-			return nil, err
+	for i := range n {
+		for _, col := range p.acc.vals {
+			v, err := r.u64()
+			if err != nil {
+				return nil, err
+			}
+			col[i] = math.Float64frombits(v)
 		}
-		p.vals[i] = math.Float64frombits(v)
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("agg: partial wire: %d trailing bytes", len(r.buf)-r.off)

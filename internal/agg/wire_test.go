@@ -2,6 +2,7 @@ package agg
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,44 +24,25 @@ func roundTrip(t *testing.T, p *Partial) *Partial {
 	return got
 }
 
-// samePartial compares two snapshots field by field (bit-exact values).
+// samePartial compares two snapshots field by field; values print in the
+// shortest form that reads back to the same float64.
 func samePartial(t *testing.T, got, want *Partial, label string) {
 	t.Helper()
-	if len(got.kinds) != len(want.kinds) {
-		t.Fatalf("%s: %d kinds, want %d", label, len(got.kinds), len(want.kinds))
-	}
-	for i := range got.kinds {
-		if got.kinds[i] != want.kinds[i] {
-			t.Fatalf("%s: kind[%d] = %v, want %v", label, i, got.kinds[i], want.kinds[i])
-		}
-	}
 	if (got.keys == nil) != (want.keys == nil) {
 		t.Fatalf("%s: form changed across the wire (keys nil: %v vs %v)", label, got.keys == nil, want.keys == nil)
 	}
-	if len(got.flats) != len(want.flats) || len(got.keys) != len(want.keys) ||
-		len(got.counts) != len(want.counts) || len(got.vals) != len(want.vals) {
-		t.Fatalf("%s: shape %d/%d/%d/%d, want %d/%d/%d/%d", label,
-			len(got.flats), len(got.keys), len(got.counts), len(got.vals),
-			len(want.flats), len(want.keys), len(want.counts), len(want.vals))
-	}
-	for i := range want.flats {
-		if got.flats[i] != want.flats[i] {
-			t.Fatalf("%s: flat[%d] = %d, want %d", label, i, got.flats[i], want.flats[i])
-		}
-	}
-	for i := range want.keys {
-		if got.keys[i] != want.keys[i] {
-			t.Fatalf("%s: key[%d] = %q, want %q", label, i, got.keys[i], want.keys[i])
-		}
-	}
-	for i := range want.counts {
-		if got.counts[i] != want.counts[i] {
-			t.Fatalf("%s: count[%d] = %d, want %d", label, i, got.counts[i], want.counts[i])
-		}
-	}
-	for i := range want.vals {
-		if got.vals[i] != want.vals[i] {
-			t.Fatalf("%s: val[%d] = %v, want %v", label, i, got.vals[i], want.vals[i])
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"kinds", got.acc.kinds, want.acc.kinds},
+		{"flats", got.flats, want.flats},
+		{"keys", got.keys, want.keys},
+		{"counts", got.acc.counts, want.acc.counts},
+		{"vals", got.acc.vals, want.acc.vals},
+	} {
+		if fmt.Sprint(f.got) != fmt.Sprint(f.want) {
+			t.Fatalf("%s: %s = %v, want %v", label, f.name, f.got, f.want)
 		}
 	}
 }
@@ -101,15 +83,7 @@ func TestWireRoundTripHash(t *testing.T) {
 	if err := roundTrip(t, p).MergeIntoHash(m2); err != nil {
 		t.Fatal(err)
 	}
-	g1, g2 := m1.Extract(), m2.Extract()
-	if len(g1) != len(g2) {
-		t.Fatalf("decoded merge: %d groups, want %d", len(g2), len(g1))
-	}
-	for i := range g1 {
-		if g1[i].Key() != g2[i].Key() || g1[i].Count != g2[i].Count {
-			t.Fatalf("decoded merge: group %d differs", i)
-		}
-	}
+	sameHashResult(t, m2, m1, "decoded merge")
 }
 
 func TestWireRoundTripEmpty(t *testing.T) {
@@ -170,31 +144,29 @@ func TestWireRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestWireRejectsNegativeCount: a cell holds at least one row; a negative
+// or zero count is refused at decode.
 func TestWireRejectsNegativeCount(t *testing.T) {
-	p := &Partial{
-		kinds:  []expr.AggKind{expr.Sum},
-		flats:  []int32{0},
-		counts: []int64{-5},
-		vals:   []float64{1},
-	}
-	data, err := p.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalPartial(data); err == nil || !strings.Contains(err.Error(), "negative row count") {
-		t.Fatalf("negative count decoded: err = %v", err)
+	for _, count := range []int64{-5, 0} {
+		p := &Partial{
+			acc:   cells{kinds: []expr.AggKind{expr.Sum}, counts: []int64{count}, vals: [][]float64{{1}}},
+			flats: []int32{0},
+		}
+		data, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalPartial(data); err == nil || !strings.Contains(err.Error(), "not at least one") {
+			t.Fatalf("count %d decoded: err = %v", count, err)
+		}
 	}
 }
 
 func TestMergeRejectsKindMismatch(t *testing.T) {
 	// Same arity, different aggregate at one position: the merge must fail
 	// instead of silently folding Sum cells into a Min column.
-	p := &Partial{
-		kinds:  []expr.AggKind{expr.Sum, expr.Min},
-		flats:  []int32{0},
-		counts: []int64{1},
-		vals:   []float64{1, 2},
-	}
+	acc := cells{kinds: []expr.AggKind{expr.Sum, expr.Min}, counts: []int64{1}, vals: [][]float64{{1}, {2}}}
+	p := &Partial{acc: acc, flats: []int32{0}}
 	a, err := NewArrayAgg([]int{4}, []expr.AggKind{expr.Sum, expr.Max})
 	if err != nil {
 		t.Fatal(err)
@@ -203,12 +175,7 @@ func TestMergeRejectsKindMismatch(t *testing.T) {
 		t.Fatalf("kind mismatch merged: err = %v", err)
 	}
 	h := NewHashAgg([]expr.AggKind{expr.Sum, expr.Max})
-	ph := &Partial{
-		kinds:  []expr.AggKind{expr.Sum, expr.Min},
-		keys:   []string{"k"},
-		counts: []int64{1},
-		vals:   []float64{1, 2},
-	}
+	ph := &Partial{acc: acc, keys: []string{"k"}}
 	if err := ph.MergeIntoHash(h); err == nil || !strings.Contains(err.Error(), "mismatched aggregate kinds") {
 		t.Fatalf("kind mismatch merged into hash: err = %v", err)
 	}

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/binary"
 	"time"
 
 	"astore/internal/agg"
@@ -110,28 +109,24 @@ func (e *HashJoinEngine) Run(q *query.Query) (*query.Result, error) {
 	// Grouping and aggregation (hash based).
 	t1 := time.Now()
 	h := agg.NewHashAgg(p.kinds)
-	key := make([]byte, 4*len(p.groups))
-	kinds := p.kinds
+	ids := make([]int32, len(p.groups))
 	for j, r := range cand {
 		for di := range p.dims {
 			p.pos[di] = posPerDim[di][j]
 		}
 		for gi, gs := range p.groups {
-			var id int32
 			if gs.onRoot {
-				id = gs.rootID(r)
+				ids[gi] = gs.rootID(r)
 			} else {
-				id = p.dims[gs.dimIdx].ids[gs.slot][p.pos[gs.dimIdx]]
+				ids[gi] = p.dims[gs.dimIdx].ids[gs.slot][p.pos[gs.dimIdx]]
 			}
-			binary.LittleEndian.PutUint32(key[4*gi:], uint32(id))
 		}
-		c := h.Upsert(key)
-		c.Count++
+		s := h.Slot(ids)
+		h.AddRow(s)
 		for k, ev := range p.aggEvals {
-			if ev == nil {
-				continue
+			if ev != nil {
+				h.Update(s, k, ev(r))
 			}
-			c.Update(kinds, k, ev(r))
 		}
 	}
 	res, err := extractHash(p, q, h)
@@ -140,7 +135,7 @@ func (e *HashJoinEngine) Run(q *query.Query) (*query.Result, error) {
 }
 
 // extractHash converts a hash aggregation into an ordered result, decoding
-// packed group ids through the prep's group sources.
+// group ids through the prep's group sources.
 func extractHash(p *prep, q *query.Query, h *agg.HashAgg) (*query.Result, error) {
 	res := &query.Result{
 		GroupCols: append([]string(nil), q.GroupBy...),
@@ -149,14 +144,12 @@ func extractHash(p *prep, q *query.Query, h *agg.HashAgg) (*query.Result, error)
 	for k, a := range q.Aggs {
 		res.AggNames[k] = a.As
 	}
-	for _, c := range h.Extract() {
-		key := c.Key()
+	for ids, vals := range h.State().Groups {
 		keys := make([]query.Value, len(p.groups))
 		for gi, gs := range p.groups {
-			id := int32(binary.LittleEndian.Uint32([]byte(key[4*gi:])))
-			keys[gi] = gs.decode(id)
+			keys[gi] = gs.decode(ids[gi])
 		}
-		res.Rows = append(res.Rows, query.Row{Keys: keys, Aggs: c.Vals})
+		res.Rows = append(res.Rows, query.Row{Keys: keys, Aggs: vals})
 	}
 	if err := res.Sort(q.OrderBy); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/binary"
 	"time"
 
 	"astore/internal/agg"
@@ -53,8 +52,7 @@ func (e *VectorEngine) Run(q *query.Query) (*query.Result, error) {
 	}
 
 	h := agg.NewHashAgg(p.kinds)
-	kinds := p.kinds
-	key := make([]byte, 4*len(p.groups))
+	ids := make([]int32, len(p.groups))
 
 	n := e.root.NumRows()
 	del := e.root.Deleted()
@@ -121,21 +119,18 @@ func (e *VectorEngine) Run(q *query.Query) (*query.Result, error) {
 				p.pos[di] = posBuf[di][j]
 			}
 			for gi, gs := range p.groups {
-				var id int32
 				if gs.onRoot {
-					id = gs.rootID(r)
+					ids[gi] = gs.rootID(r)
 				} else {
-					id = p.dims[gs.dimIdx].ids[gs.slot][p.pos[gs.dimIdx]]
+					ids[gi] = p.dims[gs.dimIdx].ids[gs.slot][p.pos[gs.dimIdx]]
 				}
-				binary.LittleEndian.PutUint32(key[4*gi:], uint32(id))
 			}
-			c := h.Upsert(key)
-			c.Count++
+			s := h.Slot(ids)
+			h.AddRow(s)
 			for k, ev := range p.aggEvals {
-				if ev == nil {
-					continue
+				if ev != nil {
+					h.Update(s, k, ev(r))
 				}
-				c.Update(kinds, k, ev(r))
 			}
 		}
 		e.Stats.GroupNS += time.Since(t1).Nanoseconds()

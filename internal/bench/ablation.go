@@ -12,12 +12,12 @@ func init() {
 	register(Experiment{
 		ID: "ablation",
 		Title: "Design-choice ablation: predicate vectors, array aggregation, " +
-			"column-wise scan, parallel scaling (DESIGN.md §4–§5 choices)",
+			"column-wise scan, parallel scaling (the paper's §4–§5 choices)",
 		Run: runAblation,
 	})
 }
 
-// runAblation isolates each optimization the way DESIGN.md calls out,
+// runAblation isolates each optimization of the paper's §4–§5 in turn,
 // using the full SSB suite average as the metric:
 //
 //   - baseline: the full engine (optimizer on);

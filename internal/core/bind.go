@@ -294,16 +294,16 @@ func bindDim(sv *storage.SegView, d *groupDim) (boundDim, error) {
 	return bd, nil
 }
 
-// bindAgg binds one aggregate: on the array backend, the operand chunks of
-// a recognized fast form, whatever their type and encoding; everywhere
-// else, and whenever the fast form does not cover it, the generic
-// evaluator over per-row accessors.
+// bindAgg binds one aggregate: for the column-wise kernel, the operand
+// chunks of a recognized fast form, whatever their type and encoding;
+// for the row-wise kernel, and whenever the fast form does not cover it,
+// the generic evaluator over per-row accessors.
 func (pl *plan) bindAgg(sv *storage.SegView, ap *aggPlan) (boundAgg, error) {
 	ba := boundAgg{ap: ap}
 	if ap.agg.Expr == nil {
 		return ba, nil
 	}
-	if ap.fastTry && pl.useArray {
+	if ap.fastTry {
 		var err error
 		if ba.a, err = bindCol(sv, ap.colA, storage.Type.IsNumeric); err != nil {
 			return ba, err

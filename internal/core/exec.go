@@ -60,12 +60,10 @@ type worker struct {
 	// rows is the engine's shared row numbers, read-only, as long as the
 	// longest kept segment. Reused per-morsel buffers; bufs back the views
 	// of bound columns (two at once: a binary aggregate's operands).
-	rows  []int32
-	sel   []int32
-	mi    []int32
-	cells []*agg.Cell
-	key   []byte
-	bufs  [2]colBuf
+	rows []int32
+	sel  []int32
+	mi   []int32
+	bufs [2]colBuf
 }
 
 // newState builds an empty aggregation state of the plan's backend: a
@@ -232,7 +230,7 @@ func (pl *plan) scan(ctx context.Context, segs []storage.SegView, rs *runState) 
 		if err != nil {
 			return nil, err
 		}
-		w := &worker{st: st, key: make([]byte, 4*len(pl.dims)), rows: rows}
+		w := &worker{st: st, rows: rows}
 		w.bufs[0].rows, w.bufs[1].rows = rows, rows
 		workers[i] = w
 	}
@@ -384,30 +382,23 @@ func (pl *plan) processMorselColumnar(w *worker, st *agg.State, es execSeg, lo, 
 		sel = append(buf[:0], sel...) // grouping compacts sel in place
 	}
 
-	// Phase 2b (array backend): grouping — compute the measure index. For
-	// the hash backend, grouping (bucket location) is aggregation work and
-	// is accounted to phase 3, matching the paper's Fig. 10 stage split.
-	if pl.useArray {
-		arr := st.Array()
-		sel = groupArray(w, arr, bound, sel)
-		w.sel = sel
-		w.stats.RowsSelected += int64(len(sel))
-		w.stats.ScanNS += time.Since(t0).Nanoseconds()
-
-		t1 := time.Now()
-		aggregateArray(w, arr, bound, sel)
-		w.stats.AggNS += time.Since(t1).Nanoseconds()
-		return
-	}
-	w.stats.ScanNS += time.Since(t0).Nanoseconds()
-
-	// Phase 3 (hash backend): grouping and aggregation.
+	// Phase 2b: grouping — the measure index of flat array cells or hash
+	// slots. For the hash backend, grouping (bucket location) is
+	// aggregation work and is accounted to phase 3, matching the paper's
+	// Fig. 10 stage split.
 	t1 := time.Now()
-	h := st.Hash()
-	sel = groupHash(w, h, bound, sel)
+	if arr := st.Array(); arr != nil {
+		sel = groupArray(w, arr, bound, sel)
+		t1 = time.Now()
+	} else {
+		sel = groupHash(w, st.Hash(), bound, sel)
+	}
 	w.sel = sel
 	w.stats.RowsSelected += int64(len(sel))
-	aggregateHash(w, h, bound, sel)
+	w.stats.ScanNS += t1.Sub(t0).Nanoseconds()
+
+	// Phase 3: aggregation.
+	aggregate(w, st, bound, sel)
 	w.stats.AggNS += time.Since(t1).Nanoseconds()
 }
 
@@ -546,61 +537,50 @@ func numIDs[T int32 | int64](vals []T, base int64, idx, mi []int32, mult int32) 
 	return dead
 }
 
-// groupHash assigns each selected row its hash-aggregation cell, keyed by
-// the packed dense group ids (stable across workers, so partials merge).
-// The ids are computed one grouping column at a time, by groupArray's
-// per-column loops (column-wise grouping, Fig. 6), into w.mi: column k's
-// ids for the n selected rows at [k*n, (k+1)*n).
+// groupHash fills the measure index with hash slots, keyed by the dense
+// group ids (stable across workers, so partials merge). The ids are
+// computed one grouping column at a time, by groupArray's per-column loops
+// (column-wise grouping, Fig. 6): column k's ids for the n selected rows at
+// ids[k*n : (k+1)*n]. Rows whose group vector entry is null are dropped
+// from the selection vector.
 func groupHash(w *worker, h *agg.HashAgg, st *segState, sel []int32) []int32 {
-	n := len(sel)
-	if cap(w.mi) < n*len(st.dims) {
-		w.mi = make([]int32, n*len(st.dims))
+	n, nd := len(sel), len(st.dims)
+	if cap(w.mi) < n*(nd+1)+nd {
+		w.mi = make([]int32, n*(nd+1)+nd)
 	}
-	ids := w.mi[:n*len(st.dims)]
+	mi, ids, row := w.mi[:0], w.mi[n:n*(nd+1)], w.mi[n*(nd+1):n*(nd+1)+nd]
 	clear(ids)
 	for k := range st.dims {
 		accumulateDim(w, &st.dims[k], sel, ids[k*n:(k+1)*n], 1)
 	}
-	if cap(w.cells) < n {
-		w.cells = make([]*agg.Cell, n)
-	}
-	cells := w.cells[:n]
-	key := w.key
 	out := sel[:0]
-	kept := cells[:0]
+rows:
 	for j, r := range sel {
-		ok := true
-		for k := range st.dims {
-			id := ids[k*n+j]
-			if id < 0 {
-				ok = false
-				break
+		for k := range row {
+			if row[k] = ids[k*n+j]; row[k] < 0 {
+				continue rows
 			}
-			agg.PutGroupID(key, k, id)
 		}
-		if !ok {
-			continue
-		}
-		c := h.Upsert(key)
-		c.Count++
+		s := h.Slot(row)
+		h.AddRow(s)
 		out = append(out, r)
-		kept = append(kept, c)
+		mi = append(mi, s)
 	}
-	w.cells = cells[:len(kept)]
-	copy(w.cells, kept)
+	w.mi = mi
 	return out
 }
 
-// aggregateArray is phase 3 over the aggregation array: each measure column
-// is scanned only at the positions recorded in the measure index.
-func aggregateArray(w *worker, arr *agg.ArrayAgg, st *segState, sel []int32) {
+// aggregate is phase 3 on either backend: each measure column is scanned
+// only at the positions recorded in the measure index, and folded into the
+// cells it names.
+func aggregate(w *worker, st *agg.State, bound *segState, sel []int32) {
 	mi := w.mi
-	for k := range st.aggs {
-		ba := &st.aggs[k]
+	for k := range bound.aggs {
+		ba := &bound.aggs[k]
 		if ba.ap.agg.Expr == nil {
-			continue // COUNT(*): counts were maintained in groupArray
+			continue // COUNT(*): counts were maintained in grouping
 		}
-		vals := arr.Vals(k)
+		vals := st.Vals(k)
 		switch ba.ap.kind {
 		case expr.Sum, expr.Avg:
 			if ba.fast {
@@ -686,29 +666,6 @@ func sumOf[A, B number](form expr.Form, vals []float64, mi []int32, a []A, ia []
 		ib = ib[:len(mi)]
 		for j, m := range mi {
 			vals[m] += float64(a[ia[j]]) * (1 - float64(b[ib[j]]))
-		}
-	}
-}
-
-// aggregateHash is phase 3 over the hash backend.
-func aggregateHash(w *worker, h *agg.HashAgg, st *segState, sel []int32) {
-	kinds := h.Kinds()
-	for k := range st.aggs {
-		ba := &st.aggs[k]
-		if ba.ap.agg.Expr == nil {
-			continue
-		}
-		ev := ba.eval
-		cells := w.cells
-		switch ba.ap.kind {
-		case expr.Sum, expr.Avg:
-			for j, r := range sel {
-				cells[j].Vals[k] += ev(r)
-			}
-		default:
-			for j, r := range sel {
-				cells[j].Update(kinds, k, ev(r))
-			}
 		}
 	}
 }

@@ -654,7 +654,7 @@ func (pl *plan) planAggs() error {
 		// Fast path: recognized form with all referenced columns on the
 		// root table (numeric types verified at binding).
 		rec := expr.Recognize(a.Expr)
-		if rec.Form != expr.FGeneric {
+		if rec.Form != expr.FGeneric && !pl.variant.rowWise() {
 			ok := true
 			onRootNumeric := func(name string) string {
 				b, err := pl.graph.Resolve(name)
@@ -688,15 +688,17 @@ func (pl *plan) planAggs() error {
 // and hash aggregation (§4.3: the optimizer estimates the sparsity/size of
 // the aggregation array).
 func (pl *plan) decideAggBackend() {
+	pl.dimCards = pl.dimCards[:0]
+	for _, d := range pl.dims {
+		pl.dimCards = append(pl.dimCards, d.card)
+	}
 	if pl.variant.rowWise() || pl.variant == ColWise || pl.variant == ColWisePF {
 		pl.useArray = false
 		return
 	}
 	cells := int64(1)
-	pl.dimCards = pl.dimCards[:0]
-	for _, d := range pl.dims {
-		pl.dimCards = append(pl.dimCards, d.card)
-		cells *= int64(d.card)
+	for _, c := range pl.dimCards {
+		cells *= int64(c)
 		if cells > int64(agg.MaxArrayCells) {
 			pl.useArray = false
 			return

@@ -20,11 +20,10 @@ func (pl *plan) processMorselRowWise(w *worker, st *agg.State, es execSeg, lo, h
 	del := es.sv.Del
 	t0 := time.Now()
 	w.stats.RowsScanned += int64(hi - lo)
-	key := w.key
 	one := append(w.sel[:0], 0)
 	w.sel = one
+	ids := make([]int32, len(bound.dims))
 	h := st.Hash()
-	kinds := h.Kinds()
 rows:
 	for r := int32(lo); r < int32(hi); r++ {
 		if del != nil && del.Get(int(r)) {
@@ -45,21 +44,17 @@ rows:
 		}
 		for k := range bound.dims {
 			b := &bound.dims[k]
-			id := b.idOf(b.col.at(r))
-			if id < 0 {
+			if ids[k] = b.idOf(b.col.at(r)); ids[k] < 0 {
 				continue rows
 			}
-			agg.PutGroupID(key, k, id)
 		}
 		w.stats.RowsSelected++
-		c := h.Upsert(key)
-		c.Count++
+		s := h.Slot(ids)
+		h.AddRow(s)
 		for k := range bound.aggs {
-			ba := &bound.aggs[k]
-			if ba.ap.agg.Expr == nil {
-				continue
+			if ba := &bound.aggs[k]; ba.ap.agg.Expr != nil {
+				h.Update(s, k, ba.eval(r))
 			}
-			c.Update(kinds, k, ba.eval(r))
 		}
 	}
 	w.stats.ScanNS += time.Since(t0).Nanoseconds()

@@ -40,12 +40,12 @@ func (e *Engine) ExecPartial(ctx context.Context, v *View, c *Compiled, segs []s
 
 // MergePartials merges per-shard snapshots of one compiled plan and
 // finalizes them into an ordered result — the coordinator half of
-// scatter-gather execution. Every snapshot's form and aggregate kinds are
-// validated against the plan's state; a mismatch (a worker compiled a
-// different plan shape, or a corrupted wire decode slipped through) fails
-// the merge rather than producing wrong rows. The caller must hold a view
-// in which c is fresh, so the dimension decode finalize uses matches the
-// group ids the workers produced.
+// scatter-gather execution. Every snapshot's form, aggregate kinds and
+// group ids are validated against the plan's state and grouping columns;
+// a mismatch (a worker compiled a different plan shape, or a corrupted
+// wire decode slipped through) fails the merge rather than producing wrong
+// rows. The caller must hold a view in which c is fresh, so the dimension
+// decode finalize uses matches the group ids the workers produced.
 func (e *Engine) MergePartials(c *Compiled, parts []*agg.Partial, stats *Stats) (*query.Result, error) {
 	pl := c.pl
 	rs := &runState{stats: pl.stats}
@@ -58,6 +58,9 @@ func (e *Engine) MergePartials(c *Compiled, parts []*agg.Partial, stats *Stats) 
 	for _, part := range parts {
 		if part == nil {
 			continue
+		}
+		if err := part.CheckGroups(pl.dimCards); err != nil {
+			return nil, err
 		}
 		if err := total.MergePartial(part); err != nil {
 			return nil, err

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"astore/internal/agg"
+	"astore/internal/expr"
 	"astore/internal/query"
 	"astore/internal/storage"
 	"astore/internal/testutil"
@@ -227,5 +229,64 @@ func TestExecPartialEmptySubset(t *testing.T) {
 	}
 	if len(res.Rows) != 0 {
 		t.Fatalf("empty merge produced %d rows", len(res.Rows))
+	}
+}
+
+// TestMergePartialsRejectsMalformedGroups: a hash-form partial whose group
+// key does not hold one id per grouping column, or holds an id past its
+// column's cardinality, decodes (the wire codec knows no plan) but fails
+// the merge with an error instead of indexing past finalize's decode
+// tables.
+func TestMergePartialsRejectsMalformedGroups(t *testing.T) {
+	eng, err := New(segmentStar(t, 23, 1000, 512), Options{Variant: ColWise})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *query.Query
+	for _, cand := range testutil.StarQueries() {
+		allSum := len(cand.GroupBy) > 0
+		for _, a := range cand.Aggs {
+			allSum = allSum && a.Kind == expr.Sum
+		}
+		if allSum {
+			q = cand
+			break
+		}
+	}
+	v := eng.Acquire()
+	defer v.Release()
+	c, err := v.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// le appends the n low bytes of v, little-endian, as the wire does.
+	le := func(b []byte, v uint64, n int) []byte {
+		for i := 0; i < n; i++ {
+			b = append(b, byte(v>>(8*i)))
+		}
+		return b
+	}
+	farID := le(nil, 1<<30, 4*len(q.GroupBy))
+	for name, key := range map[string][]byte{"short key": {1, 0}, "id past cardinality": farID} {
+		// One hash-form cell: the wire layout of agg/wire.go.
+		wire := le(nil, 0x41535057, 4)
+		wire = append(wire, 1, 1, uint8(len(q.Aggs)))
+		for range q.Aggs {
+			wire = append(wire, uint8(expr.Sum))
+		}
+		wire = le(wire, 1, 4)
+		wire = le(wire, uint64(len(key)), 4)
+		wire = append(wire, key...)
+		wire = le(wire, 1, 8)
+		for range q.Aggs {
+			wire = le(wire, math.Float64bits(1), 8)
+		}
+		part, err := agg.UnmarshalPartial(wire)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := eng.MergePartials(c, []*agg.Partial{part}, nil); err == nil {
+			t.Errorf("%s: %s merged a partial with group key %x", name, q.Name, key)
+		}
 	}
 }

@@ -205,7 +205,7 @@ func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*query.Result
 	meta.fact = p.Fact()
 	// A coordinator executes scatter-gather instead of scanning locally.
 	if c := s.cfg.Coordinator; c != nil {
-		res, cmeta, err := c.Exec(ctx, req.SQL)
+		res, cmeta, err := c.ExecPrepared(ctx, p, req.SQL)
 		if err != nil {
 			return nil, meta, err
 		}

@@ -79,6 +79,8 @@ type Config struct {
 	// Coordinator, when non-nil, routes query executions scatter-gather
 	// across its shard workers instead of executing locally; /healthz
 	// reports per-worker reachability and /v1/stats gains a shard section.
+	// It must be built on the server's DB, which prepares each statement
+	// the coordinator merges.
 	Coordinator *shard.Coordinator
 	// ShardWorker mounts POST /v1/shard/exec so this server can serve
 	// shard-local partial executions to a remote coordinator.

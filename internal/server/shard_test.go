@@ -328,3 +328,17 @@ func TestCoordinatorServerWorkerDown(t *testing.T) {
 		t.Fatalf("error does not name the shard: %s", raw)
 	}
 }
+
+// TestCoordinatorPreparesOnce: a /v1/query on a coordinator prepares the
+// statement once for itself and once per worker; the coordinator's merge
+// runs on the statement the server already prepared.
+func TestCoordinatorPreparesOnce(t *testing.T) {
+	srv, ts := newLocalCoordinator(t, Config{})
+	before := srv.db.Stats().Prepares
+	if resp, raw := post(t, ts.URL+"/v1/query", countSQL); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	if got := srv.db.Stats().Prepares - before; got != 3 {
+		t.Fatalf("one coordinated query prepared %d times, want 3 (coordinator + 2 workers)", got)
+	}
+}

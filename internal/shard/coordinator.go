@@ -141,17 +141,23 @@ func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
 // InconsistentError. The merged result is identical to a single-node
 // execution over the union of the shards' data.
 func (c *Coordinator) Exec(ctx context.Context, sqlText string) (*query.Result, *Meta, error) {
+	// Prepare first: a statement the coordinator cannot route or compile
+	// never reaches a worker.
+	p, err := c.d.PrepareSQL(sqlText)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.ExecPrepared(ctx, p, sqlText)
+}
+
+// ExecPrepared is Exec for a statement already prepared on the
+// coordinator's DB: sqlText goes to the workers, and the merge runs on p.
+func (c *Coordinator) ExecPrepared(ctx context.Context, p *db.Prepared, sqlText string) (*query.Result, *Meta, error) {
 	tr := obs.TraceFrom(ctx)
 	var span obs.SpanID
 	if tr != nil {
 		span = tr.Start(tr.Root(), obs.StageScatter)
 		defer tr.End(span)
-	}
-	// Prepare first: a statement the coordinator cannot route or compile
-	// never reaches a worker. The merge below runs on this statement.
-	p, err := c.d.PrepareSQL(sqlText)
-	if err != nil {
-		return nil, nil, err
 	}
 	c.scatters.Add(1)
 
