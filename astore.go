@@ -77,16 +77,18 @@ type (
 	Dict = storage.Dict
 	// Bitmap is a packed bit vector (predicate and deletion vectors).
 	Bitmap = storage.Bitmap
-	// Snapshot is a stable read view of a table: a pinned copy of its
-	// segment list, isolated from writers by chunk-granularity
-	// copy-on-write.
+	// Snapshot is a stable read view of a table: its sealed segments,
+	// shared as they are (a write to a sealed row gives the live table a
+	// copy), and a pinned copy of its tail, isolated from writers by
+	// chunk-granularity copy-on-write.
 	Snapshot = storage.Snapshot
 	// Segment is one immutable sealed chunk (or the mutable tail) of a
 	// table, carrying per-segment columns, a deletion bitmap, and zone
 	// maps. A table seals segments once it has a threshold: set one with
 	// Table.SetSegmentTarget or open the DB with Options.SegmentRows.
 	Segment = storage.Segment
-	// SegView is a stable per-segment read view (see Table.SegViews).
+	// SegView is a stable per-segment read view (see Table.SegViews); its
+	// ID names a sealed segment's contents.
 	SegView = storage.SegView
 )
 

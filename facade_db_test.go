@@ -174,23 +174,41 @@ func ssbQuery(tb testing.TB, name string) *query.Query {
 }
 
 // BenchmarkDBPreparedExec measures prepared re-execution (plan-cache hit +
-// snapshot pin + parallel scan) of SSB Q2.3.
+// snapshot pin + parallel scan) of SSB Q2.3, on an all-tail fact and on a
+// segmented one (about 29 sealed segments at benchSF), whose every
+// execution pins the sealed segments beside the tail.
 func BenchmarkDBPreparedExec(b *testing.B) {
-	data, _ := benchData(b)
-	db, err := astore.OpenDB(data.DB, astore.Options{Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := db.Prepare(ssbQuery(b, "Q2.3"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Exec(ctx); err != nil {
-			b.Fatal(err)
-		}
+	for _, layout := range []struct {
+		name    string
+		segRows int
+	}{
+		{"tail", 0},
+		{"segmented", 1 << 12},
+	} {
+		b.Run(layout.name, func(b *testing.B) {
+			data, _ := benchData(b)
+			if layout.segRows > 0 {
+				// Opening with a threshold re-segments the fact: keep it
+				// off the shared bench data.
+				data = ssb.Generate(ssb.Config{SF: benchSF, Seed: 1})
+			}
+			db, err := astore.OpenDB(data.DB, astore.Options{Workers: 4, SegmentRows: layout.segRows})
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := db.Prepare(ssbQuery(b, "Q2.3"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Exec(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

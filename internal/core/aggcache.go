@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"astore/internal/agg"
-	"astore/internal/storage"
 )
 
 // DefaultAggCacheBytes is the per-engine budget for the segment aggregate
@@ -15,17 +14,12 @@ import (
 // way.
 const DefaultAggCacheBytes = 64 << 20
 
-// aggKey identifies one cached per-segment aggregate partial. The plan
-// field is the compiled plan instance (dimension-side state baked into
-// group ids makes partials plan-instance-specific); epoch catches
-// copy-on-write chunk replacement and consolidation FK rewrites; delGen
-// catches deletions, which by design never bump the epoch and may mutate
-// the bitmap in place.
+// aggKey identifies one cached per-segment aggregate partial: the compiled
+// plan instance (dimension-side state baked into group ids makes partials
+// plan-instance-specific) and the sealed segment's id, which names its
+// contents — every write to a sealed segment gives it a new id.
 type aggKey struct {
-	plan   uint64
-	seg    *storage.Segment
-	epoch  uint64
-	delGen uint64
+	plan, seg uint64
 }
 
 // memCache is the byte-accounted LRU of per-segment aggregate partials

@@ -47,8 +47,8 @@ func TestSegmentedAggCacheConcurrent(t *testing.T) {
 	var stop atomic.Bool
 	var wg, readers sync.WaitGroup
 
-	// Writer: appends qualify immediately (the plan has no filters), COW
-	// updates bump sealed epochs, deletes bump delete generations. Delete
+	// Writer: appends qualify immediately (the plan has no filters), and
+	// updates and deletes give sealed segments new ids. Delete
 	// and update errors are expected noise — consolidation renumbers rows
 	// underneath us — the correctness burden is on the readers.
 	wg.Add(1)

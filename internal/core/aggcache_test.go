@@ -98,9 +98,9 @@ func missesAfterWrite(_ *Engine, r testutil.Run, st Stats) error {
 	return nil
 }
 
-// TestAggCacheUpdateInvalidation: a copy-on-write update of a sealed row
-// bumps the segment's epoch; the next execution must recompute that segment
-// (a miss) and return the oracle's answer over the mutated rows.
+// TestAggCacheUpdateInvalidation: an update of a sealed row gives the
+// segment a new id; the next execution must recompute that segment (a
+// miss) and return the oracle's answer over the mutated rows.
 func TestAggCacheUpdateInvalidation(t *testing.T) {
 	m := warmMatrix(t, 3000, 300, engineTarget("", Options{}, missesAfterWrite))
 	// A sealed row's measure moves to a new in-range value: the group sums
@@ -109,11 +109,10 @@ func TestAggCacheUpdateInvalidation(t *testing.T) {
 	m.Run(t)
 }
 
-// TestAggCacheDeleteInvalidation: deletes mutate a sealed segment's bitmap
-// in place without an epoch bump, so the cache key must include the
-// per-segment delete generation — a stale partial would keep counting the
-// deleted rows. Deleting a whole sealed segment re-captures an empty
-// partial.
+// TestAggCacheDeleteInvalidation: a delete of a sealed row gives the
+// segment a new id although, unpinned, it writes the bitmap in place — a
+// stale partial would keep counting the deleted rows. Deleting a whole
+// sealed segment re-captures an empty partial.
 func TestAggCacheDeleteInvalidation(t *testing.T) {
 	deleteRows := func(rows ...int) func(*storage.Table) error {
 		return func(fact *storage.Table) error {

@@ -127,7 +127,7 @@ func (pl *plan) admit(segs []storage.SegView, rs *runState) ([]execSeg, []*agg.P
 		es := execSeg{sv: sv}
 		if useCache && sv.Sealed {
 			cacheT0 := time.Now()
-			es.key = aggKey{plan: pl.id, seg: sv.Seg, epoch: sv.Epoch, delGen: sv.DelGen}
+			es.key = aggKey{plan: pl.id, seg: sv.ID}
 			v, ok := pl.eng.aggCache.get(es.key)
 			cacheNS += time.Since(cacheT0).Nanoseconds()
 			if ok {

@@ -131,11 +131,11 @@ type Options struct {
 	SortKeys []string
 	// AggCacheBytes bounds the engine's per-segment aggregate cache: each
 	// compiled plan's partial aggregate over a sealed segment is cached
-	// (keyed by plan instance, segment, epoch, and delete generation) so
-	// repeated executions merge stored partials instead of re-scanning
-	// sealed data, and only the mutable tail is computed live. Zero means
-	// DefaultAggCacheBytes; negative disables the cache. Eviction is
-	// byte-accounted LRU.
+	// (keyed by plan instance and the segment's id, which every write to
+	// the segment replaces) so repeated executions merge stored partials
+	// instead of re-scanning sealed data, and only the mutable tail is
+	// computed live. Zero means DefaultAggCacheBytes; negative disables the
+	// cache. Eviction is byte-accounted LRU.
 	AggCacheBytes int64
 	// SealedEncodings, when true, makes db.Open enable the two compressed
 	// chunk encodings (RLE, over integers and dictionary codes, and

@@ -224,7 +224,7 @@ func TestSegCacheBounded(t *testing.T) {
 
 	_, total0 := seg.SegmentCounts()
 	for round := 0; round < 30; round++ {
-		// COW-update a sealed row (epoch bump → new cache key), then
+		// Update a sealed row (a new segment id → a new cache key), then
 		// re-execute under a fresh view.
 		if err := seg.Update(round*37%1800, "f_val", int64(round%97)); err != nil {
 			t.Fatal(err)
@@ -240,7 +240,7 @@ func TestSegCacheBounded(t *testing.T) {
 		}
 		v.Release()
 	}
-	// Each COW round installs one segment's partial under a new epoch key
+	// Each round installs one segment's partial under a new id
 	// and leaves at most one stale generation behind for the LRU.
 	cs := eng.CacheStats()
 	if cs.AggEntries > int64(total0+30+16) {

@@ -85,7 +85,7 @@ AND lo_quantity < %d AND lo_extendedprice > %d GROUP BY d_year ORDER BY d_year`,
 // segments and still agrees, at tolerance 0, with a hash-join engine over a
 // flat copy of the same rows. It runs over plain and encoded sealed chunks,
 // and for deletes and for in-place updates of Q1's filter columns: a sealed
-// chunk written in place instead of cloned keeps its epoch, so the stale
+// segment written in place instead of copied keeps its id, so the stale
 // cached partial would answer.
 func TestRepeatAfterDeleteInEncodedSegment(t *testing.T) {
 	const segRows = 2048

@@ -43,16 +43,16 @@ func TestShardSegmentsPartition(t *testing.T) {
 		t.Fatalf("fixture too small: %d segments", len(segs))
 	}
 	for n := 1; n <= 6; n++ {
-		seen := make(map[*storage.Segment]int)
+		seen := make(map[uint64]int)
 		total := 0
 		for s := 0; s < n; s++ {
 			sub := ShardSegments(segs, s, n)
 			total += len(sub)
 			for i := range sub {
-				if prev, dup := seen[sub[i].Seg]; dup {
+				if prev, dup := seen[sub[i].ID]; dup {
 					t.Fatalf("n=%d: segment owned by shards %d and %d", n, prev, s)
 				}
-				seen[sub[i].Seg] = s
+				seen[sub[i].ID] = s
 				if !sub[i].Sealed && s != TailOwnerShard {
 					t.Fatalf("n=%d: unsealed view assigned to shard %d", n, s)
 				}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"astore/internal/storage"
 )
@@ -30,11 +29,12 @@ type appendResponse struct {
 	Columns     []string `json:"columns,omitempty"` // on error: expected columns
 }
 
-// handleAppend serves live ingest. Rows are validated (column set and value
-// types here, the AIR range of foreign keys by Insert) before insertion; a
-// bad row aborts the batch with a 400 naming the row, with every prior row
-// already inserted (inserts are per-row atomic, there is no multi-row
-// transaction).
+// handleAppend serves live ingest. Insert validates each row — its column
+// set, its values (JSON numbers arrive as json.Number, which storage
+// converts as it converts any value) and the AIR range of its foreign keys —
+// before inserting it; a bad row aborts the batch with a 400 naming the
+// row, with every prior row already inserted (inserts are per-row atomic,
+// there is no multi-row transaction).
 // Concurrent queries are unaffected: they read pinned snapshots, and the
 // writers' copy-on-write keeps those stable.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -68,13 +68,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	inserted := make([]int, 0, len(req.Rows))
-	for i, jsonRow := range req.Rows {
-		vals, err := convertRow(t, jsonRow)
-		if err != nil {
-			s.appendError(w, t, inserted, fmt.Errorf("row %d: %w", i, err))
-			return
-		}
-		idx, err := t.Insert(vals)
+	for i, row := range req.Rows {
+		idx, err := t.Insert(row)
 		if err != nil {
 			s.appendError(w, t, inserted, fmt.Errorf("row %d: %w", i, err))
 			return
@@ -103,63 +98,4 @@ func (s *Server) appendError(w http.ResponseWriter, t *storage.Table, inserted [
 		Inserted: len(inserted),
 		Columns:  t.ColumnNames(),
 	})
-}
-
-// convertRow converts decoded JSON values into the column types the storage
-// layer accepts: int64 for integer columns, float64 for float columns,
-// string for string and dictionary columns.
-func convertRow(t *storage.Table, jsonRow map[string]any) (map[string]any, error) {
-	vals := make(map[string]any, len(jsonRow))
-	for col, v := range jsonRow {
-		typ, ok := t.ColumnType(col)
-		if !ok {
-			return nil, fmt.Errorf("server: unknown column %q", col)
-		}
-		cv, err := convertValue(typ, col, v)
-		if err != nil {
-			return nil, err
-		}
-		vals[col] = cv
-	}
-	// Insert itself rejects missing columns; converting here keeps the
-	// error message in terms of the JSON body.
-	for _, col := range t.ColumnNames() {
-		if _, ok := vals[col]; !ok {
-			return nil, fmt.Errorf("server: missing column %q", col)
-		}
-	}
-	return vals, nil
-}
-
-func convertValue(typ storage.Type, col string, v any) (any, error) {
-	switch typ {
-	case storage.TInt32, storage.TInt64:
-		n, ok := v.(json.Number)
-		if !ok {
-			return nil, fmt.Errorf("server: column %q wants an integer, got %T", col, v)
-		}
-		i, err := strconv.ParseInt(n.String(), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("server: column %q wants an integer, got %q", col, n.String())
-		}
-		return i, nil
-	case storage.TFloat64:
-		n, ok := v.(json.Number)
-		if !ok {
-			return nil, fmt.Errorf("server: column %q wants a number, got %T", col, v)
-		}
-		f, err := n.Float64()
-		if err != nil {
-			return nil, fmt.Errorf("server: column %q wants a number, got %q", col, n.String())
-		}
-		return f, nil
-	case storage.TString, storage.TDict:
-		s, ok := v.(string)
-		if !ok {
-			return nil, fmt.Errorf("server: column %q wants a string, got %T", col, v)
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("server: column %q has unsupported type", col)
-	}
 }

@@ -290,13 +290,17 @@ func widenInts[T int32 | int64](z *Zone, v []T) {
 
 // convert turns an untyped value into the T a column stores, or returns an
 // error. It is the one value conversion of the write paths — Insert's
-// check and its writes, Update, and the foreign-key check all go through
-// it — so what is accepted is exactly what is stored. Go integers convert
-// to integer and float columns (an int32 column refuses values outside its
-// range), Go floats only to float columns, strings only to string and
-// dictionary columns.
+// check and its writes, Update, the foreign-key check, and through Insert
+// every append body — so what is accepted is exactly what is stored. Go
+// integers convert to integer and float columns (an int32 column refuses
+// values outside its range), Go floats only to float columns, strings only
+// to string and dictionary columns. A decimal number given as text, read
+// through Int64 and Float64 methods as encoding/json's Number has them,
+// converts as its value would: to integer columns if it is an integer, to
+// float columns always.
 func convert[T Elem](v any) (out T, err error) {
 	i, ok := toInt64(v)
+	want := "an integer"
 	switch p := any(&out).(type) {
 	case *int32:
 		if *p = int32(i); ok && int64(*p) != i {
@@ -305,25 +309,31 @@ func convert[T Elem](v any) (out T, err error) {
 	case *int64:
 		*p = i
 	case *float64:
+		want = "a number"
 		switch x := v.(type) {
 		case float64:
 			*p, ok = x, true
 		case float32:
 			*p, ok = float64(x), true
+		case interface{ Float64() (float64, error) }:
+			*p, err = x.Float64()
+			ok = err == nil
 		default:
 			*p = float64(i)
 		}
 	case *string:
+		want = "a string"
 		*p, ok = v.(string)
 	}
 	if !ok {
-		return out, fmt.Errorf("cannot store %T in a column of type %s", v, elemType[T]())
+		return out, fmt.Errorf("wants %s, got %T %v", want, v, v)
 	}
 	return out, nil
 }
 
 // toInt64 returns v as an int64 if it is a Go integer of at most 64 bits
-// that the write paths accept: int, int32 or int64.
+// that the write paths accept — int, int32 or int64 — or a number given as
+// text whose Int64 method reads one.
 func toInt64(v any) (int64, bool) {
 	switch x := v.(type) {
 	case int:
@@ -332,6 +342,9 @@ func toInt64(v any) (int64, bool) {
 		return int64(x), true
 	case int64:
 		return x, true
+	case interface{ Int64() (int64, error) }:
+		i, err := x.Int64()
+		return i, err == nil
 	}
 	return 0, false
 }

@@ -233,20 +233,15 @@ func gatherColumn(c Column, perm []int32) Column { return c.(plainChunk).gather(
 
 // remapFKLocked rewrites every value of an int32 FK column through remap.
 // Values mapping to -1 belong to rows that are themselves deleted (checked
-// by Consolidate) and are parked at 0, a safe in-range index. The column is
-// rewritten chunk by chunk, with each segment's epoch bumped (cached plan
-// bindings must rebind) and the column's zone recomputed.
+// by Consolidate) and are parked at 0, a safe in-range index. A sealed
+// segment, whose values change, passes the write gate: it gets a new id,
+// new maps and a rewritten copy of the chunk, re-encoded if it was encoded.
+// The tail is rewritten in place. The column's zone is recomputed.
 func (t *Table) remapFKLocked(col string, remap []int32) {
-	for s := range t.segments() {
-		c := s.cols[col]
-		encoded := ChunkEncoding(c) != EncPlain
-		if encoded {
-			// Encoded chunks are immutable: rewrite a decoded copy, then
-			// re-encode the result (run/width structure may have changed
-			// with the new indexes).
-			c = cloneChunk(c, s.cap)
-		}
-		fk := c.(*Int32Col)
+	for si := 0; si <= len(t.segs); si++ {
+		s := t.rewriteLocked(si, true)
+		encoded := ChunkEncoding(s.cols[col]) != EncPlain
+		fk := s.writableLocked(col).(*Int32Col)
 		for i := range fk.V[:s.n] {
 			if nv := remap[fk.V[i]]; nv >= 0 {
 				fk.V[i] = nv
@@ -254,15 +249,14 @@ func (t *Table) remapFKLocked(col string, remap []int32) {
 				fk.V[i] = 0
 			}
 		}
-		s.cols[col] = c
-		if encoded && s.sealed {
-			if ec, ok := EncodeChunk(c, s.n); ok {
+		if encoded {
+			// The run/width structure may have changed with the new indexes.
+			if ec, ok := EncodeChunk(fk, s.n); ok {
 				s.cols[col] = ec
 			}
 		}
 		z := Zone{Typ: TInt32}
 		z.cover(s.cols[col], 0, s.zoned)
 		s.zones[col] = z
-		s.epoch++
 	}
 }

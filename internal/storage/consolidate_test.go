@@ -65,7 +65,7 @@ func TestConsolidateNoDeletesIsIdentity(t *testing.T) {
 
 	// A sorted, segmented table consolidated a second time is already in
 	// sort-key order: the second call changes nothing, so its segments, their
-	// epochs and the data version stay as they were.
+	// ids and the data version stay as they were.
 	tb := NewTable("sorted")
 	vals := make([]int64, 1000)
 	for i := range vals {
@@ -100,7 +100,7 @@ func TestConsolidateNoDeletesIsIdentity(t *testing.T) {
 		t.Fatalf("segments %d -> %d", len(before), len(after))
 	}
 	for i := range before {
-		if after[i].Seg != before[i].Seg || after[i].Epoch != before[i].Epoch {
+		if after[i].ID != before[i].ID {
 			t.Fatalf("segment %d rebuilt by a consolidation that changes nothing", i)
 		}
 	}

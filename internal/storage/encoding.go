@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -444,23 +445,21 @@ func DecodeChunk(c Column) Column {
 	return c
 }
 
-// encodeSegmentLocked replaces the segment's plain chunks with encoded ones
-// where beneficial, and reports whether it replaced any. Safe on sealed
-// segments only (their chunks never see in-place writes); snapshots hold
-// their own chunk-header copies, so replacing the map entry is invisible to
-// pinned readers. Caller holds the table mutex.
-func (t *Table) encodeSegmentLocked(s *Segment) bool {
+// encodeSegmentLocked gives a sealed segment a new chunk map in which plain
+// chunks are replaced by encoded ones where beneficial. A sealed chunk sees
+// no in-place write, and the map it had is left to whoever shares it.
+// Caller holds the table mutex.
+func (t *Table) encodeSegmentLocked(s *Segment) {
 	if !t.encodeSealed || !s.sealed {
-		return false
+		return
 	}
-	changed := false
-	for name, c := range s.cols {
+	cols := maps.Clone(s.cols)
+	for name, c := range cols {
 		if ec, ok := EncodeChunk(c, s.n); ok {
-			s.cols[name] = ec
-			changed = true
+			cols[name] = ec
 		}
 	}
-	return changed
+	s.cols = cols
 }
 
 // CompressionStats summarizes the physical effect of sealed-chunk encodings

@@ -65,6 +65,22 @@ func TestRowLookupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestPinCostIndependentOfSegments: a snapshot shares the sealed segments
+// as they are and copies only the tail, so what pinning a table allocates
+// does not grow with the number of sealed segments.
+func TestPinCostIndependentOfSegments(t *testing.T) {
+	allocs := func(sealed int) float64 {
+		tab := segTestTable(sealed*10 + 3)
+		if err := tab.SetSegmentTarget(10); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { tab.Snapshot().Release() })
+	}
+	if few, many := allocs(4), allocs(64); few != many {
+		t.Errorf("Snapshot().Release() allocates %v times at 4 sealed segments, %v at 64", few, many)
+	}
+}
+
 // TestValidateAndConsolidateAcrossSegments checks ValidateAIR and the
 // consolidation of a dimension whose referrer has many segments and some
 // deletions against a brute-force oracle over plain slices.

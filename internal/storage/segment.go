@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 )
 
 // This file implements the one physical shape of a table.
@@ -20,11 +22,11 @@ import (
 //
 // The layout buys three properties:
 //
-//   - Cheap snapshots: a snapshot is a pinned copy of the segment list
-//     (O(#segments) slice/map headers), never a column copy. Sealed segments
-//     are immutable, and a snapshot's tail headers are capped at its row
-//     count, so appends — in place or into a reallocated array — never
-//     show through a pinned reader.
+//   - Cheap snapshots: a sealed segment is a value, so a snapshot shares
+//     the sealed segments as they are and copies only the tail, whose
+//     headers it caps at its row count; appends — in place or into a
+//     reallocated array — never show through a pinned reader, and a pin
+//     costs the same whatever the number of sealed segments.
 //   - Append-stable plans: compiled plans bind root column arrays per
 //     segment. Appends create rows only in the tail (and seal new
 //     segments), leaving every previously bound array untouched, so live
@@ -107,11 +109,16 @@ func (z *Zone) cover(c Column, lo, hi int) bool {
 }
 
 // Segment is one horizontal chunk of a table: a per-column array family, a
-// local deletion bitmap, and per-column zone maps. Sealed segments are
-// immutable: writers that must change a sealed row clone the affected chunk
-// first (copy-on-write) and bump the epoch, so readers and cached
-// per-segment plan bindings never observe in-place mutation. All fields are
-// guarded by the owning table's mutex.
+// local deletion bitmap, and per-column zone maps. A sealed segment is a
+// value, shared by snapshots, views and segment lists alike: its maps are
+// written only before it is first shared — as the tail it was seals and is
+// zoned, or as an image loads — and its chunks never. EncodeSealed and
+// Consolidate's referrer remap, which refuse while the table is pinned,
+// give it new maps instead, and a write to one of its rows goes through one
+// gate (rewriteLocked), which puts a shallow copy under a new id in its
+// place. So the id names a sealed segment's contents, and a cache keyed by
+// it needs no telling that they changed. All fields are guarded by the
+// owning table's mutex.
 type Segment struct {
 	id     uint64
 	base   int // global row index of the segment's first row
@@ -128,35 +135,24 @@ type Segment struct {
 	zones map[string]Zone
 	zoned int
 
-	del       *Bitmap
-	delShared bool // deletion bitmap pinned by a live snapshot
+	del *Bitmap
 
-	// delGen counts changes to the deletion bitmap. Deletes never bump the
-	// epoch (bindings ignore the deletion bitmap, so they survive), and
-	// they may mutate del in place when no snapshot pins it — so any cache
-	// keyed by the segment's visible row set (per-segment aggregate
-	// partials) must include delGen in its key alongside the epoch.
-	delGen uint64
+	// shared and delShared mark the tail's chunks and bitmap a live snapshot
+	// pins, so the next in-place write clones first (the gate clears them).
+	shared    map[string]bool
+	delShared bool
 
-	shared map[string]bool // chunks pinned by live snapshots
-
-	// epoch counts chunk replacements (copy-on-write and consolidation
-	// rewrites). Plan layers cache per-segment bindings keyed by (ID,
-	// Epoch): an unchanged epoch guarantees identical arrays.
-	epoch uint64
-
-	// live is set on the pinned copies a frozen table (Snapshot.AsTable) is
-	// made of, and names the segment of the live table the copy was taken
-	// from: that one is the identity views and caches key by.
-	live *Segment
+	// frozen marks a snapshot's pinned copy of the tail.
+	frozen bool
 }
 
 // SegView is a stable read view of one segment: the visible row count, the
 // deletion bitmap, the chunk headers, and the zone maps, captured under the
 // table mutex.
 type SegView struct {
-	// Seg identifies the live table's segment behind the view.
-	Seg *Segment
+	// ID names a sealed segment's contents: every write to one gives it a
+	// new id. The tail keeps its id as it grows.
+	ID uint64
 	// Base is the global row index of the view's first row.
 	Base int
 	// N is the number of visible rows; appends past N are invisible.
@@ -168,11 +164,6 @@ type SegView struct {
 	// Zones maps column names to min/max summaries covering at least the
 	// visible rows (conservative: in-place updates only ever widen them).
 	Zones map[string]Zone
-	// Epoch is the segment's chunk-replacement counter at capture time.
-	Epoch uint64
-	// DelGen is the segment's deletion counter at capture time; together
-	// with Epoch it identifies the segment's visible row set.
-	DelGen uint64
 	// Sealed reports whether the segment was sealed at capture time.
 	Sealed bool
 }
@@ -414,8 +405,9 @@ func delRange(del *Bitmap, lo, hi int) *Bitmap {
 // when non-nil, is a global deletion bitmap split per segment, each part
 // sized to its segment's rows (writableDelLocked grows it on the next
 // write). Loading any encoded chunk turns sealed encodings on so later
-// seals stay consistent. Zone maps are not stored: each segment's are
-// computed when first read. Caller holds t.mu.
+// seals stay consistent. Zone maps are not stored: a sealed segment's are
+// computed here, before it is first shared, and the tail's when first
+// read. Caller holds t.mu.
 func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, del *Bitmap) {
 	t.segs = nil
 	at := 0
@@ -431,6 +423,7 @@ func (t *Table) installSegmentsLocked(chunks map[string][]Column, counts []int, 
 		}
 		s.del = delRange(del, at, at+rows)
 		if s.sealed {
+			s.coverZonesLocked()
 			t.segs = append(t.segs, s)
 		} else {
 			t.tail = s
@@ -451,18 +444,19 @@ func (t *Table) segments() iter.Seq[*Segment] {
 	}
 }
 
-// locateLocked maps a global row index in [0, NumRows) to its segment and
-// local index without allocating. Sealed segments hold exactly segTarget
+// locateLocked maps a global row index in [0, NumRows) to its segment, the
+// segment's index in segs (len(segs) for the tail) and the local index,
+// without allocating. Sealed segments hold exactly segTarget
 // rows (sealing happens only on overflow, and rebuilds re-chunk uniformly),
 // so the segment is a division away; a loaded image may carry a non-uniform
 // manifest, for which the bases are binary-searched.
-func (t *Table) locateLocked(i int) (*Segment, int) {
+func (t *Table) locateLocked(i int) (*Segment, int, int) {
 	if i >= t.tail.base {
-		return t.tail, i - t.tail.base
+		return t.tail, len(t.segs), i - t.tail.base
 	}
 	if si := i / t.segTarget; si < len(t.segs) {
 		if s := t.segs[si]; i >= s.base && i < s.base+s.n {
-			return s, i - s.base
+			return s, si, i - s.base
 		}
 	}
 	lo, hi := 0, len(t.segs)-1
@@ -473,59 +467,34 @@ func (t *Table) locateLocked(i int) (*Segment, int) {
 			hi = mid - 1
 		}
 	}
-	return t.segs[lo], i - t.segs[lo].base
+	return t.segs[lo], lo, i - t.segs[lo].base
 }
 
-// frozenLocked returns an immutable copy of the segment's readable state:
-// chunk headers capped at the current row count (later appends, even
-// reallocating ones, stay invisible), the zone maps brought up to date, and
-// the current deletion bitmap. The copy is isolated from in-place writers
-// only while the original is pinned (pinLocked). A segment of a frozen
-// table is such a copy already.
+// frozenLocked returns the tail's pinned copy: chunk headers capped at the
+// current row count (later appends, even reallocating ones, stay
+// invisible), the zone maps brought up to date, and the current deletion
+// bitmap. The copy is isolated from in-place writers only while the tail is
+// pinned (Snapshot). The tail of a frozen table is such a copy already.
 func (s *Segment) frozenLocked() *Segment {
-	if s.live != nil {
+	if s.frozen {
 		return s
 	}
 	s.coverZonesLocked()
 	f := &Segment{
-		id: s.id, base: s.base, n: s.n, cap: s.n, sealed: s.sealed,
+		id: s.id, base: s.base, n: s.n, cap: s.n,
 		cols:  make(map[string]Column, len(s.cols)),
-		zones: make(map[string]Zone, len(s.zones)), zoned: s.n,
-		del: s.del, delGen: s.delGen, epoch: s.epoch,
-		live: s,
+		zones: maps.Clone(s.zones), zoned: s.n,
+		del: s.del, frozen: true,
 	}
 	for name, c := range s.cols {
-		// Capped headers keep later appends invisible; encoded chunks are
-		// sealed and immutable, so there is nothing to cap.
-		if p, ok := c.(plainChunk); ok {
-			c = p.capped()
-		}
-		f.cols[name] = c
-	}
-	for name, z := range s.zones {
-		f.zones[name] = z
+		f.cols[name] = c.(plainChunk).capped() // the tail's chunks are plain
 	}
 	return f
 }
 
-// pinLocked marks every chunk and the deletion bitmap held by a snapshot,
-// so the next in-place write clones first.
-func (s *Segment) pinLocked() {
-	if s.shared == nil {
-		s.shared = make(map[string]bool, len(s.cols))
-	}
-	for name := range s.cols {
-		s.shared[name] = true
-	}
-	s.delShared = s.del != nil
-}
-
-// view is the exported form of a frozen copy.
-func (f *Segment) view() SegView {
-	return SegView{
-		Seg: f.live, Base: f.base, N: f.n, Del: f.del, Cols: f.cols, Zones: f.zones,
-		Epoch: f.epoch, DelGen: f.delGen, Sealed: f.sealed,
-	}
+// view is the exported form of a sealed segment or of a tail's frozen copy.
+func (s *Segment) view() SegView {
+	return SegView{ID: s.id, Base: s.base, N: s.n, Del: s.del, Cols: s.cols, Zones: s.zones, Sealed: s.sealed}
 }
 
 // SegViews returns a stable view of the table's current segments, sealed
@@ -535,15 +504,11 @@ func (f *Segment) view() SegView {
 func (t *Table) SegViews() []SegView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.segViewsLocked()
-}
-
-func (t *Table) segViewsLocked() []SegView {
 	out := make([]SegView, 0, len(t.segs)+1)
-	for s := range t.segments() {
-		out = append(out, s.frozenLocked().view())
+	for _, s := range t.segs {
+		out = append(out, s.view())
 	}
-	return out
+	return append(out, t.tail.frozenLocked().view())
 }
 
 // ColumnType returns the declared physical type of a column. ok is false
@@ -565,10 +530,35 @@ func (t *Table) ColumnProto(name string) Column {
 	return newChunk(typ, t.colDicts[name], 0)
 }
 
+// rewriteLocked returns segs[si] ready for a write to its rows: the tail
+// (si == len(segs)) as it is, a sealed segment through the one write gate,
+// which puts a shallow copy under a new id, with fresh pin flags, in its
+// place. The copy clones only what is written: both maps when chunks are
+// (writableLocked clones every sealed chunk it writes), the bitmap while
+// the table is pinned (the copy marks it shared then). A snapshot shares
+// the segment list, so while one pins the table the list is cloned before
+// the swap. Caller holds t.mu.
+func (t *Table) rewriteLocked(si int, chunks bool) *Segment {
+	if si == len(t.segs) {
+		return t.tail
+	}
+	c := *t.segs[si]
+	c.id, c.shared, c.delShared = t.nextSegID, nil, t.pins > 0
+	t.nextSegID++
+	if chunks {
+		c.cols, c.zones = maps.Clone(c.cols), maps.Clone(c.zones)
+	}
+	if t.pins > 0 {
+		t.segs = slices.Clone(t.segs)
+	}
+	t.segs[si] = &c
+	return &c
+}
+
 // writableLocked returns the chunk of column col ready for an in-place
 // write. Sealed chunks are never written in place, and neither are chunks a
-// snapshot pins: those are cloned first (copy-on-write), the clone replaces
-// the chunk, and the epoch is bumped so cached per-segment bindings rebind.
+// snapshot pins: those are cloned first (copy-on-write) and the clone
+// replaces the chunk.
 func (s *Segment) writableLocked(col string) Column {
 	c := s.cols[col]
 	if s.sealed || s.shared[col] {
@@ -577,7 +567,6 @@ func (s *Segment) writableLocked(col string) Column {
 		if s.shared != nil {
 			s.shared[col] = false
 		}
-		s.epoch++
 	}
 	return c
 }

@@ -247,7 +247,7 @@ func TestSegmentedConsolidate(t *testing.T) {
 }
 
 // TestConsolidateSegmentedReferrer: consolidating a flat dimension rewrites
-// a segmented fact's FK chunks and bumps their epochs.
+// a segmented fact's FK chunks and gives each sealed segment a new id.
 func TestConsolidateSegmentedReferrer(t *testing.T) {
 	db := NewDatabase()
 	dim := NewTable("dim")
@@ -269,7 +269,7 @@ func TestConsolidateSegmentedReferrer(t *testing.T) {
 	if err := fact.SetSegmentTarget(16); err != nil {
 		t.Fatal(err)
 	}
-	epochBefore := fact.SegViews()[0].Epoch
+	idBefore := fact.SegViews()[0].ID
 
 	if err := dim.Delete(0); err != nil {
 		t.Fatal(err)
@@ -284,8 +284,8 @@ func TestConsolidateSegmentedReferrer(t *testing.T) {
 		t.Fatalf("AIR broken: %v", err)
 	}
 	svs := fact.SegViews()
-	if svs[0].Epoch == epochBefore {
-		t.Error("segment epoch not bumped by FK rewrite")
+	if svs[0].ID == idBefore {
+		t.Error("segment id kept across an FK rewrite")
 	}
 	// FK values shifted down by 2; zones recomputed.
 	z := svs[0].Zones["fk"]

@@ -1,20 +1,26 @@
 package storage
 
+import "maps"
+
 // Snapshot is a stable read view of a table: the row count and, per
 // segment, the deletion vector, the column arrays and the zone maps as of
 // snapshot time. It provides the isolation the paper obtains from
-// Hyper-style OS copy-on-write, simulated here at chunk granularity:
+// Hyper-style OS copy-on-write, simulated here at segment and chunk
+// granularity:
 //
-//   - Appends after the snapshot are invisible because the snapshot's chunk
-//     headers are capped at its row counts (an append either fills elements
-//     past the cap or reallocates; neither touches what the cap covers).
-//   - Sealed segments are immutable.
+//   - Sealed segments are values (segment.go): the snapshot shares them,
+//     and a write to a sealed row puts a copy under a new id in the live
+//     table's list, never touching the one the snapshot holds.
+//   - Appends after the snapshot are invisible because the snapshot's copy
+//     of the tail caps its chunk headers at its row count (an append either
+//     fills elements past the cap or reallocates; neither touches what the
+//     cap covers).
 //   - In-place writes (Update, Delete, slot-reusing Insert) to a pinned
-//     chunk or deletion vector make the writer clone it first, so the
+//     tail chunk or deletion vector make the writer clone it first, so the
 //     snapshot keeps the old version (copy-on-write).
 //
-// Snapshots are cheap: a pinned copy of the segment list — O(#segments x
-// #columns) slice and map headers, never a column copy. Release must be
+// Snapshots are cheap: only the tail is copied — O(#columns) headers, never
+// a column copy — whatever the number of sealed segments. Release must be
 // called when the reader is done so writers stop copying.
 type Snapshot struct {
 	live   *Table // nil once released
@@ -30,26 +36,23 @@ func (t *Table) Snapshot() *Snapshot {
 		Name:          t.Name,
 		names:         t.names[:len(t.names):len(t.names)],
 		fks:           make(map[string]*Table, len(t.fks)),
-		colTypes:      make(map[string]Type, len(t.colTypes)),
-		colDicts:      make(map[string]*Dict, len(t.colDicts)),
+		colTypes:      maps.Clone(t.colTypes),
+		colDicts:      maps.Clone(t.colDicts),
 		nrows:         t.nrows,
 		segTarget:     t.segTarget,
-		segs:          make([]*Segment, 0, len(t.segs)+1),
+		segs:          t.segs[:len(t.segs):len(t.segs)],
+		tail:          t.tail.frozenLocked(),
 		version:       t.version,
 		schemaVersion: t.schemaVersion,
 	}
-	for k, v := range t.colTypes {
-		f.colTypes[k] = v
+	// Pin the tail's chunks and bitmap: the next in-place write clones.
+	if t.tail.shared == nil {
+		t.tail.shared = make(map[string]bool, len(t.names))
 	}
-	for k, v := range t.colDicts {
-		f.colDicts[k] = v
+	for _, name := range t.names {
+		t.tail.shared[name] = true
 	}
-	for s := range t.segments() {
-		f.segs = append(f.segs, s.frozenLocked())
-		s.pinLocked()
-	}
-	last := len(f.segs) - 1
-	f.segs, f.tail = f.segs[:last], f.segs[last]
+	t.tail.delShared = t.tail.del != nil
 	t.pins++
 	return &Snapshot{live: t, frozen: f}
 }
@@ -65,10 +68,7 @@ func (s *Snapshot) Release() {
 	t.mu.Lock()
 	t.pins--
 	if t.pins == 0 {
-		for seg := range t.segments() {
-			seg.shared = nil
-			seg.delShared = false
-		}
+		t.tail.shared, t.tail.delShared = nil, false
 	}
 	t.mu.Unlock()
 	s.live = nil
@@ -90,14 +90,15 @@ func (s *Snapshot) IsDeleted(i int) bool { return s.frozen.IsDeleted(i) }
 // snapshot row count, or nil for a table that seals segments.
 func (s *Snapshot) Column(name string) Column { return s.frozen.Column(name) }
 
-// SegViews returns the snapshot's pinned per-segment views.
+// SegViews returns the snapshot's per-segment views: the shared sealed
+// segments and the pinned copy of the tail.
 func (s *Snapshot) SegViews() []SegView { return s.frozen.SegViews() }
 
-// AsTable returns the snapshot as a read-only Table made of the pinned
-// segment copies. Foreign keys are not wired; Database.Snapshot wires them
-// across a consistent set of table snapshots. Mutating the returned table
-// is undefined behaviour — it exists so query engines can scan a frozen
-// version.
+// AsTable returns the snapshot as a read-only Table made of the shared
+// sealed segments and the pinned copy of the tail. Foreign keys are not
+// wired; Database.Snapshot wires them across a consistent set of table
+// snapshots. Mutating the returned table is undefined behaviour — it exists
+// so query engines can scan a frozen version.
 func (s *Snapshot) AsTable() *Table { return s.frozen }
 
 // SnapshotSet pins a snapshot of every table in the set and returns the

@@ -38,11 +38,21 @@ func vAt(t *testing.T, views []SegView, row int) int64 {
 // TestSnapshotIsolation: appends, updates, and deletes after a snapshot
 // must be invisible to it, a second snapshot sees its own version, and the
 // arrays a snapshot pins are never written in place — whatever the layout.
+// A write to a sealed row replaces the live table's segment with a copy
+// under a new id: the snapshot's views keep their ids, chunks and bitmaps.
 func TestSnapshotIsolation(t *testing.T) {
 	for _, target := range isolationTargets {
 		tab := isolationTable(t, 95, target)
+		// A bitmap for s1 to pin; without a threshold, Insert would refill
+		// the slot.
+		if target > 0 {
+			if err := tab.Delete(41); err != nil {
+				t.Fatal(err)
+			}
+		}
 		s1 := tab.Snapshot()
-		pinned := s1.SegViews()[0].Cols["v"].(*Int64Col).V
+		views1 := s1.SegViews()
+		pinned := views1[0].Cols["v"].(*Int64Col).V
 		before := append([]int64(nil), pinned...)
 
 		if _, err := tab.Insert(map[string]any{"v": int64(1000), "k": int32(0)}); err != nil {
@@ -61,6 +71,32 @@ func TestSnapshotIsolation(t *testing.T) {
 		if err := tab.Update(5, "v", int64(-55)); err != nil {
 			t.Fatal(err)
 		}
+		if err := tab.Update(40, "v", int64(-40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Delete(40); err != nil {
+			t.Fatal(err)
+		}
+
+		// Sealed segments holding a written row have new ids in the live
+		// table; every other segment keeps its own.
+		live := tab.SegViews()
+		for i, sv := range views1 {
+			got := s1.SegViews()[i]
+			if got.ID != sv.ID || got.Cols["v"] != sv.Cols["v"] || got.Del != sv.Del {
+				t.Errorf("target %d: pinned view %d changed: id %d -> %d, chunk or bitmap replaced", target, i, sv.ID, got.ID)
+			}
+			if !sv.Sealed {
+				continue
+			}
+			written := false
+			for _, row := range []int{5, 10, 40, 94} { // 41 went before s1
+				written = written || row >= sv.Base && row < sv.Base+sv.N
+			}
+			if (live[i].ID != sv.ID) != written {
+				t.Errorf("target %d: segment %d (written %v): id %d -> %d", target, i, written, sv.ID, live[i].ID)
+			}
+		}
 
 		if s1.NumRows() != 95 || s2.NumRows() != 96 || tab.NumRows() != 96 {
 			t.Fatalf("target %d: rows s1 %d, s2 %d, live %d; want 95, 96, 96", target, s1.NumRows(), s2.NumRows(), tab.NumRows())
@@ -75,6 +111,10 @@ func TestSnapshotIsolation(t *testing.T) {
 		if s1.IsDeleted(10) || !s2.IsDeleted(10) || !tab.IsDeleted(10) {
 			t.Errorf("target %d: row 10 deleted: s1 %v, s2 %v, live %v; want false, true, true",
 				target, s1.IsDeleted(10), s2.IsDeleted(10), tab.IsDeleted(10))
+		}
+		if s1.IsDeleted(40) || s2.IsDeleted(40) || !tab.IsDeleted(40) || s1.IsDeleted(41) != (target > 0) {
+			t.Errorf("target %d: rows 40, 41 deleted: s1 %v %v, s2 %v, live %v; want false, target > 0, false, true",
+				target, s1.IsDeleted(40), s1.IsDeleted(41), s2.IsDeleted(40), tab.IsDeleted(40))
 		}
 		for _, c := range []struct {
 			what  string
@@ -108,6 +148,20 @@ func TestSnapshotIsolation(t *testing.T) {
 		s2.Release() // double release is a no-op
 		if tab.Pins() != 0 {
 			t.Fatalf("target %d: pins = %d after release", target, tab.Pins())
+		}
+		// With nothing pinned, a delete writes a sealed segment's bitmap in
+		// place: the write gate's copy of the segment is all it allocates.
+		if target == 30 {
+			row := 11 // rows 11..21 of the first segment, which has a bitmap
+			allocs := testing.AllocsPerRun(10, func() {
+				if err := tab.Delete(row); err != nil {
+					t.Fatal(err)
+				}
+				row++
+			})
+			if allocs > 1 {
+				t.Errorf("unpinned delete of a sealed row: %v allocations, want 1 (no bitmap copy)", allocs)
+			}
 		}
 		// With nothing pinned, a write to the tail is in place again.
 		last := tab.SegViews()

@@ -50,8 +50,9 @@ type Table struct {
 	encodeSealed bool
 
 	// version counts data mutations (insert, delete, update,
-	// consolidation). Because pinned chunks are copy-on-write, two reads
-	// of the table at the same version observe identical arrays.
+	// consolidation). Because pinned segments and chunks are never
+	// written in place, two reads of the table at the same version observe
+	// identical arrays.
 	// schemaVersion counts structural changes (columns, foreign keys,
 	// physical re-segmentation). Plan caches invalidate on the
 	// schemaVersion of every table and on the version of dimensions, whose
@@ -228,7 +229,7 @@ func (t *Table) IsDeleted(i int) bool {
 	if i < 0 || i >= t.nrows {
 		return false
 	}
-	s, local := t.locateLocked(i)
+	s, _, local := t.locateLocked(i)
 	return s.del != nil && s.del.Get(local)
 }
 
@@ -335,10 +336,10 @@ func (t *Table) SortKeys() []string {
 
 // EncodeSealed turns on compressed sealed-chunk encodings: existing sealed
 // segments are encoded in place, and every segment sealed afterwards is
-// encoded at seal time. Encodings stay on for the table's lifetime. Chunk
-// replacement bumps segment epochs so cached per-segment plan bindings
-// rebind; it fails while snapshots pin the table because pinned readers
-// hold the current chunk headers.
+// encoded at seal time. Encodings stay on for the table's lifetime. An
+// encoded segment gets a new chunk map and keeps its id, since its values
+// are unchanged; it fails while snapshots pin the table because pinned
+// readers hold the current chunk headers.
 func (t *Table) EncodeSealed() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -350,9 +351,7 @@ func (t *Table) EncodeSealed() error {
 	}
 	t.encodeSealed = true
 	for _, s := range t.segs {
-		if t.encodeSegmentLocked(s) {
-			s.epoch++
-		}
+		t.encodeSegmentLocked(s)
 	}
 	t.version++
 	return nil

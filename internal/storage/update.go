@@ -16,15 +16,17 @@ import (
 //     varchar updates are in place).
 //
 // Writers must hold the table's internal mutex, which these methods take.
-// Readers that need isolation take a Snapshot (snapshot.go); in-place writes
-// to sealed or snapshot-pinned chunks copy the chunk first.
+// Readers that need isolation take a Snapshot (snapshot.go); a write to a
+// sealed row goes through the write gate (rewriteLocked), and an in-place
+// write to a snapshot-pinned tail chunk copies the chunk first.
 
 // Insert adds a tuple with the given column values and returns its row index
 // (its primary key). vals must contain a value for every column of the
-// table. The tuple is appended to the tail, which seals when it reaches the
-// table's sealing threshold; a table without one first reuses the slot of a
-// deleted tuple if any is free. A foreign key that is not a live row of the
-// table it references fails with ErrForeignKey, and nothing is inserted.
+// table, and no other. The tuple is appended to the tail, which seals when
+// it reaches the table's sealing threshold; a table without one first
+// reuses the slot of a deleted tuple if any is free. A foreign key that is
+// not a live row of the table it references fails with ErrForeignKey, and
+// nothing is inserted.
 func (t *Table) Insert(vals map[string]any) (int, error) {
 	for col, ref := range t.fks {
 		if err := t.checkFK(col, ref, vals[col]); err != nil {
@@ -33,9 +35,8 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(vals) != len(t.names) {
-		return -1, fmt.Errorf("storage: table %s: insert got %d values, want %d",
-			t.Name, len(vals), len(t.names))
+	if len(vals) > len(t.names) {
+		return -1, t.columnError(vals, "")
 	}
 	t.sealFullTailLocked() // a loaded tail may already be full
 	// Validate before mutating so a bad value cannot leave a torn tuple.
@@ -45,7 +46,7 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 	for _, name := range t.names {
 		v, ok := vals[name]
 		if !ok {
-			return -1, fmt.Errorf("storage: table %s: insert missing column %s", t.Name, name)
+			return -1, t.columnError(vals, name)
 		}
 		c := t.tail.cols[name].(plainChunk)
 		if err := c.check(v); err != nil {
@@ -65,7 +66,6 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 			}
 		}
 		t.tail.writableDelLocked().Clear(row)
-		t.tail.delGen++
 		t.version++
 		return row, nil
 	}
@@ -87,6 +87,17 @@ func (t *Table) Insert(vals map[string]any) (int, error) {
 	return row, nil
 }
 
+// columnError names what is wrong with an Insert's column set: a column the
+// table lacks, or else missing. Insert calls it only on a wrong set.
+func (t *Table) columnError(vals map[string]any, missing string) error {
+	for col := range vals {
+		if _, ok := t.colTypes[col]; !ok {
+			return fmt.Errorf("storage: table %s: insert of unknown column %s", t.Name, col)
+		}
+	}
+	return fmt.Errorf("storage: table %s: insert missing column %s", t.Name, missing)
+}
+
 // Delete marks row i out-of-date in its segment's deletion vector and
 // records its slot for reuse. It does not cascade; callers are responsible
 // for not deleting a tuple that is still referenced (ValidateAIR detects
@@ -97,12 +108,11 @@ func (t *Table) Delete(i int) error {
 	if i < 0 || i >= t.nrows {
 		return fmt.Errorf("storage: table %s: delete row %d out of range", t.Name, i)
 	}
-	s, local := t.locateLocked(i)
+	s, si, local := t.locateLocked(i)
 	if s.del != nil && s.del.Get(local) {
 		return fmt.Errorf("storage: table %s: row %d already deleted", t.Name, i)
 	}
-	s.writableDelLocked().Set(local)
-	s.delGen++
+	t.rewriteLocked(si, false).writableDelLocked().Set(local)
 	t.free = append(t.free, int32(i))
 	t.version++
 	return nil
@@ -123,7 +133,7 @@ func (t *Table) Update(i int, col string, v any) error {
 	if i < 0 || i >= t.nrows {
 		return fmt.Errorf("storage: table %s: update row %d out of range", t.Name, i)
 	}
-	s, local := t.locateLocked(i)
+	s, si, local := t.locateLocked(i)
 	if s.del != nil && s.del.Get(local) {
 		return fmt.Errorf("storage: table %s: update of deleted row %d", t.Name, i)
 	}
@@ -136,7 +146,7 @@ func (t *Table) Update(i int, col string, v any) error {
 	if err := c.(plainChunk).check(v); err != nil {
 		return fmt.Errorf("storage: table %s: column %s: %w", t.Name, col, err)
 	}
-	if err := s.setLocked(col, local, v); err != nil {
+	if err := t.rewriteLocked(si, true).setLocked(col, local, v); err != nil {
 		return err
 	}
 	t.version++
@@ -164,16 +174,16 @@ func (t *Table) checkFK(col string, ref *Table, v any) error {
 	if x < 0 || int(x) >= ref.nrows {
 		return fmt.Errorf("storage: table %s: %s=%d out of range for %s (%d rows): %w", t.Name, col, x, ref.Name, ref.nrows, ErrForeignKey)
 	}
-	if s, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
+	if s, _, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
 		return fmt.Errorf("storage: table %s: %s=%d references a deleted row of %s: %w", t.Name, col, x, ref.Name, ErrForeignKey)
 	}
 	return nil
 }
 
 // setLocked stores v at local row i of column col, copy-on-write where the
-// chunk is sealed or pinned, and widens the column's zone to cover it
-// (conservative: zones may overcover after overwrites, which only costs
-// pruning opportunity, never correctness).
+// chunk is sealed (past the write gate) or pinned, and widens the column's
+// zone to cover it (conservative: zones may overcover after overwrites,
+// which only costs pruning opportunity, never correctness).
 func (s *Segment) setLocked(col string, i int, v any) error {
 	c := s.writableLocked(col)
 	if err := c.(plainChunk).set(i, v); err != nil {

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -42,7 +44,8 @@ func stored(t *Table, i int) map[string]any {
 
 // wantStored is the write paths' contract, written out independently of
 // convert: the value a column of type typ stores for v, in stored's terms,
-// and whether it accepts v at all.
+// and whether it accepts v at all. A json.Number stands for the number its
+// text spells.
 func wantStored(typ Type, v any) (any, bool) {
 	var i int64
 	isInt := true
@@ -53,6 +56,10 @@ func wantStored(typ Type, v any) (any, bool) {
 		i = int64(x)
 	case int64:
 		i = x
+	case json.Number:
+		var err error
+		i, err = strconv.ParseInt(string(x), 10, 64)
+		isInt = err == nil
 	default:
 		isInt = false
 	}
@@ -67,6 +74,9 @@ func wantStored(typ Type, v any) (any, bool) {
 			return x, true
 		case float32:
 			return float64(x), true
+		case json.Number:
+			f, err := strconv.ParseFloat(string(x), 64)
+			return f, err == nil
 		}
 		return float64(i), isInt
 	default:
@@ -120,10 +130,11 @@ func TestWritePathsAgree(t *testing.T) {
 }
 
 // writeValue draws one Go value for a write from byte k: every kind the
-// write paths may meet, including values just past the int32 limits.
+// write paths may meet, including values just past the int32 limits and
+// numbers given as text, as an append body decodes them.
 func writeValue(k byte) any {
 	v := int64(k >> 4)
-	switch k % 12 {
+	switch k % 14 {
 	case 0:
 		return int(v)
 	case 1:
@@ -146,8 +157,12 @@ func writeValue(k byte) any {
 		return int64(math.MinInt32) - 1 - v
 	case 10:
 		return int(math.MaxInt32) - int(v)
-	default:
+	case 11:
 		return int32(math.MinInt32) + int32(v)
+	case 12:
+		return json.Number(fmt.Sprint(v))
+	default:
+		return json.Number(fmt.Sprintf("%d.5", v))
 	}
 }
 
@@ -159,11 +174,14 @@ func writeValue(k byte) any {
 // back as the converted values, and a rejected one leaves the table
 // unchanged.
 func FuzzTableWrite(f *testing.F) {
-	f.Add([]byte{0, 2, 0, 3, 5, 17, 1})                     // insert with a float32
+	f.Add([]byte{0, 2, 0, 3, 5, 19, 1})                     // insert with a float32
 	f.Add([]byte{0, 8, 2, 4, 5, 5, 1})                      // insert past the int32 limit
 	f.Add([]byte{0, 1, 2, 4, 5, 5, 1, 1, 9, 0, 0, 0, 0, 0}) // update past the int32 limit
 	f.Add([]byte{0, 1, 2, 4, 5, 5, 1, 5, 3, 3, 3, 3, 3, 3}) // update with a float32
 	f.Add([]byte{0, 6, 7, 6, 7, 6, 7, 2, 3, 3, 3, 3, 3, 3})
+	f.Add([]byte{0, 12, 28, 13, 5, 5, 12})                        // insert with integer and decimal text
+	f.Add([]byte{0, 13, 12, 12, 5, 5, 13})                        // decimal text for integers
+	f.Add([]byte{0, 2, 0, 3, 5, 5, 1, 1, 12, 13, 13, 12, 12, 12}) // update with text
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := writeTable()
 		names := tab.ColumnNames()
