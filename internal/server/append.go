@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-
-	"astore/internal/storage"
 )
 
 // appendRequest is the POST /v1/tables/{table}/append body.
@@ -17,26 +15,24 @@ type appendRequest struct {
 }
 
 // appendResponse reports the inserted row indexes (the primary keys) and
-// the table's version counters after the batch. DataVersion advances on
-// every data mutation; clients can poll /v1/stats (or re-read it here) to
+// the table's version counters after the batch. DataVersion advances once
+// per accepted batch; clients can poll /v1/stats (or re-read it here) to
 // confirm read-their-writes: a snapshot taken at or after this DataVersion
-// includes the batch.
+// includes the whole batch.
 type appendResponse struct {
-	Table       string   `json:"table"`
-	Rows        []int    `json:"rows"`
-	Count       int      `json:"count"`
-	DataVersion uint64   `json:"data_version"`
-	Columns     []string `json:"columns,omitempty"` // on error: expected columns
+	Table       string `json:"table"`
+	Rows        []int  `json:"rows"`
+	Count       int    `json:"count"`
+	DataVersion uint64 `json:"data_version"`
 }
 
-// handleAppend serves live ingest. Insert validates each row — its column
-// set, its values (JSON numbers arrive as json.Number, which storage
-// converts as it converts any value) and the AIR range of its foreign keys —
-// before inserting it; a bad row aborts the batch with a 400 naming the
-// row, with every prior row already inserted (inserts are per-row atomic,
-// there is no multi-row transaction).
-// Concurrent queries are unaffected: they read pinned snapshots, and the
-// writers' copy-on-write keeps those stable.
+// handleAppend serves live ingest as one storage.Table.Append call: the
+// batch is visible all or nothing. Append converts every value once (JSON
+// numbers arrive as json.Number, which storage converts as it converts any
+// value) and checks each row's column set and the AIR range of its foreign
+// keys; a bad row rejects the whole batch with a 400 naming the row, and
+// the table is unchanged. Concurrent queries are unaffected: they read
+// pinned snapshots, and the writers' copy-on-write keeps those stable.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("table")
 	// A coordinator over remote workers owns no tail: forward ingest to the
@@ -67,35 +63,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	inserted := make([]int, 0, len(req.Rows))
-	for i, row := range req.Rows {
-		idx, err := t.Insert(row)
-		if err != nil {
-			s.appendError(w, t, inserted, fmt.Errorf("row %d: %w", i, err))
-			return
-		}
-		inserted = append(inserted, idx)
+	rows, err := t.Append(req.Rows)
+	if err != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusBadRequest)
+		_ = json.NewEncoder(w).Encode(errorBody{fmt.Sprintf("append to %s: %v", t.Name, err), t.ColumnNames()})
+		return
 	}
-	s.met.rowsAppended.Add(int64(len(inserted)))
+	s.met.rowsAppended.Add(int64(len(rows)))
 	s.met.appendBatches.Inc()
 	writeJSON(w, appendResponse{
-		Table: t.Name, Rows: inserted, Count: len(inserted),
+		Table: t.Name, Rows: rows, Count: len(rows),
 		DataVersion: t.DataVersion(),
-	})
-}
-
-// appendError reports a failed batch, naming the expected columns and how
-// many rows of the batch had already been inserted.
-func (s *Server) appendError(w http.ResponseWriter, t *storage.Table, inserted []int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
-	_ = json.NewEncoder(w).Encode(struct {
-		Error    string   `json:"error"`
-		Inserted int      `json:"inserted"`
-		Columns  []string `json:"columns"`
-	}{
-		Error:    fmt.Sprintf("append to %s: %v", t.Name, err),
-		Inserted: len(inserted),
-		Columns:  t.ColumnNames(),
 	})
 }

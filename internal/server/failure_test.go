@@ -259,7 +259,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // writer appends over HTTP — the 4 that fit the system succeed with correct
 // snapshot-isolated results, the overflow gets 503, and shutdown leaves no
 // snapshot pin behind. EXPLAIN requests (which skip admission) plan beside
-// the same writer and must read only pinned state. Run it under -race.
+// the same writer and must read only pinned state, and count(*) queries
+// beside it must see every append batch whole or not at all. Run it under
+// -race.
 func TestConcurrentServingWithWriter(t *testing.T) {
 	srv, ts, data, d := newSSBServer(t, 0.01,
 		Config{MaxInFlight: 2, MaxQueue: 2, QueueWait: 10 * time.Second},
@@ -280,21 +282,21 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 
 	// Writer: live ingest through the append endpoint, concurrent with
 	// everything below. It appends at least minBatches batches, and goes on
-	// until the explainers below are done, so every plan they render is
-	// compiled beside appends.
+	// until the explainers and counters below are done, so every plan they
+	// render and every count they read is made beside appends.
 	const minBatches, rowsPerBatch = 20, 5
 	appendRow := `{"lo_custkey": 0, "lo_suppkey": 0, "lo_partkey": 0, "lo_orderdate": 0,
 		"lo_quantity": 30, "lo_discount": 0, "lo_extendedprice": 100, "lo_ordtotalprice": 100,
 		"lo_revenue": 100, "lo_supplycost": 50, "lo_tax": 1}`
 	var batches atomic.Int64
-	explaining := make(chan struct{})
+	stop := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
 		rows := strings.Repeat(appendRow+",", rowsPerBatch-1) + appendRow
 		for i := 0; ; i++ {
 			if i >= minBatches {
 				select {
-				case <-explaining:
+				case <-stop:
 					writerDone <- nil
 					return
 				default:
@@ -336,10 +338,6 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 			}
 		}()
 	}
-	go func() {
-		explainWG.Wait()
-		close(explaining)
-	}()
 
 	// First wave: 4 queries fill both slots and both queue places.
 	queryBody := fmt.Sprintf(`{"sql": %q}`, sqlText)
@@ -398,7 +396,37 @@ func TestConcurrentServingWithWriter(t *testing.T) {
 		t.Fatalf("outcomes: %d ok, %d overloaded, %d other; want 4/4/0",
 			ok200.Load(), got503.Load(), other.Load())
 	}
-	if err := <-writerDone; err != nil { // returns once the explainers are done
+
+	// Counters: with the slots free, count(*) posters race the writer. An
+	// append batch is published whole, so every count is n0 plus whole
+	// batches.
+	const counters, counts = 2, 100
+	var countWG sync.WaitGroup
+	for range counters {
+		countWG.Add(1)
+		go func() {
+			defer countWG.Done()
+			for range counts {
+				code, raw, err := postNB(ts.URL+"/v1/query", countSQL)
+				var qr queryResp
+				if err == nil && code == http.StatusOK {
+					err = json.Unmarshal(raw, &qr)
+				}
+				if err != nil || code != http.StatusOK || len(qr.Rows) != 1 {
+					t.Errorf("count(*) beside the writer: %d %s %v", code, raw, err)
+					return
+				}
+				if n := int(qr.Rows[0][0].(float64)); n < n0 || (n-n0)%rowsPerBatch != 0 {
+					t.Errorf("count(*) = %d, want %d plus whole batches of %d: a batch was visible in part", n, n0, rowsPerBatch)
+					return
+				}
+			}
+		}()
+	}
+	countWG.Wait()
+	explainWG.Wait()
+	close(stop)
+	if err := <-writerDone; err != nil {
 		t.Fatal(err)
 	}
 	select {

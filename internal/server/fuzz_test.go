@@ -64,10 +64,9 @@ func fuzzSeeds(f *testing.F, bodies ...string) {
 	}
 }
 
-// FuzzAppendBody posts to /v1/tables/lineorder/append. Inserts are per-row
-// atomic with no multi-row transaction, so the table must grow by exactly
-// the rows the answer reports: count on 200, inserted on 400, none on any
-// other 4xx.
+// FuzzAppendBody posts to /v1/tables/lineorder/append. A batch is visible
+// all or nothing, so the table must grow by exactly the count a 200
+// reports, and not at all on any 4xx.
 func FuzzAppendBody(f *testing.F) {
 	row := `{"lo_custkey": 0, "lo_suppkey": 0, "lo_partkey": 0, "lo_orderdate": 0, "lo_quantity": 30, "lo_discount": 0, "lo_extendedprice": 100, "lo_ordtotalprice": 100, "lo_revenue": 100, "lo_supplycost": 50, "lo_tax": 1}`
 	fuzzSeeds(f,
@@ -86,16 +85,12 @@ func FuzzAppendBody(f *testing.F) {
 		n0 := fact.NumRows()
 		rec := fuzzPost(t, h, "/v1/tables/lineorder/append", body, 2<<20)
 		var reply struct {
-			Count    int `json:"count"`
-			Inserted int `json:"inserted"`
+			Count int `json:"count"`
 		}
 		_ = json.Unmarshal(rec.Body.Bytes(), &reply)
 		want := 0
-		switch rec.Code {
-		case http.StatusOK:
+		if rec.Code == http.StatusOK {
 			want = reply.Count
-		case http.StatusBadRequest:
-			want = reply.Inserted
 		}
 		if grew := fact.NumRows() - n0; grew != want {
 			t.Fatalf("status %d reports %d rows, the table grew by %d: %s", rec.Code, want, grew, rec.Body)

@@ -366,7 +366,8 @@ func (w *statusWriter) status() int {
 
 // errorBody is the JSON error envelope of every non-2xx response.
 type errorBody struct {
-	Error string `json:"error"`
+	Error   string   `json:"error"`
+	Columns []string `json:"columns,omitempty"`
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {

@@ -282,33 +282,35 @@ func TestAppendEndpoint(t *testing.T) {
 		t.Fatalf("rows after append = %v, want %v", qr.Rows, want)
 	}
 
-	// Failure paths.
+	// Failure paths: a rejected batch answers 400 naming the row and the
+	// expected columns, and inserts nothing, not even the rows before the
+	// bad one.
 	bad := []struct {
 		name, url, body string
 		status          int
 		msg             string
-		wantInserted    int
 	}{
-		{"unknown-table", "/v1/tables/nope/append", `{"rows": [{"x": 1}]}`, 404, "no table", 0},
-		{"unknown-column", "/v1/tables/sales/append", `{"rows": [{"colour_fk": 1, "amount": 5}]}`, 400, "unknown column", 0},
-		{"missing-column", "/v1/tables/sales/append", `{"rows": [{"amount": 5}]}`, 400, "missing column", 0},
-		{"type-mismatch", "/v1/tables/sales/append", `{"rows": [{"color_fk": "red", "amount": 5}]}`, 400, "wants an integer", 0},
-		{"float-for-int", "/v1/tables/sales/append", `{"rows": [{"color_fk": 0, "amount": 5.5}]}`, 400, "wants an integer", 0},
-		{"fk-out-of-range", "/v1/tables/sales/append", `{"rows": [{"color_fk": 99, "amount": 5}]}`, 400, "out of range", 0},
-		{"int32-overflow", "/v1/tables/sales/append", `{"rows": [{"color_fk": 2147483648, "amount": 5}]}`, 400, "overflows int32", 0},
-		{"no-rows", "/v1/tables/sales/append", `{"rows": []}`, 400, "no rows", 0},
+		{"unknown-table", "/v1/tables/nope/append", `{"rows": [{"x": 1}]}`, 404, "no table"},
+		{"unknown-column", "/v1/tables/sales/append", `{"rows": [{"colour_fk": 1, "amount": 5}]}`, 400, "unknown column"},
+		{"missing-column", "/v1/tables/sales/append", `{"rows": [{"amount": 5}]}`, 400, "missing column"},
+		{"type-mismatch", "/v1/tables/sales/append", `{"rows": [{"color_fk": "red", "amount": 5}]}`, 400, "wants an integer"},
+		{"float-for-int", "/v1/tables/sales/append", `{"rows": [{"color_fk": 0, "amount": 5.5}]}`, 400, "wants an integer"},
+		{"fk-out-of-range", "/v1/tables/sales/append", `{"rows": [{"color_fk": 99, "amount": 5}]}`, 400, "out of range"},
+		{"int32-overflow", "/v1/tables/sales/append", `{"rows": [{"color_fk": 2147483648, "amount": 5}]}`, 400, "overflows int32"},
+		{"no-rows", "/v1/tables/sales/append", `{"rows": []}`, 400, "no rows"},
 		{"partial-batch", "/v1/tables/sales/append",
-			`{"rows": [{"color_fk": 0, "amount": 1}, {"color_fk": -1, "amount": 2}]}`, 400, "row 1", 1},
+			`{"rows": [{"color_fk": 0, "amount": 1}, {"color_fk": -1, "amount": 2}]}`, 400, "row 1"},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
+			rows, version := fact.NumRows(), fact.DataVersion()
 			resp, raw := post(t, ts.URL+tc.url, tc.body)
 			if resp.StatusCode != tc.status {
 				t.Fatalf("status = %d, want %d: %s", resp.StatusCode, tc.status, raw)
 			}
 			var e struct {
-				Error    string `json:"error"`
-				Inserted int    `json:"inserted"`
+				Error   string   `json:"error"`
+				Columns []string `json:"columns"`
 			}
 			if err := json.Unmarshal(raw, &e); err != nil {
 				t.Fatal(err)
@@ -316,13 +318,16 @@ func TestAppendEndpoint(t *testing.T) {
 			if !strings.Contains(e.Error, tc.msg) {
 				t.Errorf("error %q does not mention %q", e.Error, tc.msg)
 			}
-			if e.Inserted != tc.wantInserted {
-				t.Errorf("inserted = %d, want %d", e.Inserted, tc.wantInserted)
+			if tc.status == http.StatusBadRequest && tc.name != "no-rows" && !reflect.DeepEqual(e.Columns, fact.ColumnNames()) {
+				t.Errorf("columns = %v, want %v", e.Columns, fact.ColumnNames())
+			}
+			if fact.NumRows() != rows || fact.DataVersion() != version {
+				t.Errorf("rejected batch changed the table: rows %d→%d, version %d→%d", rows, fact.NumRows(), version, fact.DataVersion())
 			}
 		})
 	}
 
-	// AIR still holds after everything (including the partial batch).
+	// AIR still holds after everything.
 	if err := cat.ValidateAIR(); err != nil {
 		t.Fatal(err)
 	}

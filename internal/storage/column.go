@@ -124,7 +124,7 @@ func (c *DictCol) Value(i int) string { return c.Dict.Value(c.Codes[i]) }
 // plainChunk is what every plain chunk — a Vec, or a DictCol, whose array
 // is codes into a shared dictionary — does beyond Column: the copies that
 // sealing, snapshots and compaction make, the reads of zones and
-// persistence, and the writes of Insert and Update. Vec implements each
+// persistence, and the writes of Append and Update. Vec implements each
 // once for every element type; DictCol mirrors them over its codes.
 type plainChunk interface {
 	Column
@@ -147,13 +147,8 @@ type plainChunk interface {
 	// the chunk's array.
 	writeLE(w *bufio.Writer, n int) error
 	readLE(d *imageReader, n int)
-	// check reports whether v converts to the column's stored value; set
-	// stores the converted v at row i and push appends it. The three share
-	// one conversion, so what check accepts is exactly what set and push
-	// store.
-	check(v any) error
-	set(i int, v any) error
-	push(v any) error
+	// put stores row j of src, a write's staging chunk, at row i.
+	put(i int, src Column, j int)
 }
 
 func (c *Vec[T]) grow(capacity int) Column { return &Vec[T]{V: grown(c.V, capacity)} }
@@ -198,19 +193,10 @@ func (c *Vec[T]) writeLE(w *bufio.Writer, n int) error { return writeLE(w, c.V[:
 
 func (c *Vec[T]) readLE(d *imageReader, n int) { c.V = readLE[T](d, n) }
 
-func (c *Vec[T]) check(v any) error {
-	_, err := convert[T](v)
-	return err
-}
+func (c *Vec[T]) put(i int, src Column, j int) { c.V[i] = src.(*Vec[T]).V[j] }
 
-func (c *Vec[T]) set(i int, v any) error {
-	x, err := convert[T](v)
-	if err == nil {
-		c.V[i] = x
-	}
-	return err
-}
-
+// push converts v to the T the column stores and appends it: a write's one
+// conversion of each value, into its staging chunk.
 func (c *Vec[T]) push(v any) error {
 	x, err := convert[T](v)
 	if err == nil {
@@ -227,7 +213,14 @@ func (c *DictCol) gather(perm []int32) Column {
 	return &DictCol{Codes: gather(c.Codes, perm), Dict: c.Dict}
 }
 
+// appendRange also takes a write's staged strings, which it interns.
 func (c *DictCol) appendRange(src Column, lo, hi int) {
+	if s, ok := src.(*StrCol); ok {
+		for _, v := range s.V[lo:hi] {
+			c.Append(v)
+		}
+		return
+	}
 	c.Codes = append(c.Codes, src.(*DictCol).Codes[lo:hi]...)
 }
 
@@ -246,26 +239,7 @@ func (c *DictCol) writeLE(w *bufio.Writer, n int) error { return writeLE(w, c.Co
 
 func (c *DictCol) readLE(d *imageReader, n int) { c.Codes = readLE[int32](d, n) }
 
-func (c *DictCol) check(v any) error {
-	_, err := convert[string](v)
-	return err
-}
-
-func (c *DictCol) set(i int, v any) error {
-	s, err := convert[string](v)
-	if err == nil {
-		c.Codes[i] = c.Dict.Intern(s)
-	}
-	return err
-}
-
-func (c *DictCol) push(v any) error {
-	s, err := convert[string](v)
-	if err == nil {
-		c.Append(s)
-	}
-	return err
-}
+func (c *DictCol) put(i int, src Column, j int) { c.Codes[i] = c.Dict.Intern(src.(*StrCol).V[j]) }
 
 // grown returns a copy of v with room for capacity elements.
 func grown[T any](v []T, capacity int) []T {
@@ -289,12 +263,12 @@ func widenInts[T int32 | int64](z *Zone, v []T) {
 }
 
 // convert turns an untyped value into the T a column stores, or returns an
-// error. It is the one value conversion of the write paths — Insert's
-// check and its writes, Update, the foreign-key check, and through Insert
-// every append body — so what is accepted is exactly what is stored. Go
-// integers convert to integer and float columns (an int32 column refuses
-// values outside its range), Go floats only to float columns, strings only
-// to string and dictionary columns. A decimal number given as text, read
+// error. It is the one value conversion of the write paths — every write
+// stages each value through it once, and every check and store reads the
+// staged value — so what is accepted is exactly what is stored. Go integers
+// convert to integer and float columns (an int32 column refuses values
+// outside its range), Go floats only to float columns, strings only to
+// string and dictionary columns. A decimal number given as text, read
 // through Int64 and Float64 methods as encoding/json's Number has them,
 // converts as its value would: to integer columns if it is an integer, to
 // float columns always.

@@ -57,26 +57,20 @@ func Arrange(db *Database, t *Table, segmentRows int, keys []string, encode bool
 // only for a table with sort keys.
 func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32, error) {
 	refs := db.Referrers(t)
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.pins > 0 {
-		return nil, fmt.Errorf("storage: consolidate %s: table pinned by %d snapshot(s)", t.Name, t.pins)
-	}
+	tabs := []*Table{t}
 	for _, r := range refs {
-		if r.From == t {
-			continue
+		if !slices.Contains(tabs, r.From) {
+			tabs = append(tabs, r.From)
 		}
-		// pins is guarded by the referrer's own mutex (Snapshot and
-		// Release write it under r.From.mu, not t.mu). One referrer mutex
-		// at a time while holding t.mu — same ordering as the rewrite
-		// loop below, so this cannot deadlock against single-table
-		// writers.
-		r.From.mu.Lock()
-		pinned := r.From.pins
-		r.From.mu.Unlock()
-		if pinned > 0 {
-			return nil, fmt.Errorf("storage: consolidate %s: referrer %s pinned by snapshot", t.Name, r.From.Name)
+	}
+	// t and its referrers stay locked, in the one lock order, from the checks
+	// through the remap: no writer appends to an FK column being checked or
+	// rewritten, nor checks a key against t's rows in between.
+	lockTables(tabs)
+	defer unlockTables(tabs)
+	for _, tab := range tabs {
+		if tab.pins > 0 {
+			return nil, fmt.Errorf("storage: consolidate %s: table %s pinned by %d snapshot(s)", t.Name, tab.Name, tab.pins)
 		}
 	}
 	// perm[newPos] = old row that lands at newPos. When it keeps every row
@@ -92,28 +86,19 @@ func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32,
 	}
 
 	// No live reference may point at a deleted row; check before mutating.
-	// Each referrer's FK column is read under its own mutex so a concurrent
-	// writer cannot append to (and possibly reallocate) it mid-scan.
 	for _, r := range refs {
-		from := r.From
-		if from != t {
-			from.mu.Lock()
-		}
-		err := from.forEachInt32(r.Col, func(chunk []int32, base int, del *Bitmap) error {
+		err := r.From.forEachInt32(r.Col, func(chunk []int32, base int, del *Bitmap) error {
 			for i, v := range chunk {
 				if del != nil && del.Get(i) {
 					continue
 				}
 				if t.IsDeleted(int(v)) {
 					return fmt.Errorf("storage: consolidate %s: live row %s[%d] references deleted row %d",
-						t.Name, from.Name, base+i, v)
+						t.Name, r.From.Name, base+i, v)
 				}
 			}
 			return nil
 		})
-		if from != t {
-			from.mu.Unlock()
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -136,18 +121,10 @@ func consolidate(db *Database, t *Table, segmentRows int, encode bool) ([]int32,
 	t.version++
 
 	// Rewrite all references (the extra cost of consolidation under AIR).
-	// Each referrer is rewritten under its own mutex so a concurrent
-	// writer cannot append to (and possibly reallocate) the FK column
-	// mid-rewrite; one referrer mutex is held at a time, so this cannot
-	// deadlock against single-table writers.
 	for _, r := range refs {
-		if r.From != t {
-			r.From.mu.Lock()
-		}
 		r.From.remapFKLocked(r.Col, remap)
 		if r.From != t {
 			r.From.version++
-			r.From.mu.Unlock()
 		}
 	}
 	return remap, nil

@@ -137,8 +137,8 @@ type Segment struct {
 
 	del *Bitmap
 
-	// shared and delShared mark the tail's chunks and bitmap a live snapshot
-	// pins, so the next in-place write clones first (the gate clears them).
+	// shared and delShared mark chunks and a bitmap a live snapshot pins (the
+	// tail's, or a gate copy's while pinned): an in-place write clones first.
 	shared    map[string]bool
 	delShared bool
 
@@ -532,41 +532,50 @@ func (t *Table) ColumnProto(name string) Column {
 
 // rewriteLocked returns segs[si] ready for a write to its rows: the tail
 // (si == len(segs)) as it is, a sealed segment through the one write gate,
-// which puts a shallow copy under a new id, with fresh pin flags, in its
-// place. The copy clones only what is written: both maps when chunks are
-// (writableLocked clones every sealed chunk it writes), the bitmap while
-// the table is pinned (the copy marks it shared then). A snapshot shares
-// the segment list, so while one pins the table the list is cloned before
-// the swap. Caller holds t.mu.
+// which puts a shallow copy under a new id in its place, with fresh maps
+// when chunks are written. Unpinned, the copy's plain chunks and bitmap are
+// written in place; while a snapshot shares them and the segment list, the
+// list is cloned before the swap and the copy marks its chunks and bitmap
+// shared, so a write clones them first. Caller holds t.mu.
 func (t *Table) rewriteLocked(si int, chunks bool) *Segment {
 	if si == len(t.segs) {
 		return t.tail
 	}
 	c := *t.segs[si]
-	c.id, c.shared, c.delShared = t.nextSegID, nil, t.pins > 0
+	c.id, c.shared, c.delShared = t.nextSegID, nil, false
 	t.nextSegID++
 	if chunks {
 		c.cols, c.zones = maps.Clone(c.cols), maps.Clone(c.zones)
 	}
 	if t.pins > 0 {
+		c.shareLocked()
 		t.segs = slices.Clone(t.segs)
 	}
 	t.segs[si] = &c
 	return &c
 }
 
+// shareLocked marks every chunk and the bitmap of s as pinned by a
+// snapshot, so the next in-place write to one clones it first.
+func (s *Segment) shareLocked() {
+	if s.shared == nil {
+		s.shared = make(map[string]bool, len(s.cols))
+	}
+	for name := range s.cols {
+		s.shared[name] = true
+	}
+	s.delShared = s.del != nil
+}
+
 // writableLocked returns the chunk of column col ready for an in-place
-// write. Sealed chunks are never written in place, and neither are chunks a
-// snapshot pins: those are cloned first (copy-on-write) and the clone
-// replaces the chunk.
+// write. An encoded chunk, and a chunk a snapshot pins, is cloned first
+// (copy-on-write) and the clone replaces it.
 func (s *Segment) writableLocked(col string) Column {
 	c := s.cols[col]
-	if s.sealed || s.shared[col] {
+	if _, plain := c.(plainChunk); !plain || s.shared[col] {
 		c = cloneChunk(c, s.cap)
 		s.cols[col] = c
-		if s.shared != nil {
-			s.shared[col] = false
-		}
+		delete(s.shared, col)
 	}
 	return c
 }

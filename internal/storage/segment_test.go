@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -394,6 +395,76 @@ func TestSaveWhileAppending(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAppendRacesReferencedConsolidate: fact appends that reference the
+// dimension's last row race rounds of deleting dimension row 0 and
+// consolidating the dimension, which renumbers every row and remaps the
+// fact's keys. A key is checked and stored under the dimension's lock, so
+// no consolidation comes in between: an append either stores a key of the
+// current layout or is refused with ErrForeignKey, nothing panics, and at
+// the end AIR holds and every fact row still names the last dimension row.
+func TestAppendRacesReferencedConsolidate(t *testing.T) {
+	const dimRows, rounds, writers = 400, 300, 4
+	dim := NewTable("dim")
+	dim.MustAddColumn("d", NewInt64Col(make([]int64, dimRows)))
+	fact := NewTable("fact")
+	fact.MustAddColumn("fk", NewInt32Col(nil))
+	fact.MustAddFK("fk", dim)
+	if err := fact.SetSegmentTarget(64); err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase()
+	db.MustAdd(dim)
+	db.MustAdd(fact)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1 + writers)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for range rounds {
+			if err := dim.Delete(0); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := Consolidate(db, dim); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for range writers {
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				last := int32(dim.Layout().Rows - 1)
+				batch := []map[string]any{{"fk": last}, {"fk": last}, {"fk": last}}
+				if _, err := fact.Append(batch); err != nil && !errors.Is(err, ErrForeignKey) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := db.ValidateAIR(); err != nil {
+		t.Fatal(err)
+	}
+	last := dim.NumRows() - 1
+	for _, sv := range fact.SegViews() {
+		for i, v := range DecodeChunk(sv.Cols["fk"]).(*Int32Col).V[:sv.N] {
+			if int(v) != last {
+				t.Fatalf("fact row %d names dimension row %d, want the last, %d", sv.Base+i, v, last)
+			}
+		}
+	}
 }
 
 // TestConcurrentAppendConsolidateSnapshots is the -race satellite: one

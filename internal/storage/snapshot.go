@@ -15,7 +15,7 @@ import "maps"
 //     of the tail caps its chunk headers at its row count (an append either
 //     fills elements past the cap or reallocates; neither touches what the
 //     cap covers).
-//   - In-place writes (Update, Delete, slot-reusing Insert) to a pinned
+//   - In-place writes (Update, Delete, slot-reusing Append) to a pinned
 //     tail chunk or deletion vector make the writer clone it first, so the
 //     snapshot keeps the old version (copy-on-write).
 //
@@ -45,14 +45,7 @@ func (t *Table) Snapshot() *Snapshot {
 		version:       t.version,
 		schemaVersion: t.schemaVersion,
 	}
-	// Pin the tail's chunks and bitmap: the next in-place write clones.
-	if t.tail.shared == nil {
-		t.tail.shared = make(map[string]bool, len(t.names))
-	}
-	for _, name := range t.names {
-		t.tail.shared[name] = true
-	}
-	t.tail.delShared = t.tail.del != nil
+	t.tail.shareLocked()
 	t.pins++
 	return &Snapshot{live: t, frozen: f}
 }

@@ -162,6 +162,14 @@ func TestSnapshotIsolation(t *testing.T) {
 			if allocs > 1 {
 				t.Errorf("unpinned delete of a sealed row: %v allocations, want 1 (no bitmap copy)", allocs)
 			}
+			// An update writes the sealed plain chunk in place too.
+			v0 := tab.SegViews()[0].Cols["v"].(*Int64Col).V
+			if err := tab.Update(0, "v", int64(3)); err != nil {
+				t.Fatal(err)
+			}
+			if v1 := tab.SegViews()[0].Cols["v"].(*Int64Col).V; &v1[0] != &v0[0] || v1[0] != 3 {
+				t.Errorf("unpinned update of a sealed row copied the chunk (or lost the write: %d)", v1[0])
+			}
 		}
 		// With nothing pinned, a write to the tail is in place again.
 		last := tab.SegViews()

@@ -36,7 +36,7 @@ type Table struct {
 	tail      *Segment
 	nextSegID uint64
 
-	// free lists the slots of lazily deleted tuples (§4.4); Insert reuses
+	// free lists the slots of lazily deleted tuples (§4.4); Append reuses
 	// them only while the table has no sealing threshold.
 	free []int32
 

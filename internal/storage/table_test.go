@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -149,6 +150,59 @@ func TestInsertAppendAndReuse(t *testing.T) {
 	}
 	if s, _ := StringAt(dim.Column("d_name"), 1); s != "e" {
 		t.Fatalf("reused slot value = %q", s)
+	}
+}
+
+// TestAppendBatch: one batch fills the freed slots of a table that never
+// seals (last freed first) before it appends, and on a segmented table
+// seals each tail it fills; either way it is one version bump.
+func TestAppendBatch(t *testing.T) {
+	_, dim, _ := makeStarPair(t)
+	for _, i := range []int{0, 2} {
+		if err := dim.Delete(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v0 := dim.DataVersion()
+	rows, err := dim.Append([]map[string]any{
+		{"d_name": "x", "d_val": 1}, {"d_name": "y", "d_val": 2}, {"d_name": "z", "d_val": 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rows, []int{2, 0, 3}) || dim.NumRows() != 4 || dim.NumLive() != 4 || dim.DataVersion() != v0+1 {
+		t.Fatalf("rows %v, %d rows (%d live), version %d→%d", rows, dim.NumRows(), dim.NumLive(), v0, dim.DataVersion())
+	}
+	for i, want := range []string{"y", "b", "x", "z"} {
+		if s, _ := StringAt(dim.Column("d_name"), i); s != want {
+			t.Errorf("row %d = %q, want %q", i, s, want)
+		}
+	}
+
+	tab := segTestTable(3)
+	if err := tab.SetSegmentTarget(4); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]map[string]any, 10)
+	for i := range batch {
+		batch[i] = map[string]any{"v": int64(3 + i), "k": int32(0)}
+	}
+	v0 = tab.DataVersion()
+	if rows, err = tab.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if rows[0] != 3 || rows[9] != 12 || tab.DataVersion() != v0+1 {
+		t.Fatalf("rows %v, version %d→%d", rows, v0, tab.DataVersion())
+	}
+	if sealed, _ := tab.SegmentCounts(); sealed != 3 {
+		t.Fatalf("%d sealed segments, want 3", sealed)
+	}
+	for _, sv := range tab.SegViews() {
+		for i, v := range sv.Cols["v"].(*Int64Col).V[:sv.N] {
+			if v != int64(sv.Base+i) {
+				t.Fatalf("row %d = %d", sv.Base+i, v)
+			}
+		}
 	}
 }
 

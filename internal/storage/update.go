@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // This file implements the update mechanisms of §4.4:
@@ -15,87 +18,94 @@ import (
 //   - In-place updates (variable-length values live out of line, so even
 //     varchar updates are in place).
 //
-// Writers must hold the table's internal mutex, which these methods take.
-// Readers that need isolation take a Snapshot (snapshot.go); a write to a
-// sealed row goes through the write gate (rewriteLocked), and an in-place
-// write to a snapshot-pinned tail chunk copies the chunk first.
+// Every write takes one path (write): each value is converted once, into a
+// staging chunk, before any lock is taken; foreign keys are checked and the
+// write applied under the referenced tables' locks and the table's own.
+// Readers that need isolation take a Snapshot (snapshot.go); a write
+// to a sealed row goes through the write gate (rewriteLocked), and an
+// in-place write to a snapshot-pinned tail chunk copies the chunk first.
 
-// Insert adds a tuple with the given column values and returns its row index
-// (its primary key). vals must contain a value for every column of the
-// table, and no other. The tuple is appended to the tail, which seals when
-// it reaches the table's sealing threshold; a table without one first
-// reuses the slot of a deleted tuple if any is free. A foreign key that is
-// not a live row of the table it references fails with ErrForeignKey, and
-// nothing is inserted.
-func (t *Table) Insert(vals map[string]any) (int, error) {
-	for col, ref := range t.fks {
-		if err := t.checkFK(col, ref, vals[col]); err != nil {
-			return -1, err
-		}
+// Append adds a batch of tuples, each mapping every column of the table and
+// no other to a value, and returns their row indexes (primary keys) in
+// batch order. The batch is all or nothing: a wrong column set, a value
+// that does not convert, or a foreign key that is not a live row of the
+// table it references (ErrForeignKey) rejects it with an error naming the
+// row and leaves the table as it was; an accepted batch is published whole,
+// with one version bump. A table that never seals first fills the slots of
+// deleted tuples (elsewhere a freed slot may lie in a sealed segment, and
+// Consolidate reclaims it); the rest goes to the end of the tail, which
+// seals each time it fills.
+func (t *Table) Append(rows []map[string]any) ([]int, error) {
+	vals := make([]stager, len(t.names))
+	for j, name := range t.names {
+		vals[j] = t.stagingChunk(name, len(rows))
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(vals) > len(t.names) {
-		return -1, t.columnError(vals, "")
-	}
-	t.sealFullTailLocked() // a loaded tail may already be full
-	// Validate before mutating so a bad value cannot leave a torn tuple.
-	var cbuf [32]plainChunk
-	var vbuf [32]any
-	chunks, vs := cbuf[:0], vbuf[:0]
-	for _, name := range t.names {
-		v, ok := vals[name]
-		if !ok {
-			return -1, t.columnError(vals, name)
-		}
-		c := t.tail.cols[name].(plainChunk)
-		if err := c.check(v); err != nil {
-			return -1, fmt.Errorf("storage: table %s: column %s: %w", t.Name, name, err)
-		}
-		chunks, vs = append(chunks, c), append(vs, v)
-	}
-
-	// A freed slot may lie in a sealed segment, so only a table that never
-	// seals reuses them; elsewhere Consolidate reclaims the holes.
-	if n := len(t.free); n > 0 && t.segTarget == 0 {
-		row := int(t.free[n-1])
-		t.free = t.free[:n-1]
-		for i, name := range t.names {
-			if err := t.tail.setLocked(name, row, vs[i]); err != nil {
-				return -1, err
+	for r, row := range rows {
+		for j, name := range t.names {
+			v, ok := row[name]
+			if !ok || len(row) > len(t.names) {
+				return nil, t.columnError(r, row, name)
+			}
+			if err := vals[j].push(v); err != nil {
+				return nil, fmt.Errorf("storage: table %s: row %d: column %s: %w", t.Name, r, name, err)
 			}
 		}
-		t.tail.writableDelLocked().Clear(row)
-		t.version++
-		return row, nil
 	}
-
-	tail := t.tail
-	for i, c := range chunks {
-		if err := c.push(vs[i]); err != nil {
-			return -1, err
+	var out []int
+	err := t.write(t.names, vals, 0, func() error {
+		out = make([]int, 0, len(rows))
+		for r := 0; r < len(rows); {
+			if n := len(t.free); n > 0 && t.segTarget == 0 {
+				row := int(t.free[n-1])
+				t.free = t.free[:n-1]
+				for j, name := range t.names {
+					t.tail.putLocked(name, row, vals[j], r)
+				}
+				t.tail.writableDelLocked().Clear(row)
+				out, r = append(out, row), r+1
+				continue
+			}
+			t.sealFullTailLocked() // a loaded tail may already be full
+			tail, k := t.tail, len(rows)-r
+			if t.segTarget > 0 {
+				k = min(k, t.segTarget-tail.n)
+			}
+			for j, name := range t.names {
+				tail.cols[name].(plainChunk).appendRange(vals[j], r, r+k)
+			}
+			for range k {
+				out, tail.n = append(out, tail.base+tail.n), tail.n+1
+			}
+			t.nrows, r = t.nrows+k, r+k
+			if tail.del != nil && tail.del.Len() < tail.n {
+				tail.writableDelLocked()
+			}
 		}
-	}
-	row := tail.base + tail.n
-	tail.n++
-	t.nrows++
-	if tail.del != nil && tail.del.Len() < tail.n {
-		tail.writableDelLocked()
-	}
-	t.sealFullTailLocked()
-	t.version++
-	return row, nil
+		t.sealFullTailLocked()
+		return nil
+	})
+	return out, err
 }
 
-// columnError names what is wrong with an Insert's column set: a column the
-// table lacks, or else missing. Insert calls it only on a wrong set.
-func (t *Table) columnError(vals map[string]any, missing string) error {
-	for col := range vals {
+// Insert adds one tuple and returns its row index: Append of a one-row
+// batch.
+func (t *Table) Insert(vals map[string]any) (int, error) {
+	rows, err := t.Append([]map[string]any{vals})
+	if err != nil {
+		return -1, err
+	}
+	return rows[0], nil
+}
+
+// columnError names what is wrong with row r's column set: a column the
+// table lacks, or else the missing one. Append calls it only on a wrong set.
+func (t *Table) columnError(r int, row map[string]any, missing string) error {
+	for col := range row {
 		if _, ok := t.colTypes[col]; !ok {
-			return fmt.Errorf("storage: table %s: insert of unknown column %s", t.Name, col)
+			return fmt.Errorf("storage: table %s: row %d: insert of unknown column %s", t.Name, r, col)
 		}
 	}
-	return fmt.Errorf("storage: table %s: insert missing column %s", t.Name, missing)
+	return fmt.Errorf("storage: table %s: row %d: insert missing column %s", t.Name, r, missing)
 }
 
 // Delete marks row i out-of-date in its segment's deletion vector and
@@ -103,19 +113,18 @@ func (t *Table) columnError(vals map[string]any, missing string) error {
 // for not deleting a tuple that is still referenced (ValidateAIR detects
 // violations).
 func (t *Table) Delete(i int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= t.nrows {
-		return fmt.Errorf("storage: table %s: delete row %d out of range", t.Name, i)
-	}
-	s, si, local := t.locateLocked(i)
-	if s.del != nil && s.del.Get(local) {
-		return fmt.Errorf("storage: table %s: row %d already deleted", t.Name, i)
-	}
-	t.rewriteLocked(si, false).writableDelLocked().Set(local)
-	t.free = append(t.free, int32(i))
-	t.version++
-	return nil
+	return t.write(nil, nil, 0, func() error {
+		if i < 0 || i >= t.nrows {
+			return fmt.Errorf("storage: table %s: delete row %d out of range", t.Name, i)
+		}
+		s, si, local := t.locateLocked(i)
+		if s.del != nil && s.del.Get(local) {
+			return fmt.Errorf("storage: table %s: row %d already deleted", t.Name, i)
+		}
+		t.rewriteLocked(si, false).writableDelLocked().Set(local)
+		t.free = append(t.free, int32(i))
+		return nil
+	})
 }
 
 // Update overwrites column col of row i. In-place updating never touches
@@ -123,34 +132,24 @@ func (t *Table) Delete(i int) error {
 // index) does not change. A foreign key that is not a live row of the table
 // it references fails with ErrForeignKey, and nothing is written.
 func (t *Table) Update(i int, col string, v any) error {
-	if ref := t.fks[col]; ref != nil {
-		if err := t.checkFK(col, ref, v); err != nil {
-			return err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= t.nrows {
-		return fmt.Errorf("storage: table %s: update row %d out of range", t.Name, i)
-	}
-	s, si, local := t.locateLocked(i)
-	if s.del != nil && s.del.Get(local) {
-		return fmt.Errorf("storage: table %s: update of deleted row %d", t.Name, i)
-	}
-	// The tail's chunk stands in for the column's type: it is always plain,
-	// where the row's own chunk may be an encoded one.
-	c, ok := t.tail.cols[col]
-	if !ok {
+	c := t.stagingChunk(col, 1)
+	if c == nil {
 		return fmt.Errorf("storage: table %s: no column %s", t.Name, col)
 	}
-	if err := c.(plainChunk).check(v); err != nil {
-		return fmt.Errorf("storage: table %s: column %s: %w", t.Name, col, err)
+	if err := c.push(v); err != nil {
+		return fmt.Errorf("storage: table %s: row %d: column %s: %w", t.Name, i, col, err)
 	}
-	if err := t.rewriteLocked(si, true).setLocked(col, local, v); err != nil {
-		return err
-	}
-	t.version++
-	return nil
+	return t.write([]string{col}, []stager{c}, i, func() error {
+		if i < 0 || i >= t.nrows {
+			return fmt.Errorf("storage: table %s: update row %d out of range", t.Name, i)
+		}
+		s, si, local := t.locateLocked(i)
+		if s.del != nil && s.del.Get(local) {
+			return fmt.Errorf("storage: table %s: update of deleted row %d", t.Name, i)
+		}
+		t.rewriteLocked(si, true).putLocked(col, local, c, 0)
+		return nil
+	})
 }
 
 // ErrForeignKey reports a foreign-key value that is not a live row of the
@@ -158,40 +157,109 @@ func (t *Table) Update(i int, col string, v any) error {
 // such a value, once stored, would fail every query that joins through it.
 var ErrForeignKey = errors.New("foreign key is not a live row of the referenced table")
 
-// checkFK checks that v, the value of FK column col, is a live row of ref.
-// It reads ref under ref's own lock, before the caller takes t's:
-// Consolidate locks a dimension and then its fact table, so the other order
-// could deadlock. A row of ref deleted after the check is, as for Delete
-// itself, the deleter's to avoid. The check reads v as the column stores
-// it; a value that does not convert is left to the caller's type check.
-func (t *Table) checkFK(col string, ref *Table, v any) error {
-	x, err := convert[int32](v)
-	if err != nil {
+// stager is a write's staging chunk: push converts a value to what the
+// column stores (convert) and appends it.
+type stager interface {
+	Column
+	push(v any) error
+}
+
+// stagingChunk returns an empty staging chunk with room for n values of
+// column name — a Vec of the column's type, of strings for a dictionary
+// column (interned as the write is applied) — or nil for no such column.
+func (t *Table) stagingChunk(name string, n int) stager {
+	typ, ok := t.colTypes[name]
+	if typ == TDict {
+		typ = TString
+	}
+	if !ok {
 		return nil
 	}
-	ref.mu.Lock()
-	defer ref.mu.Unlock()
-	if x < 0 || int(x) >= ref.nrows {
-		return fmt.Errorf("storage: table %s: %s=%d out of range for %s (%d rows): %w", t.Name, col, x, ref.Name, ref.nrows, ErrForeignKey)
+	return newChunk(typ, nil, n).(stager)
+}
+
+// write runs apply, a write whose values for columns cols are staged in
+// vals (row r of them is the table's row first+r), under t's lock once
+// every staged foreign key names a live row. It locks the referenced tables
+// with t (lockTables) and holds them from the check through apply, so no
+// Delete or Consolidate of theirs comes in between. A write apply accepts
+// bumps the version once.
+func (t *Table) write(cols []string, vals []stager, first int, apply func() error) error {
+	var buf [8]*Table
+	tabs := append(buf[:0], t)
+	for _, col := range cols {
+		if ref := t.fks[col]; ref != nil && !slices.Contains(tabs, ref) {
+			tabs = append(tabs, ref)
+		}
 	}
-	if s, _, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
-		return fmt.Errorf("storage: table %s: %s=%d references a deleted row of %s: %w", t.Name, col, x, ref.Name, ErrForeignKey)
+	lockTables(tabs)
+	defer unlockTables(tabs)
+	for j, col := range cols {
+		if ref := t.fks[col]; ref != nil {
+			for r, x := range vals[j].(*Int32Col).V {
+				if x < 0 || int(x) >= ref.nrows {
+					return fmt.Errorf("storage: table %s: row %d: %s=%d out of range for %s (%d rows): %w", t.Name, first+r, col, x, ref.Name, ref.nrows, ErrForeignKey)
+				}
+				if s, _, local := ref.locateLocked(int(x)); s.del != nil && s.del.Get(local) {
+					return fmt.Errorf("storage: table %s: row %d: %s=%d references a deleted row of %s: %w", t.Name, first+r, col, x, ref.Name, ErrForeignKey)
+				}
+			}
+		}
 	}
+	if err := apply(); err != nil {
+		return err
+	}
+	t.version++
 	return nil
 }
 
-// setLocked stores v at local row i of column col, copy-on-write where the
-// chunk is sealed (past the write gate) or pinned, and widens the column's
-// zone to cover it (conservative: zones may overcover after overwrites,
-// which only costs pruning opportunity, never correctness).
-func (s *Segment) setLocked(col string, i int, v any) error {
-	c := s.writableLocked(col)
-	if err := c.(plainChunk).set(i, v); err != nil {
-		return err
+// lockTables locks tabs, distinct tables, in the one order every lock on
+// more than one table is taken — by rank, the longest foreign-key path from
+// a table, then by name, so a writer's referenced tables before its own and
+// Consolidate's table before its referrers — and unlockTables undoes it.
+// Locks taken in one order cannot deadlock.
+func lockTables(tabs []*Table) {
+	slices.SortFunc(tabs, func(a, b *Table) int {
+		return cmp.Or(a.rank(nil)-b.rank(nil), strings.Compare(a.Name, b.Name))
+	})
+	for _, t := range tabs {
+		t.mu.Lock()
 	}
+}
+
+func unlockTables(tabs []*Table) {
+	for _, t := range tabs {
+		t.mu.Unlock()
+	}
+}
+
+// rank returns the length of the longest foreign-key path from t that
+// leaves path, the tables walked to reach t (a cycle, which no lock order
+// can serve, is cut there); a table that references none ends it unwalked.
+func (t *Table) rank(path []*Table) int {
+	r := 0
+	for _, ref := range t.fks {
+		switch {
+		case ref == t || slices.Contains(path, ref):
+		case len(ref.fks) == 0:
+			r = max(r, 1)
+		default:
+			r = max(r, ref.rank(append(path, t))+1)
+		}
+	}
+	return r
+}
+
+// putLocked stores row j of src, a staging chunk, at local row i of column
+// col, copy-on-write where the chunk is pinned or encoded (writableLocked),
+// and widens the column's zone to cover it (conservative: zones may
+// overcover after overwrites, which only costs pruning opportunity, never
+// correctness).
+func (s *Segment) putLocked(col string, i int, src Column, j int) {
+	c := s.writableLocked(col)
+	c.(plainChunk).put(i, src, j)
 	if z := s.zones[col]; i < s.zoned && z.cover(c, i, i+1) {
 		z.Typ = c.Type()
 		s.zones[col] = z
 	}
-	return nil
 }

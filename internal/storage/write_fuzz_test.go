@@ -129,6 +129,46 @@ func TestWritePathsAgree(t *testing.T) {
 	}
 }
 
+// countedInt is an integer read through an Int64 method, as
+// encoding/json's Number is; it counts the reads.
+type countedInt struct {
+	v     int64
+	reads *int
+}
+
+func (c countedInt) Int64() (int64, error) {
+	*c.reads++
+	return c.v, nil
+}
+
+// TestWriteConvertsOnce: a write converts each value once, foreign keys
+// included, however many checks read it.
+func TestWriteConvertsOnce(t *testing.T) {
+	dim := NewTable("dim")
+	dim.MustAddColumn("d", NewInt64Col([]int64{0, 1, 2}))
+	tab := NewTable("w")
+	tab.MustAddColumn("i32", NewInt32Col(nil))
+	tab.MustAddColumn("i64", NewInt64Col(nil))
+	tab.MustAddColumn("f64", NewFloat64Col(nil))
+	tab.MustAddColumn("fk", NewInt32Col(nil))
+	tab.MustAddFK("fk", dim)
+	reads := 0
+	row := make(map[string]any)
+	for _, name := range tab.ColumnNames() {
+		row[name] = countedInt{1, &reads}
+	}
+	if _, err := tab.Insert(row); err != nil {
+		t.Fatal(err)
+	}
+	if reads != len(row) {
+		t.Fatalf("Insert of %d values read them %d times, want once each", len(row), reads)
+	}
+	reads = 0
+	if err := tab.Update(0, "fk", countedInt{2, &reads}); err != nil || reads != 1 {
+		t.Fatalf("Update of a foreign key: err %v, %d reads, want 1", err, reads)
+	}
+}
+
 // writeValue draws one Go value for a write from byte k: every kind the
 // write paths may meet, including values just past the int32 limits and
 // numbers given as text, as an append body decodes them.
@@ -166,13 +206,14 @@ func writeValue(k byte) any {
 	}
 }
 
-// FuzzTableWrite sends random Go values through Insert and Update into
-// every column type. Each op is one byte choosing Insert (even) or Update
-// (odd; the byte picks the row and column) plus one value byte per column.
-// A write must be accepted exactly when wantStored accepts every value it
-// writes (and a foreign key names a dimension row); an accepted write reads
-// back as the converted values, and a rejected one leaves the table
-// unchanged.
+// FuzzTableWrite sends random Go values through Insert, Append and Update
+// into every column type. Each op is one byte choosing Insert (0 mod 4),
+// Append of a batch of one to three rows (2 mod 4) or Update (odd; the byte
+// picks the row and column), then one value byte per column of each row. A
+// write must be accepted exactly when wantStored accepts every value it
+// writes (and every foreign key names a dimension row); an accepted write
+// reads back as the converted values, and a rejected one leaves the table
+// unchanged, however many of its rows were good.
 func FuzzTableWrite(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 3, 5, 19, 1})                     // insert with a float32
 	f.Add([]byte{0, 8, 2, 4, 5, 5, 1})                      // insert past the int32 limit
@@ -182,52 +223,81 @@ func FuzzTableWrite(f *testing.F) {
 	f.Add([]byte{0, 12, 28, 13, 5, 5, 12})                        // insert with integer and decimal text
 	f.Add([]byte{0, 13, 12, 12, 5, 5, 13})                        // decimal text for integers
 	f.Add([]byte{0, 2, 0, 3, 5, 5, 1, 1, 12, 13, 13, 12, 12, 12}) // update with text
+	f.Add([]byte{6, 2, 0, 3, 5, 5, 1, 0, 0, 4, 5, 5, 0})          // append of two good rows
+	f.Add([]byte{6, 2, 0, 3, 5, 5, 1, 0, 0, 4, 5, 5, 3})          // append whose second row has a bad key
+	f.Add([]byte{10, 2, 0, 3, 5, 5, 1, 0, 0, 4, 5, 5, 0, 8, 2, 4, 5, 5, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab := writeTable()
 		names := tab.ColumnNames()
-		for len(data) > len(names) {
-			op, kinds := data[0], data[1:1+len(names)]
-			data = data[1+len(names):]
-			vals := make(map[string]any, len(names))
-			want := make(map[string]any, len(names))
-			accepts := func(name string) bool {
+		for len(data) > 0 {
+			op, nrows := data[0], 1
+			if op%4 == 2 {
+				nrows += int(op/4) % 3
+			}
+			if len(data) < 1+nrows*len(names) {
+				return
+			}
+			batch := make([]map[string]any, nrows)
+			want := make([]map[string]any, nrows)
+			for r := range batch {
+				batch[r], want[r] = make(map[string]any), make(map[string]any)
+				for i, name := range names {
+					batch[r][name] = writeValue(data[1+r*len(names)+i])
+				}
+			}
+			data = data[1+nrows*len(names):]
+			accepts := func(r int, name string) bool {
 				typ, _ := tab.ColumnType(name)
-				w, ok := wantStored(typ, vals[name])
+				w, ok := wantStored(typ, batch[r][name])
 				if name == "fk" {
 					ok = ok && w.(int64) >= 0 && w.(int64) < 3
 				}
-				want[name] = w
+				want[r][name] = w
 				return ok
 			}
-			for i, name := range names {
-				vals[name] = writeValue(kinds[i])
-			}
 			rows, version, lens, before := state(tab)
-			row, col, ok := rows, "", true
+			var ids []int
+			col, ok := "", true
 			var err error
 			if op%2 == 0 || rows == 0 {
-				for _, name := range names {
-					ok = accepts(name) && ok
+				for r := range batch {
+					for _, name := range names {
+						ok = accepts(r, name) && ok
+					}
 				}
-				row, err = tab.Insert(vals)
+				if op%4 == 2 {
+					ids, err = tab.Append(batch)
+				} else {
+					var id int
+					id, err = tab.Insert(batch[0])
+					ids = []int{id}
+				}
 			} else {
-				row, col = int(op/2)%rows, names[int(op/2)%len(names)]
-				ok = accepts(col)
-				err = tab.Update(row, col, vals[col])
+				row := int(op/2) % rows
+				col = names[int(op/2)%len(names)]
+				ok = accepts(0, col)
+				want[0] = map[string]any{col: want[0][col]}
+				err = tab.Update(row, col, batch[0][col])
+				ids = []int{row}
 			}
 			if (err == nil) != ok {
-				t.Fatalf("write %v (column %q): err = %v, want accepted = %v", vals, col, err, ok)
+				t.Fatalf("write %v (column %q): err = %v, want accepted = %v", batch, col, err, ok)
 			}
 			if err != nil {
 				if r, v, l, x := state(tab); r != rows || v != version || !reflect.DeepEqual(l, lens) || !reflect.DeepEqual(x, before) {
-					t.Fatalf("rejected write %v changed the table", vals)
+					t.Fatalf("rejected write %v changed the table", batch)
 				}
 				continue
 			}
-			got := stored(tab, row)
-			for name, w := range want {
-				if got[name] != w {
-					t.Fatalf("wrote %v to row %d: column %s reads %v (%T), want %v (%T)", vals, row, name, got[name], got[name], w, w)
+			if len(ids) != len(want) {
+				t.Fatalf("write %v returned rows %v", batch, ids)
+			}
+			for r, w := range want {
+				got := stored(tab, ids[r])
+				for name, w := range w {
+					if got[name] != w {
+						t.Fatalf("wrote %v to row %d: column %s reads %v (%T), want %v (%T)", batch[r], ids[r], name, got[name], got[name], w, w)
+					}
 				}
 			}
 		}
